@@ -2,13 +2,14 @@
 
 Subcommands: validate-potential, pressure-ed, pressure-mf, game, gap,
 kac-sweep, plot-data, selftest.  Exit codes: 0 success, 2 configuration
-error, 3 accuracy error, 4 capacity error.
+error, 3 accuracy error, 4 capacity error, 5 any other failed internal
+check (e.g. operator elements outside the declared sectors, Gibbs
+expectations out of range).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import fock, game, quasifree, sweep
 from .config import config_hash, parse_config
-from .errors import AccuracyError, CapacityError, ConfigError
+from .errors import AccuracyError, CapacityError, ConfigError, KaclabError
 from .lattice import LatticeBox
 from .potentials import GridSpec, PlainGaussian, cone_check, poisson_sum
 from .store import ResultStore, emit_plot_data
@@ -25,37 +26,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ACCURACY = 3
 EXIT_CAPACITY = 4
-
-
-def _apply_tolerance_overrides(cfg, spec: str | None):
-    if not spec:
-        return cfg
-    try:
-        overrides = json.loads(spec)
-    except json.JSONDecodeError as err:
-        raise ConfigError([f"--tolerance-overrides is not valid JSON: {err}"]) from None
-    known = {"quadrature_tol", "gap_tol", "xtol", "degeneracy_window"}
-    unknown = set(overrides) - known
-    if unknown:
-        raise ConfigError([f"unknown tolerance override {k!r}" for k in sorted(unknown)])
-    if "quadrature_tol" in overrides:
-        cfg.quadrature = dataclasses.replace(cfg.quadrature, tol=float(overrides["quadrature_tol"]))
-    opt_updates = {}
-    if "gap_tol" in overrides:
-        opt_updates["tol_gap"] = float(overrides["gap_tol"])
-    if "xtol" in overrides:
-        opt_updates["xtol"] = float(overrides["xtol"])
-    if "degeneracy_window" in overrides:
-        opt_updates["degeneracy_window"] = float(overrides["degeneracy_window"])
-    if opt_updates:
-        cfg.optimizer = dataclasses.replace(cfg.optimizer, **opt_updates)
-    return cfg
-
-
-def _load(args):
-    cfg = parse_config(args.config)
-    cfg = _apply_tolerance_overrides(cfg, getattr(args, "tolerance_overrides", None))
-    return cfg
+EXIT_CHECK = 5
 
 
 def _emit(payload):
@@ -63,7 +34,7 @@ def _emit(payload):
 
 
 def cmd_validate_potential(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config)
     reports = {}
     for role, pot in (("plus", cfg.f_plus), ("minus", cfg.f_minus)):
         if pot is None:
@@ -77,7 +48,7 @@ def cmd_validate_potential(args) -> int:
 
 
 def cmd_pressure_ed(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config)
     rows = []
     for beta in cfg.beta_list:
         for L in cfg.L_list:
@@ -96,7 +67,7 @@ def cmd_pressure_ed(args) -> int:
 
 
 def cmd_pressure_mf(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config)
     rows = []
     for beta in cfg.beta_list:
         mf = cfg.meanfield_params(beta)
@@ -114,7 +85,7 @@ def cmd_pressure_mf(args) -> int:
 
 
 def cmd_game(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config)
     chash = config_hash(cfg)
     store = ResultStore(args.out or cfg.output_dir) if (args.out or args.dump_grid) else None
     results = {}
@@ -141,7 +112,7 @@ def cmd_game(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config)
     chash = config_hash(cfg)
     store = ResultStore(args.out or cfg.output_dir) if args.out else None
     rows = []
@@ -165,7 +136,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_kac_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config)
     chash = config_hash(cfg)
     store = ResultStore(args.out or cfg.output_dir)
     summary = {}
@@ -195,7 +166,7 @@ def cmd_kac_sweep(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config)
     store = ResultStore(args.out or cfg.output_dir)
     paths = emit_plot_data(args.kind, store, args.out)
     _emit({"written": paths})
@@ -258,28 +229,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_config=True, **extra_flags):
+    def add(name, func, needs_config=True, out=False):
         p = sub.add_parser(name)
         if needs_config:
             p.add_argument("--config", required=True, help="experiment JSON file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--tolerance-overrides", default=None,
-                       help='JSON, e.g. {"quadrature_tol": 1e-9}')
-        for flag, kwargs in extra_flags.items():
-            p.add_argument(flag, **kwargs)
+        if out:
+            p.add_argument("--out", default=None,
+                           help="output directory (default: output_dir of the config)")
         p.set_defaults(func=func)
         return p
 
     add("validate-potential", cmd_validate_potential)
     add("pressure-ed", cmd_pressure_ed)
     add("pressure-mf", cmd_pressure_mf)
-    add("game", cmd_game, **{"--dump-grid": {"action": "store_true"}})
-    add("gap", cmd_gap)
-    add("kac-sweep", cmd_kac_sweep)
-    plot = add("plot-data", cmd_plot_data)
-    plot.add_argument("--kind", required=True,
-                      choices=["pressure_vs_gamma", "payoff_surface", "gap_vs_beta"])
+    add("game", cmd_game, out=True).add_argument("--dump-grid", action="store_true")
+    add("gap", cmd_gap, out=True)
+    add("kac-sweep", cmd_kac_sweep, out=True).add_argument(
+        "--threads", type=int, default=1, help="sweep records evaluated in parallel")
+    add("plot-data", cmd_plot_data, out=True).add_argument(
+        "--kind", required=True, choices=["pressure_vs_gamma", "payoff_surface", "gap_vs_beta"])
     add("selftest", cmd_selftest, needs_config=False)
     return parser
 
@@ -301,6 +269,9 @@ def main(argv=None) -> int:
     except CapacityError as err:
         print(f"capacity error: {err}", file=sys.stderr)
         return EXIT_CAPACITY
+    except KaclabError as err:
+        print(f"check failed: {err}", file=sys.stderr)
+        return EXIT_CHECK
 
 
 if __name__ == "__main__":

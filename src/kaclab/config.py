@@ -35,7 +35,7 @@ _TOP_KEYS = {
     "schema_version", "dimension", "hopping", "potentials", "beta", "eta",
     "gamma_minus", "gamma_plus", "L", "boundary", "order",
     "include_onsite_correction", "quadrature", "optimizer", "output_dir",
-    "seed", "dimension_cap",
+    "dimension_cap",
 }
 
 _DEFAULTS = {
@@ -50,7 +50,6 @@ _DEFAULTS = {
     "quadrature": {},
     "optimizer": {},
     "output_dir": "kaclab_out",
-    "seed": 0,
     "dimension_cap": 65536,
 }
 
@@ -98,7 +97,6 @@ class ExperimentConfig:
     quadrature: QuadratureSpec
     optimizer: OptimizerSpec
     output_dir: str
-    seed: int
     dimension_cap: int
     normalized: dict = field(repr=False, default_factory=dict)
 
@@ -130,6 +128,7 @@ class ExperimentConfig:
             gamma_plus_schedule=self.gamma_plus_schedule,
             order=self.order,
             boundary=self.boundary,
+            dimension_cap=self.dimension_cap,
         )
 
 
@@ -182,22 +181,14 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
     merged = dict(_DEFAULTS)
     merged.update({k: v for k, v in data.items() if k in _TOP_KEYS})
 
-    # hopping kernel with reflection-symmetry enforcement
+    # hopping kernel; repeated or mirrored offsets that disagree are rejected there
     hopping = None
     raw_hopping = data.get("hopping")
     if not isinstance(raw_hopping, list) or not raw_hopping:
         errors.append("hopping: expected a nonempty list of [offset, value] pairs")
     else:
         try:
-            entries = {}
-            for item in raw_hopping:
-                offset, value = item
-                z = tuple(int(c) for c in (offset if isinstance(offset, list) else [offset]))
-                if z in entries and entries[z] != float(value):
-                    raise ConfigError("hopping kernel not reflection-symmetric")
-                entries[z] = float(value)
-            # contradictory mirrors are rejected inside HoppingKernel
-            hopping = HoppingKernel(entries, dimension)
+            hopping = HoppingKernel(raw_hopping, dimension)
         except (ConfigError, TypeError, ValueError) as err:
             msg = str(err) if str(err) else "hopping: malformed entries"
             errors.append(msg)
@@ -277,10 +268,6 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
         errors.append(f"optimizer: {err}")
         optimizer = OptimizerSpec()
 
-    seed = merged["seed"]
-    if not isinstance(seed, int):
-        errors.append("seed: must be an integer")
-        seed = 0
     cap = merged["dimension_cap"]
     if not isinstance(cap, int) or cap < 4:
         errors.append("dimension_cap: must be an integer >= 4")
@@ -321,7 +308,6 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
             "tol_gap": optimizer.tol_gap,
         },
         "output_dir": str(merged["output_dir"]),
-        "seed": seed,
         "dimension_cap": cap,
     }
     return ExperimentConfig(
@@ -341,7 +327,6 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
         quadrature=quadrature,
         optimizer=optimizer,
         output_dir=str(merged["output_dir"]),
-        seed=seed,
         dimension_cap=cap,
         normalized=normalized,
     )

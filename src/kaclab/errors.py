@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all kaclab modules.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, AccuracyError -> 3,
-CapacityError -> 4.
+CapacityError -> 4, any other KaclabError (a failed internal check such as
+the sector-leak or Gibbs range check) -> 5.
 """
 
 

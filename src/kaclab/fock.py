@@ -351,8 +351,7 @@ def build_approximating_hamiltonian(mf: MeanFieldParams, c_minus: complex,
     """
     basis = FockBasis(box, dimension_cap)
     t = hopping_matrix(mf.hopping, box)
-    shift = np.sqrt(mf.eta_plus) * 2.0 * np.real(c_plus)
-    g = np.sqrt(mf.eta_minus) * complex(c_minus)
+    shift, g = mf.approximating_fields(c_minus, c_plus)
     H = _assemble(basis, t=t, density_onebody=shift, pair_field=-g)
     return FockOperator.from_sparse(basis, H, PARITY)
 

@@ -12,6 +12,7 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +78,19 @@ class LatticeBox:
 class HoppingKernel:
     """Finitely supported reflection-symmetric h: Z^d -> R.
 
-    ``entries`` maps offset tuples to values; h(-z) = h(z) is enforced at
-    construction (missing mirrors are filled in, contradictions rejected).
+    ``entries`` maps offset tuples to values, or lists (offset, value)
+    pairs; h(-z) = h(z) is enforced at construction (missing mirrors are
+    filled in; repeated or mirrored offsets with other values are
+    rejected).
     """
 
-    def __init__(self, entries: dict, d: int):
+    def __init__(self, entries, d: int):
         if d < 1:
             raise ConfigError("need d >= 1")
         self.d = int(d)
         table: dict[tuple, float] = {}
-        for offset, value in dict(entries).items():
+        pairs = entries.items() if isinstance(entries, dict) else entries
+        for offset, value in pairs:
             z = tuple(int(c) for c in np.atleast_1d(offset))
             if len(z) != d:
                 raise ConfigError(f"hopping offset {z} has wrong dimension (d={d})")
@@ -160,6 +164,15 @@ class MeanFieldParams:
             raise ConfigError("beta must be positive")
         if self.eta_plus < 0 or self.eta_minus < 0:
             raise ConfigError("mean-field couplings eta must be nonnegative")
+
+    def approximating_fields(self, c_minus: complex, c_plus: complex) -> tuple[float, complex]:
+        """(shift, gap) = (2 sqrt(eta_+) Re c_+, sqrt(eta_-) c_-).
+
+        The quadratic approximant at strategies (c_-, c_+) has the
+        one-body term hhat(k) + shift per mode and the pairing field gap.
+        """
+        shift = 2.0 * math.sqrt(self.eta_plus) * float(np.real(c_plus))
+        return shift, math.sqrt(self.eta_minus) * complex(c_minus)
 
 
 def dispersion(h: HoppingKernel, k) -> np.ndarray | float:

@@ -18,7 +18,9 @@ Fock trace (the authoritative contract) rather than trusted.  The
 infinite-volume pressure is the Brillouin-zone average of this quantity
 divided by beta, computed with tensor Gauss-Legendre (or midpoint)
 quadrature; the finite-grid version is exactly the finite-volume pressure
-of the approximating Hamiltonian with periodic hopping.
+of the approximating Hamiltonian with periodic hopping.  Pressures,
+finite grids and expectations are weighted sums over one cached table of
+hhat at the nodes per (hopping kernel, scheme, points per axis).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, ConfigError
-from .lattice import MeanFieldParams, dispersion
+from .lattice import HoppingKernel, MeanFieldParams, dispersion
 
 __all__ = [
     "BdGBlock",
@@ -58,9 +60,9 @@ class BdGBlock:
 
 def bdg_block(mf: MeanFieldParams, c_minus: complex, c_plus: complex, k) -> BdGBlock:
     k = np.atleast_1d(np.asarray(k, float))
-    eps = float(dispersion(mf.hopping, k)) + 2.0 * math.sqrt(mf.eta_plus) * np.real(c_plus)
-    gap = math.sqrt(mf.eta_minus) * complex(c_minus)
-    return BdGBlock(k=tuple(k.tolist()), epsilon_tilde=eps, gap=gap)
+    shift, gap = mf.approximating_fields(c_minus, c_plus)
+    return BdGBlock(k=tuple(k.tolist()), epsilon_tilde=float(dispersion(mf.hopping, k)) + shift,
+                    gap=gap)
 
 
 def _log_trace(eps, gap_abs, beta):
@@ -113,37 +115,38 @@ class QuadratureSpec:
 
 
 @lru_cache(maxsize=64)
-def _bz_nodes(scheme: str, n: int, d: int):
-    """Nodes (M, d) and weights (M,) with sum(w) = (2 pi)^d."""
+def _bz_table(h: HoppingKernel, scheme: str, n: int):
+    """hhat (M,) at the n^d tensor nodes of [-pi, pi)^d and weights (M,) summing to 1.
+
+    Midpoint nodes are pi (2j + 1 - n) / n, j = 0..n-1; for n = 2L+1 these
+    are exactly the discrete momenta 2 pi m / (2L+1), m = -L..L.  Kernels
+    key the cache by identity; the cache holds them, so no id is reused.
+    """
     if scheme == "gauss_legendre_tensor":
         x, w = np.polynomial.legendre.leggauss(n)
-        x, w = math.pi * x, math.pi * w
+        x, w = math.pi * x, 0.5 * w
     else:  # midpoint
-        x = -math.pi + (2.0 * np.arange(n) + 1.0) * math.pi / n
-        w = np.full(n, 2.0 * math.pi / n)
-    axes = np.meshgrid(*([x] * d), indexing="ij")
-    K = np.stack([a.ravel() for a in axes], axis=-1)
-    W = np.ones(K.shape[0])
-    for j in range(d):
-        W *= np.meshgrid(*([w] * d), indexing="ij")[j].ravel()
-    K.setflags(write=False)
+        x = math.pi * (2.0 * np.arange(n) + 1.0 - n) / n
+        w = np.full(n, 1.0 / n)
+    d = h.d
+    K = np.stack(np.meshgrid(*([x] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    W = np.prod(np.meshgrid(*([w] * d), indexing="ij"), axis=0).ravel()
+    hhat = np.asarray(dispersion(h, K), float)
+    hhat.setflags(write=False)
     W.setflags(write=False)
-    return K, W
+    return hhat, W
 
 
-def _model_fields(mf: MeanFieldParams, c_minus, c_plus):
-    shift = 2.0 * math.sqrt(mf.eta_plus) * float(np.real(c_plus))
-    gap = math.sqrt(mf.eta_minus) * complex(c_minus)
-    return shift, gap
+def _zone(mf, c_minus, c_plus, scheme, n):
+    """eps~ at the zone nodes, the pairing field and the node weights."""
+    hhat, W = _bz_table(mf.hopping, scheme, n)
+    shift, gap = mf.approximating_fields(c_minus, c_plus)
+    return hhat + shift, gap, W
 
 
 def _pressure_at(mf, c_minus, c_plus, scheme, n):
-    d = mf.hopping.d
-    K, W = _bz_nodes(scheme, n, d)
-    shift, gap = _model_fields(mf, c_minus, c_plus)
-    eps = np.asarray(dispersion(mf.hopping, K), float) + shift
-    vals = _log_trace(eps, abs(gap), mf.beta)
-    return float(W @ vals) / (2.0 * math.pi) ** d / mf.beta
+    eps, gap, W = _zone(mf, c_minus, c_plus, scheme, n)
+    return float(W @ _log_trace(eps, abs(gap), mf.beta)) / mf.beta
 
 
 def quasifree_pressure(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
@@ -173,18 +176,12 @@ def finite_grid_pressure(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
     """Discrete-momentum pressure on k in (2 pi/(2L+1)) {-L..L}^d.
 
     Exactly the finite-volume pressure of the approximating Hamiltonian
-    with periodic (torus-folded) hopping on the box of linear size 2L+1.
+    with periodic (torus-folded) hopping on the box of linear size 2L+1;
+    it is the midpoint rule with 2L+1 points per axis.
     """
     if L < 0:
         raise ConfigError("L must be nonnegative")
-    d = mf.hopping.d
-    axis = 2.0 * math.pi * np.arange(-L, L + 1) / (2 * L + 1)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    K = np.stack([m.ravel() for m in mesh], axis=-1)
-    shift, gap = _model_fields(mf, c_minus, c_plus)
-    eps = np.asarray(dispersion(mf.hopping, K), float) + shift
-    vals = _log_trace(eps, abs(gap), mf.beta)
-    return float(np.mean(vals)) / mf.beta
+    return _pressure_at(mf, c_minus, c_plus, "midpoint_tensor", 2 * L + 1)
 
 
 def bz_gibbs_expectations(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
@@ -199,14 +196,7 @@ def bz_gibbs_expectations(mf: MeanFieldParams, c_minus: complex, c_plus: complex
     sqrt(eta) normalization applied by the caller.
     """
     quad = quad or QuadratureSpec()
-    d = mf.hopping.d
-    n = quad.resolve_points(d)
-    K, W = _bz_nodes(quad.scheme, n, d)
-    shift, gap = _model_fields(mf, c_minus, c_plus)
-    eps = np.asarray(dispersion(mf.hopping, K), float) + shift
-    energy = np.hypot(eps, abs(gap))
-    t = _tanh_over_e(energy, mf.beta)
-    norm = (2.0 * math.pi) ** d
-    pair = gap * float(W @ (0.5 * t)) / norm
-    density = float(W @ (1.0 - eps * t)) / norm
-    return pair, density
+    n = quad.resolve_points(mf.hopping.d)
+    eps, gap, W = _zone(mf, c_minus, c_plus, quad.scheme, n)
+    t = _tanh_over_e(np.hypot(eps, abs(gap)), mf.beta)
+    return gap * float(W @ (0.5 * t)), float(W @ (1.0 - eps * t))

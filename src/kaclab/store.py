@@ -3,19 +3,24 @@
 One store per output directory.  Sweep rows are deduplicated on
 (config_hash, d, L, beta, gamma_minus, gamma_plus, boundary); re-running
 an identical configuration never duplicates rows.  Numbers are written
-with 17 significant digits so that stored doubles round-trip exactly.
+with 17 significant digits so that stored doubles round-trip exactly.  A
+partial trailing row (a crash mid-append) is dropped from the file with a
+warning on load, so the next append starts on a clean line.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 
 from .errors import InsufficientDataError
 from .sweep import SweepRecord
 
 __all__ = ["ResultStore", "emit_plot_data", "SWEEP_COLUMNS"]
+
+log = logging.getLogger(__name__)
 
 SWEEP_COLUMNS = [
     "d", "L", "beta", "gamma_minus", "gamma_plus", "boundary",
@@ -56,26 +61,30 @@ class ResultStore:
     def _load_sweep(self):
         if not os.path.exists(self.sweep_path):
             return
-        with open(self.sweep_path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                rec = SweepRecord(
-                    d=int(row["d"]), L=int(row["L"]), beta=float(row["beta"]),
-                    gamma_minus=float(row["gamma_minus"]),
-                    gamma_plus=float(row["gamma_plus"]),
-                    boundary=row["boundary"],
-                    pressure=float(row["pressure"]), density=float(row["density"]),
-                    runtime_ms=int(row["runtime_ms"]),
-                    config_hash=row["config_hash"],
-                )
-                self._sweep_rows[_record_key(rec)] = rec
+        with open(self.sweep_path, "rb") as fh:
+            data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            log.warning("%s: dropping partial trailing row %r", self.sweep_path, data[end:])
+            with open(self.sweep_path, "r+b") as fh:
+                fh.truncate(end)
+        for row in csv.DictReader(data[:end].decode("utf-8").splitlines()):
+            rec = SweepRecord(
+                d=int(row["d"]), L=int(row["L"]), beta=float(row["beta"]),
+                gamma_minus=float(row["gamma_minus"]),
+                gamma_plus=float(row["gamma_plus"]),
+                boundary=row["boundary"],
+                pressure=float(row["pressure"]), density=float(row["density"]),
+                runtime_ms=int(row["runtime_ms"]),
+                config_hash=row["config_hash"],
+            )
+            self._sweep_rows[_record_key(rec)] = rec
 
-    def find_sweep_record(self, config_hash: str, key) -> SweepRecord | None:
+    def find_sweep_record(self, config_hash: str, key, *, d: int, beta: float,
+                          boundary: str) -> SweepRecord | None:
+        """The stored record of plan key (L, gamma_minus, gamma_plus), or None."""
         L, gm, gp = key
-        for rec in self._sweep_rows.values():
-            if (rec.config_hash == config_hash and rec.L == L
-                    and rec.gamma_minus == gm and rec.gamma_plus == gp):
-                return rec
-        return None
+        return self._sweep_rows.get((config_hash, d, L, beta, gm, gp, boundary))
 
     def sweep_records(self, config_hash: str | None = None) -> list:
         rows = list(self._sweep_rows.values())
@@ -88,7 +97,7 @@ class ResultStore:
         fresh = [r for r in records if _record_key(r) not in self._sweep_rows]
         if not fresh:
             return 0
-        new_file = not os.path.exists(self.sweep_path)
+        new_file = not os.path.exists(self.sweep_path) or not os.path.getsize(self.sweep_path)
         with open(self.sweep_path, "a", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             if new_file:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapacityError, ConfigError, InsufficientDataError
-from .fock import build_kac_hamiltonian, gibbs_observables
+from .fock import DEFAULT_DIMENSION_CAP, build_kac_hamiltonian, gibbs_observables
 from .game import GameResult
 from .lattice import LatticeBox, ModelParams
 from .potentials import PairPotential, TruncationSpec, kac_lattice_sum
@@ -57,6 +57,7 @@ class SweepPlan:
     gamma_plus_schedule: tuple
     order: str = "minus_first"
     boundary: str = "periodic"
+    dimension_cap: int = DEFAULT_DIMENSION_CAP  # records over it end in run_sweep's failures
 
     def __post_init__(self):
         object.__setattr__(self, "L_list", tuple(int(L) for L in self.L_list))
@@ -120,7 +121,7 @@ def _evaluate(plan: SweepPlan, key, config_hash: str) -> SweepRecord:
     t0 = time.perf_counter()
     box = LatticeBox(plan.model.hopping.d, L, plan.boundary)
     mp = replace(plan.model, gamma_minus=gm, gamma_plus=gp)
-    op = build_kac_hamiltonian(mp, box)
+    op = build_kac_hamiltonian(mp, box, plan.dimension_cap)
     obs = gibbs_observables(op, mp.beta)
     ms = int(round(1000.0 * (time.perf_counter() - t0)))
     return SweepRecord(
@@ -134,16 +135,19 @@ def run_sweep(plan: SweepPlan, store=None, threads: int = 1,
               config_hash: str = "", failures: list | None = None) -> list:
     """Evaluate every (L, gamma_-, gamma_+) of the plan.
 
-    Records already persisted in the store under the same config_hash are
-    reused, not recomputed.  Capacity errors are collected per record (into
-    ``failures`` and the log) without aborting the sweep.  The returned
-    list follows the deterministic plan order.
+    Records already persisted in the store under the same config_hash, d,
+    beta and boundary are reused, not recomputed.  Capacity errors are
+    collected per record (into ``failures`` and the log) without aborting
+    the sweep.  The returned list follows the deterministic plan order.
     """
     keys = plan.keys()
     results: dict = {}
     todo = []
     for key in keys:
-        existing = store.find_sweep_record(config_hash, key) if store else None
+        existing = store.find_sweep_record(
+            config_hash, key, d=plan.model.hopping.d, beta=plan.model.beta,
+            boundary=plan.boundary,
+        ) if store else None
         if existing is not None:
             results[key] = existing
         elif key not in results:

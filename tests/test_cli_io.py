@@ -84,7 +84,7 @@ def test_all_errors_reported_at_once():
 
 
 def test_round_trip_and_hash_stability(tmp_path):
-    cfg = parse_config_dict(minimal_config(beta=[0.1, 2.0], seed=7))
+    cfg = parse_config_dict(minimal_config(beta=[0.1, 2.0]))
     text = serialize_config(cfg)
     path = tmp_path / "exp.json"
     path.write_text(text)
@@ -135,9 +135,40 @@ def test_store_dedupes_identical_rows(tmp_path):
 def test_store_find_by_hash_and_key(tmp_path):
     store = ResultStore(str(tmp_path))
     store.append_sweep_records([make_record(), make_record(L=2, pressure=0.5)])
-    found = store.find_sweep_record("abc", (2, 0.5, 0.5))
+    where = dict(d=1, beta=1.0, boundary="periodic")
+    found = store.find_sweep_record("abc", (2, 0.5, 0.5), **where)
     assert found is not None and found.pressure == 0.5
-    assert store.find_sweep_record("zzz", (2, 0.5, 0.5)) is None
+    assert store.find_sweep_record("zzz", (2, 0.5, 0.5), **where) is None
+    # every field of the record key takes part in the lookup
+    for other in (dict(where, beta=4.0), dict(where, d=2), dict(where, boundary="open")):
+        assert store.find_sweep_record("abc", (2, 0.5, 0.5), **other) is None
+
+
+def test_store_drops_torn_trailing_row(tmp_path, caplog):
+    store = ResultStore(str(tmp_path))
+    store.append_sweep_records([make_record(), make_record(L=2)])
+    with open(store.sweep_path, "a", encoding="utf-8") as fh:
+        fh.write("1,3,1,0.5,0.")  # a crash mid-append
+    with caplog.at_level("WARNING", logger="kaclab.store"):
+        store2 = ResultStore(str(tmp_path))
+    assert "partial trailing row" in caplog.text
+    assert len(store2.sweep_records()) == 2
+    # the record is recomputed and appended on a clean line
+    assert store2.append_sweep_records([make_record(L=3)]) == 1
+    with open(store.sweep_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == SWEEP_COLUMNS
+    assert [r[1] for r in rows[1:]] == ["1", "2", "3"]
+    assert len(ResultStore(str(tmp_path)).sweep_records()) == 3
+
+
+def test_store_torn_header_starts_over(tmp_path):
+    with open(tmp_path / "sweep.csv", "w", encoding="utf-8") as fh:
+        fh.write("d,L,be")
+    store = ResultStore(str(tmp_path))
+    assert store.sweep_records() == []
+    store.append_sweep_records([make_record()])
+    assert len(ResultStore(str(tmp_path)).sweep_records()) == 1
 
 
 # -- plot data ----------------------------------------------------------------------
@@ -260,16 +291,76 @@ def test_cli_kac_sweep_pipeline(tmp_path, capsys):
                  "--kind", "pressure_vs_gamma"]) == 0
 
 
+def sweep_config(**overrides):
+    data = dict(
+        potentials={"minus": {"family": "plain_gaussian", "width": 1.0}},
+        L=[0, 1],
+        gamma_minus=[0.5, 0.25, 0.125],
+        gamma_plus=[0.5],
+        optimizer={"grid_points": 9},
+    )
+    data.update(overrides)
+    return minimal_config(**data)
+
+
+def test_cli_kac_sweep_keeps_rows_per_beta(tmp_path, capsys):
+    out_dir = str(tmp_path / "results")
+    path = write_config(tmp_path, sweep_config(beta=[1.0, 4.0]))
+    assert main(["kac-sweep", "--config", path, "--out", out_dir]) == 0
+    payload = json.loads(capsys.readouterr().out)["kac_sweep"]
+    rows = ResultStore(out_dir).sweep_records()
+    assert len(rows) == 12
+    assert sorted(r.beta for r in rows) == [1.0] * 6 + [4.0] * 6
+    for beta, summary in payload.items():
+        stored = {r.gamma_minus: r.pressure for r in rows
+                  if r.beta == float(beta) and r.L == 1}
+        report = summary["limit_report"]
+        assert report["pressures"] == [stored[g] for g in report["gammas"]]
+
+
+def test_cli_kac_sweep_respects_dimension_cap(tmp_path, capsys):
+    out_dir = str(tmp_path / "results")
+    path = write_config(tmp_path, sweep_config(L=[0, 1, 2], dimension_cap=64))
+    assert main(["pressure-ed", "--config", path]) == 4
+    assert main(["kac-sweep", "--config", path, "--out", out_dir]) == 0
+    summary = json.loads(capsys.readouterr().out)["kac_sweep"]["1.0"]
+    assert summary["records"] == 6
+    assert [f["key"][0] for f in summary["failures"]] == [2, 2, 2]
+    assert all("exceeds cap 64" in f["error"] for f in summary["failures"])
+    assert max(r.L for r in ResultStore(out_dir).sweep_records()) == 1
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
 
 
-def test_cli_tolerance_overrides(tmp_path, capsys):
+def test_cli_flags_only_where_used(tmp_path, capsys):
     path = write_config(tmp_path, minimal_config())
-    assert main(["pressure-ed", "--config", path,
-                 "--tolerance-overrides", '{"xtol": 1e-8}']) == 0
+    for argv in (["pressure-ed", "--config", path, "--out", str(tmp_path)],
+                 ["game", "--config", path, "--threads", "2"],
+                 ["pressure-ed", "--config", path, "--tolerance-overrides", "{}"],
+                 ["selftest", "--out", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
-    assert main(["pressure-ed", "--config", path,
-                 "--tolerance-overrides", '{"bogus": 1}']) == 2
+
+
+def test_cli_failed_check_exit_code(tmp_path, capsys, monkeypatch):
+    from kaclab import cli
+    from kaclab.errors import KaclabError
+
+    def out_of_range(op, beta):
+        raise KaclabError("Gibbs expectations out of range: density=2.5")
+
+    monkeypatch.setattr(cli.fock, "gibbs_observables", out_of_range)
+    path = write_config(tmp_path, minimal_config(L=[0]))
+    assert main(["pressure-ed", "--config", path]) == 5
+    assert "Gibbs expectations out of range" in capsys.readouterr().err
+
+
+def test_seed_key_removed():
+    with pytest.raises(ConfigError, match="unknown configuration key 'seed'"):
+        parse_config_dict(minimal_config(seed=7))

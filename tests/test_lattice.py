@@ -47,6 +47,11 @@ def test_kernel_symmetrization_and_rejection():
         HoppingKernel({(1,): -1.0, (-1,): -2.0}, 1)
 
 
+def test_kernel_rejects_repeated_offsets():
+    with pytest.raises(ConfigError, match="not reflection-symmetric"):
+        HoppingKernel([((1,), -1.0), ((1,), -2.0)], 1)
+
+
 def test_discrete_laplacian_dispersion_values():
     lap = discrete_laplacian(1)
     assert dispersion(lap, [0.0]) == pytest.approx(0.0, abs=1e-15)

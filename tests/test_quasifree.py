@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from kaclab import quasifree
 from kaclab.errors import AccuracyError, ConfigError
 from kaclab.fock import build_approximating_hamiltonian, pressure
-from kaclab.lattice import HoppingKernel, LatticeBox, MeanFieldParams, discrete_laplacian
+from kaclab.game import OptimizerSpec, solve_game
+from kaclab.lattice import (
+    HoppingKernel,
+    LatticeBox,
+    MeanFieldParams,
+    discrete_laplacian,
+    dispersion,
+)
 from kaclab.quasifree import (
     BdGBlock,
     QuadratureSpec,
@@ -146,6 +154,43 @@ def test_midpoint_and_gauss_agree_when_converged():
         mf, 0.4, 0.1, QuadratureSpec(scheme="midpoint_tensor", points_per_axis=512)
     )
     assert m == pytest.approx(g, abs=1e-10)
+
+
+# -- the shared zone table ------------------------------------------------------------
+
+
+def test_one_game_computes_each_zone_table_once(monkeypatch):
+    shapes = []
+
+    def counting(h, k):
+        shapes.append(np.shape(k))
+        return dispersion(h, k)
+
+    monkeypatch.setattr(quasifree, "dispersion", counting)
+    quasifree._bz_table.cache_clear()
+    mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1),
+                         eta_plus=0.5, eta_minus=1.5)
+    solve_game(mf, QuadratureSpec(), OptimizerSpec(grid_points=9))
+    # the base resolution (also read by the gap expectations) and its refinement
+    assert sorted(shapes) == [(64, 1), (128, 1)]
+
+
+def test_kernels_of_one_dimension_never_share_a_table():
+    kernels = [discrete_laplacian(1), HoppingKernel({(0,): 1.0, (2,): -0.5}, 1)]
+
+    def results(order):
+        out = {}
+        for i in order:
+            mf = MeanFieldParams(beta=2.0, hopping=kernels[i], eta_plus=0.5, eta_minus=1.0)
+            out[i] = (quasifree_pressure(mf, 0.3, 0.2), bz_gibbs_expectations(mf, 0.3, 0.2),
+                      finite_grid_pressure(mf, 0.3, 0.2, 2))
+        return out
+
+    warm = results([0, 1])
+    quasifree._bz_table.cache_clear()
+    cold = results([1, 0])
+    assert warm == cold
+    assert warm[0] != warm[1]
 
 
 # -- finite-grid / ED duality -----------------------------------------------------------

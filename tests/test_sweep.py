@@ -1,5 +1,6 @@
 """Order-of-limits sweeps, product-state energies, and limit reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -134,6 +135,15 @@ def test_sweep_determinism_and_capacity_failures():
     records = run_sweep(big, failures=failures)
     assert failures and all(L == 12 for (L, _, _), _ in failures)
     assert all(rec.L == 1 for rec in records)  # surviving records intact
+
+
+def test_sweep_respects_the_plan_dimension_cap():
+    plan = dataclasses.replace(hopping_only_plan(L_list=(0, 1)), dimension_cap=16)
+    failures = []
+    records = run_sweep(plan, failures=failures)
+    assert [rec.L for rec in records] == [0] * 9  # one site: 4 states
+    assert len(failures) == 9 and all(L == 1 for (L, _, _), _ in failures)
+    assert all("exceeds cap 16" in msg for _, msg in failures)
 
 
 def test_sweep_threads_match_serial():
