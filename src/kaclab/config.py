@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .game import OptimizerSpec
 from .lattice import HoppingKernel, MeanFieldParams, ModelParams
 from .potentials import PairPotential, make_potential
@@ -174,7 +174,7 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
         errors.append(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
     dimension = data.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not is_integer(dimension) or dimension < 1:
         errors.append("dimension: must be a positive integer")
         dimension = 1
 
@@ -218,7 +218,7 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
 
     L_list = merged["L"]
     if (not isinstance(L_list, list) or not L_list
-            or any(not isinstance(L, int) or L < 0 for L in L_list)):
+            or any(not is_integer(L) or L < 0 for L in L_list)):
         errors.append("L: expected a nonempty list of nonnegative integers")
         L_list = [1]
 
@@ -269,7 +269,7 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
         optimizer = OptimizerSpec()
 
     cap = merged["dimension_cap"]
-    if not isinstance(cap, int) or cap < 4:
+    if not is_integer(cap) or cap < 4:
         errors.append("dimension_cap: must be an integer >= 4")
         cap = 65536
 

@@ -374,36 +374,39 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
 
     The pair amplitude <a_down a_up> per site vanishes identically for
     number-conserving operators (superselection) and is returned as exact
-    zero in that case.
+    zero in that case.  Number sectors need no eigenvectors: every
+    eigenstate of sector (N, 2 S_z) holds N fermions.
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
     basis = op.basis
     n = basis.n_sites
     sectors = basis.sectors(op.blocking)
-    eig = op.eigensystem(vectors=True)
+    parity = op.blocking == PARITY
+    eig = op.eigensystem(vectors=parity)
     e0 = min(w.min() for w, _ in eig.values())
 
     Z = 0.0
     acc_energy = 0.0
     acc_density = 0.0
     acc_pair = 0.0 + 0.0j
-    pair_op = basis.mean_pair_annihilator() if op.blocking == PARITY else None
+    pair_op = basis.mean_pair_annihilator() if parity else None
     log_z_terms = []
     for key, (w, U) in eig.items():
-        idx = sectors[key]
         weights = np.exp(-beta * (w - e0))
         Z += float(weights.sum())
         log_z_terms.append(-beta * w)
         acc_energy += float(weights @ w)
+        if not parity:
+            acc_density += float(weights.sum()) * key[0]
+            continue
+        idx = sectors[key]
         n_vec = basis.n_tot[idx].astype(float)
         occup = (np.abs(U) ** 2).T @ n_vec  # <N> in each eigenstate
         acc_density += float(weights @ occup)
-        if pair_op is not None:
-            A = pair_op[idx][:, idx].toarray()
-            AU = A @ U
-            diag = np.einsum("si,si->i", U.conj(), AU)
-            acc_pair += complex(weights @ diag)
+        A = pair_op[idx][:, idx].toarray()
+        diag = np.einsum("si,si->i", U.conj(), A @ U)
+        acc_pair += complex(weights @ diag)
     press = float(logsumexp(np.concatenate(log_z_terms))) / (beta * n)
     density = acc_density / Z / n
     pair = acc_pair / Z

@@ -22,6 +22,12 @@ any imaginary part, so Im c_+ = 0.  Search boxes c_- in [0,1] and c_+ in
 ||a a|| = 1, ||n_up + n_down|| = 2; optima pinned at the upper box edge
 are flagged, never silently accepted.
 
+Searches: the payoff and the flat profile min_{c_-} payoff are concave in
+c_+ with the c_+ gap equation below as slope (for the profile at the inner
+minimizer, by the envelope theorem), so maxima over c_+ are bracketed
+roots; minima over c_- are grid searches, the guard against first-order
+transitions, refined by bounded Brent.
+
 Gap-equation normalization: with pair = <a^dag_up a^dag_down> and
 density = <n_up + n_down> per site in the approximating model, the
 residual uses the fixed points
@@ -35,13 +41,15 @@ of the payoff and residual zero are the same equations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .lattice import MeanFieldParams
 from .quasifree import QuadratureSpec, bz_gibbs_expectations, quasifree_pressure
 
@@ -86,8 +94,10 @@ class OptimizerSpec:
     tol_gap: float = 1e-9
 
     def __post_init__(self):
-        if self.grid_points < 3:
-            raise ConfigError("need at least 3 grid points")
+        if not (is_integer(self.grid_points) and self.grid_points >= 3):
+            raise ConfigError("grid_points must be an integer >= 3")
+        if not is_integer(self.max_iter):
+            raise ConfigError("max_iter must be an integer")
         if self.xtol <= 0 or self.tol_gap <= 0:
             raise ConfigError("tolerances must be positive")
 
@@ -144,32 +154,19 @@ def payoff(mf: MeanFieldParams, g: GamePoint, quad: QuadratureSpec | None = None
             - quasifree_pressure(mf, g.c_minus, g.c_plus, quad))
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float, max_iter: int):
-    """Golden-section minimization on [lo, hi]; returns (x, f(x), n_evals)."""
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    evals = 2
-    while hi - lo > xtol and evals < max_iter:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-        evals += 1
-    return (x1, f1, evals) if f1 <= f2 else (x2, f2, evals)
+def _slope_root(slope: Callable[[float], float], lo: float, hi: float,
+                opt: OptimizerSpec) -> float:
+    """Maximizer on [lo, hi] of a concave function with decreasing slope."""
+    if slope(hi) >= 0.0:
+        return hi
+    if slope(lo) <= 0.0:
+        return lo
+    return brentq(slope, lo, hi, xtol=opt.xtol, maxiter=opt.max_iter, disp=False)
 
 
 def _grid_refine_min(f: Callable[[float], float], lo: float, hi: float,
                      opt: OptimizerSpec):
-    """All local minima of f on [lo, hi]: coarse grid, then golden refinement.
+    """All local minima of f on [lo, hi]: coarse grid, then bounded Brent.
 
     Returns a list of (x, f(x)) sorted by value; the grid guards against
     the multiple minima of first-order transitions.
@@ -184,7 +181,9 @@ def _grid_refine_min(f: Callable[[float], float], lo: float, hi: float,
         if fs[i] <= left and fs[i] <= right:
             a = xs[max(i - 1, 0)]
             b = xs[min(i + 1, n - 1)]
-            x, fx, _ = _golden_min(f, a, b, opt.xtol, opt.max_iter)
+            r = minimize_scalar(f, bounds=(a, b), method="bounded",
+                                options={"xatol": opt.xtol, "maxiter": opt.max_iter})
+            x, fx = r.x, r.fun
             if fs[i] < fx:  # keep the grid point if refinement stalled
                 x, fx = xs[i], fs[i]
             candidates.append((float(x), float(fx)))
@@ -212,7 +211,8 @@ def decision_rule(mf: MeanFieldParams, c_minus: float,
     """r_+(c_-): the unique maximizer of the payoff over c_+ at fixed c_-.
 
     The payoff is strictly concave in c_+ (pressure convex in the linear
-    coupling plus the -c_+^2 penalty), so golden-section search is exact.
+    coupling plus the -c_+^2 penalty), so its maximizer is the root of the
+    decreasing slope sqrt(eta_+) density - c_+ of the c_+ gap equation.
     For eta_+ = 0 the repulsive strategy space degenerates and r_+ = 0.
     A maximizer pinned at the upper box edge is flagged, not silent.
     """
@@ -222,12 +222,12 @@ def decision_rule(mf: MeanFieldParams, c_minus: float,
         return DecisionResult(0.0, value, False)
     lo, hi = opt.c_plus_box
 
-    def neg(c_plus):
-        return -payoff(mf, GamePoint(c_minus, c_plus), quad)
+    def slope(c_plus):
+        return _gap_map(mf, GamePoint(c_minus, c_plus), quad)[1] - c_plus
 
-    x, fx, _ = _golden_min(neg, lo, hi, opt.xtol, opt.max_iter)
-    at_boundary = (hi - x) <= 10 * opt.xtol
-    return DecisionResult(float(x), -float(fx), bool(at_boundary))
+    x = _slope_root(slope, lo, hi, opt)
+    value = payoff(mf, GamePoint(c_minus, x), quad)
+    return DecisionResult(float(x), value, bool((hi - x) <= 10 * opt.xtol))
 
 
 def _min_over_c_minus(mf, c_plus, quad, opt):
@@ -248,8 +248,9 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
     """Solve both orderings of the thermodynamic game.
 
     p_sharp: outer minimization over c_- of the decision-rule payoff
-    (grid + golden refinement, all near-degenerate minima reported);
-    p_flat: outer maximization over c_+ of the inner c_- minimum.
+    (grid + bounded Brent refinement, all near-degenerate minima reported);
+    p_flat: outer maximization over c_+ of the inner c_- minimum, the root
+    of its slope over the whole c_+ box.
     """
     opt = opt or OptimizerSpec()
     boundary_flagged = False
@@ -275,29 +276,24 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
     )
     p_sharp = -sharp_val
 
-    # flat ordering: max over c_+ of the inner minimum over c_-
-    def flat_value(c_plus):
-        return _min_over_c_minus(mf, c_plus, quad, opt)[0][1]
+    # flat ordering: max over c_+ of the inner minimum over c_-.  The profile
+    # is concave even where the inner minimizer jumps between basins, and
+    # its slope is the c_+ gap equation at the inner minimizer.
+    @functools.cache
+    def flat_min(c_plus):
+        return _min_over_c_minus(mf, c_plus, quad, opt)[0]
+
+    def flat_slope(c_plus):
+        return _gap_map(mf, GamePoint(flat_min(c_plus)[0], c_plus), quad)[1] - c_plus
 
     if mf.eta_plus == 0.0:
-        cp_star, flat_val = 0.0, flat_value(0.0)
+        cp_star = 0.0
     else:
-        # coarse bracket first (the inner minimum can switch basins), then
-        # golden refinement of the concave outer profile
         lo, hi = opt.c_plus_box
-        xs = np.linspace(lo, hi, opt.grid_points)
-        vals = np.array([flat_value(x) for x in xs])
-        i = int(np.argmax(vals))
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        cp_star, neg_val, _ = _golden_min(
-            lambda cp: -flat_value(cp), a, b, opt.xtol, opt.max_iter
-        )
-        if vals[i] > -neg_val:
-            cp_star, neg_val = xs[i], -vals[i]
-        cp_star, flat_val = float(cp_star), float(-neg_val)
-        boundary_flagged |= bool((hi - cp_star) <= 10 * opt.xtol)
-    inner = _min_over_c_minus(mf, cp_star, quad, opt)
-    argmax_flat = GamePoint(inner[0][0], cp_star)
+        cp_star = float(_slope_root(flat_slope, lo, hi, opt))
+        boundary_flagged |= (hi - cp_star) <= 10 * opt.xtol
+    cm_flat, flat_val = flat_min(cp_star)
+    argmax_flat = GamePoint(cm_flat, cp_star)
     p_flat = -flat_val
 
     res_sharp = gap_residual(mf, argmin_sharp, quad)

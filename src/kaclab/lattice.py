@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .potentials import PairPotential
 
 __all__ = [
@@ -91,7 +91,10 @@ class HoppingKernel:
         table: dict[tuple, float] = {}
         pairs = entries.items() if isinstance(entries, dict) else entries
         for offset, value in pairs:
-            z = tuple(int(c) for c in np.atleast_1d(offset))
+            coords = np.atleast_1d(np.asarray(offset, dtype=object)).tolist()
+            if not all(is_integer(c) for c in coords):
+                raise ConfigError(f"hopping offset {offset!r} must hold integers")
+            z = tuple(int(c) for c in coords)
             if len(z) != d:
                 raise ConfigError(f"hopping offset {z} has wrong dimension (d={d})")
             value = float(value)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigError
+from .errors import AccuracyError, ConfigError, is_integer
 from .lattice import HoppingKernel, MeanFieldParams, dispersion
 
 __all__ = [
@@ -105,8 +105,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme not in ("gauss_legendre_tensor", "midpoint_tensor"):
             raise ConfigError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.points_per_axis is not None and self.points_per_axis < 2:
-            raise ConfigError("points_per_axis must be >= 2")
+        if self.points_per_axis is not None and not (
+                is_integer(self.points_per_axis) and self.points_per_axis >= 2):
+            raise ConfigError("points_per_axis must be an integer >= 2")
 
     def resolve_points(self, d: int) -> int:
         if self.points_per_axis is not None:

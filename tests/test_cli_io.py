@@ -15,6 +15,9 @@ from kaclab.config import (
     serialize_config,
 )
 from kaclab.errors import ConfigError, InsufficientDataError
+from kaclab.game import OptimizerSpec
+from kaclab.lattice import HoppingKernel
+from kaclab.quasifree import QuadratureSpec
 from kaclab.store import SWEEP_COLUMNS, ResultStore, emit_plot_data
 from kaclab.sweep import SweepRecord
 
@@ -81,6 +84,33 @@ def test_all_errors_reported_at_once():
     assert "seed" in joined
     assert "unknown configuration key" in joined
     assert len(exc.value.messages) >= 4
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"dimension": True}, "dimension: must be a positive integer"),
+    ({"L": [True]}, "L: expected a nonempty list of nonnegative integers"),
+    ({"hopping": [[[1.5], -1.0], [[0], 2.0]]}, "hopping offset .* must hold integers"),
+    ({"quadrature": {"points_per_axis": 64.5}}, "points_per_axis must be an integer"),
+    ({"optimizer": {"grid_points": 33.5}}, "grid_points must be an integer"),
+    ({"optimizer": {"max_iter": 2.5}}, "max_iter must be an integer"),
+], ids=["dimension", "L", "hopping_offset", "points_per_axis", "grid_points", "max_iter"])
+def test_integer_fields_reject_booleans_and_fractions(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_dict(minimal_config(**overrides))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HoppingKernel([((1.5,), -1.0)], 1),
+    lambda: HoppingKernel([((True,), -1.0)], 1),
+    lambda: QuadratureSpec(points_per_axis=64.5),
+    lambda: QuadratureSpec(points_per_axis=True),
+    lambda: OptimizerSpec(grid_points=33.5),
+    lambda: OptimizerSpec(max_iter=2.5),
+], ids=["offset_fraction", "offset_bool", "points_fraction", "points_bool",
+        "grid_points", "max_iter"])
+def test_integer_fields_rejected_on_direct_construction(build):
+    with pytest.raises(ConfigError, match="integer"):
+        build()
 
 
 def test_round_trip_and_hash_stability(tmp_path):
@@ -216,6 +246,16 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, minimal_config(gamma_plus=[1.0]))
     assert main(["validate-potential", "--config", path]) == 2
     assert "open interval" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, optimizer", [
+    ("game", {"grid_points": 33.5}),
+    ("gap", {"max_iter": 2.5}),
+])
+def test_cli_fractional_integer_field_exit_code(tmp_path, capsys, command, optimizer):
+    path = write_config(tmp_path, minimal_config(optimizer=optimizer))
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_cli_validate_potential(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from kaclab import game
 from kaclab.errors import ConfigError
 from kaclab.game import (
     GamePoint,
@@ -19,7 +20,7 @@ from kaclab.game import (
     solve_gap_fixed_point,
 )
 from kaclab.lattice import HoppingKernel, MeanFieldParams, discrete_laplacian
-from kaclab.quasifree import QuadratureSpec, quasifree_pressure
+from kaclab.quasifree import QuadratureSpec, bz_gibbs_expectations, quasifree_pressure
 
 QUAD = QuadratureSpec()
 OPT = OptimizerSpec()
@@ -102,6 +103,16 @@ def test_decision_rule_returns_the_unique_maximizer():
                 assert r.payoff_value >= payoff(mf, GamePoint(cm, probe), QUAD)
 
 
+def test_decision_rule_root_solves_the_c_plus_gap_equation():
+    mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=1.0)
+    for cm in (0.0, 0.2, 0.5, 0.9):
+        r = decision_rule(mf, cm, QUAD, OPT)
+        assert 0.0 < r.c_plus < OPT.c_plus_box[1]
+        density = bz_gibbs_expectations(mf, cm, r.c_plus, QUAD)[1]
+        assert abs(r.c_plus - math.sqrt(mf.eta_plus) * density) <= 1e-10
+
+
 # -- solve_game -----------------------------------------------------------------------
 
 
@@ -165,6 +176,32 @@ def test_game_values_shift_identically_under_dispersion_shift():
     # the shifted model's optimizers are stationary in the shifted model
     assert moved.gap_residual_sharp <= 1e-7
     assert moved.gap_residual_flat <= 1e-7
+
+
+def test_game_quadrature_budget(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quasifree_pressure(*args, **kwargs)
+
+    monkeypatch.setattr(game, "quasifree_pressure", counted)
+    mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=1.0)
+    solve_game(mf, QUAD, OPT)
+    assert 0 < len(calls) <= 1500
+
+
+def test_flat_value_is_the_profile_maximum_across_basin_jumps():
+    # here the inner minimizer c_-* jumps between neighbouring c_+ grid
+    # points, so the flat profile has a kink at its maximum
+    mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=2.0)
+    res = solve_game(mf, QUAD, OPT)
+    profile = [game._min_over_c_minus(mf, cp, QUAD, OPT)[0]
+               for cp in np.linspace(*OPT.c_plus_box, 201)]
+    assert np.max(np.abs(np.diff([cm for cm, _ in profile]))) >= 0.05
+    assert -res.p_flat >= max(value for _, value in profile) - 1e-12
 
 
 # -- gap equations --------------------------------------------------------------------
