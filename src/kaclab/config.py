@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, is_integer
+from .errors import ConfigError, is_integer, is_number
 from .game import OptimizerSpec
 from .lattice import HoppingKernel, MeanFieldParams, ModelParams
 from .potentials import PairPotential, make_potential
@@ -133,11 +133,10 @@ class ExperimentConfig:
 
 
 def _as_float_list(value, name, errors):
-    try:
-        out = [float(v) for v in value]
-    except (TypeError, ValueError):
+    if not isinstance(value, (list, tuple)) or not all(is_number(v) for v in value):
         errors.append(f"{name}: expected a list of numbers")
         return []
+    out = [float(v) for v in value]
     if not out:
         errors.append(f"{name}: must be nonempty")
     return out
@@ -240,7 +239,7 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
     def resolve_eta(role, potential):
         override = eta_cfg.get(role)
         if override is not None:
-            if not isinstance(override, (int, float)) or override < 0:
+            if not is_number(override) or override < 0:
                 errors.append(f"eta.{role}: must be a nonnegative number")
                 return 0.0
             return float(override)

@@ -1,17 +1,22 @@
-"""Exception hierarchy shared by all kaclab modules, and the integer check
-that every integer-valued configuration field goes through.
+"""Exception hierarchy shared by all kaclab modules, and the integer and
+number checks that every numeric configuration field goes through.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, AccuracyError -> 3,
 CapacityError -> 4, any other KaclabError (a failed internal check such as
 the sector-leak or Gibbs range check) -> 5.
 """
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 def is_integer(value) -> bool:
     """True for Python and numpy integers; False for booleans and all else."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """True for Python and numpy real numbers; False for booleans and all else."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 class KaclabError(Exception):

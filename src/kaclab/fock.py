@@ -6,9 +6,16 @@ mode order, so all creation/annihilation matrices satisfy the canonical
 anticommutation relations exactly.  Occupation bitstrings index the basis;
 bit m of the state integer is the occupancy of mode m.
 
+Every operator, from a single a_m to the full Hamiltonians, is built by
+one kernel, ``_apply``, which maps all basis states at once through a
+product of ladder operators with bit arithmetic; a term list of such
+products becomes one COO matrix.
+
 Operators that conserve particle number are blocked by (N, 2*S_z); pairing
-operators only conserve fermion parity and are blocked by parity.  Every
-assembled Hamiltonian is kept as dense per-sector Hermitian matrices and
+operators only conserve fermion parity and are blocked by parity.  Blocks
+are filled in one pass from a per-state (sector, position) map, and any
+nonzero element between two sectors is an error.  Every assembled
+Hamiltonian is kept as dense per-sector Hermitian matrices and
 diagonalized block by block (full spectra are needed for the traces).
 """
 
@@ -63,70 +70,95 @@ class FockBasis:
         self.n_sites = n
         self.n_modes = 2 * n
         self.dim = dim
-        states = np.arange(dim, dtype=np.uint64)
-        modes = np.arange(self.n_modes, dtype=np.uint64)
-        self.occ = ((states[:, None] >> modes[None, :]) & np.uint64(1)).astype(np.int8)
-        self.n_up = self.occ[:, :n].sum(axis=1).astype(np.int64)
-        self.n_down = self.occ[:, n:].sum(axis=1).astype(np.int64)
-        self.n_tot = self.n_up + self.n_down
-        self.parity = (self.n_tot & 1).astype(np.int64)
-        self._ops: dict[int, sp.csr_matrix] = {}
-        self._sectors: dict[str, dict] = {}
+        states = np.arange(dim)
+        self.occ = ((states[:, None] >> np.arange(self.n_modes)) & 1).astype(np.int8)
+        self.n_up = self.occ[:, :n].sum(axis=1, dtype=np.int64)
+        self.n_tot = self.n_up + self.occ[:, n:].sum(axis=1, dtype=np.int64)
+        self._maps: dict[str, tuple] = {}
 
     def mode(self, site: int, spin: int) -> int:
         """Mode index: spin-up block of bits then spin-down."""
         return site + spin * self.n_sites
 
-    def sectors(self, blocking: str) -> dict:
-        """Map sector key -> array of basis states, covering the space once."""
-        cached = self._sectors.get(blocking)
+    def _sector_map(self, blocking: str) -> tuple:
+        """(sector key -> its states, sector id of each state, position in its sector).
+
+        Keys are sorted; within a sector the states keep ascending order.
+        """
+        cached = self._maps.get(blocking)
         if cached is not None:
             return cached
-        states = np.arange(self.dim)
         if blocking == NUMBER:
-            keys = list(zip(self.n_tot, self.n_up - self.n_down))
-            out: dict = {}
-            for s, key in zip(states, keys):
-                out.setdefault(key, []).append(s)
-            out = {k: np.array(v) for k, v in sorted(out.items())}
+            labels = np.stack([self.n_tot, 2 * self.n_up - self.n_tot], axis=1)
         elif blocking == PARITY:
-            out = {
-                p: states[self.parity == p] for p in (0, 1)
-            }
+            labels = (self.n_tot & 1)[:, None]
         else:
             raise ConfigError(f"unknown blocking {blocking!r}")
-        self._sectors[blocking] = out
-        return out
+        uniq, sid = np.unique(labels, axis=0, return_inverse=True)
+        sid = sid.ravel()
+        keys = [tuple(map(int, row)) if blocking == NUMBER else int(row[0]) for row in uniq]
+        counts = np.bincount(sid)
+        order = np.argsort(sid, kind="stable")
+        pos = np.empty(self.dim, dtype=np.int64)
+        pos[order] = np.arange(self.dim) - np.repeat(np.cumsum(counts) - counts, counts)
+        members = dict(zip(keys, np.split(order, np.cumsum(counts)[:-1])))
+        self._maps[blocking] = cached = (members, sid, pos)
+        return cached
+
+    def sectors(self, blocking: str) -> dict:
+        """Map sector key -> array of basis states, covering the space once."""
+        return self._sector_map(blocking)[0]
 
     def annihilator(self, m: int) -> sp.csr_matrix:
         """Sparse matrix of a_m with the Jordan-Wigner sign convention."""
-        op = self._ops.get(m)
-        if op is not None:
-            return op
-        states = np.arange(self.dim, dtype=np.uint64)
-        occupied = states[(states >> np.uint64(m)) & np.uint64(1) == 1]
-        below = occupied & np.uint64((1 << m) - 1)
-        signs = 1.0 - 2.0 * (np.bitwise_count(below).astype(np.int64) & 1)
-        targets = occupied ^ np.uint64(1 << m)
-        op = sp.csr_matrix(
-            (signs, (targets.astype(np.int64), occupied.astype(np.int64))),
-            shape=(self.dim, self.dim),
-        )
-        self._ops[m] = op
-        return op
+        src, dst, sign = _apply(np.arange(self.dim), ((m, False),))
+        return sp.csr_matrix((sign.astype(float), (dst, src)), shape=(self.dim, self.dim))
 
-    def creator(self, m: int) -> sp.csr_matrix:
-        return self.annihilator(m).T.tocsr()
 
-    def pair_annihilator(self, site: int) -> sp.csr_matrix:
-        """P_x = a_{x,down} a_{x,up}."""
-        return (self.annihilator(self.mode(site, DOWN))
-                @ self.annihilator(self.mode(site, UP))).tocsr()
+def _apply(states: np.ndarray, ops) -> tuple:
+    """Map basis states through a product of ladder operators.
 
-    def mean_pair_annihilator(self) -> sp.csr_matrix:
-        """(1/n_sites) sum_x a_{x,down} a_{x,up}, the pair order parameter."""
-        total = sum(self.pair_annihilator(x) for x in range(self.n_sites))
-        return (total / self.n_sites).tocsr()
+    ``ops`` lists (mode, dagger) factors in product order, so the last
+    factor acts first.  Returns the states that survive, their images and
+    the Jordan-Wigner signs: <dst| product |src> = sign.
+    """
+    src = dst = states
+    sign = np.ones(len(states), dtype=np.int64)
+    for m, dagger in reversed(ops):
+        keep = ((dst >> m) & 1) != dagger  # a_m needs mode m filled, a^dag_m empty
+        src, dst, sign = src[keep], dst[keep], sign[keep]
+        sign = np.where(np.bitwise_count(dst & ((1 << m) - 1)) & 1, -sign, sign)
+        dst = dst ^ (1 << m)
+    return src, dst, sign
+
+
+def _adjoint(ops) -> tuple:
+    """Ladder factors of the adjoint product."""
+    return tuple((m, not dagger) for m, dagger in reversed(ops))
+
+
+def _pair(basis: FockBasis, x: int) -> tuple:
+    """Ladder factors of P_x = a_{x,down} a_{x,up}."""
+    return ((basis.mode(x, DOWN), False), (basis.mode(x, UP), False))
+
+
+def _coo(basis: FockBasis, terms, diag=None) -> sp.coo_matrix:
+    """sum coef * product over (coef, ops) terms, plus a diagonal, as one COO matrix."""
+    states = np.arange(basis.dim)
+    rows, cols, vals = [], [], []
+    for coef, ops in terms:
+        src, dst, sign = _apply(states, ops)
+        rows.append(dst)
+        cols.append(src)
+        vals.append(coef * sign)
+    if diag is not None:
+        rows.append(states)
+        cols.append(states)
+        vals.append(diag)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+    )
 
 
 @dataclass(frozen=True)
@@ -138,34 +170,39 @@ class GibbsObservables:
 
 
 class FockOperator:
-    """Hermitian operator stored as per-sector dense blocks."""
+    """Operator stored as per-sector dense blocks; Hamiltonians are Hermitian."""
 
-    def __init__(self, basis: FockBasis, blocking: str, blocks: dict,
-                 hermitian: bool = True):
+    def __init__(self, basis: FockBasis, blocking: str, blocks: dict):
         self.basis = basis
         self.blocking = blocking
         self.blocks = blocks
-        self.hermitian = hermitian
         self._eigs: dict | None = None
 
     @classmethod
-    def from_sparse(cls, basis: FockBasis, H: sp.spmatrix, blocking: str,
-                    leak_tol: float = 1e-9) -> "FockOperator":
-        """Extract sector blocks; verify nothing leaks between sectors."""
-        H = H.tocsr()
-        sectors = basis.sectors(blocking)
-        blocks = {}
-        block_mass = 0.0
-        for key, idx in sectors.items():
-            B = H[idx][:, idx].toarray()
-            blocks[key] = B
-            block_mass += float(np.sum(np.abs(B) ** 2))
-        total_mass = float(np.sum(np.abs(H.data) ** 2)) if H.nnz else 0.0
-        if abs(total_mass - block_mass) > leak_tol * (1.0 + total_mass):
+    def from_sparse(cls, basis: FockBasis, H: sp.spmatrix, blocking: str) -> "FockOperator":
+        """Dense sector blocks of H, filled in one pass over its entries.
+
+        Raises KaclabError if any nonzero entry joins two different sectors.
+        """
+        members, sid, pos = basis._sector_map(blocking)
+        H = sp.coo_matrix(H)
+        H.sum_duplicates()
+        s = sid[H.row]
+        inside = s == sid[H.col]
+        leaks = np.count_nonzero(H.data[~inside])
+        if leaks:
             raise KaclabError(
-                f"operator has matrix elements outside the declared {blocking!r} "
-                f"sectors (mass defect {total_mass - block_mass:.3e})"
+                f"operator has {leaks} nonzero matrix elements outside the declared "
+                f"{blocking!r} sectors"
             )
+        dims = np.bincount(sid)
+        offsets = np.concatenate([[0], np.cumsum(dims**2)])
+        s = s[inside]
+        at = offsets[s] + pos[H.row[inside]] * dims[s] + pos[H.col[inside]]
+        flat = np.zeros(offsets[-1], dtype=H.dtype)
+        flat[at] = H.data[inside]
+        blocks = {key: flat[offsets[i]:offsets[i + 1]].reshape(dims[i], dims[i])
+                  for i, key in enumerate(members)}
         return cls(basis, blocking, blocks)
 
     @property
@@ -178,21 +215,19 @@ class FockOperator:
     def sector_dimensions(self) -> dict:
         return {k: B.shape[0] for k, B in self.blocks.items()}
 
-    def eigensystem(self, vectors: bool = False) -> dict:
-        """Per-sector eigenvalues (ascending) and optionally eigenvectors."""
-        out = {}
-        for key, B in self.blocks.items():
-            if vectors:
-                w, U = np.linalg.eigh(B)
-                out[key] = (w, U)
-            else:
-                out[key] = (np.linalg.eigvalsh(B), None)
-        return out
-
-    def eigenvalues(self) -> np.ndarray:
+    def _spectra(self) -> dict:
         if self._eigs is None:
             self._eigs = {k: np.linalg.eigvalsh(B) for k, B in self.blocks.items()}
-        return np.sort(np.concatenate(list(self._eigs.values())))
+        return self._eigs
+
+    def eigensystem(self, vectors: bool = False) -> dict:
+        """Per-sector eigenvalues (ascending) and optionally eigenvectors."""
+        if vectors:
+            return {k: np.linalg.eigh(B) for k, B in self.blocks.items()}
+        return {k: (w, None) for k, w in self._spectra().items()}
+
+    def eigenvalues(self) -> np.ndarray:
+        return np.sort(np.concatenate(list(self._spectra().values())))
 
     # linear algebra on matching block structures, for convexity probes ----
 
@@ -216,80 +251,38 @@ class FockOperator:
 # ---------------------------------------------------------------------------
 
 
-def _one_body(basis: FockBasis, t: np.ndarray) -> sp.spmatrix:
-    """sum_{x,y,s} t[x,y] a^dag_{x,s} a_{y,s}."""
-    n = basis.n_sites
-    H = sp.csr_matrix((basis.dim, basis.dim))
-    diag = np.zeros(basis.dim)
-    for x in range(n):
-        for y in range(n):
-            v = t[x, y]
-            if v == 0.0:
-                continue
-            for spin in (UP, DOWN):
-                p, q = basis.mode(x, spin), basis.mode(y, spin)
-                if p == q:
-                    diag += v * basis.occ[:, p]
-                else:
-                    H = H + v * (basis.creator(p) @ basis.annihilator(q))
-    if np.any(diag):
-        H = H + sp.diags(diag)
-    return H
-
-
-def _pair_hopping(basis: FockBasis, w: np.ndarray) -> sp.spmatrix:
-    """sum_{x,y} w[x,y] P^dag_y P_x with P_x = a_{x,down} a_{x,up}."""
-    n = basis.n_sites
-    pairs = [basis.pair_annihilator(x) for x in range(n)]
-    H = sp.csr_matrix((basis.dim, basis.dim))
-    for y in range(n):
-        py_dag = pairs[y].T
-        for x in range(n):
-            v = w[x, y]
-            if v == 0.0:
-                continue
-            H = H + v * (py_dag @ pairs[x])
-    return H
-
-
-def _density_density_diag(basis: FockBasis, v: np.ndarray) -> np.ndarray:
-    """Diagonal of sum_{x,y,s,t} v[x,y] n_{y,t} n_{x,s} (occupation basis)."""
-    n = basis.n_sites
-    ntot = (basis.occ[:, :n] + basis.occ[:, n:]).astype(float)  # (dim, n_sites)
-    return np.einsum("sx,xy,sy->s", ntot, v, ntot)
-
-
 def _assemble(basis: FockBasis, *, t=None, v_plus=None, pair_w=None,
               density_onebody: float = 0.0, double_occ: float = 0.0,
-              pair_field: complex = 0.0) -> sp.spmatrix:
+              pair_field: complex = 0.0) -> sp.coo_matrix:
     """Shared assembly: H = one-body + density-density + pair hopping
     + density_onebody * sum n + double_occ * sum n_up n_dn
     + sum_x (conj(g) P^dag_x + g P_x) with g = pair_field.
+
+    One-body terms t[x,y] a^dag_{x,s} a_{y,s} and pair hops
+    w[x,y] P^dag_y P_x are ladder products; the density-density term
+    sum_{x,y} v[x,y] n_x n_y and the on-site terms are diagonal.
     """
     n = basis.n_sites
-    H = sp.csr_matrix((basis.dim, basis.dim))
-    diag = np.zeros(basis.dim)
-    if t is not None and np.any(t):
-        H = H + _one_body(basis, np.asarray(t, float))
-    if v_plus is not None and np.any(v_plus):
-        diag += _density_density_diag(basis, np.asarray(v_plus, float))
-    if pair_w is not None and np.any(pair_w):
-        H = H + _pair_hopping(basis, np.asarray(pair_w, float))
-    if density_onebody != 0.0:
-        diag += density_onebody * basis.n_tot
-    if double_occ != 0.0:
-        docc = (basis.occ[:, :n] * basis.occ[:, n:]).sum(axis=1)
-        diag += double_occ * docc
-    if np.any(diag):
-        H = H + sp.diags(diag)
+    terms = []
+    if t is not None:
+        t = np.asarray(t, float)
+        terms += [(t[x, y], ((basis.mode(x, s), True), (basis.mode(y, s), False)))
+                  for x, y in zip(*np.nonzero(t)) for s in (UP, DOWN)]
+    if pair_w is not None:
+        w = np.asarray(pair_w, float)
+        terms += [(w[x, y], _adjoint(_pair(basis, y)) + _pair(basis, x))
+                  for x, y in zip(*np.nonzero(w))]
     g = complex(pair_field)
     if g != 0.0:
-        pair_sum = sum(basis.pair_annihilator(x) for x in range(n)).tocsr()
-        if g.imag == 0.0:
-            H = H + g.real * (pair_sum.T + pair_sum)
-        else:
-            H = H + np.conj(g) * pair_sum.T.astype(complex) + g * pair_sum.astype(complex)
-    return H
+        g = g if g.imag else g.real  # a real field keeps the blocks real
+        for x in range(n):
+            terms += [(g, _pair(basis, x)), (np.conj(g), _adjoint(_pair(basis, x)))]
+    up, down = basis.occ[:, :n], basis.occ[:, n:]
+    diag = density_onebody * basis.n_tot + double_occ * (up * down).sum(axis=1)
+    if v_plus is not None:
+        n_site = (up + down).astype(float)
+        diag = diag + np.einsum("sx,xy,sy->s", n_site, np.asarray(v_plus, float), n_site)
+    return _coo(basis, terms, diag)
 
 
 def build_kac_hamiltonian(mp: ModelParams, box: LatticeBox,
@@ -390,7 +383,9 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     acc_energy = 0.0
     acc_density = 0.0
     acc_pair = 0.0 + 0.0j
-    pair_op = basis.mean_pair_annihilator() if parity else None
+    if parity:  # blocks of the pair order parameter (1/n) sum_x P_x
+        pair_op = _coo(basis, [(1.0 / n, _pair(basis, x)) for x in range(n)])
+        pair_blocks = FockOperator.from_sparse(basis, pair_op, PARITY).blocks
     log_z_terms = []
     for key, (w, U) in eig.items():
         weights = np.exp(-beta * (w - e0))
@@ -404,8 +399,7 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
         n_vec = basis.n_tot[idx].astype(float)
         occup = (np.abs(U) ** 2).T @ n_vec  # <N> in each eigenstate
         acc_density += float(weights @ occup)
-        A = pair_op[idx][:, idx].toarray()
-        diag = np.einsum("si,si->i", U.conj(), A @ U)
+        diag = np.einsum("si,si->i", U.conj(), pair_blocks[key] @ U)
         acc_pair += complex(weights @ diag)
     press = float(logsumexp(np.concatenate(log_z_terms))) / (beta * n)
     density = acc_density / Z / n
@@ -428,17 +422,12 @@ def car_max_violation(basis: FockBasis) -> float:
     Checks {a_p, a_q} = 0 and {a_p, a^dag_q} = delta_pq over all mode
     pairs; exact zero is expected from the bitstring construction.
     """
+    a = [basis.annihilator(m) for m in range(basis.n_modes)]
     eye = sp.identity(basis.dim, format="csr")
     worst = 0.0
     for p in range(basis.n_modes):
-        ap = basis.annihilator(p)
         for q in range(p, basis.n_modes):
-            aq = basis.annihilator(q)
-            anti = ap @ aq + aq @ ap
-            if anti.nnz:
-                worst = max(worst, float(np.max(np.abs(anti.data))))
-            mixed = ap @ aq.T + aq.T @ ap
-            diff = (mixed - eye) if p == q else mixed
-            if diff.nnz:
-                worst = max(worst, float(np.max(np.abs(diff.data))))
+            anti = a[p] @ a[q] + a[q] @ a[p]
+            mixed = a[p] @ a[q].T + a[q].T @ a[p] - (p == q) * eye
+            worst = max(worst, float(abs(anti).max()), float(abs(mixed).max()))
     return worst

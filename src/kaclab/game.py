@@ -96,8 +96,8 @@ class OptimizerSpec:
     def __post_init__(self):
         if not (is_integer(self.grid_points) and self.grid_points >= 3):
             raise ConfigError("grid_points must be an integer >= 3")
-        if not is_integer(self.max_iter):
-            raise ConfigError("max_iter must be an integer")
+        if not (is_integer(self.max_iter) and self.max_iter >= 1):
+            raise ConfigError("max_iter must be an integer >= 1")
         if self.xtol <= 0 or self.tol_gap <= 0:
             raise ConfigError("tolerances must be positive")
 

@@ -93,7 +93,16 @@ def test_all_errors_reported_at_once():
     ({"quadrature": {"points_per_axis": 64.5}}, "points_per_axis must be an integer"),
     ({"optimizer": {"grid_points": 33.5}}, "grid_points must be an integer"),
     ({"optimizer": {"max_iter": 2.5}}, "max_iter must be an integer"),
-], ids=["dimension", "L", "hopping_offset", "points_per_axis", "grid_points", "max_iter"])
+    ({"optimizer": {"max_iter": 0}}, "max_iter must be an integer >= 1"),
+    ({"beta": [True]}, "beta: expected a list of numbers"),
+    ({"beta": ["2.0"]}, "beta: expected a list of numbers"),
+    ({"gamma_minus": [0.5, True]}, "gamma_minus: expected a list of numbers"),
+    ({"gamma_plus": [True]}, "gamma_plus: expected a list of numbers"),
+    ({"eta": {"plus": True}}, "eta.plus: must be a nonnegative number"),
+    ({"eta": {"minus": True}}, "eta.minus: must be a nonnegative number"),
+], ids=["dimension", "L", "hopping_offset", "points_per_axis", "grid_points", "max_iter",
+        "max_iter_zero", "beta_bool", "beta_string", "gamma_minus_bool", "gamma_plus_bool",
+        "eta_plus_bool", "eta_minus_bool"])
 def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_dict(minimal_config(**overrides))
@@ -106,8 +115,9 @@ def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     lambda: QuadratureSpec(points_per_axis=True),
     lambda: OptimizerSpec(grid_points=33.5),
     lambda: OptimizerSpec(max_iter=2.5),
+    lambda: OptimizerSpec(max_iter=0),
 ], ids=["offset_fraction", "offset_bool", "points_fraction", "points_bool",
-        "grid_points", "max_iter"])
+        "grid_points", "max_iter", "max_iter_zero"])
 def test_integer_fields_rejected_on_direct_construction(build):
     with pytest.raises(ConfigError, match="integer"):
         build()
@@ -251,6 +261,7 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("command, optimizer", [
     ("game", {"grid_points": 33.5}),
     ("gap", {"max_iter": 2.5}),
+    ("gap", {"max_iter": 0}),
 ])
 def test_cli_fractional_integer_field_exit_code(tmp_path, capsys, command, optimizer):
     path = write_config(tmp_path, minimal_config(optimizer=optimizer))

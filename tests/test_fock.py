@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from kaclab.errors import CapacityError, KaclabError
@@ -29,6 +30,8 @@ from kaclab.lattice import (
     MeanFieldParams,
     ModelParams,
     discrete_laplacian,
+    hopping_matrix,
+    kac_coupling_matrix,
 )
 from kaclab.potentials import GaussianMixture, PlainGaussian
 
@@ -37,21 +40,57 @@ def kron_modes(n_modes):
     """Oracle annihilators via explicit Kronecker strings.
 
     Mode m acts on tensor factor m; parity strings F on the earlier
-    factors reproduce fermionic statistics.  Factor 0 is the first slot of
-    the chain, matching bit m of the packaged basis up to basis-vector
-    relabeling (which leaves spectra and traces unchanged).
+    factors reproduce fermionic statistics.  np.kron makes factor 0 the
+    most significant bit of the row index, while the packaged basis keeps
+    mode m in bit m, so rows and columns are relabeled by bit reversal:
+    index s of every returned matrix is packaged basis state s.
     """
     a = np.array([[0.0, 1.0], [0.0, 0.0]])  # annihilates the occupied state
     f = np.diag([1.0, -1.0])
     eye = np.eye(2)
+    reverse = [int(format(s, f"0{n_modes}b")[::-1], 2) for s in range(2**n_modes)]
     ops = []
     for m in range(n_modes):
         factors = [f] * m + [a] + [eye] * (n_modes - m - 1)
         out = factors[0]
         for fac in factors[1:]:
             out = np.kron(out, fac)
-        ops.append(out)
+        ops.append(out[np.ix_(reverse, reverse)])
     return ops
+
+
+def oracle_hamiltonian(n, t, v_plus, pair_w, density_onebody=0.0, double_occ=0.0,
+                       pair_field=0.0):
+    """Dense H of the assembly formula from Kronecker-string operators.
+
+    sum t[x,y] a^dag_{x,s} a_{y,s} + sum v_plus[x,y] n_x n_y
+    + sum pair_w[x,y] P^dag_y P_x + density_onebody sum n
+    + double_occ sum n_up n_dn + sum (conj(g) P^dag_x + g P_x),
+    with spin-up modes 0..n-1 and spin-down modes n..2n-1.  Products are
+    taken in sparse form only for speed.
+    """
+    a = [sp.csr_matrix(m) for m in kron_modes(2 * n)]
+    num = [m.T @ m for m in a]
+    n_site = [num[x] + num[n + x] for x in range(n)]
+    pairs = [a[n + x] @ a[x] for x in range(n)]
+    g = complex(pair_field)
+    H = sp.csr_matrix((4**n, 4**n), dtype=complex)
+    for x in range(n):
+        for y in range(n):
+            H += t[x, y] * (a[x].T @ a[y] + a[n + x].T @ a[n + y])
+            H += v_plus[x, y] * (n_site[x] @ n_site[y])
+            H += pair_w[x, y] * (pairs[y].T @ pairs[x])
+        H += density_onebody * n_site[x] + double_occ * (num[x] @ num[n + x])
+        H += np.conj(g) * pairs[x].T + g * pairs[x]
+    return H.toarray()
+
+
+def assert_blocks_match(op, oracle):
+    """The blocks, placed back in the full matrix, reproduce the oracle."""
+    dense = np.zeros(oracle.shape, dtype=complex)
+    for key, idx in op.basis.sectors(op.blocking).items():
+        dense[np.ix_(idx, idx)] = op.blocks[key]
+    assert np.max(np.abs(dense - oracle)) <= 1e-12
 
 
 def zero_kernel(d=1):
@@ -176,6 +215,59 @@ def test_hermiticity_of_assembled_hamiltonians():
     ]
     for op in ops:
         assert op.hermiticity_defect <= 1e-14
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("L", [0, 1, 2])
+def test_blocks_match_kronecker_oracle(L, boundary):
+    rng = np.random.default_rng(7 + 10 * L + (boundary == "periodic"))
+    box = LatticeBox(1, L, boundary)
+    n = box.n_sites
+    zero = np.zeros((n, n))
+
+    def symmetric():
+        m = rng.normal(size=(n, n))
+        return m + m.T
+
+    # every assembly term at once, with a complex pair field: parity blocks
+    t, v, w = symmetric(), symmetric(), symmetric()
+    kw = dict(density_onebody=rng.normal(), double_occ=rng.normal(),
+              pair_field=complex(rng.normal(), rng.normal()))
+    basis = FockBasis(n)
+    op = FockOperator.from_sparse(basis, _assemble(basis, t=t, v_plus=v, pair_w=w, **kw), "parity")
+    assert_blocks_match(op, oracle_hamiltonian(n, t, v, w, **kw))
+
+    h0, h1, h2 = rng.normal(size=3)
+    hop = HoppingKernel({(0,): h0, (1,): h1, (-1,): h1, (2,): h2, (-2,): h2}, 1)
+    T = hopping_matrix(hop, box)
+    f_plus = PlainGaussian(rng.uniform(0.5, 2.0), d=1, sign="plus")
+    f_minus = GaussianMixture([(rng.uniform(0.2, 1.0), (rng.uniform(0.5, 3.0),))],
+                              d=1, sign="minus")
+    g_plus, g_minus = rng.uniform(0.2, 0.8, size=2)
+    mp = ModelParams(beta=1.0, hopping=hop, f_plus=f_plus, f_minus=f_minus,
+                     gamma_plus=g_plus, gamma_minus=g_minus, include_onsite_correction=True)
+    onsite = dict(density_onebody=-0.5 * g_plus * float(f_plus.eval(np.zeros(1))),
+                  double_occ=0.5 * g_minus * float(f_minus.eval(np.zeros(1))))
+    assert_blocks_match(
+        build_kac_hamiltonian(mp, box),
+        oracle_hamiltonian(n, T, kac_coupling_matrix(f_plus, g_plus, box),
+                           -kac_coupling_matrix(f_minus, g_minus, box), **onsite),
+    )
+
+    e_plus, e_minus = rng.uniform(0.1, 2.0, size=2)
+    mf = MeanFieldParams(beta=1.0, hopping=hop, eta_plus=e_plus, eta_minus=e_minus)
+    assert_blocks_match(
+        build_meanfield_hamiltonian(mf, box),
+        oracle_hamiltonian(n, T, np.full((n, n), e_plus / n), np.full((n, n), -e_minus / n)),
+    )
+
+    c_minus = complex(*rng.normal(size=2))
+    c_plus = complex(*rng.normal(size=2))
+    assert_blocks_match(
+        build_approximating_hamiltonian(mf, c_minus, c_plus, box),
+        oracle_hamiltonian(n, T, zero, zero, density_onebody=2 * math.sqrt(e_plus) * c_plus.real,
+                           pair_field=-math.sqrt(e_minus) * c_minus),
+    )
 
 
 # -- pressure ------------------------------------------------------------------------
@@ -332,6 +424,29 @@ def test_gibbs_pair_amplitude_number_conserving_is_exact_zero():
     mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1), eta_minus=1.0)
     op = build_meanfield_hamiltonian(mf, LatticeBox(1, 1, "periodic"))
     assert gibbs_observables(op, 2.0).pair_amplitude == 0.0
+
+
+def test_gibbs_pair_amplitude_against_kronecker_oracle():
+    beta, e_plus, e_minus = 1.7, 0.6, 1.4
+    c_minus, c_plus = 0.45 * np.exp(0.9j), 0.3
+    box = LatticeBox(1, 1, "open")
+    n = box.n_sites
+    mf = MeanFieldParams(beta=beta, hopping=discrete_laplacian(1),
+                         eta_plus=e_plus, eta_minus=e_minus)
+    obs = gibbs_observables(build_approximating_hamiltonian(mf, c_minus, c_plus, box), beta)
+
+    zero = np.zeros((n, n))
+    H = oracle_hamiltonian(n, hopping_matrix(mf.hopping, box), zero, zero,
+                           density_onebody=2 * math.sqrt(e_plus) * c_plus,
+                           pair_field=-math.sqrt(e_minus) * c_minus)
+    w, U = np.linalg.eigh(H)
+    weights = np.exp(-beta * (w - w[0]))
+    a = kron_modes(2 * n)
+    pair_op = sum(a[n + x] @ a[x] for x in range(n)) / n
+    pair = np.einsum("si,st,ti->i", U.conj(), pair_op, U) @ weights / weights.sum()
+    assert abs(pair) > 1e-2
+    assert abs(obs.pair_amplitude - pair) <= 1e-12
+    assert obs.pressure == pytest.approx(float(logsumexp(-beta * w)) / (beta * n), abs=1e-12)
 
 
 def test_gibbs_pair_amplitude_single_site_trace_oracle():

@@ -1,0 +1,51 @@
+"""The per-layer tracer in perfbench/ still finds and fires every kaclab span.
+
+perfbench/tracing.py wraps kaclab functions by name; a refactor that
+renames or stops calling one of them would silently zero a per-layer
+metric.  This runs a tiny kac-sweep under the tracer and asks for its own
+firing self-check, without changing anything under perfbench/.
+"""
+
+import json
+import os
+import sys
+
+from kaclab.cli import main
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def test_tracer_fires_every_sweep_span(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    import tracing
+
+    config = {
+        "schema_version": 1,
+        "dimension": 1,
+        "hopping": [[[0], 2.0], [[1], -1.0]],
+        "potentials": {
+            "plus": {"family": "gaussian_mixture", "terms": [[0.3, [1.0]]]},
+            "minus": {"family": "yukawa", "c0": 1.0, "c1": 1.0},
+        },
+        "beta": [2.0],
+        "L": [0, 1],
+        "gamma_minus": [0.5, 0.35, 0.25],
+        "gamma_plus": [0.5],
+        "boundary": "periodic",
+        "optimizer": {"grid_points": 9},
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    argv = ["kac-sweep", "--config", str(path), "--out", str(tmp_path / "results")]
+
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert main(argv) == 0
+        assert main(argv) == 0  # second run reads every record back from the store
+    finally:
+        tracing.uninstall(undo)
+    capsys.readouterr()
+    assert tracer.firing_problems("sweep-1d") == []
+    assert tracer.counts["sweep.records_reused"] == 6
