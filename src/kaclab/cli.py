@@ -154,7 +154,7 @@ def cmd_kac_sweep(args) -> int:
             "limit_report": report.as_dict(),
         }
         store.write_manifest(
-            f"sweep_manifest_beta_{beta:g}",
+            "sweep_manifest", beta,
             {"config_hash": chash, "beta": beta, "order": plan.order,
              "L_list": list(plan.L_list),
              "gamma_minus": list(plan.gamma_minus_schedule),

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError, is_integer, is_number
+from .fock import DEFAULT_DIMENSION_CAP
 from .game import OptimizerSpec
 from .lattice import HoppingKernel, MeanFieldParams, ModelParams
 from .potentials import PairPotential, make_potential
@@ -50,7 +51,7 @@ _DEFAULTS = {
     "quadrature": {},
     "optimizer": {},
     "output_dir": "kaclab_out",
-    "dimension_cap": 65536,
+    "dimension_cap": DEFAULT_DIMENSION_CAP,
 }
 
 
@@ -270,7 +271,7 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
     cap = merged["dimension_cap"]
     if not is_integer(cap) or cap < 4:
         errors.append("dimension_cap: must be an integer >= 4")
-        cap = 65536
+        cap = DEFAULT_DIMENSION_CAP
 
     if errors:
         raise ConfigError(errors)
@@ -291,21 +292,8 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
         "boundary": boundary,
         "order": order,
         "include_onsite_correction": bool(merged["include_onsite_correction"]),
-        "quadrature": {
-            "scheme": quadrature.scheme,
-            "points_per_axis": quadrature.points_per_axis,
-            "refinement_check": quadrature.refinement_check,
-            "tol": quadrature.tol,
-        },
-        "optimizer": {
-            "c_minus_box": list(optimizer.c_minus_box),
-            "c_plus_box": list(optimizer.c_plus_box),
-            "grid_points": optimizer.grid_points,
-            "xtol": optimizer.xtol,
-            "degeneracy_window": optimizer.degeneracy_window,
-            "max_iter": optimizer.max_iter,
-            "tol_gap": optimizer.tol_gap,
-        },
+        "quadrature": asdict(quadrature),
+        "optimizer": asdict(optimizer),
         "output_dir": str(merged["output_dir"]),
         "dimension_cap": cap,
     }

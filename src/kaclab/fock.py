@@ -258,27 +258,31 @@ def _assemble(basis: FockBasis, *, t=None, v_plus=None, pair_w=None,
     + density_onebody * sum n + double_occ * sum n_up n_dn
     + sum_x (conj(g) P^dag_x + g P_x) with g = pair_field.
 
-    One-body terms t[x,y] a^dag_{x,s} a_{y,s} and pair hops
-    w[x,y] P^dag_y P_x are ladder products; the density-density term
+    Hops t[x,y] a^dag_{x,s} a_{y,s} and pair hops w[x,y] P^dag_y P_x
+    with x != y are ladder products; their on-site parts t[x,x] n_{x,s}
+    and w[x,x] n_{x,up} n_{x,dn}, the density-density term
     sum_{x,y} v[x,y] n_x n_y and the on-site terms are diagonal.
     """
     n = basis.n_sites
+    up, down = basis.occ[:, :n], basis.occ[:, n:]
+    diag = density_onebody * basis.n_tot + double_occ * (up * down).sum(axis=1)
+    off_site = ~np.eye(n, dtype=bool)
     terms = []
     if t is not None:
         t = np.asarray(t, float)
         terms += [(t[x, y], ((basis.mode(x, s), True), (basis.mode(y, s), False)))
-                  for x, y in zip(*np.nonzero(t)) for s in (UP, DOWN)]
+                  for x, y in zip(*np.nonzero(t * off_site)) for s in (UP, DOWN)]
+        diag = diag + (up + down) @ np.diag(t)
     if pair_w is not None:
         w = np.asarray(pair_w, float)
         terms += [(w[x, y], _adjoint(_pair(basis, y)) + _pair(basis, x))
-                  for x, y in zip(*np.nonzero(w))]
+                  for x, y in zip(*np.nonzero(w * off_site))]
+        diag = diag + (up * down) @ np.diag(w)
     g = complex(pair_field)
     if g != 0.0:
         g = g if g.imag else g.real  # a real field keeps the blocks real
         for x in range(n):
             terms += [(g, _pair(basis, x)), (np.conj(g), _adjoint(_pair(basis, x)))]
-    up, down = basis.occ[:, :n], basis.occ[:, n:]
-    diag = density_onebody * basis.n_tot + double_occ * (up * down).sum(axis=1)
     if v_plus is not None:
         n_site = (up + down).astype(float)
         diag = diag + np.einsum("sx,xy,sy->s", n_site, np.asarray(v_plus, float), n_site)

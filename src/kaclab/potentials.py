@@ -66,57 +66,34 @@ class RadialMajorant:
 
     def moment(self, k: int) -> float:
         """int_0^inf g(u) u^k du."""
-        raise NotImplementedError
+        return self.tail(k + 1, 0.0)
 
     def tail(self, n: int, r0: float) -> float:
         """int_{r0}^inf g(u) u^{n-1} du."""
         raise NotImplementedError
 
 
-class ExponentialMajorant(RadialMajorant):
-    def __init__(self, amplitude: float, rate: float):
-        if amplitude < 0 or rate <= 0:
-            raise ConfigError("exponential majorant needs amplitude >= 0, rate > 0")
-        self.amplitude = amplitude
-        self.rate = rate
+class ExpMajorant(RadialMajorant):
+    """g(u) = amplitude * exp(-s u^power); power 1 (exponential) or 2 (gaussian)."""
 
-    def __call__(self, r):
-        return self.amplitude * np.exp(-self.rate * np.asarray(r, float))
-
-    def at_zero(self):
-        return self.amplitude
-
-    def moment(self, k):
-        return self.amplitude * math.factorial(k) / self.rate ** (k + 1)
-
-    def tail(self, n, r0):
-        r0 = max(r0, 0.0)
-        q = special.gammaincc(n, self.rate * r0)  # regularized upper Gamma
-        return self.amplitude * math.gamma(n) * q / self.rate**n
-
-
-class GaussianMajorant(RadialMajorant):
-    """g(u) = amplitude * exp(-s u^2)."""
-
-    def __init__(self, amplitude: float, s: float):
-        if amplitude < 0 or s <= 0:
-            raise ConfigError("gaussian majorant needs amplitude >= 0, s > 0")
+    def __init__(self, amplitude: float, s: float, power: int):
+        if amplitude < 0 or s <= 0 or power not in (1, 2):
+            raise ConfigError("exp majorant needs amplitude >= 0, s > 0, power 1 or 2")
         self.amplitude = amplitude
         self.s = s
+        self.power = power
 
     def __call__(self, r):
-        return self.amplitude * np.exp(-self.s * np.asarray(r, float) ** 2)
+        return self.amplitude * np.exp(-self.s * np.asarray(r, float) ** self.power)
 
     def at_zero(self):
         return self.amplitude
 
-    def moment(self, k):
-        return self.amplitude * math.gamma((k + 1) / 2.0) / (2.0 * self.s ** ((k + 1) / 2.0))
-
     def tail(self, n, r0):
-        r0 = max(r0, 0.0)
-        q = special.gammaincc(n / 2.0, self.s * r0 * r0)
-        return self.amplitude * math.gamma(n / 2.0) * q / (2.0 * self.s ** (n / 2.0))
+        # a Gamma(m, s r0^p) / (p s^m) with m = n / p; regularized upper Gamma
+        m = n / self.power
+        q = special.gammaincc(m, self.s * max(r0, 0.0) ** self.power)
+        return self.amplitude * math.gamma(m) * q / (self.power * self.s**m)
 
 
 class CauchyMajorant(RadialMajorant):
@@ -131,13 +108,6 @@ class CauchyMajorant(RadialMajorant):
 
     def at_zero(self):
         return self.c0 / self.c1
-
-    def moment(self, k):
-        if k > 0:
-            raise UnsupportedPotentialError(
-                "pure Yukawa Fourier majorant has divergent moments beyond k=0"
-            )
-        return self.c0 * math.pi / (2.0 * math.sqrt(self.c1))
 
     def tail(self, n, r0):
         if n > 1:
@@ -157,9 +127,6 @@ class SumMajorant(RadialMajorant):
 
     def at_zero(self):
         return sum(p.at_zero() for p in self.parts)
-
-    def moment(self, k):
-        return sum(p.moment(k) for p in self.parts)
 
     def tail(self, n, r0):
         return sum(p.tail(n, r0) for p in self.parts)
@@ -190,10 +157,6 @@ class TableMajorant(RadialMajorant):
 
     def at_zero(self):
         return float(self.env[0])
-
-    def moment(self, k):
-        r = self.radii
-        return float(np.sum(self.env[:-1] * (r[1:] ** (k + 1) - r[:-1] ** (k + 1)) / (k + 1)))
 
     def tail(self, n, r0):
         r = np.clip(self.radii, max(r0, 0.0), None)
@@ -267,10 +230,62 @@ def _truncation_radius(majorant, d, scale, tol, prefactor=1.0, shift=0.0,
     return hi
 
 
-def _integer_box(d: int, radius: int) -> np.ndarray:
-    axes = [np.arange(-radius, radius + 1)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _tensor_grid(axis, d: int) -> np.ndarray:
+    """The points of axis^d as rows (shape (len(axis)^d, d)), first coordinate slowest."""
+    mesh = np.meshgrid(*[axis] * d, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _integer_box(d: int, radius: int) -> np.ndarray:
+    return _tensor_grid(np.arange(-radius, radius + 1), d)
+
+
+# ---------------------------------------------------------------------------
+# radial Fourier transforms
+# ---------------------------------------------------------------------------
+
+
+def _radial_transform(g, q: float, upper: float, d: int, inverse: bool = False) -> float:
+    """int_{R^d} g(|x|) exp(-i k.x) dx at |k| = q, for g vanishing beyond upper.
+
+    inverse=True gives the inverse transform, the same integral times
+    (2 pi)^-d, applied as one division by its radial constant.
+    """
+    if d == 1:
+        if q == 0.0:
+            integral = integrate.quad(g, 0, upper, limit=200)[0]
+        else:
+            integral = integrate.quad(g, 0, upper, weight="cos", wvar=q, limit=400)[0]
+        forward, inv = 2.0, math.pi
+    elif d == 2:
+        integral = integrate.quad(lambda r: g(r) * special.j0(q * r) * r, 0, upper,
+                                  limit=400)[0]
+        forward = inv = 2.0 * math.pi
+    elif d == 3:
+        if q == 0.0:
+            integral = integrate.quad(lambda r: g(r) * r * r, 0, upper, limit=200)[0]
+            forward, inv = 4.0 * math.pi, 2.0 * math.pi**2
+        else:
+            integral = integrate.quad(lambda r: g(r) * r, 0, upper, weight="sin", wvar=q,
+                                      limit=400)[0]
+            forward, inv = 4.0 * math.pi / q, 2.0 * math.pi**2 * q
+    else:
+        raise UnsupportedPotentialError("radial Fourier transform implemented for d <= 3")
+    return integral / inv if inverse else forward * integral
+
+
+def _radial_values(x, cache: dict, fn):
+    """fn(|x|) over the last axis of x; each distinct radius, rounded to 12
+    digits, is computed once, at its first exact radius, and kept in cache."""
+    r = np.sqrt(np.sum(x * x, axis=-1))
+    flat = np.atleast_1d(r).ravel()
+    keys, first, inv = np.unique(np.round(flat, 12), return_index=True, return_inverse=True)
+    keys = keys.tolist()
+    for key, i in zip(keys, first):
+        if key not in cache:
+            cache[key] = fn(float(flat[i]))
+    vals = np.array([cache[key] for key in keys])[inv]
+    return vals.reshape(np.shape(r)) if np.shape(r) else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -348,37 +363,6 @@ class PairPotential:
         return f"{type(self).__name__}(d={self.d}, {inner})"
 
 
-class PlainGaussian(PairPotential):
-    """f(x) = exp(-|x|^2 / width^2)."""
-
-    family = "plain_gaussian"
-
-    def __init__(self, width: float = 1.0, d: int = 1, sign: str = "plus"):
-        super().__init__(d, sign)
-        if width <= 0:
-            raise ConfigError("gaussian width must be positive")
-        self.width = float(width)
-
-    def _eval(self, x):
-        r2 = np.sum(x * x, axis=-1)
-        return np.exp(-r2 / self.width**2)
-
-    def _fourier(self, k):
-        k2 = np.sum(k * k, axis=-1)
-        amp = (self.width * math.sqrt(math.pi)) ** self.d
-        return amp * np.exp(-self.width**2 * k2 / 4.0)
-
-    def radial_majorant(self):
-        return GaussianMajorant(1.0, 1.0 / self.width**2)
-
-    def fourier_majorant(self):
-        amp = (self.width * math.sqrt(math.pi)) ** self.d
-        return GaussianMajorant(amp, self.width**2 / 4.0)
-
-    def params(self):
-        return {"width": self.width}
-
-
 class GaussianMixture(PairPotential):
     """f(x) = sum_i w_i exp(-(s_i1 x_1^2 + ... + s_id x_d^2)), w_i > 0.
 
@@ -408,29 +392,44 @@ class GaussianMixture(PairPotential):
             out = out + w * np.exp(-np.sum(np.asarray(scales) * x * x, axis=-1))
         return out
 
+    def _amplitudes(self):
+        # fhat(0) of each term: w prod_j sqrt(pi / s_j)
+        return [float(w * np.prod(np.sqrt(math.pi / np.asarray(s)))) for w, s in self.terms]
+
     def _fourier(self, k):
         out = 0.0
-        for w, scales in self.terms:
-            s = np.asarray(scales)
-            amp = w * np.prod(np.sqrt(math.pi / s))
-            out = out + amp * np.exp(-np.sum(k * k / (4.0 * s), axis=-1))
+        for amp, (_, scales) in zip(self._amplitudes(), self.terms):
+            out = out + amp * np.exp(-np.sum(k * k / (4.0 * np.asarray(scales)), axis=-1))
         return out
 
     def radial_majorant(self):
         # exp(-sum s_j x_j^2) <= exp(-min_j(s_j) |x|^2)
-        return SumMajorant(
-            GaussianMajorant(w, min(scales)) for w, scales in self.terms
-        )
+        return SumMajorant(ExpMajorant(w, min(scales), 2) for w, scales in self.terms)
 
     def fourier_majorant(self):
-        parts = []
-        for w, scales in self.terms:
-            amp = w * np.prod(np.sqrt(math.pi / np.asarray(scales)))
-            parts.append(GaussianMajorant(float(amp), 1.0 / (4.0 * max(scales))))
-        return SumMajorant(parts)
+        return SumMajorant(ExpMajorant(amp, 1.0 / (4.0 * max(scales)), 2)
+                           for amp, (_, scales) in zip(self._amplitudes(), self.terms))
 
     def params(self):
         return {"terms": self.terms}
+
+
+class PlainGaussian(GaussianMixture):
+    """f(x) = exp(-|x|^2 / width^2): the one-term isotropic mixture."""
+
+    family = "plain_gaussian"
+
+    def __init__(self, width: float = 1.0, d: int = 1, sign: str = "plus"):
+        if width <= 0:
+            raise ConfigError("gaussian width must be positive")
+        self.width = float(width)
+        super().__init__([(1.0, (1.0 / self.width**2,) * d)], d, sign)
+
+    def radial_majorant(self):  # a bare ExpMajorant, whose amplitude callers may scale
+        return ExpMajorant(1.0, 1.0 / self.width**2, 2)
+
+    def params(self):
+        return {"width": self.width}
 
 
 class Yukawa(PairPotential):
@@ -462,53 +461,19 @@ class Yukawa(PairPotential):
         self._radial_cache: dict[float, float] = {}
 
     def _fourier(self, k):
-        k2 = np.sum(k * k, axis=-1)
-        return self.c0 * np.exp(-self.c2 * k2) / (k2 + self.c1)
+        return self._fhat_radial(np.sqrt(np.sum(k * k, axis=-1)))
 
     def _fhat_radial(self, q):
         return self.c0 * np.exp(-self.c2 * q * q) / (q * q + self.c1)
 
-    def _radial_value(self, r: float) -> float:
-        """Inverse Fourier transform of the radial profile at radius r."""
-        key = round(r, 12)
-        hit = self._radial_cache.get(key)
-        if hit is not None:
-            return hit
+    def _eval(self, x):
         if self.c2 == 0.0:  # d = 1 closed form
             s = math.sqrt(self.c1)
-            val = self.c0 / (2.0 * s) * math.exp(-s * r)
-        else:
-            kmax = math.sqrt(max(math.log(self.c0 / (self.c1 * 1e-20)), 1.0) / self.c2)
-            if self.d == 1:
-                if r == 0.0:
-                    val = integrate.quad(self._fhat_radial, 0, kmax, limit=200)[0] / math.pi
-                else:
-                    val = integrate.quad(
-                        self._fhat_radial, 0, kmax, weight="cos", wvar=r, limit=400
-                    )[0] / math.pi
-            elif self.d == 2:
-                val = integrate.quad(
-                    lambda q: self._fhat_radial(q) * special.j0(q * r) * q,
-                    0, kmax, limit=400,
-                )[0] / (2.0 * math.pi)
-            else:  # d == 3
-                if r == 0.0:
-                    val = integrate.quad(
-                        lambda q: self._fhat_radial(q) * q * q, 0, kmax, limit=200
-                    )[0] / (2.0 * math.pi**2)
-                else:
-                    val = integrate.quad(
-                        lambda q: self._fhat_radial(q) * q, 0, kmax,
-                        weight="sin", wvar=r, limit=400,
-                    )[0] / (2.0 * math.pi**2 * r)
-        self._radial_cache[key] = val
-        return val
-
-    def _eval(self, x):
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        flat = np.atleast_1d(r).ravel()
-        vals = np.array([self._radial_value(float(v)) for v in flat])
-        return vals.reshape(np.shape(r)) if np.shape(r) else float(vals[0])
+            return self.c0 / (2.0 * s) * np.exp(-s * np.sqrt(np.sum(x * x, axis=-1)))
+        # inverse transform; fhat is below c0/c1 * 1e-20 beyond kmax
+        kmax = math.sqrt(max(math.log(self.c0 / (self.c1 * 1e-20)), 1.0) / self.c2)
+        return _radial_values(x, self._radial_cache, lambda r: _radial_transform(
+            self._fhat_radial, r, kmax, self.d, inverse=True))
 
     def radial_majorant(self):
         if self.d != 1:
@@ -524,11 +489,11 @@ class Yukawa(PairPotential):
             sigma = math.sqrt(2.0 * self.c2)
             mgf = 2.0 * math.exp(self.c1 * self.c2) * special.ndtr(s * sigma)
             amp = self.c0 / (2.0 * s) * mgf
-        return ExponentialMajorant(amp, s)
+        return ExpMajorant(amp, s, 1)
 
     def fourier_majorant(self):
         if self.c2 > 0.0:
-            return GaussianMajorant(self.c0 / self.c1, self.c2)
+            return ExpMajorant(self.c0 / self.c1, self.c2, 2)
         if self.d == 1:
             return CauchyMajorant(self.c0, self.c1)
         raise UnsupportedPotentialError(
@@ -567,61 +532,24 @@ class TableSpline(PairPotential):
         return float(self.radii[-1])
 
     def _eval(self, x):
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        out = self._spline(np.clip(r, 0.0, self.table_radius))
-        return np.where(r > self.table_radius, 0.0, out)
+        return self._radial_eval(np.sqrt(np.sum(x * x, axis=-1)))
 
     def _radial_eval(self, r):
         r = np.asarray(r, float)
         out = self._spline(np.clip(r, 0.0, self.table_radius))
         return np.where(r > self.table_radius, 0.0, out)
 
-    def _fourier_radial(self, q: float) -> float:
-        key = round(q, 12)
-        hit = self._fourier_cache.get(key)
-        if hit is not None:
-            return hit
-        rmax = self.table_radius
-        if self.d == 1:
-            if q == 0.0:
-                val = 2.0 * integrate.quad(self._radial_eval, 0, rmax, limit=200)[0]
-            else:
-                val = 2.0 * integrate.quad(
-                    self._radial_eval, 0, rmax, weight="cos", wvar=q, limit=400
-                )[0]
-        elif self.d == 2:
-            val = 2.0 * math.pi * integrate.quad(
-                lambda r: self._radial_eval(r) * special.j0(q * r) * r,
-                0, rmax, limit=400,
-            )[0]
-        elif self.d == 3:
-            if q == 0.0:
-                val = 4.0 * math.pi * integrate.quad(
-                    lambda r: self._radial_eval(r) * r * r, 0, rmax, limit=200
-                )[0]
-            else:
-                val = 4.0 * math.pi / q * integrate.quad(
-                    lambda r: self._radial_eval(r) * r, 0, rmax,
-                    weight="sin", wvar=q, limit=400,
-                )[0]
-        else:
-            raise UnsupportedPotentialError("table spline Fourier implemented for d <= 3")
-        self._fourier_cache[key] = val
-        return val
-
     def _fourier(self, k):
-        q = np.sqrt(np.sum(k * k, axis=-1))
-        flat = np.atleast_1d(q).ravel()
-        uniq, inv = np.unique(np.round(flat, 12), return_inverse=True)
-        vals = np.array([self._fourier_radial(float(v)) for v in uniq])[inv]
-        return vals.reshape(np.shape(q)) if np.shape(q) else float(vals[0])
+        # at the cache key's 12-digit radius, so each value depends on its key alone
+        return _radial_values(k, self._fourier_cache, lambda q: _radial_transform(
+            self._radial_eval, float(np.round(q, 12)), self.table_radius, self.d))
 
     def radial_majorant(self):
         return TableMajorant(self.radii, self.values)
 
     def fourier_majorant(self):
         if not np.any(self.values):
-            return GaussianMajorant(0.0, 1.0)  # zero function, zero transform
+            return ExpMajorant(0.0, 1.0, 2)  # zero function, zero transform
         raise UnsupportedPotentialError(
             "no certified Fourier majorant for sampled potentials"
         )
@@ -697,9 +625,7 @@ def cone_check(p: PairPotential, eps: float = 1.0, grid: GridSpec | None = None,
     if eps <= 0:
         raise ConfigError("eps must be positive")
     grid = grid or GridSpec()
-    axes = [np.linspace(-grid.radius, grid.radius, grid.points_per_axis)] * p.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    K = np.stack([m.ravel() for m in mesh], axis=-1)
+    K = _tensor_grid(np.linspace(-grid.radius, grid.radius, grid.points_per_axis), p.d)
     base = np.asarray(p.fourier(K), float)
     min_val = float(base.min())
     violation = 0.0
@@ -832,36 +758,24 @@ def decay_seminorm(p: PairPotential, eps: float, radius: float = 10.0,
     if eps <= 0:
         raise ConfigError("eps must be positive")
     d = p.d
-    axes = [np.linspace(-radius, radius, points)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=-1)
-    r = np.linalg.norm(X, axis=-1)
+    X = _tensor_grid(np.linspace(-radius, radius, points), d)
+    weight = 1.0 + np.linalg.norm(X, axis=-1)
+    step = h * np.eye(d)
 
-    total = 0.0
-    # order 0
-    total += float(np.max((1.0 + r) ** (d + eps) * np.abs(np.asarray(p.eval(X), float))))
-    # first derivatives
-    for j in range(d):
-        plus = X.copy(); plus[:, j] += h
-        minus = X.copy(); minus[:, j] -= h
-        dj = (np.asarray(p.eval(plus), float) - np.asarray(p.eval(minus), float)) / (2 * h)
-        total += float(np.max((1.0 + r) ** (d + eps + 1) * np.abs(dj)))
-    # second derivatives (j, l)
-    f0 = np.asarray(p.eval(X), float)
-    for j in range(d):
+    def f(shift):  # f on the grid moved by shift
+        return np.asarray(p.eval(X + shift), float)
+
+    f0 = f(0.0)
+    total = float(np.max(weight ** (d + eps) * np.abs(f0)))
+    for j in range(d):  # first derivatives
+        dj = (f(step[j]) - f(-step[j])) / (2 * h)
+        total += float(np.max(weight ** (d + eps + 1) * np.abs(dj)))
+    for j in range(d):  # second derivatives (j, l)
         for l in range(j, d):
             if j == l:
-                plus = X.copy(); plus[:, j] += h
-                minus = X.copy(); minus[:, j] -= h
-                djj = (np.asarray(p.eval(plus), float) - 2 * f0
-                       + np.asarray(p.eval(minus), float)) / h**2
-                total += 0.5 * float(np.max((1.0 + r) ** (d + eps + 2) * np.abs(djj)))
+                djl = 0.5 * (f(step[j]) - 2 * f0 + f(-step[j])) / h**2
             else:
-                pp = X.copy(); pp[:, j] += h; pp[:, l] += h
-                pm = X.copy(); pm[:, j] += h; pm[:, l] -= h
-                mp = X.copy(); mp[:, j] -= h; mp[:, l] += h
-                mm = X.copy(); mm[:, j] -= h; mm[:, l] -= h
-                djl = (np.asarray(p.eval(pp), float) - np.asarray(p.eval(pm), float)
-                       - np.asarray(p.eval(mp), float) + np.asarray(p.eval(mm), float)) / (4 * h**2)
-                total += float(np.max((1.0 + r) ** (d + eps + 2) * np.abs(djl)))
+                djl = (f(step[j] + step[l]) - f(step[j] - step[l])
+                       - f(step[l] - step[j]) + f(-step[j] - step[l])) / (4 * h**2)
+            total += float(np.max(weight ** (d + eps + 2) * np.abs(djl)))
     return total

@@ -4,8 +4,11 @@ One store per output directory.  Sweep rows are deduplicated on
 (config_hash, d, L, beta, gamma_minus, gamma_plus, boundary); re-running
 an identical configuration never duplicates rows.  Numbers are written
 with 17 significant digits so that stored doubles round-trip exactly.  A
-partial trailing row (a crash mid-append) is dropped from the file with a
-warning on load, so the next append starts on a clean line.
+partial trailing row (a crash mid-append) of sweep.csv or gap.csv is cut
+from the file with a warning before the file is read or appended to, so a
+new row always starts on a clean line; an append into a missing or empty
+file writes the header first.  Per-beta JSON files name beta with the same
+17 digits, so distinct betas never share a file.
 """
 
 from __future__ import annotations
@@ -39,6 +42,46 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cut_torn_row(path: str, data: bytes) -> bytes:
+    """data (the file's bytes) up to its last newline; a partial trailing
+    row (a crash mid-append) is cut from the file with a warning."""
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        log.warning("%s: dropping partial trailing row %r", path, data[end:])
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+    return data[:end]
+
+
+def _read_rows(path: str) -> list:
+    if not os.path.exists(path):
+        return []
+    with open(path, "rb") as fh:
+        data = _cut_torn_row(path, fh.read())
+    return list(csv.DictReader(data.decode("utf-8").splitlines()))
+
+
+def _append_rows(path: str, columns, rows) -> None:
+    """Append formatted rows after cutting a torn trailing row; the header
+    goes first into a missing or empty file."""
+    if os.path.exists(path) and os.path.getsize(path):
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":  # torn: read the file to find its last newline
+                fh.seek(0)
+                _cut_torn_row(path, fh.read())
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if fh.tell() == 0:
+            writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _beta_name(stem: str, beta: float) -> str:
+    # beta at 17 significant digits: distinct betas never share a file
+    return f"{stem}_beta_{_fmt(float(beta))}"
+
+
 def _record_key(rec: SweepRecord):
     return (rec.config_hash, rec.d, rec.L, rec.beta,
             rec.gamma_minus, rec.gamma_plus, rec.boundary)
@@ -59,16 +102,7 @@ class ResultStore:
     # -- sweep records --------------------------------------------------------
 
     def _load_sweep(self):
-        if not os.path.exists(self.sweep_path):
-            return
-        with open(self.sweep_path, "rb") as fh:
-            data = fh.read()
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            log.warning("%s: dropping partial trailing row %r", self.sweep_path, data[end:])
-            with open(self.sweep_path, "r+b") as fh:
-                fh.truncate(end)
-        for row in csv.DictReader(data[:end].decode("utf-8").splitlines()):
+        for row in _read_rows(self.sweep_path):
             rec = SweepRecord(
                 d=int(row["d"]), L=int(row["L"]), beta=float(row["beta"]),
                 gamma_minus=float(row["gamma_minus"]),
@@ -97,45 +131,30 @@ class ResultStore:
         fresh = [r for r in records if _record_key(r) not in self._sweep_rows]
         if not fresh:
             return 0
-        new_file = not os.path.exists(self.sweep_path) or not os.path.getsize(self.sweep_path)
-        with open(self.sweep_path, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if new_file:
-                writer.writerow(SWEEP_COLUMNS)
-            for rec in fresh:
-                writer.writerow([
-                    rec.d, rec.L, _fmt(rec.beta), _fmt(rec.gamma_minus),
-                    _fmt(rec.gamma_plus), rec.boundary, _fmt(rec.pressure),
-                    _fmt(rec.density), rec.runtime_ms, rec.config_hash,
-                ])
-                self._sweep_rows[_record_key(rec)] = rec
+        _append_rows(self.sweep_path, SWEEP_COLUMNS, (
+            [rec.d, rec.L, _fmt(rec.beta), _fmt(rec.gamma_minus), _fmt(rec.gamma_plus),
+             rec.boundary, _fmt(rec.pressure), _fmt(rec.density), rec.runtime_ms,
+             rec.config_hash]
+            for rec in fresh
+        ))
+        for rec in fresh:
+            self._sweep_rows[_record_key(rec)] = rec
         return len(fresh)
 
     # -- gap solutions ---------------------------------------------------------
 
     def append_gap_rows(self, rows) -> None:
-        new_file = not os.path.exists(self.gap_path)
-        with open(self.gap_path, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if new_file:
-                writer.writerow(GAP_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row[c]) for c in GAP_COLUMNS])
+        _append_rows(self.gap_path, GAP_COLUMNS,
+                     ([_fmt(row[c]) for c in GAP_COLUMNS] for row in rows))
 
     def gap_rows(self) -> list:
-        if not os.path.exists(self.gap_path):
-            return []
-        with open(self.gap_path, newline="", encoding="utf-8") as fh:
-            return list(csv.DictReader(fh))
+        return _read_rows(self.gap_path)
 
     # -- game results / payoff grids -------------------------------------------
 
     def write_game_result(self, beta: float, result_dict: dict, config_hash: str):
-        path = os.path.join(self.out_dir, f"game_beta_{_fmt(float(beta))}.json")
         payload = {"beta": beta, "config_hash": config_hash, **result_dict}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        return path
+        return self._write_json(_beta_name("game", beta), payload)
 
     def write_game_grid(self, rows) -> str:
         with open(self.grid_path, "w", newline="", encoding="utf-8") as fh:
@@ -146,14 +165,15 @@ class ResultStore:
         return self.grid_path
 
     def game_grid_rows(self) -> list:
-        if not os.path.exists(self.grid_path):
-            return []
-        with open(self.grid_path, newline="", encoding="utf-8") as fh:
-            return list(csv.DictReader(fh))
+        return _read_rows(self.grid_path)
 
     # -- manifests ---------------------------------------------------------------
 
-    def write_manifest(self, name: str, payload: dict) -> str:
+    def write_manifest(self, stem: str, beta: float, payload: dict) -> str:
+        """Write <stem>_beta_<beta>.json."""
+        return self._write_json(_beta_name(stem, beta), payload)
+
+    def _write_json(self, name: str, payload: dict) -> str:
         path = os.path.join(self.out_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

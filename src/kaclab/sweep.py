@@ -82,21 +82,21 @@ class SweepPlan:
         ):
             raise ConfigError("diagonal order needs schedules of equal length")
 
+    def schedule(self) -> list:
+        """The order's paths: one list of (gamma, gamma_minus, gamma_plus) per
+        value of the outer parameter, walking the inner limit, whose
+        parameter is gamma; diagonal order is a single paired path."""
+        gms, gps = self.gamma_minus_schedule, self.gamma_plus_schedule
+        if self.order == "minus_first":
+            return [[(gm, gm, gp) for gm in gms] for gp in gps]
+        if self.order == "plus_first":
+            return [[(gp, gm, gp) for gp in gps] for gm in gms]
+        return [[(gm, gm, gp) for gm, gp in zip(gms, gps)]]
+
     def keys(self):
         """Deterministic (L, gamma_minus, gamma_plus) evaluation order."""
-        out = []
-        if self.order == "minus_first":
-            for gp in self.gamma_plus_schedule:
-                for gm in self.gamma_minus_schedule:
-                    out.extend((L, gm, gp) for L in self.L_list)
-        elif self.order == "plus_first":
-            for gm in self.gamma_minus_schedule:
-                for gp in self.gamma_plus_schedule:
-                    out.extend((L, gm, gp) for L in self.L_list)
-        else:
-            for gm, gp in zip(self.gamma_minus_schedule, self.gamma_plus_schedule):
-                out.extend((L, gm, gp) for L in self.L_list)
-        return out
+        return [(L, gm, gp) for path in self.schedule() for _, gm, gp in path
+                for L in self.L_list]
 
 
 @dataclass(frozen=True)
@@ -248,22 +248,12 @@ def limit_report(records: list, game: GameResult, plan: SweepPlan) -> LimitRepor
         raise InsufficientDataError("limit report needs at least two box sizes")
     L_max, L_prev = L_sorted[-1], L_sorted[-2]
 
-    if plan.order == "minus_first":
-        gp = plan.gamma_plus_schedule[-1]
-        path = [(gm, (gm, gp)) for gm in plan.gamma_minus_schedule]
-    elif plan.order == "plus_first":
-        gm = plan.gamma_minus_schedule[-1]
-        path = [(gp, (gm, gp)) for gp in plan.gamma_plus_schedule]
-    else:
-        path = [
-            (gm, (gm, gp))
-            for gm, gp in zip(plan.gamma_minus_schedule, plan.gamma_plus_schedule)
-        ]
+    path = plan.schedule()[-1]
     if len(path) < 3:
         raise InsufficientDataError("limit report needs at least three schedule points")
 
     gammas, pressures = [], []
-    for gamma, (gm, gp) in path:
+    for gamma, gm, gp in path:
         rec = table.get((L_max, gm, gp))
         if rec is None:
             raise InsufficientDataError(
@@ -277,8 +267,7 @@ def limit_report(records: list, game: GameResult, plan: SweepPlan) -> LimitRepor
     slope, intercept = np.polyfit(tail_g**2, tail_p, 1)
     extrapolated = float(intercept)
 
-    last_key = path[-1][1]
-    prev = table.get((L_prev,) + last_key)
+    prev = table.get((L_prev,) + path[-1][1:])
     if prev is None:
         raise InsufficientDataError(
             f"missing record at L={L_prev} for the finite-size budget"

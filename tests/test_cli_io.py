@@ -1,6 +1,7 @@
 """Configuration parsing, result store, plot data, CLI exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -138,6 +139,24 @@ def test_round_trip_and_hash_stability(tmp_path):
     assert cfg4.beta_list[0] == ugly
 
 
+_CHANGED_SPEC_FIELDS = {
+    "scheme": "midpoint_tensor", "points_per_axis": 32, "refinement_check": False,
+    "tol": 1e-7, "c_minus_box": [0.0, 0.5], "c_plus_box": [0.0, 1.5], "grid_points": 11,
+    "xtol": 1e-9, "degeneracy_window": 1e-5, "max_iter": 100, "tol_gap": 1e-8,
+}
+
+
+@pytest.mark.parametrize("section, name", [
+    (section, f.name)
+    for section, spec in (("quadrature", QuadratureSpec), ("optimizer", OptimizerSpec))
+    for f in dataclasses.fields(spec)
+])
+def test_config_hash_sees_every_spec_field(section, name):
+    base = config_hash(parse_config_dict(minimal_config()))
+    changed = minimal_config(**{section: {name: _CHANGED_SPEC_FIELDS[name]}})
+    assert config_hash(parse_config_dict(changed)) != base
+
+
 def test_eta_override_beats_born_value():
     cfg = parse_config_dict(minimal_config(eta={"plus": 0.25}))
     assert cfg.eta_plus == 0.25
@@ -209,6 +228,32 @@ def test_store_torn_header_starts_over(tmp_path):
     assert store.sweep_records() == []
     store.append_sweep_records([make_record()])
     assert len(ResultStore(str(tmp_path)).sweep_records()) == 1
+
+
+GAP_ROW = dict(beta=1.0, c_minus=0.25, c_plus=0.75, residual=1e-10, iterations=44,
+               converged=True, config_hash="abc")
+
+
+def test_gap_csv_empty_file_gets_header(tmp_path):
+    open(tmp_path / "gap.csv", "w").close()
+    store = ResultStore(str(tmp_path))
+    store.append_gap_rows([GAP_ROW])
+    assert [r["beta"] for r in store.gap_rows()] == ["1"]
+    dat, _ = emit_plot_data("gap_vs_beta", store)
+    assert open(dat).read().splitlines()[1].split()[0] == "1"
+
+
+def test_gap_csv_torn_row_is_cut_before_the_next_append(tmp_path, caplog):
+    store = ResultStore(str(tmp_path))
+    store.append_gap_rows([GAP_ROW])
+    with open(store.gap_path, "a", encoding="utf-8") as fh:
+        fh.write("3.0,0.1")  # a crash mid-append
+    with caplog.at_level("WARNING", logger="kaclab.store"):
+        store.append_gap_rows([dict(GAP_ROW, beta=2.0)])
+    assert "partial trailing row" in caplog.text
+    rows = store.gap_rows()
+    assert [r["beta"] for r in rows] == ["1", "2"]
+    assert [r["converged"] for r in rows] == ["1", "1"]
 
 
 # -- plot data ----------------------------------------------------------------------
@@ -367,6 +412,14 @@ def test_cli_kac_sweep_keeps_rows_per_beta(tmp_path, capsys):
                   if r.beta == float(beta) and r.L == 1}
         report = summary["limit_report"]
         assert report["pressures"] == [stored[g] for g in report["gammas"]]
+
+
+def test_cli_kac_sweep_writes_one_manifest_per_beta(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    path = write_config(tmp_path, sweep_config(beta=[2.0000001, 2.0000002]))
+    assert main(["kac-sweep", "--config", path, "--out", str(out_dir)]) == 0
+    manifests = sorted(out_dir.glob("sweep_manifest_beta_*.json"))
+    assert [json.loads(p.read_text())["beta"] for p in manifests] == [2.0000001, 2.0000002]
 
 
 def test_cli_kac_sweep_respects_dimension_cap(tmp_path, capsys):

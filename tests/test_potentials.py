@@ -119,6 +119,24 @@ def test_born_zero_mixture_product_formula():
     assert p.born_zero() == pytest.approx(val, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_transform_oracles(d):
+    # forward transform: a tabulated exp(-r^2) against pi^(d/2) exp(-q^2/4)
+    q = np.array([0.0, 0.4, 1.1, 2.5, 4.0])
+    K = np.zeros((len(q), d))
+    K[:, 0] = q
+    r = np.linspace(0.0, 8.0, 400)
+    gauss = TableSpline(r, np.exp(-r * r), d=d)
+    assert np.max(np.abs(gauss.fourier(K) - math.pi ** (d / 2) * np.exp(-q * q / 4))) <= 1e-7
+    # inverse then forward: the real-space yukawa, tabulated, transforms back
+    y = Yukawa(1.0, 1.0, 0.5, d=d)
+    r = np.linspace(0.0, 20.0, 400)
+    X = np.zeros((len(r), d))
+    X[:, 0] = r
+    back = TableSpline(r, y.eval(X), d=d)
+    assert np.max(np.abs(back.fourier(K) - y.fourier(K))) <= 1e-6
+
+
 def test_born_zero_of_zero_potential():
     assert zero_potential().born_zero() == pytest.approx(0.0, abs=1e-15)
 

@@ -200,18 +200,22 @@ def test_product_state_validates_inputs():
 
 def test_limit_report_trivial_model_distances_vanish():
     # every coupling zero: ED pressure is ln(4)/beta at all L, and both game
-    # values equal the same constant
-    plan = hopping_only_plan(hopping=zero_kernel())
-    records = run_sweep(plan)
+    # values equal the same constant; the diagonal plan's gamma_+ schedule
+    # differs from its gamma_- one, so its report must find the paired records
     mf = MeanFieldParams(beta=2.0, hopping=zero_kernel())
     game = solve_game(mf, QuadratureSpec())
-    rep = limit_report(records, game, plan)
-    assert rep.pressures == pytest.approx((math.log(4.0) / 2.0,) * 3, rel=1e-14)
-    assert rep.extrapolated_pressure == pytest.approx(math.log(4.0) / 2.0, abs=1e-12)
-    assert abs(rep.distance_to_sharp) <= 1e-12
-    assert abs(rep.distance_to_flat) <= 1e-12
-    assert rep.finite_size_budget <= 1e-14
-    assert rep.within_interval
+    diagonal = dataclasses.replace(hopping_only_plan("diagonal", hopping=zero_kernel()),
+                                   gamma_plus_schedule=(0.6, 0.3, 0.15))
+    for plan in (hopping_only_plan(hopping=zero_kernel()), diagonal):
+        records = run_sweep(plan)
+        rep = limit_report(records, game, plan)
+        assert rep.order == plan.order and rep.gammas == (0.5, 0.25, 0.125)
+        assert rep.pressures == pytest.approx((math.log(4.0) / 2.0,) * 3, rel=1e-14)
+        assert rep.extrapolated_pressure == pytest.approx(math.log(4.0) / 2.0, abs=1e-12)
+        assert abs(rep.distance_to_sharp) <= 1e-12
+        assert abs(rep.distance_to_flat) <= 1e-12
+        assert rep.finite_size_budget <= 1e-14
+        assert rep.within_interval
 
 
 def test_limit_report_requires_enough_data():
