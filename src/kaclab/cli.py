@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .config import config_hash, parse_config
 from .errors import AccuracyError, CapacityError, ConfigError, KaclabError
 from .lattice import LatticeBox
 from .potentials import GridSpec, PlainGaussian, cone_check, poisson_sum
-from .store import ResultStore, emit_plot_data
+from .store import PLOT_KINDS, ResultStore, emit_plot_data
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,40 +48,27 @@ def cmd_validate_potential(args) -> int:
     return EXIT_OK
 
 
-def cmd_pressure_ed(args) -> int:
+def cmd_pressure(args) -> int:
+    """pressure-ed (the Kac model) and pressure-mf (its mean-field model):
+    ED pressure and density at every beta and L."""
     cfg = parse_config(args.config)
     rows = []
     for beta in cfg.beta_list:
+        if args.command == "pressure-ed":
+            params = cfg.model_params(beta)
+            build = fock.build_kac_hamiltonian
+            model = {"gamma_minus": params.gamma_minus, "gamma_plus": params.gamma_plus,
+                     "boundary": cfg.boundary}
+        else:
+            params = cfg.meanfield_params(beta)
+            build = fock.build_meanfield_hamiltonian
+            model = {"eta_plus": params.eta_plus, "eta_minus": params.eta_minus}
         for L in cfg.L_list:
-            box = LatticeBox(cfg.dimension, L, cfg.boundary)
-            mp = cfg.model_params(beta)
-            op = fock.build_kac_hamiltonian(mp, box, cfg.dimension_cap)
+            op = build(params, LatticeBox(cfg.dimension, L, cfg.boundary), cfg.dimension_cap)
             obs = fock.gibbs_observables(op, beta)
-            rows.append({
-                "beta": beta, "L": L,
-                "gamma_minus": mp.gamma_minus, "gamma_plus": mp.gamma_plus,
-                "boundary": cfg.boundary,
-                "pressure": obs.pressure, "density": obs.density,
-            })
-    _emit({"pressure_ed": rows})
-    return EXIT_OK
-
-
-def cmd_pressure_mf(args) -> int:
-    cfg = parse_config(args.config)
-    rows = []
-    for beta in cfg.beta_list:
-        mf = cfg.meanfield_params(beta)
-        for L in cfg.L_list:
-            box = LatticeBox(cfg.dimension, L, cfg.boundary)
-            op = fock.build_meanfield_hamiltonian(mf, box, cfg.dimension_cap)
-            obs = fock.gibbs_observables(op, beta)
-            rows.append({
-                "beta": beta, "L": L,
-                "eta_plus": mf.eta_plus, "eta_minus": mf.eta_minus,
-                "pressure": obs.pressure, "density": obs.density,
-            })
-    _emit({"pressure_mf": rows})
+            rows.append({"beta": beta, "L": L, **model,
+                         "pressure": obs.pressure, "density": obs.density})
+    _emit({args.command.replace("-", "_"): rows})
     return EXIT_OK
 
 
@@ -89,6 +77,7 @@ def cmd_game(args) -> int:
     chash = config_hash(cfg)
     store = ResultStore(args.out or cfg.output_dir) if (args.out or args.dump_grid) else None
     results = {}
+    grid_rows = []  # every beta's payoff grid, written once
     for beta in cfg.beta_list:
         mf = cfg.meanfield_params(beta)
         result = game.solve_game(mf, cfg.quadrature, cfg.optimizer)
@@ -96,17 +85,19 @@ def cmd_game(args) -> int:
         if args.dump_grid:
             lo_m, hi_m = cfg.optimizer.c_minus_box
             lo_p, hi_p = cfg.optimizer.c_plus_box
-            grid_rows = []
+            grid = []
             for cm in np.linspace(lo_m, hi_m, cfg.optimizer.grid_points):
                 for cp in np.linspace(lo_p, hi_p, cfg.optimizer.grid_points):
                     val = game.payoff(mf, game.GamePoint(cm, cp), cfg.quadrature)
-                    grid_rows.append((float(cm), float(cp), float(val)))
-            payload["grid"] = grid_rows
-            if store:
-                store.write_game_grid(grid_rows)
+                    grid.append((float(cm), float(cp), float(val)))
+            payload["grid"] = grid
+            grid_rows += [{"beta": beta, "c_minus": cm, "c_plus": cp, "payoff": val,
+                           "config_hash": chash} for cm, cp, val in grid]
         results[str(beta)] = payload
         if store:
             store.write_game_result(beta, payload, chash)
+    if args.dump_grid:
+        store.write_game_grid(grid_rows)
     _emit({"game": results, "config_hash": chash})
     return EXIT_OK
 
@@ -124,11 +115,7 @@ def cmd_gap(args) -> int:
         )
         sol = game.solve_gap_fixed_point(mf, start, cfg.quadrature,
                                          damping=0.5, opt=cfg.optimizer)
-        rows.append({
-            "beta": beta, "c_minus": sol.c_minus, "c_plus": sol.c_plus,
-            "residual": sol.residual, "iterations": sol.iterations,
-            "converged": sol.converged, "config_hash": chash,
-        })
+        rows.append({"beta": beta, **asdict(sol), "config_hash": chash})
     if store:
         store.append_gap_rows(rows)
     _emit({"gap": rows})
@@ -168,7 +155,7 @@ def cmd_kac_sweep(args) -> int:
 def cmd_plot_data(args) -> int:
     cfg = parse_config(args.config)
     store = ResultStore(args.out or cfg.output_dir)
-    paths = emit_plot_data(args.kind, store, args.out)
+    paths = emit_plot_data(args.kind, store, config_hash(cfg))
     _emit({"written": paths})
     return EXIT_OK
 
@@ -240,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("validate-potential", cmd_validate_potential)
-    add("pressure-ed", cmd_pressure_ed)
-    add("pressure-mf", cmd_pressure_mf)
+    add("pressure-ed", cmd_pressure)
+    add("pressure-mf", cmd_pressure)
     add("game", cmd_game, out=True).add_argument("--dump-grid", action="store_true")
     add("gap", cmd_gap, out=True)
     add("kac-sweep", cmd_kac_sweep, out=True).add_argument(
         "--threads", type=int, default=1, help="sweep records evaluated in parallel")
     add("plot-data", cmd_plot_data, out=True).add_argument(
-        "--kind", required=True, choices=["pressure_vs_gamma", "payoff_surface", "gap_vs_beta"])
+        "--kind", required=True, choices=list(PLOT_KINDS))
     add("selftest", cmd_selftest, needs_config=False)
     return parser
 

@@ -103,15 +103,15 @@ class ExperimentConfig:
 
     # -- builders ------------------------------------------------------------
 
-    def model_params(self, beta: float, gamma_minus: float | None = None,
-                     gamma_plus: float | None = None) -> ModelParams:
+    def model_params(self, beta: float) -> ModelParams:
+        """The model at beta and the first point of each gamma schedule."""
         return ModelParams(
             beta=beta,
             hopping=self.hopping,
             f_plus=self.f_plus,
             f_minus=self.f_minus,
-            gamma_minus=gamma_minus if gamma_minus is not None else self.gamma_minus_schedule[0],
-            gamma_plus=gamma_plus if gamma_plus is not None else self.gamma_plus_schedule[0],
+            gamma_minus=self.gamma_minus_schedule[0],
+            gamma_plus=self.gamma_plus_schedule[0],
             include_onsite_correction=self.include_onsite_correction,
         )
 

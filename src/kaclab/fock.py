@@ -66,7 +66,6 @@ class FockBasis:
             raise CapacityError(
                 f"Fock dimension 4^{n} = {dim} exceeds cap {dimension_cap}"
             )
-        self.box = box if not isinstance(box, int) else None
         self.n_sites = n
         self.n_modes = 2 * n
         self.dim = dim

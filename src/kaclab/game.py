@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,17 +121,13 @@ class GameResult:
     boundary_flagged: bool = False
 
     def as_dict(self):
-        return {
-            "p_sharp": self.p_sharp,
-            "p_flat": self.p_flat,
-            "argmin_sharp": [self.argmin_sharp.c_minus, self.argmin_sharp.c_plus],
-            "argmax_flat": [self.argmax_flat.c_minus, self.argmax_flat.c_plus],
-            "gap_residual_sharp": self.gap_residual_sharp,
-            "gap_residual_flat": self.gap_residual_flat,
-            "saddle_gap": self.saddle_gap,
-            "degenerate_minima": [[g.c_minus, g.c_plus] for g in self.degenerate_minima],
-            "boundary_flagged": self.boundary_flagged,
-        }
+        """Every field by name; a GamePoint becomes [c_minus, c_plus]."""
+        def plain(value):
+            if isinstance(value, GamePoint):
+                return [value.c_minus, value.c_plus]
+            return [plain(v) for v in value] if isinstance(value, tuple) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)

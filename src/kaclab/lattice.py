@@ -104,9 +104,6 @@ class HoppingKernel:
                     raise ConfigError("hopping kernel not reflection-symmetric")
                 table[key] = value
         self.entries = {z: v for z, v in sorted(table.items()) if v != 0.0}
-        self.support_radius = max(
-            (max(abs(c) for c in z) for z in self.entries), default=0
-        )
 
     def offsets_values(self):
         if not self.entries:
@@ -203,7 +200,7 @@ def hopping_matrix(h: HoppingKernel, box: LatticeBox) -> np.ndarray:
     kernel is folded onto the torus (full image sum), which makes the
     matrix circulant with eigenvalues hhat(k) on the discrete momentum
     grid; this is what makes finite-grid momentum sums and real-space
-    diagonalization agree exactly, including L < support_radius.
+    diagonalization agree exactly, also for boxes shorter than the hopping range.
     """
     n = box.n_sites
     t = np.zeros((n, n))

@@ -21,7 +21,7 @@ so they are safe to share across parallel parameter sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import integrate, interpolate, special
@@ -43,7 +43,6 @@ __all__ = [
     "integral_test_constant",
     "fourier_lattice_tail",
     "kac_lattice_sum",
-    "decay_seminorm",
     "make_potential",
 ]
 
@@ -425,9 +424,6 @@ class PlainGaussian(GaussianMixture):
         self.width = float(width)
         super().__init__([(1.0, (1.0 / self.width**2,) * d)], d, sign)
 
-    def radial_majorant(self):  # a bare ExpMajorant, whose amplitude callers may scale
-        return ExpMajorant(1.0, 1.0 / self.width**2, 2)
-
     def params(self):
         return {"width": self.width}
 
@@ -603,13 +599,7 @@ class ConeReport:
     grid_spec: tuple
 
     def as_dict(self):
-        return {
-            "positive_definite": self.positive_definite,
-            "scaling_monotone": self.scaling_monotone,
-            "min_fourier_value": self.min_fourier_value,
-            "monotonicity_violation": self.monotonicity_violation,
-            "grid_spec": list(self.grid_spec),
-        }
+        return asdict(self)
 
 
 _SCALING_GAMMAS = (0.5, 0.25, 0.1)
@@ -739,43 +729,3 @@ def fourier_lattice_tail(p: PairPotential, gamma: float,
     Z = Z[np.any(Z != 0, axis=1)]
     vals = np.abs(np.asarray(p.fourier(Z / gamma), float))
     return float(np.sum(vals))
-
-
-# ---------------------------------------------------------------------------
-# decay-norm diagnostic (grid-sampled seminorm, derivatives up to order 2)
-# ---------------------------------------------------------------------------
-
-
-def decay_seminorm(p: PairPotential, eps: float, radius: float = 10.0,
-                   points: int = 201, h: float = 1e-4) -> float:
-    """Grid-sampled version of the weighted decay norm, |l| <= 2 only.
-
-    sum_{|l|<=2} (1/l!) max_grid (1+|x|)^{d+eps+|l|} |d^l f(x)|, with
-    central finite differences.  Diagnostic only: the true norm takes a
-    supremum over R^d and derivatives up to order 2d, which cannot be
-    certified from samples.
-    """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    d = p.d
-    X = _tensor_grid(np.linspace(-radius, radius, points), d)
-    weight = 1.0 + np.linalg.norm(X, axis=-1)
-    step = h * np.eye(d)
-
-    def f(shift):  # f on the grid moved by shift
-        return np.asarray(p.eval(X + shift), float)
-
-    f0 = f(0.0)
-    total = float(np.max(weight ** (d + eps) * np.abs(f0)))
-    for j in range(d):  # first derivatives
-        dj = (f(step[j]) - f(-step[j])) / (2 * h)
-        total += float(np.max(weight ** (d + eps + 1) * np.abs(dj)))
-    for j in range(d):  # second derivatives (j, l)
-        for l in range(j, d):
-            if j == l:
-                djl = 0.5 * (f(step[j]) - 2 * f0 + f(-step[j])) / h**2
-            else:
-                djl = (f(step[j] + step[l]) - f(step[j] - step[l])
-                       - f(step[l] - step[j]) + f(-step[j] - step[l])) / (4 * h**2)
-            total += float(np.max(weight ** (d + eps + 2) * np.abs(djl)))
-    return total

@@ -1,12 +1,15 @@
 """Append-only result persistence: CSV record files plus JSON manifests.
 
-One store per output directory.  Sweep rows are deduplicated on
+One store per output directory.  Each table's columns are the fields of
+its record type: sweep.csv holds SweepRecord, gap.csv holds beta, the
+GapSolution and the config_hash, and game_grid.csv holds beta, the
+GamePoint, its payoff and the config_hash.  Sweep rows are deduplicated on
 (config_hash, d, L, beta, gamma_minus, gamma_plus, boundary); re-running
 an identical configuration never duplicates rows.  Numbers are written
 with 17 significant digits so that stored doubles round-trip exactly.  A
 partial trailing row (a crash mid-append) of sweep.csv or gap.csv is cut
 from the file with a warning before the file is read or appended to, so a
-new row always starts on a clean line; an append into a missing or empty
+new row always starts on a clean line; a write into a missing or empty
 file writes the header first.  Per-beta JSON files name beta with the same
 17 digits, so distinct betas never share a file.
 """
@@ -17,21 +20,23 @@ import csv
 import json
 import logging
 import os
+from dataclasses import fields
 
 from .errors import InsufficientDataError
+from .game import GamePoint, GapSolution
 from .sweep import SweepRecord
 
-__all__ = ["ResultStore", "emit_plot_data", "SWEEP_COLUMNS"]
+__all__ = ["ResultStore", "emit_plot_data", "PLOT_KINDS", "SWEEP_COLUMNS"]
 
 log = logging.getLogger(__name__)
 
-SWEEP_COLUMNS = [
-    "d", "L", "beta", "gamma_minus", "gamma_plus", "boundary",
-    "pressure", "density", "runtime_ms", "config_hash",
-]
+SWEEP_COLUMNS = [f.name for f in fields(SweepRecord)]
+GAP_COLUMNS = ["beta", *(f.name for f in fields(GapSolution)), "config_hash"]
+GRID_COLUMNS = ["beta", *(f.name for f in fields(GamePoint)), "payoff", "config_hash"]
 
-GAP_COLUMNS = ["beta", "c_minus", "c_plus", "residual", "iterations", "converged",
-               "config_hash"]
+# (column, parser) of every SweepRecord field, built once for all rows
+_SWEEP_PARSERS = [(f.name, {"int": int, "float": float, "str": str}[f.type])
+                  for f in fields(SweepRecord)]
 
 
 def _fmt(value) -> str:
@@ -61,20 +66,21 @@ def _read_rows(path: str) -> list:
     return list(csv.DictReader(data.decode("utf-8").splitlines()))
 
 
-def _append_rows(path: str, columns, rows) -> None:
-    """Append formatted rows after cutting a torn trailing row; the header
-    goes first into a missing or empty file."""
-    if os.path.exists(path) and os.path.getsize(path):
+def _write_rows(path: str, columns, rows, mode: str = "a") -> None:
+    """Write rows (mappings) as `columns`, each value through _fmt.  An
+    append first cuts a torn trailing row; the header goes first into a
+    missing or empty file."""
+    if mode == "a" and os.path.exists(path) and os.path.getsize(path):
         with open(path, "rb") as fh:
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":  # torn: read the file to find its last newline
                 fh.seek(0)
                 _cut_torn_row(path, fh.read())
-    with open(path, "a", newline="", encoding="utf-8") as fh:
+    with open(path, mode, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if fh.tell() == 0:
             writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
 
 
 def _beta_name(stem: str, beta: float) -> str:
@@ -103,15 +109,7 @@ class ResultStore:
 
     def _load_sweep(self):
         for row in _read_rows(self.sweep_path):
-            rec = SweepRecord(
-                d=int(row["d"]), L=int(row["L"]), beta=float(row["beta"]),
-                gamma_minus=float(row["gamma_minus"]),
-                gamma_plus=float(row["gamma_plus"]),
-                boundary=row["boundary"],
-                pressure=float(row["pressure"]), density=float(row["density"]),
-                runtime_ms=int(row["runtime_ms"]),
-                config_hash=row["config_hash"],
-            )
+            rec = SweepRecord(*[parse(row[name]) for name, parse in _SWEEP_PARSERS])
             self._sweep_rows[_record_key(rec)] = rec
 
     def find_sweep_record(self, config_hash: str, key, *, d: int, beta: float,
@@ -120,23 +118,15 @@ class ResultStore:
         L, gm, gp = key
         return self._sweep_rows.get((config_hash, d, L, beta, gm, gp, boundary))
 
-    def sweep_records(self, config_hash: str | None = None) -> list:
-        rows = list(self._sweep_rows.values())
-        if config_hash is not None:
-            rows = [r for r in rows if r.config_hash == config_hash]
-        return rows
+    def sweep_records(self) -> list:
+        return list(self._sweep_rows.values())
 
     def append_sweep_records(self, records) -> int:
         """Append rows not already present; returns the number written."""
         fresh = [r for r in records if _record_key(r) not in self._sweep_rows]
         if not fresh:
             return 0
-        _append_rows(self.sweep_path, SWEEP_COLUMNS, (
-            [rec.d, rec.L, _fmt(rec.beta), _fmt(rec.gamma_minus), _fmt(rec.gamma_plus),
-             rec.boundary, _fmt(rec.pressure), _fmt(rec.density), rec.runtime_ms,
-             rec.config_hash]
-            for rec in fresh
-        ))
+        _write_rows(self.sweep_path, SWEEP_COLUMNS, map(vars, fresh))
         for rec in fresh:
             self._sweep_rows[_record_key(rec)] = rec
         return len(fresh)
@@ -144,8 +134,8 @@ class ResultStore:
     # -- gap solutions ---------------------------------------------------------
 
     def append_gap_rows(self, rows) -> None:
-        _append_rows(self.gap_path, GAP_COLUMNS,
-                     ([_fmt(row[c]) for c in GAP_COLUMNS] for row in rows))
+        """Append rows mapping every GAP_COLUMNS name to its value."""
+        _write_rows(self.gap_path, GAP_COLUMNS, rows)
 
     def gap_rows(self) -> list:
         return _read_rows(self.gap_path)
@@ -157,15 +147,9 @@ class ResultStore:
         return self._write_json(_beta_name("game", beta), payload)
 
     def write_game_grid(self, rows) -> str:
-        with open(self.grid_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["c_minus", "c_plus", "payoff"])
-            for cm, cp, val in rows:
-                writer.writerow([_fmt(float(cm)), _fmt(float(cp)), _fmt(float(val))])
+        """Replace game_grid.csv by rows mapping every GRID_COLUMNS name to its value."""
+        _write_rows(self.grid_path, GRID_COLUMNS, rows, mode="w")
         return self.grid_path
-
-    def game_grid_rows(self) -> list:
-        return _read_rows(self.grid_path)
 
     # -- manifests ---------------------------------------------------------------
 
@@ -180,70 +164,50 @@ class ResultStore:
         return path
 
 
-_PLOT_KINDS = ("pressure_vs_gamma", "payoff_surface", "gap_vs_beta")
+# kind -> (store path attribute, columns printed as stored, sort key of a row, description)
+PLOT_KINDS = {
+    "pressure_vs_gamma": (
+        "sweep_path", ("beta", "L", "gamma_minus", "gamma_plus", "pressure", "density"),
+        lambda r: (float(r["beta"]), int(r["L"]), -float(r["gamma_plus"]),
+                   -float(r["gamma_minus"])),
+        "Finite-volume pressure and density along the Kac schedules.\n"
+        "Columns: beta, box size L, gamma_minus, gamma_plus, pressure, density.\n",
+    ),
+    "payoff_surface": (
+        "grid_path", ("beta", "c_minus", "c_plus", "payoff"),
+        lambda r: (float(r["beta"]), float(r["c_minus"]), float(r["c_plus"])),
+        "Payoff samples of the thermodynamic game on the strategy grid.\n"
+        "Columns: beta, c_minus, c_plus, payoff; axes sorted ascending.\n",
+    ),
+    "gap_vs_beta": (
+        "gap_path", ("beta", "c_minus", "c_plus", "residual", "converged"),
+        lambda r: float(r["beta"]),
+        "Gap-equation fixed points versus inverse temperature.\n"
+        "Columns: beta, c_minus, c_plus, residual, converged flag.\n",
+    ),
+}
 
 
-def emit_plot_data(kind: str, store: ResultStore, out_dir: str | None = None) -> list:
-    """Write whitespace-delimited plot data plus a sidecar description.
+def emit_plot_data(kind: str, store: ResultStore, config_hash: str) -> list:
+    """Write <kind>.dat (whitespace-delimited, the stored rows of one
+    config_hash) plus a <kind>.txt description into the store directory.
 
     No rendering happens here; the .dat files are ready for any plotting
-    tool.  Raises InsufficientDataError when the store lacks the records.
+    tool.  Raises InsufficientDataError when the store holds no such rows.
     """
-    if kind not in _PLOT_KINDS:
-        raise InsufficientDataError(f"unknown plot kind {kind!r}; known: {_PLOT_KINDS}")
-    out_dir = out_dir or store.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    dat_path = os.path.join(out_dir, f"{kind}.dat")
-    txt_path = os.path.join(out_dir, f"{kind}.txt")
-
-    if kind == "pressure_vs_gamma":
-        rows = store.sweep_records()
-        if not rows:
-            raise InsufficientDataError("no sweep records in store")
-        rows.sort(key=lambda r: (r.beta, r.L, -r.gamma_plus, -r.gamma_minus))
-        header = "# beta L gamma_minus gamma_plus pressure density"
-        lines = [
-            f"{_fmt(r.beta)} {r.L} {_fmt(r.gamma_minus)} {_fmt(r.gamma_plus)} "
-            f"{_fmt(r.pressure)} {_fmt(r.density)}"
-            for r in rows
-        ]
-        description = (
-            "Finite-volume pressure and density along the Kac schedules.\n"
-            "Columns: beta, box size L, gamma_minus, gamma_plus, pressure, density.\n"
-        )
-    elif kind == "payoff_surface":
-        rows = store.game_grid_rows()
-        if not rows:
-            raise InsufficientDataError(
-                "no payoff grid in store; run `kaclab game --dump-grid` first"
-            )
-        parsed = sorted(
-            (float(r["c_minus"]), float(r["c_plus"]), float(r["payoff"])) for r in rows
-        )
-        header = "# c_minus c_plus payoff"
-        lines = [f"{_fmt(a)} {_fmt(b)} {_fmt(c)}" for a, b, c in parsed]
-        description = (
-            "Payoff samples of the thermodynamic game on the strategy grid.\n"
-            "Columns: c_minus, c_plus, payoff; axes sorted ascending.\n"
-        )
-    else:  # gap_vs_beta
-        rows = store.gap_rows()
-        if not rows:
-            raise InsufficientDataError("no gap solutions in store")
-        rows.sort(key=lambda r: float(r["beta"]))
-        header = "# beta c_minus c_plus residual converged"
-        lines = [
-            f"{r['beta']} {r['c_minus']} {r['c_plus']} {r['residual']} {r['converged']}"
-            for r in rows
-        ]
-        description = (
-            "Gap-equation fixed points versus inverse temperature.\n"
-            "Columns: beta, c_minus, c_plus, residual, converged flag.\n"
-        )
-
+    if kind not in PLOT_KINDS:
+        raise InsufficientDataError(f"unknown plot kind {kind!r}; known: {list(PLOT_KINDS)}")
+    attr, columns, order, description = PLOT_KINDS[kind]
+    path = getattr(store, attr)
+    rows = [r for r in _read_rows(path) if r.get("config_hash") == config_hash]
+    if not rows:
+        raise InsufficientDataError(f"no rows of config {config_hash} in {path}")
+    rows.sort(key=order)
+    dat_path = os.path.join(store.out_dir, f"{kind}.dat")
+    txt_path = os.path.join(store.out_dir, f"{kind}.txt")
     with open(dat_path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# " + " ".join(columns) + "\n")
+        fh.write("\n".join(" ".join(r[c] for c in columns) for r in rows) + "\n")
     with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write(description)
     return [dat_path, txt_path]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -216,20 +216,7 @@ class LimitReport:
     within_interval: bool
 
     def as_dict(self):
-        return {
-            "order": self.order,
-            "L_max": self.L_max,
-            "gammas": list(self.gammas),
-            "pressures": list(self.pressures),
-            "last_pressure": self.last_pressure,
-            "extrapolated_pressure": self.extrapolated_pressure,
-            "p_sharp": self.p_sharp,
-            "p_flat": self.p_flat,
-            "distance_to_sharp": self.distance_to_sharp,
-            "distance_to_flat": self.distance_to_flat,
-            "finite_size_budget": self.finite_size_budget,
-            "within_interval": self.within_interval,
-        }
+        return asdict(self)
 
 
 def limit_report(records: list, game: GameResult, plan: SweepPlan) -> LimitReport:
@@ -242,7 +229,7 @@ def limit_report(records: list, game: GameResult, plan: SweepPlan) -> LimitRepor
     schedule point; the sandwich verdict uses the widened interval
     [P_sharp - budget, P_flat + budget].
     """
-    table = {(r.L, r.gamma_minus, r.gamma_plus): r for r in records}
+    table = {r.key(): r for r in records}
     L_sorted = sorted(set(r.L for r in records))
     if len(L_sorted) < 2:
         raise InsufficientDataError("limit report needs at least two box sizes")

@@ -191,6 +191,14 @@ def test_store_dedupes_identical_rows(tmp_path):
     assert store2.sweep_records()[0].pressure == rec.pressure
 
 
+def test_store_round_trips_every_record_field(tmp_path):
+    rec = make_record(d=2, L=3, beta=1 / 3, gamma_minus=0.1 + 0.2, gamma_plus=2.0**-40,
+                      boundary="open", pressure=-1e-300, density=np.nextafter(1.0, 2.0),
+                      runtime_ms=123456, config_hash="0123456789abcdef")
+    ResultStore(str(tmp_path)).append_sweep_records([rec])
+    assert ResultStore(str(tmp_path)).sweep_records() == [rec]
+
+
 def test_store_find_by_hash_and_key(tmp_path):
     store = ResultStore(str(tmp_path))
     store.append_sweep_records([make_record(), make_record(L=2, pressure=0.5)])
@@ -239,7 +247,7 @@ def test_gap_csv_empty_file_gets_header(tmp_path):
     store = ResultStore(str(tmp_path))
     store.append_gap_rows([GAP_ROW])
     assert [r["beta"] for r in store.gap_rows()] == ["1"]
-    dat, _ = emit_plot_data("gap_vs_beta", store)
+    dat, _ = emit_plot_data("gap_vs_beta", store, "abc")
     assert open(dat).read().splitlines()[1].split()[0] == "1"
 
 
@@ -262,7 +270,7 @@ def test_gap_csv_torn_row_is_cut_before_the_next_append(tmp_path, caplog):
 def test_plot_data_missing_records(tmp_path):
     store = ResultStore(str(tmp_path))
     with pytest.raises(InsufficientDataError):
-        emit_plot_data("pressure_vs_gamma", store)
+        emit_plot_data("pressure_vs_gamma", store, "abc")
 
 
 def test_plot_data_pressure_rows(tmp_path):
@@ -271,7 +279,7 @@ def test_plot_data_pressure_rows(tmp_path):
         make_record(gamma_minus=0.5), make_record(gamma_minus=0.25),
         make_record(gamma_minus=0.125),
     ])
-    dat, sidecar = emit_plot_data("pressure_vs_gamma", store)
+    dat, sidecar = emit_plot_data("pressure_vs_gamma", store, "abc")
     lines = open(dat).read().strip().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 4  # header + 3 rows
@@ -280,12 +288,14 @@ def test_plot_data_pressure_rows(tmp_path):
 
 def test_plot_data_payoff_surface_monotone_axes(tmp_path):
     store = ResultStore(str(tmp_path))
-    rows = [(cm, cp, -(cm**2) - cp) for cm in (0.5, 0.0, 1.0) for cp in (1.0, 0.0)]
+    rows = [dict(beta=1.0, c_minus=cm, c_plus=cp, payoff=-(cm**2) - cp, config_hash="abc")
+            for cm in (0.5, 0.0, 1.0) for cp in (1.0, 0.0)]
     store.write_game_grid(rows)
-    dat, _ = emit_plot_data("payoff_surface", store)
+    dat, _ = emit_plot_data("payoff_surface", store, "abc")
     data = np.loadtxt(dat)
-    assert data.shape == (6, 3)
-    assert np.all(np.diff(data[:, 0]) >= 0)  # primary axis sorted
+    assert data.shape == (6, 4)
+    assert np.all(data[:, 0] == 1.0)  # the beta column
+    assert np.all(np.diff(data[:, 1]) >= 0)  # primary axis sorted
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -385,6 +395,46 @@ def test_cli_kac_sweep_pipeline(tmp_path, capsys):
     assert n_rows == 1 + 2 * 3  # header + |L| * |schedule|
     assert main(["plot-data", "--config", path, "--out", out_dir,
                  "--kind", "pressure_vs_gamma"]) == 0
+
+
+def test_cli_game_grid_keeps_every_beta(tmp_path, capsys):
+    out_dir = str(tmp_path / "results")
+    path = write_config(tmp_path, minimal_config(beta=[1.0, 2.0], optimizer={"grid_points": 5}))
+    assert main(["game", "--config", path, "--out", out_dir, "--dump-grid"]) == 0
+    assert main(["plot-data", "--config", path, "--out", out_dir,
+                 "--kind", "payoff_surface"]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out_dir, "game_grid.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["beta"] for r in rows] == ["1"] * 25 + ["2"] * 25
+    data = np.loadtxt(os.path.join(out_dir, "payoff_surface.dat"))
+    assert data.shape == (50, 4)
+    assert list(data[:, 0]) == [1.0] * 25 + [2.0] * 25
+
+
+def test_cli_plot_data_prints_only_its_config(tmp_path, capsys):
+    out_dir = str(tmp_path / "results")
+    paths = []
+    for width in (1.0, 2.0):  # two configs, one output directory
+        data = sweep_config(potentials={"plus": {"family": "plain_gaussian", "width": width}},
+                            gamma_plus=[0.5, 0.3])
+        path = tmp_path / f"width{width}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+        assert main(["kac-sweep", "--config", paths[-1], "--out", out_dir]) == 0
+        assert main(["gap", "--config", paths[-1], "--out", out_dir]) == 0
+    capsys.readouterr()
+    assert len(ResultStore(out_dir).sweep_records()) == 24
+    for kind, rows in (("pressure_vs_gamma", 12), ("gap_vs_beta", 1)):
+        assert main(["plot-data", "--config", paths[0], "--out", out_dir, "--kind", kind]) == 0
+        capsys.readouterr()
+        lines = open(os.path.join(out_dir, f"{kind}.dat")).read().splitlines()
+        assert len(lines) == 1 + rows
+    # a config without stored rows is a configuration error, not an empty file
+    other = write_config(tmp_path, sweep_config(beta=[3.0]))
+    assert main(["plot-data", "--config", other, "--out", out_dir,
+                 "--kind", "gap_vs_beta"]) == 2
+    assert "no rows of config" in capsys.readouterr().err
 
 
 def sweep_config(**overrides):

@@ -15,7 +15,6 @@ from kaclab.potentials import (
     TruncationSpec,
     Yukawa,
     cone_check,
-    decay_seminorm,
     fourier_lattice_tail,
     integral_test_constant,
     kac_lattice_sum,
@@ -249,7 +248,7 @@ def test_integral_test_constant_additive():
     m1 = integral_test_constant(g1, 1)
     # doubling the amplitude doubles the constant (homogeneity in g)
     g2 = PlainGaussian(1.0, d=1).radial_majorant()
-    g2.amplitude *= 2.0
+    g2.parts[0].amplitude *= 2.0
     assert integral_test_constant(g2, 1) == pytest.approx(2 * m1, rel=1e-14)
 
 
@@ -322,16 +321,6 @@ def test_make_potential_factory_and_unknown_family():
 def test_bare_yukawa_rejected_above_one_dimension():
     with pytest.raises(ConfigError):
         Yukawa(1.0, 1.0, 0.0, d=2)
-
-
-def test_decay_seminorm_diagnostic():
-    val = decay_seminorm(PlainGaussian(1.0, d=1), eps=1.0, radius=8.0, points=161)
-    assert np.isfinite(val) and val > 0.0
-    # the sampled seminorm is homogeneous in the potential amplitude
-    doubled = decay_seminorm(
-        GaussianMixture([(2.0, (1.0,))], d=1), eps=1.0, radius=8.0, points=161
-    )
-    assert doubled == pytest.approx(2 * val, rel=1e-6)
 
 
 def test_truncation_failure_raises_accuracy_error():

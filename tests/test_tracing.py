@@ -2,8 +2,9 @@
 
 perfbench/tracing.py wraps kaclab functions by name; a refactor that
 renames or stops calling one of them would silently zero a per-layer
-metric.  This runs a tiny kac-sweep under the tracer and asks for its own
-firing self-check, without changing anything under perfbench/.
+metric.  This runs a tiny kac-sweep, and a tiny game and gap, under the
+tracer and asks for the firing self-check of each workload, without
+changing anything under perfbench/.
 """
 
 import json
@@ -49,3 +50,30 @@ def test_tracer_fires_every_sweep_span(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert tracer.firing_problems("sweep-1d") == []
     assert tracer.counts["sweep.records_reused"] == 6
+
+
+def test_tracer_fires_every_game_span(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    import tracing
+
+    config = {
+        "schema_version": 1,
+        "dimension": 1,
+        "hopping": [[[0], 2.0], [[1], -1.0]],
+        "eta": {"plus": 0.6, "minus": 0.4},
+        "beta": [2.0],
+        "optimizer": {"grid_points": 9},
+    }
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(config))
+
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert main(["game", "--config", str(path)]) == 0
+        assert main(["gap", "--config", str(path)]) == 0
+    finally:
+        tracing.uninstall(undo)
+    capsys.readouterr()
+    assert tracer.firing_problems("game-1d") == []  # this also checks that no fock. span fired
