@@ -53,7 +53,7 @@ def cmd_pressure(args) -> int:
     ED pressure and density at every beta and L."""
     cfg = parse_config(args.config)
     rows = []
-    for beta in cfg.beta_list:
+    for beta in cfg.beta:
         if args.command == "pressure-ed":
             params = cfg.model_params(beta)
             build = fock.build_kac_hamiltonian
@@ -63,7 +63,7 @@ def cmd_pressure(args) -> int:
             params = cfg.meanfield_params(beta)
             build = fock.build_meanfield_hamiltonian
             model = {"eta_plus": params.eta_plus, "eta_minus": params.eta_minus}
-        for L in cfg.L_list:
+        for L in cfg.L:
             op = build(params, LatticeBox(cfg.dimension, L, cfg.boundary), cfg.dimension_cap)
             obs = fock.gibbs_observables(op, beta)
             rows.append({"beta": beta, "L": L, **model,
@@ -78,7 +78,7 @@ def cmd_game(args) -> int:
     store = ResultStore(args.out or cfg.output_dir) if (args.out or args.dump_grid) else None
     results = {}
     grid_rows = []  # every beta's payoff grid, written once
-    for beta in cfg.beta_list:
+    for beta in cfg.beta:
         mf = cfg.meanfield_params(beta)
         result = game.solve_game(mf, cfg.quadrature, cfg.optimizer)
         payload = result.as_dict()
@@ -107,7 +107,7 @@ def cmd_gap(args) -> int:
     chash = config_hash(cfg)
     store = ResultStore(args.out or cfg.output_dir) if args.out else None
     rows = []
-    for beta in cfg.beta_list:
+    for beta in cfg.beta:
         mf = cfg.meanfield_params(beta)
         start = game.GamePoint(
             min(0.3, cfg.optimizer.c_minus_box[1]),
@@ -127,7 +127,7 @@ def cmd_kac_sweep(args) -> int:
     chash = config_hash(cfg)
     store = ResultStore(args.out or cfg.output_dir)
     summary = {}
-    for beta in cfg.beta_list:
+    for beta in cfg.beta:
         plan = cfg.sweep_plan(beta)
         failures: list = []
         records = sweep.run_sweep(plan, store=store, threads=args.threads,

@@ -3,14 +3,15 @@
 The canonical serialization (sorted keys, floats with 17 significant
 digits) round-trips doubles bit-faithfully and is what gets hashed into
 config_hash, the provenance tag carried by every persisted record.
-Validation collects *all* schema errors before failing.
+Validation collects *all* schema errors before failing.  _KEYS is the one
+declaration of the top-level keys; every step of parsing reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError, is_integer, is_number
 from .fock import DEFAULT_DIMENSION_CAP
@@ -32,43 +33,78 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {
-    "schema_version", "dimension", "hopping", "potentials", "beta", "eta",
-    "gamma_minus", "gamma_plus", "L", "boundary", "order",
-    "include_onsite_correction", "quadrature", "optimizer", "output_dir",
-    "dimension_cap",
-}
+_REQUIRED = object()  # the default of a key that must be given
+_ROLES = ("plus", "minus")
 
-_DEFAULTS = {
-    "potentials": {"plus": None, "minus": None},
-    "eta": {"plus": None, "minus": None},
-    "gamma_minus": [0.5],
-    "gamma_plus": [0.5],
-    "L": [1],
-    "boundary": "periodic",
-    "order": "minus_first",
-    "include_onsite_correction": False,
-    "quadrature": {},
-    "optimizer": {},
-    "output_dir": "kaclab_out",
-    "dimension_cap": DEFAULT_DIMENSION_CAP,
+
+def _rule(ok, message):
+    """The check that passes the values for which ok(value) holds."""
+    return lambda value: None if ok(value) else message
+
+
+def _numbers(ok, message):
+    """The check of a nonempty list of numbers that all satisfy ok."""
+    def check(value):
+        if not isinstance(value, list) or not all(map(is_number, value)):
+            return "expected a list of numbers"
+        if not value:
+            return "must be nonempty"
+        return None if all(map(ok, value)) else message
+    return check
+
+
+def _by_role(ok=lambda value: True, each=""):
+    """The check of an object with keys 'plus' and/or 'minus' whose values satisfy ok."""
+    return _rule(lambda v: isinstance(v, dict) and set(v) <= set(_ROLES)
+                 and all(map(ok, v.values())),
+                 "expected object with keys 'plus' and/or 'minus'" + each)
+
+
+_OBJECT = _rule(lambda v: isinstance(v, dict), "expected an object")
+_GAMMA = _numbers(lambda g: 0.0 < g < 1.0, "gamma must lie in the open interval (0,1)")
+
+# Every top-level key: its default (none for a required key) and its check,
+# which returns an error message or None.  A null on an object key means its
+# default.  The values of hopping, potentials, quadrature and optimizer are
+# checked further by the types built from them.
+_KEYS = {
+    "schema_version": (_REQUIRED, _rule(lambda v: is_integer(v) and v == SCHEMA_VERSION,
+                                        f"must be {SCHEMA_VERSION}")),
+    "dimension": (_REQUIRED, _rule(lambda v: is_integer(v) and v >= 1,
+                                   "must be a positive integer")),
+    "hopping": (_REQUIRED, _rule(lambda v: isinstance(v, list) and v,
+                                 "expected a nonempty list of [offset, value] pairs")),
+    "potentials": ({}, _by_role(lambda p: p is None or isinstance(p, dict) and "family" in p,
+                                ", each null or an object with a 'family' key")),
+    "beta": (_REQUIRED, _numbers(lambda b: b > 0, "entries must be positive")),
+    "eta": ({}, _by_role()),
+    "gamma_minus": ([0.5], _GAMMA),
+    "gamma_plus": ([0.5], _GAMMA),
+    "L": ([1], _rule(lambda v: isinstance(v, list) and v
+                     and all(is_integer(L) and L >= 0 for L in v),
+                     "expected a nonempty list of nonnegative integers")),
+    "boundary": ("periodic", _rule(lambda v: v in ("open", "periodic"),
+                                   "must be 'open' or 'periodic'")),
+    "order": ("minus_first", _rule(lambda v: v in ORDERS, f"must be one of {ORDERS}")),
+    "include_onsite_correction": (False, _rule(lambda v: isinstance(v, bool),
+                                               "must be true or false")),
+    "quadrature": ({}, _OBJECT),
+    "optimizer": ({}, _OBJECT),
+    "output_dir": ("kaclab_out", _rule(lambda v: isinstance(v, str) and v != "",
+                                       "must be a nonempty string")),
+    "dimension_cap": (DEFAULT_DIMENSION_CAP, _rule(lambda v: is_integer(v) and v >= 4,
+                                                   "must be an integer >= 4")),
 }
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return json.dumps(obj)
     if isinstance(obj, float):
         if obj != obj or obj in (float("inf"), float("-inf")):
             raise ConfigError("non-finite number in configuration")
         return format(obj, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -80,18 +116,18 @@ def canonical_json(obj) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Parsed, validated experiment description."""
+    """Parsed, validated experiment description; plain fields bear their key's name."""
 
     dimension: int
     hopping: HoppingKernel
     f_plus: PairPotential | None
     f_minus: PairPotential | None
-    beta_list: tuple
+    beta: tuple[float, ...]
     eta_plus: float
     eta_minus: float
-    gamma_minus_schedule: tuple
-    gamma_plus_schedule: tuple
-    L_list: tuple
+    gamma_minus: tuple[float, ...]
+    gamma_plus: tuple[float, ...]
+    L: tuple[int, ...]
     boundary: str
     order: str
     include_onsite_correction: bool
@@ -99,7 +135,7 @@ class ExperimentConfig:
     optimizer: OptimizerSpec
     output_dir: str
     dimension_cap: int
-    normalized: dict = field(repr=False, default_factory=dict)
+    normalized: dict = field(init=False, repr=False, default_factory=dict)
 
     # -- builders ------------------------------------------------------------
 
@@ -110,8 +146,8 @@ class ExperimentConfig:
             hopping=self.hopping,
             f_plus=self.f_plus,
             f_minus=self.f_minus,
-            gamma_minus=self.gamma_minus_schedule[0],
-            gamma_plus=self.gamma_plus_schedule[0],
+            gamma_minus=self.gamma_minus[0],
+            gamma_plus=self.gamma_plus[0],
             include_onsite_correction=self.include_onsite_correction,
         )
 
@@ -124,199 +160,80 @@ class ExperimentConfig:
     def sweep_plan(self, beta: float) -> SweepPlan:
         return SweepPlan(
             model=self.model_params(beta),
-            L_list=self.L_list,
-            gamma_minus_schedule=self.gamma_minus_schedule,
-            gamma_plus_schedule=self.gamma_plus_schedule,
+            L_list=self.L,
+            gamma_minus_schedule=self.gamma_minus,
+            gamma_plus_schedule=self.gamma_plus,
             order=self.order,
             boundary=self.boundary,
             dimension_cap=self.dimension_cap,
         )
 
 
-def _as_float_list(value, name, errors):
-    if not isinstance(value, (list, tuple)) or not all(is_number(v) for v in value):
-        errors.append(f"{name}: expected a list of numbers")
-        return []
-    out = [float(v) for v in value]
-    if not out:
-        errors.append(f"{name}: must be nonempty")
-    return out
-
-
-def _parse_potential(decl, role, dimension, errors):
-    if decl is None:
-        return None
-    if not isinstance(decl, dict) or "family" not in decl:
-        errors.append(f"potentials.{role}: expected an object with a 'family' key")
-        return None
-    params = {k: v for k, v in decl.items() if k != "family"}
-    if decl["family"] == "gaussian_mixture" and "terms" in params:
-        params["terms"] = [(t[0], tuple(t[1])) for t in params["terms"]]
-    try:
-        return make_potential(decl["family"], d=dimension, sign=role, **params)
-    except (ConfigError, TypeError) as err:
-        errors.append(f"potentials.{role}: {err}")
-        return None
+def _field_value(value, annotation):
+    """A checked value as the field of that annotation holds it: lists as
+    tuples, and the numbers of a float list as floats."""
+    if annotation == "tuple[float, ...]":
+        return tuple(map(float, value))
+    return tuple(value) if isinstance(value, list) else value
 
 
 def parse_config_dict(data: dict) -> ExperimentConfig:
     """Validate a configuration tree; raises ConfigError listing all problems."""
-    errors: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["configuration root must be an object"])
+    errors = [f"unknown configuration key {key!r}" for key in sorted(set(data) - set(_KEYS))]
+    values, failed = {}, set()
+    for key, (default, check) in _KEYS.items():
+        value = data.get(key, default)
+        if value is None and isinstance(default, dict):
+            value = default
+        message = "required key is missing" if value is _REQUIRED else check(value)
+        if message:
+            errors.append(f"{key}: {message}")
+            failed.add(key)
+        values[key] = value
 
-    unknown = sorted(set(data) - _TOP_KEYS)
-    for key in unknown:
-        errors.append(f"unknown configuration key {key!r}")
-
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        errors.append(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-
-    dimension = data.get("dimension")
-    if not is_integer(dimension) or dimension < 1:
-        errors.append("dimension: must be a positive integer")
-        dimension = 1
-
-    merged = dict(_DEFAULTS)
-    merged.update({k: v for k, v in data.items() if k in _TOP_KEYS})
-
-    # hopping kernel; repeated or mirrored offsets that disagree are rejected there
-    hopping = None
-    raw_hopping = data.get("hopping")
-    if not isinstance(raw_hopping, list) or not raw_hopping:
-        errors.append("hopping: expected a nonempty list of [offset, value] pairs")
-    else:
+    def build(name, make, *reads):
+        """make(), or None with its error collected under name; skipped
+        (None) when name or another key that it reads failed its check."""
+        if failed.intersection((name, *reads)):
+            return None
         try:
-            hopping = HoppingKernel(raw_hopping, dimension)
-        except (ConfigError, TypeError, ValueError) as err:
-            msg = str(err) if str(err) else "hopping: malformed entries"
-            errors.append(msg)
-    if hopping is None:
-        hopping = HoppingKernel({tuple([0] * dimension): 0.0}, dimension)
+            return make()
+        except (ConfigError, TypeError) as err:
+            errors.append(f"{name}: {err}")
 
-    pots = merged["potentials"] or {}
-    if not isinstance(pots, dict) or set(pots) - {"plus", "minus"}:
-        errors.append("potentials: expected object with keys 'plus' and/or 'minus'")
-        pots = {}
-    f_plus = _parse_potential(pots.get("plus"), "plus", dimension, errors)
-    f_minus = _parse_potential(pots.get("minus"), "minus", dimension, errors)
-
-    beta_list = _as_float_list(data.get("beta", []), "beta", errors)
-    for b in beta_list:
-        if b <= 0:
-            errors.append("beta: entries must be positive")
-            break
-
-    gm = _as_float_list(merged["gamma_minus"], "gamma_minus", errors)
-    gp = _as_float_list(merged["gamma_plus"], "gamma_plus", errors)
-    for name, sched in (("gamma_minus", gm), ("gamma_plus", gp)):
-        for g in sched:
-            if not (0.0 < g < 1.0):
-                errors.append(f"{name}: gamma must lie in the open interval (0,1)")
-                break
-
-    L_list = merged["L"]
-    if (not isinstance(L_list, list) or not L_list
-            or any(not is_integer(L) or L < 0 for L in L_list)):
-        errors.append("L: expected a nonempty list of nonnegative integers")
-        L_list = [1]
-
-    boundary = merged["boundary"]
-    if boundary not in ("open", "periodic"):
-        errors.append("boundary: must be 'open' or 'periodic'")
-        boundary = "periodic"
-
-    order = merged["order"]
-    if order not in ORDERS:
-        errors.append(f"order: must be one of {ORDERS}")
-        order = "minus_first"
-
-    eta_cfg = merged["eta"] or {}
-    if not isinstance(eta_cfg, dict) or set(eta_cfg) - {"plus", "minus"}:
-        errors.append("eta: expected object with keys 'plus' and/or 'minus'")
-        eta_cfg = {}
-
-    def resolve_eta(role, potential):
-        override = eta_cfg.get(role)
-        if override is not None:
-            if not is_number(override) or override < 0:
-                errors.append(f"eta.{role}: must be a nonnegative number")
-                return 0.0
-            return float(override)
-        if potential is not None:
-            return float(potential.born_zero())
-        return 0.0
-
-    eta_plus = resolve_eta("plus", f_plus)
-    eta_minus = resolve_eta("minus", f_minus)
-
-    quad_cfg = merged["quadrature"] or {}
-    try:
-        quadrature = QuadratureSpec(**quad_cfg)
-    except (ConfigError, TypeError) as err:
-        errors.append(f"quadrature: {err}")
-        quadrature = QuadratureSpec()
-
-    opt_cfg = dict(merged["optimizer"] or {})
-    for key in ("c_minus_box", "c_plus_box"):
-        if key in opt_cfg:
-            opt_cfg[key] = tuple(opt_cfg[key])
-    try:
-        optimizer = OptimizerSpec(**opt_cfg)
-    except (ConfigError, TypeError) as err:
-        errors.append(f"optimizer: {err}")
-        optimizer = OptimizerSpec()
-
-    cap = merged["dimension_cap"]
-    if not is_integer(cap) or cap < 4:
-        errors.append("dimension_cap: must be an integer >= 4")
-        cap = DEFAULT_DIMENSION_CAP
-
+    d = values["dimension"]
+    values["hopping"] = build("hopping", lambda: HoppingKernel(values["hopping"], d), "dimension")
+    values["quadrature"] = build("quadrature", lambda: QuadratureSpec(**values["quadrature"]))
+    values["optimizer"] = build("optimizer", lambda: OptimizerSpec(**values["optimizer"]))
+    potentials, eta = {}, {}
+    for role in _ROLES:
+        decl = None if "potentials" in failed else values["potentials"].get(role)
+        potentials[role] = None if decl is None else build(
+            f"potentials.{role}", lambda: make_potential(d=d, **decl), "dimension")
+        eta[role] = None if "eta" in failed else values["eta"].get(role)
+        if eta[role] is not None and not (is_number(eta[role]) and eta[role] >= 0):
+            errors.append(f"eta.{role}: must be a nonnegative number")
     if errors:
         raise ConfigError(errors)
 
-    normalized = {
-        "schema_version": SCHEMA_VERSION,
-        "dimension": dimension,
-        "hopping": sorted([list(z), v] for z, v in hopping.entries.items()),
-        "potentials": {
-            "plus": None if f_plus is None else {"family": f_plus.family, **f_plus.params()},
-            "minus": None if f_minus is None else {"family": f_minus.family, **f_minus.params()},
-        },
-        "beta": beta_list,
-        "eta": {"plus": eta_cfg.get("plus"), "minus": eta_cfg.get("minus")},
-        "gamma_minus": gm,
-        "gamma_plus": gp,
-        "L": list(L_list),
-        "boundary": boundary,
-        "order": order,
-        "include_onsite_correction": bool(merged["include_onsite_correction"]),
-        "quadrature": asdict(quadrature),
-        "optimizer": asdict(optimizer),
-        "output_dir": str(merged["output_dir"]),
-        "dimension_cap": cap,
-    }
-    return ExperimentConfig(
-        dimension=dimension,
-        hopping=hopping,
-        f_plus=f_plus,
-        f_minus=f_minus,
-        beta_list=tuple(beta_list),
-        eta_plus=eta_plus,
-        eta_minus=eta_minus,
-        gamma_minus_schedule=tuple(gm),
-        gamma_plus_schedule=tuple(gp),
-        L_list=tuple(L_list),
-        boundary=boundary,
-        order=order,
-        include_onsite_correction=bool(merged["include_onsite_correction"]),
-        quadrature=quadrature,
-        optimizer=optimizer,
-        output_dir=str(merged["output_dir"]),
-        dimension_cap=cap,
-        normalized=normalized,
+    for role, pot in potentials.items():  # eta defaults to the integrated potential
+        values[f"f_{role}"] = pot
+        values[f"eta_{role}"] = float(eta[role] if eta[role] is not None
+                                      else 0.0 if pot is None else pot.born_zero())
+    cfg = ExperimentConfig(**{f.name: _field_value(values[f.name], f.type)
+                              for f in fields(ExperimentConfig) if f.init})
+    cfg.normalized = {key: getattr(cfg, key, values[key]) for key in _KEYS}
+    cfg.normalized.update(
+        hopping=sorted([list(z), v] for z, v in cfg.hopping.entries.items()),
+        potentials={role: None if pot is None else {"family": pot.family, **pot.params()}
+                    for role, pot in potentials.items()},
+        eta=eta,
+        quadrature=asdict(cfg.quadrature),
+        optimizer=asdict(cfg.optimizer),
     )
+    return cfg
 
 
 def parse_config(path: str) -> ExperimentConfig:

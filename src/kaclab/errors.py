@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all kaclab modules, and the integer and
-number checks that every numeric configuration field goes through.
+number checks that every numeric configuration field goes through, in the
+type that owns the field.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, AccuracyError -> 3,
 CapacityError -> 4, any other KaclabError (a failed internal check such as
@@ -17,6 +18,13 @@ def is_integer(value) -> bool:
 def is_number(value) -> bool:
     """True for Python and numpy real numbers; False for booleans and all else."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def check_numbers(**named) -> None:
+    """Raise ConfigError naming every value that is not a real number."""
+    bad = [f"{name} must be a number" for name, value in named.items() if not is_number(value)]
+    if bad:
+        raise ConfigError(bad)
 
 
 class KaclabError(Exception):

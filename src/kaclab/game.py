@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import ConfigError, is_integer
+from .errors import ConfigError, check_numbers, is_integer, is_number
 from .lattice import MeanFieldParams
 from .quasifree import QuadratureSpec, bz_gibbs_expectations, quasifree_pressure
 
@@ -94,6 +94,14 @@ class OptimizerSpec:
     tol_gap: float = 1e-9
 
     def __post_init__(self):
+        for name in ("c_minus_box", "c_plus_box"):  # each box becomes a float pair
+            box = getattr(self, name)
+            if not (isinstance(box, (list, tuple)) and len(box) == 2
+                    and all(map(is_number, box)) and 0 <= box[0] < box[1]):
+                raise ConfigError(f"{name} must be a pair [lo, hi] of numbers, 0 <= lo < hi")
+            object.__setattr__(self, name, (float(box[0]), float(box[1])))
+        check_numbers(xtol=self.xtol, degeneracy_window=self.degeneracy_window,
+                      tol_gap=self.tol_gap)
         if not (is_integer(self.grid_points) and self.grid_points >= 3):
             raise ConfigError("grid_points must be an integer >= 3")
         if not (is_integer(self.max_iter) and self.max_iter >= 1):

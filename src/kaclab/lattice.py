@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, is_integer
+from .errors import ConfigError, is_integer, is_number
 from .potentials import PairPotential
 
 __all__ = [
@@ -89,14 +89,18 @@ class HoppingKernel:
             raise ConfigError("need d >= 1")
         self.d = int(d)
         table: dict[tuple, float] = {}
-        pairs = entries.items() if isinstance(entries, dict) else entries
-        for offset, value in pairs:
+        for pair in entries.items() if isinstance(entries, dict) else entries:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ConfigError(f"hopping entry {pair!r} is not an [offset, value] pair")
+            offset, value = pair
             coords = np.atleast_1d(np.asarray(offset, dtype=object)).tolist()
             if not all(is_integer(c) for c in coords):
                 raise ConfigError(f"hopping offset {offset!r} must hold integers")
             z = tuple(int(c) for c in coords)
             if len(z) != d:
                 raise ConfigError(f"hopping offset {z} has wrong dimension (d={d})")
+            if not is_number(value):
+                raise ConfigError(f"hopping value {value!r} at offset {z} must be a number")
             value = float(value)
             mirror = tuple(-c for c in z)
             for key in (z,) if z == mirror else (z, mirror):

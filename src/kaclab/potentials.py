@@ -26,7 +26,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import integrate, interpolate, special
 
-from .errors import AccuracyError, ConfigError, UnsupportedPotentialError
+from .errors import (AccuracyError, ConfigError, UnsupportedPotentialError, check_numbers,
+                     is_number)
 
 __all__ = [
     "PairPotential",
@@ -293,22 +294,14 @@ def _radial_values(x, cache: dict, fn):
 
 
 class PairPotential:
-    """Base class: reflection-symmetric f on R^d with evaluable fhat.
-
-    ``sign`` records the role the potential plays in the model ("plus" for
-    the density-density repulsion, "minus" for the Cooper-pair hopping);
-    it does not change any values.
-    """
+    """Base class: reflection-symmetric f on R^d with evaluable fhat."""
 
     family = "abstract"
 
-    def __init__(self, d: int, sign: str = "plus"):
+    def __init__(self, d: int):
         if d < 1:
             raise ConfigError("dimension must be a positive integer")
-        if sign not in ("plus", "minus"):
-            raise ConfigError("sign must be 'plus' or 'minus'")
         self.d = int(d)
-        self.sign = sign
 
     # -- evaluation ---------------------------------------------------------
 
@@ -371,18 +364,21 @@ class GaussianMixture(PairPotential):
 
     family = "gaussian_mixture"
 
-    def __init__(self, terms, d: int = 1, sign: str = "plus"):
-        super().__init__(d, sign)
+    def __init__(self, terms, d: int = 1):
+        super().__init__(d)
+        if not isinstance(terms, (list, tuple)) or not terms:
+            raise ConfigError("mixture needs a nonempty list of [weight, scales] terms")
         parsed = []
-        for weight, scales in terms:
-            scales = tuple(float(s) for s in np.atleast_1d(scales))
+        for term in terms:
+            if not (isinstance(term, (list, tuple)) and len(term) == 2):
+                raise ConfigError(f"mixture term {term!r} is not a [weight, scales] pair")
+            weight, scales = term
+            scales = list(scales) if isinstance(scales, (list, tuple, np.ndarray)) else [scales]
             if len(scales) != d:
                 raise ConfigError(f"term needs {d} scales, got {len(scales)}")
-            if weight <= 0 or any(s <= 0 for s in scales):
-                raise ConfigError("mixture weights and scales must be positive")
-            parsed.append((float(weight), scales))
-        if not parsed:
-            raise ConfigError("mixture needs at least one term")
+            if not all(is_number(x) and x > 0 for x in [weight, *scales]):
+                raise ConfigError("mixture weights and scales must be positive numbers")
+            parsed.append((float(weight), tuple(float(s) for s in scales)))
         self.terms = parsed
 
     def _eval(self, x):
@@ -418,11 +414,12 @@ class PlainGaussian(GaussianMixture):
 
     family = "plain_gaussian"
 
-    def __init__(self, width: float = 1.0, d: int = 1, sign: str = "plus"):
+    def __init__(self, width: float = 1.0, d: int = 1):
+        check_numbers(width=width)
         if width <= 0:
             raise ConfigError("gaussian width must be positive")
         self.width = float(width)
-        super().__init__([(1.0, (1.0 / self.width**2,) * d)], d, sign)
+        super().__init__([(1.0, (1.0 / self.width**2,) * d)], d)
 
     def params(self):
         return {"width": self.width}
@@ -441,9 +438,9 @@ class Yukawa(PairPotential):
 
     family = "yukawa"
 
-    def __init__(self, c0: float, c1: float, c2: float = 0.0, d: int = 1,
-                 sign: str = "minus"):
-        super().__init__(d, sign)
+    def __init__(self, c0: float, c1: float, c2: float = 0.0, d: int = 1):
+        super().__init__(d)
+        check_numbers(c0=c0, c1=c1, c2=c2)
         if c0 <= 0 or c1 <= 0 or c2 < 0:
             raise ConfigError("yukawa needs c0 > 0, c1 > 0, c2 >= 0")
         if c2 == 0.0 and d != 1:
@@ -510,8 +507,10 @@ class TableSpline(PairPotential):
 
     family = "table_spline"
 
-    def __init__(self, radii, values, d: int = 1, sign: str = "plus"):
-        super().__init__(d, sign)
+    def __init__(self, radii, values, d: int = 1):
+        super().__init__(d)
+        if not all(map(is_number, [*radii, *values])):
+            raise ConfigError("table radii and values must be numbers")
         radii = np.asarray(radii, float)
         values = np.asarray(values, float)
         if radii.ndim != 1 or radii.shape != values.shape or len(radii) < 4:
@@ -562,7 +561,7 @@ _FAMILIES = {
 }
 
 
-def make_potential(family: str, d: int, sign: str = "plus", **params) -> PairPotential:
+def make_potential(family: str, d: int, **params) -> PairPotential:
     """Factory used by the config layer; family names as in _FAMILIES."""
     try:
         cls = _FAMILIES[family]
@@ -570,7 +569,7 @@ def make_potential(family: str, d: int, sign: str = "plus", **params) -> PairPot
         raise ConfigError(
             f"unknown potential family {family!r}; known: {sorted(_FAMILIES)}"
         ) from None
-    return cls(d=d, sign=sign, **params)
+    return cls(d=d, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +604,13 @@ class ConeReport:
 _SCALING_GAMMAS = (0.5, 0.25, 0.1)
 
 
-def cone_check(p: PairPotential, eps: float = 1.0, grid: GridSpec | None = None,
+def cone_check(p: PairPotential, grid: GridSpec | None = None,
                tol_pd: float = 1e-9, tol_sm: float = 1e-9) -> ConeReport:
     """Sampled membership test for the positive-definite / scaling-monotone cones.
 
     Samples fhat on the tensor grid, reports the minimum value, and checks
     fhat(k/gamma) <= fhat(k) + tol_sm for gamma in {0.5, 0.25, 0.1}.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
     grid = grid or GridSpec()
     K = _tensor_grid(np.linspace(-grid.radius, grid.radius, grid.points_per_axis), p.d)
     base = np.asarray(p.fourier(K), float)
@@ -699,14 +696,12 @@ def poisson_sum(p: PairPotential, gamma: float, a,
     return lhs, rhs
 
 
-def series_tail_bound(p: PairPotential, eps: float, gamma: float) -> float:
+def series_tail_bound(p: PairPotential, gamma: float) -> float:
     """The constant M_g bounding sum_z |gamma^d f(gamma z + a)| for gamma < 1.
 
     Uses the closed-form monotone radial majorant of the family; raises
     UnsupportedPotentialError when none is known.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
     if not (0 < gamma < 1):
         raise ConfigError("the uniform bound M_g requires gamma in (0,1)")
     return integral_test_constant(p.radial_majorant(), p.d)

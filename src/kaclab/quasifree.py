@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigError, is_integer
+from .errors import AccuracyError, ConfigError, check_numbers, is_integer
 from .lattice import HoppingKernel, MeanFieldParams, dispersion
 
 __all__ = [
@@ -108,6 +108,9 @@ class QuadratureSpec:
         if self.points_per_axis is not None and not (
                 is_integer(self.points_per_axis) and self.points_per_axis >= 2):
             raise ConfigError("points_per_axis must be an integer >= 2")
+        if not isinstance(self.refinement_check, bool):
+            raise ConfigError("refinement_check must be true or false")
+        check_numbers(tol=self.tol)
 
     def resolve_points(self, d: int) -> int:
         if self.points_per_axis is not None:

@@ -10,8 +10,10 @@ with 17 significant digits so that stored doubles round-trip exactly.  A
 partial trailing row (a crash mid-append) of sweep.csv or gap.csv is cut
 from the file with a warning before the file is read or appended to, so a
 new row always starts on a clean line; a write into a missing or empty
-file writes the header first.  Per-beta JSON files name beta with the same
-17 digits, so distinct betas never share a file.
+file writes the header first.  A sweep.csv or game_grid.csv whose header is
+not its table's columns raises ConfigError.  A payoff grid replaces only
+the game_grid.csv rows of its config_hash.  Per-beta JSON files name beta
+with the same 17 digits, so distinct betas never share a file.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import logging
 import os
 from dataclasses import fields
 
-from .errors import InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 from .game import GamePoint, GapSolution
 from .sweep import SweepRecord
 
@@ -58,12 +60,19 @@ def _cut_torn_row(path: str, data: bytes) -> bytes:
     return data[:end]
 
 
-def _read_rows(path: str) -> list:
+def _read_rows(path: str, columns=None) -> list:
+    """The rows of a CSV file as dicts.  A header other than columns, when
+    given, raises ConfigError: rows written under it would not line up."""
     if not os.path.exists(path):
         return []
     with open(path, "rb") as fh:
         data = _cut_torn_row(path, fh.read())
-    return list(csv.DictReader(data.decode("utf-8").splitlines()))
+    reader = csv.DictReader(data.decode("utf-8").splitlines())
+    if columns is not None and reader.fieldnames not in (None, columns):
+        missing = [c for c in columns if c not in reader.fieldnames]
+        raise ConfigError(f"{path}: columns {reader.fieldnames} are not {columns} (missing "
+                          f"{missing}); use a fresh output directory")
+    return list(reader)
 
 
 def _write_rows(path: str, columns, rows, mode: str = "a") -> None:
@@ -108,7 +117,7 @@ class ResultStore:
     # -- sweep records --------------------------------------------------------
 
     def _load_sweep(self):
-        for row in _read_rows(self.sweep_path):
+        for row in _read_rows(self.sweep_path, SWEEP_COLUMNS):
             rec = SweepRecord(*[parse(row[name]) for name, parse in _SWEEP_PARSERS])
             self._sweep_rows[_record_key(rec)] = rec
 
@@ -147,8 +156,13 @@ class ResultStore:
         return self._write_json(_beta_name("game", beta), payload)
 
     def write_game_grid(self, rows) -> str:
-        """Replace game_grid.csv by rows mapping every GRID_COLUMNS name to its value."""
-        _write_rows(self.grid_path, GRID_COLUMNS, rows, mode="w")
+        """Write rows mapping every GRID_COLUMNS name to its value into
+        game_grid.csv in place of the stored rows of their config_hash; the
+        rows of other configs stay."""
+        fresh = {row["config_hash"] for row in rows}
+        kept = [r for r in _read_rows(self.grid_path, GRID_COLUMNS)
+                if r["config_hash"] not in fresh]
+        _write_rows(self.grid_path, GRID_COLUMNS, kept + rows, mode="w")
         return self.grid_path
 
     # -- manifests ---------------------------------------------------------------

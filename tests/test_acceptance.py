@@ -186,7 +186,7 @@ def test_criterion_07_appendix_bounds():
     margin = math.inf
     for p in (gauss, y_table):
         for gamma in (0.9, 0.5, 0.1):
-            bound = series_tail_bound(p, 1.0, gamma)
+            bound = series_tail_bound(p, gamma)
             for a in (0.0, 1.0):
                 direct = gamma * float(np.sum(np.abs(np.asarray(p.eval(gamma * z + a)))))
                 assert direct <= bound
@@ -229,8 +229,8 @@ def test_criterion_10_sandwich_report(tmp_path):
     t0 = time.perf_counter()
     beta = 2.0
     lam = 0.2
-    f_plus = GaussianMixture([(lam, (1.0,))], d=1, sign="plus")
-    f_minus = Yukawa(lam, 1.0, 1.0, d=1, sign="minus")
+    f_plus = GaussianMixture([(lam, (1.0,))], d=1)
+    f_minus = Yukawa(lam, 1.0, 1.0, d=1)
     hop = discrete_laplacian(1)
     model = ModelParams(beta=beta, hopping=hop, f_plus=f_plus, f_minus=f_minus)
     sched = (0.5, 0.35, 0.25)

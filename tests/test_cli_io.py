@@ -18,6 +18,7 @@ from kaclab.config import (
 from kaclab.errors import ConfigError, InsufficientDataError
 from kaclab.game import OptimizerSpec
 from kaclab.lattice import HoppingKernel
+from kaclab.potentials import GaussianMixture, PlainGaussian, Yukawa
 from kaclab.quasifree import QuadratureSpec
 from kaclab.store import SWEEP_COLUMNS, ResultStore, emit_plot_data
 from kaclab.sweep import SweepRecord
@@ -101,26 +102,63 @@ def test_all_errors_reported_at_once():
     ({"gamma_plus": [True]}, "gamma_plus: expected a list of numbers"),
     ({"eta": {"plus": True}}, "eta.plus: must be a nonnegative number"),
     ({"eta": {"minus": True}}, "eta.minus: must be a nonnegative number"),
+    ({"potentials": {"plus": {"family": "gaussian_mixture", "terms": 5}}},
+     "potentials.plus: mixture needs a nonempty list of .weight, scales. terms"),
+    ({"potentials": {"plus": {"family": "gaussian_mixture", "terms": [[1.0]]}}},
+     "potentials.plus: mixture term .* is not a .weight, scales. pair"),
+    ({"optimizer": {"c_minus_box": 1}}, "optimizer: c_minus_box must be a pair"),
+    ({"optimizer": {"c_minus_box": ["a", "b"]}}, "optimizer: c_minus_box must be a pair"),
+    ({"quadrature": {"tol": "x"}}, "quadrature: tol must be a number"),
+    ({"include_onsite_correction": "false"}, "include_onsite_correction: must be true or false"),
+    ({"potentials": {"plus": {"family": "plain_gaussian", "width": True}}},
+     "potentials.plus: width must be a number"),
+    ({"hopping": [[[0], "2.0"], [[1], -1.0]]}, "hopping: hopping value '2.0' .* must be a number"),
+    ({"optimizer": {"xtol": "1e-9"}}, "optimizer: xtol must be a number"),
+    ({"optimizer": {"tol_gap": True}}, "optimizer: tol_gap must be a number"),
+    ({"optimizer": {"degeneracy_window": "x"}}, "optimizer: degeneracy_window must be a number"),
+    ({"potentials": {"minus": {"family": "yukawa", "c0": "1", "c1": 1.0}}},
+     "potentials.minus: c0 must be a number"),
+    ({"potentials": {"plus": {"family": "table_spline", "radii": [0, 1, True, 3],
+                              "values": [1.0, 0.5, 0.2, 0.0]}}},
+     "potentials.plus: table radii and values must be numbers"),
+    ({"quadrature": {"refinement_check": "false"}},
+     "quadrature: refinement_check must be true or false"),
+    ({"output_dir": ""}, "output_dir: must be a nonempty string"),
 ], ids=["dimension", "L", "hopping_offset", "points_per_axis", "grid_points", "max_iter",
         "max_iter_zero", "beta_bool", "beta_string", "gamma_minus_bool", "gamma_plus_bool",
-        "eta_plus_bool", "eta_minus_bool"])
+        "eta_plus_bool", "eta_minus_bool", "terms_not_list", "term_not_pair", "box_not_pair",
+        "box_strings", "tol_string", "onsite_string", "width_bool", "hopping_value_string",
+        "xtol_string", "tol_gap_bool", "degeneracy_window_string", "yukawa_string",
+        "table_bool", "refinement_check_string", "output_dir_empty"])
 def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_dict(minimal_config(**overrides))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: HoppingKernel([((1.5,), -1.0)], 1),
-    lambda: HoppingKernel([((True,), -1.0)], 1),
-    lambda: QuadratureSpec(points_per_axis=64.5),
-    lambda: QuadratureSpec(points_per_axis=True),
-    lambda: OptimizerSpec(grid_points=33.5),
-    lambda: OptimizerSpec(max_iter=2.5),
-    lambda: OptimizerSpec(max_iter=0),
+@pytest.mark.parametrize("build, message", [
+    (lambda: HoppingKernel([((1.5,), -1.0)], 1), "integer"),
+    (lambda: HoppingKernel([((True,), -1.0)], 1), "integer"),
+    (lambda: QuadratureSpec(points_per_axis=64.5), "integer"),
+    (lambda: QuadratureSpec(points_per_axis=True), "integer"),
+    (lambda: OptimizerSpec(grid_points=33.5), "integer"),
+    (lambda: OptimizerSpec(max_iter=2.5), "integer"),
+    (lambda: OptimizerSpec(max_iter=0), "integer"),
+    (lambda: HoppingKernel([((0,), "2.0")], 1), "must be a number"),
+    (lambda: QuadratureSpec(tol="x"), "tol must be a number"),
+    (lambda: OptimizerSpec(xtol="1e-9"), "xtol must be a number"),
+    (lambda: OptimizerSpec(tol_gap=True), "tol_gap must be a number"),
+    (lambda: OptimizerSpec(degeneracy_window="x"), "degeneracy_window must be a number"),
+    (lambda: OptimizerSpec(c_plus_box=(2.0, 1.0)), "c_plus_box must be a pair"),
+    (lambda: PlainGaussian(width=True), "width must be a number"),
+    (lambda: Yukawa(1.0, "1.0"), "c1 must be a number"),
+    (lambda: GaussianMixture([(True, (1.0,))]), "must be positive numbers"),
+    (lambda: GaussianMixture([(1.0, ("2",))]), "must be positive numbers"),
 ], ids=["offset_fraction", "offset_bool", "points_fraction", "points_bool",
-        "grid_points", "max_iter", "max_iter_zero"])
-def test_integer_fields_rejected_on_direct_construction(build):
-    with pytest.raises(ConfigError, match="integer"):
+        "grid_points", "max_iter", "max_iter_zero", "hopping_value_string", "tol_string",
+        "xtol_string", "tol_gap_bool", "degeneracy_window_string", "box_reversed",
+        "width_bool", "yukawa_string", "mixture_weight_bool", "mixture_scale_string"])
+def test_integer_fields_rejected_on_direct_construction(build, message):
+    with pytest.raises(ConfigError, match=message):
         build()
 
 
@@ -136,7 +174,35 @@ def test_round_trip_and_hash_stability(tmp_path):
     ugly = 0.1 + 0.2
     cfg3 = parse_config_dict(minimal_config(beta=[ugly]))
     cfg4 = parse_config_dict(json.loads(serialize_config(cfg3)))
-    assert cfg4.beta_list[0] == ugly
+    assert cfg4.beta[0] == ugly
+
+
+README_CONFIG = {
+    "schema_version": 1,
+    "dimension": 1,
+    "hopping": [[[0], 2.0], [[1], -1.0], [[-1], -1.0]],
+    "potentials": {
+        "plus": {"family": "plain_gaussian", "width": 1.0},
+        "minus": {"family": "yukawa", "c0": 1.0, "c1": 1.0, "c2": 1.0},
+    },
+    "beta": [2.0],
+    "L": [1, 2, 3],
+    "gamma_minus": [0.5, 0.35, 0.25],
+    "gamma_plus": [0.5, 0.35, 0.25],
+    "order": "minus_first",
+    "boundary": "periodic",
+    "output_dir": "out",
+}
+
+
+@pytest.mark.parametrize("data, digest", [
+    (README_CONFIG, "b133e22837d73e0f"),
+    ({"schema_version": 1, "dimension": 1, "hopping": [[[0], 2.0], [[1], -1.0]],
+      "eta": {"plus": 0.6, "minus": 0.4}, "beta": [2.0]}, "1389ee454fe4faf2"),
+], ids=["readme", "eta_only"])
+def test_config_hash_pinned_across_versions(data, digest):
+    # every stored row carries this tag: a change here orphans existing stores
+    assert config_hash(parse_config_dict(data)) == digest
 
 
 _CHANGED_SPEC_FIELDS = {
@@ -410,6 +476,34 @@ def test_cli_game_grid_keeps_every_beta(tmp_path, capsys):
     data = np.loadtxt(os.path.join(out_dir, "payoff_surface.dat"))
     assert data.shape == (50, 4)
     assert list(data[:, 0]) == [1.0] * 25 + [2.0] * 25
+
+
+def test_cli_game_grid_keeps_other_configs(tmp_path, capsys):
+    out_dir = str(tmp_path / "results")
+    paths = []
+    for width in (1.0, 2.0):  # two configs, one output directory
+        data = minimal_config(potentials={"plus": {"family": "plain_gaussian", "width": width}},
+                              optimizer={"grid_points": 5})
+        (tmp_path / f"w{width}").mkdir()
+        paths.append(write_config(tmp_path / f"w{width}", data))
+        assert main(["game", "--config", paths[-1], "--out", out_dir, "--dump-grid"]) == 0
+    for path in paths:
+        assert main(["plot-data", "--config", path, "--out", out_dir,
+                     "--kind", "payoff_surface"]) == 0
+        assert np.loadtxt(os.path.join(out_dir, "payoff_surface.dat")).shape == (25, 4)
+
+
+def test_cli_sweep_csv_with_other_columns_exit_code(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    out_dir.mkdir()
+    record = vars(make_record())  # a row written before runtime_ms was a column
+    old_columns = [c for c in SWEEP_COLUMNS if c != "runtime_ms"]
+    (out_dir / "sweep.csv").write_text(
+        ",".join(old_columns) + "\n" + ",".join(str(record[c]) for c in old_columns) + "\n")
+    path = write_config(tmp_path, sweep_config())
+    assert main(["kac-sweep", "--config", path, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "sweep.csv" in err and "runtime_ms" in err
 
 
 def test_cli_plot_data_prints_only_its_config(tmp_path, capsys):

@@ -19,8 +19,8 @@ from kaclab.sweep import SweepPlan, run_sweep
 
 
 def test_two_dimensional_single_site_sweep():
-    f_plus = PlainGaussian(1.0, d=2, sign="plus")
-    f_minus = Yukawa(1.0, 1.0, 1.0, d=2, sign="minus")
+    f_plus = PlainGaussian(1.0, d=2)
+    f_minus = Yukawa(1.0, 1.0, 1.0, d=2)
     model = ModelParams(beta=2.0, hopping=discrete_laplacian(2),
                         f_plus=f_plus, f_minus=f_minus)
     plan = SweepPlan(model=model, L_list=(0,),
@@ -50,7 +50,7 @@ def test_two_dimensional_l1_exceeds_capacity():
 
 
 def test_open_boundary_sweep_differs_from_periodic():
-    f_minus = PlainGaussian(1.0, d=1, sign="minus")
+    f_minus = PlainGaussian(1.0, d=1)
     model = ModelParams(beta=2.0, hopping=discrete_laplacian(1),
                         f_plus=None, f_minus=f_minus)
     plans = {
@@ -64,7 +64,7 @@ def test_open_boundary_sweep_differs_from_periodic():
 
 
 def test_open_boundary_onsite_correction_runs():
-    f_plus = PlainGaussian(1.0, d=1, sign="plus")
+    f_plus = PlainGaussian(1.0, d=1)
     mp = ModelParams(beta=1.0, hopping=discrete_laplacian(1),
                      f_plus=f_plus, f_minus=None,
                      include_onsite_correction=True)

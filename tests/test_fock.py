@@ -202,8 +202,8 @@ def test_two_site_hopping_one_particle_ground_state():
 
 def test_hermiticity_of_assembled_hamiltonians():
     lap = discrete_laplacian(1)
-    gauss = PlainGaussian(1.0, d=1, sign="plus")
-    mix = GaussianMixture([(0.5, (2.0,))], d=1, sign="minus")
+    gauss = PlainGaussian(1.0, d=1)
+    mix = GaussianMixture([(0.5, (2.0,))], d=1)
     box = LatticeBox(1, 1, "periodic")
     mp = ModelParams(beta=1.0, hopping=lap, f_plus=gauss, f_minus=mix,
                      gamma_plus=0.4, gamma_minus=0.3)
@@ -240,9 +240,9 @@ def test_blocks_match_kronecker_oracle(L, boundary):
     h0, h1, h2 = rng.normal(size=3)
     hop = HoppingKernel({(0,): h0, (1,): h1, (-1,): h1, (2,): h2, (-2,): h2}, 1)
     T = hopping_matrix(hop, box)
-    f_plus = PlainGaussian(rng.uniform(0.5, 2.0), d=1, sign="plus")
+    f_plus = PlainGaussian(rng.uniform(0.5, 2.0), d=1)
     f_minus = GaussianMixture([(rng.uniform(0.2, 1.0), (rng.uniform(0.5, 3.0),))],
-                              d=1, sign="minus")
+                              d=1)
     g_plus, g_minus = rng.uniform(0.2, 0.8, size=2)
     mp = ModelParams(beta=1.0, hopping=hop, f_plus=f_plus, f_minus=f_minus,
                      gamma_plus=g_plus, gamma_minus=g_minus, include_onsite_correction=True)
@@ -373,7 +373,7 @@ def test_kac_meanfield_single_site_coincidence():
     eta = 0.75
     gamma = 0.5
     width = 1.0  # f(0) = 1, so gamma * f(0) = 0.5: rescale eta to match
-    gauss = PlainGaussian(width, d=1, sign="plus")
+    gauss = PlainGaussian(width, d=1)
     box = LatticeBox(1, 0, "open")
     mp = ModelParams(beta=2.0, hopping=zero_kernel(), f_plus=gauss, f_minus=None,
                      gamma_plus=gamma)
@@ -388,8 +388,8 @@ def test_kac_meanfield_single_site_coincidence():
 def test_onsite_correction_terms():
     # exact Kac-interaction bookkeeping: -(g^d f+(0)/2) sum n and
     # +(g^d f-(0)/2) sum n_up n_dn relative to the literal Hamiltonian
-    gauss_p = PlainGaussian(1.0, d=1, sign="plus")
-    gauss_m = PlainGaussian(2.0, d=1, sign="minus")
+    gauss_p = PlainGaussian(1.0, d=1)
+    gauss_m = PlainGaussian(2.0, d=1)
     box = LatticeBox(1, 0, "open")
     kw = dict(beta=1.0, hopping=zero_kernel(), f_plus=gauss_p, f_minus=gauss_m,
               gamma_plus=0.4, gamma_minus=0.3)

@@ -215,13 +215,13 @@ def test_poisson_real_offset():
 
 
 def test_tail_bound_zero_potential():
-    assert series_tail_bound(zero_potential(), 1.0, 0.5) == 0.0
+    assert series_tail_bound(zero_potential(), 0.5) == 0.0
 
 
 @pytest.mark.parametrize("gamma", [0.9, 0.5, 0.1])
 def test_tail_bound_dominates_direct_sum_gaussian(gamma):
     p = PlainGaussian(1.0, d=1)
-    bound = series_tail_bound(p, 1.0, gamma)
+    bound = series_tail_bound(p, gamma)
     z = np.arange(-2000, 2001, dtype=float)
     for a in (0.0, 1.0, 3.0):  # integer shifts, outside the gamma scaling
         direct = gamma * float(np.sum(np.abs(np.exp(-((gamma * z + a) ** 2)))))
@@ -233,12 +233,12 @@ def test_tail_bound_dominates_direct_sum_yukawa_table(tmp_path):
     y = Yukawa(1.0, 1.0, 1.0, d=1)
     r = np.linspace(0.0, 40.0, 500)
     table = TableSpline(r, np.asarray(y.eval(r[:, None])), d=1)
-    bound = series_tail_bound(table, 1.0, 0.5)
+    bound = series_tail_bound(table, 0.5)
     z = np.arange(-300, 301, dtype=float)
     direct = 0.5 * float(np.sum(np.abs(np.asarray(table.eval(0.5 * z[:, None])))))
     assert direct <= bound
     # the closed-form exponential majorant of the family itself also works
-    bound_exact = series_tail_bound(y, 1.0, 0.5)
+    bound_exact = series_tail_bound(y, 0.5)
     direct_y = 0.5 * float(np.sum(np.abs(np.asarray(y.eval(0.5 * z[:, None])))))
     assert direct_y <= bound_exact
 
@@ -254,7 +254,7 @@ def test_integral_test_constant_additive():
 
 def test_series_tail_bound_requires_gamma_below_one():
     with pytest.raises(ConfigError):
-        series_tail_bound(PlainGaussian(1.0, d=1), 1.0, 1.5)
+        series_tail_bound(PlainGaussian(1.0, d=1), 1.5)
 
 
 def test_unsupported_majorant_family():
@@ -312,8 +312,8 @@ def test_born_limit_of_lattice_sum():
 
 
 def test_make_potential_factory_and_unknown_family():
-    p = make_potential("yukawa", d=1, sign="minus", c0=1.0, c1=2.0)
-    assert p.family == "yukawa" and p.sign == "minus"
+    p = make_potential("yukawa", d=1, c0=1.0, c1=2.0)
+    assert p.family == "yukawa"
     with pytest.raises(ConfigError):
         make_potential("lennard_jones", d=1)
 

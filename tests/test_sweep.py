@@ -97,7 +97,7 @@ def test_sweep_trivial_couplings_reduce_to_hopping():
 def test_sweep_repulsion_lowers_pressure_monotonically():
     # H + lambda H_+ with H_+ >= 0: ln Tr exp is nonincreasing in lambda
     def plan_with_weight(w):
-        f_plus = GaussianMixture([(w, (1.0,))], d=1, sign="plus")
+        f_plus = GaussianMixture([(w, (1.0,))], d=1)
         model = ModelParams(beta=2.0, hopping=discrete_laplacian(1),
                             f_plus=f_plus, f_minus=None)
         return SweepPlan(model=model, L_list=(1,),
@@ -112,7 +112,7 @@ def test_sweep_repulsion_lowers_pressure_monotonically():
 def test_sweep_single_site_closed_form():
     # L=0, laplacian folds to hhat(0)=0: only the x=y=0 coupling remains
     gamma = 0.5
-    f_plus = PlainGaussian(1.0, d=1, sign="plus")
+    f_plus = PlainGaussian(1.0, d=1)
     model = ModelParams(beta=2.0, hopping=discrete_laplacian(1),
                         f_plus=f_plus, f_minus=None)
     plan = SweepPlan(model=model, L_list=(0,), gamma_minus_schedule=(gamma,),
@@ -239,7 +239,7 @@ def test_limit_report_requires_enough_data():
 def test_limit_report_attractive_only_protocol():
     # attractive-only sweep compared against the game at eta_- = fhat_-(0);
     # desk-scale finite-size error dominates, so only structure is asserted
-    f_minus = PlainGaussian(1.0, d=1, sign="minus")
+    f_minus = PlainGaussian(1.0, d=1)
     model = ModelParams(beta=2.0, hopping=discrete_laplacian(1),
                         f_plus=None, f_minus=f_minus)
     plan = SweepPlan(model=model, L_list=(1, 2),
