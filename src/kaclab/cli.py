@@ -3,8 +3,9 @@
 Subcommands: validate-potential, pressure-ed, pressure-mf, game, gap,
 kac-sweep, plot-data, selftest.  Exit codes: 0 success, 2 configuration
 error, 3 accuracy error, 4 capacity error, 5 any other failed internal
-check (e.g. operator elements outside the declared sectors, Gibbs
-expectations out of range).
+check (e.g. operator elements outside the declared sectors, an operator
+on a periodic box that is not translation invariant, Gibbs expectations
+out of range).
 """
 
 from __future__ import annotations
@@ -161,8 +162,9 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    """Fast oracle suite: CAR algebra, two-mode trace, Poisson identity."""
-    from .lattice import MeanFieldParams, discrete_laplacian
+    """Fast oracle suite: CAR algebra, two-mode trace, Poisson identity,
+    ED/momentum duality, momentum blocks against plain sector blocks."""
+    from .lattice import MeanFieldParams, ModelParams, discrete_laplacian
 
     checks = []
 
@@ -198,6 +200,16 @@ def cmd_selftest(args) -> int:
     ed = fock.build_approximating_hamiltonian(mf, 0.3, 0.2, LatticeBox(1, 1, "periodic"))
     dual = abs(fock.pressure(ed, mf.beta) - quasifree.finite_grid_pressure(mf, 0.3, 0.2, 1))
     checks.append(("ED / momentum duality (L=1)", dual, 1e-10))
+
+    # one COO matrix, blocked by (N, 2S_z, k) and by (N, 2S_z) alone
+    box = LatticeBox(1, 2, "periodic")
+    mp = ModelParams(beta=2.0, hopping=discrete_laplacian(1), f_plus=p,
+                     f_minus=PlainGaussian(width=2.0, d=1), include_onsite_correction=True)
+    H = fock._kac_matrix(mp, box, fock.FockBasis(box.n_sites))
+    momentum, plain = (fock.FockOperator.from_sparse(fock.FockBasis(b), H, fock.NUMBER)
+                       for b in (box, box.n_sites))
+    defect = float(np.max(np.abs(momentum.eigenvalues() - plain.eigenvalues())))
+    checks.append(("momentum vs (N, 2S_z) sectors, 5-site periodic Kac box", defect, 1e-12))
 
     failed = False
     for name, value, tol in checks:

@@ -4,9 +4,10 @@ type that owns the field.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, AccuracyError -> 3,
 CapacityError -> 4, any other KaclabError (a failed internal check such as
-the sector-leak or Gibbs range check) -> 5.
+the sector-leak, translation-invariance or Gibbs range check) -> 5.
 """
 
+import math
 from numbers import Integral, Real
 
 
@@ -16,12 +17,13 @@ def is_integer(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """True for Python and numpy real numbers; False for booleans and all else."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """True for finite Python and numpy real numbers; False for booleans,
+    infinities, NaN and all else."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def check_numbers(**named) -> None:
-    """Raise ConfigError naming every value that is not a real number."""
+    """Raise ConfigError naming every value that is not a finite real number."""
     bad = [f"{name} must be a number" for name, value in named.items() if not is_number(value)]
     if bad:
         raise ConfigError(bad)

@@ -11,24 +11,40 @@ one kernel, ``_apply``, which maps all basis states at once through a
 product of ladder operators with bit arithmetic; a term list of such
 products becomes one COO matrix.
 
-Operators that conserve particle number are blocked by (N, 2*S_z); pairing
-operators only conserve fermion parity and are blocked by parity.  Blocks
-are filled in one pass from a per-state (sector, position) map, and any
-nonzero element between two sectors is an error.  Every assembled
-Hamiltonian is kept as dense per-sector Hermitian matrices and
-diagonalized block by block (full spectra are needed for the traces).
+Operators are stored as dense blocks labelled by conserved charges and a
+momentum: keys (N, 2*S_z, q) for operators that conserve particle number
+and (parity, q) for pairing operators, which only conserve fermion
+parity.  q indexes ``FockBasis.momenta``.  On a periodic box the group G
+of torus translations acts on the basis, each with its Jordan-Wigner
+reordering sign; a block (charges, q) holds the Bloch states
+
+    |r, k> = N_r^{-1/2} sum_{h in G} exp(-i k.h) T_h |r>,
+    N_r = |G| sum_{h in Stab(r)} exp(-i k.h) sign_h(r)  (0 or |G| |Stab(r)|),
+
+of the orbit representatives r (orbit minima) with N_r != 0.  On an open
+box, or a basis made from a bare site count, G is trivial and the blocks
+are the plain (N, 2*S_z) or parity blocks with q = 0.  ``from_sparse``
+fills every block from one global COO matrix: any nonzero element between
+two charge sectors is an error, and so is a matrix that is not invariant
+under each unit translation to 1e-12 max(1, max|H|); neither is ever
+compressed silently.  The 7-site periodic chain has 424 (N, 2*S_z, q)
+blocks, the largest of order 175, and sum dim^3 = 2.2e8 (without momentum:
+64 blocks up to order 1225, sum dim^3 = 1.1e10).  Every block is
+diagonalized in full, since the traces need full spectra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from .errors import CapacityError, ConfigError, KaclabError
-from .lattice import LatticeBox, MeanFieldParams, ModelParams, hopping_matrix, kac_coupling_matrix
+from .lattice import (PERIODIC, LatticeBox, MeanFieldParams, ModelParams, hopping_matrix,
+                      kac_coupling_matrix)
 
 __all__ = [
     "FockBasis",
@@ -50,11 +66,30 @@ NUMBER, PARITY = "number", "parity"
 UP, DOWN = 0, 1
 
 
+class _Blocks(NamedTuple):
+    """Layout of the (charges, q) blocks of one blocking of a basis."""
+
+    members: dict       # key -> its representatives, ascending; keys sorted
+    sector: np.ndarray  # (dim,) charge sector of each state
+    block: np.ndarray   # (|G|, dim) block id of Bloch state (q, s); -1 if none
+    pos: np.ndarray     # (|G|, dim) position of s in that block
+    dims: np.ndarray    # order of each block
+    offset: np.ndarray  # start of each block in the flat array of its q
+    by_q: list          # ids of the blocks of each q
+
+
 class FockBasis:
-    """Occupation basis of the 4^{n_sites} Fock space of a box.
+    """Occupation basis of the 4^{n_sites} Fock space of a box, with the
+    orbit tables of its translation group.
 
     ``box`` may also be a bare integer site count, for oracle tests on
-    chains that are not cubic boxes (e.g. the 2-site CAR checks).
+    chains that are not cubic boxes (e.g. the 2-site CAR checks); such a
+    basis, like that of an open box, has the trivial group.
+
+    Per state s: ``rep[s]``, the minimum of its orbit, the index ``to_rep[s]``
+    of a group element h and the sign ``rep_sign[s]`` with T_h |s> = sign |rep>.  Per
+    momentum q and state: ``bloch_norm[q, s]``, the norm N_s of the Bloch
+    state of a representative s (zero for every other state).
     """
 
     def __init__(self, box, dimension_cap: int = DEFAULT_DIMENSION_CAP):
@@ -73,45 +108,96 @@ class FockBasis:
         self.occ = ((states[:, None] >> np.arange(self.n_modes)) & 1).astype(np.int8)
         self.n_up = self.occ[:, :n].sum(axis=1, dtype=np.int64)
         self.n_tot = self.n_up + self.occ[:, n:].sum(axis=1, dtype=np.int64)
-        self._maps: dict[str, tuple] = {}
+
+        d = box.d if isinstance(box, LatticeBox) else 1
+        m = box.extent if isinstance(box, LatticeBox) and box.boundary == PERIODIC else 1
+        # group elements h in Z_m^d, with the image and sign of every state
+        shifts, images, signs = np.zeros((1, d), dtype=np.int64), states[None], np.ones((1, dim))
+        self.generators = []  # (image, sign) of each unit translation
+        for j in range(d if m > 1 else 0):
+            unit = np.eye(d, dtype=np.int64)[j]
+            site = box.wrap_index(box.sites + unit)
+            image, sign = _permute_modes(states, np.concatenate([site, site + n]))
+            self.generators.append((image, sign))
+            rows = [(shifts, images, signs)]
+            for _ in range(m - 1):  # T_{h+e_j} = T_{e_j} T_h
+                sh, im, sg = rows[-1]
+                rows.append((sh + unit, image[im], sg * sign[im]))
+            shifts, images, signs = (np.concatenate(part) for part in zip(*rows))
+        self.momenta = 2 * np.pi * ((shifts + m // 2) % m - m // 2) / m
+        # chi[q, g] = exp(-i k_q . h_g), from the exact integer angle (q . h) mod m
+        self._chi = np.exp(-2j * np.pi * ((shifts @ shifts.T) % m) / m)
+        self.rep = images.min(axis=0)
+        self.to_rep = images.argmin(axis=0)
+        self.rep_sign = signs[self.to_rep, states]
+        reps = np.flatnonzero(self.rep == states)
+        in_stab = images[:, reps] == reps
+        self.bloch_norm = np.zeros((len(shifts), dim))
+        self.bloch_norm[:, reps] = np.rint(
+            len(shifts) * (self._chi @ (signs[:, reps] * in_stab)).real)
+        self._maps: dict[str, _Blocks] = {}
 
     def mode(self, site: int, spin: int) -> int:
         """Mode index: spin-up block of bits then spin-down."""
         return site + spin * self.n_sites
 
-    def _sector_map(self, blocking: str) -> tuple:
-        """(sector key -> its states, sector id of each state, position in its sector).
-
-        Keys are sorted; within a sector the states keep ascending order.
-        """
+    def _sector_map(self, blocking: str) -> _Blocks:
+        """The block layout of a blocking, computed once per basis."""
         cached = self._maps.get(blocking)
         if cached is not None:
             return cached
         if blocking == NUMBER:
-            labels = np.stack([self.n_tot, 2 * self.n_up - self.n_tot], axis=1)
+            charges = np.stack([self.n_tot, 2 * self.n_up - self.n_tot], axis=1)
         elif blocking == PARITY:
-            labels = (self.n_tot & 1)[:, None]
+            charges = (self.n_tot & 1)[:, None]
         else:
             raise ConfigError(f"unknown blocking {blocking!r}")
-        uniq, sid = np.unique(labels, axis=0, return_inverse=True)
-        sid = sid.ravel()
-        keys = [tuple(map(int, row)) if blocking == NUMBER else int(row[0]) for row in uniq]
-        counts = np.bincount(sid)
-        order = np.argsort(sid, kind="stable")
-        pos = np.empty(self.dim, dtype=np.int64)
-        pos[order] = np.arange(self.dim) - np.repeat(np.cumsum(counts) - counts, counts)
-        members = dict(zip(keys, np.split(order, np.cumsum(counts)[:-1])))
-        self._maps[blocking] = cached = (members, sid, pos)
+        low = charges.min(axis=0)
+        sector = np.ravel_multi_index((charges - low).T, charges.max(axis=0) - low + 1)
+        q, reps = np.nonzero(self.bloch_norm)
+        codes = sector[reps] * len(self.bloch_norm) + q  # ordered as the (charges, q) labels
+        _, first, bid = np.unique(codes, return_index=True, return_inverse=True)
+        dims = np.bincount(bid)
+        order = np.argsort(bid, kind="stable")
+        block = np.full(self.bloch_norm.shape, -1)
+        pos = np.zeros(self.bloch_norm.shape, dtype=np.int64)
+        block[q, reps] = bid
+        pos[q[order], reps[order]] = np.arange(len(bid)) - np.repeat(
+            np.cumsum(dims) - dims, dims)
+        keys = [(*map(int, c), int(k)) for c, k in zip(charges[reps[first]], q[first])]
+        members = dict(zip(keys, np.split(reps[order], np.cumsum(dims)[:-1])))
+        by_q = [np.flatnonzero(q[first] == k) for k in range(len(self.bloch_norm))]
+        offset = np.zeros(len(dims), dtype=np.int64)
+        for ids in by_q:
+            offset[ids] = np.cumsum(dims[ids] ** 2) - dims[ids] ** 2
+        self._maps[blocking] = cached = _Blocks(members, sector, block, pos, dims, offset, by_q)
         return cached
 
     def sectors(self, blocking: str) -> dict:
-        """Map sector key -> array of basis states, covering the space once."""
-        return self._sector_map(blocking)[0]
+        """Map block key -> array of its representatives; every state's orbit
+        is covered once per momentum at which its Bloch state exists."""
+        return self._sector_map(blocking).members
 
     def annihilator(self, m: int) -> sp.csr_matrix:
         """Sparse matrix of a_m with the Jordan-Wigner sign convention."""
         src, dst, sign = _apply(np.arange(self.dim), ((m, False),))
         return sp.csr_matrix((sign.astype(float), (dst, src)), shape=(self.dim, self.dim))
+
+
+def _permute_modes(states: np.ndarray, perm: np.ndarray) -> tuple:
+    """Image and sign of every basis state under the mode permutation perm.
+
+    |s> = a^dag_{m_1} ... a^dag_{m_k} |0> with m_1 < ... < m_k, so the
+    relabelled product is reordered at the sign (-1)^(inversions of perm
+    among the occupied modes).
+    """
+    image = np.zeros_like(states)
+    parity = np.zeros_like(states)
+    for m, pm in enumerate(perm):
+        image |= ((states >> m) & 1) << pm
+        for m2 in np.flatnonzero(perm[m + 1:] < pm) + m + 1:
+            parity ^= (states >> m) & (states >> m2) & 1
+    return image, 1.0 - 2.0 * parity
 
 
 def _apply(states: np.ndarray, ops) -> tuple:
@@ -160,6 +246,22 @@ def _coo(basis: FockBasis, terms, diag=None) -> sp.coo_matrix:
     )
 
 
+def _check_translation_invariance(basis: FockBasis, H: sp.csr_matrix, coo: sp.coo_matrix) -> None:
+    """Raise KaclabError unless T H T^dag = H to 1e-12 max(1, max|H|) for
+    every unit translation T of the basis (coo: the entries of H)."""
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(coo.data), initial=0.0)))
+    for image, sign in basis.generators:
+        moved = sp.csr_matrix(
+            (coo.data * sign[coo.row] * sign[coo.col], (image[coo.row], image[coo.col])),
+            shape=H.shape)
+        defect = abs(moved - H).max()
+        if defect > tol:
+            raise KaclabError(
+                f"operator is not invariant under the translations of its periodic box "
+                f"(defect {defect:.3e} > {tol:.1e})"
+            )
+
+
 @dataclass(frozen=True)
 class GibbsObservables:
     pressure: float
@@ -169,7 +271,7 @@ class GibbsObservables:
 
 
 class FockOperator:
-    """Operator stored as per-sector dense blocks; Hamiltonians are Hermitian."""
+    """Operator stored as dense (charges, q) blocks; Hamiltonians are Hermitian."""
 
     def __init__(self, basis: FockBasis, blocking: str, blocks: dict):
         self.basis = basis
@@ -179,30 +281,45 @@ class FockOperator:
 
     @classmethod
     def from_sparse(cls, basis: FockBasis, H: sp.spmatrix, blocking: str) -> "FockOperator":
-        """Dense sector blocks of H, filled in one pass over its entries.
+        """Dense (charges, q) blocks of H, filled in one pass per momentum.
 
-        Raises KaclabError if any nonzero entry joins two different sectors.
+        Raises KaclabError if any nonzero entry joins two charge sectors or
+        H is not invariant under a unit translation of the basis.  Entry
+        H[s, r] at a representative r adds H[s, r] sign_s chi_q(h_s)
+        (N_{rep(s)}/N_r)^{1/2} at (rep(s), r) of block q, where
+        T_{h_s} |s> = sign_s |rep(s)> and chi_q(h) = exp(-i k_q.h).
         """
-        members, sid, pos = basis._sector_map(blocking)
-        H = sp.coo_matrix(H)
+        layout = basis._sector_map(blocking)
+        H = sp.csr_matrix(H)
         H.sum_duplicates()
-        s = sid[H.row]
-        inside = s == sid[H.col]
-        leaks = np.count_nonzero(H.data[~inside])
+        coo = H.tocoo()
+        leaks = np.count_nonzero(coo.data[layout.sector[coo.row] != layout.sector[coo.col]])
         if leaks:
             raise KaclabError(
                 f"operator has {leaks} nonzero matrix elements outside the declared "
                 f"{blocking!r} sectors"
             )
-        dims = np.bincount(sid)
-        offsets = np.concatenate([[0], np.cumsum(dims**2)])
-        s = s[inside]
-        at = offsets[s] + pos[H.row[inside]] * dims[s] + pos[H.col[inside]]
-        flat = np.zeros(offsets[-1], dtype=H.dtype)
-        flat[at] = H.data[inside]
-        blocks = {key: flat[offsets[i]:offsets[i + 1]].reshape(dims[i], dims[i])
-                  for i, key in enumerate(members)}
-        return cls(basis, blocking, blocks)
+        _check_translation_invariance(basis, H, coo)
+        at_rep = basis.rep[coo.col] == coo.col
+        src, col, data = coo.row[at_rep], coo.col[at_rep], coo.data[at_rep]
+        row = basis.rep[src]
+        dims, offset = layout.dims, layout.offset
+        blocks = [None] * len(dims)
+        for q, ids in enumerate(layout.by_q):
+            b = layout.block[q, row]
+            keep = (b >= 0) & (layout.block[q, col] >= 0)
+            b, r, s, c = b[keep], row[keep], src[keep], col[keep]
+            at = offset[b] + layout.pos[q, r] * dims[b] + layout.pos[q, c]
+            vals = data[keep] * basis.rep_sign[s] * np.sqrt(
+                basis.bloch_norm[q, r] / basis.bloch_norm[q, c])
+            chi = basis._chi[q]
+            if np.any(chi.imag):
+                vals = vals * chi[basis.to_rep[s]]
+            flat = np.zeros(int(np.sum(dims[ids] ** 2)), dtype=vals.dtype)
+            np.add.at(flat, at, vals)
+            for i in ids:
+                blocks[i] = flat[offset[i]:offset[i] + dims[i] ** 2].reshape(dims[i], dims[i])
+        return cls(basis, blocking, dict(zip(layout.members, blocks)))
 
     @property
     def hermiticity_defect(self) -> float:
@@ -220,7 +337,7 @@ class FockOperator:
         return self._eigs
 
     def eigensystem(self, vectors: bool = False) -> dict:
-        """Per-sector eigenvalues (ascending) and optionally eigenvectors."""
+        """Per-block eigenvalues (ascending) and optionally eigenvectors."""
         if vectors:
             return {k: np.linalg.eigh(B) for k, B in self.blocks.items()}
         return {k: (w, None) for k, w in self._spectra().items()}
@@ -300,6 +417,11 @@ def build_kac_hamiltonian(mp: ModelParams, box: LatticeBox,
     are added; they vanish like gamma^d in the Kac limit.
     """
     basis = FockBasis(box, dimension_cap)
+    return FockOperator.from_sparse(basis, _kac_matrix(mp, box, basis), NUMBER)
+
+
+def _kac_matrix(mp: ModelParams, box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
+    """COO matrix of the Kac Hamiltonian of the box on a basis of its size."""
     t = hopping_matrix(mp.hopping, box)
     v_plus = kac_coupling_matrix(mp.f_plus, mp.gamma_plus, box) if mp.f_plus else None
     v_minus = kac_coupling_matrix(mp.f_minus, mp.gamma_minus, box) if mp.f_minus else None
@@ -313,7 +435,7 @@ def build_kac_hamiltonian(mp: ModelParams, box: LatticeBox,
         if mp.f_minus is not None:
             f0 = float(mp.f_minus.eval(np.zeros(d)))
             double_occ += 0.5 * mp.gamma_minus**d * f0
-    H = _assemble(
+    return _assemble(
         basis,
         t=t,
         v_plus=v_plus,
@@ -321,19 +443,22 @@ def build_kac_hamiltonian(mp: ModelParams, box: LatticeBox,
         density_onebody=density_onebody,
         double_occ=double_occ,
     )
-    return FockOperator.from_sparse(basis, H, NUMBER)
 
 
 def build_meanfield_hamiltonian(mf: MeanFieldParams, box: LatticeBox,
                                 dimension_cap: int = DEFAULT_DIMENSION_CAP) -> FockOperator:
     """H = T + (eta_+/|box|) sum nn - (eta_-/|box|) sum P^dag P; conserves N."""
     basis = FockBasis(box, dimension_cap)
+    return FockOperator.from_sparse(basis, _meanfield_matrix(mf, box, basis), NUMBER)
+
+
+def _meanfield_matrix(mf: MeanFieldParams, box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
+    """COO matrix of the mean-field Hamiltonian of the box on a basis of its size."""
     n = box.n_sites
     t = hopping_matrix(mf.hopping, box)
     v_plus = np.full((n, n), mf.eta_plus / n) if mf.eta_plus else None
     pair_w = np.full((n, n), -mf.eta_minus / n) if mf.eta_minus else None
-    H = _assemble(basis, t=t, v_plus=v_plus, pair_w=pair_w)
-    return FockOperator.from_sparse(basis, H, NUMBER)
+    return _assemble(basis, t=t, v_plus=v_plus, pair_w=pair_w)
 
 
 def build_approximating_hamiltonian(mf: MeanFieldParams, c_minus: complex,
@@ -346,10 +471,16 @@ def build_approximating_hamiltonian(mf: MeanFieldParams, c_minus: complex,
     which only conserves fermion parity.
     """
     basis = FockBasis(box, dimension_cap)
-    t = hopping_matrix(mf.hopping, box)
+    return FockOperator.from_sparse(
+        basis, _approximating_matrix(mf, c_minus, c_plus, box, basis), PARITY)
+
+
+def _approximating_matrix(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
+                          box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
+    """COO matrix of the approximating Hamiltonian of the box on a basis of its size."""
     shift, g = mf.approximating_fields(c_minus, c_plus)
-    H = _assemble(basis, t=t, density_onebody=shift, pair_field=-g)
-    return FockOperator.from_sparse(basis, H, PARITY)
+    return _assemble(basis, t=hopping_matrix(mf.hopping, box), density_onebody=shift,
+                     pair_field=-g)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +502,7 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     The pair amplitude <a_down a_up> per site vanishes identically for
     number-conserving operators (superselection) and is returned as exact
     zero in that case.  Number sectors need no eigenvectors: every
-    eigenstate of sector (N, 2 S_z) holds N fermions.
+    eigenstate of block (N, 2 S_z, q) holds N fermions.
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
@@ -398,8 +529,8 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
         if not parity:
             acc_density += float(weights.sum()) * key[0]
             continue
-        idx = sectors[key]
-        n_vec = basis.n_tot[idx].astype(float)
+        # a Bloch state holds the particle number of its representative
+        n_vec = basis.n_tot[sectors[key]].astype(float)
         occup = (np.abs(U) ** 2).T @ n_vec  # <N> in each eigenstate
         acc_density += float(weights @ occup)
         diag = np.einsum("si,si->i", U.conj(), pair_blocks[key] @ U)

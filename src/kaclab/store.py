@@ -10,10 +10,11 @@ with 17 significant digits so that stored doubles round-trip exactly.  A
 partial trailing row (a crash mid-append) of sweep.csv or gap.csv is cut
 from the file with a warning before the file is read or appended to, so a
 new row always starts on a clean line; a write into a missing or empty
-file writes the header first.  A sweep.csv or game_grid.csv whose header is
-not its table's columns raises ConfigError.  A payoff grid replaces only
-the game_grid.csv rows of its config_hash.  Per-beta JSON files name beta
-with the same 17 digits, so distinct betas never share a file.
+file writes the header first.  A sweep.csv, gap.csv or game_grid.csv whose
+header is not its table's columns raises ConfigError before anything is
+written.  A payoff grid replaces only the game_grid.csv rows of its
+config_hash.  Per-beta JSON files name beta with the same 17 digits, so
+distinct betas never share a file.
 """
 
 from __future__ import annotations
@@ -143,7 +144,9 @@ class ResultStore:
     # -- gap solutions ---------------------------------------------------------
 
     def append_gap_rows(self, rows) -> None:
-        """Append rows mapping every GAP_COLUMNS name to its value."""
+        """Append rows mapping every GAP_COLUMNS name to its value; a gap.csv
+        with other columns raises ConfigError and is left as it is."""
+        _read_rows(self.gap_path, GAP_COLUMNS)
         _write_rows(self.gap_path, GAP_COLUMNS, rows)
 
     def gap_rows(self) -> list:

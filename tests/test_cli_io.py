@@ -98,10 +98,13 @@ def test_all_errors_reported_at_once():
     ({"optimizer": {"max_iter": 0}}, "max_iter must be an integer >= 1"),
     ({"beta": [True]}, "beta: expected a list of numbers"),
     ({"beta": ["2.0"]}, "beta: expected a list of numbers"),
+    ({"beta": [float("inf")]}, "beta: expected a list of numbers"),
+    ({"gamma_minus": [0.5, float("nan")]}, "gamma_minus: expected a list of numbers"),
     ({"gamma_minus": [0.5, True]}, "gamma_minus: expected a list of numbers"),
     ({"gamma_plus": [True]}, "gamma_plus: expected a list of numbers"),
     ({"eta": {"plus": True}}, "eta.plus: must be a nonnegative number"),
     ({"eta": {"minus": True}}, "eta.minus: must be a nonnegative number"),
+    ({"eta": {"plus": float("inf")}}, "eta.plus: must be a nonnegative number"),
     ({"potentials": {"plus": {"family": "gaussian_mixture", "terms": 5}}},
      "potentials.plus: mixture needs a nonempty list of .weight, scales. terms"),
     ({"potentials": {"plus": {"family": "gaussian_mixture", "terms": [[1.0]]}}},
@@ -125,8 +128,8 @@ def test_all_errors_reported_at_once():
      "quadrature: refinement_check must be true or false"),
     ({"output_dir": ""}, "output_dir: must be a nonempty string"),
 ], ids=["dimension", "L", "hopping_offset", "points_per_axis", "grid_points", "max_iter",
-        "max_iter_zero", "beta_bool", "beta_string", "gamma_minus_bool", "gamma_plus_bool",
-        "eta_plus_bool", "eta_minus_bool", "terms_not_list", "term_not_pair", "box_not_pair",
+        "max_iter_zero", "beta_bool", "beta_string", "beta_inf", "gamma_minus_nan",
+        "gamma_minus_bool", "gamma_plus_bool", "eta_plus_bool", "eta_minus_bool", "eta_plus_inf", "terms_not_list", "term_not_pair", "box_not_pair",
         "box_strings", "tol_string", "onsite_string", "width_bool", "hopping_value_string",
         "xtol_string", "tol_gap_bool", "degeneracy_window_string", "yukawa_string",
         "table_bool", "refinement_check_string", "output_dir_empty"])
@@ -390,6 +393,18 @@ def test_cli_fractional_integer_field_exit_code(tmp_path, capsys, command, optim
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [
+    ('"beta": [Infinity]', "beta"),
+    ('"beta": [1.0], "eta": {"plus": Infinity}', "eta.plus"),
+], ids=["beta_inf", "eta_plus_inf"])
+def test_cli_non_finite_number_exit_code(tmp_path, capsys, text, key):
+    path = tmp_path / "exp.json"
+    path.write_text('{"schema_version": 1, "dimension": 1, "hopping": [[[0], 2.0], [[1], -1.0]], '
+                    '"L": [1], ' + text + "}")
+    assert main(["pressure-mf", "--config", str(path)]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
 def test_cli_validate_potential(tmp_path, capsys):
     path = write_config(tmp_path, minimal_config())
     assert main(["validate-potential", "--config", path]) == 0
@@ -506,6 +521,17 @@ def test_cli_sweep_csv_with_other_columns_exit_code(tmp_path, capsys):
     assert "sweep.csv" in err and "runtime_ms" in err
 
 
+def test_cli_gap_csv_with_other_columns_exit_code(tmp_path, capsys):
+    old_columns = [c for c in GAP_ROW if c != "iterations"]  # written before iterations
+    old = ",".join(old_columns) + "\n" + ",".join(str(GAP_ROW[c]) for c in old_columns) + "\n"
+    (tmp_path / "gap.csv").write_text(old)
+    path = write_config(tmp_path, minimal_config())
+    assert main(["gap", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "gap.csv" in err and "iterations" in err and "use a fresh output directory" in err
+    assert (tmp_path / "gap.csv").read_text() == old
+
+
 def test_cli_plot_data_prints_only_its_config(tmp_path, capsys):
     out_dir = str(tmp_path / "results")
     paths = []
@@ -581,7 +607,8 @@ def test_cli_kac_sweep_respects_dimension_cap(tmp_path, capsys):
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 5
+    assert "PASS  momentum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
 
 
 def test_cli_flags_only_where_used(tmp_path, capsys):

@@ -10,13 +10,17 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 from scipy.special import logsumexp
 
 from kaclab.errors import CapacityError, KaclabError
 from kaclab.fock import (
     FockBasis,
     FockOperator,
+    _approximating_matrix,
     _assemble,
+    _kac_matrix,
+    _meanfield_matrix,
     build_approximating_hamiltonian,
     build_kac_hamiltonian,
     build_meanfield_hamiltonian,
@@ -30,6 +34,7 @@ from kaclab.lattice import (
     MeanFieldParams,
     ModelParams,
     discrete_laplacian,
+    dispersion,
     hopping_matrix,
     kac_coupling_matrix,
 )
@@ -85,12 +90,56 @@ def oracle_hamiltonian(n, t, v_plus, pair_w, density_onebody=0.0, double_occ=0.0
     return H.toarray()
 
 
-def assert_blocks_match(op, oracle):
-    """The blocks, placed back in the full matrix, reproduce the oracle."""
-    dense = np.zeros(oracle.shape, dtype=complex)
-    for key, idx in op.basis.sectors(op.blocking).items():
-        dense[np.ix_(idx, idx)] = op.blocks[key]
-    assert np.max(np.abs(dense - oracle)) <= 1e-12
+def translation_operator(n_sites):
+    """Unit translation x -> x+1 (mod n_sites) of a periodic chain, as a
+    sparse matrix.
+
+    Defined by T a^dag_{x,s} T^dag = a^dag_{x+1,s} and T|0> = |0>: the
+    product of creators of every occupation pattern, with each mode
+    relabeled, is built from the Kronecker-string operators alone.
+    """
+    n_modes = 2 * n_sites
+    create = [sp.csr_matrix(m.T) for m in kron_modes(n_modes)]
+    shift = [(m % n_sites + 1) % n_sites + (m // n_sites) * n_sites for m in range(n_modes)]
+    vacuum = np.zeros(2**n_modes)
+    vacuum[0] = 1.0
+
+    def filled(modes):
+        v = vacuum
+        for m in reversed(modes):
+            v = create[m] @ v
+        return v
+
+    patterns = [[m for m in range(n_modes) if s >> m & 1] for s in range(2**n_modes)]
+    before = sp.csr_matrix(np.column_stack([filled(p) for p in patterns]))
+    after = sp.csr_matrix(np.column_stack([filled([shift[m] for m in p]) for p in patterns]))
+    return after @ before.T  # before is a signed permutation
+
+
+def assert_blocks_match(op, oracle, translation=None):
+    """V^dag H V for the oracle H is block diagonal with the operator's
+    blocks.  The columns of V are the blocks' Bloch states
+    sum_h exp(-i k h) T^h |r> / norm, from the unit translation T of
+    ``translation_operator`` (without one, the plain sector states), and V
+    must be unitary."""
+    dim = oracle.shape[0]
+    eye = sp.identity(dim, format="csr")
+    steps = 1 if translation is None else op.basis.n_sites
+    columns = []
+    for key, reps in op.basis.sectors(op.blocking).items():
+        k = float(op.basis.momenta[key[-1]][0])
+        bloch = sp.csr_matrix((dim, len(reps)), dtype=complex)
+        moved = eye[:, reps]
+        for h in range(steps):
+            bloch = bloch + np.exp(-1j * k * h) * moved
+            moved = translation @ moved if translation is not None else moved
+        norms = np.sqrt(np.asarray(abs(bloch).power(2).sum(axis=0))).ravel()
+        columns.append(bloch @ sp.diags(1.0 / norms))
+    V = sp.hstack(columns, format="csr")
+    assert V.shape == (dim, dim)
+    assert abs(V.conj().T @ V - eye).max() <= 1e-12
+    blocks = block_diag(*op.blocks.values())
+    assert np.max(np.abs(V.conj().T @ oracle @ V - blocks)) <= 1e-12
 
 
 def zero_kernel(d=1):
@@ -240,6 +289,7 @@ def test_blocks_match_kronecker_oracle(L, boundary):
     h0, h1, h2 = rng.normal(size=3)
     hop = HoppingKernel({(0,): h0, (1,): h1, (-1,): h1, (2,): h2, (-2,): h2}, 1)
     T = hopping_matrix(hop, box)
+    translation = translation_operator(n) if boundary == "periodic" else None
     f_plus = PlainGaussian(rng.uniform(0.5, 2.0), d=1)
     f_minus = GaussianMixture([(rng.uniform(0.2, 1.0), (rng.uniform(0.5, 3.0),))],
                               d=1)
@@ -252,6 +302,7 @@ def test_blocks_match_kronecker_oracle(L, boundary):
         build_kac_hamiltonian(mp, box),
         oracle_hamiltonian(n, T, kac_coupling_matrix(f_plus, g_plus, box),
                            -kac_coupling_matrix(f_minus, g_minus, box), **onsite),
+        translation,
     )
 
     e_plus, e_minus = rng.uniform(0.1, 2.0, size=2)
@@ -259,6 +310,7 @@ def test_blocks_match_kronecker_oracle(L, boundary):
     assert_blocks_match(
         build_meanfield_hamiltonian(mf, box),
         oracle_hamiltonian(n, T, np.full((n, n), e_plus / n), np.full((n, n), -e_minus / n)),
+        translation,
     )
 
     c_minus = complex(*rng.normal(size=2))
@@ -267,7 +319,54 @@ def test_blocks_match_kronecker_oracle(L, boundary):
         build_approximating_hamiltonian(mf, c_minus, c_plus, box),
         oracle_hamiltonian(n, T, zero, zero, density_onebody=2 * math.sqrt(e_plus) * c_plus.real,
                            pair_field=-math.sqrt(e_minus) * c_minus),
+        translation,
     )
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3])
+def test_momentum_spectra_match_trivial_group(L):
+    # one COO matrix per Hamiltonian, blocked by (charges, k) on the periodic
+    # basis and by charges alone on a bare-count basis of the same size
+    rng = np.random.default_rng(101 + L)
+    box = LatticeBox(1, L, "periodic")
+    n = box.n_sites
+    momentum, trivial = FockBasis(box), FockBasis(n)
+    hop = HoppingKernel({(0,): rng.normal(), (1,): rng.normal(), (2,): rng.normal()}, 1)
+    mp = ModelParams(beta=1.0, hopping=hop, f_plus=PlainGaussian(rng.uniform(0.5, 2.0), d=1),
+                     f_minus=GaussianMixture([(0.6, (rng.uniform(0.5, 3.0),))], d=1),
+                     gamma_plus=0.45, gamma_minus=0.3, include_onsite_correction=True)
+    mf = MeanFieldParams(beta=1.0, hopping=hop, eta_plus=0.8, eta_minus=1.3)
+    c_minus, c_plus = 0.4 * np.exp(0.9j), 0.35
+    cases = [(_kac_matrix(mp, box, trivial), "number"),
+             (_meanfield_matrix(mf, box, trivial), "number"),
+             (_approximating_matrix(mf, c_minus, c_plus, box, trivial), "parity")]
+    for H, blocking in cases:
+        op = FockOperator.from_sparse(momentum, H, blocking)
+        assert sum(op.sector_dimensions().values()) == 4**n
+        if blocking == "parity" and n == 7:
+            # trivial parity blocks have order 8192: compare with the closed
+            # form, one two-mode block (k up, -k down) per momentum
+            shift, g = mf.approximating_fields(c_minus, c_plus)
+            eps = dispersion(hop, momentum.momenta) + shift
+            big = np.sqrt(eps**2 + abs(g) ** 2)
+            expected = np.zeros(1)
+            for levels in np.stack([eps - big, eps, eps, eps + big], axis=1):
+                expected = np.add.outer(expected, levels).ravel()
+            expected = np.sort(expected)
+        else:
+            expected = FockOperator.from_sparse(trivial, H, blocking).eigenvalues()
+        assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
+
+
+def test_translation_invariance_check():
+    # hopping that is not circulant is no Hamiltonian of the periodic box
+    box = LatticeBox(1, 1, "periodic")
+    basis = FockBasis(box)
+    t = hopping_matrix(discrete_laplacian(1), box)
+    t[0, 1] = t[1, 0] = -1.5
+    with pytest.raises(KaclabError, match="not invariant under the translations"):
+        FockOperator.from_sparse(basis, _assemble(basis, t=t), "number")
+    FockOperator.from_sparse(FockBasis(box.n_sites), _assemble(basis, t=t), "number")
 
 
 # -- pressure ------------------------------------------------------------------------
