@@ -345,22 +345,6 @@ class FockOperator:
     def eigenvalues(self) -> np.ndarray:
         return np.sort(np.concatenate(list(self._spectra().values())))
 
-    # linear algebra on matching block structures, for convexity probes ----
-
-    def _check_compatible(self, other: "FockOperator"):
-        if self.basis is not other.basis or self.blocking != other.blocking:
-            raise ConfigError("operators live on different bases or blockings")
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        self._check_compatible(other)
-        blocks = {k: self.blocks[k] + other.blocks[k] for k in self.blocks}
-        return FockOperator(self.basis, self.blocking, blocks)
-
-    def scale(self, factor: float) -> "FockOperator":
-        return FockOperator(
-            self.basis, self.blocking, {k: factor * B for k, B in self.blocks.items()}
-        )
-
 
 # ---------------------------------------------------------------------------
 # assembly

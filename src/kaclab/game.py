@@ -17,16 +17,21 @@ attractive or purely repulsive models.
 
 Gauge fixing: the pairing term is U(1)-invariant, so c_- is restricted to
 [0, inf) real; only Re c_+ enters the Hamiltonian while -|c_+|^2 penalizes
-any imaginary part, so Im c_+ = 0.  Search boxes c_- in [0,1] and c_+ in
-[0,2] follow from the self-consistency c = <...> and the operator norms
-||a a|| = 1, ||n_up + n_down|| = 2; optima pinned at the upper box edge
-are flagged, never silently accepted.
+any imaginary part, so Im c_+ = 0.  The default search boxes c_- in [0,1]
+and c_+ in [0,2] follow from the self-consistency below with |pair| <= 1/2
+and 0 <= density <= 2, each scaled by sqrt(eta): they contain every
+optimum only for eta_- <= 4 and eta_+ <= 1.  An optimum of either player
+within 10 xtol of an upper box edge, or of a lower edge above 0, is flagged
+(`DecisionResult.at_boundary`, `GameResult.boundary_flagged`), never
+silently accepted; the origin that an eta = 0 axis fixes is not flagged.
 
-Searches: the payoff and the flat profile min_{c_-} payoff are concave in
-c_+ with the c_+ gap equation below as slope (for the profile at the inner
-minimizer, by the envelope theorem), so maxima over c_+ are bracketed
-roots; minima over c_- are grid searches, the guard against first-order
-transitions, refined by bounded Brent.
+Searches: both orderings are solved from the two best replies, r_+(c_-)
+(`decision_rule`) and r_-(c_+), the lowest minimum over c_-; each is
+computed once per strategy in one `solve_game` call.  The payoff and the
+flat profile min_{c_-} payoff are concave in c_+ with the c_+ gap equation
+below as slope (for the profile at r_-, by the envelope theorem), so maxima
+over c_+ are bracketed roots; minima over c_- are grid searches, the guard
+against first-order transitions, refined by bounded Brent.
 
 Gap-equation normalization: with pair = <a^dag_up a^dag_down> and
 density = <n_up + n_down> per site in the approximating model, the
@@ -158,24 +163,40 @@ def payoff(mf: MeanFieldParams, g: GamePoint, quad: QuadratureSpec | None = None
             - quasifree_pressure(mf, g.c_minus, g.c_plus, quad))
 
 
-def _slope_root(slope: Callable[[float], float], lo: float, hi: float,
-                opt: OptimizerSpec) -> float:
-    """Maximizer on [lo, hi] of a concave function with decreasing slope."""
+def _pinned(x: float, box: tuple, opt: OptimizerSpec) -> bool:
+    """Whether the optimum x lies within 10 xtol of a box edge above 0."""
+    return any(abs(x - edge) <= 10 * opt.xtol for edge in box if edge > 0.0)
+
+
+def _c_plus_maximum(slope: Callable[[float], float], mf: MeanFieldParams,
+                    opt: OptimizerSpec) -> float:
+    """Maximizer over the c_+ box of a concave function with decreasing slope.
+
+    For eta_+ = 0 the repulsive strategy space degenerates to c_+ = 0.
+    """
+    if mf.eta_plus == 0.0:
+        return 0.0
+    lo, hi = opt.c_plus_box
     if slope(hi) >= 0.0:
         return hi
     if slope(lo) <= 0.0:
         return lo
-    return brentq(slope, lo, hi, xtol=opt.xtol, maxiter=opt.max_iter, disp=False)
+    return float(brentq(slope, lo, hi, xtol=opt.xtol, maxiter=opt.max_iter, disp=False))
 
 
-def _grid_refine_min(f: Callable[[float], float], lo: float, hi: float,
-                     opt: OptimizerSpec):
-    """All local minima of f on [lo, hi]: coarse grid, then bounded Brent.
+def _c_minus_minima(f: Callable[[float], float], mf: MeanFieldParams,
+                    opt: OptimizerSpec):
+    """All local minima (x, f(x)) of f over the c_- box, lowest first.
 
-    Returns a list of (x, f(x)) sorted by value; the grid guards against
-    the multiple minima of first-order transitions.
+    A coarse grid, the guard against the multiple minima of first-order
+    transitions, then bounded Brent around each grid minimum.  For
+    eta_- = 0 the payoff is c_-^2 plus a function of c_+ alone, and its
+    maximum over c_+ is c_-^2 plus a constant: the origin is the only
+    minimum of both, and no search is needed.
     """
-    xs = np.linspace(lo, hi, opt.grid_points)
+    if mf.eta_minus == 0.0:
+        return [(0.0, f(0.0))]
+    xs = np.linspace(*opt.c_minus_box, opt.grid_points)
     fs = np.array([f(x) for x in xs])
     candidates = []
     n = len(xs)
@@ -205,7 +226,7 @@ def _grid_refine_min(f: Callable[[float], float], lo: float, hi: float,
 
 
 # ---------------------------------------------------------------------------
-# decision rule and the game
+# best replies and the game
 # ---------------------------------------------------------------------------
 
 
@@ -218,100 +239,63 @@ def decision_rule(mf: MeanFieldParams, c_minus: float,
     coupling plus the -c_+^2 penalty), so its maximizer is the root of the
     decreasing slope sqrt(eta_+) density - c_+ of the c_+ gap equation.
     For eta_+ = 0 the repulsive strategy space degenerates and r_+ = 0.
-    A maximizer pinned at the upper box edge is flagged, not silent.
+    A maximizer pinned at a box edge is flagged, not silent.
     """
     opt = opt or OptimizerSpec()
-    if mf.eta_plus == 0.0:
-        value = payoff(mf, GamePoint(c_minus, 0.0), quad)
-        return DecisionResult(0.0, value, False)
-    lo, hi = opt.c_plus_box
 
     def slope(c_plus):
         return _gap_map(mf, GamePoint(c_minus, c_plus), quad)[1] - c_plus
 
-    x = _slope_root(slope, lo, hi, opt)
+    x = _c_plus_maximum(slope, mf, opt)
     value = payoff(mf, GamePoint(c_minus, x), quad)
-    return DecisionResult(float(x), value, bool((hi - x) <= 10 * opt.xtol))
-
-
-def _min_over_c_minus(mf, c_plus, quad, opt):
-    """Inner minimization over c_-; shared by both game orderings."""
-    lo, hi = opt.c_minus_box
-
-    def f(c_minus):
-        return payoff(mf, GamePoint(c_minus, c_plus), quad)
-
-    if mf.eta_minus == 0.0:
-        # payoff = c_-^2 + const: minimum at the origin, no search needed
-        return [(0.0, f(0.0))]
-    return _grid_refine_min(f, lo, hi, opt)
+    return DecisionResult(x, value, _pinned(x, opt.c_plus_box, opt))
 
 
 def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
                opt: OptimizerSpec | None = None) -> GameResult:
-    """Solve both orderings of the thermodynamic game.
+    """Solve both orderings of the thermodynamic game from its best replies.
 
-    p_sharp: outer minimization over c_- of the decision-rule payoff
-    (grid + bounded Brent refinement, all near-degenerate minima reported);
-    p_flat: outer maximization over c_+ of the inner c_- minimum, the root
-    of its slope over the whole c_+ box.
+    r_+(c_-) = `decision_rule` and r_-(c_+), the lowest minimum of the
+    payoff over c_-, are each cached per strategy for this call.
+    p_sharp: minimum over c_- of the payoff at r_+ (all near-degenerate
+    minima reported); p_flat: maximum over c_+ of the payoff at r_-, the
+    root of its slope over the whole c_+ box.  That profile is concave even
+    where r_- jumps between basins, and its slope is the c_+ gap equation
+    at r_-.
     """
     opt = opt or OptimizerSpec()
-    boundary_flagged = False
 
-    # sharp ordering: min over c_-, inner max over c_+
-    def sharp_value(c_minus):
-        return decision_rule(mf, c_minus, quad, opt).payoff_value
-
-    if mf.eta_minus == 0.0:
-        sharp_candidates = [(0.0, sharp_value(0.0))]
-    else:
-        sharp_candidates = _grid_refine_min(
-            sharp_value, *opt.c_minus_box, opt=opt
-        )
-    cm_star, sharp_val = sharp_candidates[0]
-    rule = decision_rule(mf, cm_star, quad, opt)
-    boundary_flagged |= rule.at_boundary
-    argmin_sharp = GamePoint(cm_star, rule.c_plus)
-    degenerate = tuple(
-        GamePoint(x, decision_rule(mf, x, quad, opt).c_plus)
-        for x, fx in sharp_candidates[1:]
-        if fx - sharp_val <= opt.degeneracy_window
-    )
-    p_sharp = -sharp_val
-
-    # flat ordering: max over c_+ of the inner minimum over c_-.  The profile
-    # is concave even where the inner minimizer jumps between basins, and
-    # its slope is the c_+ gap equation at the inner minimizer.
     @functools.cache
-    def flat_min(c_plus):
-        return _min_over_c_minus(mf, c_plus, quad, opt)[0]
+    def reply_plus(c_minus):
+        return decision_rule(mf, c_minus, quad, opt)
+
+    @functools.cache
+    def reply_minus(c_plus):
+        return _c_minus_minima(lambda x: payoff(mf, GamePoint(x, c_plus), quad), mf, opt)[0]
 
     def flat_slope(c_plus):
-        return _gap_map(mf, GamePoint(flat_min(c_plus)[0], c_plus), quad)[1] - c_plus
+        return _gap_map(mf, GamePoint(reply_minus(c_plus)[0], c_plus), quad)[1] - c_plus
 
-    if mf.eta_plus == 0.0:
-        cp_star = 0.0
-    else:
-        lo, hi = opt.c_plus_box
-        cp_star = float(_slope_root(flat_slope, lo, hi, opt))
-        boundary_flagged |= (hi - cp_star) <= 10 * opt.xtol
-    cm_flat, flat_val = flat_min(cp_star)
-    argmax_flat = GamePoint(cm_flat, cp_star)
-    p_flat = -flat_val
-
-    res_sharp = gap_residual(mf, argmin_sharp, quad)
-    res_flat = gap_residual(mf, argmax_flat, quad)
+    sharp = _c_minus_minima(lambda x: reply_plus(x).payoff_value, mf, opt)
+    cm_sharp, sharp_val = sharp[0]
+    argmin_sharp = GamePoint(cm_sharp, reply_plus(cm_sharp).c_plus)
+    cp_flat = _c_plus_maximum(flat_slope, mf, opt)
+    cm_flat, flat_val = reply_minus(cp_flat)
+    argmax_flat = GamePoint(cm_flat, cp_flat)
+    p_sharp, p_flat = -sharp_val, -flat_val
     return GameResult(
         p_sharp=p_sharp,
         p_flat=p_flat,
         argmin_sharp=argmin_sharp,
         argmax_flat=argmax_flat,
-        gap_residual_sharp=res_sharp,
-        gap_residual_flat=res_flat,
+        gap_residual_sharp=gap_residual(mf, argmin_sharp, quad),
+        gap_residual_flat=gap_residual(mf, argmax_flat, quad),
         saddle_gap=p_flat - p_sharp,
-        degenerate_minima=degenerate,
-        boundary_flagged=boundary_flagged,
+        degenerate_minima=tuple(GamePoint(x, reply_plus(x).c_plus) for x, fx in sharp[1:]
+                                if fx - sharp_val <= opt.degeneracy_window),
+        boundary_flagged=(reply_plus(cm_sharp).at_boundary
+                          or _pinned(cp_flat, opt.c_plus_box, opt)
+                          or any(_pinned(x, opt.c_minus_box, opt) for x in (cm_sharp, cm_flat))),
     )
 
 
@@ -380,12 +364,8 @@ def payoff_gradient_fd(mf: MeanFieldParams, g: GamePoint,
     def val(cm, cp):
         return payoff(mf, GamePoint(cm, cp), quad)
 
-    if g.c_minus >= step:
-        d_minus = (val(g.c_minus + step, g.c_plus)
-                   - val(g.c_minus - step, g.c_plus)) / (2 * step)
-    else:
-        d_minus = (val(g.c_minus + step, g.c_plus)
-                   - val(step - g.c_minus, g.c_plus)) / (2 * step)
+    d_minus = (val(g.c_minus + step, g.c_plus)
+               - val(abs(g.c_minus - step), g.c_plus)) / (2 * step)
     d_plus = (val(g.c_minus, g.c_plus + step)
               - val(g.c_minus, g.c_plus - step)) / (2 * step)
     return float(d_minus), float(d_plus)
@@ -415,9 +395,5 @@ def quasiconvexity_report(mf: MeanFieldParams, c_plus: float,
     m = int(np.argmin(fs))
     down = np.diff(fs[: m + 1])
     up = np.diff(fs[m:])
-    violation = 0.0
-    if down.size:
-        violation = max(violation, float(np.max(down, initial=0.0)))
-    if up.size:
-        violation = max(violation, float(np.max(-up, initial=0.0)))
+    violation = max(float(np.max(down, initial=0.0)), float(np.max(-up, initial=0.0)))
     return QuasiconvexityReport(bool(violation <= tol), violation, n_samples)

@@ -90,3 +90,28 @@ def test_interior_maximizer_not_flagged():
     res = decision_rule(mf, 0.0, QuadratureSpec(), OptimizerSpec())
     assert not res.at_boundary
     assert 0.0 < res.c_plus < 2.0
+
+
+@pytest.mark.parametrize("eta_plus", [0.0, 0.5])
+def test_c_minus_pinned_at_the_box_edge_is_flagged(eta_plus):
+    # eta_- = 8 > 4 puts the pairing optimum (c_-* = 1.19 at eta_+ = 0) past
+    # the default c_- box [0, 1]: the edge point is no gap solution
+    mf = MeanFieldParams(beta=4.0, hopping=discrete_laplacian(1),
+                         eta_minus=8.0, eta_plus=eta_plus)
+    game = solve_game(mf, QuadratureSpec(), OptimizerSpec())
+    assert game.argmin_sharp.c_minus == pytest.approx(1.0, abs=1e-9)
+    assert game.gap_residual_sharp > 1e-2
+    assert game.boundary_flagged
+
+
+def test_lower_c_minus_edge_above_zero_is_flagged_but_not_the_origin():
+    # normal phase: the c_- optimum sits at a lower box edge placed above 0
+    mf = MeanFieldParams(beta=0.5, hopping=discrete_laplacian(1), eta_minus=1.0)
+    assert not solve_game(mf, QuadratureSpec(), OptimizerSpec()).boundary_flagged
+    cut = OptimizerSpec(c_minus_box=(0.5, 1.0))
+    game = solve_game(mf, QuadratureSpec(), cut)
+    assert game.argmin_sharp.c_minus == pytest.approx(0.5, abs=1e-9)
+    assert game.boundary_flagged
+    # on the eta_- = 0 axis the origin is the exact optimum, whatever the box
+    axis = MeanFieldParams(beta=0.5, hopping=discrete_laplacian(1), eta_plus=1.0)
+    assert not solve_game(axis, QuadratureSpec(), cut).boundary_flagged

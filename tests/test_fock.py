@@ -461,7 +461,9 @@ def test_convexity_of_log_trace_in_coupling():
         h0, h1 = random_parity_op(), random_parity_op()
         lams = np.linspace(-1.0, 1.0, 5)
         vals = [
-            beta * basis.n_sites * pressure(h0 + h1.scale(lam), beta) for lam in lams
+            beta * basis.n_sites * pressure(FockOperator(
+                basis, "parity", {k: B + lam * h1.blocks[k] for k, B in h0.blocks.items()}), beta)
+            for lam in lams
         ]
         second = np.diff(vals, 2)
         assert np.all(second >= -1e-9)

@@ -198,10 +198,25 @@ def test_flat_value_is_the_profile_maximum_across_basin_jumps():
     mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=2.0)
     res = solve_game(mf, QUAD, OPT)
-    profile = [game._min_over_c_minus(mf, cp, QUAD, OPT)[0]
+    profile = [game._c_minus_minima(lambda cm: payoff(mf, GamePoint(cm, cp), QUAD), mf, OPT)[0]
                for cp in np.linspace(*OPT.c_plus_box, 201)]
     assert np.max(np.abs(np.diff([cm for cm, _ in profile]))) >= 0.05
     assert -res.p_flat >= max(value for _, value in profile) - 1e-12
+
+
+def test_each_best_reply_is_computed_once(monkeypatch):
+    seen = []
+
+    def recorder(mf, c_minus, *args, **kwargs):
+        seen.append(float(c_minus))
+        return decision_rule(mf, c_minus, *args, **kwargs)
+
+    monkeypatch.setattr(game, "decision_rule", recorder)
+    mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=1.0)
+    solve_game(mf, QUAD, OPT)
+    assert seen
+    assert len(seen) == len(set(seen))  # r_+ at the sharp argmin is reused, not recomputed
 
 
 # -- gap equations --------------------------------------------------------------------
