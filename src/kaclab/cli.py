@@ -201,14 +201,19 @@ def cmd_selftest(args) -> int:
     dual = abs(fock.pressure(ed, mf.beta) - quasifree.finite_grid_pressure(mf, 0.3, 0.2, 1))
     checks.append(("ED / momentum duality (L=1)", dual, 1e-10))
 
-    # one COO matrix, blocked by (N, 2S_z, k) and by (N, 2S_z) alone
+    # one COO matrix, in paired (N, 2S_z, k) blocks and restricted by scipy
+    # to each plain (N, 2S_z) sector
     box = LatticeBox(1, 2, "periodic")
     mp = ModelParams(beta=2.0, hopping=discrete_laplacian(1), f_plus=p,
                      f_minus=PlainGaussian(width=2.0, d=1), include_onsite_correction=True)
-    H = fock._kac_matrix(mp, box, fock.FockBasis(box.n_sites))
-    momentum, plain = (fock.FockOperator.from_sparse(fock.FockBasis(b), H, fock.NUMBER)
-                       for b in (box, box.n_sites))
-    defect = float(np.max(np.abs(momentum.eigenvalues() - plain.eigenvalues())))
+    plain = fock.FockBasis(box.n_sites)
+    H = fock._kac_matrix(mp, box, plain).tocsr()
+    momentum = fock.FockOperator.from_sparse(fock.FockBasis(box), H, fock.NUMBER)
+    label = plain.n_tot * (2 * plain.n_sites + 1) + plain.n_up
+    spectrum = np.sort(np.concatenate([
+        np.linalg.eigvalsh(H[idx][:, idx].toarray())
+        for idx in (np.flatnonzero(label == c) for c in np.unique(label))]))
+    defect = float(np.max(np.abs(momentum.eigenvalues() - spectrum)))
     checks.append(("momentum vs (N, 2S_z) sectors, 5-site periodic Kac box", defect, 1e-12))
 
     failed = False

@@ -24,17 +24,29 @@ reordering sign; a block (charges, q) holds the Bloch states
 of the orbit representatives r (orbit minima) with N_r != 0.  On an open
 box, or a basis made from a bare site count, G is trivial and the blocks
 are the plain (N, 2*S_z) or parity blocks with q = 0.  ``from_sparse``
-fills every block from one global COO matrix: any nonzero element between
+fills the blocks from one global COO matrix: any nonzero element between
 two charge sectors is an error, and so is a matrix that is not invariant
 under each unit translation to 1e-12 max(1, max|H|); neither is ever
-compressed silently.  The 7-site periodic chain has 424 (N, 2*S_z, q)
-blocks, the largest of order 175, and sum dim^3 = 2.2e8 (without momentum:
-64 blocks up to order 1225, sum dim^3 = 1.1e10).  Every block is
-diagonalized in full, since the traces need full spectra.
+compressed silently.
+
+Two pairings make blocks redundant, and only the lowest block of each
+class is filled and diagonalized, with the class size as its
+multiplicity.  A real H (all Kac and mean-field Hamiltonians, and the
+approximating one at real c_-) has the complex-conjugate block at -k, so
+k pairs with -k.  Under number blocking, an H invariant under the up <->
+down swap (checked like a translation) has the same spectrum at 2*S_z and
+-2*S_z.  An H that fails a check keeps multiplicity 1 on that pairing.
+The 7-site periodic chain has 424 (N, 2*S_z, q) blocks in 135 classes of
+size 1, 2 or 4; the kept blocks have order at most 175 and sum dim^3 =
+8.7e7 (all 424: 2.2e8; without momentum: 64 blocks up to order 1225,
+sum dim^3 = 1.1e10).  Every kept block is diagonalized in full, since the
+traces need full spectra.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,8 +86,9 @@ class _Blocks(NamedTuple):
     block: np.ndarray   # (|G|, dim) block id of Bloch state (q, s); -1 if none
     pos: np.ndarray     # (|G|, dim) position of s in that block
     dims: np.ndarray    # order of each block
-    offset: np.ndarray  # start of each block in the flat array of its q
     by_q: list          # ids of the blocks of each q
+    conj: np.ndarray    # id of the block (charges, -q) of each block
+    flip: np.ndarray    # id of the block with up and down swapped, (N, -2 S_z, q)
 
 
 class FockBasis:
@@ -89,18 +102,13 @@ class FockBasis:
     Per state s: ``rep[s]``, the minimum of its orbit, the index ``to_rep[s]``
     of a group element h and the sign ``rep_sign[s]`` with T_h |s> = sign |rep>.  Per
     momentum q and state: ``bloch_norm[q, s]``, the norm N_s of the Bloch
-    state of a representative s (zero for every other state).
+    state of a representative s (zero for every other state).  ``spin_flip``
+    holds the image and sign of every state under the up <-> down swap.
     """
 
     def __init__(self, box, dimension_cap: int = DEFAULT_DIMENSION_CAP):
         n = box if isinstance(box, int) else box.n_sites
-        if n < 1:
-            raise ConfigError("need at least one site")
-        dim = 4**n
-        if dim > dimension_cap:
-            raise CapacityError(
-                f"Fock dimension 4^{n} = {dim} exceeds cap {dimension_cap}"
-            )
+        dim = _check_capacity(n, dimension_cap)
         self.n_sites = n
         self.n_modes = 2 * n
         self.dim = dim
@@ -125,6 +133,10 @@ class FockBasis:
                 rows.append((sh + unit, image[im], sg * sign[im]))
             shifts, images, signs = (np.concatenate(part) for part in zip(*rows))
         self.momenta = 2 * np.pi * ((shifts + m // 2) % m - m // 2) / m
+        # index of -h (and of -k) for every h: codes of h in base m, sorted
+        code, neg_code = (((sh % m) * m ** np.arange(d)).sum(axis=1) for sh in (shifts, -shifts))
+        self._neg = np.argsort(code)[np.searchsorted(np.sort(code), neg_code)]
+        self.spin_flip = _permute_modes(states, np.roll(np.arange(self.n_modes), n))
         # chi[q, g] = exp(-i k_q . h_g), from the exact integer angle (q . h) mod m
         self._chi = np.exp(-2j * np.pi * ((shifts @ shifts.T) % m) / m)
         self.rep = images.min(axis=0)
@@ -136,6 +148,7 @@ class FockBasis:
         self.bloch_norm[:, reps] = np.rint(
             len(shifts) * (self._chi @ (signs[:, reps] * in_stab)).real)
         self._maps: dict[str, _Blocks] = {}
+        self._maps_lock = threading.Lock()  # one basis may serve several threads
 
     def mode(self, site: int, spin: int) -> int:
         """Mode index: spin-up block of bits then spin-down."""
@@ -143,20 +156,26 @@ class FockBasis:
 
     def _sector_map(self, blocking: str) -> _Blocks:
         """The block layout of a blocking, computed once per basis."""
-        cached = self._maps.get(blocking)
-        if cached is not None:
-            return cached
+        with self._maps_lock:
+            if blocking not in self._maps:
+                self._maps[blocking] = self._layout(blocking)
+            return self._maps[blocking]
+
+    def _layout(self, blocking: str) -> _Blocks:
         if blocking == NUMBER:
             charges = np.stack([self.n_tot, 2 * self.n_up - self.n_tot], axis=1)
+            flipped = charges * [1, -1]
         elif blocking == PARITY:
-            charges = (self.n_tot & 1)[:, None]
+            charges = flipped = (self.n_tot & 1)[:, None]
         else:
             raise ConfigError(f"unknown blocking {blocking!r}")
         low = charges.min(axis=0)
-        sector = np.ravel_multi_index((charges - low).T, charges.max(axis=0) - low + 1)
+        shape = charges.max(axis=0) - low + 1
+        sector = np.ravel_multi_index((charges - low).T, shape)
+        n_q = len(self.bloch_norm)
         q, reps = np.nonzero(self.bloch_norm)
-        codes = sector[reps] * len(self.bloch_norm) + q  # ordered as the (charges, q) labels
-        _, first, bid = np.unique(codes, return_index=True, return_inverse=True)
+        codes = sector[reps] * n_q + q  # ordered as the (charges, q) labels
+        labels, first, bid = np.unique(codes, return_index=True, return_inverse=True)
         dims = np.bincount(bid)
         order = np.argsort(bid, kind="stable")
         block = np.full(self.bloch_norm.shape, -1)
@@ -166,12 +185,14 @@ class FockBasis:
             np.cumsum(dims) - dims, dims)
         keys = [(*map(int, c), int(k)) for c, k in zip(charges[reps[first]], q[first])]
         members = dict(zip(keys, np.split(reps[order], np.cumsum(dims)[:-1])))
-        by_q = [np.flatnonzero(q[first] == k) for k in range(len(self.bloch_norm))]
-        offset = np.zeros(len(dims), dtype=np.int64)
-        for ids in by_q:
-            offset[ids] = np.cumsum(dims[ids] ** 2) - dims[ids] ** 2
-        self._maps[blocking] = cached = _Blocks(members, sector, block, pos, dims, offset, by_q)
-        return cached
+        by_q = [np.flatnonzero(q[first] == k) for k in range(n_q)]
+        # Bloch norms are even in k and the spin flip maps orbits onto orbits,
+        # so both partners of every block exist
+        r, k = reps[first], q[first]
+        conj = np.searchsorted(labels, sector[r] * n_q + self._neg[k])
+        flip = np.searchsorted(
+            labels, np.ravel_multi_index((flipped[r] - low).T, shape) * n_q + k)
+        return _Blocks(members, sector, block, pos, dims, by_q, conj, flip)
 
     def sectors(self, blocking: str) -> dict:
         """Map block key -> array of its representatives; every state's orbit
@@ -182,6 +203,42 @@ class FockBasis:
         """Sparse matrix of a_m with the Jordan-Wigner sign convention."""
         src, dst, sign = _apply(np.arange(self.dim), ((m, False),))
         return sp.csr_matrix((sign.astype(float), (dst, src)), shape=(self.dim, self.dim))
+
+
+def _check_capacity(n_sites: int, dimension_cap: int) -> int:
+    """The Fock dimension 4^n_sites; CapacityError if it exceeds the cap."""
+    if n_sites < 1:
+        raise ConfigError("need at least one site")
+    dim = 4**n_sites
+    if dim > dimension_cap:
+        raise CapacityError(f"Fock dimension 4^{n_sites} = {dim} exceeds cap {dimension_cap}")
+    return dim
+
+
+def _box_basis(box: LatticeBox, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> FockBasis:
+    """The basis of a box, built once per (d, L, boundary) and process and
+    shared by every operator on that box; the cap is checked on every call."""
+    _check_capacity(box.n_sites, dimension_cap)
+    return _cached_basis(box.d, box.L, box.boundary)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_basis(d: int, L: int, boundary: str) -> FockBasis:
+    box = LatticeBox(d, L, boundary)
+    return FockBasis(box, 4**box.n_sites)
+
+
+def _classes(layout: _Blocks, conj: bool, flip: bool) -> np.ndarray:
+    """Multiplicity of every block that is the lowest id of its class under
+    the enabled pairings, k <-> -k (conj) and 2 S_z <-> -2 S_z (flip); 0 for
+    every other block.  The two pairings commute, so a class has 1, 2 or 4
+    members."""
+    ids = np.arange(len(layout.dims))
+    c = layout.conj if conj else ids
+    f = layout.flip if flip else ids
+    members = np.sort(np.stack([ids, c, f, c[f]]), axis=0)
+    mult = 1 + np.count_nonzero(np.diff(members, axis=0), axis=0)
+    return np.where(members[0] == ids, mult, 0)
 
 
 def _permute_modes(states: np.ndarray, perm: np.ndarray) -> tuple:
@@ -246,15 +303,22 @@ def _coo(basis: FockBasis, terms, diag=None) -> sp.coo_matrix:
     )
 
 
-def _check_translation_invariance(basis: FockBasis, H: sp.csr_matrix, coo: sp.coo_matrix) -> None:
-    """Raise KaclabError unless T H T^dag = H to 1e-12 max(1, max|H|) for
-    every unit translation T of the basis (coo: the entries of H)."""
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(coo.data), initial=0.0)))
+def _invariance_defect(H: sp.csr_matrix, coo: sp.coo_matrix, image: np.ndarray,
+                       sign: np.ndarray) -> float:
+    """max |U H U^dag - H| for the mode permutation U with
+    U |s> = sign[s] |image[s]> (coo: the entries of H)."""
+    moved = sp.csr_matrix(
+        (coo.data * sign[coo.row] * sign[coo.col], (image[coo.row], image[coo.col])),
+        shape=H.shape)
+    return abs(moved - H).max()
+
+
+def _check_translation_invariance(basis: FockBasis, H: sp.csr_matrix, coo: sp.coo_matrix,
+                                  tol: float) -> None:
+    """Raise KaclabError unless T H T^dag = H to tol for every unit
+    translation T of the basis."""
     for image, sign in basis.generators:
-        moved = sp.csr_matrix(
-            (coo.data * sign[coo.row] * sign[coo.col], (image[coo.row], image[coo.col])),
-            shape=H.shape)
-        defect = abs(moved - H).max()
+        defect = _invariance_defect(H, coo, image, sign)
         if defect > tol:
             raise KaclabError(
                 f"operator is not invariant under the translations of its periodic box "
@@ -271,23 +335,29 @@ class GibbsObservables:
 
 
 class FockOperator:
-    """Operator stored as dense (charges, q) blocks; Hamiltonians are Hermitian."""
+    """Operator stored as dense (charges, q) blocks; Hamiltonians are Hermitian.
 
-    def __init__(self, basis: FockBasis, blocking: str, blocks: dict):
+    ``blocks`` holds one block per symmetry class, and ``mult[key]`` the
+    number of blocks of its class, which share its spectrum (1 for every
+    block when ``mult`` is not given)."""
+
+    def __init__(self, basis: FockBasis, blocking: str, blocks: dict, mult: dict | None = None):
         self.basis = basis
         self.blocking = blocking
         self.blocks = blocks
+        self.mult = mult if mult is not None else dict.fromkeys(blocks, 1)
         self._eigs: dict | None = None
 
     @classmethod
     def from_sparse(cls, basis: FockBasis, H: sp.spmatrix, blocking: str) -> "FockOperator":
-        """Dense (charges, q) blocks of H, filled in one pass per momentum.
+        """Dense (charges, q) blocks of H, one per symmetry class.
 
         Raises KaclabError if any nonzero entry joins two charge sectors or
-        H is not invariant under a unit translation of the basis.  Entry
-        H[s, r] at a representative r adds H[s, r] sign_s chi_q(h_s)
-        (N_{rep(s)}/N_r)^{1/2} at (rep(s), r) of block q, where
-        T_{h_s} |s> = sign_s |rep(s)> and chi_q(h) = exp(-i k_q.h).
+        H is not invariant under a unit translation of the basis.  A real H
+        pairs the blocks at k and -k, which are complex conjugates; under
+        number blocking, an H invariant under the up <-> down swap (to the
+        tolerance of the translation check) pairs (N, 2 S_z, q) with
+        (N, -2 S_z, q).  Only the lowest block of each class is filled.
         """
         layout = basis._sector_map(blocking)
         H = sp.csr_matrix(H)
@@ -299,27 +369,16 @@ class FockOperator:
                 f"operator has {leaks} nonzero matrix elements outside the declared "
                 f"{blocking!r} sectors"
             )
-        _check_translation_invariance(basis, H, coo)
-        at_rep = basis.rep[coo.col] == coo.col
-        src, col, data = coo.row[at_rep], coo.col[at_rep], coo.data[at_rep]
-        row = basis.rep[src]
-        dims, offset = layout.dims, layout.offset
-        blocks = [None] * len(dims)
-        for q, ids in enumerate(layout.by_q):
-            b = layout.block[q, row]
-            keep = (b >= 0) & (layout.block[q, col] >= 0)
-            b, r, s, c = b[keep], row[keep], src[keep], col[keep]
-            at = offset[b] + layout.pos[q, r] * dims[b] + layout.pos[q, c]
-            vals = data[keep] * basis.rep_sign[s] * np.sqrt(
-                basis.bloch_norm[q, r] / basis.bloch_norm[q, c])
-            chi = basis._chi[q]
-            if np.any(chi.imag):
-                vals = vals * chi[basis.to_rep[s]]
-            flat = np.zeros(int(np.sum(dims[ids] ** 2)), dtype=vals.dtype)
-            np.add.at(flat, at, vals)
-            for i in ids:
-                blocks[i] = flat[offset[i]:offset[i] + dims[i] ** 2].reshape(dims[i], dims[i])
-        return cls(basis, blocking, dict(zip(layout.members, blocks)))
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(coo.data), initial=0.0)))
+        _check_translation_invariance(basis, H, coo, tol)
+        real = not np.any(np.imag(coo.data))
+        flip = blocking == NUMBER and _invariance_defect(H, coo, *basis.spin_flip) <= tol
+        mult = _classes(layout, real, flip)
+        keys = list(layout.members)
+        kept = np.flatnonzero(mult)
+        blocks = _fill(basis, layout, coo, mult > 0)
+        return cls(basis, blocking, {keys[i]: blocks[i] for i in kept},
+                   {keys[i]: int(mult[i]) for i in kept})
 
     @property
     def hermiticity_defect(self) -> float:
@@ -343,7 +402,45 @@ class FockOperator:
         return {k: (w, None) for k, w in self._spectra().items()}
 
     def eigenvalues(self) -> np.ndarray:
-        return np.sort(np.concatenate(list(self._spectra().values())))
+        """The full spectrum: each block's eigenvalues, repeated by its multiplicity."""
+        return np.sort(np.concatenate([np.tile(w, self.mult[k])
+                                       for k, w in self._spectra().items()]))
+
+
+def _fill(basis: FockBasis, layout: _Blocks, coo: sp.coo_matrix, wanted: np.ndarray) -> dict:
+    """Dense blocks {id: block} of the wanted block ids, in one pass per
+    momentum that has any.
+
+    Entry H[s, r] at a representative r adds H[s, r] sign_s chi_q(h_s)
+    (N_{rep(s)}/N_r)^{1/2} at (rep(s), r) of block q, where
+    T_{h_s} |s> = sign_s |rep(s)> and chi_q(h) = exp(-i k_q.h).
+    """
+    at_rep = basis.rep[coo.col] == coo.col
+    src, col, data = coo.row[at_rep], coo.col[at_rep], coo.data[at_rep]
+    row = basis.rep[src]
+    dims = layout.dims
+    blocks = {}
+    for q, ids in enumerate(layout.by_q):
+        ids = ids[wanted[ids]]
+        if not len(ids):
+            continue
+        sizes = dims[ids] ** 2
+        offset = np.zeros(len(dims), dtype=np.int64)
+        offset[ids] = np.cumsum(sizes) - sizes
+        b = layout.block[q, row]
+        keep = (b >= 0) & wanted[b] & (layout.block[q, col] >= 0)
+        b, r, s, c = b[keep], row[keep], src[keep], col[keep]
+        at = offset[b] + layout.pos[q, r] * dims[b] + layout.pos[q, c]
+        vals = data[keep] * basis.rep_sign[s] * np.sqrt(
+            basis.bloch_norm[q, r] / basis.bloch_norm[q, c])
+        chi = basis._chi[q]
+        if np.any(chi.imag):
+            vals = vals * chi[basis.to_rep[s]]
+        flat = np.zeros(int(sizes.sum()), dtype=vals.dtype)
+        np.add.at(flat, at, vals)
+        for i in ids:
+            blocks[i] = flat[offset[i]:offset[i] + dims[i] ** 2].reshape(dims[i], dims[i])
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +497,7 @@ def build_kac_hamiltonian(mp: ModelParams, box: LatticeBox,
     -(gamma_+^d f_+(0)/2) sum n  and  +(gamma_-^d f_-(0)/2) sum n_up n_dn
     are added; they vanish like gamma^d in the Kac limit.
     """
-    basis = FockBasis(box, dimension_cap)
+    basis = _box_basis(box, dimension_cap)
     return FockOperator.from_sparse(basis, _kac_matrix(mp, box, basis), NUMBER)
 
 
@@ -432,7 +529,7 @@ def _kac_matrix(mp: ModelParams, box: LatticeBox, basis: FockBasis) -> sp.coo_ma
 def build_meanfield_hamiltonian(mf: MeanFieldParams, box: LatticeBox,
                                 dimension_cap: int = DEFAULT_DIMENSION_CAP) -> FockOperator:
     """H = T + (eta_+/|box|) sum nn - (eta_-/|box|) sum P^dag P; conserves N."""
-    basis = FockBasis(box, dimension_cap)
+    basis = _box_basis(box, dimension_cap)
     return FockOperator.from_sparse(basis, _meanfield_matrix(mf, box, basis), NUMBER)
 
 
@@ -454,7 +551,7 @@ def build_approximating_hamiltonian(mf: MeanFieldParams, c_minus: complex,
           - sqrt(eta_-) sum_x (conj(c_-) P^dag_x + c_- P_x),
     which only conserves fermion parity.
     """
-    basis = FockBasis(box, dimension_cap)
+    basis = _box_basis(box, dimension_cap)
     return FockOperator.from_sparse(
         basis, _approximating_matrix(mf, c_minus, c_plus, box, basis), PARITY)
 
@@ -486,7 +583,10 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     The pair amplitude <a_down a_up> per site vanishes identically for
     number-conserving operators (superselection) and is returned as exact
     zero in that case.  Number sectors need no eigenvectors: every
-    eigenstate of block (N, 2 S_z, q) holds N fermions.
+    eigenstate of block (N, 2 S_z, q) holds N fermions.  Each block counts
+    with its multiplicity; a parity block of multiplicity 2 stands for the
+    pair k, -k of complex-conjugate blocks, whose pair terms add up to twice
+    the real part of its own.
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
@@ -502,13 +602,15 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     acc_density = 0.0
     acc_pair = 0.0 + 0.0j
     if parity:  # blocks of the pair order parameter (1/n) sum_x P_x
+        layout = basis._sector_map(PARITY)
         pair_op = _coo(basis, [(1.0 / n, _pair(basis, x)) for x in range(n)])
-        pair_blocks = FockOperator.from_sparse(basis, pair_op, PARITY).blocks
-    log_z_terms = []
+        keys = list(layout.members)
+        wanted = np.array([key in op.blocks for key in keys])
+        pair_blocks = {keys[i]: B for i, B in _fill(basis, layout, pair_op, wanted).items()}
     for key, (w, U) in eig.items():
-        weights = np.exp(-beta * (w - e0))
+        mult = op.mult[key]
+        weights = mult * np.exp(-beta * (w - e0))
         Z += float(weights.sum())
-        log_z_terms.append(-beta * w)
         acc_energy += float(weights @ w)
         if not parity:
             acc_density += float(weights.sum()) * key[0]
@@ -518,8 +620,9 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
         occup = (np.abs(U) ** 2).T @ n_vec  # <N> in each eigenstate
         acc_density += float(weights @ occup)
         diag = np.einsum("si,si->i", U.conj(), pair_blocks[key] @ U)
-        acc_pair += complex(weights @ diag)
-    press = float(logsumexp(np.concatenate(log_z_terms))) / (beta * n)
+        pair = complex(weights @ diag)
+        acc_pair += pair if mult == 1 else pair.real
+    press = (np.log(Z) - beta * e0) / (beta * n)
     density = acc_density / Z / n
     pair = acc_pair / Z
     if not (-1e-9 <= density <= 2.0 + 1e-9) or abs(pair) > 1.0 + 1e-9:
@@ -527,7 +630,7 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
             f"Gibbs expectations out of range: density={density}, |pair|={abs(pair)}"
         )
     return GibbsObservables(
-        pressure=press,
+        pressure=float(press),
         density=density,
         pair_amplitude=pair,
         energy_per_site=acc_energy / Z / n,

@@ -286,7 +286,8 @@ def test_criterion_11_convexity():
         h0, h1 = random_op(), random_op()
         vals = [
             beta * basis.n_sites * pressure(FockOperator(
-                basis, "parity", {k: B + lam * h1.blocks[k] for k, B in h0.blocks.items()}), beta)
+                basis, "parity", {k: B + lam * h1.blocks[k] for k, B in h0.blocks.items()},
+                h0.mult), beta)
             for lam in np.linspace(-1.0, 1.0, 5)
         ]
         worst = min(worst, float(np.min(np.diff(vals, 2))))

@@ -138,8 +138,17 @@ def assert_blocks_match(op, oracle, translation=None):
     V = sp.hstack(columns, format="csr")
     assert V.shape == (dim, dim)
     assert abs(V.conj().T @ V - eye).max() <= 1e-12
-    blocks = block_diag(*op.blocks.values())
-    assert np.max(np.abs(V.conj().T @ oracle @ V - blocks)) <= 1e-12
+    blocked = V.conj().T @ oracle @ V
+    sectors = op.basis.sectors(op.blocking)
+    spans = dict(zip(sectors, (slice(a, a + len(r)) for a, r in zip(
+        np.cumsum([0, *map(len, sectors.values())]), sectors.values()))))
+    outside = 1 - block_diag(*(np.ones((len(r), len(r))) for r in sectors.values()))
+    assert np.max(np.abs(blocked * outside)) <= 1e-12
+    for key, B in op.blocks.items():
+        assert np.max(np.abs(blocked[spans[key], spans[key]] - B)) <= 1e-12
+    # the blocks left out share the spectra of the kept ones
+    spectra = np.sort(np.concatenate([np.linalg.eigvalsh(blocked[s, s]) for s in spans.values()]))
+    assert np.max(np.abs(op.eigenvalues() - spectra)) <= 1e-12
 
 
 def zero_kernel(d=1):
@@ -342,7 +351,7 @@ def test_momentum_spectra_match_trivial_group(L):
              (_approximating_matrix(mf, c_minus, c_plus, box, trivial), "parity")]
     for H, blocking in cases:
         op = FockOperator.from_sparse(momentum, H, blocking)
-        assert sum(op.sector_dimensions().values()) == 4**n
+        assert sum(op.mult[k] * dim for k, dim in op.sector_dimensions().items()) == 4**n
         if blocking == "parity" and n == 7:
             # trivial parity blocks have order 8192: compare with the closed
             # form, one two-mode block (k up, -k down) per momentum
@@ -356,6 +365,113 @@ def test_momentum_spectra_match_trivial_group(L):
         else:
             expected = FockOperator.from_sparse(trivial, H, blocking).eigenvalues()
         assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
+
+
+def plain_sector_spectrum(basis, H, blocking):
+    """Spectrum of H from the plain (N, 2S_z) or parity sectors of the
+    occupation basis, by restricting the global matrix: scipy only."""
+    H = sp.csr_matrix(H)
+    label = (basis.n_tot * (2 * basis.n_sites + 1) + basis.n_up if blocking == "number"
+             else basis.n_tot & 1)
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(H[idx][:, idx].toarray())
+        for idx in (np.flatnonzero(label == c) for c in np.unique(label))]))
+
+
+@pytest.mark.parametrize("L,boundary", [(1, "periodic"), (2, "periodic"), (3, "periodic"),
+                                        (1, "open"), (2, "open")])
+def test_paired_spectra_match_plain_sectors(L, boundary):
+    # Kac and mean-field Hamiltonians are real and spin-flip invariant, so
+    # both pairings apply; the kept blocks, each repeated by its
+    # multiplicity, give the spectrum of the plain charge sectors
+    rng = np.random.default_rng(211 + L)
+    box = LatticeBox(1, L, boundary)
+    n = box.n_sites
+    hop = HoppingKernel({(0,): rng.normal(), (1,): rng.normal(), (2,): rng.normal()}, 1)
+    mp = ModelParams(beta=1.0, hopping=hop, f_plus=PlainGaussian(rng.uniform(0.5, 2.0), d=1),
+                     f_minus=GaussianMixture([(0.6, (rng.uniform(0.5, 3.0),))], d=1),
+                     gamma_plus=0.45, gamma_minus=0.3, include_onsite_correction=True)
+    mf = MeanFieldParams(beta=1.0, hopping=hop, eta_plus=0.8, eta_minus=1.3)
+    bare = FockBasis(n)
+    for build, matrix in ((build_kac_hamiltonian, _kac_matrix(mp, box, bare)),
+                          (build_meanfield_hamiltonian, _meanfield_matrix(mf, box, bare))):
+        op = build(mp if build is build_kac_hamiltonian else mf, box)
+        assert sum(op.mult[k] * dim for k, dim in op.sector_dimensions().items()) == 4**n
+        assert max(op.mult.values()) == (4 if boundary == "periodic" else 2)
+        expected = plain_sector_spectrum(bare, matrix, "number")
+        assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
+    if n == 7:
+        assert len(op.blocks) == 135 and max(op.sector_dimensions().values()) == 175
+
+
+def test_spin_field_breaks_only_the_spin_flip_pairing():
+    # h sum_x n_{x,up} conserves (N, S_z) and is real, but is not invariant
+    # under up <-> down: the S_z blocks keep multiplicity 1, k <-> -k pairs
+    box = LatticeBox(1, 2, "periodic")
+    n = box.n_sites
+    basis, bare = FockBasis(box), FockBasis(n)
+    t = hopping_matrix(discrete_laplacian(1), box)
+    H = (_assemble(bare, t=t, v_plus=np.full((n, n), 0.3)) + sp.diags(0.7 * bare.n_up)).tocoo()
+    op = FockOperator.from_sparse(basis, H, "number")
+    assert set(op.mult.values()) == {1, 2}
+    charges = {key[:2] for key in op.blocks}
+    assert all((N, -sz) in charges for N, sz in charges)
+    assert np.max(np.abs(op.eigenvalues() - plain_sector_spectrum(bare, H, "number"))) <= 1e-12
+    flipped = FockOperator.from_sparse(basis, _assemble(bare, t=t), "number")
+    assert 4 in flipped.mult.values()
+
+
+def test_complex_pair_field_is_not_momentum_paired():
+    box = LatticeBox(1, 2, "periodic")
+    mf = MeanFieldParams(beta=1.0, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
+    H = _approximating_matrix(mf, 0.4 * np.exp(0.9j), 0.35, box, FockBasis(box.n_sites))
+    op = FockOperator.from_sparse(FockBasis(box), H, "parity")
+    assert set(op.mult.values()) == {1}
+    assert op.blocks.keys() == FockBasis(box).sectors("parity").keys()
+    expected = plain_sector_spectrum(FockBasis(box.n_sites), H, "parity")
+    assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_paired_gibbs_observables_match_trivial_group(L):
+    # real c_-: the (parity, k) blocks pair k with -k, and the pair amplitude
+    # is summed as twice the real part of the kept block's terms
+    box = LatticeBox(1, L, "periodic")
+    n = box.n_sites
+    bare = FockBasis(n)
+    mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
+    H = _approximating_matrix(mf, 0.45, 0.3, box, bare)
+    # plus a random real parity-conserving matrix summed over the
+    # translations: no further symmetry, so the kept blocks' pair terms are
+    # complex
+    rng = np.random.default_rng(5 + L)
+    A = 0.05 * rng.normal(size=(4**n, 4**n))
+    A[(bare.n_tot[:, None] + bare.n_tot[None, :]) % 2 == 1] = 0.0
+    image, sign = FockBasis(box).generators[0]
+    generic = np.zeros_like(A)
+    for _ in range(n):
+        generic += A + A.T
+        moved = np.empty_like(A)
+        moved[np.ix_(image, image)] = A * np.outer(sign, sign)
+        A = moved
+    for matrix in (H, H + sp.coo_matrix(generic)):
+        paired = FockOperator.from_sparse(FockBasis(box), matrix, "parity")
+        trivial = FockOperator.from_sparse(bare, matrix, "parity")
+        assert 2 in paired.mult.values() and set(trivial.mult.values()) == {1}
+        got, want = gibbs_observables(paired, 1.5), gibbs_observables(trivial, 1.5)
+        assert abs(want.pair_amplitude) > 1e-2
+        for field in ("pressure", "density", "pair_amplitude", "energy_per_site"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12
+
+
+def test_basis_is_built_once_per_box():
+    mp = ModelParams(beta=1.0, hopping=discrete_laplacian(1), f_plus=None, f_minus=None)
+    op1 = build_kac_hamiltonian(mp, LatticeBox(1, 1, "periodic"))
+    op2 = build_kac_hamiltonian(mp, LatticeBox(1, 1, "periodic"))
+    assert op1.basis is op2.basis
+    assert build_kac_hamiltonian(mp, LatticeBox(1, 1, "open")).basis is not op1.basis
+    with pytest.raises(CapacityError, match="exceeds cap 63"):
+        build_kac_hamiltonian(mp, LatticeBox(1, 1, "periodic"), dimension_cap=63)
 
 
 def test_translation_invariance_check():
@@ -462,7 +578,8 @@ def test_convexity_of_log_trace_in_coupling():
         lams = np.linspace(-1.0, 1.0, 5)
         vals = [
             beta * basis.n_sites * pressure(FockOperator(
-                basis, "parity", {k: B + lam * h1.blocks[k] for k, B in h0.blocks.items()}), beta)
+                basis, "parity", {k: B + lam * h1.blocks[k] for k, B in h0.blocks.items()},
+                h0.mult), beta)
             for lam in lams
         ]
         second = np.diff(vals, 2)
@@ -503,7 +620,9 @@ def test_onsite_correction_terms():
     docc = (basis.occ[:, 0] * basis.occ[:, 1]).astype(float)
     expected_diag = -0.5 * 0.4 * 1.0 * n_tot + 0.5 * 0.3 * 1.0 * docc
     sectors = basis.sectors("number")
-    for key, idx in sectors.items():
+    assert sum(corrected.mult[key] * len(sectors[key]) for key in corrected.blocks) == 4
+    for key in corrected.blocks:
+        idx = sectors[key]
         diff = corrected.blocks[key] - plain.blocks[key]
         assert np.allclose(np.diag(diff), expected_diag[idx], atol=1e-14)
         assert np.allclose(diff - np.diag(np.diag(diff)), 0.0, atol=1e-15)
