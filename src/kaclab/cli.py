@@ -83,14 +83,13 @@ def cmd_game(args) -> int:
         mf = cfg.meanfield_params(beta)
         result = game.solve_game(mf, cfg.quadrature, cfg.optimizer)
         payload = result.as_dict()
-        if args.dump_grid:
-            lo_m, hi_m = cfg.optimizer.c_minus_box
-            lo_p, hi_p = cfg.optimizer.c_plus_box
-            grid = []
-            for cm in np.linspace(lo_m, hi_m, cfg.optimizer.grid_points):
-                for cp in np.linspace(lo_p, hi_p, cfg.optimizer.grid_points):
-                    val = game.payoff(mf, game.GamePoint(cm, cp), cfg.quadrature)
-                    grid.append((float(cm), float(cp), float(val)))
+        if args.dump_grid:  # one batched payoff per c_minus row bounds lanes x nodes in 2-D
+            c_plus = np.linspace(*cfg.optimizer.c_plus_box, cfg.optimizer.grid_points)
+            grid = [(cm, cp, val)
+                    for cm in np.linspace(*cfg.optimizer.c_minus_box,
+                                          cfg.optimizer.grid_points).tolist()
+                    for cp, val in zip(c_plus.tolist(), game.payoff(
+                        mf, game.GamePoint(cm, c_plus), cfg.quadrature).tolist())]
             payload["grid"] = grid
             grid_rows += [{"beta": beta, "c_minus": cm, "c_plus": cp, "payoff": val,
                            "config_hash": chash} for cm, cp, val in grid]

@@ -30,8 +30,13 @@ Searches: both orderings are solved from the two best replies, r_+(c_-)
 computed once per strategy in one `solve_game` call.  The payoff and the
 flat profile min_{c_-} payoff are concave in c_+ with the c_+ gap equation
 below as slope (for the profile at r_-, by the envelope theorem), so maxima
-over c_+ are bracketed roots; minima over c_- are grid searches, the guard
-against first-order transitions, refined by bounded Brent.
+over c_+ are bracketed roots.  Minima over c_- start from a grid, the guard
+against first-order transitions; each grid minimum is then the bracketed
+root of the c_- gap equation, which is the slope of the payoff and, by the
+envelope theorem, of the sharp profile payoff(c_-, r_+(c_-)).  Where that
+slope keeps its sign, a grid end point is kept or bounded Brent searches.
+Every grid, and every step of the roots of many strategies at once, is
+one batched call of the zone kernel (`quasifree`).
 
 Gap-equation normalization: with pair = <a^dag_up a^dag_down> and
 density = <n_up + n_down> per site in the approximating model, the
@@ -52,11 +57,12 @@ from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, check_numbers, is_integer, is_number
 from .lattice import MeanFieldParams
-from .quasifree import QuadratureSpec, bz_gibbs_expectations, quasifree_pressure
+from .quasifree import (QuadratureSpec, ZoneTally, _plain, bz_gibbs_expectations,
+                        quasifree_pressure)
 
 __all__ = [
     "GamePoint",
@@ -76,15 +82,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GamePoint:
-    """Gauge-fixed strategies: c_minus = |c_-| >= 0, c_plus = Re c_+."""
+    """Gauge-fixed strategies: c_minus = |c_-| >= 0, c_plus = Re c_+.
+
+    Either may be an array of lanes; the two broadcast together.
+    """
 
     c_minus: float
     c_plus: float
 
     def __post_init__(self):
-        if self.c_minus < 0:
+        c_minus, c_plus = np.asarray(self.c_minus), np.asarray(self.c_plus)
+        if (c_minus < 0).any():
             raise ConfigError("c_minus is a gauge-fixed modulus, must be >= 0")
-        if not (np.isfinite(self.c_minus) and np.isfinite(self.c_plus)):
+        if not (np.isfinite(c_minus).all() and np.isfinite(c_plus).all()):
             raise ConfigError("game point must be finite")
 
 
@@ -132,6 +142,9 @@ class GameResult:
     saddle_gap: float  # p_flat - p_sharp, >= 0 up to tolerance
     degenerate_minima: tuple = ()
     boundary_flagged: bool = False
+    payoff_evaluations: int = 0  # strategies whose payoff was computed
+    kernel_calls: int = 0  # zone quadratures, each over any number of strategies
+    refinement_margin: float = 0.0  # largest |fine - base| of the quadrature checks
 
     def as_dict(self):
         """Every field by name; a GamePoint becomes [c_minus, c_plus]."""
@@ -157,70 +170,134 @@ class GapSolution:
 # ---------------------------------------------------------------------------
 
 
-def payoff(mf: MeanFieldParams, g: GamePoint, quad: QuadratureSpec | None = None) -> float:
-    """-c_+^2 + c_-^2 - P~(c_-, c_+)."""
+def payoff(mf: MeanFieldParams, g: GamePoint, quad: QuadratureSpec | None = None,
+           tally: ZoneTally | None = None):
+    """-c_+^2 + c_-^2 - P~(c_-, c_+); an array for lanes of strategies."""
     return (-g.c_plus**2 + g.c_minus**2
-            - quasifree_pressure(mf, g.c_minus, g.c_plus, quad))
+            - quasifree_pressure(mf, g.c_minus, g.c_plus, quad, tally))
 
 
-def _pinned(x: float, box: tuple, opt: OptimizerSpec) -> bool:
-    """Whether the optimum x lies within 10 xtol of a box edge above 0."""
-    return any(abs(x - edge) <= 10 * opt.xtol for edge in box if edge > 0.0)
+def _pinned(x, box: tuple, opt: OptimizerSpec):
+    """Whether each optimum x lies within 10 xtol of a box edge above 0."""
+    return np.any([np.abs(np.asarray(x) - edge) <= 10 * opt.xtol for edge in box if edge > 0.0],
+                  axis=0)
 
 
-def _c_plus_maximum(slope: Callable[[float], float], mf: MeanFieldParams,
-                    opt: OptimizerSpec) -> float:
-    """Maximizer over the c_+ box of a concave function with decreasing slope.
+def _lane_roots(fn, x1, x2, f1, f2, lanes, opt: OptimizerSpec) -> np.ndarray:
+    """Roots of fn in the brackets [x1, x2], lane by lane, by Chandrupatla's
+    method (Adv. Eng. Softw. 28, 145 (1997)): inverse quadratic
+    interpolation where it is safe, bisection otherwise.
 
-    For eta_+ = 0 the repulsive strategy space degenerates to c_+ = 0.
+    fn(x, lanes) evaluates the listed lanes at x in one call; f1 and f2,
+    its values at the bracket ends, differ in sign.  A lane stops when its
+    bracket is narrower than xtol + 4 eps |x| (brentq's rule) or fn hits 0.
+    Each root is the bracket end of smaller |fn|, so fn was evaluated there.
+    """
+    x1, x2, f1, f2 = (np.array(np.broadcast_to(v, np.shape(lanes)), float)
+                      for v in (x1, x2, f1, f2))
+    roots = np.empty(x1.shape)
+    at = np.arange(roots.size)  # where each live lane's root goes
+    x3 = f3 = None
+    for iteration in range(opt.max_iter + 1):
+        smaller = np.abs(f1) < np.abs(f2)
+        best = np.where(smaller, x1, x2)
+        roots[at] = best
+        width = np.abs(x2 - x1)
+        tol = opt.xtol + 4 * np.finfo(float).eps * np.abs(best)
+        going = (width >= tol) & (np.where(smaller, f1, f2) != 0.0)
+        if iteration == opt.max_iter or not going.any():
+            break
+        at, lanes, x1, x2, f1, f2, width, tol = (
+            v[going] for v in (at, lanes, x1, x2, f1, f2, width, tol))
+        if x3 is None:
+            t = np.full(x1.shape, 0.5)
+        else:
+            x3, f3 = x3[going], f3[going]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                quadratic = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
+                t = np.where(quadratic,
+                             f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            t = np.clip(t, 0.5 * tol / width, 1 - 0.5 * tol / width)
+        x = x1 + t * (x2 - x1)
+        f = fn(x, lanes)
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+    return roots
+
+
+def _c_plus_maximum(slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec,
+                    lanes: int) -> np.ndarray:
+    """Per lane, the maximizer over the c_+ box of a concave function.
+
+    slope(c_plus, lanes), decreasing in c_plus, evaluates the listed lanes
+    in one call.  For eta_+ = 0 the repulsive strategy space degenerates to
+    c_+ = 0.
     """
     if mf.eta_plus == 0.0:
-        return 0.0
+        return np.zeros(lanes)
     lo, hi = opt.c_plus_box
-    if slope(hi) >= 0.0:
-        return hi
-    if slope(lo) <= 0.0:
-        return lo
-    return float(brentq(slope, lo, hi, xtol=opt.xtol, maxiter=opt.max_iter, disp=False))
+    each = np.arange(lanes)
+    s = slope(np.repeat([hi, lo], lanes), np.r_[each, each])
+    s_hi, s_lo = s[:lanes], s[lanes:]
+    x = np.where(s_hi >= 0.0, hi, lo)  # an edge, unless the slope changes sign inside
+    inside = (s_hi < 0.0) & (s_lo > 0.0)
+    x[inside] = _lane_roots(slope, lo, hi, s_lo[inside], s_hi[inside], each[inside], opt)
+    return x
 
 
-def _c_minus_minima(f: Callable[[float], float], mf: MeanFieldParams,
-                    opt: OptimizerSpec):
+def _c_minus_minima(f: Callable, slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec):
     """All local minima (x, f(x)) of f over the c_- box, lowest first.
 
-    A coarse grid, the guard against the multiple minima of first-order
-    transitions, then bounded Brent around each grid minimum.  For
-    eta_- = 0 the payoff is c_-^2 plus a function of c_+ alone, and its
-    maximum over c_+ is c_-^2 plus a constant: the origin is the only
-    minimum of both, and no search is needed.
+    f and slope = df/dc_- each evaluate an array of c_- in one call.  A
+    coarse grid, the guard against the multiple minima of first-order
+    transitions, brackets each local minimum, and the minimum is the root
+    of the slope in its bracket.  The slope vanishes at c_- = 0 by
+    symmetry, so a bracket from 0 is probed at xtol instead.  A grid end
+    point where the slope points out of the box is kept as it is; a
+    bracket in which the slope does not change sign is searched by bounded
+    Brent.  For eta_- = 0 the payoff is c_-^2 plus a function of c_+ alone,
+    and its maximum over c_+ is c_-^2 plus a constant: the origin is the
+    only minimum of both, and no search is needed.
     """
     if mf.eta_minus == 0.0:
-        return [(0.0, f(0.0))]
+        return [(0.0, float(f(np.zeros(1))[0]))]
     xs = np.linspace(*opt.c_minus_box, opt.grid_points)
-    fs = np.array([f(x) for x in xs])
-    candidates = []
+    fs = f(xs)
     n = len(xs)
-    for i in range(n):
-        left = fs[i - 1] if i > 0 else math.inf
-        right = fs[i + 1] if i < n - 1 else math.inf
-        if fs[i] <= left and fs[i] <= right:
-            a = xs[max(i - 1, 0)]
-            b = xs[min(i + 1, n - 1)]
-            r = minimize_scalar(f, bounds=(a, b), method="bounded",
-                                options={"xatol": opt.xtol, "maxiter": opt.max_iter})
-            x, fx = r.x, r.fun
-            if fs[i] < fx:  # keep the grid point if refinement stalled
-                x, fx = xs[i], fs[i]
-            candidates.append((float(x), float(fx)))
+    walls = np.r_[math.inf, fs, math.inf]
+    i = np.flatnonzero((fs <= walls[:-2]) & (fs <= walls[2:]))
+    a, b = xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, n - 1)]
+    probe = np.where(a > 0.0, a, opt.xtol)
+    s_a, s_b = np.split(slope(np.r_[probe, b]), 2)
+    x, fx = xs[i], fs[i]
+    kept = ((i == 0) & (s_a >= 0.0)) | ((i == n - 1) & (s_b <= 0.0))
+    bracketed = (s_a < 0.0) & (s_b > 0.0)
+    if bracketed.any():
+        root = _lane_roots(lambda x, _: slope(x), probe[bracketed], b[bracketed],
+                           s_a[bracketed], s_b[bracketed], np.arange(bracketed.sum()), opt)
+        f_root = f(root)
+        better = f_root <= fx[bracketed]  # keep the grid point if refinement stalled
+        x[bracketed] = np.where(better, root, x[bracketed])
+        fx[bracketed] = np.where(better, f_root, fx[bracketed])
+    for j in np.flatnonzero(~(kept | bracketed)):
+        r = minimize_scalar(lambda t: float(f(np.array([t]))[0]), bounds=(a[j], b[j]),
+                            method="bounded",
+                            options={"xatol": opt.xtol, "maxiter": opt.max_iter})
+        if r.fun <= fx[j]:
+            x[j], fx[j] = r.x, r.fun
     # dedupe near-identical refinements
-    candidates.sort(key=lambda t: t[0])
     merged = []
-    for x, fx in candidates:
-        if merged and abs(x - merged[-1][0]) < 10 * opt.xtol:
-            if fx < merged[-1][1]:
-                merged[-1] = (x, fx)
+    for xj, fj in sorted(zip(x.tolist(), fx.tolist())):
+        if merged and abs(xj - merged[-1][0]) < 10 * opt.xtol:
+            if fj < merged[-1][1]:
+                merged[-1] = (xj, fj)
         else:
-            merged.append((x, fx))
+            merged.append((xj, fj))
     merged.sort(key=lambda t: t[1])
     return merged
 
@@ -230,25 +307,29 @@ def _c_minus_minima(f: Callable[[float], float], mf: MeanFieldParams,
 # ---------------------------------------------------------------------------
 
 
-def decision_rule(mf: MeanFieldParams, c_minus: float,
-                  quad: QuadratureSpec | None = None,
-                  opt: OptimizerSpec | None = None) -> DecisionResult:
+def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = None,
+                  opt: OptimizerSpec | None = None,
+                  tally: ZoneTally | None = None) -> DecisionResult:
     """r_+(c_-): the unique maximizer of the payoff over c_+ at fixed c_-.
 
     The payoff is strictly concave in c_+ (pressure convex in the linear
     coupling plus the -c_+^2 penalty), so its maximizer is the root of the
     decreasing slope sqrt(eta_+) density - c_+ of the c_+ gap equation.
     For eta_+ = 0 the repulsive strategy space degenerates and r_+ = 0.
-    A maximizer pinned at a box edge is flagged, not silent.
+    A maximizer pinned at a box edge is flagged, not silent.  An array of
+    c_- is solved lane by lane, each step one batched call, and gives
+    arrays.
     """
     opt = opt or OptimizerSpec()
+    cm = np.asarray(c_minus, float)
+    lanes = cm.ravel()
 
-    def slope(c_plus):
-        return _gap_map(mf, GamePoint(c_minus, c_plus), quad)[1] - c_plus
+    def slope(c_plus, i):
+        return _gap_map(mf, GamePoint(lanes[i], c_plus), quad, tally)[1] - c_plus
 
-    x = _c_plus_maximum(slope, mf, opt)
-    value = payoff(mf, GamePoint(c_minus, x), quad)
-    return DecisionResult(x, value, _pinned(x, opt.c_plus_box, opt))
+    x = _plain(_c_plus_maximum(slope, mf, opt, lanes.size).reshape(cm.shape))
+    value = payoff(mf, GamePoint(_plain(cm), x), quad, tally)
+    return DecisionResult(x, value, _plain(_pinned(x, opt.c_plus_box, opt)))
 
 
 def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
@@ -256,46 +337,71 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
     """Solve both orderings of the thermodynamic game from its best replies.
 
     r_+(c_-) = `decision_rule` and r_-(c_+), the lowest minimum of the
-    payoff over c_-, are each cached per strategy for this call.
+    payoff over c_-, are each cached per strategy for this call; the new
+    c_- of one step of a search are solved together.
     p_sharp: minimum over c_- of the payoff at r_+ (all near-degenerate
-    minima reported); p_flat: maximum over c_+ of the payoff at r_-, the
-    root of its slope over the whole c_+ box.  That profile is concave even
-    where r_- jumps between basins, and its slope is the c_+ gap equation
-    at r_-.
+    minima reported), where the slope of that profile is the c_- gap
+    equation at (c_-, r_+(c_-)) by the envelope theorem; p_flat: maximum
+    over c_+ of the payoff at r_-, the root of its slope over the whole c_+
+    box.  That profile is concave even where r_- jumps between basins, and
+    its slope is the c_+ gap equation at r_-.
     """
-    opt = opt or OptimizerSpec()
+    quad, opt = quad or QuadratureSpec(), opt or OptimizerSpec()
+    tally = ZoneTally()
+    replies = {}
 
-    @functools.cache
-    def reply_plus(c_minus):
-        return decision_rule(mf, c_minus, quad, opt)
+    def reply_plus(xs):
+        keys = np.asarray(xs, float).tolist()
+        new = [x for x in dict.fromkeys(keys) if x not in replies]
+        if new:
+            r = decision_rule(mf, np.array(new), quad, opt, tally)
+            replies.update(zip(new, map(DecisionResult, r.c_plus.tolist(),
+                                        r.payoff_value.tolist(), r.at_boundary.tolist())))
+        return [replies[x] for x in keys]
+
+    def sharp_value(xs):
+        return np.array([r.payoff_value for r in reply_plus(xs)])
+
+    def sharp_slope(xs):
+        c_plus = np.array([r.c_plus for r in reply_plus(xs)])
+        return _c_minus_slope(mf, GamePoint(xs, c_plus), quad, tally)
 
     @functools.cache
     def reply_minus(c_plus):
-        return _c_minus_minima(lambda x: payoff(mf, GamePoint(x, c_plus), quad), mf, opt)[0]
+        return _c_minus_minima(
+            lambda xs: payoff(mf, GamePoint(xs, c_plus), quad, tally),
+            lambda xs: _c_minus_slope(mf, GamePoint(xs, c_plus), quad, tally), mf, opt)[0]
 
-    def flat_slope(c_plus):
-        return _gap_map(mf, GamePoint(reply_minus(c_plus)[0], c_plus), quad)[1] - c_plus
+    def flat_slope(c_plus, _):
+        c_minus = np.array([reply_minus(c)[0] for c in c_plus.tolist()])
+        return _gap_map(mf, GamePoint(c_minus, c_plus), quad, tally)[1] - c_plus
 
-    sharp = _c_minus_minima(lambda x: reply_plus(x).payoff_value, mf, opt)
+    sharp = _c_minus_minima(sharp_value, sharp_slope, mf, opt)
     cm_sharp, sharp_val = sharp[0]
-    argmin_sharp = GamePoint(cm_sharp, reply_plus(cm_sharp).c_plus)
-    cp_flat = _c_plus_maximum(flat_slope, mf, opt)
+    reply = reply_plus([cm_sharp])[0]
+    argmin_sharp = GamePoint(cm_sharp, reply.c_plus)
+    cp_flat = float(_c_plus_maximum(flat_slope, mf, opt, 1)[0])
     cm_flat, flat_val = reply_minus(cp_flat)
     argmax_flat = GamePoint(cm_flat, cp_flat)
+    degenerate = tuple(GamePoint(x, reply_plus([x])[0].c_plus) for x, fx in sharp[1:]
+                       if fx - sharp_val <= opt.degeneracy_window)
+    residuals = [gap_residual(mf, g, quad, tally) for g in (argmin_sharp, argmax_flat)]
     p_sharp, p_flat = -sharp_val, -flat_val
     return GameResult(
         p_sharp=p_sharp,
         p_flat=p_flat,
         argmin_sharp=argmin_sharp,
         argmax_flat=argmax_flat,
-        gap_residual_sharp=gap_residual(mf, argmin_sharp, quad),
-        gap_residual_flat=gap_residual(mf, argmax_flat, quad),
+        gap_residual_sharp=residuals[0],
+        gap_residual_flat=residuals[1],
         saddle_gap=p_flat - p_sharp,
-        degenerate_minima=tuple(GamePoint(x, reply_plus(x).c_plus) for x, fx in sharp[1:]
-                                if fx - sharp_val <= opt.degeneracy_window),
-        boundary_flagged=(reply_plus(cm_sharp).at_boundary
-                          or _pinned(cp_flat, opt.c_plus_box, opt)
-                          or any(_pinned(x, opt.c_minus_box, opt) for x in (cm_sharp, cm_flat))),
+        degenerate_minima=degenerate,
+        boundary_flagged=bool(reply.at_boundary
+                              or _pinned(cp_flat, opt.c_plus_box, opt)
+                              or _pinned([cm_sharp, cm_flat], opt.c_minus_box, opt).any()),
+        payoff_evaluations=tally.pressure_lanes,
+        kernel_calls=tally.kernel_calls,
+        refinement_margin=tally.refinement_margin,
     )
 
 
@@ -304,21 +410,27 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _gap_map(mf, g: GamePoint, quad):
-    pair, density = bz_gibbs_expectations(mf, g.c_minus, g.c_plus, quad)
-    rhs_minus = math.sqrt(mf.eta_minus) * float(np.real(pair))
+def _gap_map(mf, g: GamePoint, quad, tally=None):
+    pair, density = bz_gibbs_expectations(mf, g.c_minus, g.c_plus, quad, tally)
+    rhs_minus = math.sqrt(mf.eta_minus) * np.real(pair)
     rhs_plus = math.sqrt(mf.eta_plus) * density
     return rhs_minus, rhs_plus
 
 
+def _c_minus_slope(mf, g: GamePoint, quad, tally):
+    """d payoff / d c_- = 2 (c_- - sqrt(eta_-) Re pair), the c_- gap equation."""
+    return 2.0 * (g.c_minus - _gap_map(mf, g, quad, tally)[0])
+
+
 def gap_residual(mf: MeanFieldParams, g: GamePoint,
-                 quad: QuadratureSpec | None = None) -> float:
+                 quad: QuadratureSpec | None = None,
+                 tally: ZoneTally | None = None) -> float:
     """Euclidean distance of (c_-, c_+) from its Gibbs-expectation update.
 
     Zero exactly at self-consistent (stationary) points of the payoff;
     equal to half the payoff gradient norm.
     """
-    rhs_minus, rhs_plus = _gap_map(mf, g, quad)
+    rhs_minus, rhs_plus = _gap_map(mf, g, quad, tally)
     return math.hypot(g.c_minus - rhs_minus, g.c_plus - rhs_plus)
 
 
@@ -391,7 +503,7 @@ def quasiconvexity_report(mf: MeanFieldParams, c_plus: float,
     asserted from this.
     """
     xs = np.linspace(box[0], box[1], n_samples)
-    fs = np.array([payoff(mf, GamePoint(x, c_plus), quad) for x in xs])
+    fs = payoff(mf, GamePoint(xs, c_plus), quad)
     m = int(np.argmin(fs))
     down = np.diff(fs[: m + 1])
     up = np.diff(fs[m:])

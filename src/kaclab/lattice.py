@@ -174,9 +174,10 @@ class MeanFieldParams:
 
         The quadratic approximant at strategies (c_-, c_+) has the
         one-body term hhat(k) + shift per mode and the pairing field gap.
+        Arrays of strategies give arrays of fields.
         """
-        shift = 2.0 * math.sqrt(self.eta_plus) * float(np.real(c_plus))
-        return shift, math.sqrt(self.eta_minus) * complex(c_minus)
+        shift = 2.0 * math.sqrt(self.eta_plus) * np.real(c_plus)
+        return shift, math.sqrt(self.eta_minus) * (c_minus + 0j)
 
 
 def dispersion(h: HoppingKernel, k) -> np.ndarray | float:

@@ -21,6 +21,10 @@ quadrature; the finite-grid version is exactly the finite-volume pressure
 of the approximating Hamiltonian with periodic hopping.  Pressures,
 finite grids and expectations are weighted sums over one cached table of
 hhat at the nodes per (hopping kernel, scheme, points per axis).
+
+Strategies broadcast: arrays of c_- and c_+ are lanes, evaluated together
+as lanes x nodes by the same kernel that evaluates one strategy.  A
+`ZoneTally` passed in counts the kernel's work for its caller.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .lattice import HoppingKernel, MeanFieldParams, dispersion
 __all__ = [
     "BdGBlock",
     "QuadratureSpec",
+    "ZoneTally",
     "bdg_block",
     "per_k_log_trace",
     "quasifree_pressure",
@@ -141,38 +146,65 @@ def _bz_table(h: HoppingKernel, scheme: str, n: int):
     return hhat, W
 
 
-def _zone(mf, c_minus, c_plus, scheme, n):
-    """eps~ at the zone nodes, the pairing field and the node weights."""
+@dataclass
+class ZoneTally:
+    """Work of the zone kernel on behalf of one caller, e.g. one game."""
+
+    kernel_calls: int = 0  # quadratures over the zone, of any number of lanes
+    pressure_lanes: int = 0  # strategies whose pressure was computed
+    refinement_margin: float = 0.0  # largest |fine - base| of the refinement checks
+
+
+def _plain(x):
+    """A 0-d result as a Python number; lanes stay an array."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
+def _zone(mf, c_minus, c_plus, scheme, n, tally=None):
+    """eps~ at the zone nodes (c_+ lanes..., nodes), the pairing fields
+    (c_- lanes..., 1) and the node weights; the lanes broadcast together."""
     hhat, W = _bz_table(mf.hopping, scheme, n)
     shift, gap = mf.approximating_fields(c_minus, c_plus)
-    return hhat + shift, gap, W
+    if tally is not None:
+        tally.kernel_calls += 1
+    return hhat + np.asarray(shift)[..., None], np.asarray(gap)[..., None], W
 
 
-def _pressure_at(mf, c_minus, c_plus, scheme, n):
-    eps, gap, W = _zone(mf, c_minus, c_plus, scheme, n)
-    return float(W @ _log_trace(eps, abs(gap), mf.beta)) / mf.beta
+def _pressure_at(mf, c_minus, c_plus, scheme, n, tally=None):
+    eps, gap, W = _zone(mf, c_minus, c_plus, scheme, n, tally)
+    return (_log_trace(eps, np.abs(gap), mf.beta) @ W) / mf.beta
 
 
-def quasifree_pressure(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
-                       quad: QuadratureSpec | None = None) -> float:
+def quasifree_pressure(mf: MeanFieldParams, c_minus, c_plus,
+                       quad: QuadratureSpec | None = None, tally: ZoneTally | None = None):
     """(1/beta) (2 pi)^{-d} integral of ln Tr exp(-beta H_k) over the zone.
 
-    With refinement_check the quadrature is repeated at doubled resolution;
-    a difference above quad.tol raises AccuracyError carrying both values.
-    The refined value is returned.
+    A number for one strategy, an array for lanes of strategies.  With
+    refinement_check the quadrature is repeated at doubled resolution; a
+    difference above quad.tol in any lane raises AccuracyError carrying
+    that lane's two values.  The refined value is returned.
     """
     quad = quad or QuadratureSpec()
     n = quad.resolve_points(mf.hopping.d)
-    base = _pressure_at(mf, c_minus, c_plus, quad.scheme, n)
+    base = _pressure_at(mf, c_minus, c_plus, quad.scheme, n, tally)
+    if tally is not None:
+        tally.pressure_lanes += base.size
     if not quad.refinement_check:
-        return base
-    fine = _pressure_at(mf, c_minus, c_plus, quad.scheme, 2 * n)
-    if abs(fine - base) > quad.tol:
+        return _plain(base)
+    fine = _pressure_at(mf, c_minus, c_plus, quad.scheme, 2 * n, tally)
+    diff = np.abs(fine - base)
+    if tally is not None and diff.size:
+        tally.refinement_margin = max(tally.refinement_margin, float(diff.max()))
+    failed = diff > quad.tol
+    if failed.any():
+        lane = np.argmax(failed)  # the first failing lane
+        base, fine = base.flat[lane].item(), fine.flat[lane].item()
         raise AccuracyError(
             f"quadrature not converged: |{fine:.15g} - {base:.15g}| > {quad.tol:g}",
             values={"base": base, "refined": fine},
         )
-    return fine
+    return _plain(fine)
 
 
 def finite_grid_pressure(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
@@ -185,11 +217,12 @@ def finite_grid_pressure(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
     """
     if L < 0:
         raise ConfigError("L must be nonnegative")
-    return _pressure_at(mf, c_minus, c_plus, "midpoint_tensor", 2 * L + 1)
+    return _plain(_pressure_at(mf, c_minus, c_plus, "midpoint_tensor", 2 * L + 1))
 
 
-def bz_gibbs_expectations(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
-                          quad: QuadratureSpec | None = None) -> tuple[complex, float]:
+def bz_gibbs_expectations(mf: MeanFieldParams, c_minus, c_plus,
+                          quad: QuadratureSpec | None = None,
+                          tally: ZoneTally | None = None):
     """Zone-averaged Gibbs expectations of the approximating model.
 
     Returns (pair, density) with
@@ -197,10 +230,11 @@ def bz_gibbs_expectations(mf: MeanFieldParams, c_minus: complex, c_plus: complex
               = g (2 pi)^{-d} int tanh(beta E/2) / (2 E) dk,
       density = (2 pi)^{-d} int (1 - eps~ tanh(beta E/2)/E) dk,
     the right-hand sides of the self-consistency (gap) equations up to the
-    sqrt(eta) normalization applied by the caller.
+    sqrt(eta) normalization applied by the caller; numbers for one
+    strategy, arrays for lanes.
     """
     quad = quad or QuadratureSpec()
     n = quad.resolve_points(mf.hopping.d)
-    eps, gap, W = _zone(mf, c_minus, c_plus, quad.scheme, n)
-    t = _tanh_over_e(np.hypot(eps, abs(gap)), mf.beta)
-    return gap * float(W @ (0.5 * t)), float(W @ (1.0 - eps * t))
+    eps, gap, W = _zone(mf, c_minus, c_plus, quad.scheme, n, tally)
+    t = _tanh_over_e(np.hypot(eps, np.abs(gap)), mf.beta)
+    return _plain(gap[..., 0] * ((0.5 * t) @ W)), _plain((1.0 - eps * t) @ W)

@@ -16,7 +16,7 @@ from kaclab.config import (
     serialize_config,
 )
 from kaclab.errors import ConfigError, InsufficientDataError
-from kaclab.game import OptimizerSpec
+from kaclab.game import GamePoint, OptimizerSpec, payoff
 from kaclab.lattice import HoppingKernel
 from kaclab.potentials import GaussianMixture, PlainGaussian, Yukawa
 from kaclab.quasifree import QuadratureSpec
@@ -491,6 +491,23 @@ def test_cli_game_grid_keeps_every_beta(tmp_path, capsys):
     data = np.loadtxt(os.path.join(out_dir, "payoff_surface.dat"))
     assert data.shape == (50, 4)
     assert list(data[:, 0]) == [1.0] * 25 + [2.0] * 25
+
+
+def test_cli_game_grid_equals_scalar_payoffs(tmp_path, capsys):
+    path = write_config(tmp_path, minimal_config(
+        potentials={"plus": {"family": "plain_gaussian", "width": 1.0},
+                    "minus": {"family": "yukawa", "c0": 1.0, "c1": 1.0, "c2": 1.0}},
+        beta=[2.0], optimizer={"grid_points": 7}))
+    assert main(["game", "--config", path, "--out", str(tmp_path / "out"), "--dump-grid"]) == 0
+    result = json.loads(capsys.readouterr().out)["game"]["2.0"]
+    cfg = parse_config(path)
+    mf = cfg.meanfield_params(2.0)
+    assert len(result["grid"]) == 49
+    for cm, cp, value in result["grid"]:
+        assert abs(value - payoff(mf, GamePoint(cm, cp), cfg.quadrature)) <= 1e-15
+    # the game's work counters reach its JSON
+    assert result["kernel_calls"] > 0 and result["payoff_evaluations"] > 0
+    assert 0.0 < result["refinement_margin"] <= cfg.quadrature.tol
 
 
 def test_cli_game_grid_keeps_other_configs(tmp_path, capsys):

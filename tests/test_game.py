@@ -181,15 +181,115 @@ def test_game_values_shift_identically_under_dispersion_shift():
 def test_game_quadrature_budget(monkeypatch):
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return quasifree_pressure(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(game, "quasifree_pressure", counted)
+    monkeypatch.setattr(game, "quasifree_pressure", counted(quasifree_pressure))
+    monkeypatch.setattr(game, "bz_gibbs_expectations", counted(bz_gibbs_expectations))
     mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=1.0)
-    solve_game(mf, QUAD, OPT)
-    assert 0 < len(calls) <= 1500
+    res = solve_game(mf, QUAD, OPT)
+    # batched grids and slope roots: ~40 calls; one strategy per call and
+    # bounded Brent took ~1,400
+    assert 0 < len(calls) <= 150
+    # a pressure call integrates at two resolutions, an expectation call at one
+    assert res.kernel_calls == (2 * calls.count("quasifree_pressure")
+                                + calls.count("bz_gibbs_expectations"))
+
+
+def test_game_counters_repeat_exactly():
+    mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=2.0)
+    first, second = (solve_game(mf, QUAD, OPT).as_dict() for _ in range(2))
+    counters = ("payoff_evaluations", "kernel_calls", "refinement_margin")
+    assert [first[c] for c in counters] == [second[c] for c in counters]
+    assert first["payoff_evaluations"] > first["kernel_calls"] > 0
+    assert 0.0 < first["refinement_margin"] <= QUAD.tol
+
+
+def test_edge_optimum_is_the_exact_origin():
+    # the c_- slope vanishes at the origin and is positive just right of it,
+    # so the minimum is c_- = 0 itself; derivative-free refinement stopped
+    # at c_- ~ 6e-10 with a gap residual ~ 3e-10
+    mf = MeanFieldParams(beta=7.0, hopping=discrete_laplacian(1),
+                         eta_plus=0.2, eta_minus=0.9)
+    res = solve_game(mf, QUAD, OPT)
+    assert res.argmin_sharp.c_minus == 0.0
+    assert res.gap_residual_sharp <= 1e-12
+
+
+@pytest.mark.parametrize("beta, eta_plus, eta_minus, c_minus", [
+    (8.0, 0.0, 1.67, 0.0056867),  # inside the first grid cell, 1/32 wide
+    (8.0, 0.0, 1.675, 0.024883),
+    (8.0, 1.0, 2.0, 0.087182),
+    (4.0, 0.5, 3.0, 0.28281),
+])
+def test_c_minus_optima_are_roots_of_the_gap_equation(beta, eta_plus, eta_minus, c_minus):
+    # a slope root solves the gap equations to rounding; bounded Brent on
+    # the payoff stopped at residuals 1e-11 to 1e-9 on these models
+    mf = MeanFieldParams(beta=beta, hopping=discrete_laplacian(1),
+                         eta_plus=eta_plus, eta_minus=eta_minus)
+    res = solve_game(mf, QUAD, OPT)
+    assert res.argmin_sharp.c_minus == pytest.approx(c_minus, rel=1e-4)
+    assert res.gap_residual_sharp <= 1e-12
+
+
+def test_sharp_profile_slope_is_the_c_minus_gap_equation():
+    # envelope theorem: the c_- derivative of payoff(c_-, r_+(c_-)) is the
+    # partial derivative 2 (c_- - sqrt(eta_-) Re pair) at (c_-, r_+(c_-))
+    mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=2.0)
+    step = 1e-5
+    for cm in (0.05, 0.2, 0.5):
+        fd = (decision_rule(mf, cm + step, QUAD, OPT).payoff_value
+              - decision_rule(mf, cm - step, QUAD, OPT).payoff_value) / (2 * step)
+        reply = decision_rule(mf, cm, QUAD, OPT)
+        slope = game._c_minus_slope(mf, GamePoint(cm, reply.c_plus), QUAD, None)
+        assert slope == pytest.approx(fd, abs=1e-8)
+
+
+@pytest.mark.parametrize("c_plus_box", [(0.0, 2.0), (0.15, 2.0)])
+def test_batched_decision_rule_equals_scalar_calls(c_plus_box):
+    # with the cut box, r_+ is pinned at its lower edge in the first lanes only
+    mf = MeanFieldParams(beta=3.0, hopping=discrete_laplacian(1),
+                         eta_plus=0.7, eta_minus=1.3)
+    opt = OptimizerSpec(c_plus_box=c_plus_box)
+    c_minus = np.linspace(0.0, 1.0, 9)
+    lanes = decision_rule(mf, c_minus, QUAD, opt)
+    pinned = np.sum(lanes.at_boundary)
+    assert (0 < pinned < 9) if c_plus_box[0] > 0.0 else pinned == 0
+    for j, cm in enumerate(c_minus):
+        one = decision_rule(mf, cm, QUAD, opt)
+        # ulp-level kernel differences may steer the root solver, by far less than xtol
+        assert abs(lanes.c_plus[j] - one.c_plus) <= 1e-12
+        assert abs(lanes.payoff_value[j] - one.payoff_value) <= 1e-15
+        assert lanes.at_boundary[j] == one.at_boundary
+
+
+# P_sharp, P_flat of grid search plus bounded Brent, the solver before the
+# slope roots and batched grids: (d, beta, eta_+, eta_-, P_sharp, P_flat)
+PINNED = [
+    (1, 2.0, 1.0, 0.0, 0.11907894708330499, 0.11907894708330499),
+    (1, 8.0, 0.0, 3.0, 0.06143337216782316, 0.06143337216782316),
+    (1, 8.0, 1.0, 2.0, 0.012323317873909584, 0.01232331787390956),
+    (1, 4.0, 0.5, 3.0, 0.05050185251828969, 0.05050185251828972),
+    (1, 2.0, 1.0, 1.0, 0.11907894708330499, 0.11907894708330499),
+    (1, 0.5, 1.5, 0.5, 1.1161772488238648, 1.1161772488238648),
+    (1, 6.0, 0.3, 1.2, 0.025156586043170545, 0.025156586043170545),
+    (2, 2.0, 1.0, 1.0, 0.032409756429530895, 0.032409756429530895),
+]
+
+
+@pytest.mark.parametrize("d, beta, eta_plus, eta_minus, p_sharp, p_flat", PINNED)
+def test_game_values_are_pinned(d, beta, eta_plus, eta_minus, p_sharp, p_flat):
+    mf = MeanFieldParams(beta=beta, hopping=discrete_laplacian(d),
+                         eta_plus=eta_plus, eta_minus=eta_minus)
+    res = solve_game(mf, QUAD, OPT)
+    assert abs(res.p_sharp - p_sharp) <= 1e-12
+    assert abs(res.p_flat - p_flat) <= 1e-12
 
 
 def test_flat_value_is_the_profile_maximum_across_basin_jumps():
@@ -198,8 +298,10 @@ def test_flat_value_is_the_profile_maximum_across_basin_jumps():
     mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=2.0)
     res = solve_game(mf, QUAD, OPT)
-    profile = [game._c_minus_minima(lambda cm: payoff(mf, GamePoint(cm, cp), QUAD), mf, OPT)[0]
-               for cp in np.linspace(*OPT.c_plus_box, 201)]
+    profile = [game._c_minus_minima(
+        lambda cm: payoff(mf, GamePoint(cm, cp), QUAD),
+        lambda cm: game._c_minus_slope(mf, GamePoint(cm, cp), QUAD, None), mf, OPT)[0]
+        for cp in np.linspace(*OPT.c_plus_box, 201)]
     assert np.max(np.abs(np.diff([cm for cm, _ in profile]))) >= 0.05
     assert -res.p_flat >= max(value for _, value in profile) - 1e-12
 
@@ -208,7 +310,7 @@ def test_each_best_reply_is_computed_once(monkeypatch):
     seen = []
 
     def recorder(mf, c_minus, *args, **kwargs):
-        seen.append(float(c_minus))
+        seen.extend(np.atleast_1d(c_minus).tolist())
         return decision_rule(mf, c_minus, *args, **kwargs)
 
     monkeypatch.setattr(game, "decision_rule", recorder)
@@ -295,6 +397,17 @@ def test_quasiconvexity_diagnostic_runs():
     rep = quasiconvexity_report(mf, 0.2, QUAD)
     assert rep.n_samples == 101
     assert rep.max_violation >= 0.0
+
+
+def test_quasiconvexity_report_matches_scalar_payoffs():
+    mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=2.0)
+    rep = quasiconvexity_report(mf, 0.1, QUAD, n_samples=41)
+    fs = np.array([payoff(mf, GamePoint(x, 0.1), QUAD) for x in np.linspace(0.0, 1.0, 41)])
+    m = int(np.argmin(fs))
+    violation = max(np.max(np.diff(fs[: m + 1]), initial=0.0),
+                    np.max(-np.diff(fs[m:]), initial=0.0))
+    assert abs(rep.max_violation - violation) <= 1e-15
 
 
 def test_game_point_validation():

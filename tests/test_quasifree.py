@@ -146,6 +146,52 @@ def test_refinement_check_raises_on_coarse_midpoint():
     assert "base" in exc.value.values and "refined" in exc.value.values
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_batched_lanes_equal_scalar_calls(d):
+    mf = MeanFieldParams(beta=3.0, hopping=discrete_laplacian(d), eta_plus=0.7, eta_minus=1.3)
+    rng = np.random.default_rng(5)
+    c_minus, c_plus = rng.uniform(0.0, 1.0, 17), rng.uniform(0.0, 2.0, 17)
+    quad = QuadratureSpec()
+    pressures = quasifree_pressure(mf, c_minus, c_plus, quad)
+    pairs, densities = bz_gibbs_expectations(mf, c_minus, c_plus, quad)
+    row = quasifree_pressure(mf, c_minus, 0.4, quad)  # one c_+ broadcast over the c_- lanes
+    assert pressures.shape == pairs.shape == densities.shape == row.shape == (17,)
+    for j in range(17):
+        pair, density = bz_gibbs_expectations(mf, c_minus[j], c_plus[j], quad)
+        assert abs(pressures[j] - quasifree_pressure(mf, c_minus[j], c_plus[j], quad)) <= 1e-15
+        assert abs(pairs[j] - pair) <= 1e-15 and abs(densities[j] - density) <= 1e-15
+        assert abs(row[j] - quasifree_pressure(mf, c_minus[j], 0.4, quad)) <= 1e-15
+
+
+def test_refinement_failure_carries_the_failing_lane():
+    mf = MeanFieldParams(beta=4.0, hopping=discrete_laplacian(1), eta_minus=1.0)
+    quad = QuadratureSpec(points_per_axis=24)
+    assert np.isfinite(quasifree_pressure(mf, 2.0, 0.0, quad))  # a wide gap converges
+    with pytest.raises(AccuracyError) as lone:
+        quasifree_pressure(mf, 1.0, 0.0, quad)
+    with pytest.raises(AccuracyError) as batched:
+        quasifree_pressure(mf, np.array([2.0, 1.0, 0.0]), 0.0, quad)
+    # the first failing lane, c_- = 1, with the same two values as its own call
+    for key in ("base", "refined"):
+        assert abs(batched.value.values[key] - lone.value.values[key]) <= 1e-15
+
+
+def test_tally_counts_kernel_calls_lanes_and_the_refinement_margin():
+    mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1), eta_plus=0.5, eta_minus=1.0)
+    tally = quasifree.ZoneTally()
+    quad = QuadratureSpec()
+    quasifree_pressure(mf, np.linspace(0.0, 1.0, 5), 0.3, quad, tally)
+    quasifree_pressure(mf, 0.2, 0.3, quad, tally)
+    bz_gibbs_expectations(mf, 0.2, 0.3, quad, tally)
+    assert (tally.kernel_calls, tally.pressure_lanes) == (5, 6)  # two resolutions per pressure
+    n = quad.resolve_points(1)
+    margin = max(abs(quasifree._pressure_at(mf, x, 0.3, quad.scheme, 2 * n)
+                     - quasifree._pressure_at(mf, x, 0.3, quad.scheme, n))
+                 for x in (0.0, 0.25, 0.5, 0.75, 1.0, 0.2))
+    assert 0.0 < tally.refinement_margin == pytest.approx(margin, abs=1e-16)
+    assert tally.refinement_margin <= quad.tol
+
+
 def test_midpoint_and_gauss_agree_when_converged():
     mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1),
                          eta_plus=0.7, eta_minus=0.9)
