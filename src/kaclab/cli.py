@@ -122,16 +122,35 @@ def cmd_gap(args) -> int:
     return EXIT_OK
 
 
+def _check_sweep_eta(cfg) -> None:
+    """ConfigError unless each eta is fhat(0) of its potential (0 without
+    one) to 1e-12 relative: the Kac records depend on the potentials
+    alone, so their game is that of eta = fhat(0)."""
+    errors = []
+    for role in ("plus", "minus"):
+        if cfg.normalized["eta"][role] is None:  # not given: parsed as fhat(0)
+            continue
+        pot, eta = getattr(cfg, f"f_{role}"), getattr(cfg, f"eta_{role}")
+        fhat0 = 0.0 if pot is None else float(pot.born_zero())
+        if abs(eta - fhat0) > 1e-12 * abs(fhat0):
+            errors.append(f"eta.{role} = {eta!r} differs from fhat_{role}(0) = {fhat0!r}; "
+                          f"kac-sweep compares its records with the game of its potentials")
+    if errors:
+        raise ConfigError(errors)
+
+
 def cmd_kac_sweep(args) -> int:
     cfg = parse_config(args.config)
+    _check_sweep_eta(cfg)
     chash = config_hash(cfg)
     store = ResultStore(args.out or cfg.output_dir)
     summary = {}
     for beta in cfg.beta:
         plan = cfg.sweep_plan(beta)
         failures: list = []
+        stages: list = []
         records = sweep.run_sweep(plan, store=store, threads=args.threads,
-                                  config_hash=chash, failures=failures)
+                                  config_hash=chash, failures=failures, stages=stages)
         mf = cfg.meanfield_params(beta)
         game_result = game.solve_game(mf, cfg.quadrature, cfg.optimizer)
         report = sweep.limit_report(records, game_result, plan)
@@ -146,7 +165,7 @@ def cmd_kac_sweep(args) -> int:
              "L_list": list(plan.L_list),
              "gamma_minus": list(plan.gamma_minus_schedule),
              "gamma_plus": list(plan.gamma_plus_schedule),
-             "limit_report": report.as_dict()},
+             "limit_report": report.as_dict(), "fresh_records": stages},
         )
     _emit({"kac_sweep": summary, "config_hash": chash, "out": store.out_dir})
     return EXIT_OK
@@ -162,7 +181,8 @@ def cmd_plot_data(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Fast oracle suite: CAR algebra, two-mode trace, Poisson identity,
-    ED/momentum duality, momentum blocks against plain sector blocks."""
+    ED/momentum duality, momentum blocks against plain sector blocks, and
+    blocks built from the representatives against those of the global matrix."""
     from .lattice import MeanFieldParams, ModelParams, discrete_laplacian
 
     checks = []
@@ -214,6 +234,12 @@ def cmd_selftest(args) -> int:
         for idx in (np.flatnonzero(label == c) for c in np.unique(label))]))
     defect = float(np.max(np.abs(momentum.eigenvalues() - spectrum)))
     checks.append(("momentum vs (N, 2S_z) sectors, 5-site periodic Kac box", defect, 1e-12))
+    # the same blocks built from the orbit representatives of the site data
+    built = fock.build_kac_hamiltonian(mp, box)
+    same = built.mult == momentum.mult
+    defect = max((float(np.max(np.abs(B - momentum.blocks[k]))) for k, B in built.blocks.items()),
+                 default=0.0) if same else float("inf")
+    checks.append(("representative build vs global matrix, 5-site periodic Kac box", defect, 1e-12))
 
     failed = False
     for name, value, tol in checks:

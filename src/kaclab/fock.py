@@ -7,9 +7,13 @@ anticommutation relations exactly.  Occupation bitstrings index the basis;
 bit m of the state integer is the occupancy of mode m.
 
 Every operator, from a single a_m to the full Hamiltonians, is built by
-one kernel, ``_apply``, which maps all basis states at once through a
-product of ladder operators with bit arithmetic; a term list of such
-products becomes one COO matrix.
+one kernel, ``_apply``, which maps a set of basis states at once through
+products of ladder operators with bit arithmetic; a term list of such
+products, plus a diagonal, gives the entries in the columns of those
+states.  The Hamiltonians are given by their site data (``_Sites``: the
+hopping, density and pair-hopping matrices, on-site scalars and a pair
+field), and only the columns of the orbit representatives below are ever
+built for their blocks: 2,344 of 16,384 states at 7 sites.
 
 Operators are stored as dense blocks labelled by conserved charges and a
 momentum: keys (N, 2*S_z, q) for operators that conserve particle number
@@ -24,18 +28,22 @@ reordering sign; a block (charges, q) holds the Bloch states
 of the orbit representatives r (orbit minima) with N_r != 0.  On an open
 box, or a basis made from a bare site count, G is trivial and the blocks
 are the plain (N, 2*S_z) or parity blocks with q = 0.  ``from_sparse``
-fills the blocks from one global COO matrix: any nonzero element between
-two charge sectors is an error, and so is a matrix that is not invariant
-under each unit translation to 1e-12 max(1, max|H|); neither is ever
-compressed silently.
+fills the blocks from the entries in the representative columns: any
+nonzero element between two charge sectors is an error, and so is an
+operator that is not invariant under each unit translation; neither is
+ever compressed silently.  A global sparse matrix (the oracle of the tests
+and of ``selftest``) is checked as a whole, translations to
+1e-12 max(1, max|H|).  The site data of a builder are checked on the site
+matrices, by a bound that rejects every operator the global check rejects.
 
 Two pairings make blocks redundant, and only the lowest block of each
 class is filled and diagonalized, with the class size as its
 multiplicity.  A real H (all Kac and mean-field Hamiltonians, and the
 approximating one at real c_-) has the complex-conjugate block at -k, so
 k pairs with -k.  Under number blocking, an H invariant under the up <->
-down swap (checked like a translation) has the same spectrum at 2*S_z and
--2*S_z.  An H that fails a check keeps multiplicity 1 on that pairing.
+down swap (checked like a translation for a global matrix; site data that
+conserve number always are) has the same spectrum at 2*S_z and -2*S_z.
+An H that fails a check keeps multiplicity 1 on that pairing.
 The 7-site periodic chain has 424 (N, 2*S_z, q) blocks in 135 classes of
 size 1, 2 or 4; the kept blocks have order at most 175 and sum dim^3 =
 8.7e7 (all 424: 2.2e8; without momentum: 64 blocks up to order 1225,
@@ -86,7 +94,7 @@ class _Blocks(NamedTuple):
     block: np.ndarray   # (|G|, dim) block id of Bloch state (q, s); -1 if none
     pos: np.ndarray     # (|G|, dim) position of s in that block
     dims: np.ndarray    # order of each block
-    by_q: list          # ids of the blocks of each q
+    q: np.ndarray       # momentum index of each block
     conj: np.ndarray    # id of the block (charges, -q) of each block
     flip: np.ndarray    # id of the block with up and down swapped, (N, -2 S_z, q)
 
@@ -100,10 +108,13 @@ class FockBasis:
     basis, like that of an open box, has the trivial group.
 
     Per state s: ``rep[s]``, the minimum of its orbit, the index ``to_rep[s]``
-    of a group element h and the sign ``rep_sign[s]`` with T_h |s> = sign |rep>.  Per
-    momentum q and state: ``bloch_norm[q, s]``, the norm N_s of the Bloch
-    state of a representative s (zero for every other state).  ``spin_flip``
-    holds the image and sign of every state under the up <-> down swap.
+    of a group element h and the sign ``rep_sign[s]`` with T_h |s> = sign |rep>;
+    ``reps`` lists the representatives.  Per momentum q and state:
+    ``bloch_norm[q, s]``, the norm N_s of the Bloch state of a
+    representative s (zero for every other state).  Per unit translation:
+    the image and sign of every state (``generators``) and the image of
+    every site (``site_shifts``).  ``spin_flip`` holds the image and sign of
+    every state under the up <-> down swap.
     """
 
     def __init__(self, box, dimension_cap: int = DEFAULT_DIMENSION_CAP):
@@ -122,11 +133,13 @@ class FockBasis:
         # group elements h in Z_m^d, with the image and sign of every state
         shifts, images, signs = np.zeros((1, d), dtype=np.int64), states[None], np.ones((1, dim))
         self.generators = []  # (image, sign) of each unit translation
+        self.site_shifts = []  # image of every site under each unit translation
         for j in range(d if m > 1 else 0):
             unit = np.eye(d, dtype=np.int64)[j]
             site = box.wrap_index(box.sites + unit)
             image, sign = _permute_modes(states, np.concatenate([site, site + n]))
             self.generators.append((image, sign))
+            self.site_shifts.append(site)
             rows = [(shifts, images, signs)]
             for _ in range(m - 1):  # T_{h+e_j} = T_{e_j} T_h
                 sh, im, sg = rows[-1]
@@ -142,7 +155,7 @@ class FockBasis:
         self.rep = images.min(axis=0)
         self.to_rep = images.argmin(axis=0)
         self.rep_sign = signs[self.to_rep, states]
-        reps = np.flatnonzero(self.rep == states)
+        self.reps = reps = np.flatnonzero(self.rep == states)
         in_stab = images[:, reps] == reps
         self.bloch_norm = np.zeros((len(shifts), dim))
         self.bloch_norm[:, reps] = np.rint(
@@ -185,14 +198,13 @@ class FockBasis:
             np.cumsum(dims) - dims, dims)
         keys = [(*map(int, c), int(k)) for c, k in zip(charges[reps[first]], q[first])]
         members = dict(zip(keys, np.split(reps[order], np.cumsum(dims)[:-1])))
-        by_q = [np.flatnonzero(q[first] == k) for k in range(n_q)]
         # Bloch norms are even in k and the spin flip maps orbits onto orbits,
         # so both partners of every block exist
         r, k = reps[first], q[first]
         conj = np.searchsorted(labels, sector[r] * n_q + self._neg[k])
         flip = np.searchsorted(
             labels, np.ravel_multi_index((flipped[r] - low).T, shape) * n_q + k)
-        return _Blocks(members, sector, block, pos, dims, by_q, conj, flip)
+        return _Blocks(members, sector, block, pos, dims, k, conj, flip)
 
     def sectors(self, blocking: str) -> dict:
         """Map block key -> array of its representatives; every state's orbit
@@ -201,7 +213,7 @@ class FockBasis:
 
     def annihilator(self, m: int) -> sp.csr_matrix:
         """Sparse matrix of a_m with the Jordan-Wigner sign convention."""
-        src, dst, sign = _apply(np.arange(self.dim), ((m, False),))
+        _, src, dst, sign = _apply(np.arange(self.dim), ((m, False),))
         return sp.csr_matrix((sign.astype(float), (dst, src)), shape=(self.dim, self.dim))
 
 
@@ -258,20 +270,22 @@ def _permute_modes(states: np.ndarray, perm: np.ndarray) -> tuple:
 
 
 def _apply(states: np.ndarray, ops) -> tuple:
-    """Map basis states through a product of ladder operators.
+    """Map basis states through products of ladder operators.
 
     ``ops`` lists (mode, dagger) factors in product order, so the last
-    factor acts first.  Returns the states that survive, their images and
-    the Jordan-Wigner signs: <dst| product |src> = sign.
+    factor acts first.  A mode may be an array, one mode per product, and
+    every product maps every state.  Returns, for each nonzero
+    <dst| product_j |src> = sign, the product index j, src, dst and the
+    Jordan-Wigner sign, ordered by j and then as ``states``.
     """
-    src = dst = states
-    sign = np.ones(len(states), dtype=np.int64)
+    dst, alive, flips = states.astype(np.int32)[None, :], True, 0  # 2 n_sites < 31 bits
     for m, dagger in reversed(ops):
-        keep = ((dst >> m) & 1) != dagger  # a_m needs mode m filled, a^dag_m empty
-        src, dst, sign = src[keep], dst[keep], sign[keep]
-        sign = np.where(np.bitwise_count(dst & ((1 << m) - 1)) & 1, -sign, sign)
+        m = np.reshape(m, (-1, 1)).astype(np.int32)
+        alive = alive & (((dst >> m) & 1) != dagger)  # a_m needs mode m filled, a^dag_m empty
+        flips = flips + np.bitwise_count(dst & ((1 << m) - 1))
         dst = dst ^ (1 << m)
-    return src, dst, sign
+    j, col = np.nonzero(alive)
+    return j, states[col], dst[j, col], np.where(flips[j, col] & 1, -1, 1)
 
 
 def _adjoint(ops) -> tuple:
@@ -279,28 +293,43 @@ def _adjoint(ops) -> tuple:
     return tuple((m, not dagger) for m, dagger in reversed(ops))
 
 
-def _pair(basis: FockBasis, x: int) -> tuple:
-    """Ladder factors of P_x = a_{x,down} a_{x,up}."""
+def _pair(basis: FockBasis, x) -> tuple:
+    """Ladder factors of P_x = a_{x,down} a_{x,up} (of each site of an array x)."""
     return ((basis.mode(x, DOWN), False), (basis.mode(x, UP), False))
 
 
-def _coo(basis: FockBasis, terms, diag=None) -> sp.coo_matrix:
-    """sum coef * product over (coef, ops) terms, plus a diagonal, as one COO matrix."""
-    states = np.arange(basis.dim)
+def _triples(states: np.ndarray, terms, diag=None) -> tuple:
+    """Entries (rows, cols, vals) in the columns ``states`` of sum coef *
+    product over (coef, ops) terms, plus a diagonal (one value per state);
+    ops may stand for several products (see ``_apply``), coef holds one
+    coefficient per product."""
     rows, cols, vals = [], [], []
     for coef, ops in terms:
-        src, dst, sign = _apply(states, ops)
+        j, src, dst, sign = _apply(states, ops)
         rows.append(dst)
         cols.append(src)
-        vals.append(coef * sign)
+        vals.append(coef[j] * sign)
     if diag is not None:
         rows.append(states)
         cols.append(states)
         vals.append(diag)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-    )
+    return tuple(np.concatenate(part) for part in (rows, cols, vals))
+
+
+def _check_sectors(layout: _Blocks, blocking: str, row: np.ndarray, col: np.ndarray,
+                   data: np.ndarray, rep: np.ndarray | None = None) -> None:
+    """Raise KaclabError if a nonzero entry joins two charge sectors.
+
+    With ``rep`` (the representative of every state) the entries are the
+    columns of representatives of a translation-invariant leak, and each
+    counts once per state of its orbit."""
+    leaking = col[(layout.sector[row] != layout.sector[col]) & (data != 0)]
+    if len(leaking):
+        count = len(leaking) if rep is None else int(np.bincount(rep)[leaking].sum())
+        raise KaclabError(
+            f"operator has {count} nonzero matrix elements outside the declared "
+            f"{blocking!r} sectors"
+        )
 
 
 def _invariance_defect(H: sp.csr_matrix, coo: sp.coo_matrix, image: np.ndarray,
@@ -313,12 +342,9 @@ def _invariance_defect(H: sp.csr_matrix, coo: sp.coo_matrix, image: np.ndarray,
     return abs(moved - H).max()
 
 
-def _check_translation_invariance(basis: FockBasis, H: sp.csr_matrix, coo: sp.coo_matrix,
-                                  tol: float) -> None:
-    """Raise KaclabError unless T H T^dag = H to tol for every unit
-    translation T of the basis."""
-    for image, sign in basis.generators:
-        defect = _invariance_defect(H, coo, image, sign)
+def _check_translation_invariance(defects, tol: float) -> None:
+    """Raise KaclabError if the defect of any unit translation exceeds tol."""
+    for defect in defects:
         if defect > tol:
             raise KaclabError(
                 f"operator is not invariant under the translations of its periodic box "
@@ -349,34 +375,50 @@ class FockOperator:
         self._eigs: dict | None = None
 
     @classmethod
-    def from_sparse(cls, basis: FockBasis, H: sp.spmatrix, blocking: str) -> "FockOperator":
+    def from_sparse(cls, basis: FockBasis, H: sp.spmatrix | _Sites,
+                    blocking: str) -> "FockOperator":
         """Dense (charges, q) blocks of H, one per symmetry class.
 
-        Raises KaclabError if any nonzero entry joins two charge sectors or
-        H is not invariant under a unit translation of the basis.  A real H
-        pairs the blocks at k and -k, which are complex conjugates; under
-        number blocking, an H invariant under the up <-> down swap (to the
-        tolerance of the translation check) pairs (N, 2 S_z, q) with
-        (N, -2 S_z, q).  Only the lowest block of each class is filled.
+        H is a sparse matrix on the basis, or the site data ``_Sites`` of a
+        Hamiltonian of its box.  Raises KaclabError if any nonzero entry
+        joins two charge sectors or H is not invariant under a unit
+        translation of the basis.  A real H pairs the blocks at k and -k,
+        which are complex conjugates; under number blocking, an H invariant
+        under the up <-> down swap pairs (N, 2 S_z, q) with (N, -2 S_z, q).
+        Only the lowest block of each class is filled, from the entries of
+        H in the columns of the orbit representatives.
+
+        A sparse matrix is checked as a whole: translations and the swap to
+        1e-12 max(1, max|H|).  Site data are checked on the site matrices
+        (``_Sites.check_translations``); they are real when the pair field
+        is, and every number-conserving one is swap invariant by
+        construction.  Their entries are built in the representative
+        columns only.
         """
         layout = basis._sector_map(blocking)
-        H = sp.csr_matrix(H)
-        H.sum_duplicates()
-        coo = H.tocoo()
-        leaks = np.count_nonzero(coo.data[layout.sector[coo.row] != layout.sector[coo.col]])
-        if leaks:
-            raise KaclabError(
-                f"operator has {leaks} nonzero matrix elements outside the declared "
-                f"{blocking!r} sectors"
-            )
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(coo.data), initial=0.0)))
-        _check_translation_invariance(basis, H, coo, tol)
-        real = not np.any(np.imag(coo.data))
-        flip = blocking == NUMBER and _invariance_defect(H, coo, *basis.spin_flip) <= tol
+        if isinstance(H, _Sites):
+            row, col, data = H.triples(basis, basis.reps)
+            _check_sectors(layout, blocking, row, col, data, basis.rep)
+            H.check_translations(basis)
+            real = np.isrealobj(H.pair_field)
+            flip = blocking == NUMBER
+        else:
+            H = sp.csr_matrix(H)
+            H.sum_duplicates()
+            coo = H.tocoo()
+            _check_sectors(layout, blocking, coo.row, coo.col, coo.data)
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(coo.data), initial=0.0)))
+            _check_translation_invariance(
+                (_invariance_defect(H, coo, image, sign) for image, sign in basis.generators),
+                tol)
+            real = not np.any(np.imag(coo.data))
+            flip = blocking == NUMBER and _invariance_defect(H, coo, *basis.spin_flip) <= tol
+            at_rep = basis.rep[coo.col] == coo.col
+            row, col, data = coo.row[at_rep], coo.col[at_rep], coo.data[at_rep]
         mult = _classes(layout, real, flip)
         keys = list(layout.members)
         kept = np.flatnonzero(mult)
-        blocks = _fill(basis, layout, coo, mult > 0)
+        blocks = _fill(basis, layout, (row, col, data), mult > 0)
         return cls(basis, blocking, {keys[i]: blocks[i] for i in kept},
                    {keys[i]: int(mult[i]) for i in kept})
 
@@ -407,40 +449,40 @@ class FockOperator:
                                        for k, w in self._spectra().items()]))
 
 
-def _fill(basis: FockBasis, layout: _Blocks, coo: sp.coo_matrix, wanted: np.ndarray) -> dict:
+def _fill(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np.ndarray) -> dict:
     """Dense blocks {id: block} of the wanted block ids, in one pass per
-    momentum that has any.
+    momentum that has any, from the entries (rows, cols, vals) of an
+    operator in the columns of the orbit representatives.
 
     Entry H[s, r] at a representative r adds H[s, r] sign_s chi_q(h_s)
     (N_{rep(s)}/N_r)^{1/2} at (rep(s), r) of block q, where
-    T_{h_s} |s> = sign_s |rep(s)> and chi_q(h) = exp(-i k_q.h).
+    T_{h_s} |s> = sign_s |rep(s)> and chi_q(h) = exp(-i k_q.h).  A block is
+    complex if the entries or chi_q are.  The blocks of each kind are views
+    of one zeroed buffer: the fresh pages of the blocks, not the scatter,
+    are most of the cost, and numpy asks for huge pages from 4 MiB on.
     """
-    at_rep = basis.rep[coo.col] == coo.col
-    src, col, data = coo.row[at_rep], coo.col[at_rep], coo.data[at_rep]
-    row = basis.rep[src]
+    src, col, data = entries
+    row, sign, to_rep = basis.rep[src], basis.rep_sign[src], basis.to_rep[src]
     dims = layout.dims
-    blocks = {}
-    for q, ids in enumerate(layout.by_q):
-        ids = ids[wanted[ids]]
-        if not len(ids):
-            continue
-        sizes = dims[ids] ** 2
-        offset = np.zeros(len(dims), dtype=np.int64)
-        offset[ids] = np.cumsum(sizes) - sizes
+    chi_complex = np.any(basis._chi.imag, axis=1)
+    cplx_q = (chi_complex | np.iscomplexobj(data)).astype(int)
+    cplx = cplx_q[layout.q]
+    sizes = np.where(wanted, dims ** 2, 0)
+    offset = np.zeros(len(dims), dtype=np.int64)
+    for kind in (0, 1):
+        offset[cplx == kind] = np.cumsum(sizes[cplx == kind]) - sizes[cplx == kind]
+    flats = np.zeros(sizes[cplx == 0].sum()), np.zeros(sizes[cplx == 1].sum(), complex)
+    for q in np.unique(layout.q[wanted]):
         b = layout.block[q, row]
         keep = (b >= 0) & wanted[b] & (layout.block[q, col] >= 0)
-        b, r, s, c = b[keep], row[keep], src[keep], col[keep]
+        b, r, c = b[keep], row[keep], col[keep]
+        vals = data[keep] * sign[keep] * np.sqrt(basis.bloch_norm[q, r] / basis.bloch_norm[q, c])
+        if chi_complex[q]:
+            vals = vals * basis._chi[q, to_rep[keep]]
         at = offset[b] + layout.pos[q, r] * dims[b] + layout.pos[q, c]
-        vals = data[keep] * basis.rep_sign[s] * np.sqrt(
-            basis.bloch_norm[q, r] / basis.bloch_norm[q, c])
-        chi = basis._chi[q]
-        if np.any(chi.imag):
-            vals = vals * chi[basis.to_rep[s]]
-        flat = np.zeros(int(sizes.sum()), dtype=vals.dtype)
-        np.add.at(flat, at, vals)
-        for i in ids:
-            blocks[i] = flat[offset[i]:offset[i] + dims[i] ** 2].reshape(dims[i], dims[i])
-    return blocks
+        np.add.at(flats[cplx_q[q]], at, vals)
+    return {i: flats[cplx[i]][offset[i]:offset[i] + dims[i] ** 2].reshape(dims[i], dims[i])
+            for i in np.flatnonzero(wanted)}
 
 
 # ---------------------------------------------------------------------------
@@ -448,42 +490,102 @@ def _fill(basis: FockBasis, layout: _Blocks, coo: sp.coo_matrix, wanted: np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _assemble(basis: FockBasis, *, t=None, v_plus=None, pair_w=None,
-              density_onebody: float = 0.0, double_occ: float = 0.0,
-              pair_field: complex = 0.0) -> sp.coo_matrix:
-    """Shared assembly: H = one-body + density-density + pair hopping
-    + density_onebody * sum n + double_occ * sum n_up n_dn
-    + sum_x (conj(g) P^dag_x + g P_x) with g = pair_field.
+@dataclass(frozen=True)
+class _Sites:
+    """Site data of a Hamiltonian of a box,
 
-    Hops t[x,y] a^dag_{x,s} a_{y,s} and pair hops w[x,y] P^dag_y P_x
-    with x != y are ladder products; their on-site parts t[x,x] n_{x,s}
-    and w[x,x] n_{x,up} n_{x,dn}, the density-density term
-    sum_{x,y} v[x,y] n_x n_y and the on-site terms are diagonal.
+        H = sum_{x,y,s} t[x,y] a^dag_{x,s} a_{y,s} + sum_{x,y} v_plus[x,y] n_x n_y
+            + sum_{x,y} pair_w[x,y] P^dag_y P_x + density_onebody sum_x n_x
+            + double_occ sum_x n_{x,up} n_{x,dn} + sum_x (conj(g) P^dag_x + g P_x)
+
+    with g = pair_field.  Every builder hands these to
+    ``FockOperator.from_sparse``, which builds the entries of the
+    representative columns only; ``matrix`` is the global matrix.
     """
-    n = basis.n_sites
-    up, down = basis.occ[:, :n], basis.occ[:, n:]
-    diag = density_onebody * basis.n_tot + double_occ * (up * down).sum(axis=1)
-    off_site = ~np.eye(n, dtype=bool)
-    terms = []
-    if t is not None:
-        t = np.asarray(t, float)
-        terms += [(t[x, y], ((basis.mode(x, s), True), (basis.mode(y, s), False)))
-                  for x, y in zip(*np.nonzero(t * off_site)) for s in (UP, DOWN)]
-        diag = diag + (up + down) @ np.diag(t)
-    if pair_w is not None:
-        w = np.asarray(pair_w, float)
-        terms += [(w[x, y], _adjoint(_pair(basis, y)) + _pair(basis, x))
-                  for x, y in zip(*np.nonzero(w * off_site))]
-        diag = diag + (up * down) @ np.diag(w)
-    g = complex(pair_field)
-    if g != 0.0:
-        g = g if g.imag else g.real  # a real field keeps the blocks real
-        for x in range(n):
-            terms += [(g, _pair(basis, x)), (np.conj(g), _adjoint(_pair(basis, x)))]
-    if v_plus is not None:
-        n_site = (up + down).astype(float)
-        diag = diag + np.einsum("sx,xy,sy->s", n_site, np.asarray(v_plus, float), n_site)
-    return _coo(basis, terms, diag)
+
+    t: np.ndarray | None = None
+    v_plus: np.ndarray | None = None
+    pair_w: np.ndarray | None = None
+    density_onebody: float = 0.0
+    double_occ: float = 0.0
+    pair_field: complex = 0.0
+
+    def __post_init__(self):
+        for name in ("t", "v_plus", "pair_w"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        g = complex(self.pair_field)
+        object.__setattr__(self, "pair_field", g if g.imag else g.real)  # real keeps blocks real
+
+    def triples(self, basis: FockBasis, states: np.ndarray) -> tuple:
+        """Entries (rows, cols, vals) of H in the columns ``states``.
+
+        Hops t[x,y] a^dag_{x,s} a_{y,s} and pair hops w[x,y] P^dag_y P_x
+        with x != y are ladder products; their on-site parts t[x,x] n_{x,s}
+        and w[x,x] n_{x,up} n_{x,dn}, the density-density term and the
+        on-site terms are diagonal.
+        """
+        n = basis.n_sites
+        occ = basis.occ[states]
+        up, down = occ[:, :n], occ[:, n:]
+        diag = (self.density_onebody * basis.n_tot[states]
+                + self.double_occ * (up * down).sum(axis=1))
+        off_site = ~np.eye(n, dtype=bool)
+        terms = []
+        t, w, g = self.t, self.pair_w, self.pair_field
+        if t is not None:  # one product per (x, y) and spin
+            x, y = np.nonzero(t * off_site)
+            spins = np.array([UP, DOWN])
+            hop = ((basis.mode(x[:, None], spins).ravel(), True),
+                   (basis.mode(y[:, None], spins).ravel(), False))
+            terms.append((np.repeat(t[x, y], 2), hop))
+            diag = diag + (up + down) @ np.diag(t)
+        if w is not None:
+            x, y = np.nonzero(w * off_site)
+            terms.append((w[x, y], _adjoint(_pair(basis, y)) + _pair(basis, x)))
+            diag = diag + (up * down) @ np.diag(w)
+        if g != 0.0:
+            sites = np.arange(n)
+            terms += [(np.full(n, g), _pair(basis, sites)),
+                      (np.full(n, np.conj(g)), _adjoint(_pair(basis, sites)))]
+        if self.v_plus is not None:
+            n_site = (up + down).astype(float)
+            diag = diag + np.einsum("sx,xy,sy->s", n_site, self.v_plus, n_site)
+        return _triples(states, terms, diag)
+
+    def matrix(self, basis: FockBasis) -> sp.coo_matrix:
+        """H on every column of the basis, as one COO matrix."""
+        row, col, data = self.triples(basis, np.arange(basis.dim))
+        return sp.coo_matrix((data, (row, col)), shape=(basis.dim, basis.dim))
+
+    def check_translations(self, basis: FockBasis) -> None:
+        """Raise KaclabError unless H is invariant under every unit
+        translation of the basis, checked on the site matrices.
+
+        T H T^dag is H with t, v_plus and pair_w moved along the sites, and
+        the scalars are uniform.  An off-diagonal entry of T H T^dag - H is
+        one off-site difference of t or w; a diagonal entry sums those of
+        t[x,x] n_x, v[x,y] n_x n_y and w[x,x] n_{x,up} n_{x,dn}, with
+        n_x <= 2.  So the weighted sum of differences below bounds the defect
+        of the global check.  Its tolerance, 1e-12 max(1, largest off-site
+        |t| or |w|), is at most that of the global check, as these are
+        entries of H: every H that the global check rejects is rejected here.
+        """
+        n = basis.n_sites
+        weighted = [(m, weight) for m, weight in
+                    ((self.t, 1.0 + np.eye(n)), (self.pair_w, 1.0), (self.v_plus, 4.0))
+                    if m is not None]
+        defects = (sum(float(np.sum(weight * np.abs(m[np.ix_(site, site)] - m)))
+                       for m, weight in weighted) for site in basis.site_shifts)
+        off_site = ~np.eye(n, dtype=bool)
+        scale = max((float(np.max(np.abs(m[off_site]), initial=0.0))
+                     for m in (self.t, self.pair_w) if m is not None), default=0.0)
+        _check_translation_invariance(defects, 1e-12 * max(1.0, scale))
+
+
+def _assemble(basis: FockBasis, **terms) -> sp.coo_matrix:
+    """The global COO matrix of ``_Sites(**terms)`` on a basis."""
+    return _Sites(**terms).matrix(basis)
 
 
 def build_kac_hamiltonian(mp: ModelParams, box: LatticeBox,
@@ -498,11 +600,11 @@ def build_kac_hamiltonian(mp: ModelParams, box: LatticeBox,
     are added; they vanish like gamma^d in the Kac limit.
     """
     basis = _box_basis(box, dimension_cap)
-    return FockOperator.from_sparse(basis, _kac_matrix(mp, box, basis), NUMBER)
+    return FockOperator.from_sparse(basis, _kac_sites(mp, box), NUMBER)
 
 
-def _kac_matrix(mp: ModelParams, box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
-    """COO matrix of the Kac Hamiltonian of the box on a basis of its size."""
+def _kac_sites(mp: ModelParams, box: LatticeBox) -> _Sites:
+    """Site data of the Kac Hamiltonian of the box."""
     t = hopping_matrix(mp.hopping, box)
     v_plus = kac_coupling_matrix(mp.f_plus, mp.gamma_plus, box) if mp.f_plus else None
     v_minus = kac_coupling_matrix(mp.f_minus, mp.gamma_minus, box) if mp.f_minus else None
@@ -516,8 +618,7 @@ def _kac_matrix(mp: ModelParams, box: LatticeBox, basis: FockBasis) -> sp.coo_ma
         if mp.f_minus is not None:
             f0 = float(mp.f_minus.eval(np.zeros(d)))
             double_occ += 0.5 * mp.gamma_minus**d * f0
-    return _assemble(
-        basis,
+    return _Sites(
         t=t,
         v_plus=v_plus,
         pair_w=(-v_minus if v_minus is not None else None),
@@ -526,20 +627,30 @@ def _kac_matrix(mp: ModelParams, box: LatticeBox, basis: FockBasis) -> sp.coo_ma
     )
 
 
+def _kac_matrix(mp: ModelParams, box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
+    """COO matrix of the Kac Hamiltonian of the box on a basis of its size."""
+    return _kac_sites(mp, box).matrix(basis)
+
+
 def build_meanfield_hamiltonian(mf: MeanFieldParams, box: LatticeBox,
                                 dimension_cap: int = DEFAULT_DIMENSION_CAP) -> FockOperator:
     """H = T + (eta_+/|box|) sum nn - (eta_-/|box|) sum P^dag P; conserves N."""
     basis = _box_basis(box, dimension_cap)
-    return FockOperator.from_sparse(basis, _meanfield_matrix(mf, box, basis), NUMBER)
+    return FockOperator.from_sparse(basis, _meanfield_sites(mf, box), NUMBER)
 
 
-def _meanfield_matrix(mf: MeanFieldParams, box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
-    """COO matrix of the mean-field Hamiltonian of the box on a basis of its size."""
+def _meanfield_sites(mf: MeanFieldParams, box: LatticeBox) -> _Sites:
+    """Site data of the mean-field Hamiltonian of the box."""
     n = box.n_sites
     t = hopping_matrix(mf.hopping, box)
     v_plus = np.full((n, n), mf.eta_plus / n) if mf.eta_plus else None
     pair_w = np.full((n, n), -mf.eta_minus / n) if mf.eta_minus else None
-    return _assemble(basis, t=t, v_plus=v_plus, pair_w=pair_w)
+    return _Sites(t=t, v_plus=v_plus, pair_w=pair_w)
+
+
+def _meanfield_matrix(mf: MeanFieldParams, box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
+    """COO matrix of the mean-field Hamiltonian of the box on a basis of its size."""
+    return _meanfield_sites(mf, box).matrix(basis)
 
 
 def build_approximating_hamiltonian(mf: MeanFieldParams, c_minus: complex,
@@ -552,16 +663,21 @@ def build_approximating_hamiltonian(mf: MeanFieldParams, c_minus: complex,
     which only conserves fermion parity.
     """
     basis = _box_basis(box, dimension_cap)
-    return FockOperator.from_sparse(
-        basis, _approximating_matrix(mf, c_minus, c_plus, box, basis), PARITY)
+    return FockOperator.from_sparse(basis, _approximating_sites(mf, c_minus, c_plus, box),
+                                    PARITY)
+
+
+def _approximating_sites(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
+                         box: LatticeBox) -> _Sites:
+    """Site data of the approximating Hamiltonian of the box."""
+    shift, g = mf.approximating_fields(c_minus, c_plus)
+    return _Sites(t=hopping_matrix(mf.hopping, box), density_onebody=shift, pair_field=-g)
 
 
 def _approximating_matrix(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
                           box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
     """COO matrix of the approximating Hamiltonian of the box on a basis of its size."""
-    shift, g = mf.approximating_fields(c_minus, c_plus)
-    return _assemble(basis, t=hopping_matrix(mf.hopping, box), density_onebody=shift,
-                     pair_field=-g)
+    return _approximating_sites(mf, c_minus, c_plus, box).matrix(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +719,7 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     acc_pair = 0.0 + 0.0j
     if parity:  # blocks of the pair order parameter (1/n) sum_x P_x
         layout = basis._sector_map(PARITY)
-        pair_op = _coo(basis, [(1.0 / n, _pair(basis, x)) for x in range(n)])
+        pair_op = _triples(basis.reps, [(np.full(n, 1.0 / n), _pair(basis, np.arange(n)))])
         keys = list(layout.members)
         wanted = np.array([key in op.blocks for key in keys])
         pair_blocks = {keys[i]: B for i, B in _fill(basis, layout, pair_op, wanted).items()}

@@ -91,10 +91,16 @@ class GamePoint:
     c_plus: float
 
     def __post_init__(self):
-        c_minus, c_plus = np.asarray(self.c_minus), np.asarray(self.c_plus)
-        if (c_minus < 0).any():
+        c_minus, c_plus = self.c_minus, self.c_plus
+        if isinstance(c_minus, (int, float)) and isinstance(c_plus, (int, float)):
+            negative, finite = c_minus < 0, math.isfinite(c_minus) and math.isfinite(c_plus)
+        else:  # lanes
+            c_minus, c_plus = np.asarray(c_minus), np.asarray(c_plus)
+            negative = (c_minus < 0).any()
+            finite = np.isfinite(c_minus).all() and np.isfinite(c_plus).all()
+        if negative:
             raise ConfigError("c_minus is a gauge-fixed modulus, must be >= 0")
-        if not (np.isfinite(c_minus).all() and np.isfinite(c_plus).all()):
+        if not finite:
             raise ConfigError("game point must be finite")
 
 

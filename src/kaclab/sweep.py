@@ -116,29 +116,39 @@ class SweepRecord:
         return (self.L, self.gamma_minus, self.gamma_plus)
 
 
-def _evaluate(plan: SweepPlan, key, config_hash: str) -> SweepRecord:
+def _evaluate(plan: SweepPlan, key, config_hash: str) -> tuple:
+    """The record of a key and its stages: build and Gibbs times, the
+    number of blocks kept and the largest."""
     L, gm, gp = key
     t0 = time.perf_counter()
     box = LatticeBox(plan.model.hopping.d, L, plan.boundary)
     mp = replace(plan.model, gamma_minus=gm, gamma_plus=gp)
     op = build_kac_hamiltonian(mp, box, plan.dimension_cap)
+    t1 = time.perf_counter()
     obs = gibbs_observables(op, mp.beta)
-    ms = int(round(1000.0 * (time.perf_counter() - t0)))
-    return SweepRecord(
+    t2 = time.perf_counter()
+    record = SweepRecord(
         d=box.d, L=L, beta=mp.beta, gamma_minus=gm, gamma_plus=gp,
         boundary=plan.boundary, pressure=obs.pressure, density=obs.density,
-        runtime_ms=ms, config_hash=config_hash,
+        runtime_ms=int(round(1000.0 * (t2 - t0))), config_hash=config_hash,
     )
+    stages = {"L": L, "gamma_minus": gm, "gamma_plus": gp,
+              "build_ms": round(1000.0 * (t1 - t0), 3), "gibbs_ms": round(1000.0 * (t2 - t1), 3),
+              "kept_blocks": len(op.blocks), "largest_block": max(op.sector_dimensions().values())}
+    return record, stages
 
 
 def run_sweep(plan: SweepPlan, store=None, threads: int = 1,
-              config_hash: str = "", failures: list | None = None) -> list:
+              config_hash: str = "", failures: list | None = None,
+              stages: list | None = None) -> list:
     """Evaluate every (L, gamma_-, gamma_+) of the plan.
 
     Records already persisted in the store under the same config_hash, d,
     beta and boundary are reused, not recomputed.  Capacity errors are
     collected per record (into ``failures`` and the log) without aborting
-    the sweep.  The returned list follows the deterministic plan order.
+    the sweep.  Each freshly computed record appends its key, build and
+    Gibbs times (ms), number of kept blocks and largest block to
+    ``stages``.  The returned list follows the deterministic plan order.
     """
     keys = plan.keys()
     results: dict = {}
@@ -173,8 +183,10 @@ def run_sweep(plan: SweepPlan, store=None, threads: int = 1,
             if failures is not None:
                 failures.append((key, str(outcome)))
         else:
-            results[key] = outcome
-            fresh.append(outcome)
+            results[key], stage = outcome
+            fresh.append(results[key])
+            if stages is not None:
+                stages.append(stage)
     if store and fresh:
         store.append_sweep_records(fresh)
     return [results[key] for key in keys if key in results]

@@ -609,6 +609,58 @@ def test_cli_kac_sweep_writes_one_manifest_per_beta(tmp_path, capsys):
     assert [json.loads(p.read_text())["beta"] for p in manifests] == [2.0000001, 2.0000002]
 
 
+def test_cli_kac_sweep_manifest_lists_fresh_records(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    path = write_config(tmp_path, sweep_config())
+    for fresh in (6, 0):  # the second run reuses every record
+        assert main(["kac-sweep", "--config", path, "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        (manifest,) = out_dir.glob("sweep_manifest_beta_*.json")
+        stages = json.loads(manifest.read_text())["fresh_records"]
+        assert len(stages) == fresh
+    with open(out_dir / "sweep.csv") as fh:
+        assert next(csv.reader(fh)) == list(SWEEP_COLUMNS)
+    assert main(["kac-sweep", "--config", path, "--out", str(tmp_path / "again")]) == 0
+    capsys.readouterr()
+    (manifest,) = (tmp_path / "again").glob("sweep_manifest_beta_*.json")
+    stages = json.loads(manifest.read_text())["fresh_records"]
+    assert {(s["L"], s["gamma_minus"]) for s in stages} == {
+        (L, g) for L in (0, 1) for g in (0.5, 0.25, 0.125)}
+    for s in stages:
+        assert s["build_ms"] >= 0 and s["gibbs_ms"] >= 0
+        # 1 site: four (N, 2S_z) blocks of order 1, with (1, 1) and (1, -1)
+        # paired; 3 sites: 17 classes of (N, 2S_z, k) blocks
+        assert (s["kept_blocks"], s["largest_block"]) == ((3, 1) if s["L"] == 0 else (17, 3))
+
+
+def test_cli_kac_sweep_rejects_eta_other_than_its_potentials(tmp_path, capsys):
+    # the Kac records depend on the potentials only; an eta block naming
+    # another mean-field model used to be compared with them silently
+    data = dict(README_CONFIG, L=[1, 2], eta={"plus": 0, "minus": 0})
+    path = write_config(tmp_path, data)
+    assert main(["kac-sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    cfg = parse_config_dict(dict(README_CONFIG))
+    for role, fhat0 in (("plus", cfg.eta_plus), ("minus", cfg.eta_minus)):
+        assert f"eta.{role} = 0.0 differs from fhat_{role}(0) = {fhat0!r}" in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("scale, ok", [(1.0, True), (1 + 1e-13, True), (1 + 1e-11, False)])
+def test_kac_sweep_eta_must_be_fhat_zero(scale, ok):
+    from kaclab.cli import _check_sweep_eta
+
+    fhat0 = parse_config_dict(sweep_config()).eta_minus
+    cfg = parse_config_dict(sweep_config(eta={"minus": fhat0 * scale, "plus": 0.0}))
+    if ok:
+        _check_sweep_eta(cfg)
+    else:
+        with pytest.raises(ConfigError, match="eta.minus"):
+            _check_sweep_eta(cfg)
+    with pytest.raises(ConfigError, match="eta.plus"):  # f_plus is the Yukawa potential
+        _check_sweep_eta(parse_config_dict(minimal_config(eta={"plus": 0.5})))
+
+
 def test_cli_kac_sweep_respects_dimension_cap(tmp_path, capsys):
     out_dir = str(tmp_path / "results")
     path = write_config(tmp_path, sweep_config(L=[0, 1, 2], dimension_cap=64))
@@ -624,8 +676,9 @@ def test_cli_kac_sweep_respects_dimension_cap(tmp_path, capsys):
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
     assert "PASS  momentum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
+    assert "PASS  representative build vs global matrix, 5-site periodic Kac box" in out
 
 
 def test_cli_flags_only_where_used(tmp_path, capsys):

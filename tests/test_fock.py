@@ -18,6 +18,7 @@ from kaclab.fock import (
     FockBasis,
     FockOperator,
     _approximating_matrix,
+    _Sites,
     _assemble,
     _kac_matrix,
     _meanfield_matrix,
@@ -483,6 +484,108 @@ def test_translation_invariance_check():
     with pytest.raises(KaclabError, match="not invariant under the translations"):
         FockOperator.from_sparse(basis, _assemble(basis, t=t), "number")
     FockOperator.from_sparse(FockBasis(box.n_sites), _assemble(basis, t=t), "number")
+
+
+def assert_same_operator(op, oracle):
+    """Same kept blocks and multiplicities, entries to 1e-12."""
+    assert op.blocking == oracle.blocking and op.mult == oracle.mult
+    for key, B in op.blocks.items():
+        assert B.shape == oracle.blocks[key].shape
+        assert np.max(np.abs(B - oracle.blocks[key]), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_representative_build_matches_global_matrix(L, boundary):
+    # the builders fill the blocks from the representative columns of the
+    # site data; from_sparse of the global matrix is the oracle
+    rng = np.random.default_rng(307 + L)
+    box = LatticeBox(1, L, boundary)
+    n = box.n_sites
+    basis = FockBasis(box)
+    hop = HoppingKernel({(0,): rng.normal(), (1,): rng.normal(), (2,): rng.normal()}, 1)
+    mp = ModelParams(beta=1.0, hopping=hop, f_plus=PlainGaussian(rng.uniform(0.5, 2.0), d=1),
+                     f_minus=GaussianMixture([(0.6, (rng.uniform(0.5, 3.0),))], d=1),
+                     gamma_plus=0.45, gamma_minus=0.3, include_onsite_correction=True)
+    mf = MeanFieldParams(beta=1.0, hopping=hop, eta_plus=0.8, eta_minus=1.3)
+    assert_same_operator(build_kac_hamiltonian(mp, box),
+                         FockOperator.from_sparse(basis, _kac_matrix(mp, box, basis), "number"))
+    assert_same_operator(build_meanfield_hamiltonian(mf, box), FockOperator.from_sparse(
+        basis, _meanfield_matrix(mf, box, basis), "number"))
+    if n == 7:
+        return  # 7-site parity blocks hold hundreds of MB
+    for c_minus in (0.45, 0.4 * np.exp(0.9j)):
+        H = _approximating_matrix(mf, c_minus, 0.35, box, basis)
+        assert_same_operator(build_approximating_hamiltonian(mf, c_minus, 0.35, box),
+                             FockOperator.from_sparse(basis, H, "parity"))
+
+
+def periodic_sites(box):
+    """Translation-invariant site data of every kind on a periodic chain."""
+    n = box.n_sites
+    return dict(t=hopping_matrix(discrete_laplacian(1), box), v_plus=np.full((n, n), 0.3),
+                pair_w=-kac_coupling_matrix(PlainGaussian(1.0, d=1), 0.4, box),
+                density_onebody=0.2, double_occ=-0.1)
+
+
+@pytest.mark.parametrize("name", ["t", "v_plus", "pair_w"])
+def test_site_matrix_guard_rejects_non_invariant_terms(name):
+    box = LatticeBox(1, 2, "periodic")
+    basis = FockBasis(box)
+    sites = periodic_sites(box)
+    sites[name] = sites[name].copy()
+    sites[name][0, 1] = sites[name][1, 0] = 1.5  # no longer circulant
+    for H in (_Sites(**sites), _assemble(basis, **sites)):
+        with pytest.raises(KaclabError, match="not invariant under the translations"):
+            FockOperator.from_sparse(basis, H, "number")
+    # a bare site count has no translations to check
+    FockOperator.from_sparse(FockBasis(box.n_sites), _Sites(**sites), "number")
+
+
+@pytest.mark.parametrize("delta", [1e-10, 3e-11, 1e-11, 1e-12, 1e-15])
+@pytest.mark.parametrize("name,entry", [("t", (0, 1)), ("t", (2, 2)), ("v_plus", (0, 3)),
+                                        ("v_plus", (1, 1)), ("pair_w", (4, 0)),
+                                        ("pair_w", (3, 3))])
+def test_site_matrix_guard_rejects_what_the_matrix_check_rejects(name, entry, delta):
+    box = LatticeBox(1, 2, "periodic")
+    basis = FockBasis(box)
+    sites = periodic_sites(box)
+    sites[name] = sites[name].copy()
+    x, y = entry
+    sites[name][x, y] += delta
+    sites[name][y, x] = sites[name][x, y]
+
+    def rejects(H):
+        try:
+            FockOperator.from_sparse(basis, H, "number")
+        except KaclabError as err:
+            assert "not invariant under the translations" in str(err)
+            return True
+        return False
+
+    by_matrix, by_sites = rejects(_assemble(basis, **sites)), rejects(_Sites(**sites))
+    assert by_sites or not by_matrix
+    if delta >= 1e-10:
+        assert by_matrix
+    if delta <= 1e-15:  # rounding-level noise passes both
+        assert not by_sites
+
+
+def test_site_leak_message_matches_the_matrix_check():
+    # the leak of a pair field under number blocking, counted over every
+    # state from the representative columns; it is reported before a
+    # broken translation, as by the matrix check
+    box = LatticeBox(1, 2, "periodic")
+    basis = FockBasis(box)
+    sites = periodic_sites(box)
+    for t in (sites["t"], np.diag(np.arange(5.0))):
+        messages = []
+        for H in (_Sites(**dict(sites, t=t, pair_field=0.3j)),
+                  _assemble(basis, **dict(sites, t=t, pair_field=0.3j))):
+            with pytest.raises(KaclabError, match="outside the declared 'number' sectors") as err:
+                FockOperator.from_sparse(basis, H, "number")
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 # -- pressure ------------------------------------------------------------------------

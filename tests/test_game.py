@@ -415,3 +415,17 @@ def test_game_point_validation():
         GamePoint(-0.1, 0.0)
     with pytest.raises(ConfigError):
         solve_gap_fixed_point(flat_attractive(), GamePoint(0.1, 0.0), QUAD, damping=0.0)
+
+
+@pytest.mark.parametrize("c_minus,c_plus,message", [
+    (-0.1, 0.3, "gauge-fixed modulus"), (-math.inf, 0.3, "gauge-fixed modulus"),
+    (math.nan, 0.3, "finite"), (math.inf, 0.3, "finite"),
+    (0.2, math.nan, "finite"), (0.2, math.inf, "finite"), (0.2, -math.inf, "finite")])
+def test_scalar_and_lane_points_reject_the_same_inputs(c_minus, c_plus, message):
+    # plain numbers take the math checks, lanes the numpy reductions
+    for point in ((c_minus, c_plus), (np.float64(c_minus), c_plus),
+                  (np.array([0.5, c_minus]), c_plus), (c_minus, np.array([c_plus, 0.1]))):
+        with pytest.raises(ConfigError, match=message):
+            GamePoint(*point)
+    GamePoint(0.0, -1.0)
+    GamePoint(np.zeros(2), np.array([-1.0, 2.0]))
