@@ -11,6 +11,7 @@ out of range).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -251,7 +252,10 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it;
+    each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="kaclab",
         description="Kac-scaled lattice fermions: ED pressures, mean-field games, sweeps",
@@ -282,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,6 +83,10 @@ class HoppingKernel:
     pairs; h(-z) = h(z) is enforced at construction (missing mirrors are
     filled in; repeated or mirrored offsets with other values are
     rejected).
+
+    A kernel is a value: kernels with equal d and equal nonzero entries are
+    equal and hash alike, however they were written, and ``entries`` is a
+    read-only mapping, so a kernel cannot change under a cache key.
     """
 
     def __init__(self, entries, d: int):
@@ -107,7 +112,16 @@ class HoppingKernel:
                 if key in table and table[key] != value:
                     raise ConfigError("hopping kernel not reflection-symmetric")
                 table[key] = value
-        self.entries = {z: v for z, v in sorted(table.items()) if v != 0.0}
+        self.entries = MappingProxyType({z: v for z, v in sorted(table.items()) if v != 0.0})
+        self._key = (self.d, tuple(self.entries.items()))
+
+    def __eq__(self, other):
+        if not isinstance(other, HoppingKernel):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def offsets_values(self):
         if not self.entries:
@@ -117,7 +131,7 @@ class HoppingKernel:
         return zs, vs
 
     def __repr__(self):
-        return f"HoppingKernel(d={self.d}, entries={self.entries})"
+        return f"HoppingKernel(d={self.d}, entries={dict(self.entries)})"
 
 
 def discrete_laplacian(d: int, scale: float = 1.0) -> HoppingKernel:

@@ -20,7 +20,9 @@ divided by beta, computed with tensor Gauss-Legendre (or midpoint)
 quadrature; the finite-grid version is exactly the finite-volume pressure
 of the approximating Hamiltonian with periodic hopping.  Pressures,
 finite grids and expectations are weighted sums over one cached table of
-hhat at the nodes per (hopping kernel, scheme, points per axis).
+hhat at the nodes per (hopping kernel value, scheme, points per axis).
+Kernels are values, so the table is built once per process and shared by
+every model, game and CLI call with an equal kernel.
 
 Strategies broadcast: arrays of c_- and c_+ are lanes, evaluated together
 as lanes x nodes by the same kernel that evaluates one strategy.  A
@@ -129,7 +131,9 @@ def _bz_table(h: HoppingKernel, scheme: str, n: int):
 
     Midpoint nodes are pi (2j + 1 - n) / n, j = 0..n-1; for n = 2L+1 these
     are exactly the discrete momenta 2 pi m / (2L+1), m = -L..L.  Kernels
-    key the cache by identity; the cache holds them, so no id is reused.
+    key the cache by value (d and entries), so equal kernels parsed by
+    separate calls share one table; their entries are read-only, so a
+    kernel cannot change under its key.
     """
     if scheme == "gauss_legendre_tensor":
         x, w = np.polynomial.legendre.leggauss(n)

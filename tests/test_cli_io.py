@@ -452,6 +452,50 @@ def test_cli_game_gap_and_plot(tmp_path, capsys):
                  "--kind", "gap_vs_beta"]) == 0
 
 
+def test_cli_calls_share_the_zone_tables_of_equal_kernels(tmp_path, capsys, monkeypatch):
+    from kaclab import quasifree
+
+    shapes = []
+    dispersion = quasifree.dispersion
+
+    def counting(h, k):
+        shapes.append(np.shape(k))
+        return dispersion(h, k)
+
+    monkeypatch.setattr(quasifree, "dispersion", counting)
+    quasifree._bz_table.cache_clear()
+    paths = []
+    for i, (hopping, eta) in enumerate([
+            ([[[0], 2.0], [[1], -1.0], [[-1], -1.0]], {"plus": 0.5, "minus": 1.5}),
+            ([[[1], -1], [[0], 2]], {"plus": 0.2, "minus": 0.8})]):  # the same kernel
+        path = tmp_path / f"exp{i}.json"
+        path.write_text(json.dumps(minimal_config(
+            hopping=hopping, eta=eta, beta=[2.0], optimizer={"grid_points": 9})))
+        paths.append(str(path))
+    for path in paths:
+        assert main(["game", "--config", path]) == 0
+    for path in paths:
+        assert main(["gap", "--config", path]) == 0
+    capsys.readouterr()
+    # one table at the base resolution (also read by gap) and one at its refinement
+    assert sorted(shapes) == [(64, 1), (128, 1)]
+
+
+def test_cli_parser_keeps_no_flag_between_calls(tmp_path, capsys):
+    path = write_config(tmp_path, minimal_config(beta=[2.0], optimizer={"grid_points": 9}))
+    assert main(["game", "--config", path, "--dump-grid", "--out", str(tmp_path / "d")]) == 0
+    assert "grid" in json.loads(capsys.readouterr().out)["game"]["2.0"]
+    assert main(["game", "--config", path]) == 0
+    first = capsys.readouterr().out
+    assert "grid" not in json.loads(first)["game"]["2.0"]
+    with pytest.raises(SystemExit) as exc:
+        main(["game", "--config", path, "--dump-grid", "--threads", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["game", "--config", path]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_cli_kac_sweep_pipeline(tmp_path, capsys):
     out_dir = str(tmp_path / "results")
     data = minimal_config(

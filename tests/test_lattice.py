@@ -52,6 +52,44 @@ def test_kernel_rejects_repeated_offsets():
         HoppingKernel([((1,), -1.0), ((1,), -2.0)], 1)
 
 
+def test_kernels_are_values():
+    as_dict = HoppingKernel({(0,): 2.0, (1,): -1.0, (-1,): -1.0}, 1)
+    twins = [
+        HoppingKernel({(0,): 2.0, (1,): -1.0, (-1,): -1.0}, 1),
+        HoppingKernel([((0,), 2.0), ((1,), -1.0), ((-1,), -1.0)], 1),
+        HoppingKernel({(1,): -1.0, (0,): 2.0}, 1),  # mirror filled in
+        HoppingKernel([((1,), -1), ((0,), 2), ((2,), 0.0)], 1),  # ints, a zero entry
+        discrete_laplacian(1),
+    ]
+    for twin in twins:
+        assert twin == as_dict and hash(twin) == hash(as_dict)
+    others = [
+        HoppingKernel({(0,): 2.0, (1,): -0.5}, 1),
+        HoppingKernel({(0,): 2.0, (2,): -1.0}, 1),
+        HoppingKernel({(0,): 2.0}, 1),
+        discrete_laplacian(2),
+        HoppingKernel({(0, 0): 2.0, (1, 0): -1.0}, 2),
+    ]
+    for other in others:
+        assert other != as_dict
+    assert HoppingKernel({(0,): 0.0}, 1) != HoppingKernel({(0, 0): 0.0}, 2)  # d alone differs
+    assert as_dict != dict(as_dict.entries)
+    mf = [MeanFieldParams(beta=2.0, hopping=h, eta_plus=0.5) for h in (as_dict, twins[1])]
+    assert mf[0] == mf[1] and hash(mf[0]) == hash(mf[1])
+    f = PlainGaussian(1.0, d=1)
+    mp = [ModelParams(beta=2.0, hopping=h, f_plus=f, f_minus=None) for h in (as_dict, twins[1])]
+    assert mp[0] == mp[1]
+
+
+def test_kernel_entries_are_read_only():
+    h = discrete_laplacian(1)
+    with pytest.raises(TypeError):
+        h.entries[(1,)] = 5.0
+    with pytest.raises(TypeError):
+        del h.entries[(0,)]
+    assert h == discrete_laplacian(1)
+
+
 def test_discrete_laplacian_dispersion_values():
     lap = discrete_laplacian(1)
     assert dispersion(lap, [0.0]) == pytest.approx(0.0, abs=1e-15)

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 
+from kaclab import quasifree
 from kaclab.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -40,6 +41,7 @@ def test_tracer_fires_every_sweep_span(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps(config))
     argv = ["kac-sweep", "--config", str(path), "--out", str(tmp_path / "results")]
 
+    quasifree._bz_table.cache_clear()  # cold, as in a fresh bench process
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:
@@ -68,6 +70,7 @@ def test_tracer_fires_every_game_span(tmp_path, monkeypatch, capsys):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(config))
 
+    quasifree._bz_table.cache_clear()  # cold, as in a fresh bench process
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:
