@@ -56,15 +56,16 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from .errors import CapacityError, ConfigError, KaclabError
 from .lattice import (PERIODIC, LatticeBox, MeanFieldParams, ModelParams, hopping_matrix,
                       kac_coupling_matrix)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "FockBasis",
@@ -213,6 +214,8 @@ class FockBasis:
 
     def annihilator(self, m: int) -> sp.csr_matrix:
         """Sparse matrix of a_m with the Jordan-Wigner sign convention."""
+        import scipy.sparse as sp
+
         _, src, dst, sign = _apply(np.arange(self.dim), ((m, False),))
         return sp.csr_matrix((sign.astype(float), (dst, src)), shape=(self.dim, self.dim))
 
@@ -336,6 +339,8 @@ def _invariance_defect(H: sp.csr_matrix, coo: sp.coo_matrix, image: np.ndarray,
                        sign: np.ndarray) -> float:
     """max |U H U^dag - H| for the mode permutation U with
     U |s> = sign[s] |image[s]> (coo: the entries of H)."""
+    import scipy.sparse as sp
+
     moved = sp.csr_matrix(
         (coo.data * sign[coo.row] * sign[coo.col], (image[coo.row], image[coo.col])),
         shape=H.shape)
@@ -403,6 +408,8 @@ class FockOperator:
             real = np.isrealobj(H.pair_field)
             flip = blocking == NUMBER
         else:
+            import scipy.sparse as sp
+
             H = sp.csr_matrix(H)
             H.sum_duplicates()
             coo = H.tocoo()
@@ -555,6 +562,8 @@ class _Sites:
 
     def matrix(self, basis: FockBasis) -> sp.coo_matrix:
         """H on every column of the basis, as one COO matrix."""
+        import scipy.sparse as sp
+
         row, col, data = self.triples(basis, np.arange(basis.dim))
         return sp.coo_matrix((data, (row, col)), shape=(basis.dim, basis.dim))
 
@@ -687,6 +696,8 @@ def _approximating_matrix(mf: MeanFieldParams, c_minus: complex, c_plus: complex
 
 def pressure(op: FockOperator, beta: float) -> float:
     """(1/(beta |box|)) ln Tr exp(-beta H), via log-sum-exp over all blocks."""
+    from scipy.special import logsumexp
+
     if beta <= 0:
         raise ConfigError("beta must be positive")
     energies = op.eigenvalues()
@@ -759,6 +770,8 @@ def car_max_violation(basis: FockBasis) -> float:
     Checks {a_p, a_q} = 0 and {a_p, a^dag_q} = delta_pq over all mode
     pairs; exact zero is expected from the bitstring construction.
     """
+    import scipy.sparse as sp
+
     a = [basis.annihilator(m) for m in range(basis.n_modes)]
     eye = sp.identity(basis.dim, format="csr")
     worst = 0.0

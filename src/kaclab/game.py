@@ -57,7 +57,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, check_numbers, is_integer, is_number
 from .lattice import MeanFieldParams
@@ -291,6 +290,8 @@ def _c_minus_minima(f: Callable, slope: Callable, mf: MeanFieldParams, opt: Opti
         x[bracketed] = np.where(better, root, x[bracketed])
         fx[bracketed] = np.where(better, f_root, fx[bracketed])
     for j in np.flatnonzero(~(kept | bracketed)):
+        from scipy.optimize import minimize_scalar
+
         r = minimize_scalar(lambda t: float(f(np.array([t]))[0]), bounds=(a[j], b[j]),
                             method="bounded",
                             options={"xatol": opt.xtol, "maxiter": opt.max_iter})

@@ -24,7 +24,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import integrate, interpolate, special
 
 from .errors import (AccuracyError, ConfigError, UnsupportedPotentialError, check_numbers,
                      is_number)
@@ -91,8 +90,10 @@ class ExpMajorant(RadialMajorant):
 
     def tail(self, n, r0):
         # a Gamma(m, s r0^p) / (p s^m) with m = n / p; regularized upper Gamma
+        from scipy.special import gammaincc
+
         m = n / self.power
-        q = special.gammaincc(m, self.s * max(r0, 0.0) ** self.power)
+        q = gammaincc(m, self.s * max(r0, 0.0) ** self.power)
         return self.amplitude * math.gamma(m) * q / (self.power * self.s**m)
 
 
@@ -251,6 +252,8 @@ def _radial_transform(g, q: float, upper: float, d: int, inverse: bool = False) 
     inverse=True gives the inverse transform, the same integral times
     (2 pi)^-d, applied as one division by its radial constant.
     """
+    from scipy import integrate, special
+
     if d == 1:
         if q == 0.0:
             integral = integrate.quad(g, 0, upper, limit=200)[0]
@@ -479,8 +482,10 @@ class Yukawa(PairPotential):
         if self.c2 == 0.0:
             amp = self.c0 / (2.0 * s)
         else:
+            from scipy.special import ndtr
+
             sigma = math.sqrt(2.0 * self.c2)
-            mgf = 2.0 * math.exp(self.c1 * self.c2) * special.ndtr(s * sigma)
+            mgf = 2.0 * math.exp(self.c1 * self.c2) * ndtr(s * sigma)
             amp = self.c0 / (2.0 * s) * mgf
         return ExpMajorant(amp, s, 1)
 
@@ -519,7 +524,9 @@ class TableSpline(PairPotential):
             raise ConfigError("table radii must increase strictly from 0")
         self.radii = radii
         self.values = values
-        self._spline = interpolate.CubicSpline(radii, values, extrapolate=False)
+        from scipy.interpolate import CubicSpline
+
+        self._spline = CubicSpline(radii, values, extrapolate=False)
         self._fourier_cache: dict[float, float] = {}
 
     @property

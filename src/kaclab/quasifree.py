@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, ConfigError, check_numbers, is_integer
 from .lattice import HoppingKernel, MeanFieldParams, dispersion
@@ -136,7 +137,7 @@ def _bz_table(h: HoppingKernel, scheme: str, n: int):
     kernel cannot change under its key.
     """
     if scheme == "gauss_legendre_tensor":
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = leggauss(n)
         x, w = math.pi * x, 0.5 * w
     else:  # midpoint
         x = math.pi * (2.0 * np.arange(n) + 1.0 - n) / n

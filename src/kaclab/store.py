@@ -12,9 +12,11 @@ from the file with a warning before the file is read or appended to, so a
 new row always starts on a clean line; a write into a missing or empty
 file writes the header first.  A sweep.csv, gap.csv or game_grid.csv whose
 header is not its table's columns raises ConfigError before anything is
-written.  A payoff grid replaces only the game_grid.csv rows of its
-config_hash.  Per-beta JSON files name beta with the same 17 digits, so
-distinct betas never share a file.
+written, and so does an output directory that cannot be made or that
+holds anything but a regular file under a table's name.  A payoff grid
+replaces only the game_grid.csv rows of its config_hash.  Per-beta JSON
+files name beta with the same 17 digits, so distinct betas never share a
+file.
 """
 
 from __future__ import annotations
@@ -108,10 +110,17 @@ class ResultStore:
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"{out_dir}: not usable as output directory ({err.strerror})")
         self.sweep_path = os.path.join(out_dir, "sweep.csv")
         self.gap_path = os.path.join(out_dir, "gap.csv")
         self.grid_path = os.path.join(out_dir, "game_grid.csv")
+        for path in (self.sweep_path, self.gap_path, self.grid_path):
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise ConfigError(f"{path}: exists and is not a regular file; "
+                                  f"use a fresh output directory")
         self._sweep_rows: dict = {}
         self._load_sweep()
 

@@ -4,10 +4,13 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kaclab
 from kaclab.cli import main
 from kaclab.config import (
     config_hash,
@@ -593,6 +596,28 @@ def test_cli_gap_csv_with_other_columns_exit_code(tmp_path, capsys):
     assert (tmp_path / "gap.csv").read_text() == old
 
 
+@pytest.mark.parametrize("command, table", [
+    (["game", "--dump-grid"], "game_grid.csv"),
+    (["gap"], "gap.csv"),
+    (["kac-sweep"], "sweep.csv"),
+], ids=["game", "gap", "kac-sweep"])
+@pytest.mark.parametrize("case", ["below_a_file", "table_is_a_directory"])
+def test_cli_unusable_output_path_exit_code(tmp_path, capsys, command, table, case):
+    path = write_config(tmp_path, sweep_config())
+    if case == "below_a_file":
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "results"
+        named = out_dir
+    else:
+        out_dir = tmp_path / "results"
+        named = out_dir / table
+        named.mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*command, "--config", path, "--out", str(out_dir)]) == 2
+    assert f"config error: {named}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_cli_plot_data_prints_only_its_config(tmp_path, capsys):
     out_dir = str(tmp_path / "results")
     paths = []
@@ -723,6 +748,44 @@ def test_cli_selftest(capsys):
     assert out.count("PASS") == 6
     assert "PASS  momentum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
     assert "PASS  representative build vs global matrix, 5-site periodic Kac box" in out
+
+
+FOOTPRINT_SCRIPT = """
+import json, sys
+from kaclab.cli import main
+game_cfg, sweep_cfg, yukawa_cfg, out_dir = sys.argv[1:]
+codes = [main(["game", "--config", game_cfg]), main(["gap", "--config", game_cfg]),
+         main(["kac-sweep", "--config", sweep_cfg, "--out", out_dir]),
+         main(["pressure-mf", "--config", sweep_cfg])]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes += [main(["validate-potential", "--config", yukawa_cfg]), main(["selftest"])]
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_cli_workload_commands_load_no_scipy(tmp_path):
+    # the test modules import scipy themselves, so the calls run in a fresh interpreter
+    configs = {
+        "game": minimal_config(potentials={}, eta={"plus": 0.5, "minus": 1.5}, beta=[2.0]),
+        "sweep": minimal_config(
+            potentials={"plus": {"family": "gaussian_mixture",
+                                 "terms": [[0.3, [1.0]], [0.2, [2.5]]]},
+                        "minus": {"family": "yukawa", "c0": 1.0, "c1": 1.5}},
+            L=[1, 2], gamma_minus=[0.5, 0.4, 0.3], gamma_plus=[0.3], beta=[2.0]),
+        "yukawa": minimal_config(),  # c2 > 0
+    }
+    paths = []
+    for name, data in configs.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(data))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kaclab.__file__))}
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, *map(str, paths),
+                          str(tmp_path / "results")],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["scipy"] == []
+    assert result["codes"] == [0] * 6
 
 
 def test_cli_flags_only_where_used(tmp_path, capsys):

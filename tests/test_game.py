@@ -306,6 +306,25 @@ def test_flat_value_is_the_profile_maximum_across_basin_jumps():
     assert -res.p_flat >= max(value for _, value in profile) - 1e-12
 
 
+def test_c_minus_minimum_by_brent_where_the_slope_keeps_its_sign():
+    # a slope that stays positive across the bracket of the interior grid
+    # minimum cannot be rooted, so that minimum is refined by bounded Brent
+    opt = OptimizerSpec(xtol=1e-6)
+    centre = 0.4137  # off the 33-point grid, on the dense grid below
+
+    def f(x):
+        return (np.asarray(x) - centre) ** 2
+
+    minima = game._c_minus_minima(f, lambda x: np.ones_like(x), flat_attractive(), opt)
+    dense = np.linspace(*opt.c_minus_box, 2_000_001)
+    x_dense = dense[np.argmin(f(dense))]
+    (x, value), = minima
+    grid = np.linspace(*opt.c_minus_box, opt.grid_points)
+    assert np.min(np.abs(grid - x)) > 100 * opt.xtol  # refined, not the grid point
+    assert abs(x - x_dense) <= opt.xtol
+    assert value == f(x)
+
+
 def test_each_best_reply_is_computed_once(monkeypatch):
     seen = []
 
