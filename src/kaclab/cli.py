@@ -150,8 +150,8 @@ def cmd_kac_sweep(args) -> int:
         plan = cfg.sweep_plan(beta)
         failures: list = []
         stages: list = []
-        records = sweep.run_sweep(plan, store=store, threads=args.threads,
-                                  config_hash=chash, failures=failures, stages=stages)
+        records = sweep.run_sweep(plan, store=store, config_hash=chash,
+                                  failures=failures, stages=stages)
         mf = cfg.meanfield_params(beta)
         game_result = game.solve_game(mf, cfg.quadrature, cfg.optimizer)
         report = sweep.limit_report(records, game_result, plan)
@@ -227,7 +227,7 @@ def cmd_selftest(args) -> int:
     mp = ModelParams(beta=2.0, hopping=discrete_laplacian(1), f_plus=p,
                      f_minus=PlainGaussian(width=2.0, d=1), include_onsite_correction=True)
     plain = fock.FockBasis(box.n_sites)
-    H = fock._kac_matrix(mp, box, plain).tocsr()
+    H = fock._kac_sites(mp, box).matrix(plain).tocsr()
     momentum = fock.FockOperator.from_sparse(fock.FockBasis(box), H, fock.NUMBER)
     label = plain.n_tot * (2 * plain.n_sites + 1) + plain.n_up
     spectrum = np.sort(np.concatenate([
@@ -277,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("pressure-mf", cmd_pressure)
     add("game", cmd_game, out=True).add_argument("--dump-grid", action="store_true")
     add("gap", cmd_gap, out=True)
-    add("kac-sweep", cmd_kac_sweep, out=True).add_argument(
-        "--threads", type=int, default=1, help="sweep records evaluated in parallel")
+    add("kac-sweep", cmd_kac_sweep, out=True)
     add("plot-data", cmd_plot_data, out=True).add_argument(
         "--kind", required=True, choices=list(PLOT_KINDS))
     add("selftest", cmd_selftest, needs_config=False)

@@ -54,7 +54,6 @@ traces need full spectra.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -162,7 +161,6 @@ class FockBasis:
         self.bloch_norm[:, reps] = np.rint(
             len(shifts) * (self._chi @ (signs[:, reps] * in_stab)).real)
         self._maps: dict[str, _Blocks] = {}
-        self._maps_lock = threading.Lock()  # one basis may serve several threads
 
     def mode(self, site: int, spin: int) -> int:
         """Mode index: spin-up block of bits then spin-down."""
@@ -170,10 +168,9 @@ class FockBasis:
 
     def _sector_map(self, blocking: str) -> _Blocks:
         """The block layout of a blocking, computed once per basis."""
-        with self._maps_lock:
-            if blocking not in self._maps:
-                self._maps[blocking] = self._layout(blocking)
-            return self._maps[blocking]
+        if blocking not in self._maps:
+            self._maps[blocking] = self._layout(blocking)
+        return self._maps[blocking]
 
     def _layout(self, blocking: str) -> _Blocks:
         if blocking == NUMBER:
@@ -592,11 +589,6 @@ class _Sites:
         _check_translation_invariance(defects, 1e-12 * max(1.0, scale))
 
 
-def _assemble(basis: FockBasis, **terms) -> sp.coo_matrix:
-    """The global COO matrix of ``_Sites(**terms)`` on a basis."""
-    return _Sites(**terms).matrix(basis)
-
-
 def build_kac_hamiltonian(mp: ModelParams, box: LatticeBox,
                           dimension_cap: int = DEFAULT_DIMENSION_CAP) -> FockOperator:
     """H = T - H_minus + H_plus on the box; conserves (N, S_z).
@@ -636,11 +628,6 @@ def _kac_sites(mp: ModelParams, box: LatticeBox) -> _Sites:
     )
 
 
-def _kac_matrix(mp: ModelParams, box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
-    """COO matrix of the Kac Hamiltonian of the box on a basis of its size."""
-    return _kac_sites(mp, box).matrix(basis)
-
-
 def build_meanfield_hamiltonian(mf: MeanFieldParams, box: LatticeBox,
                                 dimension_cap: int = DEFAULT_DIMENSION_CAP) -> FockOperator:
     """H = T + (eta_+/|box|) sum nn - (eta_-/|box|) sum P^dag P; conserves N."""
@@ -655,11 +642,6 @@ def _meanfield_sites(mf: MeanFieldParams, box: LatticeBox) -> _Sites:
     v_plus = np.full((n, n), mf.eta_plus / n) if mf.eta_plus else None
     pair_w = np.full((n, n), -mf.eta_minus / n) if mf.eta_minus else None
     return _Sites(t=t, v_plus=v_plus, pair_w=pair_w)
-
-
-def _meanfield_matrix(mf: MeanFieldParams, box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
-    """COO matrix of the mean-field Hamiltonian of the box on a basis of its size."""
-    return _meanfield_sites(mf, box).matrix(basis)
 
 
 def build_approximating_hamiltonian(mf: MeanFieldParams, c_minus: complex,
@@ -681,12 +663,6 @@ def _approximating_sites(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
     """Site data of the approximating Hamiltonian of the box."""
     shift, g = mf.approximating_fields(c_minus, c_plus)
     return _Sites(t=hopping_matrix(mf.hopping, box), density_onebody=shift, pair_field=-g)
-
-
-def _approximating_matrix(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
-                          box: LatticeBox, basis: FockBasis) -> sp.coo_matrix:
-    """COO matrix of the approximating Hamiltonian of the box on a basis of its size."""
-    return _approximating_sites(mf, c_minus, c_plus, box).matrix(basis)
 
 
 # ---------------------------------------------------------------------------

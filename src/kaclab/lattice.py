@@ -5,7 +5,7 @@ a fixed lexicographic order.  Hopping kernels are finitely supported
 reflection-symmetric maps Z^d -> R; the dispersion is their cosine
 transform.  Kac coupling matrices carry gamma^d f(gamma (x-y)) over site
 pairs, with either the literal open-box displacement or the minimum-image
-displacement only (no image sum; ROADMAP item 3) under periodic boundary.
+displacement only (no image sum; ROADMAP item 1) under periodic boundary.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -245,7 +245,7 @@ def kac_coupling_matrix(p: PairPotential | None, gamma: float,
     displacement under periodic boundary.  This is minimum image only, not
     a full image sum, and the missing images are not negligible: at L=2,
     beta=2, gamma=0.25, P_kac - P_mf(L=2) is +1.7e-2 with minimum image
-    against -1.7e-4 with the full image sum (ROADMAP item 3).
+    against -1.7e-4 with the full image sum (ROADMAP item 1).
     """
     n = box.n_sites
     if p is None:

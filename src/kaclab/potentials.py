@@ -14,8 +14,8 @@ radial majorants, a Poisson-summation checker, and the explicit
 integral-test constant M_g bounding sum_z |gamma^d f(gamma z + a)|
 uniformly in a for gamma < 1.
 
-All potentials are immutable after construction; every operation is pure,
-so they are safe to share across parallel parameter sweeps.
+All potentials are immutable after construction, so one potential object
+serves every record of a sweep.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ new row always starts on a clean line; a write into a missing or empty
 file writes the header first.  A sweep.csv, gap.csv or game_grid.csv whose
 header is not its table's columns raises ConfigError before anything is
 written, and so does an output directory that cannot be made or that
-holds anything but a regular file under a table's name.  A payoff grid
+holds anything but a regular file under a table's name or a per-beta JSON
+name (game_beta_*.json, sweep_manifest_beta_*.json).  A payoff grid
 replaces only the game_grid.csv rows of its config_hash.  Per-beta JSON
 files name beta with the same 17 digits, so distinct betas never share a
 file.
@@ -112,12 +113,17 @@ class ResultStore:
         self.out_dir = out_dir
         try:
             os.makedirs(out_dir, exist_ok=True)
+            names = sorted(os.listdir(out_dir))
         except OSError as err:
             raise ConfigError(f"{out_dir}: not usable as output directory ({err.strerror})")
         self.sweep_path = os.path.join(out_dir, "sweep.csv")
         self.gap_path = os.path.join(out_dir, "gap.csv")
         self.grid_path = os.path.join(out_dir, "game_grid.csv")
-        for path in (self.sweep_path, self.gap_path, self.grid_path):
+        # the per-beta JSON names are checked for every beta, known or not
+        beta_files = [os.path.join(out_dir, name) for name in names
+                      if name.startswith(("game_beta_", "sweep_manifest_beta_"))
+                      and name.endswith(".json")]
+        for path in (self.sweep_path, self.gap_path, self.grid_path, *beta_files):
             if os.path.exists(path) and not os.path.isfile(path):
                 raise ConfigError(f"{path}: exists and is not a regular file; "
                                   f"use a fresh output directory")

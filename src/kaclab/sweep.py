@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -138,55 +137,40 @@ def _evaluate(plan: SweepPlan, key, config_hash: str) -> tuple:
     return record, stages
 
 
-def run_sweep(plan: SweepPlan, store=None, threads: int = 1,
-              config_hash: str = "", failures: list | None = None,
-              stages: list | None = None) -> list:
-    """Evaluate every (L, gamma_-, gamma_+) of the plan.
+def run_sweep(plan: SweepPlan, store=None, config_hash: str = "",
+              failures: list | None = None, stages: list | None = None) -> list:
+    """Evaluate every (L, gamma_-, gamma_+) of the plan, one key after another.
 
-    Records already persisted in the store under the same config_hash, d,
-    beta and boundary are reused, not recomputed.  Capacity errors are
-    collected per record (into ``failures`` and the log) without aborting
-    the sweep.  Each freshly computed record appends its key, build and
-    Gibbs times (ms), number of kept blocks and largest block to
-    ``stages``.  The returned list follows the deterministic plan order.
+    A key whose record is persisted in the store under the same
+    config_hash, d, beta and boundary is reused, not recomputed; every
+    other key is evaluated.  A capacity error goes to ``failures`` and the
+    log without aborting the sweep.  Each freshly computed record appends
+    its key, build and Gibbs times (ms), number of kept blocks and largest
+    block to ``stages``, and the fresh records are appended to the store
+    in one call.  The returned list follows the deterministic plan order.
     """
     keys = plan.keys()
     results: dict = {}
-    todo = []
-    for key in keys:
+    fresh = []
+    for key in dict.fromkeys(keys):
         existing = store.find_sweep_record(
             config_hash, key, d=plan.model.hopping.d, beta=plan.model.beta,
             boundary=plan.boundary,
         ) if store else None
         if existing is not None:
             results[key] = existing
-        elif key not in results:
-            todo.append(key)
-    todo = list(dict.fromkeys(todo))
-
-    def work(key):
+            continue
         try:
-            return key, _evaluate(plan, key, config_hash)
+            record, stage = _evaluate(plan, key, config_hash)
         except CapacityError as err:
-            return key, err
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, todo))
-    else:
-        outcomes = [work(key) for key in todo]
-
-    fresh = []
-    for key, outcome in outcomes:
-        if isinstance(outcome, CapacityError):
-            log.warning("sweep record %s skipped: %s", key, outcome)
+            log.warning("sweep record %s skipped: %s", key, err)
             if failures is not None:
-                failures.append((key, str(outcome)))
-        else:
-            results[key], stage = outcome
-            fresh.append(results[key])
-            if stages is not None:
-                stages.append(stage)
+                failures.append((key, str(err)))
+            continue
+        results[key] = record
+        fresh.append(record)
+        if stages is not None:
+            stages.append(stage)
     if store and fresh:
         store.append_sweep_records(fresh)
     return [results[key] for key in keys if key in results]

@@ -600,17 +600,20 @@ def test_cli_gap_csv_with_other_columns_exit_code(tmp_path, capsys):
     (["game", "--dump-grid"], "game_grid.csv"),
     (["gap"], "gap.csv"),
     (["kac-sweep"], "sweep.csv"),
-], ids=["game", "gap", "kac-sweep"])
+    (["game"], "game_beta_{beta}.json"),
+    (["kac-sweep"], "sweep_manifest_beta_{beta}.json"),
+], ids=["game", "gap", "kac-sweep", "game-beta-json", "kac-sweep-manifest"])
 @pytest.mark.parametrize("case", ["below_a_file", "table_is_a_directory"])
 def test_cli_unusable_output_path_exit_code(tmp_path, capsys, command, table, case):
-    path = write_config(tmp_path, sweep_config())
+    data = sweep_config()
+    path = write_config(tmp_path, data)
     if case == "below_a_file":
         (tmp_path / "file").write_text("")
         out_dir = tmp_path / "file" / "results"
         named = out_dir
     else:
         out_dir = tmp_path / "results"
-        named = out_dir / table
+        named = out_dir / table.format(beta=format(data["beta"][0], ".17g"))
         named.mkdir(parents=True)
     before = sorted(tmp_path.rglob("*"))
     assert main([*command, "--config", path, "--out", str(out_dir)]) == 2
@@ -792,6 +795,7 @@ def test_cli_flags_only_where_used(tmp_path, capsys):
     path = write_config(tmp_path, minimal_config())
     for argv in (["pressure-ed", "--config", path, "--out", str(tmp_path)],
                  ["game", "--config", path, "--threads", "2"],
+                 ["kac-sweep", "--config", path, "--threads", "2"],
                  ["pressure-ed", "--config", path, "--tolerance-overrides", "{}"],
                  ["selftest", "--out", str(tmp_path)]):
         with pytest.raises(SystemExit) as exc:

@@ -17,11 +17,10 @@ from kaclab.errors import CapacityError, KaclabError
 from kaclab.fock import (
     FockBasis,
     FockOperator,
-    _approximating_matrix,
+    _approximating_sites,
+    _kac_sites,
+    _meanfield_sites,
     _Sites,
-    _assemble,
-    _kac_matrix,
-    _meanfield_matrix,
     build_approximating_hamiltonian,
     build_kac_hamiltonian,
     build_meanfield_hamiltonian,
@@ -185,7 +184,7 @@ def test_capacity_cap():
 def test_block_leak_detection():
     # a pairing operator does not conserve particle number
     basis = FockBasis(1)
-    H = _assemble(basis, pair_field=1.0)
+    H = _Sites(pair_field=1.0).matrix(basis)
     with pytest.raises(KaclabError):
         FockOperator.from_sparse(basis, H, "number")
 
@@ -250,7 +249,7 @@ def test_two_site_hopping_one_particle_ground_state():
     # bare 2-site chain, hopping -1: N=1 sector ground energy is -1 per spin
     basis = FockBasis(2)
     t = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    op = FockOperator.from_sparse(basis, _assemble(basis, t=t), "number")
+    op = FockOperator.from_sparse(basis, _Sites(t=t).matrix(basis), "number")
     n1 = np.concatenate([
         np.linalg.eigvalsh(B)
         for key, B in op.blocks.items()
@@ -293,7 +292,8 @@ def test_blocks_match_kronecker_oracle(L, boundary):
     kw = dict(density_onebody=rng.normal(), double_occ=rng.normal(),
               pair_field=complex(rng.normal(), rng.normal()))
     basis = FockBasis(n)
-    op = FockOperator.from_sparse(basis, _assemble(basis, t=t, v_plus=v, pair_w=w, **kw), "parity")
+    H = _Sites(t=t, v_plus=v, pair_w=w, **kw).matrix(basis)
+    op = FockOperator.from_sparse(basis, H, "parity")
     assert_blocks_match(op, oracle_hamiltonian(n, t, v, w, **kw))
 
     h0, h1, h2 = rng.normal(size=3)
@@ -347,9 +347,9 @@ def test_momentum_spectra_match_trivial_group(L):
                      gamma_plus=0.45, gamma_minus=0.3, include_onsite_correction=True)
     mf = MeanFieldParams(beta=1.0, hopping=hop, eta_plus=0.8, eta_minus=1.3)
     c_minus, c_plus = 0.4 * np.exp(0.9j), 0.35
-    cases = [(_kac_matrix(mp, box, trivial), "number"),
-             (_meanfield_matrix(mf, box, trivial), "number"),
-             (_approximating_matrix(mf, c_minus, c_plus, box, trivial), "parity")]
+    cases = [(_kac_sites(mp, box).matrix(trivial), "number"),
+             (_meanfield_sites(mf, box).matrix(trivial), "number"),
+             (_approximating_sites(mf, c_minus, c_plus, box).matrix(trivial), "parity")]
     for H, blocking in cases:
         op = FockOperator.from_sparse(momentum, H, blocking)
         assert sum(op.mult[k] * dim for k, dim in op.sector_dimensions().items()) == 4**n
@@ -394,8 +394,8 @@ def test_paired_spectra_match_plain_sectors(L, boundary):
                      gamma_plus=0.45, gamma_minus=0.3, include_onsite_correction=True)
     mf = MeanFieldParams(beta=1.0, hopping=hop, eta_plus=0.8, eta_minus=1.3)
     bare = FockBasis(n)
-    for build, matrix in ((build_kac_hamiltonian, _kac_matrix(mp, box, bare)),
-                          (build_meanfield_hamiltonian, _meanfield_matrix(mf, box, bare))):
+    for build, matrix in ((build_kac_hamiltonian, _kac_sites(mp, box).matrix(bare)),
+                          (build_meanfield_hamiltonian, _meanfield_sites(mf, box).matrix(bare))):
         op = build(mp if build is build_kac_hamiltonian else mf, box)
         assert sum(op.mult[k] * dim for k, dim in op.sector_dimensions().items()) == 4**n
         assert max(op.mult.values()) == (4 if boundary == "periodic" else 2)
@@ -412,20 +412,20 @@ def test_spin_field_breaks_only_the_spin_flip_pairing():
     n = box.n_sites
     basis, bare = FockBasis(box), FockBasis(n)
     t = hopping_matrix(discrete_laplacian(1), box)
-    H = (_assemble(bare, t=t, v_plus=np.full((n, n), 0.3)) + sp.diags(0.7 * bare.n_up)).tocoo()
+    H = (_Sites(t=t, v_plus=np.full((n, n), 0.3)).matrix(bare) + sp.diags(0.7 * bare.n_up)).tocoo()
     op = FockOperator.from_sparse(basis, H, "number")
     assert set(op.mult.values()) == {1, 2}
     charges = {key[:2] for key in op.blocks}
     assert all((N, -sz) in charges for N, sz in charges)
     assert np.max(np.abs(op.eigenvalues() - plain_sector_spectrum(bare, H, "number"))) <= 1e-12
-    flipped = FockOperator.from_sparse(basis, _assemble(bare, t=t), "number")
+    flipped = FockOperator.from_sparse(basis, _Sites(t=t).matrix(bare), "number")
     assert 4 in flipped.mult.values()
 
 
 def test_complex_pair_field_is_not_momentum_paired():
     box = LatticeBox(1, 2, "periodic")
     mf = MeanFieldParams(beta=1.0, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
-    H = _approximating_matrix(mf, 0.4 * np.exp(0.9j), 0.35, box, FockBasis(box.n_sites))
+    H = _approximating_sites(mf, 0.4 * np.exp(0.9j), 0.35, box).matrix(FockBasis(box.n_sites))
     op = FockOperator.from_sparse(FockBasis(box), H, "parity")
     assert set(op.mult.values()) == {1}
     assert op.blocks.keys() == FockBasis(box).sectors("parity").keys()
@@ -441,7 +441,7 @@ def test_paired_gibbs_observables_match_trivial_group(L):
     n = box.n_sites
     bare = FockBasis(n)
     mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
-    H = _approximating_matrix(mf, 0.45, 0.3, box, bare)
+    H = _approximating_sites(mf, 0.45, 0.3, box).matrix(bare)
     # plus a random real parity-conserving matrix summed over the
     # translations: no further symmetry, so the kept blocks' pair terms are
     # complex
@@ -482,8 +482,8 @@ def test_translation_invariance_check():
     t = hopping_matrix(discrete_laplacian(1), box)
     t[0, 1] = t[1, 0] = -1.5
     with pytest.raises(KaclabError, match="not invariant under the translations"):
-        FockOperator.from_sparse(basis, _assemble(basis, t=t), "number")
-    FockOperator.from_sparse(FockBasis(box.n_sites), _assemble(basis, t=t), "number")
+        FockOperator.from_sparse(basis, _Sites(t=t).matrix(basis), "number")
+    FockOperator.from_sparse(FockBasis(box.n_sites), _Sites(t=t).matrix(basis), "number")
 
 
 def assert_same_operator(op, oracle):
@@ -508,14 +508,14 @@ def test_representative_build_matches_global_matrix(L, boundary):
                      f_minus=GaussianMixture([(0.6, (rng.uniform(0.5, 3.0),))], d=1),
                      gamma_plus=0.45, gamma_minus=0.3, include_onsite_correction=True)
     mf = MeanFieldParams(beta=1.0, hopping=hop, eta_plus=0.8, eta_minus=1.3)
-    assert_same_operator(build_kac_hamiltonian(mp, box),
-                         FockOperator.from_sparse(basis, _kac_matrix(mp, box, basis), "number"))
+    assert_same_operator(build_kac_hamiltonian(mp, box), FockOperator.from_sparse(
+        basis, _kac_sites(mp, box).matrix(basis), "number"))
     assert_same_operator(build_meanfield_hamiltonian(mf, box), FockOperator.from_sparse(
-        basis, _meanfield_matrix(mf, box, basis), "number"))
+        basis, _meanfield_sites(mf, box).matrix(basis), "number"))
     if n == 7:
         return  # 7-site parity blocks hold hundreds of MB
     for c_minus in (0.45, 0.4 * np.exp(0.9j)):
-        H = _approximating_matrix(mf, c_minus, 0.35, box, basis)
+        H = _approximating_sites(mf, c_minus, 0.35, box).matrix(basis)
         assert_same_operator(build_approximating_hamiltonian(mf, c_minus, 0.35, box),
                              FockOperator.from_sparse(basis, H, "parity"))
 
@@ -535,7 +535,7 @@ def test_site_matrix_guard_rejects_non_invariant_terms(name):
     sites = periodic_sites(box)
     sites[name] = sites[name].copy()
     sites[name][0, 1] = sites[name][1, 0] = 1.5  # no longer circulant
-    for H in (_Sites(**sites), _assemble(basis, **sites)):
+    for H in (_Sites(**sites), _Sites(**sites).matrix(basis)):
         with pytest.raises(KaclabError, match="not invariant under the translations"):
             FockOperator.from_sparse(basis, H, "number")
     # a bare site count has no translations to check
@@ -563,7 +563,7 @@ def test_site_matrix_guard_rejects_what_the_matrix_check_rejects(name, entry, de
             return True
         return False
 
-    by_matrix, by_sites = rejects(_assemble(basis, **sites)), rejects(_Sites(**sites))
+    by_matrix, by_sites = rejects(_Sites(**sites).matrix(basis)), rejects(_Sites(**sites))
     assert by_sites or not by_matrix
     if delta >= 1e-10:
         assert by_matrix
@@ -581,7 +581,7 @@ def test_site_leak_message_matches_the_matrix_check():
     for t in (sites["t"], np.diag(np.arange(5.0))):
         messages = []
         for H in (_Sites(**dict(sites, t=t, pair_field=0.3j)),
-                  _assemble(basis, **dict(sites, t=t, pair_field=0.3j))):
+                  _Sites(**dict(sites, t=t, pair_field=0.3j)).matrix(basis)):
             with pytest.raises(KaclabError, match="outside the declared 'number' sectors") as err:
                 FockOperator.from_sparse(basis, H, "number")
             messages.append(str(err.value))
@@ -610,7 +610,7 @@ def test_pressure_single_site_two_level_formula(beta, mu):
 def test_pressure_two_site_hopping_against_kron_oracle():
     basis = FockBasis(2)
     t = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    op = FockOperator.from_sparse(basis, _assemble(basis, t=t), "number")
+    op = FockOperator.from_sparse(basis, _Sites(t=t).matrix(basis), "number")
     beta = 1.0
     p_pkg = pressure(op, beta)
 
@@ -637,7 +637,7 @@ def test_translation_covariance_periodic():
     perm = np.roll(np.arange(n), 1)
     basis = FockBasis(n)
     make = lambda tm, vm: FockOperator.from_sparse(
-        basis, _assemble(basis, t=tm, v_plus=vm), "number"
+        basis, _Sites(t=tm, v_plus=vm).matrix(basis), "number"
     )
     p0 = pressure(make(t, V), 2.0)
     p1 = pressure(make(t[np.ix_(perm, perm)], V[np.ix_(perm, perm)]), 2.0)

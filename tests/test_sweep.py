@@ -2,12 +2,10 @@
 
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from kaclab import fock
 from kaclab.errors import ConfigError, InsufficientDataError
 from kaclab.fock import build_meanfield_hamiltonian, pressure
 from kaclab.game import solve_game
@@ -146,39 +144,6 @@ def test_sweep_respects_the_plan_dimension_cap():
     assert [rec.L for rec in records] == [0] * 9  # one site: 4 states
     assert len(failures) == 9 and all(L == 1 for (L, _, _), _ in failures)
     assert all("exceeds cap 16" in msg for _, msg in failures)
-
-
-def test_sweep_threads_match_serial():
-    plan = hopping_only_plan(L_list=(0, 1))
-    serial = run_sweep(plan, threads=1)
-    parallel = run_sweep(plan, threads=4)
-    assert [(a.key(), a.pressure) for a in serial] == [
-        (b.key(), b.pressure) for b in parallel
-    ]
-
-
-def test_shared_basis_threads_match_serial_bit_for_bit():
-    # records on one box share one cached FockBasis; building it and its
-    # block layout from two threads at once must not change a single bit
-    plan = dataclasses.replace(
-        hopping_only_plan(L_list=(2,)),
-        model=ModelParams(beta=2.0, hopping=discrete_laplacian(1),
-                          f_plus=PlainGaussian(1.0, d=1), f_minus=PlainGaussian(2.0, d=1)))
-    serial = run_sweep(plan, threads=1)
-    interval = sys.getswitchinterval()
-    fock._cached_basis.cache_clear()
-    sys.setswitchinterval(1e-5)
-    try:
-        parallel = run_sweep(plan, threads=2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(serial) == 9
-    assert [(a.key(), a.pressure, a.density) for a in serial] == [
-        (b.key(), b.pressure, b.density) for b in parallel
-    ]
-
-
-# -- product-state energy density ---------------------------------------------------
 
 
 def test_product_state_vacuum_and_zero_potential():
