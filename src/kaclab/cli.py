@@ -109,13 +109,8 @@ def cmd_gap(args) -> int:
     store = ResultStore(args.out or cfg.output_dir) if args.out else None
     rows = []
     for beta in cfg.beta:
-        mf = cfg.meanfield_params(beta)
-        start = game.GamePoint(
-            min(0.3, cfg.optimizer.c_minus_box[1]),
-            min(np.sqrt(mf.eta_plus), cfg.optimizer.c_plus_box[1]),
-        )
-        sol = game.solve_gap_fixed_point(mf, start, cfg.quadrature,
-                                         damping=0.5, opt=cfg.optimizer)
+        sol = game.solve_gap_fixed_point(cfg.meanfield_params(beta), cfg.quadrature,
+                                         cfg.optimizer)
         rows.append({"beta": beta, **asdict(sol), "config_hash": chash})
     if store:
         store.append_gap_rows(rows)

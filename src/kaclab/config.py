@@ -81,8 +81,8 @@ _KEYS = {
     "gamma_minus": ([0.5], _GAMMA),
     "gamma_plus": ([0.5], _GAMMA),
     "L": ([1], _rule(lambda v: isinstance(v, list) and v
-                     and all(is_integer(L) and L >= 0 for L in v),
-                     "expected a nonempty list of nonnegative integers")),
+                     and all(is_integer(L) and L >= 0 for L in v) and len(set(v)) == len(v),
+                     "expected a nonempty list of nonnegative integers, no two equal")),
     "boundary": ("periodic", _rule(lambda v: v in ("open", "periodic"),
                                    "must be 'open' or 'periodic'")),
     "order": ("minus_first", _rule(lambda v: v in ORDERS, f"must be one of {ORDERS}")),

@@ -36,7 +36,8 @@ root of the c_- gap equation, which is the slope of the payoff and, by the
 envelope theorem, of the sharp profile payoff(c_-, r_+(c_-)).  Where that
 slope keeps its sign, a grid end point is kept or bounded Brent searches.
 Every grid, and every step of the roots of many strategies at once, is
-one batched call of the zone kernel (`quasifree`).
+one batched call of the zone kernel (`quasifree`).  `gap`'s stationary
+point (`solve_gap_fixed_point`) is the lowest minimum of the sharp search.
 
 Gap-equation normalization: with pair = <a^dag_up a^dag_down> and
 density = <n_up + n_down> per site in the approximating model, the
@@ -166,8 +167,8 @@ class GapSolution:
     c_minus: float
     c_plus: float
     residual: float
-    iterations: int
-    converged: bool
+    iterations: int  # zone-kernel calls of the search
+    converged: bool  # residual <= tol_gap
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +340,14 @@ def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = No
     return DecisionResult(x, value, _plain(_pinned(x, opt.c_plus_box, opt)))
 
 
-def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
-               opt: OptimizerSpec | None = None) -> GameResult:
-    """Solve both orderings of the thermodynamic game from its best replies.
-
-    r_+(c_-) = `decision_rule` and r_-(c_+), the lowest minimum of the
-    payoff over c_-, are each cached per strategy for this call; the new
-    c_- of one step of a search are solved together.
-    p_sharp: minimum over c_- of the payoff at r_+ (all near-degenerate
-    minima reported), where the slope of that profile is the c_- gap
-    equation at (c_-, r_+(c_-)) by the envelope theorem; p_flat: maximum
-    over c_+ of the payoff at r_-, the root of its slope over the whole c_+
-    box.  That profile is concave even where r_- jumps between basins, and
-    its slope is the c_+ gap equation at r_-.
+def _sharp_minima(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec,
+                  tally: ZoneTally):
+    """The sharp search: the local minima (c_-, value) of payoff(c_-, r_+(c_-)),
+    lowest first, and reply_plus(xs), the `DecisionResult`s of r_+ at xs,
+    each computed once; the new c_- of one search step are solved together.
+    The profile's slope is the c_- gap equation at (c_-, r_+(c_-)) by the
+    envelope theorem.
     """
-    quad, opt = quad or QuadratureSpec(), opt or OptimizerSpec()
-    tally = ZoneTally()
     replies = {}
 
     def reply_plus(xs):
@@ -373,6 +366,24 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
         c_plus = np.array([r.c_plus for r in reply_plus(xs)])
         return _c_minus_slope(mf, GamePoint(xs, c_plus), quad, tally)
 
+    return _c_minus_minima(sharp_value, sharp_slope, mf, opt), reply_plus
+
+
+def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
+               opt: OptimizerSpec | None = None) -> GameResult:
+    """Solve both orderings of the thermodynamic game from its best replies.
+
+    r_+(c_-) = `decision_rule` and r_-(c_+), the lowest minimum of the
+    payoff over c_-, are each cached per strategy for this call.
+    p_sharp: minimum over c_- of the payoff at r_+ (`_sharp_minima`; all
+    near-degenerate minima reported); p_flat: maximum over c_+ of the
+    payoff at r_-, the root of its slope over the whole c_+ box.  That
+    profile is concave even where r_- jumps between basins, and its slope
+    is the c_+ gap equation at r_-.
+    """
+    quad, opt = quad or QuadratureSpec(), opt or OptimizerSpec()
+    tally = ZoneTally()
+
     @functools.cache
     def reply_minus(c_plus):
         return _c_minus_minima(
@@ -383,7 +394,7 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
         c_minus = np.array([reply_minus(c)[0] for c in c_plus.tolist()])
         return _gap_map(mf, GamePoint(c_minus, c_plus), quad, tally)[1] - c_plus
 
-    sharp = _c_minus_minima(sharp_value, sharp_slope, mf, opt)
+    sharp, reply_plus = _sharp_minima(mf, quad, opt, tally)
     cm_sharp, sharp_val = sharp[0]
     reply = reply_plus([cm_sharp])[0]
     argmin_sharp = GamePoint(cm_sharp, reply.c_plus)
@@ -441,34 +452,20 @@ def gap_residual(mf: MeanFieldParams, g: GamePoint,
     return math.hypot(g.c_minus - rhs_minus, g.c_plus - rhs_plus)
 
 
-def solve_gap_fixed_point(mf: MeanFieldParams, start: GamePoint,
-                          quad: QuadratureSpec | None = None,
-                          damping: float = 1.0,
+def solve_gap_fixed_point(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
                           opt: OptimizerSpec | None = None) -> GapSolution:
-    """Damped fixed-point iteration of the gap equations.
+    """The gap equations' solution at the lowest minimum of the sharp search.
 
-    g <- (1 - damping) g + damping * RHS(g) until the residual drops below
-    tol_gap or max_iter is reached; non-convergence is reported through the
-    flag, not an exception, and the best iterate seen is returned.
+    c_minus and c_plus = r_+(c_minus) equal `solve_game`'s argmin_sharp bit
+    for bit; a minimum pinned at a box edge may leave residual > tol_gap.
     """
-    if not (0.0 < damping <= 1.0):
-        raise ConfigError("damping must lie in (0, 1]")
-    opt = opt or OptimizerSpec()
-    g = start
-    best = (math.inf, start, 0)
-    for iteration in range(1, opt.max_iter + 1):
-        rhs_minus, rhs_plus = _gap_map(mf, g, quad)
-        residual = math.hypot(g.c_minus - rhs_minus, g.c_plus - rhs_plus)
-        if residual < best[0]:
-            best = (residual, g, iteration)
-        if residual <= opt.tol_gap:
-            return GapSolution(g.c_minus, g.c_plus, residual, iteration, True)
-        g = GamePoint(
-            max((1 - damping) * g.c_minus + damping * rhs_minus, 0.0),
-            (1 - damping) * g.c_plus + damping * rhs_plus,
-        )
-    residual, g, iteration = best
-    return GapSolution(g.c_minus, g.c_plus, residual, iteration, False)
+    quad, opt = quad or QuadratureSpec(), opt or OptimizerSpec()
+    tally = ZoneTally()
+    sharp, reply_plus = _sharp_minima(mf, quad, opt, tally)
+    c_minus = sharp[0][0]
+    c_plus = reply_plus([c_minus])[0].c_plus
+    residual = gap_residual(mf, GamePoint(c_minus, c_plus), quad, tally)
+    return GapSolution(c_minus, c_plus, residual, tally.kernel_calls, residual <= opt.tol_gap)
 
 
 def payoff_gradient_fd(mf: MeanFieldParams, g: GamePoint,

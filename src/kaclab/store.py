@@ -214,7 +214,7 @@ PLOT_KINDS = {
     "gap_vs_beta": (
         "gap_path", ("beta", "c_minus", "c_plus", "residual", "converged"),
         lambda r: float(r["beta"]),
-        "Gap-equation fixed points versus inverse temperature.\n"
+        "Gap-equation solutions (sharp stationary points) versus inverse temperature.\n"
         "Columns: beta, c_minus, c_plus, residual, converged flag.\n",
     ),
 }

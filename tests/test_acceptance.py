@@ -145,7 +145,7 @@ def test_criterion_05_gap_stationarity_equivalence():
                 res = solve_game(mf, QUAD, OPT)
                 for g in (res.argmin_sharp, res.argmax_flat) + res.degenerate_minima:
                     worst_residual = max(worst_residual, gap_residual(mf, g, QUAD))
-                sol = solve_gap_fixed_point(mf, GamePoint(0.3, 0.4), QUAD, damping=0.5)
+                sol = solve_gap_fixed_point(mf, QUAD)
                 if sol.converged:
                     n_converged += 1
                     grad = payoff_gradient_fd(
@@ -154,10 +154,11 @@ def test_criterion_05_gap_stationarity_equivalence():
                     worst_gradient = max(worst_gradient, math.hypot(*grad))
     assert worst_residual <= 1e-7
     assert worst_gradient <= 1e-6
-    assert n_converged > 0
+    assert n_converged == 27
     report(5, time.perf_counter() - t0, 120.0,
            f"27 models: optimizer gap residual max {worst_residual:.2e} <= 1e-7; "
-           f"{n_converged} fixed points, payoff gradient max {worst_gradient:.2e} <= 1e-6")
+           f"{n_converged} of 27 gap solves converged, "
+           f"payoff gradient max {worst_gradient:.2e} <= 1e-6")
 
 
 def test_criterion_06_poisson_summation():

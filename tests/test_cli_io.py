@@ -658,6 +658,15 @@ def sweep_config(**overrides):
     return minimal_config(**data)
 
 
+def test_cli_kac_sweep_rejects_repeated_box_sizes_before_writing(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    path = write_config(tmp_path, sweep_config(L=[1, 1]))
+    assert main(["kac-sweep", "--config", path, "--out", str(out_dir)]) == 2
+    assert "L: expected a nonempty list of nonnegative integers, no two equal" in (
+        capsys.readouterr().err)
+    assert not (out_dir / "sweep.csv").exists()
+
+
 def test_cli_kac_sweep_keeps_rows_per_beta(tmp_path, capsys):
     out_dir = str(tmp_path / "results")
     path = write_config(tmp_path, sweep_config(beta=[1.0, 4.0]))

@@ -370,20 +370,19 @@ def test_fixed_point_from_optimizer_converges_immediately():
                          eta_plus=1.0, eta_minus=2.0)
     res = solve_game(mf, QUAD, OPT)
     # the game optimizer carries residual <= 1e-7 (its own guarantee), so a
-    # fixed-point solve at that tolerance accepts it without iterating
+    # gap solve at that tolerance accepts its point
     loose = OptimizerSpec(tol_gap=1e-7)
-    sol = solve_gap_fixed_point(mf, res.argmin_sharp, QUAD, damping=1.0, opt=loose)
+    sol = solve_gap_fixed_point(mf, QUAD, loose)
     assert sol.converged
-    assert sol.iterations <= 2
-    # and the default tight tolerance still converges quickly nearby
-    tight = solve_gap_fixed_point(mf, res.argmin_sharp, QUAD, damping=1.0)
+    # and the default tight tolerance converges at the game's optimizer
+    tight = solve_gap_fixed_point(mf, QUAD)
     assert tight.converged
     assert abs(tight.c_minus - res.argmin_sharp.c_minus) <= 1e-7
 
 
 def test_fixed_point_trivial_model():
     mf = MeanFieldParams(beta=1.0, hopping=discrete_laplacian(1))
-    sol = solve_gap_fixed_point(mf, GamePoint(0.5, 1.0), QUAD, damping=1.0)
+    sol = solve_gap_fixed_point(mf, QUAD)
     assert sol.converged
     assert sol.c_minus == pytest.approx(0.0, abs=1e-12)
     assert sol.c_plus == pytest.approx(0.0, abs=1e-12)
@@ -392,7 +391,7 @@ def test_fixed_point_trivial_model():
 def test_fixed_point_high_temperature_normal_phase():
     beta = 0.5
     mf = flat_attractive(beta=beta)
-    sol = solve_gap_fixed_point(mf, GamePoint(0.4, 0.0), QUAD, damping=1.0)
+    sol = solve_gap_fixed_point(mf, QUAD)
     assert sol.converged
     assert sol.c_minus == pytest.approx(0.0, abs=1e-6)
     # normal phase really is the payoff minimum on a grid
@@ -404,10 +403,35 @@ def test_fixed_point_high_temperature_normal_phase():
 def test_fixed_point_outputs_are_stationary():
     mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=2.0)
-    sol = solve_gap_fixed_point(mf, GamePoint(0.3, 0.5), QUAD, damping=0.5)
+    sol = solve_gap_fixed_point(mf, QUAD)
     assert sol.converged
     grad = payoff_gradient_fd(mf, GamePoint(sol.c_minus, sol.c_plus), QUAD)
     assert math.hypot(*grad) <= 1e-6
+
+
+def test_gap_converges_where_the_damped_iteration_stalled():
+    # a damped iteration from (0.3, sqrt(eta_+)) stalled here after 500
+    # steps at c_- = 0.0612, residual 6.0e-5: near small c_- its contraction
+    # rate tends to 1
+    mf = MeanFieldParams(beta=2.3, hopping=discrete_laplacian(1),
+                         eta_plus=0.16, eta_minus=3.3)
+    sol = solve_gap_fixed_point(mf, QUAD)
+    assert sol.converged
+    assert sol.residual <= OPT.tol_gap
+    assert sol.c_minus == pytest.approx(0.0517, abs=1e-4)
+
+
+@pytest.mark.parametrize("eta_plus,eta_minus", [(1.0, 2.0), (0.0, 1.64), (0.7, 0.0)],
+                         ids=["general", "eta_plus_axis", "eta_minus_axis"])
+def test_gap_is_the_games_sharp_optimizer_bit_for_bit(eta_plus, eta_minus):
+    mf = MeanFieldParams(beta=7.95, hopping=discrete_laplacian(1),
+                         eta_plus=eta_plus, eta_minus=eta_minus)
+    res = solve_game(mf, QUAD, OPT)
+    sol = solve_gap_fixed_point(mf, QUAD, OPT)
+    assert (sol.c_minus, sol.c_plus) == (res.argmin_sharp.c_minus, res.argmin_sharp.c_plus)
+    assert sol.residual == res.gap_residual_sharp
+    assert sol.converged == (sol.residual <= OPT.tol_gap)
+    assert sol.iterations > 0
 
 
 def test_quasiconvexity_diagnostic_runs():
@@ -432,8 +456,6 @@ def test_quasiconvexity_report_matches_scalar_payoffs():
 def test_game_point_validation():
     with pytest.raises(ConfigError):
         GamePoint(-0.1, 0.0)
-    with pytest.raises(ConfigError):
-        solve_gap_fixed_point(flat_attractive(), GamePoint(0.1, 0.0), QUAD, damping=0.0)
 
 
 @pytest.mark.parametrize("c_minus,c_plus,message", [
