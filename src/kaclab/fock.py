@@ -89,7 +89,8 @@ UP, DOWN = 0, 1
 class _Blocks(NamedTuple):
     """Layout of the (charges, q) blocks of one blocking of a basis."""
 
-    members: dict       # key -> its representatives, ascending; keys sorted
+    members: dict       # key -> its representatives in block order; keys sorted
+    adapted: dict       # key (charges, q, p) of each Theta-real block -> its representatives
     sector: np.ndarray  # (dim,) charge sector of each state
     block: np.ndarray   # (|G|, dim) block id of Bloch state (q, s); -1 if none
     pos: np.ndarray     # (|G|, dim) position of s in that block
@@ -97,6 +98,12 @@ class _Blocks(NamedTuple):
     q: np.ndarray       # momentum index of each block
     conj: np.ndarray    # id of the block (charges, -q) of each block
     flip: np.ndarray    # id of the block with up and down swapped, (N, -2 S_z, q)
+    parts: np.ndarray   # (blocks, 3) sizes of F+, F- and P in each block (P' as P)
+    start: np.ndarray   # index of each block's first Bloch state in block order
+    root_norm: np.ndarray  # N^{1/2} of every Bloch state, in block order
+    theta: np.ndarray   # phase of every Bloch state in the Theta-adapted basis, in block order
+    part: np.ndarray    # real block of every Bloch state's adapted vector, in block order
+    index: np.ndarray   # position of that vector in its real block, in block order
 
 
 class FockBasis:
@@ -114,7 +121,9 @@ class FockBasis:
     representative s (zero for every other state).  Per unit translation:
     the image and sign of every state (``generators``) and the image of
     every site (``site_shifts``).  ``spin_flip`` holds the image and sign of
-    every state under the up <-> down swap.
+    every state under the up <-> down swap, and ``inversion`` those under
+    x -> -x, whose site image is ``site_inversion`` (both None for a bare
+    site count).
     """
 
     def __init__(self, box, dimension_cap: int = DEFAULT_DIMENSION_CAP):
@@ -150,6 +159,10 @@ class FockBasis:
         code, neg_code = (((sh % m) * m ** np.arange(d)).sum(axis=1) for sh in (shifts, -shifts))
         self._neg = np.argsort(code)[np.searchsorted(np.sort(code), neg_code)]
         self.spin_flip = _permute_modes(states, np.roll(np.arange(self.n_modes), n))
+        self.site_inversion = self.inversion = None
+        if isinstance(box, LatticeBox):
+            self.site_inversion = site = box.wrap_index(-box.sites)
+            self.inversion = _permute_modes(states, np.concatenate([site, site + n]))
         # chi[q, g] = exp(-i k_q . h_g), from the exact integer angle (q . h) mod m
         self._chi = np.exp(-2j * np.pi * ((shifts @ shifts.T) % m) / m)
         self.rep = images.min(axis=0)
@@ -160,6 +173,12 @@ class FockBasis:
         self.bloch_norm = np.zeros((len(shifts), dim))
         self.bloch_norm[:, reps] = np.rint(
             len(shifts) * (self._chi @ (signs[:, reps] * in_stab)).real)
+        # orbits of the translations and the inversion: their minima are the
+        # orbit minima r <= rep(I r), the columns F and P of Theta
+        self.inversion_rep = self.rep
+        if self.inversion is not None:
+            self.inversion_rep = np.minimum(self.rep, self.rep[self.inversion[0]])
+        self.inversion_reps = np.flatnonzero(self.inversion_rep == states)
         self._maps: dict[str, _Blocks] = {}
 
     def mode(self, site: int, spin: int) -> int:
@@ -188,12 +207,30 @@ class FockBasis:
         codes = sector[reps] * n_q + q  # ordered as the (charges, q) labels
         labels, first, bid = np.unique(codes, return_index=True, return_inverse=True)
         dims = np.bincount(bid)
-        order = np.argsort(bid, kind="stable")
-        block = np.full(self.bloch_norm.shape, -1)
-        pos = np.zeros(self.bloch_norm.shape, dtype=np.int64)
+        start = np.cumsum(dims) - dims
+        # Theta |r, k> = phi |partner, k> (see the module docstring); kinds
+        # 0..3 are F+, F-, P and P', and F- exists at k = -k only
+        self_conj = self._neg[q] == q
+        partner, phi = reps, np.ones(len(reps), complex)
+        if self.inversion is not None:
+            image, sign = self.inversion
+            s = image[reps]
+            partner = self.rep[s]
+            phi = (sign[reps] * self.rep_sign[s]
+                   * np.sqrt(self.bloch_norm[q, partner] / self.bloch_norm[q, reps])
+                   * self._chi[q, self.to_rep[s]])
+        kind = np.where(partner == reps, self_conj & (phi.real < 0), 2 + (partner < reps))
+        # block order F+, F-, P, then P' in the order of their partners
+        order = np.lexsort((np.where(kind == 3, partner, reps), kind, bid))
+        block = np.full(self.bloch_norm.shape, -1, dtype=np.int32)
+        pos = np.zeros(self.bloch_norm.shape, dtype=np.int32)
         block[q, reps] = bid
-        pos[q[order], reps[order]] = np.arange(len(bid)) - np.repeat(
-            np.cumsum(dims) - dims, dims)
+        pos[q[order], reps[order]] = np.arange(len(bid)) - start[bid[order]]
+        parts = np.zeros((len(dims), 4), dtype=np.int64)
+        np.add.at(parts, (bid, kind), 1)
+        # F takes sqrt(phi) and P' takes phi: Theta then fixes F and swaps P, P'
+        theta = np.where(kind == 3, phi, 1.0 + 0j)
+        theta[kind < 2] = np.sqrt(phi[kind < 2])
         keys = [(*map(int, c), int(k)) for c, k in zip(charges[reps[first]], q[first])]
         members = dict(zip(keys, np.split(reps[order], np.cumsum(dims)[:-1])))
         # Bloch norms are even in k and the spin flip maps orbits onto orbits,
@@ -202,12 +239,33 @@ class FockBasis:
         conj = np.searchsorted(labels, sector[r] * n_q + self._neg[k])
         flip = np.searchsorted(
             labels, np.ravel_multi_index((flipped[r] - low).T, shape) * n_q + k)
-        return _Blocks(members, sector, block, pos, dims, k, conj, flip)
+        # the real block (0: the whole block; 1 and 2: inversion-even [F+, u]
+        # and -odd [F-, v] at k = -k) and position of the Theta-adapted
+        # vector at each Bloch state's position (u at P, v at P')
+        kind, b = kind[order], bid[order]
+        f_plus, f_minus, n_pair = parts[b, :3].T
+        split = conj[b] == b
+        part = np.where(split, np.where((kind == 1) | (kind == 3), 2, 1), 0)
+        index = np.arange(len(b)) - start[b] - np.where(
+            split, np.choose(kind, [0, f_plus, f_minus, f_plus + n_pair]), 0)
+        adapted = {}
+        for i, (key, m) in enumerate(members.items()):
+            for p, sign in ((0, 0), (1, 1), (2, -1)):
+                vectors = m[part[start[i]:start[i] + dims[i]] == p]
+                if len(vectors):
+                    adapted[(*key, sign)] = vectors
+        return _Blocks(members, adapted, sector, block, pos, dims, k, conj, flip, parts[:, :3],
+                       start, np.sqrt(self.bloch_norm[q, reps])[order], theta[order], part,
+                       index)
 
-    def sectors(self, blocking: str) -> dict:
-        """Map block key -> array of its representatives; every state's orbit
-        is covered once per momentum at which its Bloch state exists."""
-        return self._sector_map(blocking).members
+    def sectors(self, blocking: str, adapted: bool = False) -> dict:
+        """Map block key -> array of its representatives, in block order;
+        every state's orbit is covered once per momentum at which its Bloch
+        state exists.  With ``adapted``, the keys (charges, q, p) of the
+        Theta-real blocks, each mapped to the representatives of its basis
+        vectors (u and v by their P and P' members)."""
+        layout = self._sector_map(blocking)
+        return layout.adapted if adapted else layout.members
 
     def annihilator(self, m: int) -> sp.csr_matrix:
         """Sparse matrix of a_m with the Jordan-Wigner sign convention."""
@@ -367,13 +425,18 @@ class FockOperator:
 
     ``blocks`` holds one block per symmetry class, and ``mult[key]`` the
     number of blocks of its class, which share its spectrum (1 for every
-    block when ``mult`` is not given)."""
+    block when ``mult`` is not given).  With ``adapted`` the blocks are the
+    real Theta-adapted ones, keyed (charges, q, p) as in
+    ``FockBasis.sectors(blocking, adapted=True)``; otherwise they are the
+    Bloch-state blocks keyed (charges, q)."""
 
-    def __init__(self, basis: FockBasis, blocking: str, blocks: dict, mult: dict | None = None):
+    def __init__(self, basis: FockBasis, blocking: str, blocks: dict, mult: dict | None = None,
+                 adapted: bool = False):
         self.basis = basis
         self.blocking = blocking
         self.blocks = blocks
         self.mult = mult if mult is not None else dict.fromkeys(blocks, 1)
+        self.adapted = adapted
         self._eigs: dict | None = None
 
     @classmethod
@@ -399,10 +462,12 @@ class FockOperator:
         """
         layout = basis._sector_map(blocking)
         if isinstance(H, _Sites):
-            row, col, data = H.triples(basis, basis.reps)
-            _check_sectors(layout, blocking, row, col, data, basis.rep)
-            H.check_translations(basis)
             real = np.isrealobj(H.pair_field)
+            adapted = real and H.inversion_symmetric(basis)
+            rep = basis.inversion_rep if adapted else basis.rep
+            row, col, data = H.triples(basis, np.flatnonzero(rep == np.arange(basis.dim)))
+            _check_sectors(layout, blocking, row, col, data, rep)
+            H.check_translations(basis)
             flip = blocking == NUMBER
         else:
             import scipy.sparse as sp
@@ -416,15 +481,17 @@ class FockOperator:
                 (_invariance_defect(H, coo, image, sign) for image, sign in basis.generators),
                 tol)
             real = not np.any(np.imag(coo.data))
+            adapted = real and basis.inversion is not None and _invariance_defect(
+                H, coo, *basis.inversion) <= tol
             flip = blocking == NUMBER and _invariance_defect(H, coo, *basis.spin_flip) <= tol
-            at_rep = basis.rep[coo.col] == coo.col
+            rep = basis.inversion_rep if adapted else basis.rep
+            at_rep = rep[coo.col] == coo.col
             row, col, data = coo.row[at_rep], coo.col[at_rep], coo.data[at_rep]
         mult = _classes(layout, real, flip)
-        keys = list(layout.members)
-        kept = np.flatnonzero(mult)
-        blocks = _fill(basis, layout, (row, col, data), mult > 0)
-        return cls(basis, blocking, {keys[i]: blocks[i] for i in kept},
-                   {keys[i]: int(mult[i]) for i in kept})
+        blocks = _fill(basis, layout, (row, col, data), mult > 0, adapted, hermitian=True)
+        by_key = dict(zip(layout.members, mult.tolist()))
+        return cls(basis, blocking, blocks,
+                   {key: by_key[key[:-1] if adapted else key] for key in blocks}, adapted)
 
     @property
     def hermiticity_defect(self) -> float:
@@ -453,40 +520,107 @@ class FockOperator:
                                        for k, w in self._spectra().items()]))
 
 
-def _fill(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np.ndarray) -> dict:
-    """Dense blocks {id: block} of the wanted block ids, in one pass per
+def _fill(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np.ndarray,
+          adapted: bool, hermitian: bool = False) -> dict:
+    """Dense blocks {key: block} of the wanted block ids, in one pass per
     momentum that has any, from the entries (rows, cols, vals) of an
     operator in the columns of the orbit representatives.
 
     Entry H[s, r] at a representative r adds H[s, r] sign_s chi_q(h_s)
     (N_{rep(s)}/N_r)^{1/2} at (rep(s), r) of block q, where
-    T_{h_s} |s> = sign_s |rep(s)> and chi_q(h) = exp(-i k_q.h).  A block is
-    complex if the entries or chi_q are.  The blocks of each kind are views
-    of one zeroed buffer: the fresh pages of the blocks, not the scatter,
-    are most of the cost, and numpy asks for huge pages from 4 MiB on.
+    T_{h_s} |s> = sign_s |rep(s)> and chi_q(h) = exp(-i k_q.h).
+
+    Without ``adapted`` these are the Bloch-state blocks, keyed (charges, q)
+    and complex if the entries or chi_q are.  With ``adapted`` (a real
+    operator with Theta as a symmetry, given in the columns of
+    ``FockBasis.inversion_reps``: F and P) each entry also takes the phases
+    theta of its row and column, and adds its real and imaginary parts to
+    the rows and columns u and v of the real block (charges, q, p) that it
+    touches (see the module docstring).  A ``hermitian`` operator adds only
+    to the lower triangles, and its blocks are then made exactly symmetric.
+    The blocks are views of zeroed buffers, one per kind: the fresh pages of
+    the blocks, not the scatter, are most of the cost, and numpy asks for
+    huge pages from 4 MiB on.
     """
+    dims, keys = layout.dims, list(layout.members)
+    if not adapted:
+        cplx_q = (np.any(basis._chi.imag, axis=1) | np.iscomplexobj(entries[2])).astype(int)
+        cplx = cplx_q[layout.q]
+        sizes = np.where(wanted, dims ** 2, 0)
+        offset = np.zeros(len(dims), dtype=np.int64)
+        for kind in (0, 1):
+            offset[cplx == kind] = np.cumsum(sizes[cplx == kind]) - sizes[cplx == kind]
+        flats = np.zeros(sizes[cplx == 0].sum()), np.zeros(sizes[cplx == 1].sum(), complex)
+        for q, b, pr, pc, vals in _bloch_entries(basis, layout, entries, wanted, False):
+            np.add.at(flats[cplx_q[q]], offset[b] + pr * dims[b] + pc,
+                      vals if cplx_q[q] else vals.real)
+        return {keys[i]: flats[cplx[i]][offset[i]:offset[i] + dims[i] ** 2].reshape(dims[i], dims[i])
+                for i in np.flatnonzero(wanted)}
+
+    f_plus, f_minus, n_pair = layout.parts.T
+    fixed = f_plus + f_minus
+    split = layout.conj == np.arange(len(dims))
+    sides = np.stack([np.where(split, 0, dims), f_plus + n_pair, f_minus + n_pair], axis=1)
+    sides[~split, 1:] = 0
+    sizes = np.where(wanted[:, None], sides ** 2, 0)
+    base = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    out = np.zeros(sizes.sum())
+    # where the row of each Bloch state's adapted vector starts in the output
+    owner = np.repeat(np.arange(len(dims)), dims)
+    row_at = base[owner, layout.part] + layout.index * sides[owner, layout.part]
+    for _, b, pr, pc, z in _bloch_entries(basis, layout, entries, wanted, True):
+        # rows u (at P and P') and v = u + p, columns u and v of every entry
+        f, p = fixed[b], n_pair[b]
+        row_pair, col_pair, sign = pr >= f, pc >= f, np.where(pr >= f + p, -1.0, 1.0)
+        u = layout.start[b] + pr - p * (sign < 0)
+        c = layout.start[b] + pc
+        scale = np.where(row_pair == col_pair, 1.0, np.where(col_pair, _SQRT2, 1 / _SQRT2))
+        re, im = scale * z.real, scale * z.imag
+        upper = np.zeros_like(row_pair)
+        if hermitian:  # the lower triangle only, its diagonal halved: B + B^T below
+            below = np.where(row_pair & col_pair, u - c, np.where(col_pair, -1, pr - pc))
+            re[below == 0] *= 0.5
+            upper = below < 0
+        keep = np.concatenate([~upper, row_pair, col_pair & (not hermitian),
+                               row_pair & col_pair & ~upper])
+        rows = np.concatenate([u, u + p, u, u + p])[keep]
+        cols = np.concatenate([c, c, c + p, c + p])[keep]
+        vals = np.concatenate([re, sign * im, -im, sign * re])[keep]
+        same = layout.part[rows] == layout.part[cols]  # even and odd vectors do not mix
+        np.add.at(out, row_at[rows[same]] + layout.index[cols[same]], vals[same])
+    blocks = {}
+    for i, at, n in zip(np.flatnonzero(wanted).tolist(), base[wanted].tolist(),
+                        sides[wanted].tolist()):
+        for p, sign in ((0, 0), (1, 1), (2, -1)):
+            if n[p]:
+                blocks[(*keys[i], sign)] = B = out[at[p]:at[p] + n[p] ** 2].reshape(n[p], n[p])
+                if hermitian:
+                    B += B.T.copy()
+    return blocks
+
+
+def _bloch_entries(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np.ndarray,
+                   adapted: bool):
+    """For each momentum q of a wanted block: q, and the block ids, the
+    row and column positions in the block and the values of the entries in
+    that momentum's wanted blocks (see ``_fill``)."""
     src, col, data = entries
-    row, sign, to_rep = basis.rep[src], basis.rep_sign[src], basis.to_rep[src]
-    dims = layout.dims
-    chi_complex = np.any(basis._chi.imag, axis=1)
-    cplx_q = (chi_complex | np.iscomplexobj(data)).astype(int)
-    cplx = cplx_q[layout.q]
-    sizes = np.where(wanted, dims ** 2, 0)
-    offset = np.zeros(len(dims), dtype=np.int64)
-    for kind in (0, 1):
-        offset[cplx == kind] = np.cumsum(sizes[cplx == kind]) - sizes[cplx == kind]
-    flats = np.zeros(sizes[cplx == 0].sum()), np.zeros(sizes[cplx == 1].sum(), complex)
+    row, to_rep = basis.rep[src], basis.to_rep[src]
+    data = (np.real(data) if adapted else data) * basis.rep_sign[src]
+    weight = (layout.theta if adapted else 1.0) / layout.root_norm
+    block = layout.block
+    filled = (block >= 0) & wanted[block]
     for q in np.unique(layout.q[wanted]):
-        b = layout.block[q, row]
-        keep = (b >= 0) & wanted[b] & (layout.block[q, col] >= 0)
-        b, r, c = b[keep], row[keep], col[keep]
-        vals = data[keep] * sign[keep] * np.sqrt(basis.bloch_norm[q, r] / basis.bloch_norm[q, c])
-        if chi_complex[q]:
-            vals = vals * basis._chi[q, to_rep[keep]]
-        at = offset[b] + layout.pos[q, r] * dims[b] + layout.pos[q, c]
-        np.add.at(flats[cplx_q[q]], at, vals)
-    return {i: flats[cplx[i]][offset[i]:offset[i] + dims[i] ** 2].reshape(dims[i], dims[i])
-            for i in np.flatnonzero(wanted)}
+        keep = filled[q, col] & (block[q, row] >= 0)
+        r, c = row[keep], col[keep]
+        b = block[q, c]
+        pr, pc = layout.pos[q, r], layout.pos[q, c]
+        vals = data[keep] * basis._chi[q, to_rep[keep]] * (
+            weight[layout.start[b] + pc] / weight[layout.start[b] + pr])
+        yield q, b, pr, pc, vals
+
+
+_SQRT2 = np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +711,29 @@ class _Sites:
         |t| or |w|), is at most that of the global check, as these are
         entries of H: every H that the global check rejects is rejected here.
         """
-        n = basis.n_sites
+        _check_translation_invariance(map(self._defect, basis.site_shifts), self._tolerance())
+
+    def inversion_symmetric(self, basis: FockBasis) -> bool:
+        """Whether H is invariant under the inversion x -> -x of the box,
+        checked on the site matrices by the bound of ``check_translations``
+        (False for a bare site count)."""
+        return (basis.site_inversion is not None
+                and self._defect(basis.site_inversion) <= self._tolerance())
+
+    def _defect(self, site: np.ndarray) -> float:
+        """Bound on max |U H U^dag - H| for the site permutation x -> site[x]."""
+        n = len(site)
         weighted = [(m, weight) for m, weight in
                     ((self.t, 1.0 + np.eye(n)), (self.pair_w, 1.0), (self.v_plus, 4.0))
                     if m is not None]
-        defects = (sum(float(np.sum(weight * np.abs(m[np.ix_(site, site)] - m)))
-                       for m, weight in weighted) for site in basis.site_shifts)
-        off_site = ~np.eye(n, dtype=bool)
-        scale = max((float(np.max(np.abs(m[off_site]), initial=0.0))
+        return sum(float(np.sum(weight * np.abs(m[np.ix_(site, site)] - m)))
+                   for m, weight in weighted)
+
+    def _tolerance(self) -> float:
+        """1e-12 max(1, largest off-site |t| or |w|)."""
+        scale = max((float(np.max(np.abs(m - np.diag(np.diag(m))), initial=0.0))
                      for m in (self.t, self.pair_w) if m is not None), default=0.0)
-        _check_translation_invariance(defects, 1e-12 * max(1.0, scale))
+        return 1e-12 * max(1.0, scale)
 
 
 def build_kac_hamiltonian(mp: ModelParams, box: LatticeBox,
@@ -695,7 +842,7 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
         raise ConfigError("beta must be positive")
     basis = op.basis
     n = basis.n_sites
-    sectors = basis.sectors(op.blocking)
+    sectors = basis.sectors(op.blocking, op.adapted)
     parity = op.blocking == PARITY
     eig = op.eigensystem(vectors=parity)
     e0 = min(w.min() for w, _ in eig.values())
@@ -706,10 +853,11 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     acc_pair = 0.0 + 0.0j
     if parity:  # blocks of the pair order parameter (1/n) sum_x P_x
         layout = basis._sector_map(PARITY)
-        pair_op = _triples(basis.reps, [(np.full(n, 1.0 / n), _pair(basis, np.arange(n)))])
-        keys = list(layout.members)
-        wanted = np.array([key in op.blocks for key in keys])
-        pair_blocks = {keys[i]: B for i, B in _fill(basis, layout, pair_op, wanted).items()}
+        pair_op = _triples(basis.inversion_reps if op.adapted else basis.reps,
+                           [(np.full(n, 1.0 / n), _pair(basis, np.arange(n)))])
+        kept = {key[:-1] if op.adapted else key for key in op.blocks}
+        wanted = np.array([key in kept for key in layout.members])
+        pair_blocks = _fill(basis, layout, pair_op, wanted, op.adapted)
     for key, (w, U) in eig.items():
         mult = op.mult[key]
         weights = mult * np.exp(-beta * (w - e0))

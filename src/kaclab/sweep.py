@@ -68,6 +68,8 @@ class SweepPlan:
             raise ConfigError(f"order must be one of {ORDERS}")
         if not self.L_list or min(self.L_list) < 0:
             raise ConfigError("L_list must be nonempty with L >= 0")
+        if len(set(self.L_list)) != len(self.L_list):
+            raise ConfigError("L_list must not repeat a box size")
         for name, sched in (("gamma_minus_schedule", self.gamma_minus_schedule),
                             ("gamma_plus_schedule", self.gamma_plus_schedule)):
             if not sched:
@@ -117,7 +119,7 @@ class SweepRecord:
 
 def _evaluate(plan: SweepPlan, key, config_hash: str) -> tuple:
     """The record of a key and its stages: build and Gibbs times, the
-    number of blocks kept and the largest."""
+    number of blocks kept, the largest and the sum of dim^3 over them."""
     L, gm, gp = key
     t0 = time.perf_counter()
     box = LatticeBox(plan.model.hopping.d, L, plan.boundary)
@@ -131,9 +133,11 @@ def _evaluate(plan: SweepPlan, key, config_hash: str) -> tuple:
         boundary=plan.boundary, pressure=obs.pressure, density=obs.density,
         runtime_ms=int(round(1000.0 * (t2 - t0))), config_hash=config_hash,
     )
+    dims = op.sector_dimensions().values()
     stages = {"L": L, "gamma_minus": gm, "gamma_plus": gp,
               "build_ms": round(1000.0 * (t1 - t0), 3), "gibbs_ms": round(1000.0 * (t2 - t1), 3),
-              "kept_blocks": len(op.blocks), "largest_block": max(op.sector_dimensions().values())}
+              "kept_blocks": len(dims), "largest_block": max(dims),
+              "eig_dim3": sum(d**3 for d in dims)}
     return record, stages
 
 
@@ -145,8 +149,8 @@ def run_sweep(plan: SweepPlan, store=None, config_hash: str = "",
     config_hash, d, beta and boundary is reused, not recomputed; every
     other key is evaluated.  A capacity error goes to ``failures`` and the
     log without aborting the sweep.  Each freshly computed record appends
-    its key, build and Gibbs times (ms), number of kept blocks and largest
-    block to ``stages``, and the fresh records are appended to the store
+    its key, build and Gibbs times (ms), number of kept blocks, largest
+    block and sum of dim^3 over the kept blocks to ``stages``, and the fresh records are appended to the store
     in one call.  The returned list follows the deterministic plan order.
     """
     keys = plan.keys()

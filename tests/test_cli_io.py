@@ -710,8 +710,10 @@ def test_cli_kac_sweep_manifest_lists_fresh_records(tmp_path, capsys):
     for s in stages:
         assert s["build_ms"] >= 0 and s["gibbs_ms"] >= 0
         # 1 site: four (N, 2S_z) blocks of order 1, with (1, 1) and (1, -1)
-        # paired; 3 sites: 17 classes of (N, 2S_z, k) blocks
-        assert (s["kept_blocks"], s["largest_block"]) == ((3, 1) if s["L"] == 0 else (17, 3))
+        # paired; 3 sites: 17 classes of (N, 2S_z, k) blocks, the k = 0 ones
+        # split into inversion-even and -odd real blocks
+        assert (s["kept_blocks"], s["largest_block"], s["eig_dim3"]) == (
+            (3, 1, 3) if s["L"] == 0 else (20, 3, 119))
 
 
 def test_cli_kac_sweep_rejects_eta_other_than_its_potentials(tmp_path, capsys):

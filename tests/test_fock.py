@@ -5,6 +5,7 @@ Kronecker-product construction (Pauli-string style), built without any of
 the package's Jordan-Wigner machinery.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from kaclab.errors import CapacityError, KaclabError
 from kaclab.fock import (
     FockBasis,
     FockOperator,
+    GibbsObservables,
     _approximating_sites,
     _kac_sites,
     _meanfield_sites,
@@ -39,6 +41,7 @@ from kaclab.lattice import (
     kac_coupling_matrix,
 )
 from kaclab.potentials import GaussianMixture, PlainGaussian
+from kaclab.quasifree import QuadratureSpec, bz_gibbs_expectations, finite_grid_pressure
 
 
 def kron_modes(n_modes):
@@ -90,17 +93,17 @@ def oracle_hamiltonian(n, t, v_plus, pair_w, density_onebody=0.0, double_occ=0.0
     return H.toarray()
 
 
-def translation_operator(n_sites):
-    """Unit translation x -> x+1 (mod n_sites) of a periodic chain, as a
+def site_permutation_operator(n_sites, site_map):
+    """The relabelling x -> site_map[x] of the sites of a chain, as a
     sparse matrix.
 
-    Defined by T a^dag_{x,s} T^dag = a^dag_{x+1,s} and T|0> = |0>: the
-    product of creators of every occupation pattern, with each mode
+    Defined by U a^dag_{x,s} U^dag = a^dag_{site_map[x],s} and U|0> = |0>:
+    the product of creators of every occupation pattern, with each mode
     relabeled, is built from the Kronecker-string operators alone.
     """
     n_modes = 2 * n_sites
     create = [sp.csr_matrix(m.T) for m in kron_modes(n_modes)]
-    shift = [(m % n_sites + 1) % n_sites + (m // n_sites) * n_sites for m in range(n_modes)]
+    image = [site_map[m % n_sites] + (m // n_sites) * n_sites for m in range(n_modes)]
     vacuum = np.zeros(2**n_modes)
     vacuum[0] = 1.0
 
@@ -112,34 +115,91 @@ def translation_operator(n_sites):
 
     patterns = [[m for m in range(n_modes) if s >> m & 1] for s in range(2**n_modes)]
     before = sp.csr_matrix(np.column_stack([filled(p) for p in patterns]))
-    after = sp.csr_matrix(np.column_stack([filled([shift[m] for m in p]) for p in patterns]))
+    after = sp.csr_matrix(np.column_stack([filled([image[m] for m in p]) for p in patterns]))
     return after @ before.T  # before is a signed permutation
+
+
+def translation_operator(n_sites):
+    """Unit translation x -> x+1 (mod n_sites) of a periodic chain."""
+    return site_permutation_operator(n_sites, (np.arange(n_sites) + 1) % n_sites)
+
+
+@functools.cache
+def inversion_operator(n_sites):
+    """Inversion x -> -x of the chain {-L..L}, sites in ascending order."""
+    return site_permutation_operator(n_sites, np.arange(n_sites)[::-1])
+
+
+def signed_image(U):
+    """Image of every basis state under a signed permutation matrix U."""
+    return np.asarray(abs(U).argmax(axis=0)).ravel()
+
+
+def theta_coefficients(op, key, reps, states, phases, partner):
+    """Coefficients, on the Bloch states |s, k> of ``states``, of the basis
+    vectors of the Theta-adapted block ``key`` of ``op``; ``phases[j, i]``
+    is <s_j, k| Theta |s_i, k> for Theta = I K.
+
+    A representative r with partner rep(I r) = r gives theta |r, k>, with
+    theta^2 the phase phi of Theta |r, k> = phi |r, k>; Theta fixes theta
+    only up to sign, which is taken from the operator's basis.  A pair
+    r < r' = rep(I r), with Theta |r, k> = phi |r', k>, gives
+    u = (|r, k> + phi |r', k>)/sqrt 2 at r and v = i (|r, k> - phi |r', k>)/sqrt 2
+    at r'."""
+    layout = op.basis._sector_map(op.blocking)
+    block = list(layout.members).index(key[:-1])
+    at = {int(s): j for j, s in enumerate(states)}
+    C = np.zeros((len(states), len(reps)), dtype=complex)
+    for col, r in enumerate(map(int, reps)):
+        low, high = sorted((at[r], at[int(partner[r])]))
+        phi = phases[high, low]
+        if low == high:
+            theta = layout.theta[layout.start[block] + layout.pos[key[-2], r]]
+            assert abs(theta**2 - phi) <= 1e-12
+            C[low, col] = theta
+        elif at[r] == low:
+            C[[low, high], col] = np.array([1.0, phi]) / math.sqrt(2)
+        else:
+            C[[low, high], col] = 1j * np.array([1.0, -phi]) / math.sqrt(2)
+    return C
 
 
 def assert_blocks_match(op, oracle, translation=None):
     """V^dag H V for the oracle H is block diagonal with the operator's
-    blocks.  The columns of V are the blocks' Bloch states
-    sum_h exp(-i k h) T^h |r> / norm, from the unit translation T of
-    ``translation_operator`` (without one, the plain sector states), and V
-    must be unitary."""
+    blocks.  The columns of V are the blocks' basis vectors: the Bloch
+    states sum_h exp(-i k h) T^h |r> / norm, from the unit translation T of
+    ``translation_operator`` (without one, the plain sector states), or
+    for a Theta-adapted operator their combinations of ``theta_coefficients``.
+    V must be unitary."""
     dim = oracle.shape[0]
+    n = op.basis.n_sites
     eye = sp.identity(dim, format="csr")
-    steps = 1 if translation is None else op.basis.n_sites
+    steps = 1 if translation is None else n
+    if op.adapted:
+        inversion = inversion_operator(n)
+        orbit = [np.arange(dim)]
+        for _ in range(steps - 1):
+            orbit.append(signed_image(translation)[orbit[-1]])
+        partner = np.min(orbit, axis=0)[signed_image(inversion)]
+    sectors = op.basis.sectors(op.blocking, op.adapted)
     columns = []
-    for key, reps in op.basis.sectors(op.blocking).items():
-        k = float(op.basis.momenta[key[-1]][0])
-        bloch = sp.csr_matrix((dim, len(reps)), dtype=complex)
-        moved = eye[:, reps]
+    for key, reps in sectors.items():
+        k = float(op.basis.momenta[key[-2] if op.adapted else key[-1]][0])
+        states = np.unique(np.concatenate([reps, partner[reps]])) if op.adapted else reps
+        vec = sp.csr_matrix((dim, len(states)), dtype=complex)
+        moved = eye[:, states]
         for h in range(steps):
-            bloch = bloch + np.exp(-1j * k * h) * moved
+            vec = vec + np.exp(-1j * k * h) * moved
             moved = translation @ moved if translation is not None else moved
-        norms = np.sqrt(np.asarray(abs(bloch).power(2).sum(axis=0))).ravel()
-        columns.append(bloch @ sp.diags(1.0 / norms))
+        vec = vec @ sp.diags(1.0 / np.sqrt(np.asarray(abs(vec).power(2).sum(axis=0))).ravel())
+        if op.adapted:
+            phases = (vec.conj().T @ inversion @ vec.conj()).toarray()
+            vec = vec @ sp.csr_matrix(theta_coefficients(op, key, reps, states, phases, partner))
+        columns.append(vec)
     V = sp.hstack(columns, format="csr")
     assert V.shape == (dim, dim)
     assert abs(V.conj().T @ V - eye).max() <= 1e-12
     blocked = V.conj().T @ oracle @ V
-    sectors = op.basis.sectors(op.blocking)
     spans = dict(zip(sectors, (slice(a, a + len(r)) for a, r in zip(
         np.cumsum([0, *map(len, sectors.values())]), sectors.values()))))
     outside = 1 - block_diag(*(np.ones((len(r), len(r))) for r in sectors.values()))
@@ -325,12 +385,14 @@ def test_blocks_match_kronecker_oracle(L, boundary):
 
     c_minus = complex(*rng.normal(size=2))
     c_plus = complex(*rng.normal(size=2))
-    assert_blocks_match(
-        build_approximating_hamiltonian(mf, c_minus, c_plus, box),
-        oracle_hamiltonian(n, T, zero, zero, density_onebody=2 * math.sqrt(e_plus) * c_plus.real,
-                           pair_field=-math.sqrt(e_minus) * c_minus),
-        translation,
-    )
+    for c in (c_minus, c_minus.real):  # complex Bloch-state and real Theta-adapted blocks
+        assert_blocks_match(
+            build_approximating_hamiltonian(mf, c, c_plus, box),
+            oracle_hamiltonian(n, T, zero, zero,
+                               density_onebody=2 * math.sqrt(e_plus) * c_plus.real,
+                               pair_field=-math.sqrt(e_minus) * c),
+            translation,
+        )
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3])
@@ -354,18 +416,23 @@ def test_momentum_spectra_match_trivial_group(L):
         op = FockOperator.from_sparse(momentum, H, blocking)
         assert sum(op.mult[k] * dim for k, dim in op.sector_dimensions().items()) == 4**n
         if blocking == "parity" and n == 7:
-            # trivial parity blocks have order 8192: compare with the closed
-            # form, one two-mode block (k up, -k down) per momentum
-            shift, g = mf.approximating_fields(c_minus, c_plus)
-            eps = dispersion(hop, momentum.momenta) + shift
-            big = np.sqrt(eps**2 + abs(g) ** 2)
-            expected = np.zeros(1)
-            for levels in np.stack([eps - big, eps, eps, eps + big], axis=1):
-                expected = np.add.outer(expected, levels).ravel()
-            expected = np.sort(expected)
+            # trivial parity blocks have order 8192: compare with the closed form
+            expected = quasifree_spectrum(mf, c_minus, c_plus, momentum.momenta)
         else:
             expected = FockOperator.from_sparse(trivial, H, blocking).eigenvalues()
         assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
+
+
+def quasifree_spectrum(mf, c_minus, c_plus, momenta):
+    """Spectrum of the approximating Hamiltonian of a periodic chain in
+    closed form: one two-mode block (k up, -k down) per momentum."""
+    shift, g = mf.approximating_fields(c_minus, c_plus)
+    eps = dispersion(mf.hopping, momenta) + shift
+    big = np.sqrt(eps**2 + abs(g) ** 2)
+    levels = np.zeros(1)
+    for block in np.stack([eps - big, eps, eps, eps + big], axis=1):
+        levels = np.add.outer(levels, block).ravel()
+    return np.sort(levels)
 
 
 def plain_sector_spectrum(basis, H, blocking):
@@ -401,8 +468,87 @@ def test_paired_spectra_match_plain_sectors(L, boundary):
         assert max(op.mult.values()) == (4 if boundary == "periodic" else 2)
         expected = plain_sector_spectrum(bare, matrix, "number")
         assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
-    if n == 7:
-        assert len(op.blocks) == 135 and max(op.sector_dimensions().values()) == 175
+    if n == 7:  # 135 classes, 25 of them at k = 0 split by inversion parity
+        assert len(op.blocks) == 160 and max(op.sector_dimensions().values()) == 175
+
+
+def assert_gibbs_match(got, want):
+    for field in ("pressure", "density", "pair_amplitude"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12
+
+
+def assert_theta_real(op):
+    """A Theta-adapted operator stores float64 blocks, each exactly symmetric."""
+    assert op.adapted
+    for B in op.blocks.values():
+        assert B.dtype == np.float64 and np.array_equal(B, B.T)
+
+
+@pytest.mark.parametrize("L,boundary", [(1, "periodic"), (2, "periodic"), (3, "periodic"),
+                                        (1, "open"), (2, "open")])
+def test_theta_real_blocks_match_plain_sectors(L, boundary):
+    # Kac, mean-field and real-c approximating Hamiltonians have Theta as a
+    # symmetry: real symmetric blocks with the spectra and Gibbs
+    # observables of the plain sectors of the global matrix.  The 7-site
+    # plain parity sectors have order 8192, so there the approximating
+    # Hamiltonian is compared with its quasi-free finite-grid values.
+    rng = np.random.default_rng(401 + L)
+    box = LatticeBox(1, L, boundary)
+    n = box.n_sites
+    bare = FockBasis(n)
+    hop = HoppingKernel({(0,): rng.normal(), (1,): rng.normal(), (2,): rng.normal()}, 1)
+    beta = 1.3
+    mp = ModelParams(beta=beta, hopping=hop, f_plus=PlainGaussian(rng.uniform(0.5, 2.0), d=1),
+                     f_minus=GaussianMixture([(0.6, (rng.uniform(0.5, 3.0),))], d=1),
+                     gamma_plus=0.45, gamma_minus=0.3, include_onsite_correction=True)
+    mf = MeanFieldParams(beta=beta, hopping=hop, eta_plus=0.8, eta_minus=1.3)
+    c_minus, c_plus = 0.45, 0.3
+    cases = [(build_kac_hamiltonian(mp, box), _kac_sites(mp, box), "number"),
+             (build_meanfield_hamiltonian(mf, box), _meanfield_sites(mf, box), "number"),
+             (build_approximating_hamiltonian(mf, c_minus, c_plus, box),
+              _approximating_sites(mf, c_minus, c_plus, box), "parity")]
+    for op, sites, blocking in cases:
+        assert_theta_real(op)
+        got = gibbs_observables(op, beta)
+        if blocking == "parity":
+            assert abs(got.pair_amplitude) > 1e-2
+        if blocking == "parity" and n == 7:
+            quad = QuadratureSpec(scheme="midpoint_tensor", points_per_axis=n,
+                                  refinement_check=False)
+            pair, density = bz_gibbs_expectations(mf, c_minus, c_plus, quad)
+            want = GibbsObservables(finite_grid_pressure(mf, c_minus, c_plus, L), density,
+                                    pair, 0.0)
+            expected = quasifree_spectrum(mf, c_minus, c_plus, op.basis.momenta)
+        else:
+            H = sites.matrix(bare)
+            want = gibbs_observables(FockOperator.from_sparse(bare, H, blocking), beta)
+            expected = plain_sector_spectrum(bare, H, blocking)
+        assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
+        assert_gibbs_match(got, want)
+
+
+def test_theta_breaking_operators_keep_complex_blocks():
+    # translation-invariant site data whose density coupling is not even in
+    # x - y, and a complex pair field: Theta is no symmetry of the site
+    # data, so the blocks stay the complex Bloch-state ones, with the
+    # spectra and Gibbs observables of the plain sectors
+    box = LatticeBox(1, 2, "periodic")
+    n = box.n_sites
+    basis, bare = FockBasis(box), FockBasis(n)
+    x = np.arange(n)
+    v_plus = np.array([0.0, 0.7, 0.2, -0.1, 0.4])[(x[:, None] - x[None, :]) % n]
+    mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
+    cases = [(_Sites(t=hopping_matrix(mf.hopping, box), v_plus=v_plus), "number"),
+             (_approximating_sites(mf, 0.4 * np.exp(0.9j), 0.35, box), "parity")]
+    for sites, blocking in cases:
+        op = FockOperator.from_sparse(basis, sites, blocking)
+        assert not op.adapted and op.blocks.keys() <= basis.sectors(blocking).keys()
+        assert any(np.iscomplexobj(B) for B in op.blocks.values())
+        H = sites.matrix(bare)
+        expected = plain_sector_spectrum(bare, H, blocking)
+        assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
+        assert_gibbs_match(gibbs_observables(op, 1.5),
+                           gibbs_observables(FockOperator.from_sparse(bare, H, blocking), 1.5))
 
 
 def test_spin_field_breaks_only_the_spin_flip_pairing():
@@ -722,7 +868,7 @@ def test_onsite_correction_terms():
     n_tot = basis.n_tot.astype(float)
     docc = (basis.occ[:, 0] * basis.occ[:, 1]).astype(float)
     expected_diag = -0.5 * 0.4 * 1.0 * n_tot + 0.5 * 0.3 * 1.0 * docc
-    sectors = basis.sectors("number")
+    sectors = corrected.basis.sectors("number", corrected.adapted)
     assert sum(corrected.mult[key] * len(sectors[key]) for key in corrected.blocks) == 4
     for key in corrected.blocks:
         idx = sectors[key]

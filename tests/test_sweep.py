@@ -64,6 +64,13 @@ def test_plan_rejects_nondecreasing_schedules():
                   gamma_plus_schedule=(0.5,), order="diagonal")
 
 
+def test_plan_rejects_repeated_box_sizes():
+    # a plan built directly, not from a config, used to accept a repeated L
+    # and repeat its keys in plan.keys()
+    with pytest.raises(ConfigError, match="must not repeat a box size"):
+        hopping_only_plan(L_list=(1, 0, 1))
+
+
 def test_plan_key_orderings():
     plan_m = hopping_only_plan("minus_first", L_list=(1,))
     keys = plan_m.keys()
