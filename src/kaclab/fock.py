@@ -36,19 +36,46 @@ and of ``selftest``) is checked as a whole, translations to
 1e-12 max(1, max|H|).  The site data of a builder are checked on the site
 matrices, by a bound that rejects every operator the global check rejects.
 
+Every Kac and mean-field Hamiltonian, and the approximating one at real
+c_-, is real, and its hopping kernel and pair potentials are even; so it
+commutes with the antiunitary Theta = I K, the inversion I: x -> -x (with
+its Jordan-Wigner sign) followed by complex conjugation.  Theta maps each
+block onto itself, and Theta^2 = 1:
+
+    Theta |r, k> = phi_r |r', k>,  r' = rep(s), s = I r,
+    phi_r = sign_I(r) sign_s chi_q(h_s) (N_{r'}/N_r)^{1/2}
+
+(T_{h_s} |s> = sign_s |r'>, chi_q(h) = exp(-i k_q.h)).  Its fixed points F
+(r' = r), pairs P (r < r') and partners P' (r' < r) order each block as
+[F, P, P'].  With the phases phi^{1/2} on F and phi on P', Theta acts as
+complex conjugation that swaps P and P', so the vectors F,
+u = (P + P')/sqrt 2 and v = i (P - P')/sqrt 2 span the block with a real
+symmetric matrix, kept under the key (charges, q, 0).  At k = -k (q = 0,
+which is every block of an open box) I alone is a symmetry: phi = +-1
+splits F into the inversion-even F+ and the odd F-, and the block into the
+real blocks (charges, q, 1) on [F+, u] and (charges, q, -1) on [F-, v].
+These blocks need the columns F and P only, the minima of the orbits of
+translations and inversion (``FockBasis.inversion_reps``: 1,300 of the
+2,344 representatives at 7 sites).  The inversion is checked like the spin
+flip below: on the site matrices by the translation bound, and to
+1e-12 max(1, max|H|) for a global matrix.  An operator that fails it, or
+that is complex (the approximating one at complex c_-), keeps the complex
+Bloch-state blocks (charges, q), as does every operator of a bare-site-count
+basis, which has no inversion.
+
 Two pairings make blocks redundant, and only the lowest block of each
 class is filled and diagonalized, with the class size as its
-multiplicity.  A real H (all Kac and mean-field Hamiltonians, and the
-approximating one at real c_-) has the complex-conjugate block at -k, so
-k pairs with -k.  Under number blocking, an H invariant under the up <->
-down swap (checked like a translation for a global matrix; site data that
+multiplicity.  A real H has the complex-conjugate block at -k, so k pairs
+with -k.  Under number blocking, an H invariant under the up <-> down
+swap (checked like a translation for a global matrix; site data that
 conserve number always are) has the same spectrum at 2*S_z and -2*S_z.
-An H that fails a check keeps multiplicity 1 on that pairing.
-The 7-site periodic chain has 424 (N, 2*S_z, q) blocks in 135 classes of
-size 1, 2 or 4; the kept blocks have order at most 175 and sum dim^3 =
-8.7e7 (all 424: 2.2e8; without momentum: 64 blocks up to order 1225,
-sum dim^3 = 1.1e10).  Every kept block is diagonalized in full, since the
-traces need full spectra.
+An H that fails a check keeps multiplicity 1 on that pairing.  The 7-site
+periodic chain has 424 (N, 2*S_z, q) blocks in 135 classes of size 1, 2
+or 4.  Their kept Theta-real blocks number 160 (99 at k != 0, and 61
+inversion halves of the 36 classes at k = 0), of order at most 175, with
+sum dim^3 = 7.0e7 (complex Bloch-state blocks: 8.7e7; all 424: 2.2e8;
+without momentum: 64 blocks up to order 1225, sum dim^3 = 1.1e10).  Every
+kept block is diagonalized in full, since the traces need full spectra.
 """
 
 from __future__ import annotations
@@ -85,25 +112,33 @@ NUMBER, PARITY = "number", "parity"
 
 UP, DOWN = 0, 1
 
+_PARTS = (0, 1, -1)  # key suffix p of real block part 0 (whole), 1 (even), 2 (odd)
+
 
 class _Blocks(NamedTuple):
-    """Layout of the (charges, q) blocks of one blocking of a basis."""
+    """Layout of the (charges, q) blocks of one blocking of a basis.
+
+    The Bloch states are numbered in block order: block by block, and in
+    each block F+, F-, P, P' (see the module docstring)."""
 
     members: dict       # key -> its representatives in block order; keys sorted
     adapted: dict       # key (charges, q, p) of each Theta-real block -> its representatives
     sector: np.ndarray  # (dim,) charge sector of each state
-    block: np.ndarray   # (|G|, dim) block id of Bloch state (q, s); -1 if none
-    pos: np.ndarray     # (|G|, dim) position of s in that block
+    bloch: np.ndarray   # (|G|, dim) number of Bloch state (q, s); -1 if none
     dims: np.ndarray    # order of each block
     q: np.ndarray       # momentum index of each block
     conj: np.ndarray    # id of the block (charges, -q) of each block
     flip: np.ndarray    # id of the block with up and down swapped, (N, -2 S_z, q)
-    parts: np.ndarray   # (blocks, 3) sizes of F+, F- and P in each block (P' as P)
-    start: np.ndarray   # index of each block's first Bloch state in block order
-    root_norm: np.ndarray  # N^{1/2} of every Bloch state, in block order
-    theta: np.ndarray   # phase of every Bloch state in the Theta-adapted basis, in block order
-    part: np.ndarray    # real block of every Bloch state's adapted vector, in block order
-    index: np.ndarray   # position of that vector in its real block, in block order
+    pairs: np.ndarray   # number of pairs P (and partners P') in each block
+    sides: np.ndarray   # (blocks, 3) order of its real block of each part (0: none)
+    # per Bloch state:
+    owner: np.ndarray   # its block
+    pos: np.ndarray     # its position in the block
+    kind: np.ndarray    # 0..3 for F+, F-, P, P'
+    root_norm: np.ndarray  # N^{1/2}
+    theta: np.ndarray   # its phase in the Theta-adapted basis
+    part: np.ndarray    # the real block of its adapted vector (u at P, v at P')
+    index: np.ndarray   # the position of that vector in its real block
 
 
 class FockBasis:
@@ -222,12 +257,10 @@ class FockBasis:
         kind = np.where(partner == reps, self_conj & (phi.real < 0), 2 + (partner < reps))
         # block order F+, F-, P, then P' in the order of their partners
         order = np.lexsort((np.where(kind == 3, partner, reps), kind, bid))
-        block = np.full(self.bloch_norm.shape, -1, dtype=np.int32)
-        pos = np.zeros(self.bloch_norm.shape, dtype=np.int32)
-        block[q, reps] = bid
-        pos[q[order], reps[order]] = np.arange(len(bid)) - start[bid[order]]
-        parts = np.zeros((len(dims), 4), dtype=np.int64)
-        np.add.at(parts, (bid, kind), 1)
+        bloch = np.full(self.bloch_norm.shape, -1, dtype=np.int32)
+        bloch[q[order], reps[order]] = np.arange(len(bid))
+        counts = np.zeros((len(dims), 4), dtype=np.int64)
+        np.add.at(counts, (bid, kind), 1)
         # F takes sqrt(phi) and P' takes phi: Theta then fixes F and swaps P, P'
         theta = np.where(kind == 3, phi, 1.0 + 0j)
         theta[kind < 2] = np.sqrt(phi[kind < 2])
@@ -239,24 +272,26 @@ class FockBasis:
         conj = np.searchsorted(labels, sector[r] * n_q + self._neg[k])
         flip = np.searchsorted(
             labels, np.ravel_multi_index((flipped[r] - low).T, shape) * n_q + k)
-        # the real block (0: the whole block; 1 and 2: inversion-even [F+, u]
-        # and -odd [F-, v] at k = -k) and position of the Theta-adapted
-        # vector at each Bloch state's position (u at P, v at P')
+        # the real blocks (part 0: the whole block; 1 and 2: inversion-even
+        # [F+, u] and -odd [F-, v] at k = -k), and the part and position of
+        # the Theta-adapted vector at each Bloch state's position (u at P,
+        # v at P')
+        f_plus, f_minus, n_pair = counts[:, :3].T
+        split = conj == np.arange(len(dims))
+        sides = np.stack([np.where(split, 0, dims), np.where(split, f_plus + n_pair, 0),
+                          np.where(split, f_minus + n_pair, 0)], axis=1)
         kind, b = kind[order], bid[order]
-        f_plus, f_minus, n_pair = parts[b, :3].T
-        split = conj[b] == b
-        part = np.where(split, np.where((kind == 1) | (kind == 3), 2, 1), 0)
-        index = np.arange(len(b)) - start[b] - np.where(
-            split, np.choose(kind, [0, f_plus, f_minus, f_plus + n_pair]), 0)
-        adapted = {}
-        for i, (key, m) in enumerate(members.items()):
-            for p, sign in ((0, 0), (1, 1), (2, -1)):
-                vectors = m[part[start[i]:start[i] + dims[i]] == p]
-                if len(vectors):
-                    adapted[(*key, sign)] = vectors
-        return _Blocks(members, adapted, sector, block, pos, dims, k, conj, flip, parts[:, :3],
-                       start, np.sqrt(self.bloch_norm[q, reps])[order], theta[order], part,
-                       index)
+        pos = np.arange(len(b)) - start[b]
+        part = np.where(split[b], np.where((kind == 1) | (kind == 3), 2, 1), 0)
+        index = pos - np.where(
+            split[b], np.choose(kind, [0, f_plus[b], f_minus[b], (f_plus + n_pair)[b]]), 0)
+        adapted = {(*key, _PARTS[p]): m[part[start[i]:start[i] + dims[i]] == p]
+                   for i, key, m in zip(range(len(dims)), members, members.values())
+                   for p in range(3) if sides[i, p]}
+        return _Blocks(members, adapted, sector, bloch, dims, k, conj, flip, n_pair, sides,
+                       b.astype(np.int32), pos.astype(np.int32), kind.astype(np.int8),
+                       np.sqrt(self.bloch_norm[q, reps])[order], theta[order],
+                       part.astype(np.int8), index.astype(np.int32))
 
     def sectors(self, blocking: str, adapted: bool = False) -> dict:
         """Map block key -> array of its representatives, in block order;
@@ -442,7 +477,7 @@ class FockOperator:
     @classmethod
     def from_sparse(cls, basis: FockBasis, H: sp.spmatrix | _Sites,
                     blocking: str) -> "FockOperator":
-        """Dense (charges, q) blocks of H, one per symmetry class.
+        """Dense blocks of H, one per symmetry class.
 
         H is a sparse matrix on the basis, or the site data ``_Sites`` of a
         Hamiltonian of its box.  Raises KaclabError if any nonzero entry
@@ -450,22 +485,26 @@ class FockOperator:
         translation of the basis.  A real H pairs the blocks at k and -k,
         which are complex conjugates; under number blocking, an H invariant
         under the up <-> down swap pairs (N, 2 S_z, q) with (N, -2 S_z, q).
-        Only the lowest block of each class is filled, from the entries of
-        H in the columns of the orbit representatives.
+        Only the lowest block of each class is filled.  A real H that is
+        invariant under the inversion gets the real Theta-adapted blocks
+        (charges, q, p), filled from the entries in the columns of
+        ``basis.inversion_reps``; any other H gets the Bloch-state blocks
+        (charges, q), filled from those in the representative columns.
 
-        A sparse matrix is checked as a whole: translations and the swap to
-        1e-12 max(1, max|H|).  Site data are checked on the site matrices
-        (``_Sites.check_translations``); they are real when the pair field
+        A sparse matrix is checked as a whole: translations, the swap and
+        the inversion to 1e-12 max(1, max|H|).  Site data are checked on
+        the site matrices (``_Sites.check_translations`` and
+        ``_Sites.inversion_symmetric``); they are real when the pair field
         is, and every number-conserving one is swap invariant by
-        construction.  Their entries are built in the representative
-        columns only.
+        construction.  Their entries are built in the columns used only.
         """
         layout = basis._sector_map(blocking)
         if isinstance(H, _Sites):
             real = np.isrealobj(H.pair_field)
             adapted = real and H.inversion_symmetric(basis)
-            rep = basis.inversion_rep if adapted else basis.rep
-            row, col, data = H.triples(basis, np.flatnonzero(rep == np.arange(basis.dim)))
+            rep, reps = ((basis.inversion_rep, basis.inversion_reps) if adapted
+                         else (basis.rep, basis.reps))
+            row, col, data = H.triples(basis, reps)
             _check_sectors(layout, blocking, row, col, data, rep)
             H.check_translations(basis)
             flip = blocking == NUMBER
@@ -536,11 +575,12 @@ def _fill(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np.ndarray,
     ``FockBasis.inversion_reps``: F and P) each entry also takes the phases
     theta of its row and column, and adds its real and imaginary parts to
     the rows and columns u and v of the real block (charges, q, p) that it
-    touches (see the module docstring).  A ``hermitian`` operator adds only
-    to the lower triangles, and its blocks are then made exactly symmetric.
-    The blocks are views of zeroed buffers, one per kind: the fresh pages of
-    the blocks, not the scatter, are most of the cost, and numpy asks for
-    huge pages from 4 MiB on.
+    touches (see the module docstring).  A ``hermitian`` operator adds each
+    value in a lower triangle and, in the same order, at its mirror image,
+    so its real blocks are exactly symmetric.  The blocks are views of
+    zeroed buffers, one per kind (complex, float): the fresh pages of the
+    blocks, not the scatter, are most of the cost, and numpy asks for huge
+    pages from 4 MiB on.
     """
     dims, keys = layout.dims, list(layout.members)
     if not adapted:
@@ -551,73 +591,73 @@ def _fill(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np.ndarray,
         for kind in (0, 1):
             offset[cplx == kind] = np.cumsum(sizes[cplx == kind]) - sizes[cplx == kind]
         flats = np.zeros(sizes[cplx == 0].sum()), np.zeros(sizes[cplx == 1].sum(), complex)
-        for q, b, pr, pc, vals in _bloch_entries(basis, layout, entries, wanted, False):
-            np.add.at(flats[cplx_q[q]], offset[b] + pr * dims[b] + pc,
+        for q, r, c, vals in _bloch_entries(basis, layout, entries, wanted, False):
+            b = layout.owner[c]
+            np.add.at(flats[cplx_q[q]], offset[b] + layout.pos[r] * dims[b] + layout.pos[c],
                       vals if cplx_q[q] else vals.real)
         return {keys[i]: flats[cplx[i]][offset[i]:offset[i] + dims[i] ** 2].reshape(dims[i], dims[i])
                 for i in np.flatnonzero(wanted)}
 
-    f_plus, f_minus, n_pair = layout.parts.T
-    fixed = f_plus + f_minus
-    split = layout.conj == np.arange(len(dims))
-    sides = np.stack([np.where(split, 0, dims), f_plus + n_pair, f_minus + n_pair], axis=1)
-    sides[~split, 1:] = 0
+    sides = layout.sides
     sizes = np.where(wanted[:, None], sides ** 2, 0)
     base = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
     out = np.zeros(sizes.sum())
-    # where the row of each Bloch state's adapted vector starts in the output
-    owner = np.repeat(np.arange(len(dims)), dims)
-    row_at = base[owner, layout.part] + layout.index * sides[owner, layout.part]
-    for _, b, pr, pc, z in _bloch_entries(basis, layout, entries, wanted, True):
+    # per Bloch state: where its adapted vector's real block starts, its
+    # order, and the shift p from u to v
+    at, side = base[layout.owner, layout.part], sides[layout.owner, layout.part]
+    shift = layout.pairs[layout.owner]
+    for q, r, c, z in _bloch_entries(basis, layout, entries, wanted, True):
         # rows u (at P and P') and v = u + p, columns u and v of every entry
-        f, p = fixed[b], n_pair[b]
-        row_pair, col_pair, sign = pr >= f, pc >= f, np.where(pr >= f + p, -1.0, 1.0)
-        u = layout.start[b] + pr - p * (sign < 0)
-        c = layout.start[b] + pc
+        p, row_kind, col_pair = shift[r], layout.kind[r], layout.kind[c] >= 2
+        row_pair, sign = row_kind >= 2, np.where(row_kind == 3, -1.0, 1.0)
+        u = r - p * (row_kind == 3)
         scale = np.where(row_pair == col_pair, 1.0, np.where(col_pair, _SQRT2, 1 / _SQRT2))
         re, im = scale * z.real, scale * z.imag
         upper = np.zeros_like(row_pair)
-        if hermitian:  # the lower triangle only, its diagonal halved: B + B^T below
-            below = np.where(row_pair & col_pair, u - c, np.where(col_pair, -1, pr - pc))
-            re[below == 0] *= 0.5
-            upper = below < 0
+        if hermitian:  # the lower triangle, mirrored below
+            upper = np.where(row_pair, col_pair & (u < c), col_pair | (r < c))
         keep = np.concatenate([~upper, row_pair, col_pair & (not hermitian),
                                row_pair & col_pair & ~upper])
         rows = np.concatenate([u, u + p, u, u + p])[keep]
         cols = np.concatenate([c, c, c + p, c + p])[keep]
         vals = np.concatenate([re, sign * im, -im, sign * re])[keep]
-        same = layout.part[rows] == layout.part[cols]  # even and odd vectors do not mix
-        np.add.at(out, row_at[rows[same]] + layout.index[cols[same]], vals[same])
+        if basis._neg[q] == q:  # k = -k: the parts are inversion-even and -odd
+            same = layout.part[rows] == layout.part[cols]  # even and odd vectors do not mix
+            rows, cols, vals = rows[same], cols[same], vals[same]
+        i, j = layout.index[rows], layout.index[cols]
+        np.add.at(out, at[rows] + i * side[rows] + j, vals)
+        if hermitian:  # the same values in the same order: exactly symmetric
+            off = i != j
+            np.add.at(out, (at[rows] + j * side[rows] + i)[off], vals[off])
     blocks = {}
-    for i, at, n in zip(np.flatnonzero(wanted).tolist(), base[wanted].tolist(),
-                        sides[wanted].tolist()):
-        for p, sign in ((0, 0), (1, 1), (2, -1)):
+    for i, start, n in zip(np.flatnonzero(wanted).tolist(), base[wanted].tolist(),
+                           sides[wanted].tolist()):
+        for p in range(3):
             if n[p]:
-                blocks[(*keys[i], sign)] = B = out[at[p]:at[p] + n[p] ** 2].reshape(n[p], n[p])
-                if hermitian:
-                    B += B.T.copy()
+                blocks[(*keys[i], _PARTS[p])] = out[start[p]:start[p] + n[p] ** 2].reshape(
+                    n[p], n[p])
     return blocks
 
 
 def _bloch_entries(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np.ndarray,
                    adapted: bool):
-    """For each momentum q of a wanted block: q, and the block ids, the
-    row and column positions in the block and the values of the entries in
-    that momentum's wanted blocks (see ``_fill``)."""
+    """For each momentum q of a wanted block: q, and the numbers of the row
+    and column Bloch states and the values of the entries in that
+    momentum's wanted blocks (see ``_fill``)."""
     src, col, data = entries
     row, to_rep = basis.rep[src], basis.to_rep[src]
     data = (np.real(data) if adapted else data) * basis.rep_sign[src]
     weight = (layout.theta if adapted else 1.0) / layout.root_norm
-    block = layout.block
-    filled = (block >= 0) & wanted[block]
+    filled = np.append(wanted[layout.owner], False)  # the last one stands for -1: no state
+    chi_complex = np.any(basis._chi.imag, axis=1)
     for q in np.unique(layout.q[wanted]):
-        keep = filled[q, col] & (block[q, row] >= 0)
-        r, c = row[keep], col[keep]
-        b = block[q, c]
-        pr, pc = layout.pos[q, r], layout.pos[q, c]
-        vals = data[keep] * basis._chi[q, to_rep[keep]] * (
-            weight[layout.start[b] + pc] / weight[layout.start[b] + pr])
-        yield q, b, pr, pc, vals
+        r, c = layout.bloch[q, row], layout.bloch[q, col]
+        keep = filled[c] & (r >= 0)
+        r, c = r[keep], c[keep]
+        vals = data[keep] * (weight[c] / weight[r])
+        if chi_complex[q]:
+            vals = vals * basis._chi[q, to_rep[keep]]
+        yield q, r, c, vals
 
 
 _SQRT2 = np.sqrt(2.0)

@@ -147,14 +147,13 @@ def theta_coefficients(op, key, reps, states, phases, partner):
     u = (|r, k> + phi |r', k>)/sqrt 2 at r and v = i (|r, k> - phi |r', k>)/sqrt 2
     at r'."""
     layout = op.basis._sector_map(op.blocking)
-    block = list(layout.members).index(key[:-1])
     at = {int(s): j for j, s in enumerate(states)}
     C = np.zeros((len(states), len(reps)), dtype=complex)
     for col, r in enumerate(map(int, reps)):
         low, high = sorted((at[r], at[int(partner[r])]))
         phi = phases[high, low]
         if low == high:
-            theta = layout.theta[layout.start[block] + layout.pos[key[-2], r]]
+            theta = layout.theta[layout.bloch[key[-2], r]]
             assert abs(theta**2 - phi) <= 1e-12
             C[low, col] = theta
         elif at[r] == low:
@@ -719,19 +718,22 @@ def test_site_matrix_guard_rejects_what_the_matrix_check_rejects(name, entry, de
 
 def test_site_leak_message_matches_the_matrix_check():
     # the leak of a pair field under number blocking, counted over every
-    # state from the representative columns; it is reported before a
-    # broken translation, as by the matrix check
+    # state from the representative columns (of translations and inversion
+    # for a real pair field on inversion-symmetric site data); it is
+    # reported before a broken translation, as by the matrix check
     box = LatticeBox(1, 2, "periodic")
     basis = FockBasis(box)
     sites = periodic_sites(box)
     for t in (sites["t"], np.diag(np.arange(5.0))):
-        messages = []
-        for H in (_Sites(**dict(sites, t=t, pair_field=0.3j)),
-                  _Sites(**dict(sites, t=t, pair_field=0.3j)).matrix(basis)):
-            with pytest.raises(KaclabError, match="outside the declared 'number' sectors") as err:
-                FockOperator.from_sparse(basis, H, "number")
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        for g in (0.3j, 0.3):
+            messages = []
+            for H in (_Sites(**dict(sites, t=t, pair_field=g)),
+                      _Sites(**dict(sites, t=t, pair_field=g)).matrix(basis)):
+                with pytest.raises(KaclabError,
+                                   match="outside the declared 'number' sectors") as err:
+                    FockOperator.from_sparse(basis, H, "number")
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
 
 
 # -- pressure ------------------------------------------------------------------------
