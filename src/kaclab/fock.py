@@ -286,8 +286,7 @@ class FockBasis:
         index = pos - np.where(
             split[b], np.choose(kind, [0, f_plus[b], f_minus[b], (f_plus + n_pair)[b]]), 0)
         adapted = {(*key, _PARTS[p]): m[part[start[i]:start[i] + dims[i]] == p]
-                   for i, key, m in zip(range(len(dims)), members, members.values())
-                   for p in range(3) if sides[i, p]}
+                   for i, (key, m) in enumerate(members.items()) for p in range(3) if sides[i, p]}
         return _Blocks(members, adapted, sector, bloch, dims, k, conj, flip, n_pair, sides,
                        b.astype(np.int32), pos.astype(np.int32), kind.astype(np.int8),
                        np.sqrt(self.bloch_norm[q, reps])[order], theta[order],
