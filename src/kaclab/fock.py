@@ -113,6 +113,7 @@ NUMBER, PARITY = "number", "parity"
 UP, DOWN = 0, 1
 
 _PARTS = (0, 1, -1)  # key suffix p of real block part 0 (whole), 1 (even), 2 (odd)
+_SQRT2 = np.sqrt(2.0)
 
 
 class _Blocks(NamedTuple):
@@ -657,9 +658,6 @@ def _bloch_entries(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np
         if chi_complex[q]:
             vals = vals * basis._chi[q, to_rep[keep]]
         yield q, r, c, vals
-
-
-_SQRT2 = np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
