@@ -15,17 +15,6 @@ from .errors import (
     KaclabError,
     UnsupportedPotentialError,
 )
-from .fock import (
-    FockBasis,
-    FockOperator,
-    GibbsObservables,
-    build_approximating_hamiltonian,
-    build_kac_hamiltonian,
-    build_meanfield_hamiltonian,
-    car_max_violation,
-    gibbs_observables,
-    pressure,
-)
 from .game import (
     GamePoint,
     GameResult,
@@ -78,3 +67,17 @@ from .sweep import (
 )
 
 __version__ = "0.1.0"
+
+# the exact-diagonalization names, imported from kaclab.fock on first use
+_FOCK_NAMES = frozenset((
+    "FockBasis", "FockOperator", "GibbsObservables", "build_approximating_hamiltonian",
+    "build_kac_hamiltonian", "build_meanfield_hamiltonian", "car_max_violation",
+    "gibbs_observables", "pressure"))
+
+
+def __getattr__(name):
+    if name in _FOCK_NAMES:
+        from . import fock
+
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

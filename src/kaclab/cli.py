@@ -4,8 +4,8 @@ Subcommands: validate-potential, pressure-ed, pressure-mf, game, gap,
 kac-sweep, plot-data, selftest.  Exit codes: 0 success, 2 configuration
 error, 3 accuracy error, 4 capacity error, 5 any other failed internal
 check (e.g. operator elements outside the declared sectors, an operator
-on a periodic box that is not translation invariant, Gibbs expectations
-out of range).
+on a periodic box that is not translation invariant, an operator of a box
+that is not inversion symmetric, Gibbs expectations out of range).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import fock, game, quasifree, sweep
+from . import game, quasifree, sweep
 from .config import config_hash, parse_config
 from .errors import AccuracyError, CapacityError, ConfigError, KaclabError
 from .lattice import LatticeBox
@@ -53,6 +53,8 @@ def cmd_validate_potential(args) -> int:
 def cmd_pressure(args) -> int:
     """pressure-ed (the Kac model) and pressure-mf (its mean-field model):
     ED pressure and density at every beta and L."""
+    from . import fock
+
     cfg = parse_config(args.config)
     rows = []
     for beta in cfg.beta:
@@ -120,17 +122,27 @@ def cmd_gap(args) -> int:
 
 def _check_sweep_eta(cfg) -> None:
     """ConfigError unless each eta is fhat(0) of its potential (0 without
-    one) to 1e-12 relative: the Kac records depend on the potentials
-    alone, so their game is that of eta = fhat(0)."""
+    one) to 1e-12 relative, and each potential passes ``cone_check`` on the
+    default grid: the Kac records depend on the potentials alone, and their
+    game is that of eta = fhat(0) only inside the scaling-monotone
+    positive-definite cone, where fhat peaks at 0."""
     errors = []
     for role in ("plus", "minus"):
-        if cfg.normalized["eta"][role] is None:  # not given: parsed as fhat(0)
-            continue
         pot, eta = getattr(cfg, f"f_{role}"), getattr(cfg, f"eta_{role}")
         fhat0 = 0.0 if pot is None else float(pot.born_zero())
-        if abs(eta - fhat0) > 1e-12 * abs(fhat0):
+        # eta not given is parsed as fhat(0)
+        if cfg.normalized["eta"][role] is not None and abs(eta - fhat0) > 1e-12 * abs(fhat0):
             errors.append(f"eta.{role} = {eta!r} differs from fhat_{role}(0) = {fhat0!r}; "
                           f"kac-sweep compares its records with the game of its potentials")
+        if pot is None:
+            continue
+        report = cone_check(pot, grid=GridSpec())
+        for name, inside in (("min_fourier_value", report.positive_definite),
+                             ("monotonicity_violation", report.scaling_monotone)):
+            if not inside:
+                errors.append(f"potentials.{role} ({pot.family}) is outside the cone: {name} = "
+                              f"{getattr(report, name):.6g}; kac-sweep compares its records "
+                              f"with the game at eta = fhat(0), which needs the cone")
     if errors:
         raise ConfigError(errors)
 
@@ -178,7 +190,9 @@ def cmd_plot_data(args) -> int:
 def cmd_selftest(args) -> int:
     """Fast oracle suite: CAR algebra, two-mode trace, Poisson identity,
     ED/momentum duality, momentum blocks against plain sector blocks, and
-    blocks built from the representatives against those of the global matrix."""
+    blocks built from the representatives against those of the global
+    matrix, and complex Theta-adapted blocks against plain parity sectors."""
+    from . import fock
     from .lattice import MeanFieldParams, ModelParams, discrete_laplacian
 
     checks = []
@@ -216,18 +230,22 @@ def cmd_selftest(args) -> int:
     dual = abs(fock.pressure(ed, mf.beta) - quasifree.finite_grid_pressure(mf, 0.3, 0.2, 1))
     checks.append(("ED / momentum duality (L=1)", dual, 1e-10))
 
-    # one COO matrix, in paired (N, 2S_z, k) blocks and restricted by scipy
-    # to each plain (N, 2S_z) sector
+    def sector_spectrum(H, label):
+        """The spectrum of H from its plain sectors, one per value of label,
+        cut out of the sparse matrix by scipy alone."""
+        return np.sort(np.concatenate([
+            np.linalg.eigvalsh(H[idx][:, idx].toarray())
+            for idx in (np.flatnonzero(label == c) for c in np.unique(label))]))
+
+    # one COO matrix, in paired (N, 2S_z, k) blocks and restricted to each
+    # plain (N, 2S_z) sector
     box = LatticeBox(1, 2, "periodic")
     mp = ModelParams(beta=2.0, hopping=discrete_laplacian(1), f_plus=p,
                      f_minus=PlainGaussian(width=2.0, d=1), include_onsite_correction=True)
     plain = fock.FockBasis(box.n_sites)
     H = fock._kac_sites(mp, box).matrix(plain).tocsr()
     momentum = fock.FockOperator.from_sparse(fock.FockBasis(box), H, fock.NUMBER)
-    label = plain.n_tot * (2 * plain.n_sites + 1) + plain.n_up
-    spectrum = np.sort(np.concatenate([
-        np.linalg.eigvalsh(H[idx][:, idx].toarray())
-        for idx in (np.flatnonzero(label == c) for c in np.unique(label))]))
+    spectrum = sector_spectrum(H, plain.n_tot * (2 * plain.n_sites + 1) + plain.n_up)
     defect = float(np.max(np.abs(momentum.eigenvalues() - spectrum)))
     checks.append(("momentum vs (N, 2S_z) sectors, 5-site periodic Kac box", defect, 1e-12))
     # the same blocks built from the orbit representatives of the site data
@@ -236,6 +254,11 @@ def cmd_selftest(args) -> int:
     defect = max((float(np.max(np.abs(B - momentum.blocks[k]))) for k, B in built.blocks.items()),
                  default=0.0) if same else float("inf")
     checks.append(("representative build vs global matrix, 5-site periodic Kac box", defect, 1e-12))
+    # the approximating Hamiltonian at complex c_-: complex Hermitian blocks
+    approx = fock.build_approximating_hamiltonian(mf, 0.3 * np.exp(0.7j), 0.2, box)
+    H = fock._approximating_sites(mf, 0.3 * np.exp(0.7j), 0.2, box).matrix(plain).tocsr()
+    defect = float(np.max(np.abs(approx.eigenvalues() - sector_spectrum(H, plain.n_tot & 1))))
+    checks.append(("complex c_- blocks vs parity sectors, 5-site periodic box", defect, 1e-12))
 
     failed = False
     for name, value, tol in checks:

@@ -14,9 +14,8 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError, is_integer, is_number
-from .fock import DEFAULT_DIMENSION_CAP
 from .game import OptimizerSpec
-from .lattice import HoppingKernel, MeanFieldParams, ModelParams
+from .lattice import DEFAULT_DIMENSION_CAP, HoppingKernel, MeanFieldParams, ModelParams
 from .potentials import PairPotential, make_potential
 from .quasifree import QuadratureSpec
 from .sweep import ORDERS, SweepPlan

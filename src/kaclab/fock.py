@@ -15,32 +15,32 @@ hopping, density and pair-hopping matrices, on-site scalars and a pair
 field), and only the columns of the orbit representatives below are ever
 built for their blocks: 2,344 of 16,384 states at 7 sites.
 
-Operators are stored as dense blocks labelled by conserved charges and a
-momentum: keys (N, 2*S_z, q) for operators that conserve particle number
-and (parity, q) for pairing operators, which only conserve fermion
-parity.  q indexes ``FockBasis.momenta``.  On a periodic box the group G
-of torus translations acts on the basis, each with its Jordan-Wigner
-reordering sign; a block (charges, q) holds the Bloch states
+Operators are stored as dense blocks labelled by conserved charges, a
+momentum and an inversion part: keys (N, 2*S_z, q, p) for operators that
+conserve particle number and (parity, q, p) for pairing operators, which
+only conserve fermion parity.  q indexes ``FockBasis.momenta``.  On a
+periodic box the group G of torus translations acts on the basis, each with
+its Jordan-Wigner reordering sign; the momentum block (charges, q) is
+spanned by the Bloch states
 
     |r, k> = N_r^{-1/2} sum_{h in G} exp(-i k.h) T_h |r>,
     N_r = |G| sum_{h in Stab(r)} exp(-i k.h) sign_h(r)  (0 or |G| |Stab(r)|),
 
 of the orbit representatives r (orbit minima) with N_r != 0.  On an open
-box, or a basis made from a bare site count, G is trivial and the blocks
-are the plain (N, 2*S_z) or parity blocks with q = 0.  ``from_sparse``
-fills the blocks from the entries in the representative columns: any
-nonzero element between two charge sectors is an error, and so is an
-operator that is not invariant under each unit translation; neither is
-ever compressed silently.  A global sparse matrix (the oracle of the tests
-and of ``selftest``) is checked as a whole, translations to
+box, or a basis made from a bare site count, G is trivial and q = 0.
+``from_sparse`` fills the blocks from the entries in the representative
+columns: any nonzero element between two charge sectors is an error, and
+so is an operator of a box that is not invariant under each unit
+translation and under the inversion I: x -> -x (with its Jordan-Wigner
+sign); none is ever compressed silently.  Every Hamiltonian of the box is
+inversion symmetric: hopping kernels and pair potentials are even, and
+mean-field and approximating site data uniform.  A global sparse matrix
+(the oracle of the tests and of ``selftest``) is checked as a whole, to
 1e-12 max(1, max|H|).  The site data of a builder are checked on the site
 matrices, by a bound that rejects every operator the global check rejects.
 
-Every Kac and mean-field Hamiltonian, and the approximating one at real
-c_-, is real, and its hopping kernel and pair potentials are even; so it
-commutes with the antiunitary Theta = I K, the inversion I: x -> -x (with
-its Jordan-Wigner sign) followed by complex conjugation.  Theta maps each
-block onto itself, and Theta^2 = 1:
+The antiunitary Theta = I K, the inversion followed by complex
+conjugation, maps each momentum block onto itself, and Theta^2 = 1:
 
     Theta |r, k> = phi_r |r', k>,  r' = rep(s), s = I r,
     phi_r = sign_I(r) sign_s chi_q(h_s) (N_{r'}/N_r)^{1/2}
@@ -49,19 +49,23 @@ block onto itself, and Theta^2 = 1:
 (r' = r), pairs P (r < r') and partners P' (r' < r) order each block as
 [F, P, P'].  With the phases phi^{1/2} on F and phi on P', Theta acts as
 complex conjugation that swaps P and P', so the vectors F,
-u = (P + P')/sqrt 2 and v = i (P - P')/sqrt 2 span the block with a real
-symmetric matrix, kept under the key (charges, q, 0).  At k = -k (q = 0,
-which is every block of an open box) I alone is a symmetry: phi = +-1
-splits F into the inversion-even F+ and the odd F-, and the block into the
-real blocks (charges, q, 1) on [F+, u] and (charges, q, -1) on [F-, v].
-These blocks need the columns F and P only, the minima of the orbits of
-translations and inversion (``FockBasis.inversion_reps``: 1,300 of the
-2,344 representatives at 7 sites).  The inversion is checked like the spin
-flip below: on the site matrices by the translation bound, and to
-1e-12 max(1, max|H|) for a global matrix.  An operator that fails it, or
-that is complex (the approximating one at complex c_-), keeps the complex
-Bloch-state blocks (charges, q), as does every operator of a bare-site-count
-basis, which has no inversion.
+u = (P + P')/sqrt 2 and v = i (P - P')/sqrt 2 are fixed by Theta.  Every
+block is stored in this basis, as M = W^dag B W: B is the block on the
+phased Bloch states and W the fixed map of F to itself and of (P, P') to
+(u, v).  For a real H, Theta is a symmetry: W^dag B Pi_P' W is the complex
+conjugate of W^dag B Pi_P W, and W^dag B Pi_F W is real, so M is real
+symmetric and is built from the columns F and P alone, P with weight 2:
+the minima of the orbits of translations and inversion
+(``FockBasis.inversion_reps``: 1,300 of the 2,344 representatives at 7
+sites).  A complex H (the approximating one at complex c_-) gives a
+complex Hermitian M, built from all representative columns.  At k = -k
+(q = 0, which is every block of an open box) K acts trivially on Bloch
+states, so I alone maps the block onto itself: phi = +-1 splits F into the
+inversion-even F+ and the odd F-, and M into the blocks (charges, q, 1) on
+[F+, u] and (charges, q, -1) on [F-, v].  Every other block is kept whole
+as (charges, q, 0).  A bare site count has no inversion: there
+Theta = K, every state is in F+, and the blocks are the plain sectors
+(charges, 0, 1).
 
 Two pairings make blocks redundant, and only the lowest block of each
 class is filled and diagonalized, with the class size as its
@@ -69,9 +73,9 @@ multiplicity.  A real H has the complex-conjugate block at -k, so k pairs
 with -k.  Under number blocking, an H invariant under the up <-> down
 swap (checked like a translation for a global matrix; site data that
 conserve number always are) has the same spectrum at 2*S_z and -2*S_z.
-An H that fails a check keeps multiplicity 1 on that pairing.  The 7-site
-periodic chain has 424 (N, 2*S_z, q) blocks in 135 classes of size 1, 2
-or 4.  Their kept Theta-real blocks number 160 (99 at k != 0, and 61
+An H that fails the swap check keeps multiplicity 1 on that pairing.  The
+7-site periodic chain has 424 (N, 2*S_z, q) blocks in 135 classes of size
+1, 2 or 4.  Their kept real blocks number 160 (99 at k != 0, and 61
 inversion halves of the 36 classes at k = 0), of order at most 175, with
 sum dim^3 = 7.0e7 (complex Bloch-state blocks: 8.7e7; all 424: 2.2e8;
 without momentum: 64 blocks up to order 1225, sum dim^3 = 1.1e10).  Every
@@ -87,8 +91,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ConfigError, KaclabError
-from .lattice import (PERIODIC, LatticeBox, MeanFieldParams, ModelParams, hopping_matrix,
-                      kac_coupling_matrix)
+from .lattice import (DEFAULT_DIMENSION_CAP, PERIODIC, LatticeBox, MeanFieldParams, ModelParams,
+                      hopping_matrix, kac_coupling_matrix)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -106,40 +110,43 @@ __all__ = [
     "DEFAULT_DIMENSION_CAP",
 ]
 
-DEFAULT_DIMENSION_CAP = 65536  # 4^8, i.e. at most 8 sites
-
 NUMBER, PARITY = "number", "parity"
 
 UP, DOWN = 0, 1
 
-_PARTS = (0, 1, -1)  # key suffix p of real block part 0 (whole), 1 (even), 2 (odd)
-_SQRT2 = np.sqrt(2.0)
+_PARTS = (0, 1, -1)  # key suffix p of stored block part 0 (whole), 1 (even), 2 (odd)
+# By kind F+, F-, P, P' of a Bloch state a: W[a, x1] for its first adapted
+# vector x1 (a itself on F, u on a pair), and s with W[a, x2] = i s W[a, x1]
+# for its second, v (none on F)
+_W = np.array([1.0, 1.0, np.sqrt(0.5), np.sqrt(0.5)])
+_TURN = np.array([0, 0, 1, -1], dtype=np.int8)
 
 
 class _Blocks(NamedTuple):
-    """Layout of the (charges, q) blocks of one blocking of a basis.
+    """Layout of the blocks of one blocking of a basis.
 
-    The Bloch states are numbered in block order: block by block, and in
-    each block F+, F-, P, P' (see the module docstring)."""
+    The Bloch states are numbered block by block, and in each momentum
+    block (charges, q) as F+, F-, P, P' (see the module docstring); the
+    adapted vector u of a pair is numbered as its P state, v as its P'."""
 
-    members: dict       # key -> its representatives in block order; keys sorted
-    adapted: dict       # key (charges, q, p) of each Theta-real block -> its representatives
+    labels: list        # (charges, q) of each momentum block, sorted
+    sectors: dict       # key (charges, q, p) of each stored block -> its representatives
     sector: np.ndarray  # (dim,) charge sector of each state
     bloch: np.ndarray   # (|G|, dim) number of Bloch state (q, s); -1 if none
-    dims: np.ndarray    # order of each block
-    q: np.ndarray       # momentum index of each block
+    dims: np.ndarray    # order of each momentum block
+    q: np.ndarray       # momentum index of each momentum block
     conj: np.ndarray    # id of the block (charges, -q) of each block
     flip: np.ndarray    # id of the block with up and down swapped, (N, -2 S_z, q)
-    pairs: np.ndarray   # number of pairs P (and partners P') in each block
-    sides: np.ndarray   # (blocks, 3) order of its real block of each part (0: none)
-    # per Bloch state:
-    owner: np.ndarray   # its block
-    pos: np.ndarray     # its position in the block
+    sides: np.ndarray   # (blocks, 3) order of its stored block of each part (0: none)
+    # per Bloch state a:
+    owner: np.ndarray   # its momentum block
     kind: np.ndarray    # 0..3 for F+, F-, P, P'
-    root_norm: np.ndarray  # N^{1/2}
-    theta: np.ndarray   # its phase in the Theta-adapted basis
-    part: np.ndarray    # the real block of its adapted vector (u at P, v at P')
-    index: np.ndarray   # the position of that vector in its real block
+    vec: np.ndarray     # (2, states) its adapted vectors x1, x2 (x2 = x1 on F)
+    col_coef: np.ndarray  # W[a, x1] theta_a / N_a^{1/2}, with theta_a its Theta-adapted phase
+    row_coef: np.ndarray  # W[a, x1] N_a^{1/2} / theta_a
+    turn: np.ndarray    # s of _TURN
+    part: np.ndarray    # the stored block of the adapted vector numbered a
+    index: np.ndarray   # the position of that vector in its stored block
 
 
 class FockBasis:
@@ -273,10 +280,9 @@ class FockBasis:
         conj = np.searchsorted(labels, sector[r] * n_q + self._neg[k])
         flip = np.searchsorted(
             labels, np.ravel_multi_index((flipped[r] - low).T, shape) * n_q + k)
-        # the real blocks (part 0: the whole block; 1 and 2: inversion-even
+        # the stored blocks (part 0: the whole block; 1 and 2: inversion-even
         # [F+, u] and -odd [F-, v] at k = -k), and the part and position of
-        # the Theta-adapted vector at each Bloch state's position (u at P,
-        # v at P')
+        # the adapted vector numbered as each Bloch state (u at P, v at P')
         f_plus, f_minus, n_pair = counts[:, :3].T
         split = conj == np.arange(len(dims))
         sides = np.stack([np.where(split, 0, dims), np.where(split, f_plus + n_pair, 0),
@@ -286,21 +292,24 @@ class FockBasis:
         part = np.where(split[b], np.where((kind == 1) | (kind == 3), 2, 1), 0)
         index = pos - np.where(
             split[b], np.choose(kind, [0, f_plus[b], f_minus[b], (f_plus + n_pair)[b]]), 0)
-        adapted = {(*key, _PARTS[p]): m[part[start[i]:start[i] + dims[i]] == p]
+        sectors = {(*key, _PARTS[p]): m[part[start[i]:start[i] + dims[i]] == p]
                    for i, (key, m) in enumerate(members.items()) for p in range(3) if sides[i, p]}
-        return _Blocks(members, adapted, sector, bloch, dims, k, conj, flip, n_pair, sides,
-                       b.astype(np.int32), pos.astype(np.int32), kind.astype(np.int8),
-                       np.sqrt(self.bloch_norm[q, reps])[order], theta[order],
-                       part.astype(np.int8), index.astype(np.int32))
+        # the adapted vectors of each Bloch state: itself on F, u and v on P and P'
+        shift = np.where(kind >= 2, n_pair[b], 0)
+        u = np.arange(len(b)) - np.where(kind == 3, shift, 0)
+        weight = theta[order] / np.sqrt(self.bloch_norm[q, reps])[order]
+        return _Blocks(list(members), sectors, sector, bloch, dims, k, conj, flip, sides,
+                       b.astype(np.int32), kind.astype(np.int8),
+                       np.stack([u, u + shift]).astype(np.int32), _W[kind] * weight,
+                       _W[kind] / weight, _TURN[kind], part.astype(np.int8),
+                       index.astype(np.int32))
 
-    def sectors(self, blocking: str, adapted: bool = False) -> dict:
-        """Map block key -> array of its representatives, in block order;
-        every state's orbit is covered once per momentum at which its Bloch
-        state exists.  With ``adapted``, the keys (charges, q, p) of the
-        Theta-real blocks, each mapped to the representatives of its basis
-        vectors (u and v by their P and P' members)."""
-        layout = self._sector_map(blocking)
-        return layout.adapted if adapted else layout.members
+    def sectors(self, blocking: str) -> dict:
+        """Map block key (charges, q, p) -> the representatives of its basis
+        vectors, in block order (u and v by their P and P' members); every
+        state's orbit is covered once per momentum at which its Bloch state
+        exists."""
+        return self._sector_map(blocking).sectors
 
     def annihilator(self, m: int) -> sp.csr_matrix:
         """Sparse matrix of a_m with the Jordan-Wigner sign convention."""
@@ -437,14 +446,16 @@ def _invariance_defect(H: sp.csr_matrix, coo: sp.coo_matrix, image: np.ndarray,
     return abs(moved - H).max()
 
 
-def _check_translation_invariance(defects, tol: float) -> None:
-    """Raise KaclabError if the defect of any unit translation exceeds tol."""
+TRANSLATIONS = "the translations of its periodic box"
+INVERSION = "the inversion x -> -x of its box"
+
+
+def _check_invariance(defects, tol: float, symmetry: str) -> None:
+    """Raise KaclabError if any defect under the symmetry exceeds tol."""
     for defect in defects:
         if defect > tol:
             raise KaclabError(
-                f"operator is not invariant under the translations of its periodic box "
-                f"(defect {defect:.3e} > {tol:.1e})"
-            )
+                f"operator is not invariant under {symmetry} (defect {defect:.3e} > {tol:.1e})")
 
 
 @dataclass(frozen=True)
@@ -456,22 +467,19 @@ class GibbsObservables:
 
 
 class FockOperator:
-    """Operator stored as dense (charges, q) blocks; Hamiltonians are Hermitian.
+    """Operator stored as dense Theta-adapted blocks, keyed (charges, q, p)
+    as in ``FockBasis.sectors``; Hamiltonians are Hermitian, and real
+    symmetric when they are real.
 
     ``blocks`` holds one block per symmetry class, and ``mult[key]`` the
     number of blocks of its class, which share its spectrum (1 for every
-    block when ``mult`` is not given).  With ``adapted`` the blocks are the
-    real Theta-adapted ones, keyed (charges, q, p) as in
-    ``FockBasis.sectors(blocking, adapted=True)``; otherwise they are the
-    Bloch-state blocks keyed (charges, q)."""
+    block when ``mult`` is not given)."""
 
-    def __init__(self, basis: FockBasis, blocking: str, blocks: dict, mult: dict | None = None,
-                 adapted: bool = False):
+    def __init__(self, basis: FockBasis, blocking: str, blocks: dict, mult: dict | None = None):
         self.basis = basis
         self.blocking = blocking
         self.blocks = blocks
         self.mult = mult if mult is not None else dict.fromkeys(blocks, 1)
-        self.adapted = adapted
         self._eigs: dict | None = None
 
     @classmethod
@@ -481,32 +489,27 @@ class FockOperator:
 
         H is a sparse matrix on the basis, or the site data ``_Sites`` of a
         Hamiltonian of its box.  Raises KaclabError if any nonzero entry
-        joins two charge sectors or H is not invariant under a unit
-        translation of the basis.  A real H pairs the blocks at k and -k,
-        which are complex conjugates; under number blocking, an H invariant
-        under the up <-> down swap pairs (N, 2 S_z, q) with (N, -2 S_z, q).
-        Only the lowest block of each class is filled.  A real H that is
-        invariant under the inversion gets the real Theta-adapted blocks
-        (charges, q, p), filled from the entries in the columns of
-        ``basis.inversion_reps``; any other H gets the Bloch-state blocks
-        (charges, q), filled from those in the representative columns.
+        joins two charge sectors, or H is not invariant under a unit
+        translation or the inversion of the basis, checked in that order.
+        A real H pairs the blocks at k and -k, which are complex conjugates;
+        under number blocking, an H invariant under the up <-> down swap
+        pairs (N, 2 S_z, q) with (N, -2 S_z, q).  Only the lowest block of
+        each class is filled: from the entries in the columns of
+        ``basis.inversion_reps`` for a real H, of ``basis.reps`` otherwise.
 
-        A sparse matrix is checked as a whole: translations, the swap and
-        the inversion to 1e-12 max(1, max|H|).  Site data are checked on
-        the site matrices (``_Sites.check_translations`` and
-        ``_Sites.inversion_symmetric``); they are real when the pair field
-        is, and every number-conserving one is swap invariant by
+        A sparse matrix is checked as a whole: translations, the inversion
+        and the swap to 1e-12 max(1, max|H|).  Site data are checked on the
+        site matrices (``_Sites.check_symmetries``); they are real when the
+        pair field is, and every number-conserving one is swap invariant by
         construction.  Their entries are built in the columns used only.
         """
         layout = basis._sector_map(blocking)
         if isinstance(H, _Sites):
             real = np.isrealobj(H.pair_field)
-            adapted = real and H.inversion_symmetric(basis)
-            rep, reps = ((basis.inversion_rep, basis.inversion_reps) if adapted
-                         else (basis.rep, basis.reps))
-            row, col, data = H.triples(basis, reps)
+            rep = basis.inversion_rep if real else basis.rep
+            row, col, data = H.triples(basis, basis.inversion_reps if real else basis.reps)
             _check_sectors(layout, blocking, row, col, data, rep)
-            H.check_translations(basis)
+            H.check_symmetries(basis)
             flip = blocking == NUMBER
         else:
             import scipy.sparse as sp
@@ -516,21 +519,20 @@ class FockOperator:
             coo = H.tocoo()
             _check_sectors(layout, blocking, coo.row, coo.col, coo.data)
             tol = 1e-12 * max(1.0, float(np.max(np.abs(coo.data), initial=0.0)))
-            _check_translation_invariance(
-                (_invariance_defect(H, coo, image, sign) for image, sign in basis.generators),
-                tol)
+            _check_invariance((_invariance_defect(H, coo, *g) for g in basis.generators), tol,
+                              TRANSLATIONS)
+            if basis.inversion is not None:
+                _check_invariance([_invariance_defect(H, coo, *basis.inversion)], tol, INVERSION)
             real = not np.any(np.imag(coo.data))
-            adapted = real and basis.inversion is not None and _invariance_defect(
-                H, coo, *basis.inversion) <= tol
             flip = blocking == NUMBER and _invariance_defect(H, coo, *basis.spin_flip) <= tol
-            rep = basis.inversion_rep if adapted else basis.rep
+            rep = basis.inversion_rep if real else basis.rep
             at_rep = rep[coo.col] == coo.col
-            row, col, data = coo.row[at_rep], coo.col[at_rep], coo.data[at_rep]
+            row, col = coo.row[at_rep], coo.col[at_rep]
+            data = coo.data[at_rep].real if real else coo.data[at_rep]
         mult = _classes(layout, real, flip)
-        blocks = _fill(basis, layout, (row, col, data), mult > 0, adapted, hermitian=True)
-        by_key = dict(zip(layout.members, mult.tolist()))
-        return cls(basis, blocking, blocks,
-                   {key: by_key[key[:-1] if adapted else key] for key in blocks}, adapted)
+        blocks = _fill(basis, layout, (row, col, data), mult > 0, hermitian=True)
+        by_key = dict(zip(layout.labels, mult.tolist()))
+        return cls(basis, blocking, blocks, {key: by_key[key[:-1]] for key in blocks})
 
     @property
     def hermiticity_defect(self) -> float:
@@ -560,104 +562,71 @@ class FockOperator:
 
 
 def _fill(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np.ndarray,
-          adapted: bool, hermitian: bool = False) -> dict:
-    """Dense blocks {key: block} of the wanted block ids, in one pass per
-    momentum that has any, from the entries (rows, cols, vals) of an
-    operator in the columns of the orbit representatives.
+          hermitian: bool = False) -> dict:
+    """Dense Theta-adapted blocks {key: block} of the wanted momentum
+    blocks, in one pass per momentum that has any, from the entries
+    (rows, cols, vals) of an inversion-symmetric operator: a real one in
+    the columns of ``FockBasis.inversion_reps`` (F and P), any other in
+    those of ``FockBasis.reps``.
 
-    Entry H[s, r] at a representative r adds H[s, r] sign_s chi_q(h_s)
-    (N_{rep(s)}/N_r)^{1/2} at (rep(s), r) of block q, where
-    T_{h_s} |s> = sign_s |rep(s)> and chi_q(h) = exp(-i k_q.h).
-
-    Without ``adapted`` these are the Bloch-state blocks, keyed (charges, q)
-    and complex if the entries or chi_q are.  With ``adapted`` (a real
-    operator with Theta as a symmetry, given in the columns of
-    ``FockBasis.inversion_reps``: F and P) each entry also takes the phases
-    theta of its row and column, and adds its real and imaginary parts to
-    the rows and columns u and v of the real block (charges, q, p) that it
-    touches (see the module docstring).  A ``hermitian`` operator adds each
-    value in a lower triangle and, in the same order, at its mirror image,
-    so its real blocks are exactly symmetric.  The blocks are views of
-    zeroed buffers, one per kind (complex, float): the fresh pages of the
-    blocks, not the scatter, are most of the cost, and numpy asks for huge
-    pages from 4 MiB on.
+    Entry H[s, c] adds H[s, c] sign_s chi_q(h_s) theta_c / theta_r
+    (N_r/N_c)^{1/2} to the Bloch-state block B of momentum q at (r, c),
+    r = rep(s), where T_{h_s} |s> = sign_s |r> and chi_q(h) = exp(-i k_q.h);
+    it goes straight to M = W^dag B W, at (x, y) with weight
+    conj(W[r, x]) W[c, y], for the adapted vectors x of r and y of c (see
+    the module docstring).  A real operator takes weight 2 on the columns P
+    and the real part: its blocks are float64.  Vectors of opposite
+    inversion parity at k = -k do not mix.  A ``hermitian`` operator adds
+    each value in the lower triangle and, in the same order, its conjugate
+    at the mirror image, so its blocks are exactly symmetric (Hermitian).
+    The blocks are views of one zeroed buffer: its fresh pages, not the
+    scatter, are most of the cost, and numpy asks for huge pages from
+    4 MiB on.
     """
-    dims, keys = layout.dims, list(layout.members)
-    if not adapted:
-        cplx_q = (np.any(basis._chi.imag, axis=1) | np.iscomplexobj(entries[2])).astype(int)
-        cplx = cplx_q[layout.q]
-        sizes = np.where(wanted, dims ** 2, 0)
-        offset = np.zeros(len(dims), dtype=np.int64)
-        for kind in (0, 1):
-            offset[cplx == kind] = np.cumsum(sizes[cplx == kind]) - sizes[cplx == kind]
-        flats = np.zeros(sizes[cplx == 0].sum()), np.zeros(sizes[cplx == 1].sum(), complex)
-        for q, r, c, vals in _bloch_entries(basis, layout, entries, wanted, False):
-            b = layout.owner[c]
-            np.add.at(flats[cplx_q[q]], offset[b] + layout.pos[r] * dims[b] + layout.pos[c],
-                      vals if cplx_q[q] else vals.real)
-        return {keys[i]: flats[cplx[i]][offset[i]:offset[i] + dims[i] ** 2].reshape(dims[i], dims[i])
-                for i in np.flatnonzero(wanted)}
-
+    src, col, data = entries
+    real = np.isrealobj(data)
     sides = layout.sides
     sizes = np.where(wanted[:, None], sides ** 2, 0)
     base = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-    out = np.zeros(sizes.sum())
-    # per Bloch state: where its adapted vector's real block starts, its
-    # order, and the shift p from u to v
-    at, side = base[layout.owner, layout.part], sides[layout.owner, layout.part]
-    shift = layout.pairs[layout.owner]
-    for q, r, c, z in _bloch_entries(basis, layout, entries, wanted, True):
-        # rows u (at P and P') and v = u + p, columns u and v of every entry
-        p, row_kind, col_pair = shift[r], layout.kind[r], layout.kind[c] >= 2
-        row_pair, sign = row_kind >= 2, np.where(row_kind == 3, -1.0, 1.0)
-        u = r - p * (row_kind == 3)
-        scale = np.where(row_pair == col_pair, 1.0, np.where(col_pair, _SQRT2, 1 / _SQRT2))
-        re, im = scale * z.real, scale * z.imag
-        upper = np.zeros_like(row_pair)
-        if hermitian:  # the lower triangle, mirrored below
-            upper = np.where(row_pair, col_pair & (u < c), col_pair | (r < c))
-        keep = np.concatenate([~upper, row_pair, col_pair & (not hermitian),
-                               row_pair & col_pair & ~upper])
-        rows = np.concatenate([u, u + p, u, u + p])[keep]
-        cols = np.concatenate([c, c, c + p, c + p])[keep]
-        vals = np.concatenate([re, sign * im, -im, sign * re])[keep]
-        if basis._neg[q] == q:  # k = -k: the parts are inversion-even and -odd
-            same = layout.part[rows] == layout.part[cols]  # even and odd vectors do not mix
-            rows, cols, vals = rows[same], cols[same], vals[same]
-        i, j = layout.index[rows], layout.index[cols]
-        np.add.at(out, at[rows] + i * side[rows] + j, vals)
-        if hermitian:  # the same values in the same order: exactly symmetric
-            off = i != j
-            np.add.at(out, (at[rows] + j * side[rows] + i)[off], vals[off])
-    blocks = {}
-    for i, start, n in zip(np.flatnonzero(wanted).tolist(), base[wanted].tolist(),
-                           sides[wanted].tolist()):
-        for p in range(3):
-            if n[p]:
-                blocks[(*keys[i], _PARTS[p])] = out[start[p]:start[p] + n[p] ** 2].reshape(
-                    n[p], n[p])
-    return blocks
-
-
-def _bloch_entries(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np.ndarray,
-                   adapted: bool):
-    """For each momentum q of a wanted block: q, and the numbers of the row
-    and column Bloch states and the values of the entries in that
-    momentum's wanted blocks (see ``_fill``)."""
-    src, col, data = entries
+    out = np.zeros(sizes.sum(), float if real else complex)
+    # per adapted vector: where its row starts in the buffer, and its column
+    owner, part, index = layout.owner, layout.part, layout.index
+    row_at = base[owner, part] + index * sides[owner, part]
+    col_coef = layout.col_coef * np.where(layout.kind == 2, 2.0, 1.0) if real else layout.col_coef
     row, to_rep = basis.rep[src], basis.to_rep[src]
-    data = (np.real(data) if adapted else data) * basis.rep_sign[src]
-    weight = (layout.theta if adapted else 1.0) / layout.root_norm
-    filled = np.append(wanted[layout.owner], False)  # the last one stands for -1: no state
+    data = data * basis.rep_sign[src]
+    filled = np.append(wanted[owner], False)  # the last one stands for -1: no state
     chi_complex = np.any(basis._chi.imag, axis=1)
     for q in np.unique(layout.q[wanted]):
         r, c = layout.bloch[q, row], layout.bloch[q, col]
         keep = filled[c] & (r >= 0)
         r, c = r[keep], c[keep]
-        vals = data[keep] * (weight[c] / weight[r])
+        z = data[keep]
         if chi_complex[q]:
-            vals = vals * basis._chi[q, to_rep[keep]]
-        yield q, r, c, vals
+            z = z * basis._chi[q, to_rep[keep]]
+        # the values at (x1, y1), (x2, y1), (x1, y2), (x2, y2) for the adapted
+        # vectors x of r and y of c: a, s_r b, -s_c b and s_r s_c a, from the
+        # first one a and b = -i a, of which a real operator keeps real parts
+        a = layout.row_coef[r] * z * col_coef[c]
+        a, b = (a.real, a.imag) if real else (a, -1j * a)
+        s_r, s_c = layout.turn[r], layout.turn[c]
+        vals = np.concatenate([a, s_r * b, -s_c * b, s_r * s_c * a])
+        x = np.tile(layout.vec[:, r].ravel(), 2)
+        y = layout.vec[:, c].repeat(2, axis=0).ravel()
+        keep = vals != 0
+        if hermitian:  # the lower triangle, mirrored below
+            keep &= x >= y
+        x, y, vals = x[keep], y[keep], vals[keep]
+        if basis._neg[q] == q:  # k = -k: even and odd vectors do not mix
+            same = part[x] == part[y]
+            x, y, vals = x[same], y[same], vals[same]
+        np.add.at(out, row_at[x] + index[y], vals)
+        if hermitian:  # the same values in the same order: exactly symmetric
+            off = x != y
+            np.add.at(out, row_at[y[off]] + index[x[off]], vals[off].conj())
+    return {(*layout.labels[i], _PARTS[p]): out[at:at + n * n].reshape(n, n)
+            for i in np.flatnonzero(wanted).tolist()
+            for p, (at, n) in enumerate(zip(base[i].tolist(), sides[i].tolist())) if n}
 
 
 # ---------------------------------------------------------------------------
@@ -735,27 +704,25 @@ class _Sites:
         row, col, data = self.triples(basis, np.arange(basis.dim))
         return sp.coo_matrix((data, (row, col)), shape=(basis.dim, basis.dim))
 
-    def check_translations(self, basis: FockBasis) -> None:
+    def check_symmetries(self, basis: FockBasis) -> None:
         """Raise KaclabError unless H is invariant under every unit
-        translation of the basis, checked on the site matrices.
+        translation and the inversion of the basis, checked on the site
+        matrices.
 
-        T H T^dag is H with t, v_plus and pair_w moved along the sites, and
-        the scalars are uniform.  An off-diagonal entry of T H T^dag - H is
-        one off-site difference of t or w; a diagonal entry sums those of
+        U H U^dag, for the relabelling U of the sites by one of these
+        permutations, is H with t, v_plus and pair_w moved along the sites,
+        and the scalars are uniform.  An off-diagonal entry of U H U^dag - H
+        is one off-site difference of t or w; a diagonal entry sums those of
         t[x,x] n_x, v[x,y] n_x n_y and w[x,x] n_{x,up} n_{x,dn}, with
         n_x <= 2.  So the weighted sum of differences below bounds the defect
         of the global check.  Its tolerance, 1e-12 max(1, largest off-site
         |t| or |w|), is at most that of the global check, as these are
         entries of H: every H that the global check rejects is rejected here.
         """
-        _check_translation_invariance(map(self._defect, basis.site_shifts), self._tolerance())
-
-    def inversion_symmetric(self, basis: FockBasis) -> bool:
-        """Whether H is invariant under the inversion x -> -x of the box,
-        checked on the site matrices by the bound of ``check_translations``
-        (False for a bare site count)."""
-        return (basis.site_inversion is not None
-                and self._defect(basis.site_inversion) <= self._tolerance())
+        tol = self._tolerance()
+        _check_invariance(map(self._defect, basis.site_shifts), tol, TRANSLATIONS)
+        if basis.site_inversion is not None:
+            _check_invariance([self._defect(basis.site_inversion)], tol, INVERSION)
 
     def _defect(self, site: np.ndarray) -> float:
         """Bound on max |U H U^dag - H| for the site permutation x -> site[x]."""
@@ -854,14 +821,22 @@ def _approximating_sites(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
 # ---------------------------------------------------------------------------
 
 
-def pressure(op: FockOperator, beta: float) -> float:
-    """(1/(beta |box|)) ln Tr exp(-beta H), via log-sum-exp over all blocks."""
-    from scipy.special import logsumexp
-
+def _boltzmann(op: FockOperator, beta: float, eig: dict) -> tuple:
+    """ln Tr exp(-beta H), and the Gibbs weights mult exp(-beta w) / Tr
+    exp(-beta H) of the eigenvalues w of each kept block (``eig`` holds
+    them as ``op.eigensystem`` does), summed relative to the ground energy."""
     if beta <= 0:
         raise ConfigError("beta must be positive")
-    energies = op.eigenvalues()
-    return float(logsumexp(-beta * energies)) / (beta * op.basis.n_sites)
+    e0 = min(w.min() for w, _ in eig.values())
+    weights = {key: op.mult[key] * np.exp(-beta * (w - e0)) for key, (w, _) in eig.items()}
+    Z = sum(float(x.sum()) for x in weights.values())
+    return np.log(Z) - beta * e0, {key: x / Z for key, x in weights.items()}
+
+
+def pressure(op: FockOperator, beta: float) -> float:
+    """(1/(beta |box|)) ln Tr exp(-beta H), summed over the kept blocks."""
+    log_trace, _ = _boltzmann(op, beta, op.eigensystem())
+    return float(log_trace) / (beta * op.basis.n_sites)
 
 
 def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
@@ -870,58 +845,47 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     The pair amplitude <a_down a_up> per site vanishes identically for
     number-conserving operators (superselection) and is returned as exact
     zero in that case.  Number sectors need no eigenvectors: every
-    eigenstate of block (N, 2 S_z, q) holds N fermions.  Each block counts
-    with its multiplicity; a parity block of multiplicity 2 stands for the
-    pair k, -k of complex-conjugate blocks, whose pair terms add up to twice
-    the real part of its own.
+    eigenstate of block (N, 2 S_z, q, p) holds N fermions.  Each block
+    counts with its multiplicity.  The pair operator is real and inversion
+    symmetric, so its blocks are real: a block of a real H, with real
+    eigenvectors, adds a real pair term, the same as its complex-conjugate
+    partner at -k.
     """
-    if beta <= 0:
-        raise ConfigError("beta must be positive")
     basis = op.basis
     n = basis.n_sites
-    sectors = basis.sectors(op.blocking, op.adapted)
+    sectors = basis.sectors(op.blocking)
     parity = op.blocking == PARITY
     eig = op.eigensystem(vectors=parity)
-    e0 = min(w.min() for w, _ in eig.values())
-
-    Z = 0.0
-    acc_energy = 0.0
-    acc_density = 0.0
-    acc_pair = 0.0 + 0.0j
+    log_trace, weights = _boltzmann(op, beta, eig)
+    energy = density = 0.0
+    pair = 0.0 + 0.0j
     if parity:  # blocks of the pair order parameter (1/n) sum_x P_x
         layout = basis._sector_map(PARITY)
-        pair_op = _triples(basis.inversion_reps if op.adapted else basis.reps,
-                           [(np.full(n, 1.0 / n), _pair(basis, np.arange(n)))])
-        kept = {key[:-1] if op.adapted else key for key in op.blocks}
-        wanted = np.array([key in kept for key in layout.members])
-        pair_blocks = _fill(basis, layout, pair_op, wanted, op.adapted)
+        sites = np.arange(n)
+        pair_op = _triples(basis.inversion_reps, [(np.full(n, 1.0 / n), _pair(basis, sites))])
+        kept = {key[:-1] for key in op.blocks}
+        pair_blocks = _fill(basis, layout, pair_op,
+                            np.array([label in kept for label in layout.labels]))
     for key, (w, U) in eig.items():
-        mult = op.mult[key]
-        weights = mult * np.exp(-beta * (w - e0))
-        Z += float(weights.sum())
-        acc_energy += float(weights @ w)
+        p = weights[key]
+        energy += float(p @ w)
         if not parity:
-            acc_density += float(weights.sum()) * key[0]
+            density += float(p.sum()) * key[0]
             continue
         # a Bloch state holds the particle number of its representative
         n_vec = basis.n_tot[sectors[key]].astype(float)
-        occup = (np.abs(U) ** 2).T @ n_vec  # <N> in each eigenstate
-        acc_density += float(weights @ occup)
-        diag = np.einsum("si,si->i", U.conj(), pair_blocks[key] @ U)
-        pair = complex(weights @ diag)
-        acc_pair += pair if mult == 1 else pair.real
-    press = (np.log(Z) - beta * e0) / (beta * n)
-    density = acc_density / Z / n
-    pair = acc_pair / Z
+        density += float(p @ ((np.abs(U) ** 2).T @ n_vec))  # <N> in each eigenstate
+        pair += complex(p @ np.einsum("si,si->i", U.conj(), pair_blocks[key] @ U))
+    density /= n
     if not (-1e-9 <= density <= 2.0 + 1e-9) or abs(pair) > 1.0 + 1e-9:
         raise KaclabError(
             f"Gibbs expectations out of range: density={density}, |pair|={abs(pair)}"
         )
     return GibbsObservables(
-        pressure=float(press),
+        pressure=float(log_trace) / (beta * n),
         density=density,
         pair_amplitude=pair,
-        energy_per_site=acc_energy / Z / n,
+        energy_per_site=energy / n,
     )
 
 

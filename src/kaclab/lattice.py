@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 OPEN, PERIODIC = "open", "periodic"
+DEFAULT_DIMENSION_CAP = 65536  # Fock dimension 4^8, i.e. at most 8 sites
 _BOUNDARIES = (OPEN, PERIODIC)
 
 

@@ -27,9 +27,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import CapacityError, ConfigError, InsufficientDataError
-from .fock import DEFAULT_DIMENSION_CAP, build_kac_hamiltonian, gibbs_observables
 from .game import GameResult
-from .lattice import LatticeBox, ModelParams
+from .lattice import DEFAULT_DIMENSION_CAP, LatticeBox, ModelParams
 from .potentials import PairPotential, TruncationSpec, kac_lattice_sum
 
 __all__ = [
@@ -120,6 +119,8 @@ class SweepRecord:
 def _evaluate(plan: SweepPlan, key, config_hash: str) -> tuple:
     """The record of a key and its stages: build and Gibbs times, the
     number of blocks kept, the largest and the sum of dim^3 over them."""
+    from .fock import build_kac_hamiltonian, gibbs_observables
+
     L, gm, gp = key
     t0 = time.perf_counter()
     box = LatticeBox(plan.model.hopping.d, L, plan.boundary)

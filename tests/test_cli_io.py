@@ -729,6 +729,37 @@ def test_cli_kac_sweep_rejects_eta_other_than_its_potentials(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+def test_cli_kac_sweep_rejects_a_potential_outside_the_cone(tmp_path, capsys):
+    # fhat_- of 4 exp(-x^2) cos 2x peaks at q* = 1.9, not at 0: the game at
+    # eta = fhat(0) is no limit of the Kac records, which used to be
+    # compared with it silently
+    r = np.linspace(0.0, 8.0, 801)
+    table = {"family": "table_spline", "radii": r.tolist(),
+             "values": (4 * np.exp(-r**2) * np.cos(2 * r)).tolist()}
+    out_dir = tmp_path / "results"
+    path = write_config(tmp_path, sweep_config(potentials={"minus": table}, beta=[4.0],
+                                               L=[1, 2], gamma_minus=[0.5, 0.25, 0.1]))
+    assert main(["kac-sweep", "--config", path, "--out", str(out_dir)]) == 2
+    assert ("potentials.minus (table_spline) is outside the cone: monotonicity_violation = "
+            in capsys.readouterr().err)
+    assert not (out_dir / "sweep.csv").exists()
+    assert main(["validate-potential", "--config", path]) == 0
+    report = json.loads(capsys.readouterr().out)["minus"]
+    assert report["monotonicity_violation"] > 0.8 and not report["scaling_monotone"]
+
+
+def test_package_and_cli_import_leave_fock_unloaded():
+    # the ED module is imported where it is used; the package names of it
+    # still resolve
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, kaclab, kaclab.cli; print('kaclab.fock' in sys.modules); "
+            "kaclab.FockBasis; print('kaclab.fock' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True).stdout.split()
+    assert out == ["False", "True"]
+
+
 @pytest.mark.parametrize("scale, ok", [(1.0, True), (1 + 1e-13, True), (1 + 1e-11, False)])
 def test_kac_sweep_eta_must_be_fhat_zero(scale, ok):
     from kaclab.cli import _check_sweep_eta
@@ -759,9 +790,10 @@ def test_cli_kac_sweep_respects_dimension_cap(tmp_path, capsys):
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
     assert "PASS  momentum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
     assert "PASS  representative build vs global matrix, 5-site periodic Kac box" in out
+    assert "PASS  complex c_- blocks vs parity sectors, 5-site periodic box" in out
 
 
 FOOTPRINT_SCRIPT = """
@@ -816,13 +848,13 @@ def test_cli_flags_only_where_used(tmp_path, capsys):
 
 
 def test_cli_failed_check_exit_code(tmp_path, capsys, monkeypatch):
-    from kaclab import cli
+    from kaclab import fock
     from kaclab.errors import KaclabError
 
     def out_of_range(op, beta):
         raise KaclabError("Gibbs expectations out of range: density=2.5")
 
-    monkeypatch.setattr(cli.fock, "gibbs_observables", out_of_range)
+    monkeypatch.setattr(fock, "gibbs_observables", out_of_range)
     path = write_config(tmp_path, minimal_config(L=[0]))
     assert main(["pressure-ed", "--config", path]) == 5
     assert "Gibbs expectations out of range" in capsys.readouterr().err

@@ -142,7 +142,8 @@ def theta_coefficients(op, key, reps, states, phases, partner):
 
     A representative r with partner rep(I r) = r gives theta |r, k>, with
     theta^2 the phase phi of Theta |r, k> = phi |r, k>; Theta fixes theta
-    only up to sign, which is taken from the operator's basis.  A pair
+    only up to sign, which is taken from the operator's basis (whose
+    column weight of r is theta N_r^{-1/2}).  A pair
     r < r' = rep(I r), with Theta |r, k> = phi |r', k>, gives
     u = (|r, k> + phi |r', k>)/sqrt 2 at r and v = i (|r, k> - phi |r', k>)/sqrt 2
     at r'."""
@@ -153,7 +154,8 @@ def theta_coefficients(op, key, reps, states, phases, partner):
         low, high = sorted((at[r], at[int(partner[r])]))
         phi = phases[high, low]
         if low == high:
-            theta = layout.theta[layout.bloch[key[-2], r]]
+            theta = layout.col_coef[layout.bloch[key[-2], r]] * math.sqrt(
+                op.basis.bloch_norm[key[-2], r])
             assert abs(theta**2 - phi) <= 1e-12
             C[low, col] = theta
         elif at[r] == low:
@@ -165,35 +167,34 @@ def theta_coefficients(op, key, reps, states, phases, partner):
 
 def assert_blocks_match(op, oracle, translation=None):
     """V^dag H V for the oracle H is block diagonal with the operator's
-    blocks.  The columns of V are the blocks' basis vectors: the Bloch
-    states sum_h exp(-i k h) T^h |r> / norm, from the unit translation T of
-    ``translation_operator`` (without one, the plain sector states), or
-    for a Theta-adapted operator their combinations of ``theta_coefficients``.
-    V must be unitary."""
+    blocks.  The columns of V are the blocks' basis vectors: combinations,
+    by ``theta_coefficients``, of the Bloch states
+    sum_h exp(-i k h) T^h |r> / norm, from the unit translation T of
+    ``translation_operator`` (without one, the plain sector states), with
+    the inversion of ``inversion_operator`` (the identity on a bare site
+    count).  V must be unitary."""
     dim = oracle.shape[0]
     n = op.basis.n_sites
     eye = sp.identity(dim, format="csr")
     steps = 1 if translation is None else n
-    if op.adapted:
-        inversion = inversion_operator(n)
-        orbit = [np.arange(dim)]
-        for _ in range(steps - 1):
-            orbit.append(signed_image(translation)[orbit[-1]])
-        partner = np.min(orbit, axis=0)[signed_image(inversion)]
-    sectors = op.basis.sectors(op.blocking, op.adapted)
+    inversion = eye if op.basis.inversion is None else inversion_operator(n)
+    orbit = [np.arange(dim)]
+    for _ in range(steps - 1):
+        orbit.append(signed_image(translation)[orbit[-1]])
+    partner = np.min(orbit, axis=0)[signed_image(inversion)]
+    sectors = op.basis.sectors(op.blocking)
     columns = []
     for key, reps in sectors.items():
-        k = float(op.basis.momenta[key[-2] if op.adapted else key[-1]][0])
-        states = np.unique(np.concatenate([reps, partner[reps]])) if op.adapted else reps
+        k = float(op.basis.momenta[key[-2]][0])
+        states = np.unique(np.concatenate([reps, partner[reps]]))
         vec = sp.csr_matrix((dim, len(states)), dtype=complex)
         moved = eye[:, states]
         for h in range(steps):
             vec = vec + np.exp(-1j * k * h) * moved
             moved = translation @ moved if translation is not None else moved
         vec = vec @ sp.diags(1.0 / np.sqrt(np.asarray(abs(vec).power(2).sum(axis=0))).ravel())
-        if op.adapted:
-            phases = (vec.conj().T @ inversion @ vec.conj()).toarray()
-            vec = vec @ sp.csr_matrix(theta_coefficients(op, key, reps, states, phases, partner))
+        phases = (vec.conj().T @ inversion @ vec.conj()).toarray()
+        vec = vec @ sp.csr_matrix(theta_coefficients(op, key, reps, states, phases, partner))
         columns.append(vec)
     V = sp.hstack(columns, format="csr")
     assert V.shape == (dim, dim)
@@ -384,7 +385,7 @@ def test_blocks_match_kronecker_oracle(L, boundary):
 
     c_minus = complex(*rng.normal(size=2))
     c_plus = complex(*rng.normal(size=2))
-    for c in (c_minus, c_minus.real):  # complex Bloch-state and real Theta-adapted blocks
+    for c in (c_minus, c_minus.real):  # complex Hermitian and real symmetric blocks
         assert_blocks_match(
             build_approximating_hamiltonian(mf, c, c_plus, box),
             oracle_hamiltonian(n, T, zero, zero,
@@ -477,8 +478,7 @@ def assert_gibbs_match(got, want):
 
 
 def assert_theta_real(op):
-    """A Theta-adapted operator stores float64 blocks, each exactly symmetric."""
-    assert op.adapted
+    """A real operator stores float64 blocks, each exactly symmetric."""
     for B in op.blocks.values():
         assert B.dtype == np.float64 and np.array_equal(B, B.T)
 
@@ -527,27 +527,38 @@ def test_theta_real_blocks_match_plain_sectors(L, boundary):
 
 
 def test_theta_breaking_operators_keep_complex_blocks():
-    # translation-invariant site data whose density coupling is not even in
-    # x - y, and a complex pair field: Theta is no symmetry of the site
-    # data, so the blocks stay the complex Bloch-state ones, with the
-    # spectra and Gibbs observables of the plain sectors
+    # a complex pair field breaks Theta but not the inversion: complex
+    # Hermitian Theta-adapted blocks, with the spectra and Gibbs observables
+    # of the plain sectors
     box = LatticeBox(1, 2, "periodic")
     n = box.n_sites
     basis, bare = FockBasis(box), FockBasis(n)
-    x = np.arange(n)
-    v_plus = np.array([0.0, 0.7, 0.2, -0.1, 0.4])[(x[:, None] - x[None, :]) % n]
     mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
-    cases = [(_Sites(t=hopping_matrix(mf.hopping, box), v_plus=v_plus), "number"),
-             (_approximating_sites(mf, 0.4 * np.exp(0.9j), 0.35, box), "parity")]
-    for sites, blocking in cases:
-        op = FockOperator.from_sparse(basis, sites, blocking)
-        assert not op.adapted and op.blocks.keys() <= basis.sectors(blocking).keys()
-        assert any(np.iscomplexobj(B) for B in op.blocks.values())
-        H = sites.matrix(bare)
-        expected = plain_sector_spectrum(bare, H, blocking)
-        assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
-        assert_gibbs_match(gibbs_observables(op, 1.5),
-                           gibbs_observables(FockOperator.from_sparse(bare, H, blocking), 1.5))
+    sites = _approximating_sites(mf, 0.4 * np.exp(0.9j), 0.35, box)
+    op = FockOperator.from_sparse(basis, sites, "parity")
+    assert op.blocks.keys() == basis.sectors("parity").keys()
+    assert all(np.iscomplexobj(B) for B in op.blocks.values())
+    assert op.hermiticity_defect <= 1e-14
+    H = sites.matrix(bare)
+    expected = plain_sector_spectrum(bare, H, "parity")
+    assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
+    assert_gibbs_match(gibbs_observables(op, 1.5),
+                       gibbs_observables(FockOperator.from_sparse(bare, H, "parity"), 1.5))
+    # an operator of the box without the inversion is no Hamiltonian of it:
+    # translation-invariant site data whose density coupling is not even in
+    # x - y (as site matrices; H holds only v + v^T, which is even), and a
+    # global matrix with sum_x n_{x,up} n_{x+1,down}
+    x = np.arange(n)
+    t = hopping_matrix(mf.hopping, box)
+    v_plus = np.array([0.0, 0.7, 0.2, -0.1, 0.4])[(x[:, None] - x[None, :]) % n]
+    up, down = basis.occ[:, :n], basis.occ[:, n:]
+    chiral = sp.diags((up * np.roll(down, -1, axis=1)).sum(axis=1) * 0.5)
+    asymmetric = [_Sites(t=t, v_plus=v_plus), _Sites(t=t).matrix(basis) + chiral]
+    for H in asymmetric:
+        with pytest.raises(KaclabError, match="not invariant under the inversion x -> -x"):
+            FockOperator.from_sparse(basis, H, "number")
+        # a bare site count has no inversion to check
+        FockOperator.from_sparse(bare, H, "number")
 
 
 def test_spin_field_breaks_only_the_spin_flip_pairing():
@@ -580,26 +591,30 @@ def test_complex_pair_field_is_not_momentum_paired():
 
 @pytest.mark.parametrize("L", [1, 2])
 def test_paired_gibbs_observables_match_trivial_group(L):
-    # real c_-: the (parity, k) blocks pair k with -k, and the pair amplitude
-    # is summed as twice the real part of the kept block's terms
+    # real c_-: the (parity, k) blocks pair k with -k, and their real
+    # symmetric blocks give real pair terms
     box = LatticeBox(1, L, "periodic")
     n = box.n_sites
     bare = FockBasis(n)
     mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
     H = _approximating_sites(mf, 0.45, 0.3, box).matrix(bare)
     # plus a random real parity-conserving matrix summed over the
-    # translations: no further symmetry, so the kept blocks' pair terms are
-    # complex
+    # translations and the inversion: no further symmetry
     rng = np.random.default_rng(5 + L)
     A = 0.05 * rng.normal(size=(4**n, 4**n))
     A[(bare.n_tot[:, None] + bare.n_tot[None, :]) % 2 == 1] = 0.0
-    image, sign = FockBasis(box).generators[0]
+    basis = FockBasis(box)
+
+    def moved(M, image, sign):
+        out = np.empty_like(M)
+        out[np.ix_(image, image)] = M * np.outer(sign, sign)
+        return out
+
     generic = np.zeros_like(A)
     for _ in range(n):
         generic += A + A.T
-        moved = np.empty_like(A)
-        moved[np.ix_(image, image)] = A * np.outer(sign, sign)
-        A = moved
+        A = moved(A, *basis.generators[0])
+    generic += moved(generic, *basis.inversion)
     for matrix in (H, H + sp.coo_matrix(generic)):
         paired = FockOperator.from_sparse(FockBasis(box), matrix, "parity")
         trivial = FockOperator.from_sparse(bare, matrix, "parity")
@@ -870,7 +885,7 @@ def test_onsite_correction_terms():
     n_tot = basis.n_tot.astype(float)
     docc = (basis.occ[:, 0] * basis.occ[:, 1]).astype(float)
     expected_diag = -0.5 * 0.4 * 1.0 * n_tot + 0.5 * 0.3 * 1.0 * docc
-    sectors = corrected.basis.sectors("number", corrected.adapted)
+    sectors = corrected.basis.sectors("number")
     assert sum(corrected.mult[key] * len(sectors[key]) for key in corrected.blocks) == 4
     for key in corrected.blocks:
         idx = sectors[key]
