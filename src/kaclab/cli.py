@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -189,9 +189,10 @@ def cmd_plot_data(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Fast oracle suite: CAR algebra, two-mode trace, Poisson identity,
-    ED/momentum duality, momentum blocks against plain sector blocks, and
+    ED/momentum duality, momentum blocks against plain sector blocks,
     blocks built from the representatives against those of the global
-    matrix, and complex Theta-adapted blocks against plain parity sectors."""
+    matrix, a build from a cached plan against plain sectors, and complex
+    Theta-adapted blocks against plain parity sectors."""
     from . import fock
     from .lattice import MeanFieldParams, ModelParams, discrete_laplacian
 
@@ -245,7 +246,8 @@ def cmd_selftest(args) -> int:
     plain = fock.FockBasis(box.n_sites)
     H = fock._kac_sites(mp, box).matrix(plain).tocsr()
     momentum = fock.FockOperator.from_sparse(fock.FockBasis(box), H, fock.NUMBER)
-    spectrum = sector_spectrum(H, plain.n_tot * (2 * plain.n_sites + 1) + plain.n_up)
+    charges = plain.n_tot * (2 * plain.n_sites + 1) + plain.n_up
+    spectrum = sector_spectrum(H, charges)
     defect = float(np.max(np.abs(momentum.eigenvalues() - spectrum)))
     checks.append(("momentum vs (N, 2S_z) sectors, 5-site periodic Kac box", defect, 1e-12))
     # the same blocks built from the orbit representatives of the site data
@@ -254,6 +256,18 @@ def cmd_selftest(args) -> int:
     defect = max((float(np.max(np.abs(B - momentum.blocks[k]))) for k, B in built.blocks.items()),
                  default=0.0) if same else float("inf")
     checks.append(("representative build vs global matrix, 5-site periodic Kac box", defect, 1e-12))
+    # two builds at different gamma on a fresh basis: the second scatters its
+    # values by the plan that the first made
+    fresh, plans = fock.FockBasis(box), []
+    for gamma in (0.5, 0.25):
+        sites = fock._kac_sites(replace(mp, gamma_plus=gamma, gamma_minus=gamma), box)
+        cached = fock.FockOperator.from_sparse(fresh, sites, fock.NUMBER)
+        plans += fresh._plans.values()
+    defect = float(np.max(np.abs(cached.eigenvalues() - sector_spectrum(
+        sites.matrix(plain).tocsr(), charges))))
+    if len(plans) != 2 or plans[0] is not plans[1]:
+        defect = float("inf")
+    checks.append(("cached-plan Kac build vs plain sectors, 5-site periodic box", defect, 1e-12))
     # the approximating Hamiltonian at complex c_-: complex Hermitian blocks
     approx = fock.build_approximating_hamiltonian(mf, 0.3 * np.exp(0.7j), 0.2, box)
     H = fock._approximating_sites(mf, 0.3 * np.exp(0.7j), 0.2, box).matrix(plain).tocsr()

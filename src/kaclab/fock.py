@@ -29,7 +29,8 @@ spanned by the Bloch states
 of the orbit representatives r (orbit minima) with N_r != 0.  On an open
 box, or a basis made from a bare site count, G is trivial and q = 0.
 ``from_sparse`` fills the blocks from the entries in the representative
-columns: any nonzero element between two charge sectors is an error, and
+columns (by a plan, below): any nonzero element between two charge
+sectors is an error, and
 so is an operator of a box that is not invariant under each unit
 translation and under the inversion I: x -> -x (with its Jordan-Wigner
 sign); none is ever compressed silently.  Every Hamiltonian of the box is
@@ -69,17 +70,34 @@ Theta = K, every state is in F+, and the blocks are the plain sectors
 
 Two pairings make blocks redundant, and only the lowest block of each
 class is filled and diagonalized, with the class size as its
-multiplicity.  A real H has the complex-conjugate block at -k, so k pairs
-with -k.  Under number blocking, an H invariant under the up <-> down
-swap (checked like a translation for a global matrix; site data that
-conserve number always are) has the same spectrum at 2*S_z and -2*S_z.
-An H that fails the swap check keeps multiplicity 1 on that pairing.  The
-7-site periodic chain has 424 (N, 2*S_z, q) blocks in 135 classes of size
-1, 2 or 4.  Their kept real blocks number 160 (99 at k != 0, and 61
-inversion halves of the 36 classes at k = 0), of order at most 175, with
-sum dim^3 = 7.0e7 (complex Bloch-state blocks: 8.7e7; all 424: 2.2e8;
-without momentum: 64 blocks up to order 1225, sum dim^3 = 1.1e10).  Every
-kept block is diagonalized in full, since the traces need full spectra.
+multiplicity.  The inversion commutes with H and maps the block at k onto
+the one at -k, real H or complex, so k pairs with -k; it also maps
+sum_x P_x onto itself, so the two blocks have the same pair term.  Under
+number blocking, an H invariant under the up <-> down swap (checked like
+a translation for a global matrix; site data that conserve number always
+are) has the same spectrum at 2*S_z and -2*S_z.  An H that fails the
+swap check keeps multiplicity 1 on that pairing.  The 7-site periodic
+chain has 424 (N, 2*S_z, q) blocks in 135 classes of size 1, 2 or 4.
+Their kept real blocks number 160 (99 at k != 0, and 61 inversion halves
+of the 36 classes at k = 0), of order at most 175, with sum dim^3 = 7.0e7
+(complex Bloch-state blocks: 8.7e7; all 424: 2.2e8; without momentum: 64
+blocks up to order 1225, sum dim^3 = 1.1e10).  Of a complex
+approximating H there, the 14 (parity, q) blocks are kept as 10: for each
+parity, the two inversion halves at k = 0 and one block of each pair +-k.
+Every kept block is diagonalized in full, since the traces need full
+spectra.
+
+Where the entries go in the blocks depends on which entries are nonzero,
+never on their values.  So each build is split into a plan (``_plan``):
+for every value that lands in the buffer of the blocks, its position, the
+index of the entry value that it scales and a fixed weight; and a scatter
+(``_scatter``), one weighted ``np.bincount`` of the values of the operator
+at hand.  The plan of site data is made once per basis and per blocking,
+realness and ``_Sites.pattern`` (the nonzero off-site entries of the
+hopping and pair-hopping matrices, and whether a pair field is present),
+and is kept on the basis: a sweep over Kac ranges on one box makes it
+once.  At 7 sites it places 89,395 values into 542,399 doubles and holds
+1.4 MB.
 """
 
 from __future__ import annotations
@@ -111,6 +129,7 @@ __all__ = [
 ]
 
 NUMBER, PARITY = "number", "parity"
+PAIR = ("pair",)  # the plan key of the pair order parameter
 
 UP, DOWN = 0, 1
 
@@ -223,6 +242,7 @@ class FockBasis:
             self.inversion_rep = np.minimum(self.rep, self.rep[self.inversion[0]])
         self.inversion_reps = np.flatnonzero(self.inversion_rep == states)
         self._maps: dict[str, _Blocks] = {}
+        self._plans: dict[tuple, _Plan] = {}  # see FockOperator.from_sparse
 
     def mode(self, site: int, spin: int) -> int:
         """Mode index: spin-up block of bits then spin-down."""
@@ -342,13 +362,12 @@ def _cached_basis(d: int, L: int, boundary: str) -> FockBasis:
     return FockBasis(box, 4**box.n_sites)
 
 
-def _classes(layout: _Blocks, conj: bool, flip: bool) -> np.ndarray:
+def _classes(layout: _Blocks, flip: bool) -> np.ndarray:
     """Multiplicity of every block that is the lowest id of its class under
-    the enabled pairings, k <-> -k (conj) and 2 S_z <-> -2 S_z (flip); 0 for
-    every other block.  The two pairings commute, so a class has 1, 2 or 4
-    members."""
+    k <-> -k and, with ``flip``, 2 S_z <-> -2 S_z; 0 for every other block.
+    The two pairings commute, so a class has 1, 2 or 4 members."""
     ids = np.arange(len(layout.dims))
-    c = layout.conj if conj else ids
+    c = layout.conj
     f = layout.flip if flip else ids
     members = np.sort(np.stack([ids, c, f, c[f]]), axis=0)
     mult = 1 + np.count_nonzero(np.diff(members, axis=0), axis=0)
@@ -400,22 +419,26 @@ def _pair(basis: FockBasis, x) -> tuple:
     return ((basis.mode(x, DOWN), False), (basis.mode(x, UP), False))
 
 
-def _triples(states: np.ndarray, terms, diag=None) -> tuple:
-    """Entries (rows, cols, vals) in the columns ``states`` of sum coef *
-    product over (coef, ops) terms, plus a diagonal (one value per state);
-    ops may stand for several products (see ``_apply``), coef holds one
-    coefficient per product."""
-    rows, cols, vals = [], [], []
-    for coef, ops in terms:
+def _entries(states: np.ndarray, products, diagonal: bool = True) -> tuple:
+    """Entries (rows, cols, value, sign) in the columns ``states`` of
+    sum_i values[i] sign * product_i: the ladder products are those of
+    ``products`` (factors as for ``_apply``, each standing for one product
+    or several), numbered in order, and ``diagonal`` adds one value per
+    state on the diagonal, numbered after them."""
+    rows, cols, value, signs, count = [], [], [], [], 0
+    for ops in products:
         j, src, dst, sign = _apply(states, ops)
         rows.append(dst)
         cols.append(src)
-        vals.append(coef[j] * sign)
-    if diag is not None:
+        value.append(count + j)
+        signs.append(sign)
+        count += max(np.size(m) for m, _ in ops)
+    if diagonal:
         rows.append(states)
         cols.append(states)
-        vals.append(diag)
-    return tuple(np.concatenate(part) for part in (rows, cols, vals))
+        value.append(count + np.arange(len(states)))
+        signs.append(np.ones(len(states), dtype=int))
+    return tuple(np.concatenate(part) for part in (rows, cols, value, signs))
 
 
 def _check_sectors(layout: _Blocks, blocking: str, row: np.ndarray, col: np.ndarray,
@@ -491,26 +514,35 @@ class FockOperator:
         Hamiltonian of its box.  Raises KaclabError if any nonzero entry
         joins two charge sectors, or H is not invariant under a unit
         translation or the inversion of the basis, checked in that order.
-        A real H pairs the blocks at k and -k, which are complex conjugates;
-        under number blocking, an H invariant under the up <-> down swap
-        pairs (N, 2 S_z, q) with (N, -2 S_z, q).  Only the lowest block of
-        each class is filled: from the entries in the columns of
+        The inversion maps the block at k onto that at -k, so the two are
+        paired; under number blocking, an H invariant under the up <-> down
+        swap pairs (N, 2 S_z, q) with (N, -2 S_z, q).  Only the lowest block
+        of each class is filled: from the entries in the columns of
         ``basis.inversion_reps`` for a real H, of ``basis.reps`` otherwise.
 
         A sparse matrix is checked as a whole: translations, the inversion
-        and the swap to 1e-12 max(1, max|H|).  Site data are checked on the
-        site matrices (``_Sites.check_symmetries``); they are real when the
-        pair field is, and every number-conserving one is swap invariant by
-        construction.  Their entries are built in the columns used only.
+        and the swap to 1e-12 max(1, max|H|), and gets a plan (see the
+        module docstring) of its own.  Site data are checked on the site
+        matrices (``_Sites.check_symmetries``); they are real when the pair
+        field is, and every number-conserving one is swap invariant by
+        construction.  Their plan is kept on the basis: a later build with
+        the same blocking, realness and ``_Sites.pattern`` only forms its
+        values and scatters them.
         """
         layout = basis._sector_map(blocking)
         if isinstance(H, _Sites):
             real = np.isrealobj(H.pair_field)
-            rep = basis.inversion_rep if real else basis.rep
-            row, col, data = H.triples(basis, basis.inversion_reps if real else basis.reps)
-            _check_sectors(layout, blocking, row, col, data, rep)
+            states = basis.inversion_reps if real else basis.reps
+            values = H.values(basis, states)
+            key = (blocking, real, H.pattern())
+            plan = basis._plans.get(key)
+            if plan is None:  # the key fixes the nonzero entries, so a kept plan has no leak
+                row, col, value, sign = entries = _entries(states, H.products(basis))
+                _check_sectors(layout, blocking, row, col, sign,
+                               basis.inversion_rep if real else basis.rep)
+                plan = basis._plans[key] = _plan(basis, layout, entries, len(values),
+                                                 _classes(layout, blocking == NUMBER), real)
             H.check_symmetries(basis)
-            flip = blocking == NUMBER
         else:
             import scipy.sparse as sp
 
@@ -527,12 +559,11 @@ class FockOperator:
             flip = blocking == NUMBER and _invariance_defect(H, coo, *basis.spin_flip) <= tol
             rep = basis.inversion_rep if real else basis.rep
             at_rep = rep[coo.col] == coo.col
-            row, col = coo.row[at_rep], coo.col[at_rep]
-            data = coo.data[at_rep].real if real else coo.data[at_rep]
-        mult = _classes(layout, real, flip)
-        blocks = _fill(basis, layout, (row, col, data), mult > 0, hermitian=True)
-        by_key = dict(zip(layout.labels, mult.tolist()))
-        return cls(basis, blocking, blocks, {key: by_key[key[:-1]] for key in blocks})
+            values = coo.data[at_rep].real if real else coo.data[at_rep]
+            entries = (coo.row[at_rep], coo.col[at_rep], np.arange(len(values)),
+                       np.ones(len(values)))
+            plan = _plan(basis, layout, entries, len(values), _classes(layout, flip), real)
+        return cls(basis, blocking, _scatter(plan, values), dict(plan.mult))
 
     @property
     def hermiticity_defect(self) -> float:
@@ -561,72 +592,109 @@ class FockOperator:
                                        for k, w in self._spectra().items()]))
 
 
-def _fill(basis: FockBasis, layout: _Blocks, entries: tuple, wanted: np.ndarray,
-          hermitian: bool = False) -> dict:
-    """Dense Theta-adapted blocks {key: block} of the wanted momentum
-    blocks, in one pass per momentum that has any, from the entries
-    (rows, cols, vals) of an inversion-symmetric operator: a real one in
-    the columns of ``FockBasis.inversion_reps`` (F and P), any other in
-    those of ``FockBasis.reps``.
+class _Plan(NamedTuple):
+    """Where each value of an operator goes in the buffer of its blocks,
+    for one structure of its entries (see ``_plan``)."""
+
+    pos: np.ndarray     # int32 buffer position of each placed value
+    value: np.ndarray   # int32 index of the value that it scales
+    weight: np.ndarray  # its multiplier: float64 for real blocks, complex128 otherwise
+    size: int           # length of the buffer
+    blocks: list        # (key, offset, order) of each stored block
+    mult: dict          # key -> multiplicity of each stored block
+
+
+def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, n_values: int, mult: np.ndarray,
+          real: bool, hermitian: bool = True) -> _Plan:
+    """The plan of the Theta-adapted blocks of the momentum blocks with
+    mult > 0, from the entries (rows, cols, value, sign) of an
+    inversion-symmetric operator with ``n_values`` values, whose entry is
+    values[value] * sign: a real operator in the columns of
+    ``FockBasis.inversion_reps`` (F and P), any other in those of
+    ``FockBasis.reps``.  ``_scatter`` then fills the blocks of any values.
 
     Entry H[s, c] adds H[s, c] sign_s chi_q(h_s) theta_c / theta_r
     (N_r/N_c)^{1/2} to the Bloch-state block B of momentum q at (r, c),
     r = rep(s), where T_{h_s} |s> = sign_s |r> and chi_q(h) = exp(-i k_q.h);
     it goes straight to M = W^dag B W, at (x, y) with weight
     conj(W[r, x]) W[c, y], for the adapted vectors x of r and y of c (see
-    the module docstring).  A real operator takes weight 2 on the columns P
-    and the real part: its blocks are float64.  Vectors of opposite
-    inversion parity at k = -k do not mix.  A ``hermitian`` operator adds
-    each value in the lower triangle and, in the same order, its conjugate
-    at the mirror image, so its blocks are exactly symmetric (Hermitian).
-    The blocks are views of one zeroed buffer: its fresh pages, not the
-    scatter, are most of the cost, and numpy asks for huge pages from
-    4 MiB on.
+    the module docstring).  Each such product of an entry's value with a
+    fixed weight is one placed value of the plan.  A real operator takes
+    weight 2 on the columns P and the real part: its weights and blocks are
+    float64.  Vectors of opposite inversion parity at k = -k do not mix.  A
+    ``hermitian`` operator places each value in the lower triangle and, in
+    the same order, its conjugate at the mirror image (for a complex one,
+    the conjugate weight times value n_values + value, the conjugate in the
+    values that ``_scatter`` extends), so its blocks are exactly symmetric
+    (Hermitian).
     """
-    src, col, data = entries
-    real = np.isrealobj(data)
+    src, col, value, sign = entries
+    value = value.astype(np.int32)
+    wanted = mult > 0
     sides = layout.sides
     sizes = np.where(wanted[:, None], sides ** 2, 0)
     base = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-    out = np.zeros(sizes.sum(), float if real else complex)
     # per adapted vector: where its row starts in the buffer, and its column
     owner, part, index = layout.owner, layout.part, layout.index
-    row_at = base[owner, part] + index * sides[owner, part]
+    row_at = (base[owner, part] + index * sides[owner, part]).astype(np.int32)
     col_coef = layout.col_coef * np.where(layout.kind == 2, 2.0, 1.0) if real else layout.col_coef
     row, to_rep = basis.rep[src], basis.to_rep[src]
-    data = data * basis.rep_sign[src]
+    sign = sign * basis.rep_sign[src]
     filled = np.append(wanted[owner], False)  # the last one stands for -1: no state
     chi_complex = np.any(basis._chi.imag, axis=1)
-    for q in np.unique(layout.q[wanted]):
+    pos, values, weights = [], [], []
+    for q in sorted(set(layout.q[wanted].tolist())):  # np.unique would import numpy.ma
         r, c = layout.bloch[q, row], layout.bloch[q, col]
         keep = filled[c] & (r >= 0)
-        r, c = r[keep], c[keep]
-        z = data[keep]
+        r, c, v = r[keep], c[keep], value[keep]
+        z = sign[keep]
         if chi_complex[q]:
             z = z * basis._chi[q, to_rep[keep]]
-        # the values at (x1, y1), (x2, y1), (x1, y2), (x2, y2) for the adapted
+        # the weights at (x1, y1), (x2, y1), (x1, y2), (x2, y2) for the adapted
         # vectors x of r and y of c: a, s_r b, -s_c b and s_r s_c a, from the
         # first one a and b = -i a, of which a real operator keeps real parts
         a = layout.row_coef[r] * z * col_coef[c]
         a, b = (a.real, a.imag) if real else (a, -1j * a)
         s_r, s_c = layout.turn[r], layout.turn[c]
-        vals = np.concatenate([a, s_r * b, -s_c * b, s_r * s_c * a])
+        w = np.concatenate([a, s_r * b, -s_c * b, s_r * s_c * a])
         x = np.tile(layout.vec[:, r].ravel(), 2)
         y = layout.vec[:, c].repeat(2, axis=0).ravel()
-        keep = vals != 0
+        keep = w != 0
         if hermitian:  # the lower triangle, mirrored below
             keep &= x >= y
-        x, y, vals = x[keep], y[keep], vals[keep]
         if basis._neg[q] == q:  # k = -k: even and odd vectors do not mix
-            same = part[x] == part[y]
-            x, y, vals = x[same], y[same], vals[same]
-        np.add.at(out, row_at[x] + index[y], vals)
+            keep &= part[x] == part[y]
+        x, y, v, w = x[keep], y[keep], np.tile(v, 4)[keep], w[keep]
+        pos.append(row_at[x] + index[y])
+        values.append(v)
+        weights.append(w)
         if hermitian:  # the same values in the same order: exactly symmetric
             off = x != y
-            np.add.at(out, row_at[y[off]] + index[x[off]], vals[off].conj())
-    return {(*layout.labels[i], _PARTS[p]): out[at:at + n * n].reshape(n, n)
-            for i in np.flatnonzero(wanted).tolist()
-            for p, (at, n) in enumerate(zip(base[i].tolist(), sides[i].tolist())) if n}
+            pos.append(row_at[y[off]] + index[x[off]])
+            values.append(v[off] if real else v[off] + n_values)
+            weights.append(w[off].conj())
+    blocks = [((*layout.labels[i], _PARTS[p]), at, n)
+              for i in np.flatnonzero(wanted).tolist()
+              for p, (at, n) in enumerate(zip(base[i].tolist(), sides[i].tolist())) if n]
+    by_label = dict(zip(layout.labels, mult.tolist()))
+    return _Plan(np.concatenate(pos), np.concatenate(values), np.concatenate(weights),
+                 int(sizes.sum()), blocks,
+                 {key: by_label[key[:-1]] for key, _, _ in blocks})
+
+
+def _scatter(plan: _Plan, values: np.ndarray) -> dict:
+    """The blocks {key: block} of the operator with these values, filled
+    by one weighted bincount of the plan's placed values (real and
+    imaginary parts apart for complex blocks); the blocks are views of one
+    buffer."""
+    if np.isrealobj(plan.weight):
+        out = np.bincount(plan.pos, plan.weight * values[plan.value], minlength=plan.size)
+    else:
+        z = plan.weight * np.concatenate([values, np.conj(values)])[plan.value]
+        out = np.empty(plan.size, complex)
+        out.real = np.bincount(plan.pos, z.real, minlength=plan.size)
+        out.imag = np.bincount(plan.pos, z.imag, minlength=plan.size)
+    return {key: out[at:at + n * n].reshape(n, n) for key, at, n in plan.blocks}
 
 
 # ---------------------------------------------------------------------------
@@ -661,19 +729,20 @@ class _Sites:
         g = complex(self.pair_field)
         object.__setattr__(self, "pair_field", g if g.imag else g.real)  # real keeps blocks real
 
-    def triples(self, basis: FockBasis, states: np.ndarray) -> tuple:
-        """Entries (rows, cols, vals) of H in the columns ``states``.
+    def pattern(self) -> tuple:
+        """The structure of the entries of H, without their values: which
+        off-site entries of t and pair_w are nonzero (None for no matrix),
+        and whether a pair field is present."""
+        masks = (None if m is None else ((m != 0) & ~np.eye(len(m), dtype=bool)).tobytes()
+                 for m in (self.t, self.pair_w))
+        return (*masks, self.pair_field != 0.0)
 
-        Hops t[x,y] a^dag_{x,s} a_{y,s} and pair hops w[x,y] P^dag_y P_x
-        with x != y are ladder products; their on-site parts t[x,x] n_{x,s}
-        and w[x,x] n_{x,up} n_{x,dn}, the density-density term and the
-        on-site terms are diagonal.
-        """
+    def _terms(self, basis: FockBasis) -> list:
+        """The ladder products of H as (coef, ops) terms, ops as for
+        ``_apply`` and one coefficient per product: the hops
+        t[x,y] a^dag_{x,s} a_{y,s} and pair hops w[x,y] P^dag_y P_x with
+        x != y, and the pair field.  Everything else is diagonal."""
         n = basis.n_sites
-        occ = basis.occ[states]
-        up, down = occ[:, :n], occ[:, n:]
-        diag = (self.density_onebody * basis.n_tot[states]
-                + self.double_occ * (up * down).sum(axis=1))
         off_site = ~np.eye(n, dtype=bool)
         terms = []
         t, w, g = self.t, self.pair_w, self.pair_field
@@ -683,25 +752,44 @@ class _Sites:
             hop = ((basis.mode(x[:, None], spins).ravel(), True),
                    (basis.mode(y[:, None], spins).ravel(), False))
             terms.append((np.repeat(t[x, y], 2), hop))
-            diag = diag + (up + down) @ np.diag(t)
         if w is not None:
             x, y = np.nonzero(w * off_site)
             terms.append((w[x, y], _adjoint(_pair(basis, y)) + _pair(basis, x)))
-            diag = diag + (up * down) @ np.diag(w)
         if g != 0.0:
             sites = np.arange(n)
             terms += [(np.full(n, g), _pair(basis, sites)),
                       (np.full(n, np.conj(g)), _adjoint(_pair(basis, sites)))]
+        return terms
+
+    def products(self, basis: FockBasis) -> list:
+        """The ladder products of H, in the order of ``values``."""
+        return [ops for _, ops in self._terms(basis)]
+
+    def values(self, basis: FockBasis, states: np.ndarray) -> np.ndarray:
+        """The coefficients of the products, then the diagonal of H in the
+        columns ``states``: the on-site parts t[x,x] n_{x,s} and
+        w[x,x] n_{x,up} n_{x,dn}, the density-density term and the on-site
+        terms."""
+        n = basis.n_sites
+        occ = basis.occ[states]
+        n_site = (occ[:, :n] + occ[:, n:]).astype(float)
+        double = (occ[:, :n] * occ[:, n:]).astype(float)
+        diag = self.density_onebody * basis.n_tot[states] + self.double_occ * double.sum(axis=1)
+        if self.t is not None:
+            diag = diag + n_site @ np.diag(self.t)
+        if self.pair_w is not None:
+            diag = diag + double @ np.diag(self.pair_w)
         if self.v_plus is not None:
-            n_site = (up + down).astype(float)
-            diag = diag + np.einsum("sx,xy,sy->s", n_site, self.v_plus, n_site)
-        return _triples(states, terms, diag)
+            diag = diag + ((n_site @ self.v_plus) * n_site).sum(axis=1)
+        return np.concatenate([coef for coef, _ in self._terms(basis)] + [diag])
 
     def matrix(self, basis: FockBasis) -> sp.coo_matrix:
         """H on every column of the basis, as one COO matrix."""
         import scipy.sparse as sp
 
-        row, col, data = self.triples(basis, np.arange(basis.dim))
+        states = np.arange(basis.dim)
+        row, col, value, sign = _entries(states, self.products(basis))
+        data = self.values(basis, states)[value] * sign
         return sp.coo_matrix((data, (row, col)), shape=(basis.dim, basis.dim))
 
     def check_symmetries(self, basis: FockBasis) -> None:
@@ -847,9 +935,8 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     zero in that case.  Number sectors need no eigenvectors: every
     eigenstate of block (N, 2 S_z, q, p) holds N fermions.  Each block
     counts with its multiplicity.  The pair operator is real and inversion
-    symmetric, so its blocks are real: a block of a real H, with real
-    eigenvectors, adds a real pair term, the same as its complex-conjugate
-    partner at -k.
+    symmetric, so its blocks are real, and the inversion maps it and the
+    block at k onto those at -k: the paired block adds the same pair term.
     """
     basis = op.basis
     n = basis.n_sites
@@ -860,12 +947,7 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     energy = density = 0.0
     pair = 0.0 + 0.0j
     if parity:  # blocks of the pair order parameter (1/n) sum_x P_x
-        layout = basis._sector_map(PARITY)
-        sites = np.arange(n)
-        pair_op = _triples(basis.inversion_reps, [(np.full(n, 1.0 / n), _pair(basis, sites))])
-        kept = {key[:-1] for key in op.blocks}
-        pair_blocks = _fill(basis, layout, pair_op,
-                            np.array([label in kept for label in layout.labels]))
+        pair_blocks = _scatter(_pair_plan(basis), np.full(n, 1.0 / n))
     for key, (w, U) in eig.items():
         p = weights[key]
         energy += float(p @ w)
@@ -887,6 +969,19 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
         pair_amplitude=pair,
         energy_per_site=energy / n,
     )
+
+
+def _pair_plan(basis: FockBasis) -> _Plan:
+    """The plan of the parity blocks of sum_x c_x P_x, one value c_x per
+    site, made once per basis: the operator is real and inversion
+    symmetric, so its blocks are real, and it is not Hermitian."""
+    if PAIR not in basis._plans:
+        layout = basis._sector_map(PARITY)
+        products = [_pair(basis, np.arange(basis.n_sites))]
+        basis._plans[PAIR] = _plan(
+            basis, layout, _entries(basis.inversion_reps, products, diagonal=False),
+            basis.n_sites, _classes(layout, flip=False), real=True, hermitian=False)
+    return basis._plans[PAIR]
 
 
 def car_max_violation(basis: FockBasis) -> float:

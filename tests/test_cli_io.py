@@ -790,9 +790,10 @@ def test_cli_kac_sweep_respects_dimension_cap(tmp_path, capsys):
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
     assert "PASS  momentum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
     assert "PASS  representative build vs global matrix, 5-site periodic Kac box" in out
+    assert "PASS  cached-plan Kac build vs plain sectors, 5-site periodic box" in out
     assert "PASS  complex c_- blocks vs parity sectors, 5-site periodic box" in out
 
 

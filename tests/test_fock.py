@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 from scipy.special import logsumexp
 
+from kaclab import fock
 from kaclab.errors import CapacityError, KaclabError
 from kaclab.fock import (
     FockBasis,
@@ -528,15 +529,16 @@ def test_theta_real_blocks_match_plain_sectors(L, boundary):
 
 def test_theta_breaking_operators_keep_complex_blocks():
     # a complex pair field breaks Theta but not the inversion: complex
-    # Hermitian Theta-adapted blocks, with the spectra and Gibbs observables
-    # of the plain sectors
+    # Hermitian Theta-adapted blocks, paired k <-> -k by the inversion, with
+    # the spectra and Gibbs observables of the plain sectors
     box = LatticeBox(1, 2, "periodic")
     n = box.n_sites
     basis, bare = FockBasis(box), FockBasis(n)
     mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
     sites = _approximating_sites(mf, 0.4 * np.exp(0.9j), 0.35, box)
     op = FockOperator.from_sparse(basis, sites, "parity")
-    assert op.blocks.keys() == basis.sectors("parity").keys()
+    assert set(op.mult.values()) == {1, 2}
+    assert sum(op.mult[k] * dim for k, dim in op.sector_dimensions().items()) == 4**n
     assert all(np.iscomplexobj(B) for B in op.blocks.values())
     assert op.hermiticity_defect <= 1e-14
     H = sites.matrix(bare)
@@ -578,13 +580,16 @@ def test_spin_field_breaks_only_the_spin_flip_pairing():
     assert 4 in flipped.mult.values()
 
 
-def test_complex_pair_field_is_not_momentum_paired():
+def test_complex_pair_field_is_momentum_paired_by_the_inversion():
+    # the inversion maps the block at k onto that at -k for a complex H too:
+    # the 5-site (parity, k) blocks are kept at k = 0 (two halves) and at one
+    # k of each pair +-k, with multiplicity 2
     box = LatticeBox(1, 2, "periodic")
     mf = MeanFieldParams(beta=1.0, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
     H = _approximating_sites(mf, 0.4 * np.exp(0.9j), 0.35, box).matrix(FockBasis(box.n_sites))
     op = FockOperator.from_sparse(FockBasis(box), H, "parity")
-    assert set(op.mult.values()) == {1}
-    assert op.blocks.keys() == FockBasis(box).sectors("parity").keys()
+    assert all(np.iscomplexobj(B) for B in op.blocks.values())
+    assert sorted(op.mult.values()) == [1] * 4 + [2] * 4
     expected = plain_sector_spectrum(FockBasis(box.n_sites), H, "parity")
     assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
 
@@ -749,6 +754,77 @@ def test_site_leak_message_matches_the_matrix_check():
                     FockOperator.from_sparse(basis, H, "number")
                 messages.append(str(err.value))
             assert messages[0] == messages[1]
+
+
+def spy_on_plans(monkeypatch):
+    """A list that receives every plan that from_sparse makes."""
+    made, make = [], fock._plan
+
+    def spy(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(fock, "_plan", spy)
+    return made
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_site_plans_are_made_once_per_pattern(boundary, monkeypatch):
+    # every build matches the blocks of its global matrix (whose plan is
+    # made for it alone); site data of one pattern share one plan, whatever
+    # their values, and each new pattern gets its own
+    box = LatticeBox(1, 2, boundary)
+    basis = FockBasis(box)
+    made = spy_on_plans(monkeypatch)
+
+    def build(sites):
+        before = len(made)
+        op = FockOperator.from_sparse(basis, sites, "number")
+        new_plans = len(made) - before
+        assert_same_operator(op, FockOperator.from_sparse(basis, sites.matrix(basis), "number"))
+        return new_plans
+
+    def kac(gamma, hopping=discrete_laplacian(1), f_minus=PlainGaussian(2.0, d=1), **kw):
+        return _kac_sites(ModelParams(beta=1.0, hopping=hopping, f_plus=PlainGaussian(1.0, d=1),
+                                      f_minus=f_minus, gamma_plus=gamma, gamma_minus=gamma, **kw),
+                          box)
+
+    assert build(kac(0.5)) == 1
+    assert build(kac(0.2)) == 0  # a new gamma: the same plan
+    # the on-site correction only moves the diagonal: the same plan
+    assert build(kac(0.3, include_onsite_correction=True)) == 0
+    next_nearest = HoppingKernel({(1,): -1.0, (-1,): -1.0, (2,): 0.3, (-2,): 0.3}, 1)
+    assert build(kac(0.5, hopping=next_nearest)) == 1
+    assert build(kac(0.2, hopping=next_nearest)) == 0
+    assert build(kac(0.5, f_minus=None)) == 1  # eta_- = 0: no pair hopping
+    assert build(kac(0.2, f_minus=None)) == 0
+    assert len(basis._plans) == 3
+
+
+def test_cached_plans_keep_every_check(monkeypatch):
+    # after a clean build has cached its plan, a pair field under number
+    # blocking still leaks, with the count of every state's orbit, and
+    # site data that break a translation or the inversion are still rejected
+    box = LatticeBox(1, 2, "periodic")
+    basis = FockBasis(box)
+    sites = periodic_sites(box)
+    FockOperator.from_sparse(basis, _Sites(**sites), "number")
+    FockOperator.from_sparse(basis, _Sites(**sites, pair_field=0.3), "parity")
+    made = spy_on_plans(monkeypatch)
+    for g in (0.3, 0.3j):
+        with pytest.raises(KaclabError, match="^operator has 2560 nonzero matrix elements outside "
+                                              "the declared 'number' sectors$"):
+            FockOperator.from_sparse(basis, _Sites(**sites, pair_field=g), "number")
+    shifted = dict(sites, t=sites["t"].copy())
+    shifted["t"][0, 0] = 0.5
+    n = box.n_sites
+    x = np.arange(n)
+    chiral = dict(sites, v_plus=np.array([0.0, 0.7, 0.2, -0.1, 0.4])[(x[:, None] - x) % n])
+    for broken, symmetry in ((shifted, "translations"), (chiral, "inversion x -> -x")):
+        for blocking, g in (("number", 0.0), ("parity", 0.3)):
+            with pytest.raises(KaclabError, match=f"not invariant under the {symmetry}"):
+                FockOperator.from_sparse(basis, _Sites(**broken, pair_field=g), blocking)
+    assert made == []  # each of these was rejected with a cached plan in hand
 
 
 # -- pressure ------------------------------------------------------------------------
