@@ -71,8 +71,10 @@ Theta = K, every state is in F+, and the blocks are the plain sectors
 Two pairings make blocks redundant, and only the lowest block of each
 class is filled and diagonalized, with the class size as its
 multiplicity.  The inversion commutes with H and maps the block at k onto
-the one at -k, real H or complex, so k pairs with -k; it also maps
-sum_x P_x onto itself, so the two blocks have the same pair term.  Under
+the one at -k, real H or complex, so k pairs with -k; it also maps the
+Hermitian pair fields A and B of (1/n) sum_x P_x = A + i B onto
+themselves, so the two blocks have the same pair terms, the expectations
+of A and B (``gibbs_observables``).  Under
 number blocking, an H invariant under the up <-> down swap (checked like
 a translation for a global matrix; site data that conserve number always
 are) has the same spectrum at 2*S_z and -2*S_z.  An H that fails the
@@ -129,7 +131,6 @@ __all__ = [
 ]
 
 NUMBER, PARITY = "number", "parity"
-PAIR = ("pair",)  # the plan key of the pair order parameter
 
 UP, DOWN = 0, 1
 
@@ -419,12 +420,12 @@ def _pair(basis: FockBasis, x) -> tuple:
     return ((basis.mode(x, DOWN), False), (basis.mode(x, UP), False))
 
 
-def _entries(states: np.ndarray, products, diagonal: bool = True) -> tuple:
+def _entries(states: np.ndarray, products) -> tuple:
     """Entries (rows, cols, value, sign) in the columns ``states`` of
     sum_i values[i] sign * product_i: the ladder products are those of
     ``products`` (factors as for ``_apply``, each standing for one product
-    or several), numbered in order, and ``diagonal`` adds one value per
-    state on the diagonal, numbered after them."""
+    or several), numbered in order, then one value per state on the
+    diagonal, numbered after them."""
     rows, cols, value, signs, count = [], [], [], [], 0
     for ops in products:
         j, src, dst, sign = _apply(states, ops)
@@ -433,11 +434,10 @@ def _entries(states: np.ndarray, products, diagonal: bool = True) -> tuple:
         value.append(count + j)
         signs.append(sign)
         count += max(np.size(m) for m, _ in ops)
-    if diagonal:
-        rows.append(states)
-        cols.append(states)
-        value.append(count + np.arange(len(states)))
-        signs.append(np.ones(len(states), dtype=int))
+    rows.append(states)
+    cols.append(states)
+    value.append(count + np.arange(len(states)))
+    signs.append(np.ones(len(states), dtype=int))
     return tuple(np.concatenate(part) for part in (rows, cols, value, signs))
 
 
@@ -605,7 +605,7 @@ class _Plan(NamedTuple):
 
 
 def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, n_values: int, mult: np.ndarray,
-          real: bool, hermitian: bool = True) -> _Plan:
+          real: bool) -> _Plan:
     """The plan of the Theta-adapted blocks of the momentum blocks with
     mult > 0, from the entries (rows, cols, value, sign) of an
     inversion-symmetric operator with ``n_values`` values, whose entry is
@@ -621,12 +621,13 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, n_values: int, mult
     the module docstring).  Each such product of an entry's value with a
     fixed weight is one placed value of the plan.  A real operator takes
     weight 2 on the columns P and the real part: its weights and blocks are
-    float64.  Vectors of opposite inversion parity at k = -k do not mix.  A
-    ``hermitian`` operator places each value in the lower triangle and, in
-    the same order, its conjugate at the mirror image (for a complex one,
-    the conjugate weight times value n_values + value, the conjugate in the
-    values that ``_scatter`` extends), so its blocks are exactly symmetric
-    (Hermitian).
+    float64.  Vectors of opposite inversion parity at k = -k do not mix.
+    The operator is Hermitian (a Hamiltonian, or a pair field A or B of
+    ``gibbs_observables``): each value is placed in the lower triangle and,
+    in the same order, its conjugate at the mirror image (for a complex
+    one, the conjugate weight times value n_values + value, the conjugate
+    in the values that ``_scatter`` extends), so its blocks are exactly
+    symmetric (Hermitian).
     """
     src, col, value, sign = entries
     value = value.astype(np.int32)
@@ -659,20 +660,17 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, n_values: int, mult
         w = np.concatenate([a, s_r * b, -s_c * b, s_r * s_c * a])
         x = np.tile(layout.vec[:, r].ravel(), 2)
         y = layout.vec[:, c].repeat(2, axis=0).ravel()
-        keep = w != 0
-        if hermitian:  # the lower triangle, mirrored below
-            keep &= x >= y
+        keep = (w != 0) & (x >= y)  # the lower triangle, mirrored below
         if basis._neg[q] == q:  # k = -k: even and odd vectors do not mix
             keep &= part[x] == part[y]
         x, y, v, w = x[keep], y[keep], np.tile(v, 4)[keep], w[keep]
         pos.append(row_at[x] + index[y])
         values.append(v)
         weights.append(w)
-        if hermitian:  # the same values in the same order: exactly symmetric
-            off = x != y
-            pos.append(row_at[y[off]] + index[x[off]])
-            values.append(v[off] if real else v[off] + n_values)
-            weights.append(w[off].conj())
+        off = x != y  # the same values in the same order: exactly symmetric
+        pos.append(row_at[y[off]] + index[x[off]])
+        values.append(v[off] if real else v[off] + n_values)
+        weights.append(w[off].conj())
     blocks = [((*layout.labels[i], _PARTS[p]), at, n)
               for i in np.flatnonzero(wanted).tolist()
               for p, (at, n) in enumerate(zip(base[i].tolist(), sides[i].tolist())) if n]
@@ -934,9 +932,13 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     number-conserving operators (superselection) and is returned as exact
     zero in that case.  Number sectors need no eigenvectors: every
     eigenstate of block (N, 2 S_z, q, p) holds N fermions.  Each block
-    counts with its multiplicity.  The pair operator is real and inversion
-    symmetric, so its blocks are real, and the inversion maps it and the
-    block at k onto those at -k: the paired block adds the same pair term.
+    counts with its multiplicity.  Under parity blocking,
+    (1/n) sum_x P_x = A + i B with the Hermitian pair fields
+    A = (1/2n) sum_x (P_x + P^dag_x) and B = (i/2n) sum_x (P^dag_x - P_x),
+    the site data of the pair fields 1/(2n) and -i/(2n), whose blocks have
+    the keys of H's: the amplitude is <A> + i <B>.  A real H has a real
+    Gibbs state and B imaginary antisymmetric blocks, so <B> = 0: B is
+    built for complex blocks only, and a real H has a real amplitude.
     """
     basis = op.basis
     n = basis.n_sites
@@ -946,8 +948,6 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     log_trace, weights = _boltzmann(op, beta, eig)
     energy = density = 0.0
     pair = 0.0 + 0.0j
-    if parity:  # blocks of the pair order parameter (1/n) sum_x P_x
-        pair_blocks = _scatter(_pair_plan(basis), np.full(n, 1.0 / n))
     for key, (w, U) in eig.items():
         p = weights[key]
         energy += float(p @ w)
@@ -957,7 +957,14 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
         # a Bloch state holds the particle number of its representative
         n_vec = basis.n_tot[sectors[key]].astype(float)
         density += float(p @ ((np.abs(U) ** 2).T @ n_vec))  # <N> in each eigenstate
-        pair += complex(p @ np.einsum("si,si->i", U.conj(), pair_blocks[key] @ U))
+    if parity:  # <A>, then for complex blocks <B>: both real in every eigenstate
+        complex_blocks = any(np.iscomplexobj(B) for B in op.blocks.values())
+        for phase in (1, 1j) if complex_blocks else (1,):
+            field = FockOperator.from_sparse(
+                basis, _Sites(pair_field=np.conj(phase) / (2 * n)), PARITY).blocks
+            pair += phase * sum(
+                float(weights[key] @ np.einsum("si,si->i", U.conj(), field[key] @ U).real)
+                for key, (_, U) in eig.items())
     density /= n
     if not (-1e-9 <= density <= 2.0 + 1e-9) or abs(pair) > 1.0 + 1e-9:
         raise KaclabError(
@@ -969,19 +976,6 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
         pair_amplitude=pair,
         energy_per_site=energy / n,
     )
-
-
-def _pair_plan(basis: FockBasis) -> _Plan:
-    """The plan of the parity blocks of sum_x c_x P_x, one value c_x per
-    site, made once per basis: the operator is real and inversion
-    symmetric, so its blocks are real, and it is not Hermitian."""
-    if PAIR not in basis._plans:
-        layout = basis._sector_map(PARITY)
-        products = [_pair(basis, np.arange(basis.n_sites))]
-        basis._plans[PAIR] = _plan(
-            basis, layout, _entries(basis.inversion_reps, products, diagonal=False),
-            basis.n_sites, _classes(layout, flip=False), real=True, hermitian=False)
-    return basis._plans[PAIR]
 
 
 def car_max_violation(basis: FockBasis) -> float:

@@ -135,14 +135,14 @@ class HoppingKernel:
         return f"HoppingKernel(d={self.d}, entries={dict(self.entries)})"
 
 
-def discrete_laplacian(d: int, scale: float = 1.0) -> HoppingKernel:
-    """h(0) = 2d, h(z) = -1 for |z| = 1, zero otherwise (times scale)."""
-    entries = {tuple([0] * d): 2.0 * d * scale}
+def discrete_laplacian(d: int) -> HoppingKernel:
+    """h(0) = 2d, h(z) = -1 for |z| = 1, zero otherwise."""
+    entries = {tuple([0] * d): 2.0 * d}
     for j in range(d):
         for s in (+1, -1):
             z = [0] * d
             z[j] = s
-            entries[tuple(z)] = -1.0 * scale
+            entries[tuple(z)] = -1.0
     return HoppingKernel(entries, d)
 
 

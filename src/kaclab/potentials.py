@@ -82,9 +82,6 @@ class ExpMajorant(RadialMajorant):
         self.s = s
         self.power = power
 
-    def __call__(self, r):
-        return self.amplitude * np.exp(-self.s * np.asarray(r, float) ** self.power)
-
     def at_zero(self):
         return self.amplitude
 
@@ -104,9 +101,6 @@ class CauchyMajorant(RadialMajorant):
         self.c0 = c0
         self.c1 = c1
 
-    def __call__(self, r):
-        return self.c0 / (np.asarray(r, float) ** 2 + self.c1)
-
     def at_zero(self):
         return self.c0 / self.c1
 
@@ -122,9 +116,6 @@ class CauchyMajorant(RadialMajorant):
 class SumMajorant(RadialMajorant):
     def __init__(self, parts):
         self.parts = list(parts)
-
-    def __call__(self, r):
-        return sum(p(r) for p in self.parts)
 
     def at_zero(self):
         return sum(p.at_zero() for p in self.parts)
@@ -147,14 +138,6 @@ class TableMajorant(RadialMajorant):
         # running max from the right makes the envelope monotone decreasing
         self.env = np.maximum.accumulate(env[::-1])[::-1]
         self.radii = radii
-
-    def __call__(self, r):
-        r = np.asarray(r, float)
-        idx = np.searchsorted(self.radii, r, side="right") - 1
-        out = np.where(
-            (r >= self.radii[-1]) | (idx < 0), 0.0, self.env[np.clip(idx, 0, len(self.env) - 1)]
-        )
-        return out
 
     def at_zero(self):
         return float(self.env[0])
@@ -609,14 +592,15 @@ class ConeReport:
 
 
 _SCALING_GAMMAS = (0.5, 0.25, 0.1)
+_CONE_TOL = 1e-9  # slack of both cone tests on the sampled fhat
 
 
-def cone_check(p: PairPotential, grid: GridSpec | None = None,
-               tol_pd: float = 1e-9, tol_sm: float = 1e-9) -> ConeReport:
+def cone_check(p: PairPotential, grid: GridSpec | None = None) -> ConeReport:
     """Sampled membership test for the positive-definite / scaling-monotone cones.
 
     Samples fhat on the tensor grid, reports the minimum value, and checks
-    fhat(k/gamma) <= fhat(k) + tol_sm for gamma in {0.5, 0.25, 0.1}.
+    fhat >= -_CONE_TOL and fhat(k/gamma) <= fhat(k) + _CONE_TOL for
+    gamma in {0.5, 0.25, 0.1}.
     """
     grid = grid or GridSpec()
     K = _tensor_grid(np.linspace(-grid.radius, grid.radius, grid.points_per_axis), p.d)
@@ -628,8 +612,8 @@ def cone_check(p: PairPotential, grid: GridSpec | None = None,
         violation = max(violation, float(np.max(scaled - base)))
     violation = max(violation, 0.0)
     return ConeReport(
-        positive_definite=bool(min_val >= -tol_pd),
-        scaling_monotone=bool(violation <= tol_sm),
+        positive_definite=bool(min_val >= -_CONE_TOL),
+        scaling_monotone=bool(violation <= _CONE_TOL),
         min_fourier_value=min_val,
         monotonicity_violation=violation,
         grid_spec=(grid.radius, grid.points_per_axis),

@@ -1,11 +1,14 @@
 """Configuration parsing, result store, plot data, CLI exit codes."""
 
+import ast
 import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +304,24 @@ def test_store_drops_torn_trailing_row(tmp_path, caplog):
     assert len(ResultStore(str(tmp_path)).sweep_records()) == 3
 
 
+def test_store_append_cuts_a_row_torn_after_the_store_was_opened(tmp_path, caplog):
+    # a second writer crashes mid-append after this store has read the file:
+    # the next append cuts the torn row and writes on a clean line
+    store = ResultStore(str(tmp_path))
+    old = [make_record(), make_record(L=2)]
+    store.append_sweep_records(old)
+    with open(store.sweep_path, "a", encoding="utf-8") as fh:
+        fh.write("1,3,1,0.5,0.")
+    with caplog.at_level("WARNING", logger="kaclab.store"):
+        assert store.append_sweep_records([make_record(L=4)]) == 1
+    assert "dropping partial trailing row" in caplog.text
+    with open(store.sweep_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == SWEEP_COLUMNS
+    assert [r[1] for r in rows[1:]] == ["1", "2", "4"]
+    assert ResultStore(str(tmp_path)).sweep_records() == [*old, make_record(L=4)]
+
+
 def test_store_torn_header_starts_over(tmp_path):
     with open(tmp_path / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("d,L,be")
@@ -320,7 +341,7 @@ def test_gap_csv_empty_file_gets_header(tmp_path):
     store.append_gap_rows([GAP_ROW])
     assert [r["beta"] for r in store.gap_rows()] == ["1"]
     dat, _ = emit_plot_data("gap_vs_beta", store, "abc")
-    assert open(dat).read().splitlines()[1].split()[0] == "1"
+    assert Path(dat).read_text().splitlines()[1].split()[0] == "1"
 
 
 def test_gap_csv_torn_row_is_cut_before_the_next_append(tmp_path, caplog):
@@ -352,7 +373,7 @@ def test_plot_data_pressure_rows(tmp_path):
         make_record(gamma_minus=0.125),
     ])
     dat, sidecar = emit_plot_data("pressure_vs_gamma", store, "abc")
-    lines = open(dat).read().strip().splitlines()
+    lines = Path(dat).read_text().strip().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 4  # header + 3 rows
     assert os.path.exists(sidecar)
@@ -414,6 +435,41 @@ def test_cli_validate_potential(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["plus"]["positive_definite"] is True
     assert out["plus"]["scaling_monotone"] is True
+
+
+def cold_game_config(**overrides):
+    """The 1-D Laplacian at beta = 16, eta_+ = 1, eta_- = 2, where the
+    default quadrature fails its refinement check."""
+    return minimal_config(potentials={}, beta=[16.0], eta={"plus": 1.0, "minus": 2.0},
+                          **overrides)
+
+
+def test_cli_accuracy_exit_code(tmp_path, capsys):
+    path = write_config(tmp_path, cold_game_config())
+    assert main(["game", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, second = captured.err.splitlines()
+    match = re.fullmatch(r"accuracy error: quadrature not converged: "
+                         r"\|(\S+) - (\S+)\| > 1e-08", first)
+    assert match is not None
+    fine, base = map(float, match.groups())
+    assert abs(fine - 0.0067755684709684) <= 1e-15
+    assert abs(base - 0.0067755954817777) <= 1e-15
+    assert second.startswith("partial values: ")
+    values = ast.literal_eval(second.removeprefix("partial values: "))
+    assert sorted(values) == ["base", "refined"]
+    assert (f"{values['refined']:.15g}", f"{values['base']:.15g}") == match.groups()
+
+
+def test_cli_game_without_refinement_check(tmp_path, capsys):
+    # the same game with the check off: the base-resolution values, no margin
+    path = write_config(tmp_path, cold_game_config(quadrature={"refinement_check": False}))
+    assert main(["game", "--config", path]) == 0
+    result = json.loads(capsys.readouterr().out)["game"]["16.0"]
+    assert result["refinement_margin"] == 0.0
+    assert result["kernel_calls"] == 118
+    assert abs(result["p_sharp"] - 0.008296896668955101) <= 1e-12
 
 
 def test_cli_capacity_exit_code(tmp_path, capsys):
@@ -637,7 +693,7 @@ def test_cli_plot_data_prints_only_its_config(tmp_path, capsys):
     for kind, rows in (("pressure_vs_gamma", 12), ("gap_vs_beta", 1)):
         assert main(["plot-data", "--config", paths[0], "--out", out_dir, "--kind", kind]) == 0
         capsys.readouterr()
-        lines = open(os.path.join(out_dir, f"{kind}.dat")).read().splitlines()
+        lines = Path(out_dir, f"{kind}.dat").read_text().splitlines()
         assert len(lines) == 1 + rows
     # a config without stored rows is a configuration error, not an empty file
     other = write_config(tmp_path, sweep_config(beta=[3.0]))

@@ -192,6 +192,19 @@ def test_tally_counts_kernel_calls_lanes_and_the_refinement_margin():
     assert tally.refinement_margin <= quad.tol
 
 
+def test_refinement_check_off_returns_the_base_value():
+    # one quadrature per call, at the base resolution, and no margin
+    mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1), eta_plus=0.5, eta_minus=1.0)
+    tally = quasifree.ZoneTally()
+    quad = QuadratureSpec(refinement_check=False)
+    n = quad.resolve_points(1)
+    for c_minus in (np.linspace(0.0, 1.0, 5), 0.2):
+        got = quasifree_pressure(mf, c_minus, 0.3, quad, tally)
+        assert np.array_equal(got, quasifree._pressure_at(mf, c_minus, 0.3, quad.scheme, n))
+    assert (tally.kernel_calls, tally.pressure_lanes) == (2, 6)
+    assert tally.refinement_margin == 0.0
+
+
 def test_midpoint_and_gauss_agree_when_converged():
     mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1),
                          eta_plus=0.7, eta_minus=0.9)
