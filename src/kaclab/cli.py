@@ -191,10 +191,10 @@ def cmd_selftest(args) -> int:
     """Fast oracle suite: CAR algebra, two-mode trace, Poisson identity,
     ED/momentum duality, momentum blocks against plain sector blocks,
     blocks built from the representatives against those of the global
-    matrix, a build from a cached plan against plain sectors, and complex
-    Theta-adapted blocks against plain parity sectors."""
+    matrix, a build from a cached plan against plain sectors, and the
+    gauge-fixed approximant at complex c_- against plain parity sectors."""
     from . import fock
-    from .lattice import MeanFieldParams, ModelParams, discrete_laplacian
+    from .lattice import MeanFieldParams, ModelParams, discrete_laplacian, hopping_matrix
 
     checks = []
 
@@ -268,11 +268,27 @@ def cmd_selftest(args) -> int:
     if len(plans) != 2 or plans[0] is not plans[1]:
         defect = float("inf")
     checks.append(("cached-plan Kac build vs plain sectors, 5-site periodic box", defect, 1e-12))
-    # the approximating Hamiltonian at complex c_-: complex Hermitian blocks
-    approx = fock.build_approximating_hamiltonian(mf, 0.3 * np.exp(0.7j), 0.2, box)
-    H = fock._approximating_sites(mf, 0.3 * np.exp(0.7j), 0.2, box).matrix(plain).tocsr()
-    defect = float(np.max(np.abs(approx.eigenvalues() - sector_spectrum(H, plain.n_tot & 1))))
-    checks.append(("complex c_- blocks vs parity sectors, 5-site periodic box", defect, 1e-12))
+    # the approximating Hamiltonian at complex c_-, built gauge-fixed at |c_-|: its
+    # spectrum, and its pair amplitude rotated by exp(-i arg c_-), against the plain
+    # parity sectors of the complex global matrix, made from the annihilators alone
+    c_minus, n = 0.3 * np.exp(0.7j), box.n_sites
+    approx = fock.build_approximating_hamiltonian(mf, c_minus, 0.2, box)
+    shift, g = mf.approximating_fields(c_minus, 0.2)
+    t = np.kron(np.eye(2), hopping_matrix(mf.hopping, box) + shift * np.eye(n))  # modes x + s n
+    a = [plain.annihilator(m) for m in range(plain.n_modes)]
+    pairs = sum(a[x + n] @ a[x] for x in range(n))
+    H = sum(t[i, j] * a[i].T @ a[j] for i, j in zip(*np.nonzero(t)))
+    H = H - g * pairs - np.conj(g) * pairs.T
+    w, pair = [], []
+    for idx in (np.flatnonzero((plain.n_tot & 1) == c) for c in (0, 1)):
+        w_c, U = np.linalg.eigh(H[idx][:, idx].toarray())
+        w.append(w_c)
+        pair.append(np.sum(U.conj() * (pairs[idx][:, idx] @ U), axis=0) / n)
+    w, pair = np.concatenate(w), np.concatenate(pair)
+    weight = np.exp(-mf.beta * (w - w.min()))
+    defect = max(float(np.max(np.abs(approx.eigenvalues() - np.sort(w)))), abs(
+        fock.gibbs_observables(approx, mf.beta).pair_amplitude - weight @ pair / weight.sum()))
+    checks.append(("complex c_- gauge vs parity sectors, 5-site periodic box", defect, 1e-12))
 
     failed = False
     for name, value, tol in checks:

@@ -37,8 +37,9 @@ sign); none is ever compressed silently.  Every Hamiltonian of the box is
 inversion symmetric: hopping kernels and pair potentials are even, and
 mean-field and approximating site data uniform.  A global sparse matrix
 (the oracle of the tests and of ``selftest``) is checked as a whole, to
-1e-12 max(1, max|H|).  The site data of a builder are checked on the site
-matrices, by a bound that rejects every operator the global check rejects.
+1e-12 max(1, max|H|), and must be real.  The site data of a builder are
+checked on the site matrices, by a bound that rejects every operator the
+global check rejects.
 
 The antiunitary Theta = I K, the inversion followed by complex
 conjugation, maps each momentum block onto itself, and Theta^2 = 1:
@@ -53,53 +54,49 @@ complex conjugation that swaps P and P', so the vectors F,
 u = (P + P')/sqrt 2 and v = i (P - P')/sqrt 2 are fixed by Theta.  Every
 block is stored in this basis, as M = W^dag B W: B is the block on the
 phased Bloch states and W the fixed map of F to itself and of (P, P') to
-(u, v).  For a real H, Theta is a symmetry: W^dag B Pi_P' W is the complex
-conjugate of W^dag B Pi_P W, and W^dag B Pi_F W is real, so M is real
-symmetric and is built from the columns F and P alone, P with weight 2:
-the minima of the orbits of translations and inversion
-(``FockBasis.inversion_reps``: 1,300 of the 2,344 representatives at 7
-sites).  A complex H (the approximating one at complex c_-) gives a
-complex Hermitian M, built from all representative columns.  At k = -k
-(q = 0, which is every block of an open box) K acts trivially on Bloch
-states, so I alone maps the block onto itself: phi = +-1 splits F into the
-inversion-even F+ and the odd F-, and M into the blocks (charges, q, 1) on
-[F+, u] and (charges, q, -1) on [F-, v].  Every other block is kept whole
-as (charges, q, 0).  A bare site count has no inversion: there
-Theta = K, every state is in F+, and the blocks are the plain sectors
-(charges, 0, 1).
+(u, v).  Every H is real (the approximating one is gauge-fixed, see
+``build_approximating_hamiltonian``), so Theta is a symmetry:
+W^dag B Pi_P' W is the complex conjugate of W^dag B Pi_P W, and
+W^dag B Pi_F W is real, so M is real symmetric and is built from the
+columns F and P alone, P with weight 2: the minima of the orbits of
+translations and inversion (``FockBasis.inversion_reps``: 1,300 of the
+2,344 representatives at 7 sites).  At k = -k (q = 0, which is every block
+of an open box) K acts trivially on Bloch states, so I alone maps the
+block onto itself: phi = +-1 splits F into the inversion-even F+ and the
+odd F-, and M into the blocks (charges, q, 1) on [F+, u] and
+(charges, q, -1) on [F-, v].  Every other block is kept whole as
+(charges, q, 0).  A bare site count has no inversion: there Theta = K,
+every state is in F+, and the blocks are the plain sectors (charges, 0, 1).
 
 Two pairings make blocks redundant, and only the lowest block of each
 class is filled and diagonalized, with the class size as its
 multiplicity.  The inversion commutes with H and maps the block at k onto
-the one at -k, real H or complex, so k pairs with -k; it also maps the
-Hermitian pair fields A and B of (1/n) sum_x P_x = A + i B onto
-themselves, so the two blocks have the same pair terms, the expectations
-of A and B (``gibbs_observables``).  Under
-number blocking, an H invariant under the up <-> down swap (checked like
-a translation for a global matrix; site data that conserve number always
-are) has the same spectrum at 2*S_z and -2*S_z.  An H that fails the
-swap check keeps multiplicity 1 on that pairing.  The 7-site periodic
+the one at -k, so k pairs with -k; it also maps the Hermitian pair field
+A = (1/2n) sum_x (P_x + P^dag_x) onto itself, so the two blocks have the
+same pair terms (``gibbs_observables``).  Under number blocking, an H
+invariant under the up <-> down swap (checked like a translation for a
+global matrix; site data that conserve number always are) has the same
+spectrum at 2*S_z and -2*S_z.  An H that fails the swap check keeps
+multiplicity 1 on that pairing.  The 7-site periodic
 chain has 424 (N, 2*S_z, q) blocks in 135 classes of size 1, 2 or 4.
 Their kept real blocks number 160 (99 at k != 0, and 61 inversion halves
 of the 36 classes at k = 0), of order at most 175, with sum dim^3 = 7.0e7
-(complex Bloch-state blocks: 8.7e7; all 424: 2.2e8; without momentum: 64
-blocks up to order 1225, sum dim^3 = 1.1e10).  Of a complex
-approximating H there, the 14 (parity, q) blocks are kept as 10: for each
-parity, the two inversion halves at k = 0 and one block of each pair +-k.
-Every kept block is diagonalized in full, since the traces need full
-spectra.
+(all 424: 2.2e8; without momentum: 64 blocks up to order 1225,
+sum dim^3 = 1.1e10).  Of the approximating H there, the 14 (parity, q)
+blocks are kept as 10: for each parity, the two inversion halves at k = 0
+and one block of each pair +-k.  Every kept block is diagonalized in
+full, since the traces need full spectra.
 
 Where the entries go in the blocks depends on which entries are nonzero,
 never on their values.  So each build is split into a plan (``_plan``):
 for every value that lands in the buffer of the blocks, its position, the
 index of the entry value that it scales and a fixed weight; and a scatter
 (``_scatter``), one weighted ``np.bincount`` of the values of the operator
-at hand.  The plan of site data is made once per basis and per blocking,
-realness and ``_Sites.pattern`` (the nonzero off-site entries of the
-hopping and pair-hopping matrices, and whether a pair field is present),
-and is kept on the basis: a sweep over Kac ranges on one box makes it
-once.  At 7 sites it places 89,395 values into 542,399 doubles and holds
-1.4 MB.
+at hand.  The plan of site data is made once per basis and per blocking
+and ``_Sites.pattern`` (the nonzero off-site entries of the hopping and
+pair-hopping matrices, and whether a pair field is present), and is kept
+on the basis: a sweep over Kac ranges on one box makes it once.  At 7
+sites it places 89,395 values into 542,399 doubles and holds 1.4 MB.
 """
 
 from __future__ import annotations
@@ -178,8 +175,9 @@ class FockBasis:
     basis, like that of an open box, has the trivial group.
 
     Per state s: ``rep[s]``, the minimum of its orbit, the index ``to_rep[s]``
-    of a group element h and the sign ``rep_sign[s]`` with T_h |s> = sign |rep>;
-    ``reps`` lists the representatives.  Per momentum q and state:
+    of a group element h, the sign ``rep_sign[s]`` with T_h |s> = sign |rep>,
+    and ``inversion_rep[s]``, its minimum under the inversion too (listed in
+    ``inversion_reps``).  Per momentum q and state:
     ``bloch_norm[q, s]``, the norm N_s of the Bloch state of a
     representative s (zero for every other state).  Per unit translation:
     the image and sign of every state (``generators``) and the image of
@@ -231,7 +229,7 @@ class FockBasis:
         self.rep = images.min(axis=0)
         self.to_rep = images.argmin(axis=0)
         self.rep_sign = signs[self.to_rep, states]
-        self.reps = reps = np.flatnonzero(self.rep == states)
+        reps = np.flatnonzero(self.rep == states)
         in_stab = images[:, reps] == reps
         self.bloch_norm = np.zeros((len(shifts), dim))
         self.bloch_norm[:, reps] = np.rint(
@@ -490,13 +488,14 @@ class GibbsObservables:
 
 
 class FockOperator:
-    """Operator stored as dense Theta-adapted blocks, keyed (charges, q, p)
-    as in ``FockBasis.sectors``; Hamiltonians are Hermitian, and real
-    symmetric when they are real.
+    """Operator stored as dense real symmetric Theta-adapted blocks, keyed
+    (charges, q, p) as in ``FockBasis.sectors``.
 
     ``blocks`` holds one block per symmetry class, and ``mult[key]`` the
     number of blocks of its class, which share its spectrum (1 for every
     block when ``mult`` is not given)."""
+
+    pair_phase: complex = 1.0  # e^{-i arg c_-}, set by build_approximating_hamiltonian
 
     def __init__(self, basis: FockBasis, blocking: str, blocks: dict, mult: dict | None = None):
         self.basis = basis
@@ -508,7 +507,7 @@ class FockOperator:
     @classmethod
     def from_sparse(cls, basis: FockBasis, H: sp.spmatrix | _Sites,
                     blocking: str) -> "FockOperator":
-        """Dense blocks of H, one per symmetry class.
+        """Dense real symmetric blocks of the real H, one per symmetry class.
 
         H is a sparse matrix on the basis, or the site data ``_Sites`` of a
         Hamiltonian of its box.  Raises KaclabError if any nonzero entry
@@ -517,31 +516,28 @@ class FockOperator:
         The inversion maps the block at k onto that at -k, so the two are
         paired; under number blocking, an H invariant under the up <-> down
         swap pairs (N, 2 S_z, q) with (N, -2 S_z, q).  Only the lowest block
-        of each class is filled: from the entries in the columns of
-        ``basis.inversion_reps`` for a real H, of ``basis.reps`` otherwise.
+        of each class is filled, from the entries in the columns of
+        ``basis.inversion_reps``.
 
         A sparse matrix is checked as a whole: translations, the inversion
-        and the swap to 1e-12 max(1, max|H|), and gets a plan (see the
-        module docstring) of its own.  Site data are checked on the site
-        matrices (``_Sites.check_symmetries``); they are real when the pair
-        field is, and every number-conserving one is swap invariant by
-        construction.  Their plan is kept on the basis: a later build with
-        the same blocking, realness and ``_Sites.pattern`` only forms its
-        values and scatters them.
+        and the swap to 1e-12 max(1, max|H|), then realness, exactly; it
+        gets a plan (see the module docstring) of its own.  Site data are
+        checked on the site matrices (``_Sites.check_symmetries``), and every
+        number-conserving one is swap invariant by construction.  Their plan
+        is kept on the basis: a later build with the same blocking and
+        ``_Sites.pattern`` only forms its values and scatters them.
         """
         layout = basis._sector_map(blocking)
+        states, rep = basis.inversion_reps, basis.inversion_rep
         if isinstance(H, _Sites):
-            real = np.isrealobj(H.pair_field)
-            states = basis.inversion_reps if real else basis.reps
             values = H.values(basis, states)
-            key = (blocking, real, H.pattern())
+            key = (blocking, H.pattern())
             plan = basis._plans.get(key)
             if plan is None:  # the key fixes the nonzero entries, so a kept plan has no leak
                 row, col, value, sign = entries = _entries(states, H.products(basis))
-                _check_sectors(layout, blocking, row, col, sign,
-                               basis.inversion_rep if real else basis.rep)
-                plan = basis._plans[key] = _plan(basis, layout, entries, len(values),
-                                                 _classes(layout, blocking == NUMBER), real)
+                _check_sectors(layout, blocking, row, col, sign, rep)
+                plan = basis._plans[key] = _plan(basis, layout, entries,
+                                                 _classes(layout, blocking == NUMBER))
             H.check_symmetries(basis)
         else:
             import scipy.sparse as sp
@@ -555,22 +551,22 @@ class FockOperator:
                               TRANSLATIONS)
             if basis.inversion is not None:
                 _check_invariance([_invariance_defect(H, coo, *basis.inversion)], tol, INVERSION)
-            real = not np.any(np.imag(coo.data))
+            if np.any(np.imag(coo.data)):
+                raise KaclabError("operator has complex entries: complex operators must be "
+                                  "gauge-fixed to real ones before they are blocked")
             flip = blocking == NUMBER and _invariance_defect(H, coo, *basis.spin_flip) <= tol
-            rep = basis.inversion_rep if real else basis.rep
             at_rep = rep[coo.col] == coo.col
-            values = coo.data[at_rep].real if real else coo.data[at_rep]
+            values = coo.data[at_rep].real
             entries = (coo.row[at_rep], coo.col[at_rep], np.arange(len(values)),
                        np.ones(len(values)))
-            plan = _plan(basis, layout, entries, len(values), _classes(layout, flip), real)
+            plan = _plan(basis, layout, entries, _classes(layout, flip))
         return cls(basis, blocking, _scatter(plan, values), dict(plan.mult))
 
     @property
     def hermiticity_defect(self) -> float:
-        return max(
-            float(np.max(np.abs(B - B.conj().T))) if B.size else 0.0
-            for B in self.blocks.values()
-        )
+        """max |B - B^T| over the blocks."""
+        return max((float(np.max(np.abs(B - B.T))) for B in self.blocks.values() if B.size),
+                   default=0.0)
 
     def sector_dimensions(self) -> dict:
         return {k: B.shape[0] for k, B in self.blocks.items()}
@@ -598,20 +594,18 @@ class _Plan(NamedTuple):
 
     pos: np.ndarray     # int32 buffer position of each placed value
     value: np.ndarray   # int32 index of the value that it scales
-    weight: np.ndarray  # its multiplier: float64 for real blocks, complex128 otherwise
+    weight: np.ndarray  # its float64 multiplier
     size: int           # length of the buffer
     blocks: list        # (key, offset, order) of each stored block
     mult: dict          # key -> multiplicity of each stored block
 
 
-def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, n_values: int, mult: np.ndarray,
-          real: bool) -> _Plan:
+def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, mult: np.ndarray) -> _Plan:
     """The plan of the Theta-adapted blocks of the momentum blocks with
-    mult > 0, from the entries (rows, cols, value, sign) of an
-    inversion-symmetric operator with ``n_values`` values, whose entry is
-    values[value] * sign: a real operator in the columns of
-    ``FockBasis.inversion_reps`` (F and P), any other in those of
-    ``FockBasis.reps``.  ``_scatter`` then fills the blocks of any values.
+    mult > 0, from the entries (rows, cols, value, sign) of a real
+    inversion-symmetric operator in the columns of
+    ``FockBasis.inversion_reps`` (F and P), whose entry is
+    values[value] * sign.  ``_scatter`` then fills the blocks of any values.
 
     Entry H[s, c] adds H[s, c] sign_s chi_q(h_s) theta_c / theta_r
     (N_r/N_c)^{1/2} to the Bloch-state block B of momentum q at (r, c),
@@ -619,15 +613,13 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, n_values: int, mult
     it goes straight to M = W^dag B W, at (x, y) with weight
     conj(W[r, x]) W[c, y], for the adapted vectors x of r and y of c (see
     the module docstring).  Each such product of an entry's value with a
-    fixed weight is one placed value of the plan.  A real operator takes
+    fixed weight is one placed value of the plan.  The operator takes
     weight 2 on the columns P and the real part: its weights and blocks are
     float64.  Vectors of opposite inversion parity at k = -k do not mix.
-    The operator is Hermitian (a Hamiltonian, or a pair field A or B of
+    The operator is symmetric (a Hamiltonian, or the pair field A of
     ``gibbs_observables``): each value is placed in the lower triangle and,
-    in the same order, its conjugate at the mirror image (for a complex
-    one, the conjugate weight times value n_values + value, the conjugate
-    in the values that ``_scatter`` extends), so its blocks are exactly
-    symmetric (Hermitian).
+    in the same order, at the mirror image, so its blocks are exactly
+    symmetric.
     """
     src, col, value, sign = entries
     value = value.astype(np.int32)
@@ -638,7 +630,7 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, n_values: int, mult
     # per adapted vector: where its row starts in the buffer, and its column
     owner, part, index = layout.owner, layout.part, layout.index
     row_at = (base[owner, part] + index * sides[owner, part]).astype(np.int32)
-    col_coef = layout.col_coef * np.where(layout.kind == 2, 2.0, 1.0) if real else layout.col_coef
+    col_coef = layout.col_coef * np.where(layout.kind == 2, 2.0, 1.0)
     row, to_rep = basis.rep[src], basis.to_rep[src]
     sign = sign * basis.rep_sign[src]
     filled = np.append(wanted[owner], False)  # the last one stands for -1: no state
@@ -653,9 +645,9 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, n_values: int, mult
             z = z * basis._chi[q, to_rep[keep]]
         # the weights at (x1, y1), (x2, y1), (x1, y2), (x2, y2) for the adapted
         # vectors x of r and y of c: a, s_r b, -s_c b and s_r s_c a, from the
-        # first one a and b = -i a, of which a real operator keeps real parts
+        # first one a and b = -i a, of which the real parts are kept
         a = layout.row_coef[r] * z * col_coef[c]
-        a, b = (a.real, a.imag) if real else (a, -1j * a)
+        a, b = a.real, a.imag
         s_r, s_c = layout.turn[r], layout.turn[c]
         w = np.concatenate([a, s_r * b, -s_c * b, s_r * s_c * a])
         x = np.tile(layout.vec[:, r].ravel(), 2)
@@ -669,8 +661,8 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, n_values: int, mult
         weights.append(w)
         off = x != y  # the same values in the same order: exactly symmetric
         pos.append(row_at[y[off]] + index[x[off]])
-        values.append(v[off] if real else v[off] + n_values)
-        weights.append(w[off].conj())
+        values.append(v[off])
+        weights.append(w[off])
     blocks = [((*layout.labels[i], _PARTS[p]), at, n)
               for i in np.flatnonzero(wanted).tolist()
               for p, (at, n) in enumerate(zip(base[i].tolist(), sides[i].tolist())) if n]
@@ -682,16 +674,9 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, n_values: int, mult
 
 def _scatter(plan: _Plan, values: np.ndarray) -> dict:
     """The blocks {key: block} of the operator with these values, filled
-    by one weighted bincount of the plan's placed values (real and
-    imaginary parts apart for complex blocks); the blocks are views of one
-    buffer."""
-    if np.isrealobj(plan.weight):
-        out = np.bincount(plan.pos, plan.weight * values[plan.value], minlength=plan.size)
-    else:
-        z = plan.weight * np.concatenate([values, np.conj(values)])[plan.value]
-        out = np.empty(plan.size, complex)
-        out.real = np.bincount(plan.pos, z.real, minlength=plan.size)
-        out.imag = np.bincount(plan.pos, z.imag, minlength=plan.size)
+    by one weighted bincount of the plan's placed values; the blocks are
+    views of one buffer."""
+    out = np.bincount(plan.pos, plan.weight * values[plan.value], minlength=plan.size)
     return {key: out[at:at + n * n].reshape(n, n) for key, at, n in plan.blocks}
 
 
@@ -706,9 +691,9 @@ class _Sites:
 
         H = sum_{x,y,s} t[x,y] a^dag_{x,s} a_{y,s} + sum_{x,y} v_plus[x,y] n_x n_y
             + sum_{x,y} pair_w[x,y] P^dag_y P_x + density_onebody sum_x n_x
-            + double_occ sum_x n_{x,up} n_{x,dn} + sum_x (conj(g) P^dag_x + g P_x)
+            + double_occ sum_x n_{x,up} n_{x,dn} + g sum_x (P^dag_x + P_x)
 
-    with g = pair_field.  Every builder hands these to
+    with the real g = pair_field.  Every builder hands these to
     ``FockOperator.from_sparse``, which builds the entries of the
     representative columns only; ``matrix`` is the global matrix.
     """
@@ -718,14 +703,12 @@ class _Sites:
     pair_w: np.ndarray | None = None
     density_onebody: float = 0.0
     double_occ: float = 0.0
-    pair_field: complex = 0.0
+    pair_field: float = 0.0
 
     def __post_init__(self):
         for name in ("t", "v_plus", "pair_w"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        g = complex(self.pair_field)
-        object.__setattr__(self, "pair_field", g if g.imag else g.real)  # real keeps blocks real
 
     def pattern(self) -> tuple:
         """The structure of the entries of H, without their values: which
@@ -756,7 +739,7 @@ class _Sites:
         if g != 0.0:
             sites = np.arange(n)
             terms += [(np.full(n, g), _pair(basis, sites)),
-                      (np.full(n, np.conj(g)), _adjoint(_pair(basis, sites)))]
+                      (np.full(n, g), _adjoint(_pair(basis, sites)))]
         return terms
 
     def products(self, basis: FockBasis) -> list:
@@ -886,20 +869,26 @@ def build_approximating_hamiltonian(mf: MeanFieldParams, c_minus: complex,
                                     dimension_cap: int = DEFAULT_DIMENSION_CAP) -> FockOperator:
     """Quadratic approximant of the mean-field model at strategies (c-, c+).
 
-    H = T + sqrt(eta_+)(conj(c_+) + c_+) sum_x,s n_{x,s}
-          - sqrt(eta_-) sum_x (conj(c_-) P^dag_x + c_- P_x),
-    which only conserves fermion parity.
+    H(c_-) = T + sqrt(eta_+)(conj(c_+) + c_+) sum_x,s n_{x,s}
+               - sqrt(eta_-) sum_x (conj(c_-) P^dag_x + c_- P_x),
+    which only conserves fermion parity.  It is built gauge-fixed, at |c_-|
+    and Re c_+: the phase rotation U = exp(-i arg(c_-) N_up) takes
+    U P_x U^dag = e^{i arg c_-} P_x, so H(c_-) = U H(|c_-|) U^dag.  Spectrum,
+    pressure, density and energy are those of the real H(|c_-|), and the
+    pair amplitude <P_x> is e^{-i arg c_-} times its value there: the
+    operator keeps that phase as ``pair_phase`` for ``gibbs_observables``.
     """
     basis = _box_basis(box, dimension_cap)
-    return FockOperator.from_sparse(basis, _approximating_sites(mf, c_minus, c_plus, box),
-                                    PARITY)
+    op = FockOperator.from_sparse(basis, _approximating_sites(mf, c_minus, c_plus, box), PARITY)
+    op.pair_phase = np.conj(c_minus) / abs(c_minus) if c_minus else 1.0
+    return op
 
 
 def _approximating_sites(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
                          box: LatticeBox) -> _Sites:
-    """Site data of the approximating Hamiltonian of the box."""
-    shift, g = mf.approximating_fields(c_minus, c_plus)
-    return _Sites(t=hopping_matrix(mf.hopping, box), density_onebody=shift, pair_field=-g)
+    """Site data of the gauge-fixed approximating Hamiltonian H(|c_-|) of the box."""
+    shift, g = mf.approximating_fields(abs(c_minus), c_plus)
+    return _Sites(t=hopping_matrix(mf.hopping, box), density_onebody=shift, pair_field=-g.real)
 
 
 # ---------------------------------------------------------------------------
@@ -934,11 +923,10 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     eigenstate of block (N, 2 S_z, q, p) holds N fermions.  Each block
     counts with its multiplicity.  Under parity blocking,
     (1/n) sum_x P_x = A + i B with the Hermitian pair fields
-    A = (1/2n) sum_x (P_x + P^dag_x) and B = (i/2n) sum_x (P^dag_x - P_x),
-    the site data of the pair fields 1/(2n) and -i/(2n), whose blocks have
-    the keys of H's: the amplitude is <A> + i <B>.  A real H has a real
-    Gibbs state and B imaginary antisymmetric blocks, so <B> = 0: B is
-    built for complex blocks only, and a real H has a real amplitude.
+    A = (1/2n) sum_x (P_x + P^dag_x) and B = (i/2n) sum_x (P^dag_x - P_x).
+    H is real, so its Gibbs state is real and <B> = 0; A is the site data
+    of the pair field 1/(2n), whose blocks have the keys of H's.  The
+    amplitude is ``op.pair_phase`` <A>.
     """
     basis = op.basis
     n = basis.n_sites
@@ -946,8 +934,7 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     parity = op.blocking == PARITY
     eig = op.eigensystem(vectors=parity)
     log_trace, weights = _boltzmann(op, beta, eig)
-    energy = density = 0.0
-    pair = 0.0 + 0.0j
+    energy = density = pair = 0.0
     for key, (w, U) in eig.items():
         p = weights[key]
         energy += float(p @ w)
@@ -956,15 +943,11 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
             continue
         # a Bloch state holds the particle number of its representative
         n_vec = basis.n_tot[sectors[key]].astype(float)
-        density += float(p @ ((np.abs(U) ** 2).T @ n_vec))  # <N> in each eigenstate
-    if parity:  # <A>, then for complex blocks <B>: both real in every eigenstate
-        complex_blocks = any(np.iscomplexobj(B) for B in op.blocks.values())
-        for phase in (1, 1j) if complex_blocks else (1,):
-            field = FockOperator.from_sparse(
-                basis, _Sites(pair_field=np.conj(phase) / (2 * n)), PARITY).blocks
-            pair += phase * sum(
-                float(weights[key] @ np.einsum("si,si->i", U.conj(), field[key] @ U).real)
-                for key, (_, U) in eig.items())
+        density += float(p @ ((U ** 2).T @ n_vec))  # <N> in each eigenstate
+    if parity:
+        field = FockOperator.from_sparse(basis, _Sites(pair_field=1 / (2 * n)), PARITY).blocks
+        pair = op.pair_phase * sum(float(weights[key] @ np.einsum("si,si->i", U, field[key] @ U))
+                                   for key, (_, U) in eig.items())
     density /= n
     if not (-1e-9 <= density <= 2.0 + 1e-9) or abs(pair) > 1.0 + 1e-9:
         raise KaclabError(
@@ -973,7 +956,7 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     return GibbsObservables(
         pressure=float(log_trace) / (beta * n),
         density=density,
-        pair_amplitude=pair,
+        pair_amplitude=complex(pair),
         energy_per_site=energy / n,
     )
 

@@ -850,7 +850,7 @@ def test_cli_selftest(capsys):
     assert "PASS  momentum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
     assert "PASS  representative build vs global matrix, 5-site periodic Kac box" in out
     assert "PASS  cached-plan Kac build vs plain sectors, 5-site periodic box" in out
-    assert "PASS  complex c_- blocks vs parity sectors, 5-site periodic box" in out
+    assert "PASS  complex c_- gauge vs parity sectors, 5-site periodic box" in out
 
 
 FOOTPRINT_SCRIPT = """

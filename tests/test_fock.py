@@ -94,6 +94,33 @@ def oracle_hamiltonian(n, t, v_plus, pair_w, density_onebody=0.0, double_occ=0.0
     return H.toarray()
 
 
+def kronecker_gibbs(H, beta, n):
+    """Pressure, density, pair amplitude (1/n) sum_x <a_{x,down} a_{x,up}>
+    and energy per site of the dense, parity-conserving H, and its sorted
+    spectrum: diagonalized by numpy alone in its even and odd sectors, with
+    the number and pair operators of ``kron_modes``."""
+    a = [sp.csr_matrix(m) for m in kron_modes(2 * n)]
+    number = sum(m.T @ m for m in a).diagonal()  # diagonal in the occupation basis
+    pair = sum(a[n + x] @ a[x] for x in range(n)) / n
+    even, odd = (np.flatnonzero(number % 2 == b) for b in (0, 1))
+    assert not np.any(H[np.ix_(even, odd)])
+    w, U = np.zeros(len(H)), np.zeros(H.shape, complex)
+    for idx in (even, odd):
+        w[idx], U[np.ix_(idx, idx)] = np.linalg.eigh(H[np.ix_(idx, idx)])
+    p = np.exp(-beta * (w - w.min()))
+    p /= p.sum()
+    density = float(p @ (np.abs(U) ** 2).T @ number) / n
+    pair_amplitude = p @ np.sum(U.conj() * (pair @ U), axis=0)
+    return GibbsObservables(float(logsumexp(-beta * w)) / (beta * n), density, pair_amplitude,
+                            float(p @ w) / n), np.sort(w)
+
+
+def pair_sum(basis):
+    """sum_x P_x = sum_x a_{x,down} a_{x,up}, from the annihilators of the basis."""
+    return sum(basis.annihilator(basis.mode(x, 1)) @ basis.annihilator(basis.mode(x, 0))
+               for x in range(basis.n_sites))
+
+
 def site_permutation_operator(n_sites, site_map):
     """The relabelling x -> site_map[x] of the sites of a chain, as a
     sparse matrix.
@@ -332,7 +359,8 @@ def test_hermiticity_of_assembled_hamiltonians():
         build_meanfield_hamiltonian(mf, box),
         build_approximating_hamiltonian(mf, 0.3 * np.exp(0.7j), 0.2, box),
     ]
-    for op in ops:
+    for op in ops:  # the complex-c_- approximant too: it is built gauge-fixed
+        assert_theta_real(op)
         assert op.hermiticity_defect <= 1e-14
 
 
@@ -348,10 +376,10 @@ def test_blocks_match_kronecker_oracle(L, boundary):
         m = rng.normal(size=(n, n))
         return m + m.T
 
-    # every assembly term at once, with a complex pair field: parity blocks
+    # every assembly term at once, with a pair field: parity blocks
     t, v, w = symmetric(), symmetric(), symmetric()
     kw = dict(density_onebody=rng.normal(), double_occ=rng.normal(),
-              pair_field=complex(rng.normal(), rng.normal()))
+              pair_field=abs(complex(rng.normal(), rng.normal())))
     basis = FockBasis(n)
     H = _Sites(t=t, v_plus=v, pair_w=w, **kw).matrix(basis)
     op = FockOperator.from_sparse(basis, H, "parity")
@@ -386,14 +414,19 @@ def test_blocks_match_kronecker_oracle(L, boundary):
 
     c_minus = complex(*rng.normal(size=2))
     c_plus = complex(*rng.normal(size=2))
-    for c in (c_minus, c_minus.real):  # complex Hermitian and real symmetric blocks
-        assert_blocks_match(
-            build_approximating_hamiltonian(mf, c, c_plus, box),
-            oracle_hamiltonian(n, T, zero, zero,
-                               density_onebody=2 * math.sqrt(e_plus) * c_plus.real,
-                               pair_field=-math.sqrt(e_minus) * c),
-            translation,
-        )
+
+    def approximating_oracle(c):
+        return oracle_hamiltonian(n, T, zero, zero,
+                                  density_onebody=2 * math.sqrt(e_plus) * c_plus.real,
+                                  pair_field=-math.sqrt(e_minus) * c)
+
+    for c in (c_minus.real, c_minus):  # the blocks are those of the gauge-fixed H(|c|)
+        op = build_approximating_hamiltonian(mf, c, c_plus, box)
+        assert_theta_real(op)
+        assert_blocks_match(op, approximating_oracle(abs(c)), translation)
+    # the last build, at c_-, has the Gibbs observables of H(c_-), the amplitude rotated
+    want, _ = kronecker_gibbs(approximating_oracle(c_minus), 1.0, n)
+    assert_gibbs_match(gibbs_observables(op, 1.0), want)
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3])
@@ -410,11 +443,13 @@ def test_momentum_spectra_match_trivial_group(L):
                      gamma_plus=0.45, gamma_minus=0.3, include_onsite_correction=True)
     mf = MeanFieldParams(beta=1.0, hopping=hop, eta_plus=0.8, eta_minus=1.3)
     c_minus, c_plus = 0.4 * np.exp(0.9j), 0.35
+    # the site data of the approximant are those of the gauge-fixed H(|c_-|)
     cases = [(_kac_sites(mp, box).matrix(trivial), "number"),
              (_meanfield_sites(mf, box).matrix(trivial), "number"),
              (_approximating_sites(mf, c_minus, c_plus, box).matrix(trivial), "parity")]
     for H, blocking in cases:
         op = FockOperator.from_sparse(momentum, H, blocking)
+        assert_theta_real(op)
         assert sum(op.mult[k] * dim for k, dim in op.sector_dimensions().items()) == 4**n
         if blocking == "parity" and n == 7:
             # trivial parity blocks have order 8192: compare with the closed form
@@ -526,31 +561,16 @@ def test_theta_real_blocks_match_plain_sectors(L, boundary):
         assert_gibbs_match(got, want)
 
 
-def test_theta_breaking_operators_keep_complex_blocks():
-    # a complex pair field breaks Theta but not the inversion: complex
-    # Hermitian Theta-adapted blocks, paired k <-> -k by the inversion, with
-    # the spectra and Gibbs observables of the plain sectors
-    box = LatticeBox(1, 2, "periodic")
-    n = box.n_sites
-    basis, bare = FockBasis(box), FockBasis(n)
-    mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
-    sites = _approximating_sites(mf, 0.4 * np.exp(0.9j), 0.35, box)
-    op = FockOperator.from_sparse(basis, sites, "parity")
-    assert set(op.mult.values()) == {1, 2}
-    assert sum(op.mult[k] * dim for k, dim in op.sector_dimensions().items()) == 4**n
-    assert all(np.iscomplexobj(B) for B in op.blocks.values())
-    assert op.hermiticity_defect <= 1e-14
-    H = sites.matrix(bare)
-    expected = plain_sector_spectrum(bare, H, "parity")
-    assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
-    assert_gibbs_match(gibbs_observables(op, 1.5),
-                       gibbs_observables(FockOperator.from_sparse(bare, H, "parity"), 1.5))
+def test_inversion_asymmetric_operators_are_rejected():
     # an operator of the box without the inversion is no Hamiltonian of it:
     # translation-invariant site data whose density coupling is not even in
     # x - y (as site matrices; H holds only v + v^T, which is even), and a
     # global matrix with sum_x n_{x,up} n_{x+1,down}
+    box = LatticeBox(1, 2, "periodic")
+    n = box.n_sites
+    basis, bare = FockBasis(box), FockBasis(n)
     x = np.arange(n)
-    t = hopping_matrix(mf.hopping, box)
+    t = hopping_matrix(discrete_laplacian(1), box)
     v_plus = np.array([0.0, 0.7, 0.2, -0.1, 0.4])[(x[:, None] - x[None, :]) % n]
     up, down = basis.occ[:, :n], basis.occ[:, n:]
     chiral = sp.diags((up * np.roll(down, -1, axis=1)).sum(axis=1) * 0.5)
@@ -579,18 +599,45 @@ def test_spin_field_breaks_only_the_spin_flip_pairing():
     assert 4 in flipped.mult.values()
 
 
-def test_complex_pair_field_is_momentum_paired_by_the_inversion():
-    # the inversion maps the block at k onto that at -k for a complex H too:
-    # the 5-site (parity, k) blocks are kept at k = 0 (two halves) and at one
-    # k of each pair +-k, with multiplicity 2
-    box = LatticeBox(1, 2, "periodic")
-    mf = MeanFieldParams(beta=1.0, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
-    H = _approximating_sites(mf, 0.4 * np.exp(0.9j), 0.35, box).matrix(FockBasis(box.n_sites))
-    op = FockOperator.from_sparse(FockBasis(box), H, "parity")
-    assert all(np.iscomplexobj(B) for B in op.blocks.values())
-    assert sorted(op.mult.values()) == [1] * 4 + [2] * 4
-    expected = plain_sector_spectrum(FockBasis(box.n_sites), H, "parity")
-    assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
+def approximating_oracle_case(L, c_minus):
+    """The approximating Hamiltonian of a periodic chain at c_-, built by
+    the package and as the dense Kronecker-string matrix of the oracle."""
+    box = LatticeBox(1, L, "periodic")
+    n = box.n_sites
+    mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
+    zero = np.zeros((n, n))
+    H = oracle_hamiltonian(n, hopping_matrix(mf.hopping, box), zero, zero,
+                           density_onebody=2 * math.sqrt(0.8) * 0.35,
+                           pair_field=-math.sqrt(1.3) * c_minus)
+    return build_approximating_hamiltonian(mf, c_minus, 0.35, box), H
+
+
+@pytest.mark.parametrize("c_minus", [0.4 * np.exp(0.9j), -0.4], ids=["complex", "negative"])
+@pytest.mark.parametrize("L", [1, 2])
+def test_gauge_fixed_approximant_matches_kronecker_oracle(L, c_minus):
+    # H(c_-) = U H(|c_-|) U^dag: the real blocks of H(|c_-|) give the
+    # spectrum, pressure and density of H(c_-), and the pair amplitude
+    # rotated by exp(-i arg c_-) (-1 for the negative c_-, where realness
+    # does not change but the gauge does); the oracle is the global matrix
+    # at c_- itself, diagonalized by numpy
+    op, H = approximating_oracle_case(L, c_minus)
+    assert_theta_real(op)
+    assert op.pair_phase == pytest.approx(np.exp(-1j * np.angle(c_minus)), abs=1e-15)
+    if L == 2:  # kept at k = 0 (two halves) and at one k of each pair +-k
+        assert sorted(op.mult.values()) == [1] * 4 + [2] * 4
+    want, spectrum = kronecker_gibbs(H, 1.5, op.basis.n_sites)
+    assert np.max(np.abs(op.eigenvalues() - spectrum)) <= 1e-12
+    assert abs(want.pair_amplitude) > 1e-2
+    assert_gibbs_match(gibbs_observables(op, 1.5), want)
+
+
+def test_complex_global_matrix_is_rejected():
+    # the 5-site approximant at complex c_- as a global matrix: its imaginary
+    # part is not dropped; complex operators must be gauge-fixed first
+    _, H = approximating_oracle_case(2, 0.4 * np.exp(0.9j))
+    for basis in (FockBasis(LatticeBox(1, 2, "periodic")), FockBasis(5)):
+        with pytest.raises(KaclabError, match="complex operators must be gauge-fixed"):
+            FockOperator.from_sparse(basis, sp.csr_matrix(H), "parity")
 
 
 @pytest.mark.parametrize("L", [1, 2])
@@ -678,10 +725,11 @@ def test_representative_build_matches_global_matrix(L, boundary):
         basis, _meanfield_sites(mf, box).matrix(basis), "number"))
     if n == 7:
         return  # 7-site parity blocks hold hundreds of MB
-    for c_minus in (0.45, 0.4 * np.exp(0.9j)):
-        H = _approximating_sites(mf, c_minus, 0.35, box).matrix(basis)
-        assert_same_operator(build_approximating_hamiltonian(mf, c_minus, 0.35, box),
-                             FockOperator.from_sparse(basis, H, "parity"))
+    for c_minus in (0.45, 0.4 * np.exp(0.9j)):  # both built gauge-fixed, at |c_-|
+        H = _approximating_sites(mf, abs(c_minus), 0.35, box).matrix(basis)
+        op = build_approximating_hamiltonian(mf, c_minus, 0.35, box)
+        assert_theta_real(op)
+        assert_same_operator(op, FockOperator.from_sparse(basis, H, "parity"))
 
 
 def periodic_sites(box):
@@ -738,21 +786,19 @@ def test_site_matrix_guard_rejects_what_the_matrix_check_rejects(name, entry, de
 def test_site_leak_message_matches_the_matrix_check():
     # the leak of a pair field under number blocking, counted over every
     # state from the representative columns (of translations and inversion
-    # for a real pair field on inversion-symmetric site data); it is
-    # reported before a broken translation, as by the matrix check
+    # on inversion-symmetric site data); it is reported before a broken
+    # translation, as by the matrix check
     box = LatticeBox(1, 2, "periodic")
     basis = FockBasis(box)
     sites = periodic_sites(box)
     for t in (sites["t"], np.diag(np.arange(5.0))):
-        for g in (0.3j, 0.3):
-            messages = []
-            for H in (_Sites(**dict(sites, t=t, pair_field=g)),
-                      _Sites(**dict(sites, t=t, pair_field=g)).matrix(basis)):
-                with pytest.raises(KaclabError,
-                                   match="outside the declared 'number' sectors") as err:
-                    FockOperator.from_sparse(basis, H, "number")
-                messages.append(str(err.value))
-            assert messages[0] == messages[1]
+        messages = []
+        for H in (_Sites(**dict(sites, t=t, pair_field=0.3)),
+                  _Sites(**dict(sites, t=t, pair_field=0.3)).matrix(basis)):
+            with pytest.raises(KaclabError, match="outside the declared 'number' sectors") as err:
+                FockOperator.from_sparse(basis, H, "number")
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 def spy_on_plans(monkeypatch):
@@ -803,17 +849,21 @@ def test_site_plans_are_made_once_per_pattern(boundary, monkeypatch):
 def test_cached_plans_keep_every_check(monkeypatch):
     # after a clean build has cached its plan, a pair field under number
     # blocking still leaks, with the count of every state's orbit, and
-    # site data that break a translation or the inversion are still rejected
+    # site data that break a translation or the inversion are still
+    # rejected; a complex global pair field 0.3i P + h.c. leaks with the
+    # same count, as the leak is checked before realness
     box = LatticeBox(1, 2, "periodic")
     basis = FockBasis(box)
     sites = periodic_sites(box)
     FockOperator.from_sparse(basis, _Sites(**sites), "number")
     FockOperator.from_sparse(basis, _Sites(**sites, pair_field=0.3), "parity")
     made = spy_on_plans(monkeypatch)
-    for g in (0.3, 0.3j):
+    pairs = pair_sum(basis)
+    for H in (_Sites(**sites, pair_field=0.3),
+              _Sites(**sites).matrix(basis) + 0.3j * pairs - 0.3j * pairs.T):
         with pytest.raises(KaclabError, match="^operator has 2560 nonzero matrix elements outside "
                                               "the declared 'number' sectors$"):
-            FockOperator.from_sparse(basis, _Sites(**sites, pair_field=g), "number")
+            FockOperator.from_sparse(basis, H, "number")
     shifted = dict(sites, t=sites["t"].copy())
     shifted["t"][0, 0] = 0.5
     n = box.n_sites
