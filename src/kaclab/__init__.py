@@ -38,7 +38,6 @@ from .lattice import (
 from .potentials import (
     ConeReport,
     GaussianMixture,
-    GridSpec,
     PairPotential,
     PlainGaussian,
     TableSpline,
@@ -51,7 +50,6 @@ from .potentials import (
     series_tail_bound,
 )
 from .quasifree import (
-    BdGBlock,
     QuadratureSpec,
     finite_grid_pressure,
     per_k_log_trace,

@@ -22,7 +22,7 @@ from . import game, quasifree, sweep
 from .config import config_hash, parse_config
 from .errors import AccuracyError, CapacityError, ConfigError, KaclabError
 from .lattice import LatticeBox
-from .potentials import GridSpec, PlainGaussian, cone_check, poisson_sum
+from .potentials import PlainGaussian, cone_check, poisson_sum
 from .store import PLOT_KINDS, ResultStore, emit_plot_data
 
 EXIT_OK = 0
@@ -42,7 +42,7 @@ def cmd_validate_potential(args) -> int:
     for role, pot in (("plus", cfg.f_plus), ("minus", cfg.f_minus)):
         if pot is None:
             continue
-        report = cone_check(pot, grid=GridSpec())
+        report = cone_check(pot)
         reports[role] = {"family": pot.family, **report.as_dict()}
     if not reports:
         raise ConfigError(["no potentials declared in configuration"])
@@ -108,7 +108,7 @@ def cmd_game(args) -> int:
 def cmd_gap(args) -> int:
     cfg = parse_config(args.config)
     chash = config_hash(cfg)
-    store = ResultStore(args.out or cfg.output_dir) if args.out else None
+    store = ResultStore(args.out) if args.out else None
     rows = []
     for beta in cfg.beta:
         sol = game.solve_gap_fixed_point(cfg.meanfield_params(beta), cfg.quadrature,
@@ -122,8 +122,8 @@ def cmd_gap(args) -> int:
 
 def _check_sweep_eta(cfg) -> None:
     """ConfigError unless each eta is fhat(0) of its potential (0 without
-    one) to 1e-12 relative, and each potential passes ``cone_check`` on the
-    default grid: the Kac records depend on the potentials alone, and their
+    one) to 1e-12 relative, and each potential passes ``cone_check`` on its
+    fixed grid: the Kac records depend on the potentials alone, and their
     game is that of eta = fhat(0) only inside the scaling-monotone
     positive-definite cone, where fhat peaks at 0."""
     errors = []
@@ -136,7 +136,7 @@ def _check_sweep_eta(cfg) -> None:
                           f"kac-sweep compares its records with the game of its potentials")
         if pot is None:
             continue
-        report = cone_check(pot, grid=GridSpec())
+        report = cone_check(pot)
         for name, inside in (("min_fourier_value", report.positive_definite),
                              ("monotonicity_violation", report.scaling_monotone)):
             if not inside:
@@ -193,6 +193,8 @@ def cmd_selftest(args) -> int:
     blocks built from the representatives against those of the global
     matrix, a build from a cached plan against plain sectors, and the
     gauge-fixed approximant at complex c_- against plain parity sectors."""
+    from scipy.special import logsumexp
+
     from . import fock
     from .lattice import MeanFieldParams, ModelParams, discrete_laplacian, hopping_matrix
 
@@ -203,22 +205,17 @@ def cmd_selftest(args) -> int:
     car = max(fock.car_max_violation(basis), fock.car_max_violation(basis2))
     checks.append(("CAR relations (1 and 3 sites)", car, 1e-14))
 
+    # 200 random draws at once, against a stack of 4-state Fock traces
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(200):
-        eps = rng.uniform(-8, 8)
-        gap = rng.uniform(0, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        beta = rng.uniform(0.1, 20.0)
-        block = quasifree.BdGBlock(k=(0.0,), epsilon_tilde=eps, gap=gap)
-        closed = quasifree.per_k_log_trace(block, beta)
-        h4 = np.zeros((4, 4), dtype=complex)
-        h4[1, 1] = h4[2, 2] = eps
-        h4[3, 3] = 2 * eps
-        h4[3, 0] = -np.conj(gap)
-        h4[0, 3] = -gap
-        ev = np.linalg.eigvalsh(h4)
-        oracle = float(np.log(np.sum(np.exp(-beta * (ev - ev.min())))) - beta * ev.min())
-        worst = max(worst, abs(closed - oracle))
+    eps, beta = rng.uniform(-8, 8, 200), rng.uniform(0.1, 20.0, 200)
+    gap = rng.uniform(0, 4, 200) * np.exp(1j * rng.uniform(0, 2 * np.pi, 200))
+    h4 = np.zeros((200, 4, 4), dtype=complex)
+    h4[:, 1, 1] = h4[:, 2, 2] = eps
+    h4[:, 3, 3] = 2 * eps
+    h4[:, 3, 0] = -np.conj(gap)
+    h4[:, 0, 3] = -gap
+    oracle = logsumexp(-beta[:, None] * np.linalg.eigvalsh(h4), axis=1)
+    worst = float(np.max(np.abs(quasifree.per_k_log_trace(eps, gap, beta) - oracle)))
     checks.append(("two-mode closed form vs 4-state trace", worst, 1e-12))
 
     p = PlainGaussian(width=1.0, d=1)
@@ -310,23 +307,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_config=True, out=False):
+    def add(name, func, needs_config=True, out=None):
+        """out: what happens without --out, for its help text; None: no --out."""
         p = sub.add_parser(name)
         if needs_config:
             p.add_argument("--config", required=True, help="experiment JSON file")
         if out:
-            p.add_argument("--out", default=None,
-                           help="output directory (default: output_dir of the config)")
+            p.add_argument("--out", default=None, help=f"output directory ({out})")
         p.set_defaults(func=func)
         return p
 
     add("validate-potential", cmd_validate_potential)
     add("pressure-ed", cmd_pressure)
     add("pressure-mf", cmd_pressure)
-    add("game", cmd_game, out=True).add_argument("--dump-grid", action="store_true")
-    add("gap", cmd_gap, out=True)
-    add("kac-sweep", cmd_kac_sweep, out=True)
-    add("plot-data", cmd_plot_data, out=True).add_argument(
+    config_dir = "default: output_dir of the config"
+    add("game", cmd_game, out="without it only --dump-grid writes, to output_dir of the "
+        "config").add_argument("--dump-grid", action="store_true")
+    add("gap", cmd_gap, out="without it nothing is written")
+    add("kac-sweep", cmd_kac_sweep, out=config_dir)
+    add("plot-data", cmd_plot_data, out=config_dir).add_argument(
         "--kind", required=True, choices=list(PLOT_KINDS))
     add("selftest", cmd_selftest, needs_config=False)
     return parser

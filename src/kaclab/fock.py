@@ -562,12 +562,6 @@ class FockOperator:
             plan = _plan(basis, layout, entries, _classes(layout, flip))
         return cls(basis, blocking, _scatter(plan, values), dict(plan.mult))
 
-    @property
-    def hermiticity_defect(self) -> float:
-        """max |B - B^T| over the blocks."""
-        return max((float(np.max(np.abs(B - B.T))) for B in self.blocks.values() if B.size),
-                   default=0.0)
-
     def sector_dimensions(self) -> dict:
         return {k: B.shape[0] for k, B in self.blocks.items()}
 

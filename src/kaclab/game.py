@@ -129,6 +129,8 @@ class OptimizerSpec:
             raise ConfigError("max_iter must be an integer >= 1")
         if self.xtol <= 0 or self.tol_gap <= 0:
             raise ConfigError("tolerances must be positive")
+        if self.degeneracy_window < 0:
+            raise ConfigError("degeneracy_window must be nonnegative")
 
 
 class DecisionResult(NamedTuple):

@@ -34,7 +34,6 @@ __all__ = [
     "GaussianMixture",
     "Yukawa",
     "TableSpline",
-    "GridSpec",
     "TruncationSpec",
     "ConeReport",
     "cone_check",
@@ -568,18 +567,6 @@ def make_potential(family: str, d: int, **params) -> PairPotential:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Sampling grid for cone diagnostics: |k_j| <= radius, points per axis."""
-
-    radius: float = 20.0
-    points_per_axis: int = 101
-
-    def __post_init__(self):
-        if self.radius <= 0 or self.points_per_axis < 2:
-            raise ConfigError("grid radius and resolution must be positive")
-
-
-@dataclass(frozen=True)
 class ConeReport:
     positive_definite: bool
     scaling_monotone: bool
@@ -593,17 +580,18 @@ class ConeReport:
 
 _SCALING_GAMMAS = (0.5, 0.25, 0.1)
 _CONE_TOL = 1e-9  # slack of both cone tests on the sampled fhat
+_CONE_RADIUS = 20.0  # the sampled k satisfy |k_j| <= _CONE_RADIUS
+_CONE_POINTS = 101  # sampled points per axis
 
 
-def cone_check(p: PairPotential, grid: GridSpec | None = None) -> ConeReport:
+def cone_check(p: PairPotential) -> ConeReport:
     """Sampled membership test for the positive-definite / scaling-monotone cones.
 
-    Samples fhat on the tensor grid, reports the minimum value, and checks
-    fhat >= -_CONE_TOL and fhat(k/gamma) <= fhat(k) + _CONE_TOL for
-    gamma in {0.5, 0.25, 0.1}.
+    Samples fhat on one fixed tensor grid, 101 points per axis on
+    [-20, 20]^d, reports the minimum value, and checks fhat >= -_CONE_TOL
+    and fhat(k/gamma) <= fhat(k) + _CONE_TOL for gamma in {0.5, 0.25, 0.1}.
     """
-    grid = grid or GridSpec()
-    K = _tensor_grid(np.linspace(-grid.radius, grid.radius, grid.points_per_axis), p.d)
+    K = _tensor_grid(np.linspace(-_CONE_RADIUS, _CONE_RADIUS, _CONE_POINTS), p.d)
     base = np.asarray(p.fourier(K), float)
     min_val = float(base.min())
     violation = 0.0
@@ -616,7 +604,7 @@ def cone_check(p: PairPotential, grid: GridSpec | None = None) -> ConeReport:
         scaling_monotone=bool(violation <= _CONE_TOL),
         min_fourier_value=min_val,
         monotonicity_violation=violation,
-        grid_spec=(grid.radius, grid.points_per_axis),
+        grid_spec=(_CONE_RADIUS, _CONE_POINTS),
     )
 
 

@@ -14,7 +14,9 @@ The four-state trace gives
     E = sqrt(eps~^2 + |g|^2),
 
 a closed form that is validated against the brute-force 4-dimensional
-Fock trace (the authoritative contract) rather than trusted.  The
+Fock trace (the authoritative contract) rather than trusted.
+`per_k_log_trace` evaluates it elementwise; it is the one kernel that
+every zone pressure runs and that the contract checks.  The
 infinite-volume pressure is the Brillouin-zone average of this quantity
 divided by beta, computed with tensor Gauss-Legendre (or midpoint)
 quadrature; the finite-grid version is exactly the finite-volume pressure
@@ -42,42 +44,13 @@ from .errors import AccuracyError, ConfigError, check_numbers, is_integer
 from .lattice import HoppingKernel, MeanFieldParams, dispersion
 
 __all__ = [
-    "BdGBlock",
     "QuadratureSpec",
     "ZoneTally",
-    "bdg_block",
     "per_k_log_trace",
     "quasifree_pressure",
     "finite_grid_pressure",
     "bz_gibbs_expectations",
 ]
-
-
-@dataclass(frozen=True)
-class BdGBlock:
-    """One momentum block of the quadratic Hamiltonian."""
-
-    k: tuple
-    epsilon_tilde: float
-    gap: complex
-
-    @property
-    def quasiparticle_energy(self) -> float:
-        return math.hypot(self.epsilon_tilde, abs(self.gap))
-
-
-def bdg_block(mf: MeanFieldParams, c_minus: complex, c_plus: complex, k) -> BdGBlock:
-    k = np.atleast_1d(np.asarray(k, float))
-    shift, gap = mf.approximating_fields(c_minus, c_plus)
-    return BdGBlock(k=tuple(k.tolist()), epsilon_tilde=float(dispersion(mf.hopping, k)) + shift,
-                    gap=gap)
-
-
-def _log_trace(eps, gap_abs, beta):
-    """ln Tr exp(-beta H_k); vectorized, overflow-safe."""
-    eps = np.asarray(eps, float)
-    energy = np.hypot(eps, gap_abs)
-    return -beta * eps + beta * energy + 2.0 * np.log1p(np.exp(-beta * energy))
 
 
 def _tanh_over_e(energy, beta):
@@ -90,15 +63,17 @@ def _tanh_over_e(energy, beta):
     return out
 
 
-def per_k_log_trace(block: BdGBlock, beta: float) -> float:
-    """ln Tr exp(-beta H_k) for the two-mode (k up, -k down) problem.
+def per_k_log_trace(eps, gap, beta):
+    """ln Tr exp(-beta H_k) for the two-mode (k up, -k down) problem;
+    elementwise over broadcast arrays, overflow-safe, gap real or complex.
 
     Contract: equals the brute-force 4-dimensional Fock trace of
     eps~ (n1+n2) - (conj(g) a1^dag a2^dag + g a2 a1) to 1e-12.
     """
-    if beta <= 0:
+    if np.any(np.asarray(beta) <= 0):
         raise ConfigError("beta must be positive")
-    return float(_log_trace(block.epsilon_tilde, abs(block.gap), beta))
+    energy = np.hypot(eps, np.abs(gap))
+    return -beta * eps + beta * energy + 2.0 * np.log1p(np.exp(-beta * energy))
 
 
 @dataclass(frozen=True)
@@ -119,6 +94,8 @@ class QuadratureSpec:
         if not isinstance(self.refinement_check, bool):
             raise ConfigError("refinement_check must be true or false")
         check_numbers(tol=self.tol)
+        if self.tol <= 0:
+            raise ConfigError("tol must be positive")
 
     def resolve_points(self, d: int) -> int:
         if self.points_per_axis is not None:
@@ -178,7 +155,7 @@ def _zone(mf, c_minus, c_plus, scheme, n, tally=None):
 
 def _pressure_at(mf, c_minus, c_plus, scheme, n, tally=None):
     eps, gap, W = _zone(mf, c_minus, c_plus, scheme, n, tally)
-    return (_log_trace(eps, np.abs(gap), mf.beta) @ W) / mf.beta
+    return (per_k_log_trace(eps, gap, mf.beta) @ W) / mf.beta
 
 
 def quasifree_pressure(mf: MeanFieldParams, c_minus, c_plus,

@@ -44,7 +44,7 @@ from kaclab.potentials import (
     poisson_sum,
     series_tail_bound,
 )
-from kaclab.quasifree import BdGBlock, QuadratureSpec, finite_grid_pressure, per_k_log_trace
+from kaclab.quasifree import QuadratureSpec, finite_grid_pressure, per_k_log_trace
 from kaclab.sweep import SweepPlan, limit_report, product_state_energy_density, run_sweep
 from kaclab.store import ResultStore
 
@@ -74,7 +74,7 @@ def test_criterion_02_two_mode_oracle():
         eps = rng.uniform(-10.0, 10.0)
         gap = rng.uniform(0.0, 5.0) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
         beta = rng.uniform(0.1, 20.0)
-        closed = per_k_log_trace(BdGBlock((0.0,), eps, gap), beta)
+        closed = per_k_log_trace(eps, gap, beta)
         h4 = np.zeros((4, 4), dtype=complex)
         h4[1, 1] = h4[2, 2] = eps
         h4[3, 3] = 2.0 * eps

@@ -118,6 +118,8 @@ def test_all_errors_reported_at_once():
     ({"optimizer": {"c_minus_box": 1}}, "optimizer: c_minus_box must be a pair"),
     ({"optimizer": {"c_minus_box": ["a", "b"]}}, "optimizer: c_minus_box must be a pair"),
     ({"quadrature": {"tol": "x"}}, "quadrature: tol must be a number"),
+    ({"quadrature": {"tol": -1.0}}, "quadrature: tol must be positive"),
+    ({"quadrature": {"tol": 0.0}}, "quadrature: tol must be positive"),
     ({"include_onsite_correction": "false"}, "include_onsite_correction: must be true or false"),
     ({"potentials": {"plus": {"family": "plain_gaussian", "width": True}}},
      "potentials.plus: width must be a number"),
@@ -125,6 +127,8 @@ def test_all_errors_reported_at_once():
     ({"optimizer": {"xtol": "1e-9"}}, "optimizer: xtol must be a number"),
     ({"optimizer": {"tol_gap": True}}, "optimizer: tol_gap must be a number"),
     ({"optimizer": {"degeneracy_window": "x"}}, "optimizer: degeneracy_window must be a number"),
+    ({"optimizer": {"degeneracy_window": -1.0}},
+     "optimizer: degeneracy_window must be nonnegative"),
     ({"potentials": {"minus": {"family": "yukawa", "c0": "1", "c1": 1.0}}},
      "potentials.minus: c0 must be a number"),
     ({"potentials": {"plus": {"family": "table_spline", "radii": [0, 1, True, 3],
@@ -136,9 +140,10 @@ def test_all_errors_reported_at_once():
 ], ids=["dimension", "L", "hopping_offset", "points_per_axis", "grid_points", "max_iter",
         "max_iter_zero", "beta_bool", "beta_string", "beta_inf", "gamma_minus_nan",
         "gamma_minus_bool", "gamma_plus_bool", "eta_plus_bool", "eta_minus_bool", "eta_plus_inf", "terms_not_list", "term_not_pair", "box_not_pair",
-        "box_strings", "tol_string", "onsite_string", "width_bool", "hopping_value_string",
-        "xtol_string", "tol_gap_bool", "degeneracy_window_string", "yukawa_string",
-        "table_bool", "refinement_check_string", "output_dir_empty"])
+        "box_strings", "tol_string", "tol_negative", "tol_zero", "onsite_string", "width_bool",
+        "hopping_value_string", "xtol_string", "tol_gap_bool", "degeneracy_window_string",
+        "degeneracy_window_negative", "yukawa_string", "table_bool", "refinement_check_string",
+        "output_dir_empty"])
 def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_dict(minimal_config(**overrides))
@@ -154,9 +159,12 @@ def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     (lambda: OptimizerSpec(max_iter=0), "integer"),
     (lambda: HoppingKernel([((0,), "2.0")], 1), "must be a number"),
     (lambda: QuadratureSpec(tol="x"), "tol must be a number"),
+    (lambda: QuadratureSpec(tol=-1.0), "tol must be positive"),
+    (lambda: QuadratureSpec(tol=0.0), "tol must be positive"),
     (lambda: OptimizerSpec(xtol="1e-9"), "xtol must be a number"),
     (lambda: OptimizerSpec(tol_gap=True), "tol_gap must be a number"),
     (lambda: OptimizerSpec(degeneracy_window="x"), "degeneracy_window must be a number"),
+    (lambda: OptimizerSpec(degeneracy_window=-1.0), "degeneracy_window must be nonnegative"),
     (lambda: OptimizerSpec(c_plus_box=(2.0, 1.0)), "c_plus_box must be a pair"),
     (lambda: PlainGaussian(width=True), "width must be a number"),
     (lambda: Yukawa(1.0, "1.0"), "c1 must be a number"),
@@ -164,7 +172,8 @@ def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     (lambda: GaussianMixture([(1.0, ("2",))]), "must be positive numbers"),
 ], ids=["offset_fraction", "offset_bool", "points_fraction", "points_bool",
         "grid_points", "max_iter", "max_iter_zero", "hopping_value_string", "tol_string",
-        "xtol_string", "tol_gap_bool", "degeneracy_window_string", "box_reversed",
+        "tol_negative", "tol_zero", "xtol_string", "tol_gap_bool", "degeneracy_window_string",
+        "degeneracy_window_negative", "box_reversed",
         "width_bool", "yukawa_string", "mixture_weight_bool", "mixture_scale_string"])
 def test_integer_fields_rejected_on_direct_construction(build, message):
     with pytest.raises(ConfigError, match=message):
@@ -639,6 +648,17 @@ def test_cli_sweep_csv_with_other_columns_exit_code(tmp_path, capsys):
     assert main(["kac-sweep", "--config", path, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert "sweep.csv" in err and "runtime_ms" in err
+
+
+@pytest.mark.parametrize("command", ["game", "gap"])
+def test_cli_writes_nothing_without_out(tmp_path, capsys, monkeypatch, command):
+    # game and gap print their results; only --out (or game's --dump-grid)
+    # makes them write, so the configuration's output_dir stays absent
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, minimal_config(output_dir="out", optimizer={"grid_points": 9}))
+    assert main([command, "--config", path]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
 
 
 def test_cli_gap_csv_with_other_columns_exit_code(tmp_path, capsys):

@@ -9,7 +9,6 @@ from scipy import integrate
 from kaclab.errors import AccuracyError, ConfigError, UnsupportedPotentialError
 from kaclab.potentials import (
     GaussianMixture,
-    GridSpec,
     PlainGaussian,
     TableSpline,
     TruncationSpec,
@@ -156,7 +155,7 @@ def test_yukawa_in_both_cones():
 
 
 def test_sign_changing_transform_detected():
-    rep = cone_check(displaced_pair_table(), grid=GridSpec(radius=6.0, points_per_axis=241))
+    rep = cone_check(displaced_pair_table())
     assert not rep.positive_definite
     assert rep.min_fourier_value < -0.1
 
@@ -171,7 +170,7 @@ def test_gaussian_not_scaling_monotone_when_widened():
     # fhat of a narrow gaussian grows with |k| rescaling? No: gaussians are
     # monotone; a mixture with a hole is not either. Use the displaced pair,
     # whose transform oscillates, to exercise the violation report.
-    rep = cone_check(displaced_pair_table(), grid=GridSpec(radius=6.0, points_per_axis=121))
+    rep = cone_check(displaced_pair_table())
     assert rep.monotonicity_violation > 0.0
     assert not rep.scaling_monotone
 

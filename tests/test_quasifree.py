@@ -1,4 +1,4 @@
-"""Per-momentum Bogoliubov blocks and Brillouin-zone quadrature."""
+"""The per-momentum two-mode closed form and Brillouin-zone quadrature."""
 
 import math
 
@@ -18,9 +18,7 @@ from kaclab.lattice import (
     dispersion,
 )
 from kaclab.quasifree import (
-    BdGBlock,
     QuadratureSpec,
-    bdg_block,
     bz_gibbs_expectations,
     finite_grid_pressure,
     per_k_log_trace,
@@ -51,10 +49,8 @@ def zero_kernel(d=1):
 
 
 def test_per_k_trivial_values():
-    assert per_k_log_trace(BdGBlock((0.0,), 0.0, 0.0), 1.0) == pytest.approx(
-        math.log(4.0), rel=1e-15
-    )
-    val = per_k_log_trace(BdGBlock((0.0,), 1.0, 0.0), 1.0)
+    assert per_k_log_trace(0.0, 0.0, 1.0) == pytest.approx(math.log(4.0), rel=1e-15)
+    val = per_k_log_trace(1.0, 0.0, 1.0)
     assert val == pytest.approx(2.0 * math.log(1.0 + math.exp(-1.0)), rel=1e-13)
 
 
@@ -62,40 +58,17 @@ def test_per_k_with_gap_matches_closed_form_and_oracle():
     beta, eps, gap = 1.0, 1.0, 1.0
     e = math.sqrt(2.0)
     expected = -beta * eps + 2.0 * math.log(2.0 * math.cosh(beta * e / 2.0))
-    block = BdGBlock((0.0,), eps, gap)
-    assert per_k_log_trace(block, beta) == pytest.approx(expected, rel=1e-14)
-    assert per_k_log_trace(block, beta) == pytest.approx(
+    assert per_k_log_trace(eps, gap, beta) == pytest.approx(expected, rel=1e-14)
+    assert per_k_log_trace(eps, gap, beta) == pytest.approx(
         two_mode_trace_oracle(eps, gap, beta), abs=1e-13
     )
 
 
-def test_per_k_oracle_thousand_random_draws():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(1000):
-        eps = rng.uniform(-10.0, 10.0)
-        gap = rng.uniform(0.0, 5.0) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
-        beta = rng.uniform(0.1, 20.0)
-        block = BdGBlock((0.0,), eps, gap)
-        diff = abs(per_k_log_trace(block, beta) - two_mode_trace_oracle(eps, gap, beta))
-        worst = max(worst, diff)
-    assert worst <= 1e-12
-
-
-def test_quasiparticle_energy_invariants():
-    block = BdGBlock((0.0,), -0.8, 0.6j)
-    e = block.quasiparticle_energy
-    assert e >= abs(block.epsilon_tilde)
-    assert e >= abs(block.gap)
-    assert BdGBlock((0.0,), 0.0, 0.0).quasiparticle_energy == 0.0
-
-
-def test_bdg_block_fields():
+def test_approximating_fields_values():
+    # shift 2 sqrt(eta_+) c_+ = 2 * 2 * 0.25, gap sqrt(eta_-) c_- = 3 * 0.5
     mf = MeanFieldParams(beta=1.0, hopping=discrete_laplacian(1),
                          eta_plus=4.0, eta_minus=9.0)
-    blk = bdg_block(mf, 0.5, 0.25, [0.0])
-    assert blk.epsilon_tilde == pytest.approx(0.0 + 2.0 * 2.0 * 0.25, rel=1e-15)
-    assert blk.gap == pytest.approx(3.0 * 0.5, rel=1e-15)
+    assert mf.approximating_fields(0.5, 0.25) == (1.0, 1.5)
 
 
 # -- zone quadrature -----------------------------------------------------------------
@@ -129,12 +102,12 @@ def test_quasifree_pressure_gauge_and_monotonicity():
 def test_integrand_even_in_k():
     mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=1.0)
+    shift, gap = mf.approximating_fields(0.3, 0.2)
     rng = np.random.default_rng(5)
     for _ in range(20):
         k = rng.uniform(-math.pi, math.pi, size=1)
-        b1 = bdg_block(mf, 0.3, 0.2, k)
-        b2 = bdg_block(mf, 0.3, 0.2, -k)
-        assert per_k_log_trace(b1, mf.beta) == per_k_log_trace(b2, mf.beta)
+        e1, e2 = (dispersion(mf.hopping, q) + shift for q in (k, -k))
+        assert per_k_log_trace(e1, gap, mf.beta) == per_k_log_trace(e2, gap, mf.beta)
 
 
 def test_refinement_check_raises_on_coarse_midpoint():
@@ -319,7 +292,9 @@ def test_bz_expectations_against_one_site_trace():
 def test_invalid_inputs():
     mf = MeanFieldParams(beta=1.0, hopping=zero_kernel())
     with pytest.raises(ConfigError):
-        per_k_log_trace(BdGBlock((0.0,), 0.0, 0.0), -1.0)
+        per_k_log_trace(0.0, 0.0, -1.0)
+    with pytest.raises(ConfigError):
+        per_k_log_trace(0.0, 0.0, np.array([1.0, 0.0]))
     with pytest.raises(ConfigError):
         finite_grid_pressure(mf, 0.0, 0.0, -1)
     with pytest.raises(ConfigError):
