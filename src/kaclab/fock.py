@@ -11,9 +11,10 @@ one kernel, ``_apply``, which maps a set of basis states at once through
 products of ladder operators with bit arithmetic; a term list of such
 products, plus a diagonal, gives the entries in the columns of those
 states.  The Hamiltonians are given by their site data (``_Sites``: the
-hopping, density and pair-hopping matrices, on-site scalars and a pair
-field), and only the columns of the orbit representatives below are ever
-built for their blocks: 2,344 of 16,384 states at 7 sites.
+hopping, density and pair-hopping matrices, whose diagonals hold every
+on-site term, and a pair field), and only the columns of the orbit
+representatives below are ever built for their blocks: 2,344 of 16,384
+states at 7 sites.
 
 Operators are stored as dense blocks labelled by conserved charges, a
 momentum and an inversion part: keys (N, 2*S_z, q, p) for operators that
@@ -684,10 +685,11 @@ class _Sites:
     """Site data of a Hamiltonian of a box,
 
         H = sum_{x,y,s} t[x,y] a^dag_{x,s} a_{y,s} + sum_{x,y} v_plus[x,y] n_x n_y
-            + sum_{x,y} pair_w[x,y] P^dag_y P_x + density_onebody sum_x n_x
-            + double_occ sum_x n_{x,up} n_{x,dn} + g sum_x (P^dag_x + P_x)
+            + sum_{x,y} pair_w[x,y] P^dag_y P_x + g sum_x (P^dag_x + P_x)
 
-    with the real g = pair_field.  Every builder hands these to
+    with the real g = pair_field.  On-site terms are diagonal entries:
+    t[x,x] sum_s n_{x,s} is a density term, and pair_w[x,x] P^dag_x P_x =
+    n_{x,up} n_{x,dn} a double occupancy.  Every builder hands these to
     ``FockOperator.from_sparse``, which builds the entries of the
     representative columns only; ``matrix`` is the global matrix.
     """
@@ -695,8 +697,6 @@ class _Sites:
     t: np.ndarray | None = None
     v_plus: np.ndarray | None = None
     pair_w: np.ndarray | None = None
-    density_onebody: float = 0.0
-    double_occ: float = 0.0
     pair_field: float = 0.0
 
     def __post_init__(self):
@@ -743,13 +743,12 @@ class _Sites:
     def values(self, basis: FockBasis, states: np.ndarray) -> np.ndarray:
         """The coefficients of the products, then the diagonal of H in the
         columns ``states``: the on-site parts t[x,x] n_{x,s} and
-        w[x,x] n_{x,up} n_{x,dn}, the density-density term and the on-site
-        terms."""
+        w[x,x] n_{x,up} n_{x,dn}, and the density-density term."""
         n = basis.n_sites
         occ = basis.occ[states]
         n_site = (occ[:, :n] + occ[:, n:]).astype(float)
         double = (occ[:, :n] * occ[:, n:]).astype(float)
-        diag = self.density_onebody * basis.n_tot[states] + self.double_occ * double.sum(axis=1)
+        diag = np.zeros(len(states))
         if self.t is not None:
             diag = diag + n_site @ np.diag(self.t)
         if self.pair_w is not None:
@@ -773,8 +772,8 @@ class _Sites:
         matrices.
 
         U H U^dag, for the relabelling U of the sites by one of these
-        permutations, is H with t, v_plus and pair_w moved along the sites,
-        and the scalars are uniform.  An off-diagonal entry of U H U^dag - H
+        permutations, is H with t, v_plus and pair_w moved along the sites
+        (the pair field is uniform).  An off-diagonal entry of U H U^dag - H
         is one off-site difference of t or w; a diagonal entry sums those of
         t[x,x] n_x, v[x,y] n_x n_y and w[x,x] n_{x,up} n_{x,dn}, with
         n_x <= 2.  So the weighted sum of differences below bounds the defect
@@ -819,27 +818,18 @@ def build_kac_hamiltonian(mp: ModelParams, box: LatticeBox,
 
 
 def _kac_sites(mp: ModelParams, box: LatticeBox) -> _Sites:
-    """Site data of the Kac Hamiltonian of the box."""
+    """Site data of the Kac Hamiltonian of the box; with
+    include_onsite_correction, f(0) from ``eval`` on the diagonals."""
     t = hopping_matrix(mp.hopping, box)
     v_plus = kac_coupling_matrix(mp.f_plus, mp.gamma_plus, box) if mp.f_plus else None
-    v_minus = kac_coupling_matrix(mp.f_minus, mp.gamma_minus, box) if mp.f_minus else None
-    density_onebody = 0.0
-    double_occ = 0.0
+    pair_w = -kac_coupling_matrix(mp.f_minus, mp.gamma_minus, box) if mp.f_minus else None
     if mp.include_onsite_correction:
-        d = box.d
+        d, eye = box.d, np.eye(box.n_sites)
         if mp.f_plus is not None:
-            f0 = float(mp.f_plus.eval(np.zeros(d)))
-            density_onebody -= 0.5 * mp.gamma_plus**d * f0
+            t = t - 0.5 * mp.gamma_plus**d * float(mp.f_plus.eval(np.zeros(d))) * eye
         if mp.f_minus is not None:
-            f0 = float(mp.f_minus.eval(np.zeros(d)))
-            double_occ += 0.5 * mp.gamma_minus**d * f0
-    return _Sites(
-        t=t,
-        v_plus=v_plus,
-        pair_w=(-v_minus if v_minus is not None else None),
-        density_onebody=density_onebody,
-        double_occ=double_occ,
-    )
+            pair_w = pair_w + 0.5 * mp.gamma_minus**d * float(mp.f_minus.eval(np.zeros(d))) * eye
+    return _Sites(t=t, v_plus=v_plus, pair_w=pair_w)
 
 
 def build_meanfield_hamiltonian(mf: MeanFieldParams, box: LatticeBox,
@@ -882,7 +872,8 @@ def _approximating_sites(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
                          box: LatticeBox) -> _Sites:
     """Site data of the gauge-fixed approximating Hamiltonian H(|c_-|) of the box."""
     shift, g = mf.approximating_fields(abs(c_minus), c_plus)
-    return _Sites(t=hopping_matrix(mf.hopping, box), density_onebody=shift, pair_field=-g.real)
+    return _Sites(t=hopping_matrix(mf.hopping, box) + shift * np.eye(box.n_sites),
+                  pair_field=-g.real)
 
 
 # ---------------------------------------------------------------------------

@@ -125,11 +125,9 @@ class HoppingKernel:
         return hash(self._key)
 
     def offsets_values(self):
-        if not self.entries:
-            return np.zeros((0, self.d), dtype=int), np.zeros(0)
-        zs = np.array(list(self.entries.keys()), dtype=int)
-        vs = np.array(list(self.entries.values()), dtype=float)
-        return zs, vs
+        """The offsets, shape (n, d), and their values, shape (n,)."""
+        zs = np.array(list(self.entries), dtype=int).reshape(-1, self.d)
+        return zs, np.array(list(self.entries.values()), dtype=float)
 
     def __repr__(self):
         return f"HoppingKernel(d={self.d}, entries={dict(self.entries)})"
@@ -206,35 +204,26 @@ def dispersion(h: HoppingKernel, k) -> np.ndarray | float:
     if k.shape[-1] != h.d:
         raise ConfigError(f"momentum has dimension {k.shape[-1]}, expected {h.d}")
     zs, vs = h.offsets_values()
-    if len(vs) == 0:
-        return np.zeros(k.shape[:-1]) if k.ndim > 1 else 0.0
     phases = np.cos(np.tensordot(k, zs.T, axes=1))  # (..., n_offsets)
     out = phases @ vs
     return out if out.shape else float(out)
 
 
 def hopping_matrix(h: HoppingKernel, box: LatticeBox) -> np.ndarray:
-    """Site matrix t[x][y] of the kinetic term on the box.
+    """Site matrix t[x][y] = sum of h(z) over the offsets z with
+    box.displacement(x, y) = box.displacement(z, 0).
 
-    Open boundary: t[x][y] = h(x-y) literally.  Periodic boundary: the
-    kernel is folded onto the torus (full image sum), which makes the
-    matrix circulant with eigenvalues hhat(k) on the discrete momentum
-    grid; this is what makes finite-grid momentum sums and real-space
-    diagonalization agree exactly, also for boxes shorter than the hopping range.
+    Open boundary: t[x][y] = h(x-y) literally.  Periodic boundary: z's
+    image on the torus, so the kernel is folded (full image sum), which
+    makes the matrix circulant with eigenvalues hhat(k) on the discrete
+    momentum grid; this is what makes finite-grid momentum sums and
+    real-space diagonalization agree exactly, also for boxes shorter than
+    the hopping range.
     """
-    n = box.n_sites
-    t = np.zeros((n, n))
-    zs, vs = h.offsets_values()
-    if len(vs) == 0:
-        return t
-    if box.boundary == OPEN:
-        delta = box.displacement_table()  # (n, n, d)
-        for z, v in zip(zs, vs):
-            t += v * np.all(delta == z, axis=-1)
-    else:
-        for z, v in zip(zs, vs):
-            targets = box.wrap_index(box.sites - z)  # y with x - y ~ z
-            t[np.arange(n), targets] += v
+    t = np.zeros((box.n_sites, box.n_sites))
+    delta = box.displacement_table()  # (n, n, d)
+    for z, v in zip(*h.offsets_values()):
+        t += v * np.all(delta == box.displacement(z, 0), axis=-1)
     return t
 
 

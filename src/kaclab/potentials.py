@@ -260,15 +260,15 @@ def _radial_transform(g, q: float, upper: float, d: int, inverse: bool = False) 
 
 
 def _radial_values(x, cache: dict, fn):
-    """fn(|x|) over the last axis of x; each distinct radius, rounded to 12
-    digits, is computed once, at its first exact radius, and kept in cache."""
+    """fn(|x|) over the last axis of x, each radius rounded to 12 digits:
+    fn runs once per rounded radius, at that radius, and its value is kept
+    in cache, so a value depends on its key alone, not on earlier calls."""
     r = np.sqrt(np.sum(x * x, axis=-1))
-    flat = np.atleast_1d(r).ravel()
-    keys, first, inv = np.unique(np.round(flat, 12), return_index=True, return_inverse=True)
+    keys, inv = np.unique(np.round(np.atleast_1d(r).ravel(), 12), return_inverse=True)
     keys = keys.tolist()
-    for key, i in zip(keys, first):
+    for key in keys:
         if key not in cache:
-            cache[key] = fn(float(flat[i]))
+            cache[key] = fn(key)
     vals = np.array([cache[key] for key in keys])[inv]
     return vals.reshape(np.shape(r)) if np.shape(r) else float(vals[0])
 
@@ -474,11 +474,7 @@ class Yukawa(PairPotential):
     def fourier_majorant(self):
         if self.c2 > 0.0:
             return ExpMajorant(self.c0 / self.c1, self.c2, 2)
-        if self.d == 1:
-            return CauchyMajorant(self.c0, self.c1)
-        raise UnsupportedPotentialError(
-            "bare yukawa Fourier sums are not absolutely convergent for d >= 2"
-        )
+        return CauchyMajorant(self.c0, self.c1)  # c2 = 0 only in d = 1
 
     def params(self):
         return {"c0": self.c0, "c1": self.c1, "c2": self.c2}
@@ -524,9 +520,8 @@ class TableSpline(PairPotential):
         return np.where(r > self.table_radius, 0.0, out)
 
     def _fourier(self, k):
-        # at the cache key's 12-digit radius, so each value depends on its key alone
         return _radial_values(k, self._fourier_cache, lambda q: _radial_transform(
-            self._radial_eval, float(np.round(q, 12)), self.table_radius, self.d))
+            self._radial_eval, q, self.table_radius, self.d))
 
     def radial_majorant(self):
         return TableMajorant(self.radii, self.values)

@@ -4,13 +4,13 @@ One store per output directory.  Each table's columns are the fields of
 its record type: sweep.csv holds SweepRecord, gap.csv holds beta, the
 GapSolution and the config_hash, and game_grid.csv holds beta, the
 GamePoint, its payoff and the config_hash.  Sweep rows are deduplicated on
-(config_hash, d, L, beta, gamma_minus, gamma_plus, boundary); re-running
-an identical configuration never duplicates rows.  Numbers are written
-with 17 significant digits so that stored doubles round-trip exactly.  A
-partial trailing row (a crash mid-append) of sweep.csv or gap.csv is cut
-from the file with a warning before the file is read or appended to, so a
-new row always starts on a clean line; a write into a missing or empty
-file writes the header first.  A sweep.csv, gap.csv or game_grid.csv whose
+(config_hash, d, L, beta, gamma_minus, gamma_plus, boundary) and gap rows
+on (config_hash, beta); re-running an identical configuration never
+duplicates rows.  Numbers are written with 17 significant digits so that
+stored doubles round-trip exactly.  A partial trailing row (a crash
+mid-append) of sweep.csv or gap.csv is cut from the file with a warning
+before the file is read or appended to, so a new row always starts on a
+clean line; a write into a missing or empty file writes the header first.  A sweep.csv, gap.csv or game_grid.csv whose
 header is not its table's columns raises ConfigError before anything is
 written, and so does an output directory that cannot be made or that
 holds anything but a regular file under a table's name or a per-beta JSON
@@ -101,6 +101,21 @@ def _beta_name(stem: str, beta: float) -> str:
     return f"{stem}_beta_{_fmt(float(beta))}"
 
 
+def _new_rows(rows, stored, key) -> list:
+    """The rows whose key is neither among ``stored`` nor that of an earlier row."""
+    seen, fresh = set(stored), []
+    for row in rows:
+        k = key(row)
+        if k not in seen:
+            seen.add(k)
+            fresh.append(row)
+    return fresh
+
+
+def _gap_key(row) -> tuple:
+    return row["config_hash"], _fmt(row["beta"])
+
+
 def _record_key(rec: SweepRecord):
     return (rec.config_hash, rec.d, rec.L, rec.beta,
             rec.gamma_minus, rec.gamma_plus, rec.boundary)
@@ -147,8 +162,9 @@ class ResultStore:
         return list(self._sweep_rows.values())
 
     def append_sweep_records(self, records) -> int:
-        """Append rows not already present; returns the number written."""
-        fresh = [r for r in records if _record_key(r) not in self._sweep_rows]
+        """Append the records whose key is neither stored nor repeated;
+        returns the number written."""
+        fresh = _new_rows(records, self._sweep_rows, _record_key)
         if not fresh:
             return 0
         _write_rows(self.sweep_path, SWEEP_COLUMNS, map(vars, fresh))
@@ -158,11 +174,16 @@ class ResultStore:
 
     # -- gap solutions ---------------------------------------------------------
 
-    def append_gap_rows(self, rows) -> None:
-        """Append rows mapping every GAP_COLUMNS name to its value; a gap.csv
-        with other columns raises ConfigError and is left as it is."""
-        _read_rows(self.gap_path, GAP_COLUMNS)
-        _write_rows(self.gap_path, GAP_COLUMNS, rows)
+    def append_gap_rows(self, rows) -> int:
+        """Append rows mapping every GAP_COLUMNS name to its value, except
+        those whose (config_hash, beta), beta as stored, is already stored or
+        repeats an earlier row; returns the number written.  A gap.csv with
+        other columns raises ConfigError and is left as it is."""
+        stored = map(_gap_key, _read_rows(self.gap_path, GAP_COLUMNS))
+        fresh = _new_rows(rows, stored, _gap_key)
+        if fresh:
+            _write_rows(self.gap_path, GAP_COLUMNS, fresh)
+        return len(fresh)
 
     def gap_rows(self) -> list:
         return _read_rows(self.gap_path)

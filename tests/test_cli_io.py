@@ -126,6 +126,8 @@ def test_all_errors_reported_at_once():
     ({"hopping": [[[0], "2.0"], [[1], -1.0]]}, "hopping: hopping value '2.0' .* must be a number"),
     ({"optimizer": {"xtol": "1e-9"}}, "optimizer: xtol must be a number"),
     ({"optimizer": {"tol_gap": True}}, "optimizer: tol_gap must be a number"),
+    ({"optimizer": {"xtol": 0.0}}, "optimizer: tolerances must be positive"),
+    ({"optimizer": {"tol_gap": -1.0}}, "optimizer: tolerances must be positive"),
     ({"optimizer": {"degeneracy_window": "x"}}, "optimizer: degeneracy_window must be a number"),
     ({"optimizer": {"degeneracy_window": -1.0}},
      "optimizer: degeneracy_window must be nonnegative"),
@@ -141,9 +143,9 @@ def test_all_errors_reported_at_once():
         "max_iter_zero", "beta_bool", "beta_string", "beta_inf", "gamma_minus_nan",
         "gamma_minus_bool", "gamma_plus_bool", "eta_plus_bool", "eta_minus_bool", "eta_plus_inf", "terms_not_list", "term_not_pair", "box_not_pair",
         "box_strings", "tol_string", "tol_negative", "tol_zero", "onsite_string", "width_bool",
-        "hopping_value_string", "xtol_string", "tol_gap_bool", "degeneracy_window_string",
-        "degeneracy_window_negative", "yukawa_string", "table_bool", "refinement_check_string",
-        "output_dir_empty"])
+        "hopping_value_string", "xtol_string", "tol_gap_bool", "xtol_zero", "tol_gap_negative",
+        "degeneracy_window_string", "degeneracy_window_negative", "yukawa_string", "table_bool",
+        "refinement_check_string", "output_dir_empty"])
 def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_dict(minimal_config(**overrides))
@@ -163,6 +165,8 @@ def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     (lambda: QuadratureSpec(tol=0.0), "tol must be positive"),
     (lambda: OptimizerSpec(xtol="1e-9"), "xtol must be a number"),
     (lambda: OptimizerSpec(tol_gap=True), "tol_gap must be a number"),
+    (lambda: OptimizerSpec(xtol=0.0), "tolerances must be positive"),
+    (lambda: OptimizerSpec(tol_gap=-1.0), "tolerances must be positive"),
     (lambda: OptimizerSpec(degeneracy_window="x"), "degeneracy_window must be a number"),
     (lambda: OptimizerSpec(degeneracy_window=-1.0), "degeneracy_window must be nonnegative"),
     (lambda: OptimizerSpec(c_plus_box=(2.0, 1.0)), "c_plus_box must be a pair"),
@@ -172,8 +176,9 @@ def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     (lambda: GaussianMixture([(1.0, ("2",))]), "must be positive numbers"),
 ], ids=["offset_fraction", "offset_bool", "points_fraction", "points_bool",
         "grid_points", "max_iter", "max_iter_zero", "hopping_value_string", "tol_string",
-        "tol_negative", "tol_zero", "xtol_string", "tol_gap_bool", "degeneracy_window_string",
-        "degeneracy_window_negative", "box_reversed",
+        "tol_negative", "tol_zero", "xtol_string", "tol_gap_bool", "xtol_zero",
+        "tol_gap_negative", "degeneracy_window_string", "degeneracy_window_negative",
+        "box_reversed",
         "width_bool", "yukawa_string", "mixture_weight_bool", "mixture_scale_string"])
 def test_integer_fields_rejected_on_direct_construction(build, message):
     with pytest.raises(ConfigError, match=message):
@@ -659,6 +664,30 @@ def test_cli_writes_nothing_without_out(tmp_path, capsys, monkeypatch, command):
     assert main([command, "--config", path]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+
+def test_cli_gap_rerun_keeps_one_row_per_beta(tmp_path, capsys):
+    # gap.csv follows the sweep.csv rule: a row per (config_hash, beta)
+    path = write_config(tmp_path, minimal_config(beta=[1.0, 2.0], optimizer={"grid_points": 9}))
+    for _ in range(2):
+        assert main(["gap", "--config", path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "gap.csv", newline="", encoding="utf-8") as fh:
+        assert [r["beta"] for r in csv.DictReader(fh)] == ["1", "2"]
+    assert main(["plot-data", "--config", path, "--out", str(tmp_path),
+                 "--kind", "gap_vs_beta"]) == 0
+    rows = (tmp_path / "gap_vs_beta.dat").read_text().splitlines()[1:]
+    assert [r.split()[0] for r in rows] == ["1", "2"]
+
+
+def test_store_rows_repeated_in_one_call_are_written_once(tmp_path):
+    store = ResultStore(str(tmp_path))
+    assert store.append_sweep_records([make_record(), make_record(pressure=0.5)]) == 1
+    assert [r.pressure for r in ResultStore(str(tmp_path)).sweep_records()] == [0.25]
+    assert store.append_gap_rows([GAP_ROW, dict(GAP_ROW, residual=0.0),
+                                  dict(GAP_ROW, config_hash="xyz")]) == 2
+    assert [(r["beta"], r["config_hash"]) for r in store.gap_rows()] == [("1", "abc"),
+                                                                         ("1", "xyz")]
 
 
 def test_cli_gap_csv_with_other_columns_exit_code(tmp_path, capsys):

@@ -15,7 +15,7 @@ from scipy.linalg import block_diag
 from scipy.special import logsumexp
 
 from kaclab import fock
-from kaclab.errors import CapacityError, KaclabError
+from kaclab.errors import CapacityError, ConfigError, KaclabError
 from kaclab.fock import (
     FockBasis,
     FockOperator,
@@ -380,7 +380,9 @@ def test_blocks_match_kronecker_oracle(L, boundary):
     kw = dict(density_onebody=rng.normal(), double_occ=rng.normal(),
               pair_field=abs(complex(rng.normal(), rng.normal())))
     basis = FockBasis(n)
-    H = _Sites(t=t, v_plus=v, pair_w=w, **kw).matrix(basis)
+    # the site data hold the on-site terms on the diagonals of t and pair_w
+    H = _Sites(t=t + kw["density_onebody"] * np.eye(n), v_plus=v,
+               pair_w=w + kw["double_occ"] * np.eye(n), pair_field=kw["pair_field"]).matrix(basis)
     op = FockOperator.from_sparse(basis, H, "parity")
     assert_blocks_match(op, oracle_hamiltonian(n, t, v, w, **kw))
 
@@ -734,9 +736,9 @@ def test_representative_build_matches_global_matrix(L, boundary):
 def periodic_sites(box):
     """Translation-invariant site data of every kind on a periodic chain."""
     n = box.n_sites
-    return dict(t=hopping_matrix(discrete_laplacian(1), box), v_plus=np.full((n, n), 0.3),
-                pair_w=-kac_coupling_matrix(PlainGaussian(1.0, d=1), 0.4, box),
-                density_onebody=0.2, double_occ=-0.1)
+    return dict(t=hopping_matrix(discrete_laplacian(1), box) + 0.2 * np.eye(n),
+                v_plus=np.full((n, n), 0.3),
+                pair_w=-kac_coupling_matrix(PlainGaussian(1.0, d=1), 0.4, box) - 0.1 * np.eye(n))
 
 
 @pytest.mark.parametrize("name", ["t", "v_plus", "pair_w"])
@@ -882,6 +884,17 @@ def test_pressure_zero_operator():
     mf = MeanFieldParams(beta=1.0, hopping=zero_kernel())
     op = build_meanfield_hamiltonian(mf, LatticeBox(1, 0, "open"))
     assert pressure(op, 1.0) == pytest.approx(math.log(4.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0])
+def test_thermodynamics_reject_nonpositive_beta(beta):
+    mf = MeanFieldParams(beta=1.0, hopping=discrete_laplacian(1), eta_minus=1.0)
+    box = LatticeBox(1, 1, "open")
+    for op in (build_meanfield_hamiltonian(mf, box),
+               build_approximating_hamiltonian(mf, 0.3, 0.2, box)):
+        for thermo in (pressure, gibbs_observables):
+            with pytest.raises(ConfigError, match="beta must be positive"):
+                thermo(op, beta)
 
 
 @pytest.mark.parametrize("beta,mu", [(1.0, 0.7), (2.5, -0.3), (4.0, 0.0)])

@@ -1,5 +1,6 @@
 """Boxes, hopping kernels, dispersions, Kac coupling matrices."""
 
+import itertools
 import math
 
 import numpy as np
@@ -132,6 +133,38 @@ def test_periodic_hopping_matrix_diagonalizes_to_dispersion(d, L):
     expected = np.sort(np.asarray(dispersion(lap, K)).ravel())
     got = np.sort(np.linalg.eigvalsh(t))
     assert np.allclose(got, expected, atol=1e-12)
+
+
+def random_kernel(rng, d, reach=4):
+    """A symmetric kernel on random offsets with |z_j| <= reach, its values
+    multiples of 1/8: every sum of them is exact, in any order."""
+    offsets = [z for z in itertools.product(range(-reach, reach + 1), repeat=d)
+               if rng.random() < 0.4]
+    return HoppingKernel([(z, rng.integers(-64, 65) / 8) for z in offsets
+                          if tuple(-c for c in z) >= z], d)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("d,L", [(1, 0), (1, 1), (1, 2), (2, 1)])
+def test_hopping_matrix_matches_site_sum_oracle(d, L, boundary):
+    # t[x,y] = sum of h(z) over z = x - y (open) or z = x - y mod 2L+1
+    # (periodic), with offsets longer than the box
+    rng = np.random.default_rng(100 * d + 10 * L + (boundary == "open"))
+    box = LatticeBox(d, L, boundary)
+    period = 2 * L + 1
+    for _ in range(5):
+        h = random_kernel(rng, d)
+        oracle = np.zeros((box.n_sites, box.n_sites))
+        for (i, x), (j, y) in itertools.product(enumerate(box.sites), repeat=2):
+            for z, v in h.entries.items():
+                diff = x - y - np.array(z)
+                if np.all(diff == 0 if boundary == "open" else diff % period == 0):
+                    oracle[i, j] += v
+        assert np.array_equal(hopping_matrix(h, box), oracle)
+    empty = HoppingKernel([], d)
+    assert np.array_equal(hopping_matrix(empty, box), np.zeros((box.n_sites, box.n_sites)))
+    assert dispersion(empty, np.zeros(d)) == 0.0
+    assert np.array_equal(dispersion(empty, np.zeros((3, d))), np.zeros(3))
 
 
 def test_coupling_matrix_zero_potential():

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from kaclab.errors import AccuracyError, ConfigError, UnsupportedPotentialError
 from kaclab.potentials import (
+    CauchyMajorant,
     GaussianMixture,
     PlainGaussian,
     TableSpline,
@@ -201,6 +202,25 @@ def test_poisson_gaussian_series_value():
     direct = float(np.sum(np.exp(-(z.astype(float) ** 2))))
     assert lhs == pytest.approx(direct, abs=1e-12)
     assert rhs == pytest.approx(direct, abs=1e-12)
+
+
+def test_poisson_bare_yukawa_uses_the_cauchy_majorant():
+    # c2 = 0: the transform c0/(q^2 + c1) decays like a power, and its
+    # certified tail is that of the Cauchy majorant
+    y = Yukawa(1.0, 1.0)
+    assert isinstance(y.fourier_majorant(), CauchyMajorant)
+    lhs, rhs = poisson_sum(y, 1e-3, [0.3])
+    assert abs(lhs - rhs) <= 2e-12  # the two certified tails of 1e-12
+    with pytest.raises(AccuracyError):  # the tail needs a radius beyond max_radius
+        poisson_sum(y, 0.5, [0.3])
+
+
+def test_yukawa_values_do_not_depend_on_call_history():
+    # the two radii share one 12-digit cache key; each value is that of the key
+    fresh = Yukawa(1.0, 1.0, 0.5).eval(1.2345678901234)
+    y = Yukawa(1.0, 1.0, 0.5)
+    y.eval(1.2345678901231)
+    assert y.eval(1.2345678901234) == fresh
 
 
 def test_poisson_real_offset():
