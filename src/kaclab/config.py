@@ -41,14 +41,17 @@ def _rule(ok, message):
     return lambda value: None if ok(value) else message
 
 
-def _numbers(ok, message):
-    """The check of a nonempty list of numbers that all satisfy ok."""
+def _numbers(ok, message, distinct=False):
+    """The check of a nonempty list of numbers that all satisfy ok and,
+    with distinct, of which no two are equal."""
     def check(value):
         if not isinstance(value, list) or not all(map(is_number, value)):
             return "expected a list of numbers"
         if not value:
             return "must be nonempty"
-        return None if all(map(ok, value)) else message
+        if not all(map(ok, value)):
+            return message
+        return "no two entries may be equal" if distinct and len(set(value)) < len(value) else None
     return check
 
 
@@ -75,7 +78,7 @@ _KEYS = {
                                  "expected a nonempty list of [offset, value] pairs")),
     "potentials": ({}, _by_role(lambda p: p is None or isinstance(p, dict) and "family" in p,
                                 ", each null or an object with a 'family' key")),
-    "beta": (_REQUIRED, _numbers(lambda b: b > 0, "entries must be positive")),
+    "beta": (_REQUIRED, _numbers(lambda b: b > 0, "entries must be positive", distinct=True)),
     "eta": ({}, _by_role()),
     "gamma_minus": ([0.5], _GAMMA),
     "gamma_plus": ([0.5], _GAMMA),

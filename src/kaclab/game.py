@@ -27,7 +27,7 @@ silently accepted; the origin that an eta = 0 axis fixes is not flagged.
 
 Searches: both orderings are solved from the two best replies, r_+(c_-)
 (`decision_rule`) and r_-(c_+), the lowest minimum over c_-; each is
-computed once per strategy in one `solve_game` call.  The payoff and the
+computed once per strategy of a game.  The payoff and the
 flat profile min_{c_-} payoff are concave in c_+ with the c_+ gap equation
 below as slope (for the profile at r_-, by the envelope theorem), so maxima
 over c_+ are bracketed roots.  Minima over c_- start from a grid, the guard
@@ -38,6 +38,12 @@ slope keeps its sign, a grid end point is kept or bounded Brent searches.
 Every grid, and every step of the roots of many strategies at once, is
 one batched call of the zone kernel (`quasifree`).  `gap`'s stationary
 point (`solve_gap_fixed_point`) is the lowest minimum of the sharp search.
+Each game is solved at most once per process: the sharp search and the
+solved game are each kept in an `lru_cache` keyed by the value of the
+model, quadrature and optimizer (all frozen; kernels hash by value, as
+for `quasifree._bz_table`), so `game`, `gap` and the limit report of
+`kac-sweep` share them, also across CLI calls on configurations parsed
+apart.  A search or game that raises (e.g. `AccuracyError`) is not kept.
 
 Gap-equation normalization: with pair = <a^dag_up a^dag_down> and
 density = <n_up + n_down> per site in the approximating model, the
@@ -54,7 +60,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -342,14 +349,21 @@ def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = No
     return DecisionResult(x, value, _plain(_pinned(x, opt.c_plus_box, opt)))
 
 
-def _sharp_minima(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec,
-                  tally: ZoneTally):
-    """The sharp search: the local minima (c_-, value) of payoff(c_-, r_+(c_-)),
-    lowest first, and reply_plus(xs), the `DecisionResult`s of r_+ at xs,
-    each computed once; the new c_- of one search step are solved together.
-    The profile's slope is the c_- gap equation at (c_-, r_+(c_-)) by the
-    envelope theorem.
+class _SharpSearch(NamedTuple):
+    minima: tuple  # the local minima (c_-, value) of the sharp profile, lowest first
+    replies: MappingProxyType  # c_- -> the DecisionResult of r_+ at every c_- evaluated
+    tally: ZoneTally  # the search's work; read it, never add to it
+
+
+@functools.lru_cache(maxsize=64)
+def _sharp_search(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) -> _SharpSearch:
+    """The sharp search: the local minima of payoff(c_-, r_+(c_-)), with r_+
+    computed once per c_-; the new c_- of one search step are solved
+    together.  The profile's slope is the c_- gap equation at
+    (c_-, r_+(c_-)) by the envelope theorem.  Cached by value, as
+    `_bz_table` is; a raised error is not kept.
     """
+    tally = ZoneTally()
     replies = {}
 
     def reply_plus(xs):
@@ -368,7 +382,8 @@ def _sharp_minima(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec,
         c_plus = np.array([r.c_plus for r in reply_plus(xs)])
         return _c_minus_slope(mf, GamePoint(xs, c_plus), quad, tally)
 
-    return _c_minus_minima(sharp_value, sharp_slope, mf, opt), reply_plus
+    minima = tuple(_c_minus_minima(sharp_value, sharp_slope, mf, opt))
+    return _SharpSearch(minima, MappingProxyType(replies), tally)
 
 
 def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
@@ -376,15 +391,26 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
     """Solve both orderings of the thermodynamic game from its best replies.
 
     r_+(c_-) = `decision_rule` and r_-(c_+), the lowest minimum of the
-    payoff over c_-, are each cached per strategy for this call.
-    p_sharp: minimum over c_- of the payoff at r_+ (`_sharp_minima`; all
+    payoff over c_-, are each computed once per strategy.
+    p_sharp: minimum over c_- of the payoff at r_+ (`_sharp_search`; all
     near-degenerate minima reported); p_flat: maximum over c_+ of the
     payoff at r_-, the root of its slope over the whole c_+ box.  That
     profile is concave even where r_- jumps between basins, and its slope
     is the c_+ gap equation at r_-.
+
+    A game is solved at most once per process: the result is cached by the
+    value of (mf, quad, opt), with None resolved to the defaults, so equal
+    models parsed apart share one entry and a repeated ask returns the
+    same immutable `GameResult`, work counts included.  A raised error
+    (e.g. `AccuracyError`) is not kept and is raised again on every ask.
     """
-    quad, opt = quad or QuadratureSpec(), opt or OptimizerSpec()
-    tally = ZoneTally()
+    return _solved_game(mf, quad or QuadratureSpec(), opt or OptimizerSpec())
+
+
+@functools.lru_cache(maxsize=64)
+def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) -> GameResult:
+    search = _sharp_search(mf, quad, opt)
+    tally = replace(search.tally)  # the game's work includes the search's
 
     @functools.cache
     def reply_minus(c_plus):
@@ -396,14 +422,13 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
         c_minus = np.array([reply_minus(c)[0] for c in c_plus.tolist()])
         return _gap_map(mf, GamePoint(c_minus, c_plus), quad, tally)[1] - c_plus
 
-    sharp, reply_plus = _sharp_minima(mf, quad, opt, tally)
-    cm_sharp, sharp_val = sharp[0]
-    reply = reply_plus([cm_sharp])[0]
+    (cm_sharp, sharp_val), *others = search.minima
+    reply = search.replies[cm_sharp]
     argmin_sharp = GamePoint(cm_sharp, reply.c_plus)
     cp_flat = float(_c_plus_maximum(flat_slope, mf, opt, 1)[0])
     cm_flat, flat_val = reply_minus(cp_flat)
     argmax_flat = GamePoint(cm_flat, cp_flat)
-    degenerate = tuple(GamePoint(x, reply_plus([x])[0].c_plus) for x, fx in sharp[1:]
+    degenerate = tuple(GamePoint(x, search.replies[x].c_plus) for x, fx in others
                        if fx - sharp_val <= opt.degeneracy_window)
     residuals = [gap_residual(mf, g, quad, tally) for g in (argmin_sharp, argmax_flat)]
     p_sharp, p_flat = -sharp_val, -flat_val
@@ -460,12 +485,16 @@ def solve_gap_fixed_point(mf: MeanFieldParams, quad: QuadratureSpec | None = Non
 
     c_minus and c_plus = r_+(c_minus) equal `solve_game`'s argmin_sharp bit
     for bit; a minimum pinned at a box edge may leave residual > tol_gap.
+    The sharp search is the one `solve_game` runs and reads from the same
+    per-process cache (keyed by value, errors not kept), so a gap after a
+    game of the same model makes one zone-kernel call, its residual's;
+    iterations counts the search's calls and that one either way.
     """
     quad, opt = quad or QuadratureSpec(), opt or OptimizerSpec()
-    tally = ZoneTally()
-    sharp, reply_plus = _sharp_minima(mf, quad, opt, tally)
-    c_minus = sharp[0][0]
-    c_plus = reply_plus([c_minus])[0].c_plus
+    search = _sharp_search(mf, quad, opt)
+    tally = replace(search.tally)
+    c_minus = search.minima[0][0]
+    c_plus = search.replies[c_minus].c_plus
     residual = gap_residual(mf, GamePoint(c_minus, c_plus), quad, tally)
     return GapSolution(c_minus, c_plus, residual, tally.kernel_calls, residual <= opt.tol_gap)
 

@@ -526,7 +526,7 @@ def test_cli_game_gap_and_plot(tmp_path, capsys):
 
 
 def test_cli_calls_share_the_zone_tables_of_equal_kernels(tmp_path, capsys, monkeypatch):
-    from kaclab import quasifree
+    from kaclab import game, quasifree
 
     shapes = []
     dispersion = quasifree.dispersion
@@ -537,6 +537,8 @@ def test_cli_calls_share_the_zone_tables_of_equal_kernels(tmp_path, capsys, monk
 
     monkeypatch.setattr(quasifree, "dispersion", counting)
     quasifree._bz_table.cache_clear()
+    game._sharp_search.cache_clear()  # and no solved game to read back
+    game._solved_game.cache_clear()
     paths = []
     for i, (hopping, eta) in enumerate([
             ([[[0], 2.0], [[1], -1.0], [[-1], -1.0]], {"plus": 0.5, "minus": 1.5}),
@@ -552,6 +554,31 @@ def test_cli_calls_share_the_zone_tables_of_equal_kernels(tmp_path, capsys, monk
     capsys.readouterr()
     # one table at the base resolution (also read by gap) and one at its refinement
     assert sorted(shapes) == [(64, 1), (128, 1)]
+
+
+def test_cli_game_and_gap_read_back_print_what_cold_calls_print(tmp_path, capsys):
+    from kaclab import game, quasifree
+
+    path = write_config(tmp_path, minimal_config(
+        potentials={}, beta=[2.0, 5.0], eta={"plus": 0.7, "minus": 1.3},
+        optimizer={"grid_points": 9}))
+
+    def clear_caches():
+        quasifree._bz_table.cache_clear()
+        game._sharp_search.cache_clear()
+        game._solved_game.cache_clear()
+
+    def printed(command):
+        assert main([command, "--config", path]) == 0
+        return capsys.readouterr().out
+
+    cold = {}
+    for command in ("game", "gap"):
+        clear_caches()
+        cold[command] = printed(command)
+    clear_caches()
+    assert [printed(c) for c in ("game", "gap", "game")] == [
+        cold["game"], cold["gap"], cold["game"]]
 
 
 def test_cli_parser_keeps_no_flag_between_calls(tmp_path, capsys):
@@ -770,6 +797,18 @@ def test_cli_kac_sweep_rejects_repeated_box_sizes_before_writing(tmp_path, capsy
     assert "L: expected a nonempty list of nonnegative integers, no two equal" in (
         capsys.readouterr().err)
     assert not (out_dir / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["game", "gap", "kac-sweep"])
+@pytest.mark.parametrize("beta", [[4.0, 4.0], [2.0, 4, 4.0]], ids=["twice", "int_and_float"])
+def test_cli_rejects_a_repeated_beta_before_any_output(tmp_path, capsys, command, beta):
+    out_dir = tmp_path / "results"
+    path = write_config(tmp_path, sweep_config(beta=beta))
+    assert main([command, "--config", path, "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beta: no two entries may be equal" in captured.err
+    assert not out_dir.exists()
 
 
 def test_cli_kac_sweep_keeps_rows_per_beta(tmp_path, capsys):

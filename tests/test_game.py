@@ -1,13 +1,16 @@
 """Thermodynamic game: payoff, decision rule, min-max pressures, gap equations."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from kaclab import game
-from kaclab.errors import ConfigError
+from kaclab import game, quasifree
+from kaclab.config import parse_config
+from kaclab.errors import AccuracyError, ConfigError
 from kaclab.game import (
     GamePoint,
     OptimizerSpec,
@@ -24,6 +27,12 @@ from kaclab.quasifree import QuadratureSpec, bz_gibbs_expectations, quasifree_pr
 
 QUAD = QuadratureSpec()
 OPT = OptimizerSpec()
+
+
+def clear_game_caches():
+    """Cold caches, so that the next solve of any model does all its work."""
+    game._sharp_search.cache_clear()
+    game._solved_game.cache_clear()
 
 
 def zero_kernel():
@@ -191,6 +200,7 @@ def test_game_quadrature_budget(monkeypatch):
     monkeypatch.setattr(game, "bz_gibbs_expectations", counted(bz_gibbs_expectations))
     mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=1.0)
+    clear_game_caches()
     res = solve_game(mf, QUAD, OPT)
     # batched grids and slope roots: ~40 calls; one strategy per call and
     # bounded Brent took ~1,400
@@ -203,11 +213,110 @@ def test_game_quadrature_budget(monkeypatch):
 def test_game_counters_repeat_exactly():
     mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=2.0)
-    first, second = (solve_game(mf, QUAD, OPT).as_dict() for _ in range(2))
+    solves = []
+    for _ in range(2):
+        clear_game_caches()  # solved twice, not read back
+        solves.append(solve_game(mf, QUAD, OPT).as_dict())
+    first, second = solves
     counters = ("payoff_evaluations", "kernel_calls", "refinement_margin")
     assert [first[c] for c in counters] == [second[c] for c in counters]
     assert first["payoff_evaluations"] > first["kernel_calls"] > 0
     assert 0.0 < first["refinement_margin"] <= QUAD.tol
+
+
+# -- one solve per process and model --------------------------------------------------
+
+
+def zone_calls(monkeypatch):
+    """A list that grows by one on every zone-kernel call from now on."""
+    calls = []
+    zone = quasifree._zone
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return zone(*args, **kwargs)
+
+    monkeypatch.setattr(quasifree, "_zone", counted)
+    return calls
+
+
+CACHED = MeanFieldParams(beta=3.0, hopping=discrete_laplacian(1), eta_plus=0.9, eta_minus=1.7)
+CACHED_OPT = OptimizerSpec(grid_points=9)
+
+
+def test_equal_models_parsed_apart_share_one_solved_game(tmp_path, monkeypatch):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"schema_version": 1, "dimension": 1,
+                                "hopping": [[[0], 2.0], [[1], -1.0]], "beta": [3.0],
+                                "eta": {"plus": 0.9, "minus": 1.7},
+                                "optimizer": {"grid_points": 9}}))
+    first, second = parse_config(str(path)), parse_config(str(path))
+    assert first.hopping is not second.hopping and first.optimizer is not second.optimizer
+    clear_game_caches()
+    cold = solve_game(first.meanfield_params(3.0), first.quadrature, first.optimizer)
+    calls = zone_calls(monkeypatch)
+    warm = solve_game(second.meanfield_params(3.0), second.quadrature, second.optimizer)
+    assert calls == []
+    assert warm == cold
+    assert cold.kernel_calls > 0  # the counts of the solve that did the work
+
+
+def test_gap_after_a_game_makes_one_kernel_call(monkeypatch):
+    clear_game_caches()
+    cold = solve_gap_fixed_point(CACHED, QUAD, CACHED_OPT)
+    clear_game_caches()
+    solve_game(CACHED, QUAD, CACHED_OPT)
+    calls = zone_calls(monkeypatch)
+    warm = solve_gap_fixed_point(CACHED, QUAD, CACHED_OPT)
+    assert len(calls) == 1  # its residual
+    assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
+    assert warm.iterations > 1
+
+
+@pytest.mark.parametrize("spec, field, value", [
+    ("mf", "beta", 3.5),
+    ("mf", "eta_plus", 0.8),
+    ("mf", "eta_minus", 1.6),
+    ("mf", "hopping", HoppingKernel({(0,): 2.0, (1,): -0.9}, 1)),
+    ("quad", "points_per_axis", 80),
+    ("quad", "tol", 1e-7),
+    ("opt", "grid_points", 11),
+    ("opt", "xtol", 1e-11),
+])
+def test_a_changed_field_misses_the_cache(monkeypatch, spec, field, value):
+    specs = {"mf": CACHED, "quad": QUAD, "opt": CACHED_OPT}
+    clear_game_caches()
+    solve_game(**specs)
+    specs[spec] = dataclasses.replace(specs[spec], **{field: value})
+    calls = zone_calls(monkeypatch)
+    assert solve_gap_fixed_point(**specs).iterations == len(calls) > 1  # a sharp search
+    searched = len(calls)
+    solve_game(**specs)
+    assert len(calls) > searched  # a flat search on top of the cached sharp one
+
+
+@pytest.mark.parametrize("beta, searched", [(16.0, True), (24.0, False)],
+                         ids=["flat_search_fails", "sharp_search_fails"])
+def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, beta, searched):
+    # the default quadrature fails its refinement check in these models: at
+    # beta = 16 in the flat search only, so gap succeeds and game exits 3
+    mf = MeanFieldParams(beta=beta, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=2.0)
+    clear_game_caches()
+    calls = zone_calls(monkeypatch)
+    errors = []
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(AccuracyError) as err:
+            solve_game(mf, QUAD, OPT)
+        assert calls  # solved again, not read back
+        errors.append((str(err.value), err.value.values))
+    assert errors[0] == errors[1]
+    assert game._solved_game.cache_info().currsize == 0
+    assert game._sharp_search.cache_info().currsize == searched
+    if not searched:
+        with pytest.raises(AccuracyError):
+            solve_gap_fixed_point(mf, QUAD, OPT)
 
 
 def test_edge_optimum_is_the_exact_origin():
@@ -335,6 +444,7 @@ def test_each_best_reply_is_computed_once(monkeypatch):
     monkeypatch.setattr(game, "decision_rule", recorder)
     mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=1.0)
+    clear_game_caches()
     solve_game(mf, QUAD, OPT)
     assert seen
     assert len(seen) == len(set(seen))  # r_+ at the sharp argmin is reused, not recomputed
@@ -427,6 +537,7 @@ def test_gap_is_the_games_sharp_optimizer_bit_for_bit(eta_plus, eta_minus):
     mf = MeanFieldParams(beta=7.95, hopping=discrete_laplacian(1),
                          eta_plus=eta_plus, eta_minus=eta_minus)
     res = solve_game(mf, QUAD, OPT)
+    clear_game_caches()  # a gap of its own, not the game's search read back
     sol = solve_gap_fixed_point(mf, QUAD, OPT)
     assert (sol.c_minus, sol.c_plus) == (res.argmin_sharp.c_minus, res.argmin_sharp.c_plus)
     assert sol.residual == res.gap_residual_sharp

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from kaclab import quasifree
+from kaclab import game, quasifree
 from kaclab.errors import AccuracyError, ConfigError
 from kaclab.fock import build_approximating_hamiltonian, pressure
 from kaclab.game import OptimizerSpec, solve_game
@@ -200,6 +200,8 @@ def test_one_game_computes_each_zone_table_once(monkeypatch):
 
     monkeypatch.setattr(quasifree, "dispersion", counting)
     quasifree._bz_table.cache_clear()
+    game._sharp_search.cache_clear()  # and no solved game to read back
+    game._solved_game.cache_clear()
     mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1),
                          eta_plus=0.5, eta_minus=1.5)
     solve_game(mf, QuadratureSpec(), OptimizerSpec(grid_points=9))
