@@ -52,7 +52,9 @@ def cmd_validate_potential(args) -> int:
 
 def cmd_pressure(args) -> int:
     """pressure-ed (the Kac model) and pressure-mf (its mean-field model):
-    ED pressure and density at every beta and L."""
+    ED pressure and density at every beta and L.  pressure-ed takes the
+    first entry of each gamma schedule (`ExperimentConfig.model_params`)
+    and ignores the rest."""
     from . import fock
 
     cfg = parse_config(args.config)
@@ -151,10 +153,12 @@ def cmd_kac_sweep(args) -> int:
     cfg = parse_config(args.config)
     _check_sweep_eta(cfg)
     chash = config_hash(cfg)
+    plans = [cfg.sweep_plan(beta) for beta in cfg.beta]
+    for plan in plans:  # before anything is computed or written
+        sweep.check_report_plan(plan)
     store = ResultStore(args.out or cfg.output_dir)
     summary = {}
-    for beta in cfg.beta:
-        plan = cfg.sweep_plan(beta)
+    for beta, plan in zip(cfg.beta, plans):
         failures: list = []
         stages: list = []
         records = sweep.run_sweep(plan, store=store, config_hash=chash,

@@ -30,11 +30,11 @@ Searches: both orderings are solved from the two best replies, r_+(c_-)
 computed once per strategy of a game.  The payoff and the
 flat profile min_{c_-} payoff are concave in c_+ with the c_+ gap equation
 below as slope (for the profile at r_-, by the envelope theorem), so maxima
-over c_+ are bracketed roots.  Minima over c_- start from a grid, the guard
-against first-order transitions; each grid minimum is then the bracketed
-root of the c_- gap equation, which is the slope of the payoff and, by the
-envelope theorem, of the sharp profile payoff(c_-, r_+(c_-)).  Where that
-slope keeps its sign, a grid end point is kept or bounded Brent searches.
+over c_+ are bracketed roots.  So are minima over c_-: the c_- gap
+equation is the slope of the payoff and, by the envelope theorem, of the
+sharp profile payoff(c_-, r_+(c_-)).  On a grid, the guard against
+first-order transitions, each minimum is a box end where that slope
+points out of the box, or its root in a cell where it turns from - to +.
 Every grid, and every step of the roots of many strategies at once, is
 one batched call of the zone kernel (`quasifree`).  `gap`'s stationary
 point (`solve_gap_fixed_point`) is the lowest minimum of the sharp search.
@@ -268,55 +268,29 @@ def _c_plus_maximum(slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec,
 def _c_minus_minima(f: Callable, slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec):
     """All local minima (x, f(x)) of f over the c_- box, lowest first.
 
-    f and slope = df/dc_- each evaluate an array of c_- in one call.  A
-    coarse grid, the guard against the multiple minima of first-order
-    transitions, brackets each local minimum, and the minimum is the root
-    of the slope in its bracket.  The slope vanishes at c_- = 0 by
-    symmetry, so a bracket from 0 is probed at xtol instead.  A grid end
-    point where the slope points out of the box is kept as it is; a
-    bracket in which the slope does not change sign is searched by bounded
-    Brent.  For eta_- = 0 the payoff is c_-^2 plus a function of c_+ alone,
-    and its maximum over c_+ is c_-^2 plus a constant: the origin is the
-    only minimum of both, and no search is needed.
+    f and slope = df/dc_- each evaluate an array of c_- in one call.  The
+    slope on a grid of the box, the guard against the multiple minima of
+    first-order transitions, finds every minimum at the grid's resolution:
+    a box end where the slope points out of the box, and the root of the
+    slope in each grid cell where it turns from - to +.  No two of these
+    coincide.  The slope vanishes at c_- = 0 by symmetry, so a node at 0 is
+    probed at xtol instead.  For eta_- = 0 the payoff is c_-^2 plus a
+    function of c_+ alone, and its maximum over c_+ is c_-^2 plus a
+    constant: the origin is the only minimum of both, and no search is
+    needed.
     """
     if mf.eta_minus == 0.0:
         return [(0.0, float(f(np.zeros(1))[0]))]
     xs = np.linspace(*opt.c_minus_box, opt.grid_points)
-    fs = f(xs)
-    n = len(xs)
-    walls = np.r_[math.inf, fs, math.inf]
-    i = np.flatnonzero((fs <= walls[:-2]) & (fs <= walls[2:]))
-    a, b = xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, n - 1)]
-    probe = np.where(a > 0.0, a, opt.xtol)
-    s_a, s_b = np.split(slope(np.r_[probe, b]), 2)
-    x, fx = xs[i], fs[i]
-    kept = ((i == 0) & (s_a >= 0.0)) | ((i == n - 1) & (s_b <= 0.0))
-    bracketed = (s_a < 0.0) & (s_b > 0.0)
-    if bracketed.any():
-        root = _lane_roots(lambda x, _: slope(x), probe[bracketed], b[bracketed],
-                           s_a[bracketed], s_b[bracketed], np.arange(bracketed.sum()), opt)
-        f_root = f(root)
-        better = f_root <= fx[bracketed]  # keep the grid point if refinement stalled
-        x[bracketed] = np.where(better, root, x[bracketed])
-        fx[bracketed] = np.where(better, f_root, fx[bracketed])
-    for j in np.flatnonzero(~(kept | bracketed)):
-        from scipy.optimize import minimize_scalar
-
-        r = minimize_scalar(lambda t: float(f(np.array([t]))[0]), bounds=(a[j], b[j]),
-                            method="bounded",
-                            options={"xatol": opt.xtol, "maxiter": opt.max_iter})
-        if r.fun <= fx[j]:
-            x[j], fx[j] = r.x, r.fun
-    # dedupe near-identical refinements
-    merged = []
-    for xj, fj in sorted(zip(x.tolist(), fx.tolist())):
-        if merged and abs(xj - merged[-1][0]) < 10 * opt.xtol:
-            if fj < merged[-1][1]:
-                merged[-1] = (xj, fj)
-        else:
-            merged.append((xj, fj))
-    merged.sort(key=lambda t: t[1])
-    return merged
+    probe = np.where(xs > 0.0, xs, opt.xtol)
+    s = slope(probe)
+    j = np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0))  # cells where the slope turns to +
+    roots = _lane_roots(lambda x, _: slope(x), probe[j], probe[j + 1], s[j], s[j + 1],
+                        np.arange(j.size), opt)
+    x = np.r_[xs[:1][s[:1] >= 0.0], roots, xs[-1:][s[-1:] < 0.0]]  # ends pointing out, roots
+    fx = f(x)
+    order = np.argsort(fx, kind="stable")
+    return list(zip(x[order].tolist(), fx[order].tolist()))
 
 
 # ---------------------------------------------------------------------------

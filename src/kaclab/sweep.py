@@ -35,6 +35,7 @@ __all__ = [
     "SweepPlan",
     "SweepRecord",
     "LimitReport",
+    "check_report_plan",
     "run_sweep",
     "product_state_energy_density",
     "limit_report",
@@ -220,6 +221,16 @@ class LimitReport:
         return asdict(self)
 
 
+def check_report_plan(plan: SweepPlan) -> None:
+    """InsufficientDataError unless the plan can give a limit report: it
+    needs two box sizes and three points on the trailing schedule path.
+    Records that a capacity error skips are found only by `limit_report`."""
+    if len(plan.L_list) < 2:
+        raise InsufficientDataError("limit report needs at least two box sizes")
+    if len(plan.schedule()[-1]) < 3:
+        raise InsufficientDataError("limit report needs at least three schedule points")
+
+
 def limit_report(records: list, game: GameResult, plan: SweepPlan) -> LimitReport:
     """Trend of the Kac sweep at the largest box versus the game pressures.
 
@@ -230,16 +241,14 @@ def limit_report(records: list, game: GameResult, plan: SweepPlan) -> LimitRepor
     schedule point; the sandwich verdict uses the widened interval
     [P_sharp - budget, P_flat + budget].
     """
+    check_report_plan(plan)
     table = {r.key(): r for r in records}
     L_sorted = sorted(set(r.L for r in records))
     if len(L_sorted) < 2:
-        raise InsufficientDataError("limit report needs at least two box sizes")
+        raise InsufficientDataError("limit report needs records at two box sizes")
     L_max, L_prev = L_sorted[-1], L_sorted[-2]
 
     path = plan.schedule()[-1]
-    if len(path) < 3:
-        raise InsufficientDataError("limit report needs at least three schedule points")
-
     gammas, pressures = [], []
     for gamma, gm, gp in path:
         rec = table.get((L_max, gm, gp))

@@ -452,9 +452,9 @@ def test_cli_validate_potential(tmp_path, capsys):
 
 
 def cold_game_config(**overrides):
-    """The 1-D Laplacian at beta = 16, eta_+ = 1, eta_- = 2, where the
-    default quadrature fails its refinement check."""
-    return minimal_config(potentials={}, beta=[16.0], eta={"plus": 1.0, "minus": 2.0},
+    """The 1-D Laplacian at beta = 16, eta_+ = 1, eta_- = 1, where the
+    default quadrature fails its refinement check in the flat search."""
+    return minimal_config(potentials={}, beta=[16.0], eta={"plus": 1.0, "minus": 1.0},
                           **overrides)
 
 
@@ -482,8 +482,8 @@ def test_cli_game_without_refinement_check(tmp_path, capsys):
     assert main(["game", "--config", path]) == 0
     result = json.loads(capsys.readouterr().out)["game"]["16.0"]
     assert result["refinement_margin"] == 0.0
-    assert result["kernel_calls"] == 118
-    assert abs(result["p_sharp"] - 0.008296896668955101) <= 1e-12
+    assert result["kernel_calls"] == 47
+    assert abs(result["p_sharp"] - 0.0038252499320716882) <= 1e-12
 
 
 def test_cli_capacity_exit_code(tmp_path, capsys):
@@ -797,6 +797,26 @@ def test_cli_kac_sweep_rejects_repeated_box_sizes_before_writing(tmp_path, capsy
     assert "L: expected a nonempty list of nonnegative integers, no two equal" in (
         capsys.readouterr().err)
     assert not (out_dir / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"L": [1]}, "limit report needs at least two box sizes"),
+    ({"gamma_minus": [0.5, 0.25]}, "limit report needs at least three schedule points"),
+    ({"gamma_plus": [0.5, 0.25], "order": "plus_first"},
+     "limit report needs at least three schedule points"),
+    ({"gamma_minus": [0.25, 0.5, 0.125]}, "gamma_minus_schedule must be strictly decreasing"),
+], ids=["one_box_size", "two_schedule_points", "two_points_on_the_plus_first_path",
+        "increasing_schedule"])
+def test_cli_kac_sweep_rejects_a_plan_without_a_limit_report_before_writing(
+        tmp_path, capsys, overrides, message):
+    out_dir = tmp_path / "results"
+    path = write_config(tmp_path, sweep_config(**overrides))
+    assert main(["kac-sweep", "--config", path, "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message}" in captured.err
+    assert not (out_dir / "sweep.csv").exists()
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["game", "gap", "kac-sweep"])

@@ -220,7 +220,7 @@ def test_game_counters_repeat_exactly():
     first, second = solves
     counters = ("payoff_evaluations", "kernel_calls", "refinement_margin")
     assert [first[c] for c in counters] == [second[c] for c in counters]
-    assert first["payoff_evaluations"] > first["kernel_calls"] > 0
+    assert first["payoff_evaluations"] > 0 and first["kernel_calls"] > 0
     assert 0.0 < first["refinement_margin"] <= QUAD.tol
 
 
@@ -295,13 +295,13 @@ def test_a_changed_field_misses_the_cache(monkeypatch, spec, field, value):
     assert len(calls) > searched  # a flat search on top of the cached sharp one
 
 
-@pytest.mark.parametrize("beta, searched", [(16.0, True), (24.0, False)],
+@pytest.mark.parametrize("beta, eta_minus, searched", [(16.0, 1.0, True), (24.0, 2.0, False)],
                          ids=["flat_search_fails", "sharp_search_fails"])
-def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, beta, searched):
+def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, beta, eta_minus, searched):
     # the default quadrature fails its refinement check in these models: at
     # beta = 16 in the flat search only, so gap succeeds and game exits 3
     mf = MeanFieldParams(beta=beta, hopping=discrete_laplacian(1),
-                         eta_plus=1.0, eta_minus=2.0)
+                         eta_plus=1.0, eta_minus=eta_minus)
     clear_game_caches()
     calls = zone_calls(monkeypatch)
     errors = []
@@ -415,23 +415,56 @@ def test_flat_value_is_the_profile_maximum_across_basin_jumps():
     assert -res.p_flat >= max(value for _, value in profile) - 1e-12
 
 
-def test_c_minus_minimum_by_brent_where_the_slope_keeps_its_sign():
-    # a slope that stays positive across the bracket of the interior grid
-    # minimum cannot be rooted, so that minimum is refined by bounded Brent
-    opt = OptimizerSpec(xtol=1e-6)
-    centre = 0.4137  # off the 33-point grid, on the dense grid below
+def c_minus_minima(f, slope, opt=OPT):
+    """The minima of a synthetic f with its slope, searched as the game
+    searches c_-."""
+    return game._c_minus_minima(f, slope, flat_attractive(), opt)
+
+
+def test_c_minus_minima_of_two_wells_lowest_first():
+    # wells near 0.2 and 0.7, the first lower by the tilt
+    def f(x):
+        return (x - 0.2) ** 2 * (x - 0.7) ** 2 + 0.01 * x
+
+    def slope(x):
+        return 2 * (x - 0.2) * (x - 0.7) * (2 * x - 0.9) + 0.01
+
+    (x1, f1), (x2, f2) = c_minus_minima(f, slope)
+    assert f1 < f2
+    for x, value, bracket in ((x1, f1, (0.1, 0.3)), (x2, f2, (0.6, 0.8))):
+        assert abs(x - brentq(slope, *bracket, xtol=1e-15)) <= OPT.xtol
+        assert value == f(x)
+
+
+@pytest.mark.parametrize("box", [(0.0, 1.0), (0.25, 0.75)])
+def test_c_minus_minima_at_an_outward_slope_are_the_box_ends(box):
+    # a concave f: the slope points out of the box at both ends and nowhere
+    # turns from - to +
+    opt = OptimizerSpec(c_minus_box=box)
 
     def f(x):
-        return (np.asarray(x) - centre) ** 2
+        return -(x - 0.4) ** 2
 
-    minima = game._c_minus_minima(f, lambda x: np.ones_like(x), flat_attractive(), opt)
-    dense = np.linspace(*opt.c_minus_box, 2_000_001)
-    x_dense = dense[np.argmin(f(dense))]
-    (x, value), = minima
-    grid = np.linspace(*opt.c_minus_box, opt.grid_points)
-    assert np.min(np.abs(grid - x)) > 100 * opt.xtol  # refined, not the grid point
-    assert abs(x - x_dense) <= opt.xtol
-    assert value == f(x)
+    assert c_minus_minima(f, lambda x: -2 * (x - 0.4), opt) == [(box[1], f(box[1])),
+                                                               (box[0], f(box[0]))]
+
+
+def test_c_minus_minimum_where_the_slope_vanishes_at_a_node_is_found_once():
+    # 0.5 is a node of the 33-point grid, the last of one cell and the first of the next
+    assert 0.5 in np.linspace(*OPT.c_minus_box, OPT.grid_points)
+    assert c_minus_minima(lambda x: (x - 0.5) ** 2, lambda x: 2 * (x - 0.5)) == [(0.5, 0.0)]
+
+
+def test_game_solves_where_only_the_inner_grids_failed_the_refinement_check():
+    # the c_- searches evaluate the payoff at their minima alone, not on a
+    # grid at every c_+ of the flat search, where one lane fails the
+    # refinement check at this beta
+    mf = MeanFieldParams(beta=16.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=2.0)
+    res = solve_game(mf, QUAD, OPT)
+    fine = solve_game(mf, QuadratureSpec(points_per_axis=512), OPT)
+    assert abs(res.p_sharp - fine.p_sharp) <= QUAD.tol
+    assert abs(res.p_flat - fine.p_flat) <= QUAD.tol
 
 
 def test_each_best_reply_is_computed_once(monkeypatch):
