@@ -6,6 +6,9 @@ error, 3 accuracy error, 4 capacity error, 5 any other failed internal
 check (e.g. operator elements outside the declared sectors, an operator
 on a periodic box that is not translation invariant, an operator of a box
 that is not inversion symmetric, Gibbs expectations out of range).
+``--log-level`` (debug, info, warning or error; default warning), given
+before the subcommand, sets the least level of the ``kaclab`` log records
+that are written to stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import sys
 from dataclasses import asdict, replace
 
@@ -30,6 +34,8 @@ EXIT_CONFIG = 2
 EXIT_ACCURACY = 3
 EXIT_CAPACITY = 4
 EXIT_CHECK = 5
+
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _emit(payload):
@@ -195,8 +201,9 @@ def cmd_selftest(args) -> int:
     """Fast oracle suite: CAR algebra, two-mode trace, Poisson identity,
     ED/momentum duality, momentum blocks against plain sector blocks,
     blocks built from the representatives against those of the global
-    matrix, a build from a cached plan against plain sectors, and the
-    gauge-fixed approximant at complex c_- against plain parity sectors."""
+    matrix, their lowest-weight spectrum against plain sectors, a build
+    from a cached plan against plain sectors, and the gauge-fixed
+    approximant at complex c_- against plain parity sectors."""
     from scipy.special import logsumexp
 
     from . import fock
@@ -252,11 +259,19 @@ def cmd_selftest(args) -> int:
     defect = float(np.max(np.abs(momentum.eigenvalues() - spectrum)))
     checks.append(("momentum vs (N, 2S_z) sectors, 5-site periodic Kac box", defect, 1e-12))
     # the same blocks built from the orbit representatives of the site data
+    # (those that hold lowest-weight states)
     built = fock.build_kac_hamiltonian(mp, box)
-    same = built.mult == momentum.mult
+    same = set(built.blocks) <= set(momentum.blocks)
     defect = max((float(np.max(np.abs(B - momentum.blocks[k]))) for k, B in built.blocks.items()),
                  default=0.0) if same else float("inf")
     checks.append(("representative build vs global matrix, 5-site periodic Kac box", defect, 1e-12))
+    # their spectrum: each block on its spin-S lowest-weight states, each
+    # eigenvalue counted (class size)(2S+1) times
+    defect = float(np.max(np.abs(built.eigenvalues() - spectrum)))
+    if sum(built.mult[k] * d for k, d in built.sector_dimensions().items()) != plain.dim:
+        defect = float("inf")
+    checks.append(("lowest-weight spectrum vs (N, 2S_z) sectors, 5-site periodic Kac box", defect,
+                   1e-12))
     # two builds at different gamma on a fresh basis: the second scatters its
     # values by the plan that the first made
     fresh, plans = fock.FockBasis(box), []
@@ -309,6 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kaclab",
         description="Kac-scaled lattice fermions: ED pressures, mean-field games, sweeps",
     )
+    parser.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                        help="least level of the kaclab log records written to stderr "
+                             "(default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, needs_config=True, out=None):
@@ -335,8 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stderr(logging.Handler):
+    """Writes each record as "LEVEL logger: message" to sys.stderr as it is
+    when the record is made."""
+
+    def emit(self, record):
+        print(f"{record.levelname} {record.name}: {record.getMessage()}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    log = logging.getLogger("kaclab")
+    log.setLevel(args.log_level.upper())
+    if not any(isinstance(h, _Stderr) for h in log.handlers):  # one per process
+        log.addHandler(_Stderr())
     try:
         return args.func(args)
     except ConfigError as err:

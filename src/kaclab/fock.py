@@ -70,23 +70,31 @@ odd F-, and M into the blocks (charges, q, 1) on [F+, u] and
 every state is in F+, and the blocks are the plain sectors (charges, 0, 1).
 
 Two pairings make blocks redundant, and only the lowest block of each
-class is filled and diagonalized, with the class size as its
-multiplicity.  The inversion commutes with H and maps the block at k onto
-the one at -k, so k pairs with -k; it also maps the Hermitian pair field
+class is filled, with the class size as its multiplicity.  The inversion
+commutes with H and maps the block at k onto the one at -k, so k pairs
+with -k; it also maps the Hermitian pair field
 A = (1/2n) sum_x (P_x + P^dag_x) onto itself, so the two blocks have the
-same pair terms (``gibbs_observables``).  Under number blocking, an H
-invariant under the up <-> down swap (checked like a translation for a
-global matrix; site data that conserve number always are) has the same
-spectrum at 2*S_z and -2*S_z.  An H that fails the swap check keeps
-multiplicity 1 on that pairing.  The 7-site periodic
-chain has 424 (N, 2*S_z, q) blocks in 135 classes of size 1, 2 or 4.
-Their kept real blocks number 160 (99 at k != 0, and 61 inversion halves
-of the 36 classes at k = 0), of order at most 175, with sum dim^3 = 7.0e7
-(all 424: 2.2e8; without momentum: 64 blocks up to order 1225,
-sum dim^3 = 1.1e10).  Of the approximating H there, the 14 (parity, q)
-blocks are kept as 10: for each parity, the two inversion halves at k = 0
-and one block of each pair +-k.  Every kept block is diagonalized in
-full, since the traces need full spectra.
+same pair terms (``gibbs_observables``).  Under number blocking, a global
+matrix invariant under the up <-> down swap (checked like a translation)
+has the same spectrum at 2*S_z and -2*S_z; one that fails the check keeps
+multiplicity 1 on that pairing.  Site data go further: every H that they
+give commutes with total spin (one hopping matrix for both spins,
+density-density terms and singlet pair terms), so each kept block, at
+2*S_z = -2S <= 0, is diagonalized on its spin-S lowest-weight states
+alone, each eigenvalue counted (class size)(2S+1) times
+(``_lowest_weight_maps``; translations combined with spin rotations as in
+Heitmann and Schnack, Phys. Rev. B 99, 134405 (2019)).  The 7-site
+periodic chain has 424 (N, 2*S_z, q) blocks in 135 classes of size 1, 2
+or 4.  Their kept real blocks number 160 (99 at k != 0, and 61 inversion
+halves of the 36 classes at k = 0), of order at most 175, with
+sum dim^3 = 7.0e7 (all 424: 2.2e8; without momentum: 64 blocks up to
+order 1225, sum dim^3 = 1.1e10).  On lowest-weight states 158 of them
+remain, of order at most 112, with sum dim^3 = 1.4e7; 93 need a map Q
+(18,014 nonzeros, 0.29 MB), and the other 65 have no partner and are all
+lowest weight.  Of the approximating H there, the 14 (parity, q) blocks
+are kept as 10: for each parity, the two inversion halves at k = 0 and
+one block of each pair +-k.  The traces need full spectra, so every kept
+block (or Q^T B Q) is diagonalized in full.
 
 Where the entries go in the blocks depends on which entries are nonzero,
 never on their values.  So each build is split into a plan (``_plan``):
@@ -97,12 +105,14 @@ at hand.  The plan of site data is made once per basis and per blocking
 and ``_Sites.pattern`` (the nonzero off-site entries of the hopping and
 pair-hopping matrices, and whether a pair field is present), and is kept
 on the basis: a sweep over Kac ranges on one box makes it once.  At 7
-sites it places 89,395 values into 542,399 doubles and holds 1.4 MB.
+sites it places 89,369 values into 542,381 doubles and holds 1.4 MB.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -127,6 +137,8 @@ __all__ = [
     "car_max_violation",
     "DEFAULT_DIMENSION_CAP",
 ]
+
+log = logging.getLogger(__name__)
 
 NUMBER, PARITY = "number", "parity"
 
@@ -220,7 +232,6 @@ class FockBasis:
         # index of -h (and of -k) for every h: codes of h in base m, sorted
         code, neg_code = (((sh % m) * m ** np.arange(d)).sum(axis=1) for sh in (shifts, -shifts))
         self._neg = np.argsort(code)[np.searchsorted(np.sort(code), neg_code)]
-        self.spin_flip = _permute_modes(states, np.roll(np.arange(self.n_modes), n))
         self.site_inversion = self.inversion = None
         if isinstance(box, LatticeBox):
             self.site_inversion = site = box.wrap_index(-box.sites)
@@ -232,7 +243,7 @@ class FockBasis:
         self.rep_sign = signs[self.to_rep, states]
         reps = np.flatnonzero(self.rep == states)
         in_stab = images[:, reps] == reps
-        self.bloch_norm = np.zeros((len(shifts), dim))
+        self.bloch_norm = np.zeros((len(shifts), dim), dtype=np.int32)
         self.bloch_norm[:, reps] = np.rint(
             len(shifts) * (self._chi @ (signs[:, reps] * in_stab)).real)
         # orbits of the translations and the inversion: their minima are the
@@ -243,6 +254,12 @@ class FockBasis:
         self.inversion_reps = np.flatnonzero(self.inversion_rep == states)
         self._maps: dict[str, _Blocks] = {}
         self._plans: dict[tuple, _Plan] = {}  # see FockOperator.from_sparse
+        self._lowest: dict | None = None  # see _lowest_weight_maps
+
+    @functools.cached_property
+    def spin_flip(self) -> tuple:
+        """Image and sign of every state under the up <-> down swap."""
+        return _permute_modes(np.arange(self.dim), np.roll(np.arange(self.n_modes), self.n_sites))
 
     def mode(self, site: int, spin: int) -> int:
         """Mode index: spin-up block of bits then spin-down."""
@@ -324,6 +341,19 @@ class FockBasis:
                        _W[kind] / weight, _TURN[kind], part.astype(np.int8),
                        index.astype(np.int32))
 
+    def _lowest_weights(self) -> dict:
+        """The lowest-weight maps of the number blocks of site data
+        (``_lowest_weight_maps``), computed once per basis."""
+        if self._lowest is None:
+            t0 = time.perf_counter()
+            self._lowest = _lowest_weight_maps(self)
+            log.debug("lowest-weight maps of %d blocks on %d sites: %d nonzeros, %d bytes, "
+                      "%.1f ms", len(self._lowest), self.n_sites,
+                      sum(len(Q.vals) for Q in self._lowest.values()),
+                      sum(Q.rows.nbytes + Q.cols.nbytes + Q.vals.nbytes
+                          for Q in self._lowest.values()), 1e3 * (time.perf_counter() - t0))
+        return self._lowest
+
     def sectors(self, blocking: str) -> dict:
         """Map block key (charges, q, p) -> the representatives of its basis
         vectors, in block order (u and v by their P and P' members); every
@@ -363,15 +393,16 @@ def _cached_basis(d: int, L: int, boundary: str) -> FockBasis:
 
 
 def _classes(layout: _Blocks, flip: bool) -> np.ndarray:
-    """Multiplicity of every block that is the lowest id of its class under
-    k <-> -k and, with ``flip``, 2 S_z <-> -2 S_z; 0 for every other block.
-    The two pairings commute, so a class has 1, 2 or 4 members."""
+    """Multiplicity of every stored block (block, part) of a momentum block
+    that is the lowest id of its class under k <-> -k and, with ``flip``,
+    2 S_z <-> -2 S_z; 0 for every other one.  The two pairings commute, so
+    a class has 1, 2 or 4 members."""
     ids = np.arange(len(layout.dims))
     c = layout.conj
     f = layout.flip if flip else ids
     members = np.sort(np.stack([ids, c, f, c[f]]), axis=0)
     mult = 1 + np.count_nonzero(np.diff(members, axis=0), axis=0)
-    return np.where(members[0] == ids, mult, 0)
+    return np.where(members[0] == ids, mult, 0)[:, None] * (layout.sides > 0)
 
 
 def _permute_modes(states: np.ndarray, perm: np.ndarray) -> tuple:
@@ -493,8 +524,11 @@ class FockOperator:
     (charges, q, p) as in ``FockBasis.sectors``.
 
     ``blocks`` holds one block per symmetry class, and ``mult[key]`` the
-    number of blocks of its class, which share its spectrum (1 for every
-    block when ``mult`` is not given)."""
+    number of times each of its eigenvalues counts: the number of blocks of
+    its class, which share its spectrum (1 for every block when ``mult`` is
+    not given), times 2S+1 where ``lowest[key]`` maps the block onto its
+    spin-S lowest-weight states Q (``_lowest_weight_maps``); its spectrum
+    is then that of Q^T B Q."""
 
     pair_phase: complex = 1.0  # e^{-i arg c_-}, set by build_approximating_hamiltonian
 
@@ -503,6 +537,7 @@ class FockOperator:
         self.blocking = blocking
         self.blocks = blocks
         self.mult = mult if mult is not None else dict.fromkeys(blocks, 1)
+        self.lowest: dict = {}  # key -> _LowestWeight, set by from_sparse for site data
         self._eigs: dict | None = None
 
     @classmethod
@@ -526,56 +561,66 @@ class FockOperator:
         checked on the site matrices (``_Sites.check_symmetries``), and every
         number-conserving one is swap invariant by construction.  Their plan
         is kept on the basis: a later build with the same blocking and
-        ``_Sites.pattern`` only forms its values and scatters them.
+        ``_Sites.pattern`` only forms its values and scatters them.  Under
+        number blocking, site data keep only the blocks that hold
+        lowest-weight states, with the spin multiplicities and the maps Q
+        (``lowest``) of ``_lowest_weight_maps``.
         """
-        layout = basis._sector_map(blocking)
-        states, rep = basis.inversion_reps, basis.inversion_rep
         if isinstance(H, _Sites):
-            values = H.values(basis, states)
-            key = (blocking, H.pattern())
-            plan = basis._plans.get(key)
-            if plan is None:  # the key fixes the nonzero entries, so a kept plan has no leak
-                row, col, value, sign = entries = _entries(states, H.products(basis))
-                _check_sectors(layout, blocking, row, col, sign, rep)
-                plan = basis._plans[key] = _plan(basis, layout, entries,
-                                                 _classes(layout, blocking == NUMBER))
-            H.check_symmetries(basis)
-        else:
-            import scipy.sparse as sp
+            plan, values = _site_plan(basis, blocking, H)
+            lowest = basis._lowest_weights() if blocking == NUMBER else {}
+            op = cls(basis, blocking, _scatter(plan, values), dict(plan.mult))
+            op.lowest = lowest
+            return op
+        import scipy.sparse as sp
 
-            H = sp.csr_matrix(H)
-            H.sum_duplicates()
-            coo = H.tocoo()
-            _check_sectors(layout, blocking, coo.row, coo.col, coo.data)
-            tol = 1e-12 * max(1.0, float(np.max(np.abs(coo.data), initial=0.0)))
-            _check_invariance((_invariance_defect(H, coo, *g) for g in basis.generators), tol,
-                              TRANSLATIONS)
-            if basis.inversion is not None:
-                _check_invariance([_invariance_defect(H, coo, *basis.inversion)], tol, INVERSION)
-            if np.any(np.imag(coo.data)):
-                raise KaclabError("operator has complex entries: complex operators must be "
-                                  "gauge-fixed to real ones before they are blocked")
-            flip = blocking == NUMBER and _invariance_defect(H, coo, *basis.spin_flip) <= tol
-            at_rep = rep[coo.col] == coo.col
-            values = coo.data[at_rep].real
-            entries = (coo.row[at_rep], coo.col[at_rep], np.arange(len(values)),
-                       np.ones(len(values)))
-            plan = _plan(basis, layout, entries, _classes(layout, flip))
+        layout = basis._sector_map(blocking)
+        H = sp.csr_matrix(H)
+        H.sum_duplicates()
+        coo = H.tocoo()
+        _check_sectors(layout, blocking, coo.row, coo.col, coo.data)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(coo.data), initial=0.0)))
+        _check_invariance((_invariance_defect(H, coo, *g) for g in basis.generators), tol,
+                          TRANSLATIONS)
+        if basis.inversion is not None:
+            _check_invariance([_invariance_defect(H, coo, *basis.inversion)], tol, INVERSION)
+        if np.any(np.imag(coo.data)):
+            raise KaclabError("operator has complex entries: complex operators must be "
+                              "gauge-fixed to real ones before they are blocked")
+        flip = blocking == NUMBER and _invariance_defect(H, coo, *basis.spin_flip) <= tol
+        at_rep = basis.inversion_rep[coo.col] == coo.col
+        values = coo.data[at_rep].real
+        entries = (coo.row[at_rep], coo.col[at_rep], np.arange(len(values)),
+                   np.ones(len(values)))
+        plan = _plan(basis, layout, entries, _classes(layout, flip))
         return cls(basis, blocking, _scatter(plan, values), dict(plan.mult))
 
     def sector_dimensions(self) -> dict:
-        return {k: B.shape[0] for k, B in self.blocks.items()}
+        """The order of the matrix diagonalized for each block: its number
+        of lowest-weight states where it has a map Q, else its order."""
+        return {k: self.lowest[k].width if k in self.lowest else B.shape[0]
+                for k, B in self.blocks.items()}
+
+    def _reduced(self, key) -> np.ndarray:
+        """Q^T B Q for the block B of the key and its map Q, or B."""
+        B = self.blocks[key]
+        return self.lowest[key].project(B) if key in self.lowest else B
 
     def _spectra(self) -> dict:
         if self._eigs is None:
-            self._eigs = {k: np.linalg.eigvalsh(B) for k, B in self.blocks.items()}
+            self._eigs = {k: np.linalg.eigvalsh(self._reduced(k)) for k in self.blocks}
         return self._eigs
 
     def eigensystem(self, vectors: bool = False) -> dict:
-        """Per-block eigenvalues (ascending) and optionally eigenvectors."""
-        if vectors:
-            return {k: np.linalg.eigh(B) for k, B in self.blocks.items()}
-        return {k: (w, None) for k, w in self._spectra().items()}
+        """Per-block eigenvalues (ascending) and optionally eigenvectors, in
+        the basis of the block (Q V for the eigenvectors V of Q^T B Q)."""
+        if not vectors:
+            return {k: (w, None) for k, w in self._spectra().items()}
+        out = {}
+        for k, B in self.blocks.items():
+            w, V = np.linalg.eigh(self._reduced(k))
+            out[k] = (w, self.lowest[k].dense(len(B)) @ V if k in self.lowest else V)
+        return out
 
     def eigenvalues(self) -> np.ndarray:
         """The full spectrum: each block's eigenvalues, repeated by its multiplicity."""
@@ -596,8 +641,8 @@ class _Plan(NamedTuple):
 
 
 def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, mult: np.ndarray) -> _Plan:
-    """The plan of the Theta-adapted blocks of the momentum blocks with
-    mult > 0, from the entries (rows, cols, value, sign) of a real
+    """The plan of the Theta-adapted stored blocks (block, part) with
+    mult[block, part] > 0, from the entries (rows, cols, value, sign) of a real
     inversion-symmetric operator in the columns of
     ``FockBasis.inversion_reps`` (F and P), whose entry is
     values[value] * sign.  ``_scatter`` then fills the blocks of any values.
@@ -618,9 +663,9 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, mult: np.ndarray) -
     """
     src, col, value, sign = entries
     value = value.astype(np.int32)
-    wanted = mult > 0
     sides = layout.sides
-    sizes = np.where(wanted[:, None], sides ** 2, 0)
+    wanted = (mult > 0) & (sides > 0)
+    sizes = np.where(wanted, sides ** 2, 0)
     base = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
     # per adapted vector: where its row starts in the buffer, and its column
     owner, part, index = layout.owner, layout.part, layout.index
@@ -628,10 +673,12 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, mult: np.ndarray) -
     col_coef = layout.col_coef * np.where(layout.kind == 2, 2.0, 1.0)
     row, to_rep = basis.rep[src], basis.to_rep[src]
     sign = sign * basis.rep_sign[src]
-    filled = np.append(wanted[owner], False)  # the last one stands for -1: no state
+    any_part = wanted.any(axis=1)
+    filled = np.append(any_part[owner], False)  # the last one stands for -1: no state
+    placed = wanted[owner, part]  # the stored block of each adapted vector is kept
     chi_complex = np.any(basis._chi.imag, axis=1)
     pos, values, weights = [], [], []
-    for q in sorted(set(layout.q[wanted].tolist())):  # np.unique would import numpy.ma
+    for q in sorted(set(layout.q[any_part].tolist())):  # np.unique would import numpy.ma
         r, c = layout.bloch[q, row], layout.bloch[q, col]
         keep = filled[c] & (r >= 0)
         r, c, v = r[keep], c[keep], value[keep]
@@ -647,7 +694,7 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, mult: np.ndarray) -
         w = np.concatenate([a, s_r * b, -s_c * b, s_r * s_c * a])
         x = np.tile(layout.vec[:, r].ravel(), 2)
         y = layout.vec[:, c].repeat(2, axis=0).ravel()
-        keep = (w != 0) & (x >= y)  # the lower triangle, mirrored below
+        keep = (w != 0) & (x >= y) & placed[x]  # the lower triangle, mirrored below
         if basis._neg[q] == q:  # k = -k: even and odd vectors do not mix
             keep &= part[x] == part[y]
         x, y, v, w = x[keep], y[keep], np.tile(v, 4)[keep], w[keep]
@@ -658,13 +705,12 @@ def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, mult: np.ndarray) -
         pos.append(row_at[y[off]] + index[x[off]])
         values.append(v[off])
         weights.append(w[off])
-    blocks = [((*layout.labels[i], _PARTS[p]), at, n)
-              for i in np.flatnonzero(wanted).tolist()
-              for p, (at, n) in enumerate(zip(base[i].tolist(), sides[i].tolist())) if n]
-    by_label = dict(zip(layout.labels, mult.tolist()))
+    kept = np.nonzero(wanted)
+    blocks = [((*layout.labels[i], _PARTS[p]), at, n) for i, p, at, n in zip(
+        *(a.tolist() for a in (*kept, base[kept], sides[kept])))]
     return _Plan(np.concatenate(pos), np.concatenate(values), np.concatenate(weights),
                  int(sizes.sum()), blocks,
-                 {key: by_label[key[:-1]] for key, _, _ in blocks})
+                 {key: m for (key, _, _), m in zip(blocks, mult[kept].tolist())})
 
 
 def _scatter(plan: _Plan, values: np.ndarray) -> dict:
@@ -673,6 +719,151 @@ def _scatter(plan: _Plan, values: np.ndarray) -> dict:
     views of one buffer."""
     out = np.bincount(plan.pos, plan.weight * values[plan.value], minlength=plan.size)
     return {key: out[at:at + n * n].reshape(n, n) for key, at, n in plan.blocks}
+
+
+def _site_plan(basis: FockBasis, blocking: str, H: _Sites) -> tuple:
+    """The plan of the site data H under a blocking and the values that it
+    scatters, after the symmetry checks of H (see ``FockOperator.from_sparse``).
+
+    The plan is made once per basis, blocking and ``_Sites.pattern``; it
+    keeps the number blocks of ``_spin_classes`` and the parity blocks of
+    the k <-> -k classes."""
+    states = basis.inversion_reps
+    values = H.values(basis, states)
+    key = (blocking, H.pattern())
+    plan = basis._plans.get(key)
+    if plan is None:  # the key fixes the nonzero entries, so a kept plan has no leak
+        layout = basis._sector_map(blocking)
+        row, col, value, sign = entries = _entries(states, H.products(basis))
+        _check_sectors(layout, blocking, row, col, sign, basis.inversion_rep)
+        mult = _spin_classes(layout)[0] if blocking == NUMBER else _classes(layout, False)
+        plan = basis._plans[key] = _plan(basis, layout, entries, mult)
+    H.check_symmetries(basis)
+    return plan, values
+
+
+class _LowestWeight(NamedTuple):
+    """The map Q of a number block onto its lowest-weight states, by its
+    nonzeros Q[rows, cols] = vals."""
+
+    rows: np.ndarray  # int32
+    cols: np.ndarray  # int32
+    vals: np.ndarray  # float64
+    width: int        # the number of columns
+
+    def dense(self, n: int) -> np.ndarray:
+        """Q as an (n, width) array."""
+        Q = np.zeros((n, self.width))
+        Q[self.rows, self.cols] = self.vals
+        return Q
+
+    def project(self, B: np.ndarray) -> np.ndarray:
+        """Q^T B Q, through a dense Q made for this product alone."""
+        Q = self.dense(len(B))
+        return Q.T @ (B @ Q)
+
+
+def _spin_classes(layout: _Blocks) -> tuple:
+    """The multiplicities of the stored number blocks of site data, (blocks,
+    3) as ``_classes``, and which of them have a partner (see
+    ``_lowest_weight_maps``).
+
+    Every H of site data commutes with total spin, so each spin-S multiplet
+    of its eigenstates has one lowest-weight state, annihilated by S^-, in
+    its block at 2 S_z = -2S.  The kept blocks are those at 2 S_z <= 0 that
+    are the lowest of their class under k <-> -k; each eigenvalue of H on
+    the lowest-weight states of a kept block counts (class size)(2S+1)
+    times.  S^- maps the block (N, -2S, q, p) onto its partner
+    (N, -2S-2, q, p), so dim - dim(partner) of its states are lowest
+    weight, and a block with none is dropped.
+    """
+    two_sz = np.array([label[1] for label in layout.labels])
+    index = {label: i for i, label in enumerate(layout.labels)}
+    partner = np.array([index.get((N, m - 2, q), -1) for N, m, q in layout.labels])
+    below = np.where(partner[:, None] >= 0, layout.sides[partner], 0)
+    kept = (_classes(layout, True) > 0) & (layout.sides > below)
+    return (np.where(kept, _classes(layout, False) * (1 - two_sz)[:, None], 0),
+            kept & (below > 0))
+
+
+def _lowest_weight_maps(basis: FockBasis) -> dict:
+    """The map Q onto the lowest-weight states of every kept number block
+    of site data that has a partner (``_spin_classes``); a block without
+    one is all lowest weight and needs no Q.
+
+    Q spans the eigenspace of S^2 = S^- S^+ + S_z^2 + S_z at S(S+1), its
+    least eigenvalue in the block.  S^2 moves spins among the singly
+    occupied sites only, so it keeps the pattern of holes and doublons of
+    a state, and its block splits by the class of that pattern under the
+    translations and the inversion (the inversion representative of the
+    state with every single spin up).  The sub-blocks are diagonalized in
+    batches of equal order, and Q is kept by its nonzeros.
+    """
+    layout = basis._sector_map(NUMBER)
+    n = basis.n_sites
+    partnered = _spin_classes(layout)[1]
+    if not np.any(partnered):
+        return {}
+    # S^2 on the kept blocks with a partner, from one spin-exchange product
+    # a^dag_{x,dn} a_{x,up} a^dag_{y,up} a_{y,dn} (x != y) and the diagonal
+    x, y = np.nonzero(~np.eye(n, dtype=bool))
+    exchange = ((basis.mode(x, DOWN), True), (basis.mode(x, UP), False),
+                (basis.mode(y, UP), True), (basis.mode(y, DOWN), False))
+    states = basis.inversion_reps
+    up, down = basis.occ[states, :n], basis.occ[states, n:]
+    s_z = 0.5 * (up.sum(axis=1) - down.sum(axis=1))
+    values = np.concatenate([np.ones(len(x)), (down * (1 - up)).sum(axis=1) + s_z**2 + s_z])
+    plan = _plan(basis, layout, _entries(states, [exchange]), partnered.astype(int))
+    # the adapted vectors of these blocks, numbered block by block, in
+    # groups of one block and pattern class: the sub-blocks of S^2
+    keys, at, order = zip(*plan.blocks)
+    at, order = np.array(at), np.array(order)
+    start = np.cumsum(order) - order
+    block = np.repeat(np.arange(len(keys)), order)
+    reps = np.concatenate([layout.sectors[key] for key in keys])
+    mask = (1 << n) - 1
+    single, double = (reps | reps >> n) & mask, reps & reps >> n & mask
+    pattern = basis.inversion_rep[single | double << n]
+    by = np.lexsort((pattern, block))
+    first = np.flatnonzero((np.diff(block[by], prepend=-1) != 0)
+                           | (np.diff(pattern[by], prepend=-1) != 0))
+    size = np.diff(first, append=len(by))
+    group, slot = np.empty_like(by), np.empty_like(by)
+    group[by] = np.repeat(np.arange(len(first)), size)
+    slot[by] = np.arange(len(by)) - np.repeat(first, size)
+    # the sub-blocks, stacked: a placed value at (u, v) of its block lands in
+    # the group of u (that of v, as S^2 keeps the pattern)
+    offset = np.cumsum(size**2) - size**2
+    b = np.searchsorted(at, plan.pos, side="right") - 1
+    u, v = np.divmod(plan.pos - at[b], order[b])
+    u, v = u + start[b], v + start[b]
+    stack = np.bincount(offset[group[u]] + slot[u] * size[group[u]] + slot[v],
+                        plan.weight * values[plan.value], minlength=int(np.sum(size**2)))
+    spin = -np.array([key[1] for key in keys]) / 2
+    col_block, col_size, rows, vals = [], [], [], []
+    for s in sorted(set(size.tolist())):
+        groups = np.flatnonzero(size == s)
+        w, V = np.linalg.eigh(stack[offset[groups, None] + np.arange(s * s)].reshape(-1, s, s))
+        b = block[by[first[groups]]]
+        # the eigenvalue S(S+1) is the least; the next, (S+1)(S+2), is 2S+2 above
+        k, col = np.nonzero(w < (spin[b] * (spin[b] + 1) + 1)[:, None])
+        members = by[first[groups[k], None] + np.arange(s)]
+        col_block.append(b[k])
+        col_size.append(np.full(len(k), s))
+        rows.append((members - start[b[k], None]).ravel())
+        vals.append(V[k, :, col].ravel())
+    col_block, col_size = np.concatenate(col_block), np.concatenate(col_size)
+    entry_block = np.repeat(col_block, col_size)
+    # columns and entries by block; within one, columns keep their order
+    by_col, by_entry = (np.argsort(a, kind="stable") for a in (col_block, entry_block))
+    rows = np.concatenate(rows).astype(np.int32)[by_entry]
+    vals = np.concatenate(vals)[by_entry]
+    width = np.bincount(col_block, minlength=len(keys))
+    first_col = np.repeat(np.cumsum(width) - width, width)
+    cols = np.repeat(np.arange(len(col_block)) - first_col, col_size[by_col]).astype(np.int32)
+    ends = np.cumsum(np.bincount(entry_block, minlength=len(keys)))
+    return {key: _LowestWeight(rows[lo:hi], cols[lo:hi], vals[lo:hi], int(w))
+            for key, lo, hi, w in zip(keys, ends - np.diff(ends, prepend=0), ends, width)}
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +1090,30 @@ def pressure(op: FockOperator, beta: float) -> float:
     return float(log_trace) / (beta * op.basis.n_sites)
 
 
+def _diagonals(plan: _Plan, values: np.ndarray, eig: dict) -> dict:
+    """diag(U^T A U) for the eigenvectors U of every stored block, as
+    ``eig`` holds them, of the symmetric operator A of the plan and values,
+    from its nonzeros alone: A[i, j] adds A[i, j] U[i] U[j], and one in the
+    lower triangle (i > j) stands for its mirror image too.  The rows of
+    an (n, n) U are gathered n/8 at a time."""
+    at, order = (np.array(a) for a in list(zip(*plan.blocks))[1:])
+    pos, index = np.unique(plan.pos, return_inverse=True)  # block by block
+    a = np.bincount(index, plan.weight * values[plan.value])
+    block = np.searchsorted(at, pos, side="right") - 1
+    i, j = np.divmod(pos - at[block], order[block])
+    lower = i >= j
+    a, i, j = np.where(i > j, 2 * a, a)[lower], i[lower], j[lower]
+    ends = np.cumsum(np.bincount(block[lower], minlength=len(at)))
+    out = {}
+    for (key, _, n), lo, hi in zip(plan.blocks, ends - np.diff(ends, prepend=0), ends):
+        U, step = eig[key][1], max(1, n // 8)
+        out[key] = np.zeros(n)
+        for s in range(lo, hi, step):
+            cut = slice(s, min(s + step, hi))
+            out[key] += a[cut] @ (U[i[cut]] * U[j[cut]])
+    return out
+
+
 def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     """Thermal expectations of density and pair amplitude, plus pressure.
 
@@ -910,8 +1125,9 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     (1/n) sum_x P_x = A + i B with the Hermitian pair fields
     A = (1/2n) sum_x (P_x + P^dag_x) and B = (i/2n) sum_x (P^dag_x - P_x).
     H is real, so its Gibbs state is real and <B> = 0; A is the site data
-    of the pair field 1/(2n), whose blocks have the keys of H's.  The
-    amplitude is ``op.pair_phase`` <A>.
+    of the pair field 1/(2n), whose blocks have the keys of H's, and its
+    diagonal in each eigenbasis comes from its nonzeros (``_diagonals``).
+    The amplitude is ``op.pair_phase`` <A>.
     """
     basis = op.basis
     n = basis.n_sites
@@ -928,11 +1144,10 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
             continue
         # a Bloch state holds the particle number of its representative
         n_vec = basis.n_tot[sectors[key]].astype(float)
-        density += float(p @ ((U ** 2).T @ n_vec))  # <N> in each eigenstate
+        density += float(p @ np.einsum("si,s,si->i", U, n_vec, U))  # <N> in each eigenstate
     if parity:
-        field = FockOperator.from_sparse(basis, _Sites(pair_field=1 / (2 * n)), PARITY).blocks
-        pair = op.pair_phase * sum(float(weights[key] @ np.einsum("si,si->i", U, field[key] @ U))
-                                   for key, (_, U) in eig.items())
+        field = _diagonals(*_site_plan(basis, PARITY, _Sites(pair_field=1 / (2 * n))), eig)
+        pair = op.pair_phase * sum(float(weights[key] @ a) for key, a in field.items())
     density /= n
     if not (-1e-9 <= density <= 2.0 + 1e-9) or abs(pair) > 1.0 + 1e-9:
         raise KaclabError(

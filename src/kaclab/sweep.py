@@ -164,6 +164,7 @@ def run_sweep(plan: SweepPlan, store=None, config_hash: str = "",
             boundary=plan.boundary,
         ) if store else None
         if existing is not None:
+            log.debug("sweep record %s read from the store", key)
             results[key] = existing
             continue
         try:
@@ -173,6 +174,9 @@ def run_sweep(plan: SweepPlan, store=None, config_hash: str = "",
             if failures is not None:
                 failures.append((key, str(err)))
             continue
+        log.info("sweep record %s: %d blocks, largest %d, sum dim^3 %d, %d ms", key,
+                 stage["kept_blocks"], stage["largest_block"], stage["eig_dim3"],
+                 record.runtime_ms)
         results[key] = record
         fresh.append(record)
         if stages is not None:

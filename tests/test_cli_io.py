@@ -875,9 +875,10 @@ def test_cli_kac_sweep_manifest_lists_fresh_records(tmp_path, capsys):
         assert s["build_ms"] >= 0 and s["gibbs_ms"] >= 0
         # 1 site: four (N, 2S_z) blocks of order 1, with (1, 1) and (1, -1)
         # paired; 3 sites: 17 classes of (N, 2S_z, k) blocks, the k = 0 ones
-        # split into inversion-even and -odd real blocks
+        # split into inversion-even and -odd real blocks, 20 in all, of
+        # which 18 hold lowest-weight states, the orders diagonalized
         assert (s["kept_blocks"], s["largest_block"], s["eig_dim3"]) == (
-            (3, 1, 3) if s["L"] == 0 else (20, 3, 119))
+            (3, 1, 3) if s["L"] == 0 else (18, 3, 72))
 
 
 def test_cli_kac_sweep_rejects_eta_other_than_its_potentials(tmp_path, capsys):
@@ -951,12 +952,32 @@ def test_cli_kac_sweep_respects_dimension_cap(tmp_path, capsys):
     assert max(r.L for r in ResultStore(out_dir).sweep_records()) == 1
 
 
+def test_cli_log_level_sets_which_records_reach_stderr(tmp_path, capsys):
+    # a record skipped for the cap is logged as a warning: shown at the
+    # default level and at warning, hidden at error; info adds one line
+    # per fresh record
+    path = write_config(tmp_path, sweep_config(L=[0, 1, 2], dimension_cap=64))
+    skipped = "WARNING kaclab.sweep: sweep record (2, 0.5, 0.5) skipped: Fock dimension 4^5"
+    fresh = "INFO kaclab.sweep: sweep record (0, 0.5, 0.5): 3 blocks"
+    for level, shown in ((None, [skipped]), ("warning", [skipped]), ("error", []),
+                         ("info", [skipped, fresh])):
+        args = ["kac-sweep", "--config", path, "--out", str(tmp_path / str(level))]
+        assert main(args if level is None else ["--log-level", level, *args]) == 0
+        err = capsys.readouterr().err
+        assert [line for line in (skipped, fresh) if line in err] == shown
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", "loud", "selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'loud'" in capsys.readouterr().err
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
     assert "PASS  momentum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
     assert "PASS  representative build vs global matrix, 5-site periodic Kac box" in out
+    assert "PASS  lowest-weight spectrum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
     assert "PASS  cached-plan Kac build vs plain sectors, 5-site periodic box" in out
     assert "PASS  complex c_- gauge vs parity sectors, 5-site periodic box" in out
 

@@ -7,6 +7,7 @@ the package's Jordan-Wigner machinery.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,9 +487,11 @@ def plain_sector_spectrum(basis, H, blocking):
 @pytest.mark.parametrize("L,boundary", [(1, "periodic"), (2, "periodic"), (3, "periodic"),
                                         (1, "open"), (2, "open")])
 def test_paired_spectra_match_plain_sectors(L, boundary):
-    # Kac and mean-field Hamiltonians are real and spin-flip invariant, so
-    # both pairings apply; the kept blocks, each repeated by its
-    # multiplicity, give the spectrum of the plain charge sectors
+    # Kac and mean-field Hamiltonians are real and commute with total spin,
+    # so k pairs with -k and each kept block is diagonalized on its
+    # lowest-weight states; their eigenvalues, each repeated by its
+    # multiplicity (class size)(2S+1), give the spectrum of the plain
+    # charge sectors
     rng = np.random.default_rng(211 + L)
     box = LatticeBox(1, L, boundary)
     n = box.n_sites
@@ -502,11 +505,84 @@ def test_paired_spectra_match_plain_sectors(L, boundary):
                           (build_meanfield_hamiltonian, _meanfield_sites(mf, box).matrix(bare))):
         op = build(mp if build is build_kac_hamiltonian else mf, box)
         assert sum(op.mult[k] * dim for k, dim in op.sector_dimensions().items()) == 4**n
-        assert max(op.mult.values()) == (4 if boundary == "periodic" else 2)
+        # the largest multiplicity: a k != 0 spin-(n-1)/2 block on a ring, and
+        # the fully polarized state of an open chain
+        assert max(op.mult.values()) == (2 * n if boundary == "periodic" else n + 1)
         expected = plain_sector_spectrum(bare, matrix, "number")
         assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
-    if n == 7:  # 135 classes, 25 of them at k = 0 split by inversion parity
-        assert len(op.blocks) == 160 and max(op.sector_dimensions().values()) == 175
+    if n == 7:  # 135 classes, 25 of them at k = 0 split by inversion parity,
+        # give 160 real blocks (largest 175); 2 of them hold no lowest-weight
+        # state, and the largest lowest-weight order is 112
+        assert len(op.blocks) == 158 and max(op.sector_dimensions().values()) == 112
+
+
+@pytest.mark.parametrize("L,boundary", [(1, "periodic"), (2, "periodic"), (3, "periodic"),
+                                        (1, "open"), (2, "open"), (3, "open"), (2, None)])
+def test_lowest_weight_blocks_match_whole_blocks(L, boundary):
+    # site data of Kac and mean-field Hamiltonians: each number block is
+    # diagonalized on its lowest-weight states Q, each eigenvalue counted
+    # (class size)(2S+1) times; the same H as a global matrix keeps whole
+    # blocks, and at up to 5 sites the plain sectors are the oracle too.
+    # A bare site count (boundary None) has no translations or inversion.
+    rng = np.random.default_rng(503 + L)
+    box = LatticeBox(1, L, boundary or "open")
+    n = box.n_sites
+    basis, bare = FockBasis(box) if boundary else FockBasis(n), FockBasis(n)
+    hop = HoppingKernel({(0,): rng.normal(), (1,): rng.normal(), (2,): rng.normal()}, 1)
+    mp = ModelParams(beta=1.0, hopping=hop, f_plus=PlainGaussian(rng.uniform(0.5, 2.0), d=1),
+                     f_minus=GaussianMixture([(0.6, (rng.uniform(0.5, 3.0),))], d=1),
+                     gamma_plus=0.45, gamma_minus=0.3, include_onsite_correction=True)
+    mf = MeanFieldParams(beta=1.0, hopping=hop, eta_plus=0.8, eta_minus=1.3)
+    for sites in (_kac_sites(mp, box), _meanfield_sites(mf, box)):
+        op = FockOperator.from_sparse(basis, sites, "number")
+        whole = FockOperator.from_sparse(basis, sites.matrix(basis), "number")
+        assert op.lowest and not whole.lowest
+        assert sum(op.mult[k] * dim for k, dim in op.sector_dimensions().items()) == 4**n
+        for key, lowest in op.lowest.items():
+            Q = lowest.dense(len(op.blocks[key]))
+            assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1]))) <= 1e-12
+        assert np.max(np.abs(op.eigenvalues() - whole.eigenvalues())) <= 1e-12
+        for key, (w, V) in op.eigensystem(vectors=True).items():  # in the block's basis
+            B = op.blocks[key]
+            assert V.shape == (len(B), len(w))
+            assert np.max(np.abs(B @ V - V * w), initial=0.0) <= 1e-12 * max(1.0, np.abs(w).max())
+        if n <= 5:
+            expected = plain_sector_spectrum(bare, sites.matrix(bare), "number")
+            assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
+        got, want = gibbs_observables(op, 1.1), gibbs_observables(whole, 1.1)
+        for field in ("pressure", "density", "energy_per_site"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12
+
+
+def total_spin(basis):
+    """S^2 = S^- S^+ + S_z^2 + S_z from the annihilators of the basis."""
+    n = basis.n_sites
+    s_plus = sum(basis.annihilator(basis.mode(x, 0)).T @ basis.annihilator(basis.mode(x, 1))
+                 for x in range(n))
+    s_z = sp.diags(0.5 * (basis.n_up - (basis.n_tot - basis.n_up)))
+    return s_plus.T @ s_plus + s_z @ s_z + s_z
+
+
+def test_swap_invariant_matrix_without_total_spin_keeps_whole_blocks():
+    # site data commute with S^2; J sum_x S^z_x S^z_{x+1} on a ring keeps
+    # the up <-> down swap, the translations and the inversion but not total
+    # spin.  As a global matrix it keeps whole blocks, with 2 S_z paired
+    # with -2 S_z, and the spectrum of the plain sectors
+    box = LatticeBox(1, 2, "periodic")
+    n = box.n_sites
+    basis, bare = FockBasis(box), FockBasis(n)
+    mp = ModelParams(beta=1.0, hopping=discrete_laplacian(1), f_plus=PlainGaussian(1.0, d=1),
+                     f_minus=PlainGaussian(2.0, d=1), gamma_plus=0.45, gamma_minus=0.3)
+    sites = _kac_sites(mp, box)
+    s_z = 0.5 * (bare.occ[:, :n] - bare.occ[:, n:])
+    H = sites.matrix(bare) + sp.diags(0.8 * (s_z * np.roll(s_z, -1, axis=1)).sum(axis=1))
+    S2 = total_spin(bare)
+    assert abs(S2 @ sites.matrix(bare) - sites.matrix(bare) @ S2).max() <= 1e-12
+    assert abs(S2 @ H - H @ S2).max() > 0.1
+    op = FockOperator.from_sparse(basis, H, "number")
+    assert not op.lowest and max(op.mult.values()) == 4
+    expected = plain_sector_spectrum(bare, H, "number")
+    assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
 
 
 def assert_gibbs_match(got, want):
@@ -699,11 +775,17 @@ def test_translation_invariance_check():
 
 
 def assert_same_operator(op, oracle):
-    """Same kept blocks and multiplicities, entries to 1e-12."""
-    assert op.blocking == oracle.blocking and op.mult == oracle.mult
+    """Same kept blocks, entries to 1e-12, and the same spectrum.  Under
+    number blocking, site data keep only the blocks that hold lowest-weight
+    states, each with its spin multiplicity; under parity blocking, the
+    same blocks with the same multiplicities."""
+    assert op.blocking == oracle.blocking and set(op.blocks) <= set(oracle.blocks)
+    if op.blocking == "parity":
+        assert op.mult == oracle.mult
     for key, B in op.blocks.items():
         assert B.shape == oracle.blocks[key].shape
         assert np.max(np.abs(B - oracle.blocks[key]), initial=0.0) <= 1e-12
+    assert np.max(np.abs(op.eigenvalues() - oracle.eigenvalues())) <= 1e-12
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -821,6 +903,7 @@ def test_site_plans_are_made_once_per_pattern(boundary, monkeypatch):
     # their values, and each new pattern gets its own
     box = LatticeBox(1, 2, boundary)
     basis = FockBasis(box)
+    basis._lowest_weights()  # the spin maps make a plan of S^2 of their own, once per basis
     made = spy_on_plans(monkeypatch)
 
     def build(sites):
@@ -1070,6 +1153,25 @@ def test_gibbs_pair_amplitude_against_kronecker_oracle():
     assert abs(pair) > 1e-2
     assert abs(obs.pair_amplitude - pair) <= 1e-12
     assert obs.pressure == pytest.approx(float(logsumexp(-beta * w)) / (beta * n), abs=1e-12)
+
+
+def test_pair_term_holds_no_dense_pair_blocks():
+    # the pair field A has the blocks of H; its diagonal in each eigenbasis
+    # comes from its nonzeros, so a Gibbs call holds the eigenvectors and
+    # far less than a dense copy of A's blocks, of the same size (A used
+    # to be filled densely and multiplied densely: 77 MB at 7 sites)
+    mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1), eta_plus=0.8, eta_minus=1.3)
+    op = build_approximating_hamiltonian(mf, 0.45, 0.3, LatticeBox(1, 2, "periodic"))
+    want = gibbs_observables(op, 1.5)  # the plans of H and A are kept from here on
+    dense = sum(B.nbytes for B in op.blocks.values())
+    tracemalloc.start()
+    try:
+        got = gibbs_observables(op, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and abs(got.pair_amplitude) > 1e-2
+    assert peak < 2 * dense
 
 
 def test_gibbs_pair_amplitude_single_site_trace_oracle():
