@@ -35,6 +35,9 @@ equation is the slope of the payoff and, by the envelope theorem, of the
 sharp profile payoff(c_-, r_+(c_-)).  On a grid, the guard against
 first-order transitions, each minimum is a box end where that slope
 points out of the box, or its root in a cell where it turns from - to +.
+The flat root is bracketed first within xtol/2 of the sharp reply
+c_+* = r_+(c_-*), where it lies at a saddle point, and otherwise searched
+only on the side of c_+* that the slope's signs there give.
 Every grid, and every step of the roots of many strategies at once, is
 one batched call of the zone kernel (`quasifree`).  `gap`'s stationary
 point (`solve_gap_fixed_point`) is the lowest minimum of the sharp search.
@@ -246,22 +249,43 @@ def _lane_roots(fn, x1, x2, f1, f2, lanes, opt: OptimizerSpec) -> np.ndarray:
 
 
 def _c_plus_maximum(slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec,
-                    lanes: int) -> np.ndarray:
+                    lanes: int, guess: float | None = None) -> np.ndarray:
     """Per lane, the maximizer over the c_+ box of a concave function.
 
     slope(c_plus, lanes), decreasing in c_plus, evaluates the listed lanes
-    in one call.  For eta_+ = 0 the repulsive strategy space degenerates to
+    in one call.  Its root is first bracketed by [a, b]: the whole box or,
+    given a guess, the part of the box within xtol/2 of it, where a sign
+    change pins the root to xtol after two evaluations.  Otherwise the
+    signs at a and b tell on which side the root lies, and the box edge on
+    that side closes its bracket: a wrong guess costs at most one
+    evaluation more than a search of the whole box, and never changes the
+    answer.  An edge where the slope points out of the box is the
+    maximizer.  For eta_+ = 0 the repulsive strategy space degenerates to
     c_+ = 0.
     """
     if mf.eta_plus == 0.0:
         return np.zeros(lanes)
     lo, hi = opt.c_plus_box
+    a, b = (lo, hi) if guess is None else np.clip(
+        [guess - opt.xtol / 2, guess + opt.xtol / 2], lo, hi)
     each = np.arange(lanes)
-    s = slope(np.repeat([hi, lo], lanes), np.r_[each, each])
-    s_hi, s_lo = s[:lanes], s[lanes:]
-    x = np.where(s_hi >= 0.0, hi, lo)  # an edge, unless the slope changes sign inside
-    inside = (s_hi < 0.0) & (s_lo > 0.0)
-    x[inside] = _lane_roots(slope, lo, hi, s_lo[inside], s_hi[inside], each[inside], opt)
+    s = slope(np.repeat([b, a], lanes), np.r_[each, each])
+    x1, x2, f1, f2 = (np.array(np.broadcast_to(v, lanes), float)
+                      for v in (a, b, s[lanes:], s[:lanes]))
+    above = (f2 >= 0.0) & (x2 < hi)  # the root lies in [b, hi]
+    below = (f2 < 0.0) & (f1 <= 0.0) & (x1 > lo)  # in [lo, a]
+    side = above | below
+    if side.any():
+        f_edge = np.empty(lanes)
+        f_edge[side] = slope(np.where(above, hi, lo)[side], each[side])
+        x1[above], f1[above] = x2[above], f2[above]
+        x2[above], f2[above] = hi, f_edge[above]
+        x2[below], f2[below] = x1[below], f1[below]
+        x1[below], f1[below] = lo, f_edge[below]
+    x = np.where(f2 >= 0.0, x2, x1)  # an end, unless the slope changes sign inside
+    inside = (f2 < 0.0) & (f1 > 0.0)
+    x[inside] = _lane_roots(slope, x1[inside], x2[inside], f1[inside], f2[inside],
+                            each[inside], opt)
     return x
 
 
@@ -368,9 +392,13 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
     payoff over c_-, are each computed once per strategy.
     p_sharp: minimum over c_- of the payoff at r_+ (`_sharp_search`; all
     near-degenerate minima reported); p_flat: maximum over c_+ of the
-    payoff at r_-, the root of its slope over the whole c_+ box.  That
-    profile is concave even where r_- jumps between basins, and its slope
-    is the c_+ gap equation at r_-.
+    payoff at r_-, the root of its slope.  That profile is concave even
+    where r_- jumps between basins, and its slope is the c_+ gap equation
+    at r_-.  Its root is bracketed first within xtol/2 of the sharp reply
+    c_+* = r_+(c_-*): at a saddle point it lies there, and two replies
+    r_- pin it.  Otherwise the slope's signs there give the side of c_+*
+    on which the root lies, and only that side is searched, so the guess
+    never changes the answer.
 
     A game is solved at most once per process: the result is cached by the
     value of (mf, quad, opt), with None resolved to the defaults, so equal
@@ -399,7 +427,7 @@ def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) 
     (cm_sharp, sharp_val), *others = search.minima
     reply = search.replies[cm_sharp]
     argmin_sharp = GamePoint(cm_sharp, reply.c_plus)
-    cp_flat = float(_c_plus_maximum(flat_slope, mf, opt, 1)[0])
+    cp_flat = float(_c_plus_maximum(flat_slope, mf, opt, 1, guess=reply.c_plus)[0])
     cm_flat, flat_val = reply_minus(cp_flat)
     argmax_flat = GamePoint(cm_flat, cp_flat)
     degenerate = tuple(GamePoint(x, search.replies[x].c_plus) for x, fx in others

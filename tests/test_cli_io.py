@@ -451,15 +451,16 @@ def test_cli_validate_potential(tmp_path, capsys):
     assert out["plus"]["scaling_monotone"] is True
 
 
-def cold_game_config(**overrides):
-    """The 1-D Laplacian at beta = 16, eta_+ = 1, eta_- = 1, where the
-    default quadrature fails its refinement check in the flat search."""
-    return minimal_config(potentials={}, beta=[16.0], eta={"plus": 1.0, "minus": 1.0},
+def cold_game_config(beta, eta_minus, **overrides):
+    """The 1-D Laplacian at low temperature, eta_+ = 1."""
+    return minimal_config(potentials={}, beta=[beta], eta={"plus": 1.0, "minus": eta_minus},
                           **overrides)
 
 
 def test_cli_accuracy_exit_code(tmp_path, capsys):
-    path = write_config(tmp_path, cold_game_config())
+    # at beta = 24, eta_- = 2 the default quadrature fails its refinement
+    # check in the sharp search
+    path = write_config(tmp_path, cold_game_config(24.0, 2.0))
     assert main(["game", "--config", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -468,8 +469,8 @@ def test_cli_accuracy_exit_code(tmp_path, capsys):
                          r"\|(\S+) - (\S+)\| > 1e-08", first)
     assert match is not None
     fine, base = map(float, match.groups())
-    assert abs(fine - 0.0067755684709684) <= 1e-15
-    assert abs(base - 0.0067755954817777) <= 1e-15
+    assert abs(fine - 0.0012158315802114) <= 1e-15
+    assert abs(base - 0.0012158191018032) <= 1e-15
     assert second.startswith("partial values: ")
     values = ast.literal_eval(second.removeprefix("partial values: "))
     assert sorted(values) == ["base", "refined"]
@@ -477,12 +478,13 @@ def test_cli_accuracy_exit_code(tmp_path, capsys):
 
 
 def test_cli_game_without_refinement_check(tmp_path, capsys):
-    # the same game with the check off: the base-resolution values, no margin
-    path = write_config(tmp_path, cold_game_config(quadrature={"refinement_check": False}))
+    # a game at beta = 16 with the check off: the base-resolution values, no margin
+    path = write_config(tmp_path, cold_game_config(16.0, 1.0,
+                                                   quadrature={"refinement_check": False}))
     assert main(["game", "--config", path]) == 0
     result = json.loads(capsys.readouterr().out)["game"]["16.0"]
     assert result["refinement_margin"] == 0.0
-    assert result["kernel_calls"] == 47
+    assert result["kernel_calls"] == 26
     assert abs(result["p_sharp"] - 0.0038252499320716882) <= 1e-12
 
 

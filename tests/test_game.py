@@ -295,15 +295,24 @@ def test_a_changed_field_misses_the_cache(monkeypatch, spec, field, value):
     assert len(calls) > searched  # a flat search on top of the cached sharp one
 
 
-@pytest.mark.parametrize("beta, eta_minus, searched", [(16.0, 1.0, True), (24.0, 2.0, False)],
-                         ids=["flat_search_fails", "sharp_search_fails"])
-def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, beta, eta_minus, searched):
-    # the default quadrature fails its refinement check in these models: at
-    # beta = 16 in the flat search only, so gap succeeds and game exits 3
-    mf = MeanFieldParams(beta=beta, hopping=discrete_laplacian(1),
-                         eta_plus=1.0, eta_minus=eta_minus)
+@pytest.mark.parametrize("searched", [True, False], ids=["flat_search_fails", "sharp_search_fails"])
+def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, searched):
+    # at beta = 24, eta_- = 2 the default quadrature fails its refinement
+    # check in the sharp search, so gap fails too.  No model with default
+    # specs is known to fail in the flat search alone, so there the zone
+    # kernel raises once the sharp search is cached.
+    mf = MeanFieldParams(beta=24.0, hopping=discrete_laplacian(1), eta_plus=1.0, eta_minus=2.0)
     clear_game_caches()
     calls = zone_calls(monkeypatch)
+    if searched:
+        mf = CACHED
+        solve_gap_fixed_point(mf, QUAD, OPT)
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise AccuracyError("quadrature not converged", {"base": 0.0, "refined": 1.0})
+
+        monkeypatch.setattr(quasifree, "_zone", failing)
     errors = []
     for _ in range(2):
         calls.clear()
@@ -401,6 +410,48 @@ def test_game_values_are_pinned(d, beta, eta_plus, eta_minus, p_sharp, p_flat):
     assert abs(res.p_flat - p_flat) <= 1e-12
 
 
+NNN = HoppingKernel({(0,): 2.5, (1,): -1.0, (-1,): -1.0, (2,): -0.25, (-2,): -0.25}, 1)
+# P_flat of the flat search over the whole c_+ box, before it started at the
+# sharp reply: (kernel, beta, eta_+, eta_-, c_plus_box, P_flat)
+PINNED_FLAT = [
+    ("lap", 0.5, 1.0, 0.5, (0.0, 2.0), 1.199366643886163),
+    ("lap", 1.0, 0.25, 1.5, (0.0, 2.0), 0.44592220340318023),
+    ("lap", 2.0, 1.0, 1.0, (0.0, 2.0), 0.11907894708330499),
+    ("lap", 3.0, 0.5, 3.0, (0.0, 2.0), 0.07025219093205505),
+    ("lap", 4.0, 0.25, 4.0, (0.0, 2.0), 0.11382830359093854),
+    ("lap", 5.0, 1.0, 2.0, (0.0, 2.0), 0.02639903748180036),
+    ("lap", 6.0, 0.5, 1.0, (0.0, 2.0), 0.02308443438100046),
+    ("lap", 7.0, 1.0, 4.0, (0.0, 2.0), 0.07571777605766192),
+    ("lap", 8.0, 1.0, 2.0, (0.0, 2.0), 0.01232331787390955),
+    ("lap", 8.0, 0.5, 1.5, (0.0, 2.0), 0.014521480762447185),
+    ("lap", 10.0, 0.25, 0.5, (0.0, 2.0), 0.011520311089914371),
+    ("lap", 10.0, 1.0, 3.0, (0.0, 2.0), 0.031240634104184595),
+    ("lap", 4.0, 0.0, 2.0, (0.0, 2.0), 0.05500080724228132),
+    ("lap", 6.0, 1.0, 0.0, (0.0, 2.0), 0.019543740969888035),
+    ("lap", 1.0, 1.0, 1.0, (0.0, 0.1), 0.4168476851108795),  # pinned at the upper edge
+    ("lap", 1.0, 1.0, 1.0, (0.3, 2.0), 0.3799421763087798),  # and at the lower
+    ("nnn", 0.5, 0.5, 2.0, (0.0, 2.0), 1.0977050828970725),
+    ("nnn", 1.0, 1.0, 4.0, (0.0, 2.0), 0.29629198599637085),
+    ("nnn", 1.0, 0.5, 1.0, (0.0, 2.0), 0.3224780654760751),
+    ("nnn", 2.0, 0.25, 1.0, (0.0, 2.0), 0.10662883026745455),
+    ("nnn", 3.0, 1.0, 1.5, (0.0, 2.0), 0.046908855617400325),
+    ("nnn", 4.0, 0.5, 3.0, (0.0, 2.0), 0.033175965149410264),
+    ("nnn", 5.0, 0.25, 2.0, (0.0, 2.0), 0.02522575992992619),
+    ("nnn", 6.0, 1.0, 1.0, (0.0, 2.0), 0.015168198408525126),
+    ("nnn", 6.0, 0.5, 1.5, (0.0, 2.0), 0.01740192062018034),
+    ("nnn", 2.0, 0.0, 3.0, (0.0, 2.0), 0.11403004994401039),
+    ("nnn", 5.0, 1.0, 0.0, (0.0, 2.0), 0.02041968734888247),
+]
+
+
+@pytest.mark.parametrize("kernel, beta, eta_plus, eta_minus, c_plus_box, p_flat", PINNED_FLAT)
+def test_flat_values_are_pinned(kernel, beta, eta_plus, eta_minus, c_plus_box, p_flat):
+    hopping = discrete_laplacian(1) if kernel == "lap" else NNN
+    mf = MeanFieldParams(beta=beta, hopping=hopping, eta_plus=eta_plus, eta_minus=eta_minus)
+    res = solve_game(mf, QUAD, OptimizerSpec(c_plus_box=c_plus_box))
+    assert abs(res.p_flat - p_flat) <= 1e-14
+
+
 def test_flat_value_is_the_profile_maximum_across_basin_jumps():
     # here the inner minimizer c_-* jumps between neighbouring c_+ grid
     # points, so the flat profile has a kink at its maximum
@@ -455,6 +506,47 @@ def test_c_minus_minimum_where_the_slope_vanishes_at_a_node_is_found_once():
     assert c_minus_minima(lambda x: (x - 0.5) ** 2, lambda x: 2 * (x - 0.5)) == [(0.5, 0.0)]
 
 
+def c_plus_maximum(slope, guess, opt=OPT, eta_plus=1.0):
+    """The maximizer over the c_+ box of a concave function of one lane,
+    searched from a guess as the flat search is, and every c_+ at which
+    its slope was evaluated."""
+    evaluated = []
+
+    def counted(x, lanes):
+        evaluated.extend(x.tolist())
+        return slope(x)
+
+    mf = MeanFieldParams(beta=1.0, hopping=zero_kernel(), eta_plus=eta_plus)
+    return game._c_plus_maximum(counted, mf, opt, 1, guess)[0], evaluated
+
+
+def test_c_plus_maximum_at_the_guess_takes_two_slopes():
+    x, evaluated = c_plus_maximum(lambda x: 0.7 - x, guess=0.7)
+    assert abs(x - 0.7) <= OPT.xtol
+    assert evaluated == pytest.approx([0.7 + OPT.xtol / 2, 0.7 - OPT.xtol / 2], abs=1e-16)
+
+
+@pytest.mark.parametrize("guess, root, edge", [(0.3, 0.7, 2.0), (1.5, 0.7, 0.0),
+                                               (None, 0.7, None)],
+                         ids=["root_above_the_guess", "root_below_the_guess", "no_guess"])
+def test_c_plus_maximum_searches_the_side_of_the_root(guess, root, edge):
+    x, evaluated = c_plus_maximum(lambda x: np.tanh(root - x), guess)
+    assert abs(x - root) <= OPT.xtol
+    if guess is not None:  # that side's box edge closes the bracket; the other is never evaluated
+        assert edge in evaluated and OPT.c_plus_box[1] - edge not in evaluated
+
+
+@pytest.mark.parametrize("guess", [0.5, 2.0, None])
+def test_c_plus_maximum_where_the_slope_points_out_of_the_box_is_its_edge(guess):
+    up, _ = c_plus_maximum(lambda x: 3.0 - x, guess)  # slope >= 0 at hi
+    down, _ = c_plus_maximum(lambda x: -1.0 - x, guess)  # slope <= 0 at lo
+    assert (down, up) == OPT.c_plus_box
+
+
+def test_c_plus_maximum_without_repulsion_is_zero():
+    assert c_plus_maximum(lambda x: 0.7 - x, 0.7, eta_plus=0.0) == (0.0, [])
+
+
 def test_game_solves_where_only_the_inner_grids_failed_the_refinement_check():
     # the c_- searches evaluate the payoff at their minima alone, not on a
     # grid at every c_+ of the flat search, where one lane fails the
@@ -465,6 +557,20 @@ def test_game_solves_where_only_the_inner_grids_failed_the_refinement_check():
     fine = solve_game(mf, QuadratureSpec(points_per_axis=512), OPT)
     assert abs(res.p_sharp - fine.p_sharp) <= QUAD.tol
     assert abs(res.p_flat - fine.p_flat) <= QUAD.tol
+
+
+def test_game_solves_where_the_box_edge_fails_the_refinement_check():
+    # the flat search starts at the sharp reply c_+* and never evaluates the
+    # box edge c_+ = 0, whose payoff at c_- = 0 fails the refinement check
+    mf = MeanFieldParams(beta=16.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=1.0)
+    res = solve_game(mf, QUAD, OPT)
+    with pytest.raises(AccuracyError):
+        payoff(mf, GamePoint(0.0, 0.0), QUAD)
+    fine = solve_game(mf, QuadratureSpec(points_per_axis=4 * QUAD.resolve_points(1)), OPT)
+    assert abs(res.p_sharp - fine.p_sharp) <= 1e-12
+    assert abs(res.p_flat - fine.p_flat) <= 1e-12
+    assert abs(res.argmax_flat.c_plus - res.argmin_sharp.c_plus) <= OPT.xtol
 
 
 def test_each_best_reply_is_computed_once(monkeypatch):
