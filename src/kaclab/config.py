@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError, is_integer, is_number
 from .game import OptimizerSpec
@@ -100,9 +101,14 @@ _KEYS = {
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+    Strings and integers are written as `json.dumps` writes them."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
         return json.dumps(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
         if obj != obj or obj in (float("inf"), float("-inf")):
             raise ConfigError("non-finite number in configuration")
@@ -111,7 +117,7 @@ def canonical_json(obj) -> str:
         return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items())
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {canonical_json(v)}"
+        return "{" + ", ".join(f"{encode_basestring_ascii(str(k))}: {canonical_json(v)}"
                                for k, v in items) + "}"
     raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -232,8 +238,9 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
         potentials={role: None if pot is None else {"family": pot.family, **pot.params()}
                     for role, pot in potentials.items()},
         eta=eta,
-        quadrature=asdict(cfg.quadrature),
-        optimizer=asdict(cfg.optimizer),
+        # the specs' fields are numbers, strings and tuples: no deep copy needed
+        quadrature={f.name: getattr(cfg.quadrature, f.name) for f in fields(cfg.quadrature)},
+        optimizer={f.name: getattr(cfg.optimizer, f.name) for f in fields(cfg.optimizer)},
     )
     return cfg
 

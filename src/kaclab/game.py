@@ -35,12 +35,20 @@ equation is the slope of the payoff and, by the envelope theorem, of the
 sharp profile payoff(c_-, r_+(c_-)).  On a grid, the guard against
 first-order transitions, each minimum is a box end where that slope
 points out of the box, or its root in a cell where it turns from - to +.
+The c_- slope vanishes at c_- = 0 by symmetry, so a grid node at 0 is
+probed at xtol.  The sharp search solves r_+ at the node 0 itself and
+probes at (xtol, r_+(0)): r_+ is even in c_-, so the sign is the one at
+(xtol, r_+(xtol)) unless that slope is O(xtol^2), and a minimum at the
+origin reuses the grid's reply.
 The flat root is bracketed first within xtol/2 of the sharp reply
 c_+* = r_+(c_-*), where it lies at a saddle point, and otherwise searched
-only on the side of c_+* that the slope's signs there give.
-Every grid, and every step of the roots of many strategies at once, is
-one batched call of the zone kernel (`quasifree`).  `gap`'s stationary
-point (`solve_gap_fixed_point`) is the lowest minimum of the sharp search.
+only on the side of c_+* that the slope's signs there give.  Each step of
+that search solves the replies r_- of all its c_+ together, and the gap
+map of its slope at the flat root gives `gap_residual_flat`.
+Every grid (of all lanes at once), and every step of the roots of many
+strategies at once, is one batched call of the zone kernel (`quasifree`).
+`gap`'s stationary point (`solve_gap_fixed_point`) is the lowest minimum
+of the sharp search.
 Each game is solved at most once per process: the sharp search and the
 solved game are each kept in an `lru_cache` keyed by the value of the
 model, quadrature and optimizer (all frozen; kernels hash by value, as
@@ -207,39 +215,45 @@ def _lane_roots(fn, x1, x2, f1, f2, lanes, opt: OptimizerSpec) -> np.ndarray:
     interpolation where it is safe, bisection otherwise.
 
     fn(x, lanes) evaluates the listed lanes at x in one call; f1 and f2,
-    its values at the bracket ends, differ in sign.  A lane stops when its
-    bracket is narrower than xtol + 4 eps |x| (brentq's rule) or fn hits 0.
-    Each root is the bracket end of smaller |fn|, so fn was evaluated there.
+    arrays of its values at the bracket ends, differ in sign.  A lane stops
+    when its bracket is narrower than xtol + 4 eps |x| (brentq's rule) or
+    fn hits 0; the live lanes are compressed only when one stops.  Each
+    root is the bracket end of smaller |fn|, so fn was evaluated there.
     """
-    x1, x2, f1, f2 = (np.array(np.broadcast_to(v, np.shape(lanes)), float)
-                      for v in (x1, x2, f1, f2))
-    roots = np.empty(x1.shape)
+    roots = np.empty(np.shape(lanes))
+    if not roots.size:
+        return roots
     at = np.arange(roots.size)  # where each live lane's root goes
     x3 = f3 = None
+    rel = 4 * np.finfo(float).eps
     for iteration in range(opt.max_iter + 1):
-        smaller = np.abs(f1) < np.abs(f2)
-        best = np.where(smaller, x1, x2)
-        roots[at] = best
-        width = np.abs(x2 - x1)
-        tol = opt.xtol + 4 * np.finfo(float).eps * np.abs(best)
-        going = (width >= tol) & (np.where(smaller, f1, f2) != 0.0)
-        if iteration == opt.max_iter or not going.any():
-            break
-        at, lanes, x1, x2, f1, f2, width, tol = (
-            v[going] for v in (at, lanes, x1, x2, f1, f2, width, tol))
+        a1, a2 = np.abs(f1), np.abs(f2)
+        best = np.where(a1 < a2, x1, x2)
+        dx = x2 - x1
+        width = np.abs(dx)
+        tol = opt.xtol + rel * np.abs(best)
+        going = (width >= tol) & (np.minimum(a1, a2) != 0.0)
+        if iteration == opt.max_iter or not going.all():
+            roots[at] = best  # the last word for the lanes that stop
+            if iteration == opt.max_iter or not going.any():
+                break
+            at, lanes, x1, x2, f1, f2, dx, width, tol = (
+                v[going] for v in (at, lanes, x1, x2, f1, f2, dx, width, tol))
+            if x3 is not None:
+                x3, f3 = x3[going], f3[going]
         if x3 is None:
-            t = np.full(x1.shape, 0.5)
+            t = 0.5
         else:
-            x3, f3 = x3[going], f3[going]
             with np.errstate(divide="ignore", invalid="ignore"):
+                d12, d32 = f1 - f2, f3 - f2
                 xi = (x1 - x2) / (x3 - x2)
-                phi = (f1 - f2) / (f3 - f2)
+                phi = d12 / d32
                 quadratic = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
-                t = np.where(quadratic,
-                             f1 / (f1 - f2) * f3 / (f3 - f2)
-                             - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-            t = np.clip(t, 0.5 * tol / width, 1 - 0.5 * tol / width)
-        x = x1 + t * (x2 - x1)
+                t = np.where(quadratic, f1 / d12 * f3 / d32
+                             - (x3 - x1) / dx * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            edge = 0.5 * tol / width
+            t = np.minimum(np.maximum(t, edge), 1 - edge)
+        x = x1 + t * dx
         f = fn(x, lanes)
         same = np.sign(f) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
@@ -269,9 +283,8 @@ def _c_plus_maximum(slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec,
     a, b = (lo, hi) if guess is None else np.clip(
         [guess - opt.xtol / 2, guess + opt.xtol / 2], lo, hi)
     each = np.arange(lanes)
-    s = slope(np.repeat([b, a], lanes), np.r_[each, each])
-    x1, x2, f1, f2 = (np.array(np.broadcast_to(v, lanes), float)
-                      for v in (a, b, s[lanes:], s[:lanes]))
+    s = slope(np.repeat([b, a], lanes), np.tile(each, 2))
+    x1, x2, f1, f2 = np.full(lanes, a), np.full(lanes, b), s[lanes:], s[:lanes]
     above = (f2 >= 0.0) & (x2 < hi)  # the root lies in [b, hi]
     below = (f2 < 0.0) & (f1 <= 0.0) & (x1 > lo)  # in [lo, a]
     side = above | below
@@ -289,32 +302,53 @@ def _c_plus_maximum(slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec,
     return x
 
 
-def _c_minus_minima(f: Callable, slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec):
-    """All local minima (x, f(x)) of f over the c_- box, lowest first.
+def _lane_minima(value: Callable, slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec,
+                 lanes: int) -> list:
+    """Per lane, all local minima (x, value) over the c_- box, lowest first.
 
-    f and slope = df/dc_- each evaluate an array of c_- in one call.  The
-    slope on a grid of the box, the guard against the multiple minima of
+    value(x, i) and slope(x, i, node) evaluate lane i[k] at c_- = x[k], for
+    every k, in one call; slope is the derivative in c_-.  One slope grid
+    over the box for all lanes, the guard against the multiple minima of
     first-order transitions, finds every minimum at the grid's resolution:
     a box end where the slope points out of the box, and the root of the
     slope in each grid cell where it turns from - to +.  No two of these
-    coincide.  The slope vanishes at c_- = 0 by symmetry, so a node at 0 is
-    probed at xtol instead.  For eta_- = 0 the payoff is c_-^2 plus a
-    function of c_+ alone, and its maximum over c_+ is c_-^2 plus a
-    constant: the origin is the only minimum of both, and no search is
-    needed.
+    coincide.  The roots of every cell of every lane are found together,
+    and value is evaluated once, at all the minima.  The slope vanishes at
+    c_- = 0 by symmetry, so a node at 0 is probed at x = xtol; node is the
+    grid node (or root step) that x stands for, and a lane whose strategy
+    depends on c_- (the sharp profile's r_+) takes it at the node.  For
+    eta_- = 0 the payoff is c_-^2 plus a function of c_+ alone, and its
+    maximum over c_+ is c_-^2 plus a constant: the origin is the only
+    minimum of both, and no search is needed.
     """
+    each = np.arange(lanes)
     if mf.eta_minus == 0.0:
-        return [(0.0, float(f(np.zeros(1))[0]))]
+        return [[(0.0, fx)] for fx in value(np.zeros(lanes), each).tolist()]
     xs = np.linspace(*opt.c_minus_box, opt.grid_points)
     probe = np.where(xs > 0.0, xs, opt.xtol)
-    s = slope(probe)
-    j = np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0))  # cells where the slope turns to +
-    roots = _lane_roots(lambda x, _: slope(x), probe[j], probe[j + 1], s[j], s[j + 1],
-                        np.arange(j.size), opt)
-    x = np.r_[xs[:1][s[:1] >= 0.0], roots, xs[-1:][s[-1:] < 0.0]]  # ends pointing out, roots
-    fx = f(x)
-    order = np.argsort(fx, kind="stable")
-    return list(zip(x[order].tolist(), fx[order].tolist()))
+    s = slope(np.tile(probe, lanes), np.repeat(each, xs.size),
+              np.tile(xs, lanes)).reshape(lanes, xs.size)
+    i, j = np.nonzero((s[:, :-1] < 0.0) & (s[:, 1:] >= 0.0))  # cells where the slope turns to +
+    roots = _lane_roots(lambda x, k: slope(x, k, x), probe[j], probe[j + 1],
+                        s[i, j], s[i, j + 1], i, opt)
+    low, high = np.flatnonzero(s[:, 0] >= 0.0), np.flatnonzero(s[:, -1] < 0.0)  # ends pointing out
+    lane = np.concatenate((low, i, high))
+    order = np.argsort(lane, kind="stable")  # per lane: low end, roots by cell, high end
+    lane = lane[order]
+    x = np.concatenate((np.full(low.size, xs[0]), roots, np.full(high.size, xs[-1])))[order]
+    fx = value(x, lane)
+    order = np.lexsort((fx, lane))  # stable: equal values keep the order above
+    minima = list(zip(x[order].tolist(), fx[order].tolist()))
+    ends = np.cumsum(np.bincount(lane, minlength=lanes)).tolist()
+    return [minima[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _c_minus_minima(f: Callable, slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec):
+    """All local minima (x, f(x)) of f over the c_- box, lowest first: the
+    one-lane case of `_lane_minima`.  f and slope = df/dc_- each evaluate
+    an array of c_- in one call; slope is called at the probes (xtol for a
+    node at 0) and at the root steps."""
+    return _lane_minima(lambda x, _: f(x), lambda x, _, node: slope(x), mf, opt, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +374,7 @@ def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = No
     lanes = cm.ravel()
 
     def slope(c_plus, i):
-        return _gap_map(mf, GamePoint(lanes[i], c_plus), quad, tally)[1] - c_plus
+        return _gap_map(mf, lanes[i], c_plus, quad, tally)[1] - c_plus
 
     x = _plain(_c_plus_maximum(slope, mf, opt, lanes.size).reshape(cm.shape))
     value = payoff(mf, GamePoint(_plain(cm), x), quad, tally)
@@ -358,8 +392,11 @@ def _sharp_search(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec)
     """The sharp search: the local minima of payoff(c_-, r_+(c_-)), with r_+
     computed once per c_-; the new c_- of one search step are solved
     together.  The profile's slope is the c_- gap equation at
-    (c_-, r_+(c_-)) by the envelope theorem.  Cached by value, as
-    `_bz_table` is; a raised error is not kept.
+    (c_-, r_+(c_-)) by the envelope theorem.  The grid's one
+    `decision_rule` call solves r_+ at every node, c_- = 0 included, and
+    the slope there is probed at (xtol, r_+(0)); a minimum at the origin
+    reuses that reply, so a normal-phase game solves r_+ once.  Cached by
+    value, as `_bz_table` is; a raised error is not kept.
     """
     tally = ZoneTally()
     replies = {}
@@ -373,14 +410,14 @@ def _sharp_search(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec)
                                         r.payoff_value.tolist(), r.at_boundary.tolist())))
         return [replies[x] for x in keys]
 
-    def sharp_value(xs):
+    def sharp_value(xs, _):
         return np.array([r.payoff_value for r in reply_plus(xs)])
 
-    def sharp_slope(xs):
-        c_plus = np.array([r.c_plus for r in reply_plus(xs)])
-        return _c_minus_slope(mf, GamePoint(xs, c_plus), quad, tally)
+    def sharp_slope(xs, _, nodes):
+        c_plus = np.array([r.c_plus for r in reply_plus(nodes)])
+        return _minus_slope(mf, xs, c_plus, quad, tally)
 
-    minima = tuple(_c_minus_minima(sharp_value, sharp_slope, mf, opt))
+    minima = tuple(_lane_minima(sharp_value, sharp_slope, mf, opt, 1)[0])
     return _SharpSearch(minima, MappingProxyType(replies), tally)
 
 
@@ -396,9 +433,9 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
     where r_- jumps between basins, and its slope is the c_+ gap equation
     at r_-.  Its root is bracketed first within xtol/2 of the sharp reply
     c_+* = r_+(c_-*): at a saddle point it lies there, and two replies
-    r_- pin it.  Otherwise the slope's signs there give the side of c_+*
-    on which the root lies, and only that side is searched, so the guess
-    never changes the answer.
+    r_-, solved in one pass, pin it.  Otherwise the slope's signs there
+    give the side of c_+* on which the root lies, and only that side is
+    searched, so the guess never changes the answer.
 
     A game is solved at most once per process: the result is cached by the
     value of (mf, quad, opt), with None resolved to the defaults, so equal
@@ -413,26 +450,29 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
 def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) -> GameResult:
     search = _sharp_search(mf, quad, opt)
     tally = replace(search.tally)  # the game's work includes the search's
-
-    @functools.cache
-    def reply_minus(c_plus):
-        return _c_minus_minima(
-            lambda xs: payoff(mf, GamePoint(xs, c_plus), quad, tally),
-            lambda xs: _c_minus_slope(mf, GamePoint(xs, c_plus), quad, tally), mf, opt)[0]
+    flat = {}  # c_+ -> (r_-(c_+), the payoff there, the gap map there)
 
     def flat_slope(c_plus, _):
-        c_minus = np.array([reply_minus(c)[0] for c in c_plus.tolist()])
-        return _gap_map(mf, GamePoint(c_minus, c_plus), quad, tally)[1] - c_plus
+        minima = _lane_minima(
+            lambda xs, i: payoff(mf, GamePoint(xs, c_plus[i]), quad, tally),
+            lambda xs, i, _: _minus_slope(mf, xs, c_plus[i], quad, tally), mf, opt, c_plus.size)
+        c_minus, value = np.array([lane[0] for lane in minima]).T
+        rhs = np.array(_gap_map(mf, c_minus, c_plus, quad, tally))
+        flat.update(zip(c_plus.tolist(), zip(c_minus.tolist(), value.tolist(), rhs.T.tolist())))
+        return rhs[1] - c_plus
 
     (cm_sharp, sharp_val), *others = search.minima
     reply = search.replies[cm_sharp]
     argmin_sharp = GamePoint(cm_sharp, reply.c_plus)
     cp_flat = float(_c_plus_maximum(flat_slope, mf, opt, 1, guess=reply.c_plus)[0])
-    cm_flat, flat_val = reply_minus(cp_flat)
+    if cp_flat not in flat:  # eta_+ = 0: the maximum needed no slope
+        flat_slope(np.array([cp_flat]), None)
+    cm_flat, flat_val, rhs_flat = flat[cp_flat]
     argmax_flat = GamePoint(cm_flat, cp_flat)
     degenerate = tuple(GamePoint(x, search.replies[x].c_plus) for x, fx in others
                        if fx - sharp_val <= opt.degeneracy_window)
-    residuals = [gap_residual(mf, g, quad, tally) for g in (argmin_sharp, argmax_flat)]
+    residuals = (gap_residual(mf, argmin_sharp, quad, tally),
+                 _residual(cm_flat, cp_flat, rhs_flat))  # the flat slope's own gap map
     p_sharp, p_flat = -sharp_val, -flat_val
     return GameResult(
         p_sharp=p_sharp,
@@ -457,16 +497,26 @@ def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) 
 # ---------------------------------------------------------------------------
 
 
-def _gap_map(mf, g: GamePoint, quad, tally=None):
-    pair, density = bz_gibbs_expectations(mf, g.c_minus, g.c_plus, quad, tally)
-    rhs_minus = math.sqrt(mf.eta_minus) * np.real(pair)
-    rhs_plus = math.sqrt(mf.eta_plus) * density
-    return rhs_minus, rhs_plus
+def _gap_map(mf, c_minus, c_plus, quad, tally=None):
+    """(sqrt(eta_-) pair, sqrt(eta_+) density) at arrays of strategies."""
+    pair, density = bz_gibbs_expectations(mf, c_minus, c_plus, quad, tally)
+    return math.sqrt(mf.eta_minus) * pair, math.sqrt(mf.eta_plus) * density
+
+
+def _minus_slope(mf, c_minus, c_plus, quad, tally):
+    """d payoff / d c_- = 2 (c_- - sqrt(eta_-) pair), the c_- gap equation,
+    at arrays of strategies."""
+    return 2.0 * (c_minus - _gap_map(mf, c_minus, c_plus, quad, tally)[0])
 
 
 def _c_minus_slope(mf, g: GamePoint, quad, tally):
-    """d payoff / d c_- = 2 (c_- - sqrt(eta_-) Re pair), the c_- gap equation."""
-    return 2.0 * (g.c_minus - _gap_map(mf, g, quad, tally)[0])
+    """`_minus_slope` at the strategies of the game point g."""
+    return _minus_slope(mf, g.c_minus, g.c_plus, quad, tally)
+
+
+def _residual(c_minus, c_plus, rhs):
+    """Distance of (c_-, c_+) from its gap map rhs = (rhs_-, rhs_+)."""
+    return math.hypot(c_minus - rhs[0], c_plus - rhs[1])
 
 
 def gap_residual(mf: MeanFieldParams, g: GamePoint,
@@ -477,8 +527,7 @@ def gap_residual(mf: MeanFieldParams, g: GamePoint,
     Zero exactly at self-consistent (stationary) points of the payoff;
     equal to half the payoff gradient norm.
     """
-    rhs_minus, rhs_plus = _gap_map(mf, g, quad, tally)
-    return math.hypot(g.c_minus - rhs_minus, g.c_plus - rhs_plus)
+    return _residual(g.c_minus, g.c_plus, _gap_map(mf, g.c_minus, g.c_plus, quad, tally))
 
 
 def solve_gap_fixed_point(mf: MeanFieldParams, quad: QuadratureSpec | None = None,

@@ -54,12 +54,15 @@ __all__ = [
 
 
 def _tanh_over_e(energy, beta):
-    """tanh(beta E / 2) / E with the E -> 0 limit beta/2; vectorized."""
-    energy = np.asarray(energy, float)
+    """tanh(beta E / 2) / E with the E -> 0 limit beta/2, for an array E >= 0;
+    the series replaces the quotient only where beta E / 2 < 1e-6."""
     x = 0.5 * beta * energy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.tanh(x) / energy
     small = x < 1e-6
-    safe = np.where(small, 1.0, energy)
-    out = np.where(small, 0.5 * beta * (1.0 - x * x / 3.0), np.tanh(x) / safe)
+    if small.any():
+        x = x[small]
+        out[small] = 0.5 * beta * (1.0 - x * x / 3.0)
     return out
 
 
@@ -144,18 +147,22 @@ def _plain(x):
 
 
 def _zone(mf, c_minus, c_plus, scheme, n, tally=None):
-    """eps~ at the zone nodes (c_+ lanes..., nodes), the pairing fields
-    (c_- lanes..., 1) and the node weights; the lanes broadcast together."""
+    """eps~ at the zone nodes (c_+ lanes..., nodes), the pairing-field
+    moduli |g| (c_- lanes..., 1) and the node weights; the lanes broadcast
+    together.  The fields are those of `MeanFieldParams.approximating_fields`,
+    with the real modulus |g| = sqrt(eta_-) |c_-| in place of g: the kernels
+    depend on the pairing field through |g| alone."""
     hhat, W = _bz_table(mf.hopping, scheme, n)
-    shift, gap = mf.approximating_fields(c_minus, c_plus)
+    shift = 2.0 * math.sqrt(mf.eta_plus) * np.real(c_plus)
+    modulus = math.sqrt(mf.eta_minus) * np.abs(c_minus)
     if tally is not None:
         tally.kernel_calls += 1
-    return hhat + np.asarray(shift)[..., None], np.asarray(gap)[..., None], W
+    return hhat + np.asarray(shift)[..., None], np.asarray(modulus)[..., None], W
 
 
 def _pressure_at(mf, c_minus, c_plus, scheme, n, tally=None):
-    eps, gap, W = _zone(mf, c_minus, c_plus, scheme, n, tally)
-    return (per_k_log_trace(eps, gap, mf.beta) @ W) / mf.beta
+    eps, modulus, W = _zone(mf, c_minus, c_plus, scheme, n, tally)
+    return (per_k_log_trace(eps, modulus, mf.beta) @ W) / mf.beta
 
 
 def quasifree_pressure(mf: MeanFieldParams, c_minus, c_plus,
@@ -213,10 +220,11 @@ def bz_gibbs_expectations(mf: MeanFieldParams, c_minus, c_plus,
       density = (2 pi)^{-d} int (1 - eps~ tanh(beta E/2)/E) dk,
     the right-hand sides of the self-consistency (gap) equations up to the
     sqrt(eta) normalization applied by the caller; numbers for one
-    strategy, arrays for lanes.
+    strategy, arrays for lanes.  The pair is real for real c_-.
     """
     quad = quad or QuadratureSpec()
     n = quad.resolve_points(mf.hopping.d)
-    eps, gap, W = _zone(mf, c_minus, c_plus, quad.scheme, n, tally)
-    t = _tanh_over_e(np.hypot(eps, np.abs(gap)), mf.beta)
-    return _plain(gap[..., 0] * ((0.5 * t) @ W)), _plain((1.0 - eps * t) @ W)
+    eps, modulus, W = _zone(mf, c_minus, c_plus, quad.scheme, n, tally)
+    t = _tanh_over_e(np.hypot(eps, modulus), mf.beta)
+    gap = math.sqrt(mf.eta_minus) * np.asarray(c_minus)  # g, with the phase of c_-
+    return _plain(gap * ((0.5 * t) @ W)), _plain((1.0 - eps * t) @ W)

@@ -484,7 +484,7 @@ def test_cli_game_without_refinement_check(tmp_path, capsys):
     assert main(["game", "--config", path]) == 0
     result = json.loads(capsys.readouterr().out)["game"]["16.0"]
     assert result["refinement_margin"] == 0.0
-    assert result["kernel_calls"] == 26
+    assert result["kernel_calls"] == 14
     assert abs(result["p_sharp"] - 0.0038252499320716882) <= 1e-12
 
 

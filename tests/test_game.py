@@ -210,6 +210,16 @@ def test_game_quadrature_budget(monkeypatch):
                                 + calls.count("bz_gibbs_expectations"))
 
 
+@pytest.mark.parametrize("beta, eta_minus, kernel_calls", [(2.0, 1.0, 15), (8.0, 2.0, 88)],
+                         ids=["normal_phase", "ordered"])
+def test_kernel_calls_are_pinned(beta, eta_minus, kernel_calls):
+    # 28 and 98 before the grid solved r_+ at c_- = 0 and the flat pass was batched
+    mf = MeanFieldParams(beta=beta, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=eta_minus)
+    clear_game_caches()
+    assert solve_game(mf, QUAD, OPT).kernel_calls == kernel_calls
+
+
 def test_game_counters_repeat_exactly():
     mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=2.0)
@@ -466,6 +476,42 @@ def test_flat_value_is_the_profile_maximum_across_basin_jumps():
     assert -res.p_flat >= max(value for _, value in profile) - 1e-12
 
 
+def test_batched_c_minus_minima_equal_one_lane_searches():
+    # the flat search's replies r_- of several c_+ in one pass, on both
+    # sides of the ordering transition, against one search per c_+
+    mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=2.0)
+    c_plus = np.array([0.0, 0.03, 0.0659, 0.066, 0.07, 0.08, 0.5, 2.0])
+    lanes = game._lane_minima(
+        lambda cm, i: payoff(mf, GamePoint(cm, c_plus[i]), QUAD),
+        lambda cm, i, _: game._minus_slope(mf, cm, c_plus[i], QUAD, None), mf, OPT, c_plus.size)
+    assert len(lanes) == c_plus.size
+    for cp, batched in zip(c_plus.tolist(), lanes):
+        alone = game._c_minus_minima(
+            lambda cm: payoff(mf, GamePoint(cm, cp), QUAD),
+            lambda cm: game._c_minus_slope(mf, GamePoint(cm, cp), QUAD, None), mf, OPT)
+        assert len(batched) == len(alone)
+        for (x, value), (x1, value1) in zip(batched, alone):
+            assert abs(x - x1) <= 1e-15 and abs(value - value1) <= 1e-15
+
+
+def test_batched_c_minus_minima_keep_each_lanes_order():
+    # tilted double wells: two minima in some lanes, one or a box end in others
+    tilt = np.array([0.01, -0.01, 0.0, 0.2, -0.3, 0.01])
+
+    def f(x, t):
+        return (x - 0.2) ** 2 * (x - 0.7) ** 2 + t * x
+
+    def slope(x, t):
+        return 2 * (x - 0.2) * (x - 0.7) * (2 * x - 0.9) + t
+
+    lanes = game._lane_minima(lambda x, i: f(x, tilt[i]), lambda x, i, _: slope(x, tilt[i]),
+                              flat_attractive(), OPT, tilt.size)
+    assert [len(lane) for lane in lanes] == [2, 2, 2, 1, 1, 2]
+    for t, batched in zip(tilt.tolist(), lanes):
+        assert batched == c_minus_minima(lambda x: f(x, t), lambda x: slope(x, t))
+
+
 def c_minus_minima(f, slope, opt=OPT):
     """The minima of a synthetic f with its slope, searched as the game
     searches c_-."""
@@ -589,6 +635,25 @@ def test_each_best_reply_is_computed_once(monkeypatch):
     assert len(seen) == len(set(seen))  # r_+ at the sharp argmin is reused, not recomputed
 
 
+def test_a_normal_phase_game_calls_the_decision_rule_once(monkeypatch):
+    # the grid's one call solves r_+ at the node c_- = 0 itself, so the
+    # minimum at the origin reuses that reply: no second c_+ search
+    seen = []
+
+    def recorder(mf, c_minus, *args, **kwargs):
+        seen.append(np.atleast_1d(c_minus).tolist())
+        return decision_rule(mf, c_minus, *args, **kwargs)
+
+    monkeypatch.setattr(game, "decision_rule", recorder)
+    mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=1.0)
+    clear_game_caches()
+    res = solve_game(mf, QUAD, OPT)
+    assert res.argmin_sharp.c_minus == 0.0
+    assert len(seen) == 1
+    assert 0.0 in seen[0] and OPT.xtol not in seen[0]
+
+
 # -- gap equations --------------------------------------------------------------------
 
 
@@ -603,6 +668,26 @@ def test_gap_residual_zero_at_game_optimizer_positive_elsewhere():
     res = solve_game(mf, QUAD, OPT)
     assert gap_residual(mf, res.argmin_sharp, QUAD) <= 1e-8
     assert gap_residual(mf, GamePoint(0.9, 1.7), QUAD) > 1e-3
+
+
+def test_flat_residual_is_read_from_the_flat_slopes_gap_map(monkeypatch):
+    # the flat slope evaluated the gap map at argmax_flat; only the sharp
+    # residual is a call of its own
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return gap_residual(*args, **kwargs)
+
+    monkeypatch.setattr(game, "gap_residual", counted)
+    for beta, eta_minus in ((2.0, 1.0), (8.0, 2.0)):
+        mf = MeanFieldParams(beta=beta, hopping=discrete_laplacian(1),
+                             eta_plus=1.0, eta_minus=eta_minus)
+        clear_game_caches()
+        calls.clear()
+        res = solve_game(mf, QUAD, OPT)
+        assert calls == [res.argmin_sharp]
+        assert abs(res.gap_residual_flat - gap_residual(mf, res.argmax_flat, QUAD)) <= 1e-15
 
 
 def test_gap_residual_equals_half_gradient_norm():

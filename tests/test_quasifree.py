@@ -291,6 +291,22 @@ def test_bz_expectations_against_one_site_trace():
     assert density == pytest.approx(density_oracle, abs=1e-13)
 
 
+def test_pair_is_real_for_real_c_minus_and_turns_with_a_complex_one():
+    mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1), eta_plus=0.5, eta_minus=1.5)
+    pair, density = bz_gibbs_expectations(mf, 0.3, 0.2, QuadratureSpec())
+    assert isinstance(pair, float)
+    turned, same = bz_gibbs_expectations(mf, 0.3 * np.exp(0.9j), 0.2, QuadratureSpec())
+    assert abs(turned - pair * np.exp(0.9j)) <= 1e-15 and abs(same - density) <= 1e-15
+
+
+def test_tanh_over_e_takes_its_limit_at_zero_energy(recwarn):
+    beta = 2.0
+    got = quasifree._tanh_over_e(np.array([0.0, 1e-9, 0.5, 40.0]), beta)
+    assert got[0] == 1.0 and abs(got[1] - 1.0) <= 1e-15
+    assert got[2:].tolist() == pytest.approx([math.tanh(0.5) / 0.5, 1.0 / 40.0], rel=1e-15)
+    assert not recwarn.list  # no division warning at E = 0
+
+
 def test_invalid_inputs():
     mf = MeanFieldParams(beta=1.0, hopping=zero_kernel())
     with pytest.raises(ConfigError):
