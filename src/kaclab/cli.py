@@ -25,7 +25,7 @@ import numpy as np
 from . import game, quasifree, sweep
 from .config import config_hash, parse_config
 from .errors import AccuracyError, CapacityError, ConfigError, KaclabError
-from .lattice import LatticeBox
+from .lattice import PERIODIC, LatticeBox
 from .potentials import PlainGaussian, cone_check, poisson_sum
 from .store import PLOT_KINDS, ResultStore, emit_plot_data
 
@@ -58,28 +58,37 @@ def cmd_validate_potential(args) -> int:
 
 def cmd_pressure(args) -> int:
     """pressure-ed (the Kac model) and pressure-mf (its mean-field model):
-    ED pressure and density at every beta and L.  pressure-ed takes the
+    exact pressure and density at every beta and L.  pressure-ed takes the
     first entry of each gamma schedule (`ExperimentConfig.model_params`)
-    and ignores the rest."""
-    from . import fock
-
+    and ignores the rest.  On a periodic box pressure-mf solves the pair
+    problems of `meanfield`; every other call diagonalizes the Fock space
+    (`fock`)."""
     cfg = parse_config(args.config)
+    mean_field = args.command == "pressure-mf"
+    if mean_field and cfg.boundary == PERIODIC:
+        from .meanfield import pressure_and_density as solve
+    else:
+        from . import fock
+
+        build = fock.build_meanfield_hamiltonian if mean_field else fock.build_kac_hamiltonian
+
+        def solve(params, box, cap):
+            obs = fock.gibbs_observables(build(params, box, cap), params.beta)
+            return obs.pressure, obs.density
+
     rows = []
     for beta in cfg.beta:
-        if args.command == "pressure-ed":
+        if mean_field:
+            params = cfg.meanfield_params(beta)
+            model = {"eta_plus": params.eta_plus, "eta_minus": params.eta_minus}
+        else:
             params = cfg.model_params(beta)
-            build = fock.build_kac_hamiltonian
             model = {"gamma_minus": params.gamma_minus, "gamma_plus": params.gamma_plus,
                      "boundary": cfg.boundary}
-        else:
-            params = cfg.meanfield_params(beta)
-            build = fock.build_meanfield_hamiltonian
-            model = {"eta_plus": params.eta_plus, "eta_minus": params.eta_minus}
         for L in cfg.L:
-            op = build(params, LatticeBox(cfg.dimension, L, cfg.boundary), cfg.dimension_cap)
-            obs = fock.gibbs_observables(op, beta)
-            rows.append({"beta": beta, "L": L, **model,
-                         "pressure": obs.pressure, "density": obs.density})
+            p, density = solve(params, LatticeBox(cfg.dimension, L, cfg.boundary),
+                               cfg.dimension_cap)
+            rows.append({"beta": beta, "L": L, **model, "pressure": p, "density": density})
     _emit({args.command.replace("-", "_"): rows})
     return EXIT_OK
 
@@ -199,7 +208,8 @@ def cmd_plot_data(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Fast oracle suite: CAR algebra, two-mode trace, Poisson identity,
-    ED/momentum duality, momentum blocks against plain sector blocks,
+    ED/momentum duality, the mean-field pair problems against ED,
+    momentum blocks against plain sector blocks,
     blocks built from the representatives against those of the global
     matrix, their lowest-weight spectrum against plain sectors, a build
     from a cached plan against plain sectors, and the gauge-fixed
@@ -238,6 +248,17 @@ def cmd_selftest(args) -> int:
     ed = fock.build_approximating_hamiltonian(mf, 0.3, 0.2, LatticeBox(1, 1, "periodic"))
     dual = abs(fock.pressure(ed, mf.beta) - quasifree.finite_grid_pressure(mf, 0.3, 0.2, 1))
     checks.append(("ED / momentum duality (L=1)", dual, 1e-10))
+
+    # the mean-field model from the pair problems of its box, against its ED
+    from .meanfield import pressure_and_density
+
+    defect = 0.0
+    for L in (1, 2):
+        box = LatticeBox(1, L, "periodic")
+        obs = fock.gibbs_observables(fock.build_meanfield_hamiltonian(mf, box), mf.beta)
+        p_mf, density = pressure_and_density(mf, box)
+        defect = max(defect, abs(p_mf - obs.pressure), abs(density - obs.density))
+    checks.append(("mean-field pair problems vs Fock ED, 3 and 5 periodic sites", defect, 1e-12))
 
     def sector_spectrum(H, label):
         """The spectrum of H from its plain sectors, one per value of label,

@@ -94,7 +94,8 @@ remain, of order at most 112, with sum dim^3 = 1.4e7; 93 need a map Q
 lowest weight.  Of the approximating H there, the 14 (parity, q) blocks
 are kept as 10: for each parity, the two inversion halves at k = 0 and
 one block of each pair +-k.  The traces need full spectra, so every kept
-block (or Q^T B Q) is diagonalized in full.
+block (or Q^T B Q) is diagonalized in full, those of one order in one
+stacked ``eigvalsh``.
 
 Where the entries go in the blocks depends on which entries are nonzero,
 never on their values.  So each build is split into a plan (``_plan``):
@@ -118,9 +119,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, KaclabError
+from .errors import ConfigError, KaclabError
 from .lattice import (DEFAULT_DIMENSION_CAP, PERIODIC, LatticeBox, MeanFieldParams, ModelParams,
-                      hopping_matrix, kac_coupling_matrix)
+                      check_fock_dimension, hopping_matrix, kac_coupling_matrix)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -202,7 +203,7 @@ class FockBasis:
 
     def __init__(self, box, dimension_cap: int = DEFAULT_DIMENSION_CAP):
         n = box if isinstance(box, int) else box.n_sites
-        dim = _check_capacity(n, dimension_cap)
+        dim = check_fock_dimension(n, dimension_cap)
         self.n_sites = n
         self.n_modes = 2 * n
         self.dim = dim
@@ -369,20 +370,10 @@ class FockBasis:
         return sp.csr_matrix((sign.astype(float), (dst, src)), shape=(self.dim, self.dim))
 
 
-def _check_capacity(n_sites: int, dimension_cap: int) -> int:
-    """The Fock dimension 4^n_sites; CapacityError if it exceeds the cap."""
-    if n_sites < 1:
-        raise ConfigError("need at least one site")
-    dim = 4**n_sites
-    if dim > dimension_cap:
-        raise CapacityError(f"Fock dimension 4^{n_sites} = {dim} exceeds cap {dimension_cap}")
-    return dim
-
-
 def _box_basis(box: LatticeBox, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> FockBasis:
     """The basis of a box, built once per (d, L, boundary) and process and
     shared by every operator on that box; the cap is checked on every call."""
-    _check_capacity(box.n_sites, dimension_cap)
+    check_fock_dimension(box.n_sites, dimension_cap)
     return _cached_basis(box.d, box.L, box.boundary)
 
 
@@ -538,7 +529,8 @@ class FockOperator:
         self.blocks = blocks
         self.mult = mult if mult is not None else dict.fromkeys(blocks, 1)
         self.lowest: dict = {}  # key -> _LowestWeight, set by from_sparse for site data
-        self._eigs: dict | None = None
+        self._stack: _Stack | None = None  # see _spectra; from the plan for site data
+        self._eigs: np.ndarray | None = None
 
     @classmethod
     def from_sparse(cls, basis: FockBasis, H: sp.spmatrix | _Sites,
@@ -568,9 +560,9 @@ class FockOperator:
         """
         if isinstance(H, _Sites):
             plan, values = _site_plan(basis, blocking, H)
-            lowest = basis._lowest_weights() if blocking == NUMBER else {}
             op = cls(basis, blocking, _scatter(plan, values), dict(plan.mult))
-            op.lowest = lowest
+            op.lowest = basis._lowest_weights() if blocking == NUMBER else {}
+            op._stack = plan.stack
             return op
         import scipy.sparse as sp
 
@@ -606,16 +598,23 @@ class FockOperator:
         B = self.blocks[key]
         return self.lowest[key].project(B) if key in self.lowest else B
 
-    def _spectra(self) -> dict:
+    def _spectra(self) -> tuple:
+        """The eigenvalues of every kept block, concatenated in the order of
+        its ``_Stack``, and that stack: the blocks of one order go through
+        one stacked ``eigvalsh``."""
+        if self._stack is None:
+            self._stack = _stack(self.sector_dimensions(), self.mult)
         if self._eigs is None:
-            self._eigs = {k: np.linalg.eigvalsh(self._reduced(k)) for k in self.blocks}
-        return self._eigs
+            self._eigs = np.concatenate([np.linalg.eigvalsh(np.stack(
+                [self._reduced(k) for k in keys])).ravel() for keys in self._stack.groups])
+        return self._eigs, self._stack
 
     def eigensystem(self, vectors: bool = False) -> dict:
         """Per-block eigenvalues (ascending) and optionally eigenvectors, in
         the basis of the block (Q V for the eigenvectors V of Q^T B Q)."""
         if not vectors:
-            return {k: (w, None) for k, w in self._spectra().items()}
+            w, stack = self._spectra()
+            return {k: (w[at:at + n], None) for k, at, n in stack.slices}
         out = {}
         for k, B in self.blocks.items():
             w, V = np.linalg.eigh(self._reduced(k))
@@ -624,8 +623,35 @@ class FockOperator:
 
     def eigenvalues(self) -> np.ndarray:
         """The full spectrum: each block's eigenvalues, repeated by its multiplicity."""
-        return np.sort(np.concatenate([np.tile(w, self.mult[k])
-                                       for k, w in self._spectra().items()]))
+        w, stack = self._spectra()
+        return np.sort(np.repeat(w, stack.mult))
+
+
+class _Stack(NamedTuple):
+    """The kept blocks of an operator grouped by the order of the matrix
+    diagonalized for each (``FockOperator.sector_dimensions``), and per
+    eigenvalue of their concatenated spectra, group by group and block by
+    block, the block's multiplicity and first charge (N under number
+    blocking)."""
+
+    groups: list        # the keys of each order, by order
+    slices: list        # (key, start, order) of each block in the spectrum
+    mult: np.ndarray    # (eigenvalues,)
+    charge: np.ndarray  # (eigenvalues,)
+
+
+def _stack(dims: dict, mult: dict) -> _Stack:
+    """The ``_Stack`` of blocks of these orders and multiplicities."""
+    by_order = {}
+    for key, n in dims.items():
+        by_order.setdefault(n, []).append(key)
+    groups = [by_order[n] for n in sorted(by_order)]
+    keys = [key for group in groups for key in group]
+    orders = [dims[key] for key in keys]
+    starts = np.cumsum([0] + orders[:-1]).tolist()
+    return _Stack(groups, list(zip(keys, starts, orders)),
+                  np.repeat([mult[key] for key in keys], orders),
+                  np.repeat([key[0] for key in keys], orders))
 
 
 class _Plan(NamedTuple):
@@ -638,6 +664,7 @@ class _Plan(NamedTuple):
     size: int           # length of the buffer
     blocks: list        # (key, offset, order) of each stored block
     mult: dict          # key -> multiplicity of each stored block
+    stack: _Stack | None = None  # of the operators of site data (``_site_plan``)
 
 
 def _plan(basis: FockBasis, layout: _Blocks, entries: tuple, mult: np.ndarray) -> _Plan:
@@ -727,7 +754,7 @@ def _site_plan(basis: FockBasis, blocking: str, H: _Sites) -> tuple:
 
     The plan is made once per basis, blocking and ``_Sites.pattern``; it
     keeps the number blocks of ``_spin_classes`` and the parity blocks of
-    the k <-> -k classes."""
+    the k <-> -k classes, and the ``_Stack`` of its operators' spectra."""
     states = basis.inversion_reps
     values = H.values(basis, states)
     key = (blocking, H.pattern())
@@ -737,7 +764,10 @@ def _site_plan(basis: FockBasis, blocking: str, H: _Sites) -> tuple:
         row, col, value, sign = entries = _entries(states, H.products(basis))
         _check_sectors(layout, blocking, row, col, sign, basis.inversion_rep)
         mult = _spin_classes(layout)[0] if blocking == NUMBER else _classes(layout, False)
-        plan = basis._plans[key] = _plan(basis, layout, entries, mult)
+        plan = _plan(basis, layout, entries, mult)
+        lowest = basis._lowest_weights() if blocking == NUMBER else {}
+        dims = {k: lowest[k].width if k in lowest else n for k, _, n in plan.blocks}
+        plan = basis._plans[key] = plan._replace(stack=_stack(dims, plan.mult))
     H.check_symmetries(basis)
     return plan, values
 
@@ -1072,21 +1102,23 @@ def _approximating_sites(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
 # ---------------------------------------------------------------------------
 
 
-def _boltzmann(op: FockOperator, beta: float, eig: dict) -> tuple:
+def _boltzmann(beta: float, w: np.ndarray, mult: np.ndarray) -> tuple:
     """ln Tr exp(-beta H), and the Gibbs weights mult exp(-beta w) / Tr
-    exp(-beta H) of the eigenvalues w of each kept block (``eig`` holds
-    them as ``op.eigensystem`` does), summed relative to the ground energy."""
+    exp(-beta H) of the eigenvalues w of H, each counted mult times,
+    summed relative to the ground energy."""
     if beta <= 0:
         raise ConfigError("beta must be positive")
-    e0 = min(w.min() for w, _ in eig.values())
-    weights = {key: op.mult[key] * np.exp(-beta * (w - e0)) for key, (w, _) in eig.items()}
-    Z = sum(float(x.sum()) for x in weights.values())
-    return np.log(Z) - beta * e0, {key: x / Z for key, x in weights.items()}
+    e0 = w.min()
+    weights = mult * np.exp(-beta * (w - e0))
+    Z = weights.sum()
+    return np.log(Z) - beta * e0, weights / Z
 
 
 def pressure(op: FockOperator, beta: float) -> float:
     """(1/(beta |box|)) ln Tr exp(-beta H), summed over the kept blocks."""
-    log_trace, _ = _boltzmann(op, beta, op.eigensystem())
+    op.eigensystem()  # the spectra, kept concatenated by _spectra
+    w, stack = op._spectra()
+    log_trace, _ = _boltzmann(beta, w, stack.mult)
     return float(log_trace) / (beta * op.basis.n_sites)
 
 
@@ -1131,21 +1163,24 @@ def gibbs_observables(op: FockOperator, beta: float) -> GibbsObservables:
     """
     basis = op.basis
     n = basis.n_sites
-    sectors = basis.sectors(op.blocking)
     parity = op.blocking == PARITY
     eig = op.eigensystem(vectors=parity)
-    log_trace, weights = _boltzmann(op, beta, eig)
-    energy = density = pair = 0.0
-    for key, (w, U) in eig.items():
-        p = weights[key]
-        energy += float(p @ w)
-        if not parity:
-            density += float(p.sum()) * key[0]
-            continue
-        # a Bloch state holds the particle number of its representative
-        n_vec = basis.n_tot[sectors[key]].astype(float)
-        density += float(p @ np.einsum("si,s,si->i", U, n_vec, U))  # <N> in each eigenstate
     if parity:
+        stack = _stack({key: len(w) for key, (w, _) in eig.items()}, op.mult)
+        w = np.concatenate([eig[key][0] for key, _, _ in stack.slices])
+    else:
+        w, stack = op._spectra()  # eig's spectra, concatenated
+    log_trace, p = _boltzmann(beta, w, stack.mult)
+    energy, pair = float(p @ w), 0.0
+    if not parity:  # every eigenstate of block (N, 2 S_z, q, p) holds N fermions
+        density = float(p @ stack.charge)
+    else:
+        weights = {key: p[at:at + size] for key, at, size in stack.slices}
+        sectors = basis.sectors(PARITY)
+        # <N> in each eigenstate: a Bloch state holds the particle number of its representative
+        density = sum(float(weights[key] @ np.einsum(
+            "si,s,si->i", U, basis.n_tot[sectors[key]].astype(float), U))
+            for key, (_, U) in eig.items())
         field = _diagonals(*_site_plan(basis, PARITY, _Sites(pair_field=1 / (2 * n))), eig)
         pair = op.pair_phase * sum(float(weights[key] @ a) for key, a in field.items())
     density /= n

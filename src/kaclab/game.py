@@ -48,7 +48,8 @@ map of its slope at the flat root gives `gap_residual_flat`.
 Every grid (of all lanes at once), and every step of the roots of many
 strategies at once, is one batched call of the zone kernel (`quasifree`).
 `gap`'s stationary point (`solve_gap_fixed_point`) is the lowest minimum
-of the sharp search.
+of the sharp search, which also keeps the gap residual there that both
+`gap` and `game` report.
 Each game is solved at most once per process: the sharp search and the
 solved game are each kept in an `lru_cache` keyed by the value of the
 model, quadrature and optimizer (all frozen; kernels hash by value, as
@@ -384,6 +385,7 @@ def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = No
 class _SharpSearch(NamedTuple):
     minima: tuple  # the local minima (c_-, value) of the sharp profile, lowest first
     replies: MappingProxyType  # c_- -> the DecisionResult of r_+ at every c_- evaluated
+    residual: float  # gap_residual at the lowest minimum (c_-, r_+(c_-))
     tally: ZoneTally  # the search's work; read it, never add to it
 
 
@@ -395,8 +397,10 @@ def _sharp_search(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec)
     (c_-, r_+(c_-)) by the envelope theorem.  The grid's one
     `decision_rule` call solves r_+ at every node, c_- = 0 included, and
     the slope there is probed at (xtol, r_+(0)); a minimum at the origin
-    reuses that reply, so a normal-phase game solves r_+ once.  Cached by
-    value, as `_bz_table` is; a raised error is not kept.
+    reuses that reply, so a normal-phase game solves r_+ once.  The gap
+    residual at the lowest minimum, which `solve_game` and
+    `solve_gap_fixed_point` both report, is computed here, once.  Cached
+    by value, as `_bz_table` is; a raised error is not kept.
     """
     tally = ZoneTally()
     replies = {}
@@ -418,7 +422,9 @@ def _sharp_search(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec)
         return _minus_slope(mf, xs, c_plus, quad, tally)
 
     minima = tuple(_lane_minima(sharp_value, sharp_slope, mf, opt, 1)[0])
-    return _SharpSearch(minima, MappingProxyType(replies), tally)
+    c_minus = minima[0][0]
+    residual = gap_residual(mf, GamePoint(c_minus, replies[c_minus].c_plus), quad, tally)
+    return _SharpSearch(minima, MappingProxyType(replies), residual, tally)
 
 
 def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
@@ -471,16 +477,14 @@ def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) 
     argmax_flat = GamePoint(cm_flat, cp_flat)
     degenerate = tuple(GamePoint(x, search.replies[x].c_plus) for x, fx in others
                        if fx - sharp_val <= opt.degeneracy_window)
-    residuals = (gap_residual(mf, argmin_sharp, quad, tally),
-                 _residual(cm_flat, cp_flat, rhs_flat))  # the flat slope's own gap map
     p_sharp, p_flat = -sharp_val, -flat_val
     return GameResult(
         p_sharp=p_sharp,
         p_flat=p_flat,
         argmin_sharp=argmin_sharp,
         argmax_flat=argmax_flat,
-        gap_residual_sharp=residuals[0],
-        gap_residual_flat=residuals[1],
+        gap_residual_sharp=search.residual,
+        gap_residual_flat=_residual(cm_flat, cp_flat, rhs_flat),  # the flat slope's own gap map
         saddle_gap=p_flat - p_sharp,
         degenerate_minima=degenerate,
         boundary_flagged=bool(reply.at_boundary
@@ -536,18 +540,16 @@ def solve_gap_fixed_point(mf: MeanFieldParams, quad: QuadratureSpec | None = Non
 
     c_minus and c_plus = r_+(c_minus) equal `solve_game`'s argmin_sharp bit
     for bit; a minimum pinned at a box edge may leave residual > tol_gap.
-    The sharp search is the one `solve_game` runs and reads from the same
-    per-process cache (keyed by value, errors not kept), so a gap after a
-    game of the same model makes one zone-kernel call, its residual's;
-    iterations counts the search's calls and that one either way.
+    The sharp search, its residual included, is the one `solve_game` runs
+    and reads from the same per-process cache (keyed by value, errors not
+    kept), so a gap after a game of the same model makes no zone-kernel
+    call; iterations counts the search's calls, the residual's among them.
     """
-    quad, opt = quad or QuadratureSpec(), opt or OptimizerSpec()
-    search = _sharp_search(mf, quad, opt)
-    tally = replace(search.tally)
+    opt = opt or OptimizerSpec()
+    search = _sharp_search(mf, quad or QuadratureSpec(), opt)
     c_minus = search.minima[0][0]
-    c_plus = search.replies[c_minus].c_plus
-    residual = gap_residual(mf, GamePoint(c_minus, c_plus), quad, tally)
-    return GapSolution(c_minus, c_plus, residual, tally.kernel_calls, residual <= opt.tol_gap)
+    return GapSolution(c_minus, search.replies[c_minus].c_plus, search.residual,
+                       search.tally.kernel_calls, search.residual <= opt.tol_gap)
 
 
 def payoff_gradient_fd(mf: MeanFieldParams, g: GamePoint,

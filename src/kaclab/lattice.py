@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, is_integer, is_number
+from .errors import CapacityError, ConfigError, is_integer, is_number
 from .potentials import PairPotential
 
 __all__ = [
@@ -30,11 +30,23 @@ __all__ = [
     "dispersion",
     "kac_coupling_matrix",
     "hopping_matrix",
+    "check_fock_dimension",
 ]
 
 OPEN, PERIODIC = "open", "periodic"
 DEFAULT_DIMENSION_CAP = 65536  # Fock dimension 4^8, i.e. at most 8 sites
 _BOUNDARIES = (OPEN, PERIODIC)
+
+
+def check_fock_dimension(n_sites: int, dimension_cap: int) -> int:
+    """The Fock dimension 4^n_sites of n_sites sites with two spins;
+    CapacityError if it exceeds the cap."""
+    if n_sites < 1:
+        raise ConfigError("need at least one site")
+    dim = 4**n_sites
+    if dim > dimension_cap:
+        raise CapacityError(f"Fock dimension 4^{n_sites} = {dim} exceeds cap {dimension_cap}")
+    return dim
 
 
 class LatticeBox:

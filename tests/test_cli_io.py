@@ -976,7 +976,8 @@ def test_cli_log_level_sets_which_records_reach_stderr(tmp_path, capsys):
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 9
+    assert out.count("PASS") == 10
+    assert "PASS  mean-field pair problems vs Fock ED, 3 and 5 periodic sites" in out
     assert "PASS  momentum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
     assert "PASS  representative build vs global matrix, 5-site periodic Kac box" in out
     assert "PASS  lowest-weight spectrum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out

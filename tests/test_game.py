@@ -271,14 +271,14 @@ def test_equal_models_parsed_apart_share_one_solved_game(tmp_path, monkeypatch):
     assert cold.kernel_calls > 0  # the counts of the solve that did the work
 
 
-def test_gap_after_a_game_makes_one_kernel_call(monkeypatch):
+def test_gap_after_a_game_makes_no_kernel_call(monkeypatch):
     clear_game_caches()
     cold = solve_gap_fixed_point(CACHED, QUAD, CACHED_OPT)
     clear_game_caches()
     solve_game(CACHED, QUAD, CACHED_OPT)
     calls = zone_calls(monkeypatch)
     warm = solve_gap_fixed_point(CACHED, QUAD, CACHED_OPT)
-    assert len(calls) == 1  # its residual
+    assert len(calls) == 0  # the sharp search kept its residual
     assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
     assert warm.iterations > 1
 

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from kaclab import game, quasifree
+from kaclab import fock, game, quasifree
 from kaclab.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -42,6 +42,7 @@ def test_tracer_fires_every_sweep_span(tmp_path, monkeypatch, capsys):
     argv = ["kac-sweep", "--config", str(path), "--out", str(tmp_path / "results")]
 
     quasifree._bz_table.cache_clear()  # cold, as in a fresh bench process
+    fock._cached_basis.cache_clear()
     game._sharp_search.cache_clear()
     game._solved_game.cache_clear()
     tracer = tracing.Tracer()
