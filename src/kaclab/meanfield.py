@@ -54,7 +54,7 @@ def pressure_and_density(mf: MeanFieldParams, box: LatticeBox,
     n = box.n_sites
     check_fock_dimension(n, dimension_cap)
     beta, hop = mf.beta, mf.eta_minus / n
-    eps = _bz_table(mf.hopping, "midpoint_tensor", box.extent)[0]
+    eps = _bz_table(mf.hopping, box.extent)[0]
     pair = eps + eps[::-1]
     single = np.logaddexp(-beta * eps, -beta * eps[::-1])  # log weight of a blocked mode
     subsets = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # as rows of 0/1

@@ -18,13 +18,16 @@ Fock trace (the authoritative contract) rather than trusted.
 `per_k_log_trace` evaluates it elementwise; it is the one kernel that
 every zone pressure runs and that the contract checks.  The
 infinite-volume pressure is the Brillouin-zone average of this quantity
-divided by beta, computed with tensor Gauss-Legendre (or midpoint)
-quadrature; the finite-grid version is exactly the finite-volume pressure
-of the approximating Hamiltonian with periodic hopping.  Pressures,
-finite grids and expectations are weighted sums over one cached table of
-hhat at the nodes per (hopping kernel value, scheme, points per axis).
-Kernels are values, so the table is built once per process and shared by
-every model, game and CLI call with an equal kernel.
+divided by beta.  The integrand is smooth and periodic in k, so the zone
+rule is the tensor midpoint rule, which converges geometrically for such
+integrands (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  With
+2L+1 points per axis its nodes are the momenta of the periodic box of
+linear size 2L+1, so the finite-grid pressure, exactly the finite-volume
+pressure of the approximating Hamiltonian with periodic hopping, is the
+same rule.  Pressures, finite grids and expectations are sums over one
+cached table of hhat at the nodes per (hopping kernel value, points per
+axis).  Kernels are values, so the table is built once per process and
+shared by every model, game, box and CLI call with an equal kernel.
 
 Strategies broadcast: arrays of c_- and c_+ are lanes, evaluated together
 as lanes x nodes by the same kernel that evaluates one strategy.  A
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, ConfigError, check_numbers, is_integer
 from .lattice import HoppingKernel, MeanFieldParams, dispersion
@@ -81,16 +83,13 @@ def per_k_log_trace(eps, gap, beta):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor quadrature over the Brillouin zone [-pi, pi)^d."""
+    """Tensor midpoint rule over the Brillouin zone [-pi, pi)^d."""
 
-    scheme: str = "gauss_legendre_tensor"
     points_per_axis: int | None = None  # None: 64 for d=1, 48 for d=2, 24 above
     refinement_check: bool = True
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.scheme not in ("gauss_legendre_tensor", "midpoint_tensor"):
-            raise ConfigError(f"unknown quadrature scheme {self.scheme!r}")
         if self.points_per_axis is not None and not (
                 is_integer(self.points_per_axis) and self.points_per_axis >= 2):
             raise ConfigError("points_per_axis must be an integer >= 2")
@@ -107,25 +106,21 @@ class QuadratureSpec:
 
 
 @lru_cache(maxsize=64)
-def _bz_table(h: HoppingKernel, scheme: str, n: int):
-    """hhat (M,) at the n^d tensor nodes of [-pi, pi)^d and weights (M,) summing to 1.
+def _bz_table(h: HoppingKernel, n: int):
+    """hhat (M,) at the M = n^d midpoint nodes of [-pi, pi)^d and their
+    weights (M,), all 1/M, cached per (kernel, n).
 
-    Midpoint nodes are pi (2j + 1 - n) / n, j = 0..n-1; for n = 2L+1 these
-    are exactly the discrete momenta 2 pi m / (2L+1), m = -L..L.  Kernels
+    The nodes are pi (2j + 1 - n) / n, j = 0..n-1, per axis; for n = 2L+1
+    they are exactly the box momenta 2 pi m / (2L+1), m = -L..L.  Kernels
     key the cache by value (d and entries), so equal kernels parsed by
     separate calls share one table; their entries are read-only, so a
     kernel cannot change under its key.
     """
-    if scheme == "gauss_legendre_tensor":
-        x, w = leggauss(n)
-        x, w = math.pi * x, 0.5 * w
-    else:  # midpoint
-        x = math.pi * (2.0 * np.arange(n) + 1.0 - n) / n
-        w = np.full(n, 1.0 / n)
+    x = math.pi * (2.0 * np.arange(n) + 1.0 - n) / n
     d = h.d
     K = np.stack(np.meshgrid(*([x] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    W = np.prod(np.meshgrid(*([w] * d), indexing="ij"), axis=0).ravel()
     hhat = np.asarray(dispersion(h, K), float)
+    W = np.full(hhat.size, 1.0 / hhat.size)  # lanes @ W: the fastest mean over the nodes
     hhat.setflags(write=False)
     W.setflags(write=False)
     return hhat, W
@@ -146,13 +141,13 @@ def _plain(x):
     return x.item() if x.ndim == 0 else x
 
 
-def _zone(mf, c_minus, c_plus, scheme, n, tally=None):
+def _zone(mf, c_minus, c_plus, n, tally=None):
     """eps~ at the zone nodes (c_+ lanes..., nodes), the pairing-field
     moduli |g| (c_- lanes..., 1) and the node weights; the lanes broadcast
     together.  The fields are those of `MeanFieldParams.approximating_fields`,
     with the real modulus |g| = sqrt(eta_-) |c_-| in place of g: the kernels
     depend on the pairing field through |g| alone."""
-    hhat, W = _bz_table(mf.hopping, scheme, n)
+    hhat, W = _bz_table(mf.hopping, n)
     shift = 2.0 * math.sqrt(mf.eta_plus) * np.real(c_plus)
     modulus = math.sqrt(mf.eta_minus) * np.abs(c_minus)
     if tally is not None:
@@ -160,8 +155,8 @@ def _zone(mf, c_minus, c_plus, scheme, n, tally=None):
     return hhat + np.asarray(shift)[..., None], np.asarray(modulus)[..., None], W
 
 
-def _pressure_at(mf, c_minus, c_plus, scheme, n, tally=None):
-    eps, modulus, W = _zone(mf, c_minus, c_plus, scheme, n, tally)
+def _pressure_at(mf, c_minus, c_plus, n, tally=None):
+    eps, modulus, W = _zone(mf, c_minus, c_plus, n, tally)
     return (per_k_log_trace(eps, modulus, mf.beta) @ W) / mf.beta
 
 
@@ -176,12 +171,12 @@ def quasifree_pressure(mf: MeanFieldParams, c_minus, c_plus,
     """
     quad = quad or QuadratureSpec()
     n = quad.resolve_points(mf.hopping.d)
-    base = _pressure_at(mf, c_minus, c_plus, quad.scheme, n, tally)
+    base = _pressure_at(mf, c_minus, c_plus, n, tally)
     if tally is not None:
         tally.pressure_lanes += base.size
     if not quad.refinement_check:
         return _plain(base)
-    fine = _pressure_at(mf, c_minus, c_plus, quad.scheme, 2 * n, tally)
+    fine = _pressure_at(mf, c_minus, c_plus, 2 * n, tally)
     diff = np.abs(fine - base)
     if tally is not None and diff.size:
         tally.refinement_margin = max(tally.refinement_margin, float(diff.max()))
@@ -202,11 +197,11 @@ def finite_grid_pressure(mf: MeanFieldParams, c_minus: complex, c_plus: complex,
 
     Exactly the finite-volume pressure of the approximating Hamiltonian
     with periodic (torus-folded) hopping on the box of linear size 2L+1;
-    it is the midpoint rule with 2L+1 points per axis.
+    it is the zone rule at 2L+1 points per axis.
     """
     if L < 0:
         raise ConfigError("L must be nonnegative")
-    return _plain(_pressure_at(mf, c_minus, c_plus, "midpoint_tensor", 2 * L + 1))
+    return _plain(_pressure_at(mf, c_minus, c_plus, 2 * L + 1))
 
 
 def bz_gibbs_expectations(mf: MeanFieldParams, c_minus, c_plus,
@@ -224,7 +219,7 @@ def bz_gibbs_expectations(mf: MeanFieldParams, c_minus, c_plus,
     """
     quad = quad or QuadratureSpec()
     n = quad.resolve_points(mf.hopping.d)
-    eps, modulus, W = _zone(mf, c_minus, c_plus, quad.scheme, n, tally)
+    eps, modulus, W = _zone(mf, c_minus, c_plus, n, tally)
     t = _tanh_over_e(np.hypot(eps, modulus), mf.beta)
     gap = math.sqrt(mf.eta_minus) * np.asarray(c_minus)  # g, with the phase of c_-
     return _plain(gap * ((0.5 * t) @ W)), _plain((1.0 - eps * t) @ W)

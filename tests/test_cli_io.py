@@ -219,9 +219,9 @@ README_CONFIG = {
 
 
 @pytest.mark.parametrize("data, digest", [
-    (README_CONFIG, "b133e22837d73e0f"),
+    (README_CONFIG, "22355f5701231bd6"),
     ({"schema_version": 1, "dimension": 1, "hopping": [[[0], 2.0], [[1], -1.0]],
-      "eta": {"plus": 0.6, "minus": 0.4}, "beta": [2.0]}, "1389ee454fe4faf2"),
+      "eta": {"plus": 0.6, "minus": 0.4}, "beta": [2.0]}, "047555fdb6669087"),
 ], ids=["readme", "eta_only"])
 def test_config_hash_pinned_across_versions(data, digest):
     # every stored row carries this tag: a change here orphans existing stores
@@ -229,8 +229,7 @@ def test_config_hash_pinned_across_versions(data, digest):
 
 
 _CHANGED_SPEC_FIELDS = {
-    "scheme": "midpoint_tensor", "points_per_axis": 32, "refinement_check": False,
-    "tol": 1e-7, "c_minus_box": [0.0, 0.5], "c_plus_box": [0.0, 1.5], "grid_points": 11,
+    "points_per_axis": 32, "refinement_check": False, "tol": 1e-7, "c_minus_box": [0.0, 0.5], "c_plus_box": [0.0, 1.5], "grid_points": 11,
     "xtol": 1e-9, "degeneracy_window": 1e-5, "max_iter": 100, "tol_gap": 1e-8,
 }
 
@@ -415,9 +414,15 @@ def write_config(tmp_path, data):
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):
-    path = write_config(tmp_path, minimal_config(gamma_plus=[1.0]))
-    assert main(["validate-potential", "--config", path]) == 2
-    assert "open interval" in capsys.readouterr().err
+    for overrides, messages in [
+        ({"gamma_plus": [1.0]}, ["open interval"]),
+        # the zone rule is no longer a key; a config that still names one is refused
+        ({"quadrature": {"scheme": "midpoint_tensor"}}, ["config error: quadrature: ", "'scheme'"]),
+    ]:
+        path = write_config(tmp_path, minimal_config(**overrides))
+        assert main(["validate-potential", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert all(message in err for message in messages)
 
 
 @pytest.mark.parametrize("command, optimizer", [
@@ -458,9 +463,10 @@ def cold_game_config(beta, eta_minus, **overrides):
 
 
 def test_cli_accuracy_exit_code(tmp_path, capsys):
-    # at beta = 24, eta_- = 2 the default quadrature fails its refinement
+    # at beta = 24, eta_- = 2 a 32-point zone rule fails its refinement
     # check in the sharp search
-    path = write_config(tmp_path, cold_game_config(24.0, 2.0))
+    path = write_config(tmp_path, cold_game_config(24.0, 2.0,
+                                                   quadrature={"points_per_axis": 32}))
     assert main(["game", "--config", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -469,8 +475,8 @@ def test_cli_accuracy_exit_code(tmp_path, capsys):
                          r"\|(\S+) - (\S+)\| > 1e-08", first)
     assert match is not None
     fine, base = map(float, match.groups())
-    assert abs(fine - 0.0012158315802114) <= 1e-15
-    assert abs(base - 0.0012158191018032) <= 1e-15
+    assert abs(fine - 0.0012155109261529507) <= 1e-15
+    assert abs(base - 0.0012159534754844494) <= 1e-15
     assert second.startswith("partial values: ")
     values = ast.literal_eval(second.removeprefix("partial values: "))
     assert sorted(values) == ["base", "refined"]
@@ -484,8 +490,10 @@ def test_cli_game_without_refinement_check(tmp_path, capsys):
     assert main(["game", "--config", path]) == 0
     result = json.loads(capsys.readouterr().out)["game"]["16.0"]
     assert result["refinement_margin"] == 0.0
-    assert result["kernel_calls"] == 14
-    assert abs(result["p_sharp"] - 0.0038252499320716882) <= 1e-12
+    assert result["kernel_calls"] == 15
+    assert abs(result["p_sharp"] - 0.003825251038370826) <= 1e-12
+    # the base value is already within 1e-12 of a checked 256-point solve
+    assert abs(result["p_sharp"] - 0.0038252510385622129) <= 1e-12
 
 
 def test_cli_capacity_exit_code(tmp_path, capsys):

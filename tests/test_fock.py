@@ -625,7 +625,7 @@ def test_theta_real_blocks_match_plain_sectors(L, boundary):
         if blocking == "parity":  # real H: <B> = 0 and B is not built
             assert abs(got.pair_amplitude) > 1e-2 and got.pair_amplitude.imag == 0.0
         if blocking == "parity" and n == 7:
-            quad = QuadratureSpec(scheme="midpoint_tensor", points_per_axis=n)
+            quad = QuadratureSpec(points_per_axis=n)
             pair, density = bz_gibbs_expectations(mf, c_minus, c_plus, quad)
             want = GibbsObservables(finite_grid_pressure(mf, c_minus, c_plus, L), density,
                                     pair, 0.0)

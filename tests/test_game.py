@@ -307,16 +307,17 @@ def test_a_changed_field_misses_the_cache(monkeypatch, spec, field, value):
 
 @pytest.mark.parametrize("searched", [True, False], ids=["flat_search_fails", "sharp_search_fails"])
 def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, searched):
-    # at beta = 24, eta_- = 2 the default quadrature fails its refinement
-    # check in the sharp search, so gap fails too.  No model with default
-    # specs is known to fail in the flat search alone, so there the zone
-    # kernel raises once the sharp search is cached.
+    # at beta = 24, eta_- = 2 a 32-point zone rule fails its refinement
+    # check in the sharp search, so gap fails too.  No model is known to fail
+    # in the flat search alone, so there the zone kernel raises once the
+    # sharp search is cached.
     mf = MeanFieldParams(beta=24.0, hopping=discrete_laplacian(1), eta_plus=1.0, eta_minus=2.0)
+    quad = QuadratureSpec(points_per_axis=32)
     clear_game_caches()
     calls = zone_calls(monkeypatch)
     if searched:
-        mf = CACHED
-        solve_gap_fixed_point(mf, QUAD, OPT)
+        mf, quad = CACHED, QUAD
+        solve_gap_fixed_point(mf, quad, OPT)
 
         def failing(*args, **kwargs):
             calls.append(1)
@@ -327,7 +328,7 @@ def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, searched):
     for _ in range(2):
         calls.clear()
         with pytest.raises(AccuracyError) as err:
-            solve_game(mf, QUAD, OPT)
+            solve_game(mf, quad, OPT)
         assert calls  # solved again, not read back
         errors.append((str(err.value), err.value.values))
     assert errors[0] == errors[1]
@@ -335,7 +336,7 @@ def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, searched):
     assert game._sharp_search.cache_info().currsize == searched
     if not searched:
         with pytest.raises(AccuracyError):
-            solve_gap_fixed_point(mf, QUAD, OPT)
+            solve_gap_fixed_point(mf, quad, OPT)
 
 
 def test_edge_optimum_is_the_exact_origin():
@@ -460,6 +461,25 @@ def test_flat_values_are_pinned(kernel, beta, eta_plus, eta_minus, c_plus_box, p
     mf = MeanFieldParams(beta=beta, hopping=hopping, eta_plus=eta_plus, eta_minus=eta_minus)
     res = solve_game(mf, QUAD, OptimizerSpec(c_plus_box=c_plus_box))
     assert abs(res.p_flat - p_flat) <= 1e-14
+
+
+DIAGONAL = HoppingKernel({(0, 0): 4.8, (1, 0): -1.0, (0, 1): -1.0,
+                          (1, 1): -0.2, (1, -1): -0.2}, 2)
+
+
+@pytest.mark.parametrize("kernel, eta_plus, eta_minus", [
+    (NNN, 0.0, 0.0),  # the free pressure
+    (NNN, 0.5, 2.0),
+    (DIAGONAL, 0.5, 2.0),
+], ids=["nnn_free", "nnn", "diagonal_2d"])
+def test_next_nearest_neighbour_games_solve_at_default_specs(kernel, eta_plus, eta_minus):
+    # the zone integrand is smooth and periodic, so the midpoint rule meets
+    # the refinement check at beta = 10, where Gauss-Legendre did not
+    mf = MeanFieldParams(beta=10.0, hopping=kernel, eta_plus=eta_plus, eta_minus=eta_minus)
+    res = solve_game(mf, QUAD, OPT)
+    fine = solve_game(mf, QuadratureSpec(points_per_axis=4 * QUAD.resolve_points(kernel.d)), OPT)
+    assert abs(res.p_sharp - fine.p_sharp) <= 1e-12
+    assert abs(res.p_flat - fine.p_flat) <= 1e-12
 
 
 def test_flat_value_is_the_profile_maximum_across_basin_jumps():
@@ -596,24 +616,28 @@ def test_c_plus_maximum_without_repulsion_is_zero():
 def test_game_solves_where_only_the_inner_grids_failed_the_refinement_check():
     # the c_- searches evaluate the payoff at their minima alone, not on a
     # grid at every c_+ of the flat search, where one lane fails the
-    # refinement check at this beta
+    # refinement check at this beta and 40 points per axis
     mf = MeanFieldParams(beta=16.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=2.0)
-    res = solve_game(mf, QUAD, OPT)
+    quad = QuadratureSpec(points_per_axis=40)
+    res = solve_game(mf, quad, OPT)
+    with pytest.raises(AccuracyError):  # the c_- grid at the box edge c_+ = 0
+        payoff(mf, GamePoint(np.linspace(*OPT.c_minus_box, OPT.grid_points), 0.0), quad)
     fine = solve_game(mf, QuadratureSpec(points_per_axis=512), OPT)
-    assert abs(res.p_sharp - fine.p_sharp) <= QUAD.tol
-    assert abs(res.p_flat - fine.p_flat) <= QUAD.tol
+    assert abs(res.p_sharp - fine.p_sharp) <= quad.tol
+    assert abs(res.p_flat - fine.p_flat) <= quad.tol
 
 
 def test_game_solves_where_the_box_edge_fails_the_refinement_check():
     # the flat search starts at the sharp reply c_+* and never evaluates the
     # box edge c_+ = 0, whose payoff at c_- = 0 fails the refinement check
-    mf = MeanFieldParams(beta=16.0, hopping=discrete_laplacian(1),
-                         eta_plus=1.0, eta_minus=1.0)
-    res = solve_game(mf, QUAD, OPT)
+    mf = MeanFieldParams(beta=24.0, hopping=discrete_laplacian(1),
+                         eta_plus=1.0, eta_minus=2.0)
+    quad = QuadratureSpec(points_per_axis=48)
+    res = solve_game(mf, quad, OPT)
     with pytest.raises(AccuracyError):
-        payoff(mf, GamePoint(0.0, 0.0), QUAD)
-    fine = solve_game(mf, QuadratureSpec(points_per_axis=4 * QUAD.resolve_points(1)), OPT)
+        payoff(mf, GamePoint(0.0, 0.0), quad)
+    fine = solve_game(mf, QuadratureSpec(points_per_axis=4 * 48), OPT)
     assert abs(res.p_sharp - fine.p_sharp) <= 1e-12
     assert abs(res.p_flat - fine.p_flat) <= 1e-12
     assert abs(res.argmax_flat.c_plus - res.argmin_sharp.c_plus) <= OPT.xtol

@@ -112,8 +112,7 @@ def test_integrand_even_in_k():
 
 def test_refinement_check_raises_on_coarse_midpoint():
     mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1), eta_minus=1.0)
-    quad = QuadratureSpec(scheme="midpoint_tensor", points_per_axis=3,
-                          refinement_check=True, tol=1e-15)
+    quad = QuadratureSpec(points_per_axis=3, refinement_check=True, tol=1e-15)
     with pytest.raises(AccuracyError) as exc:
         quasifree_pressure(mf, 0.5, 0.0, quad)
     assert "base" in exc.value.values and "refined" in exc.value.values
@@ -138,7 +137,7 @@ def test_batched_lanes_equal_scalar_calls(d):
 
 def test_refinement_failure_carries_the_failing_lane():
     mf = MeanFieldParams(beta=4.0, hopping=discrete_laplacian(1), eta_minus=1.0)
-    quad = QuadratureSpec(points_per_axis=24)
+    quad = QuadratureSpec(points_per_axis=16)
     assert np.isfinite(quasifree_pressure(mf, 2.0, 0.0, quad))  # a wide gap converges
     with pytest.raises(AccuracyError) as lone:
         quasifree_pressure(mf, 1.0, 0.0, quad)
@@ -158,8 +157,8 @@ def test_tally_counts_kernel_calls_lanes_and_the_refinement_margin():
     bz_gibbs_expectations(mf, 0.2, 0.3, quad, tally)
     assert (tally.kernel_calls, tally.pressure_lanes) == (5, 6)  # two resolutions per pressure
     n = quad.resolve_points(1)
-    margin = max(abs(quasifree._pressure_at(mf, x, 0.3, quad.scheme, 2 * n)
-                     - quasifree._pressure_at(mf, x, 0.3, quad.scheme, n))
+    margin = max(abs(quasifree._pressure_at(mf, x, 0.3, 2 * n)
+                     - quasifree._pressure_at(mf, x, 0.3, n))
                  for x in (0.0, 0.25, 0.5, 0.75, 1.0, 0.2))
     assert 0.0 < tally.refinement_margin == pytest.approx(margin, abs=1e-16)
     assert tally.refinement_margin <= quad.tol
@@ -173,19 +172,17 @@ def test_refinement_check_off_returns_the_base_value():
     n = quad.resolve_points(1)
     for c_minus in (np.linspace(0.0, 1.0, 5), 0.2):
         got = quasifree_pressure(mf, c_minus, 0.3, quad, tally)
-        assert np.array_equal(got, quasifree._pressure_at(mf, c_minus, 0.3, quad.scheme, n))
+        assert np.array_equal(got, quasifree._pressure_at(mf, c_minus, 0.3, n))
     assert (tally.kernel_calls, tally.pressure_lanes) == (2, 6)
     assert tally.refinement_margin == 0.0
 
 
-def test_midpoint_and_gauss_agree_when_converged():
+def test_default_equals_a_512_point_solve():
     mf = MeanFieldParams(beta=1.5, hopping=discrete_laplacian(1),
                          eta_plus=0.7, eta_minus=0.9)
-    g = quasifree_pressure(mf, 0.4, 0.1, QuadratureSpec())
-    m = quasifree_pressure(
-        mf, 0.4, 0.1, QuadratureSpec(scheme="midpoint_tensor", points_per_axis=512)
-    )
-    assert m == pytest.approx(g, abs=1e-10)
+    default = quasifree_pressure(mf, 0.4, 0.1, QuadratureSpec())
+    fine = quasifree_pressure(mf, 0.4, 0.1, QuadratureSpec(points_per_axis=512))
+    assert fine == pytest.approx(default, abs=1e-10)
 
 
 # -- the shared zone table ------------------------------------------------------------
@@ -316,4 +313,4 @@ def test_invalid_inputs():
     with pytest.raises(ConfigError):
         finite_grid_pressure(mf, 0.0, 0.0, -1)
     with pytest.raises(ConfigError):
-        QuadratureSpec(scheme="monte_carlo")
+        QuadratureSpec(points_per_axis=1)
