@@ -25,7 +25,7 @@ import numpy as np
 from . import game, quasifree, sweep
 from .config import config_hash, parse_config
 from .errors import AccuracyError, CapacityError, ConfigError, KaclabError
-from .lattice import PERIODIC, LatticeBox
+from .lattice import LatticeBox
 from .potentials import PlainGaussian, cone_check, poisson_sum
 from .store import PLOT_KINDS, ResultStore, emit_plot_data
 
@@ -60,20 +60,18 @@ def cmd_pressure(args) -> int:
     """pressure-ed (the Kac model) and pressure-mf (its mean-field model):
     exact pressure and density at every beta and L.  pressure-ed takes the
     first entry of each gamma schedule (`ExperimentConfig.model_params`)
-    and ignores the rest.  On a periodic box pressure-mf solves the pair
-    problems of `meanfield`; every other call diagonalizes the Fock space
-    (`fock`)."""
+    and ignores the rest, and diagonalizes the Fock space (`fock`).
+    pressure-mf solves the pair problems of `meanfield` on the levels of
+    the box's hopping matrix, on open and periodic boxes alike."""
     cfg = parse_config(args.config)
     mean_field = args.command == "pressure-mf"
-    if mean_field and cfg.boundary == PERIODIC:
+    if mean_field:
         from .meanfield import pressure_and_density as solve
     else:
         from . import fock
 
-        build = fock.build_meanfield_hamiltonian if mean_field else fock.build_kac_hamiltonian
-
         def solve(params, box, cap):
-            obs = fock.gibbs_observables(build(params, box, cap), params.beta)
+            obs = fock.gibbs_observables(fock.build_kac_hamiltonian(params, box, cap), params.beta)
             return obs.pressure, obs.density
 
     rows = []
@@ -253,12 +251,13 @@ def cmd_selftest(args) -> int:
     from .meanfield import pressure_and_density
 
     defect = 0.0
-    for L in (1, 2):
-        box = LatticeBox(1, L, "periodic")
+    for box in (LatticeBox(1, 1, "open"), LatticeBox(1, 1, "periodic"),
+                LatticeBox(1, 2, "periodic")):
         obs = fock.gibbs_observables(fock.build_meanfield_hamiltonian(mf, box), mf.beta)
         p_mf, density = pressure_and_density(mf, box)
         defect = max(defect, abs(p_mf - obs.pressure), abs(density - obs.density))
-    checks.append(("mean-field pair problems vs Fock ED, 3 and 5 periodic sites", defect, 1e-12))
+    checks.append(("mean-field pair problems vs Fock ED, 3 open, 3 and 5 periodic sites",
+                   defect, 1e-12))
 
     def sector_spectrum(H, label):
         """The spectrum of H from its plain sectors, one per value of label,

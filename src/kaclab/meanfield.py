@@ -1,23 +1,22 @@
-"""Exact pressure of the mean-field Hamiltonian of a periodic box, from
-small hard-core pair problems instead of the Fock space.
+"""Exact pressure of the mean-field Hamiltonian of a box, open or periodic,
+from small hard-core pair problems instead of the Fock space.
 
-On a periodic box of n sites the mean-field Hamiltonian
+Let eps_j and the real orthonormal phi_j be the eigenvalues and
+eigenvectors of the box's site matrix t = `lattice.hopping_matrix`, the
+one the ED builders read, and a_{j,s} = sum_x phi_j(x) a_{x,s}.  Then
 
-    H_mf = sum_{k,s} eps_k n_{k,s} + (eta_+/n) N^2 - (eta_-/n) P^dag P,
-    P = sum_x a_{x,dn} a_{x,up} = sum_k b_k,  b_k = a_{-k,dn} a_{k,up},
+    H_mf = sum_{j,s} eps_j n_{j,s} + (eta_+/n) N^2 - (eta_-/n) P^dag P,
+    P = sum_x a_{x,dn} a_{x,up} = sum_j b_j,  b_j = a_{j,dn} a_{j,up},
 
-is the reduced BCS Hamiltonian plus a function of N (Richardson, Phys.
+the reduced BCS Hamiltonian plus a function of N (Richardson, Phys.
 Lett. 3, 277 (1963); Dukelsky, Pittel and Sierra, Rev. Mod. Phys. 76,
-643 (2004)).  eps_k = hhat(k) at the n box momenta, the midpoint nodes
-of `quasifree._bz_table` with 2L+1 points per axis, on which the folded
-periodic hopping matrix is diagonal; the node at -k is the one at the
-reversed flat index.  Each pair mode (k up, -k dn) is either blocked, with
-one fermion in it, which no b or b^dag moves, or holds 0 or 1 hard-core
-pair.  So for each blocked set B (weight prod_{k in B}
-(e^{-beta eps_k} + e^{-beta eps_{-k}})) and pair number M, H_mf acts on the
-M-pair states of the unblocked modes U as
+643 (2004)).  Each level j is one pair mode: either it is blocked, with
+one fermion in it, which no b or b^dag moves, or it holds 0 or 1
+hard-core pair.  So for each blocked set B (weight prod_{j in B}
+2 e^{-beta eps_j}) and pair number M, H_mf acts on the M-pair states of
+the unblocked levels U as
 
-    sum_{k in S} (eps_k + eps_{-k}) - (eta_-/n) sum_{k,k' in U} b^dag_k b_k'
+    sum_{j in S} 2 eps_j - (eta_-/n) sum_{j,j' in U} b^dag_j b_j'
     + (eta_+/n) (2M + |B|)^2,
 
 a matrix of order C(|U|, M).  All of them together span the 4^n states;
@@ -32,42 +31,39 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, KaclabError
-from .lattice import (DEFAULT_DIMENSION_CAP, PERIODIC, LatticeBox, MeanFieldParams,
-                      check_fock_dimension)
-from .quasifree import _bz_table
+from .lattice import (DEFAULT_DIMENSION_CAP, LatticeBox, MeanFieldParams, check_fock_dimension,
+                      hopping_matrix)
 
 __all__ = ["pressure_and_density"]
 
 
 def pressure_and_density(mf: MeanFieldParams, box: LatticeBox,
                          dimension_cap: int = DEFAULT_DIMENSION_CAP) -> tuple[float, float]:
-    """(1/(beta n)) ln Tr exp(-beta H_mf) and <N>/n on the periodic box.
+    """(1/(beta n)) ln Tr exp(-beta H_mf) and <N>/n on the box, from the
+    levels of its hopping matrix.
 
     Equals ``build_meanfield_hamiltonian`` with ``gibbs_observables`` to
     rounding.  CapacityError if 4^n exceeds the cap, as for ED; KaclabError
     if the density leaves [0, 2].
     """
-    if box.boundary != PERIODIC:
-        raise ConfigError("the pair problems need a periodic box")
     if mf.hopping.d != box.d:
         raise ConfigError("hopping kernel dimension differs from box dimension")
     n = box.n_sites
     check_fock_dimension(n, dimension_cap)
     beta, hop = mf.beta, mf.eta_minus / n
-    eps = _bz_table(mf.hopping, box.extent)[0]
-    pair = eps + eps[::-1]
-    single = np.logaddexp(-beta * eps, -beta * eps[::-1])  # log weight of a blocked mode
+    eps = np.linalg.eigvalsh(hopping_matrix(mf.hopping, box))
+    single = np.log(2.0) - beta * eps  # log weight of a blocked level
     subsets = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # as rows of 0/1
     size = subsets.sum(axis=1)
     logs, numbers = [], []
     for u in range(n + 1):
         sets = subsets[size == n - u].astype(bool)  # the blocked sets B with |U| = u
-        levels = pair[np.nonzero(~sets)[1].reshape(len(sets), u)]  # (sets, u), by mode
+        levels = 2 * eps[np.nonzero(~sets)[1].reshape(len(sets), u)]  # (sets, u), by level
         log_blocked = sets @ single
         for M in range(u + 1):
             occ = subsets[:2**u, :u][size[:2**u] == M]  # the M-pair states of U
             w = levels @ occ.T  # their pair energies, (sets, C(u, M))
-            if hop and len(occ) > 1:  # b^dag_k b_k' joins the states that differ by one pair
+            if hop and len(occ) > 1:  # b^dag_j b_j' joins the states that differ by one pair
                 H = -hop * (occ @ occ.T == M - 1) + w[:, :, None] * np.eye(len(occ))
                 w = np.linalg.eigvalsh(H)
             N = 2 * M + n - u

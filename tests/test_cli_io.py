@@ -985,7 +985,7 @@ def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 10
-    assert "PASS  mean-field pair problems vs Fock ED, 3 and 5 periodic sites" in out
+    assert "PASS  mean-field pair problems vs Fock ED, 3 open, 3 and 5 periodic sites" in out
     assert "PASS  momentum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
     assert "PASS  representative build vs global matrix, 5-site periodic Kac box" in out
     assert "PASS  lowest-weight spectrum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out

@@ -473,15 +473,47 @@ def quasifree_spectrum(mf, c_minus, c_plus, momenta):
     return np.sort(levels)
 
 
-def plain_sector_spectrum(basis, H, blocking):
-    """Spectrum of H from the plain (N, 2S_z) or parity sectors of the
-    occupation basis, by restricting the global matrix: scipy only."""
+def plain_sectors(basis, H, blocking):
+    """The plain (N, 2S_z) or parity sectors of the occupation basis: each
+    one's states and its block, restricted from the global matrix H by
+    scipy alone."""
     H = sp.csr_matrix(H)
     label = (basis.n_tot * (2 * basis.n_sites + 1) + basis.n_up if blocking == "number"
              else basis.n_tot & 1)
-    return np.sort(np.concatenate([
-        np.linalg.eigvalsh(H[idx][:, idx].toarray())
-        for idx in (np.flatnonzero(label == c) for c in np.unique(label))]))
+    for idx in (np.flatnonzero(label == c) for c in np.unique(label)):
+        yield idx, H[idx][:, idx].toarray()
+
+
+def plain_sector_spectrum(basis, H, blocking):
+    """Spectrum of H from its plain sectors."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(B)
+                                   for _, B in plain_sectors(basis, H, blocking)]))
+
+
+def plain_sector_gibbs(basis, H, blocking, beta):
+    """Gibbs observables of H and its sorted spectrum, from its plain
+    sectors.  Number sectors need eigenvalues only: each holds one N, and
+    the pair amplitude is exactly 0.  Parity sectors take their
+    eigenvectors, with the number operator and (1/n) ``pair_sum`` of the
+    basis, as ``kronecker_gibbs`` does."""
+    n = basis.n_sites
+    pair = pair_sum(basis) / n if blocking == "parity" else None
+    spectra, numbers, pairs = [], [], []
+    for idx, B in plain_sectors(basis, H, blocking):
+        if pair is None:
+            w = np.linalg.eigvalsh(B)
+            numbers.append(np.full(len(w), basis.n_tot[idx[0]], float))
+            pairs.append(np.zeros(len(w)))
+        else:
+            w, U = np.linalg.eigh(B)
+            numbers.append(np.einsum("si,s,si->i", U, basis.n_tot[idx].astype(float), U))
+            pairs.append(np.einsum("si,si->i", U, pair[idx][:, idx] @ U))
+        spectra.append(w)
+    w, number, amplitude = (np.concatenate(x) for x in (spectra, numbers, pairs))
+    p = np.exp(-beta * (w - w.min()))
+    p /= p.sum()
+    return GibbsObservables(float(logsumexp(-beta * w)) / (beta * n), float(p @ number) / n,
+                            float(p @ amplitude), float(p @ w) / n), np.sort(w)
 
 
 @pytest.mark.parametrize("L,boundary", [(1, "periodic"), (2, "periodic"), (3, "periodic"),
@@ -631,9 +663,7 @@ def test_theta_real_blocks_match_plain_sectors(L, boundary):
                                     pair, 0.0)
             expected = quasifree_spectrum(mf, c_minus, c_plus, op.basis.momenta)
         else:
-            H = sites.matrix(bare)
-            want = gibbs_observables(FockOperator.from_sparse(bare, H, blocking), beta)
-            expected = plain_sector_spectrum(bare, H, blocking)
+            want, expected = plain_sector_gibbs(bare, sites.matrix(bare), blocking, beta)
         assert np.max(np.abs(op.eigenvalues() - expected)) <= 1e-12
         assert_gibbs_match(got, want)
 
