@@ -102,10 +102,10 @@ def cmd_game(args) -> int:
         result = game.solve_game(mf, cfg.quadrature, cfg.optimizer)
         payload = result.as_dict()
         if args.dump_grid:  # one batched payoff per c_minus row bounds lanes x nodes in 2-D
-            c_plus = np.linspace(*cfg.optimizer.c_plus_box, cfg.optimizer.grid_points)
-            grid = [(cm, cp, val)
-                    for cm in np.linspace(*cfg.optimizer.c_minus_box,
-                                          cfg.optimizer.grid_points).tolist()
+            # grid_points nodes per box, one on a box that is the point 0
+            c_minus, c_plus = (np.linspace(lo, hi, cfg.optimizer.grid_points if hi else 1)
+                               for lo, hi in game.strategy_boxes(mf))
+            grid = [(cm, cp, val) for cm in c_minus.tolist()
                     for cp, val in zip(c_plus.tolist(), game.payoff(
                         mf, game.GamePoint(cm, c_plus), cfg.quadrature).tolist())]
             payload["grid"] = grid

@@ -17,13 +17,15 @@ attractive or purely repulsive models.
 
 Gauge fixing: the pairing term is U(1)-invariant, so c_- is restricted to
 [0, inf) real; only Re c_+ enters the Hamiltonian while -|c_+|^2 penalizes
-any imaginary part, so Im c_+ = 0.  The default search boxes c_- in [0,1]
-and c_+ in [0,2] follow from the self-consistency below with |pair| <= 1/2
-and 0 <= density <= 2, each scaled by sqrt(eta): they contain every
-optimum only for eta_- <= 4 and eta_+ <= 1.  An optimum of either player
-within 10 xtol of an upper box edge, or of a lower edge above 0, is flagged
-(`DecisionResult.at_boundary`, `GameResult.boundary_flagged`), never
-silently accepted; the origin that an eta = 0 axis fixes is not flagged.
+any imaginary part, so Im c_+ = 0.  The strategy boxes follow from the
+model (`strategy_boxes`): c_- in [0, sqrt(eta_-)/2] and c_+ in
+[0, 2 sqrt(eta_+)].  In the approximating model |pair| < 1/2 and
+0 < density < 2, so at the upper edge of either box the player's slope
+(the gap equation below) points back into the box, whatever the other
+strategy: the payoff rises in c_- there and falls in c_+.  So every
+optimum of `decision_rule`, of the sharp search and of the flat search
+lies in the boxes, and none is clipped by them.  On an eta = 0 axis the
+box is the point 0.
 
 Searches: both orderings are solved from the two best replies, r_+(c_-)
 (`decision_rule`) and r_-(c_+), the lowest minimum over c_-; each is
@@ -78,7 +80,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, check_numbers, is_integer, is_number
+from .errors import ConfigError, check_numbers, is_integer
 from .lattice import MeanFieldParams
 from .quasifree import (QuadratureSpec, ZoneTally, _plain, bz_gibbs_expectations,
                         quasifree_pressure)
@@ -89,6 +91,7 @@ __all__ = [
     "GapSolution",
     "OptimizerSpec",
     "DecisionResult",
+    "strategy_boxes",
     "payoff",
     "decision_rule",
     "solve_game",
@@ -125,8 +128,6 @@ class GamePoint:
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    c_minus_box: tuple = (0.0, 1.0)
-    c_plus_box: tuple = (0.0, 2.0)
     grid_points: int = 33
     xtol: float = 1e-10
     degeneracy_window: float = 1e-6
@@ -134,12 +135,6 @@ class OptimizerSpec:
     tol_gap: float = 1e-9
 
     def __post_init__(self):
-        for name in ("c_minus_box", "c_plus_box"):  # each box becomes a float pair
-            box = getattr(self, name)
-            if not (isinstance(box, (list, tuple)) and len(box) == 2
-                    and all(map(is_number, box)) and 0 <= box[0] < box[1]):
-                raise ConfigError(f"{name} must be a pair [lo, hi] of numbers, 0 <= lo < hi")
-            object.__setattr__(self, name, (float(box[0]), float(box[1])))
         check_numbers(xtol=self.xtol, degeneracy_window=self.degeneracy_window,
                       tol_gap=self.tol_gap)
         if not (is_integer(self.grid_points) and self.grid_points >= 3):
@@ -155,7 +150,6 @@ class OptimizerSpec:
 class DecisionResult(NamedTuple):
     c_plus: float
     payoff_value: float
-    at_boundary: bool
 
 
 @dataclass(frozen=True)
@@ -168,7 +162,6 @@ class GameResult:
     gap_residual_flat: float
     saddle_gap: float  # p_flat - p_sharp, >= 0 up to tolerance
     degenerate_minima: tuple = ()
-    boundary_flagged: bool = False
     payoff_evaluations: int = 0  # strategies whose payoff was computed
     kernel_calls: int = 0  # zone quadratures, each over any number of strategies
     refinement_margin: float = 0.0  # largest |fine - base| of the quadrature checks
@@ -204,10 +197,13 @@ def payoff(mf: MeanFieldParams, g: GamePoint, quad: QuadratureSpec | None = None
             - quasifree_pressure(mf, g.c_minus, g.c_plus, quad, tally))
 
 
-def _pinned(x, box: tuple, opt: OptimizerSpec):
-    """Whether each optimum x lies within 10 xtol of a box edge above 0."""
-    return np.any([np.abs(np.asarray(x) - edge) <= 10 * opt.xtol for edge in box if edge > 0.0],
-                  axis=0)
+def strategy_boxes(mf: MeanFieldParams) -> tuple:
+    """The boxes ((0, sqrt(eta_-)/2), (0, 2 sqrt(eta_+))) of c_- and c_+:
+    the gap maps sqrt(eta_-) pair and sqrt(eta_+) density of every strategy
+    lie inside them, so each holds every optimum of its player.  Rounding
+    can still make a slope 0 at an upper edge (a density of exactly 2 where
+    tanh rounds to 1); the searches then return that edge."""
+    return (0.0, math.sqrt(mf.eta_minus) / 2), (0.0, 2.0 * math.sqrt(mf.eta_plus))
 
 
 def _lane_roots(fn, x1, x2, f1, f2, lanes, opt: OptimizerSpec) -> np.ndarray:
@@ -280,7 +276,7 @@ def _c_plus_maximum(slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec,
     """
     if mf.eta_plus == 0.0:
         return np.zeros(lanes)
-    lo, hi = opt.c_plus_box
+    lo, hi = strategy_boxes(mf)[1]
     a, b = (lo, hi) if guess is None else np.clip(
         [guess - opt.xtol / 2, guess + opt.xtol / 2], lo, hi)
     each = np.arange(lanes)
@@ -325,7 +321,7 @@ def _lane_minima(value: Callable, slope: Callable, mf: MeanFieldParams, opt: Opt
     each = np.arange(lanes)
     if mf.eta_minus == 0.0:
         return [[(0.0, fx)] for fx in value(np.zeros(lanes), each).tolist()]
-    xs = np.linspace(*opt.c_minus_box, opt.grid_points)
+    xs = np.linspace(*strategy_boxes(mf)[0], opt.grid_points)
     probe = np.where(xs > 0.0, xs, opt.xtol)
     s = slope(np.tile(probe, lanes), np.repeat(each, xs.size),
               np.tile(xs, lanes)).reshape(lanes, xs.size)
@@ -366,9 +362,8 @@ def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = No
     coupling plus the -c_+^2 penalty), so its maximizer is the root of the
     decreasing slope sqrt(eta_+) density - c_+ of the c_+ gap equation.
     For eta_+ = 0 the repulsive strategy space degenerates and r_+ = 0.
-    A maximizer pinned at a box edge is flagged, not silent.  An array of
-    c_- is solved lane by lane, each step one batched call, and gives
-    arrays.
+    An array of c_- is solved lane by lane, each step one batched call, and
+    gives arrays.
     """
     opt = opt or OptimizerSpec()
     cm = np.asarray(c_minus, float)
@@ -379,7 +374,7 @@ def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = No
 
     x = _plain(_c_plus_maximum(slope, mf, opt, lanes.size).reshape(cm.shape))
     value = payoff(mf, GamePoint(_plain(cm), x), quad, tally)
-    return DecisionResult(x, value, _plain(_pinned(x, opt.c_plus_box, opt)))
+    return DecisionResult(x, value)
 
 
 class _SharpSearch(NamedTuple):
@@ -411,7 +406,7 @@ def _sharp_search(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec)
         if new:
             r = decision_rule(mf, np.array(new), quad, opt, tally)
             replies.update(zip(new, map(DecisionResult, r.c_plus.tolist(),
-                                        r.payoff_value.tolist(), r.at_boundary.tolist())))
+                                        r.payoff_value.tolist())))
         return [replies[x] for x in keys]
 
     def sharp_value(xs, _):
@@ -487,9 +482,6 @@ def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) 
         gap_residual_flat=_residual(cm_flat, cp_flat, rhs_flat),  # the flat slope's own gap map
         saddle_gap=p_flat - p_sharp,
         degenerate_minima=degenerate,
-        boundary_flagged=bool(reply.at_boundary
-                              or _pinned(cp_flat, opt.c_plus_box, opt)
-                              or _pinned([cm_sharp, cm_flat], opt.c_minus_box, opt).any()),
         payoff_evaluations=tally.pressure_lanes,
         kernel_calls=tally.kernel_calls,
         refinement_margin=tally.refinement_margin,
@@ -539,7 +531,7 @@ def solve_gap_fixed_point(mf: MeanFieldParams, quad: QuadratureSpec | None = Non
     """The gap equations' solution at the lowest minimum of the sharp search.
 
     c_minus and c_plus = r_+(c_minus) equal `solve_game`'s argmin_sharp bit
-    for bit; a minimum pinned at a box edge may leave residual > tol_gap.
+    for bit.
     The sharp search, its residual included, is the one `solve_game` runs
     and reads from the same per-process cache (keyed by value, errors not
     kept), so a gap after a game of the same model makes no zone-kernel
@@ -581,16 +573,15 @@ class QuasiconvexityReport:
 def quasiconvexity_report(mf: MeanFieldParams, c_plus: float,
                           quad: QuadratureSpec | None = None,
                           n_samples: int = 101,
-                          box: tuple = (0.0, 1.0),
                           tol: float = 1e-10) -> QuasiconvexityReport:
-    """Sampled level-set convexity of payoff(., c_+) on the c_- interval.
+    """Sampled level-set convexity of payoff(., c_+) on the game's c_- box.
 
     In one dimension, every sublevel set is an interval iff the sampled
     profile is unimodal (nonincreasing to its minimum, nondecreasing
     after).  Diagnostic only; equality of the two game values is never
     asserted from this.
     """
-    xs = np.linspace(box[0], box[1], n_samples)
+    xs = np.linspace(*strategy_boxes(mf)[0], n_samples)
     fs = payoff(mf, GamePoint(xs, c_plus), quad)
     m = int(np.argmin(fs))
     down = np.diff(fs[: m + 1])

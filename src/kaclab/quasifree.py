@@ -86,15 +86,12 @@ class QuadratureSpec:
     """Tensor midpoint rule over the Brillouin zone [-pi, pi)^d."""
 
     points_per_axis: int | None = None  # None: 64 for d=1, 48 for d=2, 24 above
-    refinement_check: bool = True
     tol: float = 1e-8
 
     def __post_init__(self):
         if self.points_per_axis is not None and not (
                 is_integer(self.points_per_axis) and self.points_per_axis >= 2):
             raise ConfigError("points_per_axis must be an integer >= 2")
-        if not isinstance(self.refinement_check, bool):
-            raise ConfigError("refinement_check must be true or false")
         check_numbers(tol=self.tol)
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
@@ -164,18 +161,16 @@ def quasifree_pressure(mf: MeanFieldParams, c_minus, c_plus,
                        quad: QuadratureSpec | None = None, tally: ZoneTally | None = None):
     """(1/beta) (2 pi)^{-d} integral of ln Tr exp(-beta H_k) over the zone.
 
-    A number for one strategy, an array for lanes of strategies.  With
-    refinement_check the quadrature is repeated at doubled resolution; a
-    difference above quad.tol in any lane raises AccuracyError carrying
-    that lane's two values.  The refined value is returned.
+    A number for one strategy, an array for lanes of strategies.  The
+    quadrature is repeated at doubled resolution; a difference above
+    quad.tol in any lane raises AccuracyError carrying that lane's two
+    values.  The refined value is returned.
     """
     quad = quad or QuadratureSpec()
     n = quad.resolve_points(mf.hopping.d)
     base = _pressure_at(mf, c_minus, c_plus, n, tally)
     if tally is not None:
         tally.pressure_lanes += base.size
-    if not quad.refinement_check:
-        return _plain(base)
     fine = _pressure_at(mf, c_minus, c_plus, 2 * n, tally)
     diff = np.abs(fine - base)
     if tally is not None and diff.size:

@@ -4,6 +4,7 @@ import ast
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -22,7 +23,7 @@ from kaclab.config import (
     serialize_config,
 )
 from kaclab.errors import ConfigError, InsufficientDataError
-from kaclab.game import GamePoint, OptimizerSpec, payoff
+from kaclab.game import GamePoint, OptimizerSpec, payoff, strategy_boxes
 from kaclab.lattice import HoppingKernel
 from kaclab.potentials import GaussianMixture, PlainGaussian, Yukawa
 from kaclab.quasifree import QuadratureSpec
@@ -115,8 +116,6 @@ def test_all_errors_reported_at_once():
      "potentials.plus: mixture needs a nonempty list of .weight, scales. terms"),
     ({"potentials": {"plus": {"family": "gaussian_mixture", "terms": [[1.0]]}}},
      "potentials.plus: mixture term .* is not a .weight, scales. pair"),
-    ({"optimizer": {"c_minus_box": 1}}, "optimizer: c_minus_box must be a pair"),
-    ({"optimizer": {"c_minus_box": ["a", "b"]}}, "optimizer: c_minus_box must be a pair"),
     ({"quadrature": {"tol": "x"}}, "quadrature: tol must be a number"),
     ({"quadrature": {"tol": -1.0}}, "quadrature: tol must be positive"),
     ({"quadrature": {"tol": 0.0}}, "quadrature: tol must be positive"),
@@ -136,16 +135,13 @@ def test_all_errors_reported_at_once():
     ({"potentials": {"plus": {"family": "table_spline", "radii": [0, 1, True, 3],
                               "values": [1.0, 0.5, 0.2, 0.0]}}},
      "potentials.plus: table radii and values must be numbers"),
-    ({"quadrature": {"refinement_check": "false"}},
-     "quadrature: refinement_check must be true or false"),
     ({"output_dir": ""}, "output_dir: must be a nonempty string"),
 ], ids=["dimension", "L", "hopping_offset", "points_per_axis", "grid_points", "max_iter",
         "max_iter_zero", "beta_bool", "beta_string", "beta_inf", "gamma_minus_nan",
-        "gamma_minus_bool", "gamma_plus_bool", "eta_plus_bool", "eta_minus_bool", "eta_plus_inf", "terms_not_list", "term_not_pair", "box_not_pair",
-        "box_strings", "tol_string", "tol_negative", "tol_zero", "onsite_string", "width_bool",
+        "gamma_minus_bool", "gamma_plus_bool", "eta_plus_bool", "eta_minus_bool", "eta_plus_inf", "terms_not_list", "term_not_pair", "tol_string", "tol_negative", "tol_zero", "onsite_string", "width_bool",
         "hopping_value_string", "xtol_string", "tol_gap_bool", "xtol_zero", "tol_gap_negative",
         "degeneracy_window_string", "degeneracy_window_negative", "yukawa_string", "table_bool",
-        "refinement_check_string", "output_dir_empty"])
+        "output_dir_empty"])
 def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_dict(minimal_config(**overrides))
@@ -169,7 +165,6 @@ def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     (lambda: OptimizerSpec(tol_gap=-1.0), "tolerances must be positive"),
     (lambda: OptimizerSpec(degeneracy_window="x"), "degeneracy_window must be a number"),
     (lambda: OptimizerSpec(degeneracy_window=-1.0), "degeneracy_window must be nonnegative"),
-    (lambda: OptimizerSpec(c_plus_box=(2.0, 1.0)), "c_plus_box must be a pair"),
     (lambda: PlainGaussian(width=True), "width must be a number"),
     (lambda: Yukawa(1.0, "1.0"), "c1 must be a number"),
     (lambda: GaussianMixture([(True, (1.0,))]), "must be positive numbers"),
@@ -178,7 +173,6 @@ def test_integer_fields_reject_booleans_and_fractions(overrides, message):
         "grid_points", "max_iter", "max_iter_zero", "hopping_value_string", "tol_string",
         "tol_negative", "tol_zero", "xtol_string", "tol_gap_bool", "xtol_zero",
         "tol_gap_negative", "degeneracy_window_string", "degeneracy_window_negative",
-        "box_reversed",
         "width_bool", "yukawa_string", "mixture_weight_bool", "mixture_scale_string"])
 def test_integer_fields_rejected_on_direct_construction(build, message):
     with pytest.raises(ConfigError, match=message):
@@ -219,9 +213,9 @@ README_CONFIG = {
 
 
 @pytest.mark.parametrize("data, digest", [
-    (README_CONFIG, "22355f5701231bd6"),
+    (README_CONFIG, "725b7c406f8d98ed"),
     ({"schema_version": 1, "dimension": 1, "hopping": [[[0], 2.0], [[1], -1.0]],
-      "eta": {"plus": 0.6, "minus": 0.4}, "beta": [2.0]}, "047555fdb6669087"),
+      "eta": {"plus": 0.6, "minus": 0.4}, "beta": [2.0]}, "c98ea8228cead725"),
 ], ids=["readme", "eta_only"])
 def test_config_hash_pinned_across_versions(data, digest):
     # every stored row carries this tag: a change here orphans existing stores
@@ -229,7 +223,7 @@ def test_config_hash_pinned_across_versions(data, digest):
 
 
 _CHANGED_SPEC_FIELDS = {
-    "points_per_axis": 32, "refinement_check": False, "tol": 1e-7, "c_minus_box": [0.0, 0.5], "c_plus_box": [0.0, 1.5], "grid_points": 11,
+    "points_per_axis": 32, "tol": 1e-7, "grid_points": 11,
     "xtol": 1e-9, "degeneracy_window": 1e-5, "max_iter": 100, "tol_gap": 1e-8,
 }
 
@@ -418,6 +412,10 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ({"gamma_plus": [1.0]}, ["open interval"]),
         # the zone rule is no longer a key; a config that still names one is refused
         ({"quadrature": {"scheme": "midpoint_tensor"}}, ["config error: quadrature: ", "'scheme'"]),
+        # so are the strategy boxes, which follow from the model, and the switch of the check
+        ({"optimizer": {"c_minus_box": [0, 1]}}, ["config error: optimizer: ", "'c_minus_box'"]),
+        ({"quadrature": {"refinement_check": False}},
+         ["config error: quadrature: ", "'refinement_check'"]),
     ]:
         path = write_config(tmp_path, minimal_config(**overrides))
         assert main(["validate-potential", "--config", path]) == 2
@@ -481,19 +479,6 @@ def test_cli_accuracy_exit_code(tmp_path, capsys):
     values = ast.literal_eval(second.removeprefix("partial values: "))
     assert sorted(values) == ["base", "refined"]
     assert (f"{values['refined']:.15g}", f"{values['base']:.15g}") == match.groups()
-
-
-def test_cli_game_without_refinement_check(tmp_path, capsys):
-    # a game at beta = 16 with the check off: the base-resolution values, no margin
-    path = write_config(tmp_path, cold_game_config(16.0, 1.0,
-                                                   quadrature={"refinement_check": False}))
-    assert main(["game", "--config", path]) == 0
-    result = json.loads(capsys.readouterr().out)["game"]["16.0"]
-    assert result["refinement_margin"] == 0.0
-    assert result["kernel_calls"] == 15
-    assert abs(result["p_sharp"] - 0.003825251038370826) <= 1e-12
-    # the base value is already within 1e-12 of a checked 256-point solve
-    assert abs(result["p_sharp"] - 0.0038252510385622129) <= 1e-12
 
 
 def test_cli_capacity_exit_code(tmp_path, capsys):
@@ -632,9 +617,14 @@ def test_cli_kac_sweep_pipeline(tmp_path, capsys):
                  "--kind", "pressure_vs_gamma"]) == 0
 
 
+BOTH_POTENTIALS = {"plus": {"family": "plain_gaussian", "width": 1.0},
+                   "minus": {"family": "yukawa", "c0": 1.0, "c1": 1.0, "c2": 1.0}}
+
+
 def test_cli_game_grid_keeps_every_beta(tmp_path, capsys):
     out_dir = str(tmp_path / "results")
-    path = write_config(tmp_path, minimal_config(beta=[1.0, 2.0], optimizer={"grid_points": 5}))
+    path = write_config(tmp_path, minimal_config(potentials=BOTH_POTENTIALS, beta=[1.0, 2.0],
+                                                 optimizer={"grid_points": 5}))
     assert main(["game", "--config", path, "--out", out_dir, "--dump-grid"]) == 0
     assert main(["plot-data", "--config", path, "--out", out_dir,
                  "--kind", "payoff_surface"]) == 0
@@ -648,10 +638,8 @@ def test_cli_game_grid_keeps_every_beta(tmp_path, capsys):
 
 
 def test_cli_game_grid_equals_scalar_payoffs(tmp_path, capsys):
-    path = write_config(tmp_path, minimal_config(
-        potentials={"plus": {"family": "plain_gaussian", "width": 1.0},
-                    "minus": {"family": "yukawa", "c0": 1.0, "c1": 1.0, "c2": 1.0}},
-        beta=[2.0], optimizer={"grid_points": 7}))
+    path = write_config(tmp_path, minimal_config(potentials=BOTH_POTENTIALS, beta=[2.0],
+                                                 optimizer={"grid_points": 7}))
     assert main(["game", "--config", path, "--out", str(tmp_path / "out"), "--dump-grid"]) == 0
     result = json.loads(capsys.readouterr().out)["game"]["2.0"]
     cfg = parse_config(path)
@@ -662,13 +650,29 @@ def test_cli_game_grid_equals_scalar_payoffs(tmp_path, capsys):
     # the game's work counters reach its JSON
     assert result["kernel_calls"] > 0 and result["payoff_evaluations"] > 0
     assert 0.0 < result["refinement_margin"] <= cfg.quadrature.tol
+    # the grid spans the game's strategy boxes
+    (_, cm_hi), (_, cp_hi) = strategy_boxes(mf)
+    assert (result["grid"][-1][0], result["grid"][-1][1]) == (cm_hi, cp_hi)
+
+
+def test_cli_game_grid_on_an_eta_axis_has_one_c_minus_node(tmp_path, capsys):
+    # eta_- = 0: the c_- box is the point 0, so the grid is one row of c_+ nodes
+    path = write_config(tmp_path, minimal_config(optimizer={"grid_points": 5}))
+    assert main(["game", "--config", path, "--out", str(tmp_path / "out"), "--dump-grid"]) == 0
+    grid = json.loads(capsys.readouterr().out)["game"]["1.0"]["grid"]
+    cfg = parse_config(path)
+    assert cfg.eta_minus == 0.0 < cfg.eta_plus
+    assert [cm for cm, _, _ in grid] == [0.0] * 5
+    assert [cp for _, cp, _ in grid] == np.linspace(
+        0.0, 2.0 * math.sqrt(cfg.eta_plus), 5).tolist()
 
 
 def test_cli_game_grid_keeps_other_configs(tmp_path, capsys):
     out_dir = str(tmp_path / "results")
     paths = []
     for width in (1.0, 2.0):  # two configs, one output directory
-        data = minimal_config(potentials={"plus": {"family": "plain_gaussian", "width": width}},
+        data = minimal_config(potentials={**BOTH_POTENTIALS,
+                                          "plus": {"family": "plain_gaussian", "width": width}},
                               optimizer={"grid_points": 5})
         (tmp_path / f"w{width}").mkdir()
         paths.append(write_config(tmp_path / f"w{width}", data))

@@ -1,11 +1,21 @@
-"""Edge paths: d=2 boxes, open boundaries, flagged boundary optima."""
+"""Edge paths: d=2 boxes, open boundaries, optima past the unit strategy boxes."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from kaclab.errors import CapacityError
 from kaclab.fock import build_kac_hamiltonian, gibbs_observables
-from kaclab.game import OptimizerSpec, decision_rule, solve_game
+from kaclab.game import (
+    GamePoint,
+    OptimizerSpec,
+    decision_rule,
+    payoff,
+    solve_game,
+    solve_gap_fixed_point,
+)
 from kaclab.lattice import (
     HoppingKernel,
     LatticeBox,
@@ -73,45 +83,44 @@ def test_open_boundary_onsite_correction_runs():
     assert 0.0 <= obs.density <= 2.0
 
 
-def test_boundary_pinned_maximizer_is_flagged():
-    # strongly negative band bottom pushes the repulsive response past the
-    # search box: the result must carry the flag instead of failing silently
-    hop = HoppingKernel({(0,): -20.0}, 1)
-    mf = MeanFieldParams(beta=2.0, hopping=hop, eta_plus=9.0)
-    res = decision_rule(mf, 0.0, QuadratureSpec(), OptimizerSpec())
-    assert res.at_boundary
-    assert res.c_plus == pytest.approx(2.0, abs=1e-6)
-    game = solve_game(mf, QuadratureSpec(), OptimizerSpec())
-    assert game.boundary_flagged
-
-
 def test_interior_maximizer_not_flagged():
     mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1), eta_plus=1.0)
     res = decision_rule(mf, 0.0, QuadratureSpec(), OptimizerSpec())
-    assert not res.at_boundary
     assert 0.0 < res.c_plus < 2.0
 
 
+def bounded_minimum(f, hi):
+    """min of f over [0, hi] by a bounded scalar search, independent of the game's."""
+    return minimize_scalar(f, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-12}).fun
+
+
+def assert_solves_the_gap_equations(mf):
+    opt, quad = OptimizerSpec(), QuadratureSpec()
+    game = solve_game(mf, quad, opt)
+    assert game.gap_residual_sharp <= opt.tol_gap
+    assert solve_gap_fixed_point(mf, quad, opt).converged
+    return game
+
+
 @pytest.mark.parametrize("eta_plus", [0.0, 0.5])
-def test_c_minus_pinned_at_the_box_edge_is_flagged(eta_plus):
-    # eta_- = 8 > 4 puts the pairing optimum (c_-* = 1.19 at eta_+ = 0) past
-    # the default c_- box [0, 1]: the edge point is no gap solution
+def test_pairing_optimum_past_the_unit_c_minus_box_solves_the_gap_equations(eta_plus):
+    # eta_- = 8 puts the pairing optimum (c_-* = 1.19 at eta_+ = 0) past
+    # [0, 1], inside the model's own box [0, sqrt(2)]
     mf = MeanFieldParams(beta=4.0, hopping=discrete_laplacian(1),
                          eta_minus=8.0, eta_plus=eta_plus)
-    game = solve_game(mf, QuadratureSpec(), OptimizerSpec())
-    assert game.argmin_sharp.c_minus == pytest.approx(1.0, abs=1e-9)
-    assert game.gap_residual_sharp > 1e-2
-    assert game.boundary_flagged
+    game = assert_solves_the_gap_equations(mf)
+    assert game.argmin_sharp.c_minus > 1.0
+    if eta_plus == 0.0:  # P = -min over c_- of payoff(c_-, 0)
+        p = -bounded_minimum(lambda cm: payoff(mf, GamePoint(cm, 0.0)), math.sqrt(8.0) / 2)
+        assert abs(game.p_sharp - p) <= 1e-12 and abs(game.p_flat - p) <= 1e-12
 
 
-def test_lower_c_minus_edge_above_zero_is_flagged_but_not_the_origin():
-    # normal phase: the c_- optimum sits at a lower box edge placed above 0
-    mf = MeanFieldParams(beta=0.5, hopping=discrete_laplacian(1), eta_minus=1.0)
-    assert not solve_game(mf, QuadratureSpec(), OptimizerSpec()).boundary_flagged
-    cut = OptimizerSpec(c_minus_box=(0.5, 1.0))
-    game = solve_game(mf, QuadratureSpec(), cut)
-    assert game.argmin_sharp.c_minus == pytest.approx(0.5, abs=1e-9)
-    assert game.boundary_flagged
-    # on the eta_- = 0 axis the origin is the exact optimum, whatever the box
-    axis = MeanFieldParams(beta=0.5, hopping=discrete_laplacian(1), eta_plus=1.0)
-    assert not solve_game(axis, QuadratureSpec(), cut).boundary_flagged
+def test_repulsive_optimum_past_the_unit_c_plus_box_solves_the_gap_equations():
+    # a band bottom of -20 and eta_+ = 9 put the repulsive optimum at
+    # c_+* = 3.32, past [0, 2], inside the model's own box [0, 6]
+    mf = MeanFieldParams(beta=2.0, hopping=HoppingKernel({(0,): -20.0}, 1), eta_plus=9.0)
+    game = assert_solves_the_gap_equations(mf)
+    assert game.argmin_sharp.c_plus > 2.0
+    # eta_- = 0: P = -max over c_+ of payoff(0, c_+)
+    p = bounded_minimum(lambda cp: -payoff(mf, GamePoint(0.0, cp)), 6.0)
+    assert abs(game.p_sharp - p) <= 1e-12 and abs(game.p_flat - p) <= 1e-12

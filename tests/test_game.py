@@ -21,6 +21,7 @@ from kaclab.game import (
     quasiconvexity_report,
     solve_game,
     solve_gap_fixed_point,
+    strategy_boxes,
 )
 from kaclab.lattice import HoppingKernel, MeanFieldParams, discrete_laplacian
 from kaclab.quasifree import QuadratureSpec, bz_gibbs_expectations, quasifree_pressure
@@ -41,6 +42,10 @@ def zero_kernel():
 
 def flat_attractive(beta=1.0, eta=1.0):
     return MeanFieldParams(beta=beta, hopping=zero_kernel(), eta_minus=eta)
+
+
+# a flat band whose strategy boxes are c_- in [0, 1] and c_+ in [0, 2]
+UNIT_BOXES = MeanFieldParams(beta=1.0, hopping=zero_kernel(), eta_minus=4.0, eta_plus=1.0)
 
 
 # -- payoff -----------------------------------------------------------------------
@@ -75,7 +80,6 @@ def test_payoff_strong_coupling_closed_form():
 def test_decision_rule_trivial_without_repulsion():
     res = decision_rule(flat_attractive(), 0.3, QUAD, OPT)
     assert res.c_plus == 0.0
-    assert not res.at_boundary
 
 
 def test_decision_rule_stationarity_by_finite_differences():
@@ -117,7 +121,7 @@ def test_decision_rule_root_solves_the_c_plus_gap_equation():
                          eta_plus=1.0, eta_minus=1.0)
     for cm in (0.0, 0.2, 0.5, 0.9):
         r = decision_rule(mf, cm, QUAD, OPT)
-        assert 0.0 < r.c_plus < OPT.c_plus_box[1]
+        assert 0.0 < r.c_plus < strategy_boxes(mf)[1][1]
         density = bz_gibbs_expectations(mf, cm, r.c_plus, QUAD)[1]
         assert abs(r.c_plus - math.sqrt(mf.eta_plus) * density) <= 1e-10
 
@@ -380,22 +384,16 @@ def test_sharp_profile_slope_is_the_c_minus_gap_equation():
         assert slope == pytest.approx(fd, abs=1e-8)
 
 
-@pytest.mark.parametrize("c_plus_box", [(0.0, 2.0), (0.15, 2.0)])
-def test_batched_decision_rule_equals_scalar_calls(c_plus_box):
-    # with the cut box, r_+ is pinned at its lower edge in the first lanes only
+def test_batched_decision_rule_equals_scalar_calls():
     mf = MeanFieldParams(beta=3.0, hopping=discrete_laplacian(1),
                          eta_plus=0.7, eta_minus=1.3)
-    opt = OptimizerSpec(c_plus_box=c_plus_box)
     c_minus = np.linspace(0.0, 1.0, 9)
-    lanes = decision_rule(mf, c_minus, QUAD, opt)
-    pinned = np.sum(lanes.at_boundary)
-    assert (0 < pinned < 9) if c_plus_box[0] > 0.0 else pinned == 0
+    lanes = decision_rule(mf, c_minus, QUAD, OPT)
     for j, cm in enumerate(c_minus):
-        one = decision_rule(mf, cm, QUAD, opt)
+        one = decision_rule(mf, cm, QUAD, OPT)
         # ulp-level kernel differences may steer the root solver, by far less than xtol
         assert abs(lanes.c_plus[j] - one.c_plus) <= 1e-12
         assert abs(lanes.payoff_value[j] - one.payoff_value) <= 1e-15
-        assert lanes.at_boundary[j] == one.at_boundary
 
 
 # P_sharp, P_flat of grid search plus bounded Brent, the solver before the
@@ -422,44 +420,42 @@ def test_game_values_are_pinned(d, beta, eta_plus, eta_minus, p_sharp, p_flat):
 
 
 NNN = HoppingKernel({(0,): 2.5, (1,): -1.0, (-1,): -1.0, (2,): -0.25, (-2,): -0.25}, 1)
-# P_flat of the flat search over the whole c_+ box, before it started at the
-# sharp reply: (kernel, beta, eta_+, eta_-, c_plus_box, P_flat)
+# P_flat of the flat search over the whole c_+ box [0, 2], before it started
+# at the sharp reply: (kernel, beta, eta_+, eta_-, P_flat)
 PINNED_FLAT = [
-    ("lap", 0.5, 1.0, 0.5, (0.0, 2.0), 1.199366643886163),
-    ("lap", 1.0, 0.25, 1.5, (0.0, 2.0), 0.44592220340318023),
-    ("lap", 2.0, 1.0, 1.0, (0.0, 2.0), 0.11907894708330499),
-    ("lap", 3.0, 0.5, 3.0, (0.0, 2.0), 0.07025219093205505),
-    ("lap", 4.0, 0.25, 4.0, (0.0, 2.0), 0.11382830359093854),
-    ("lap", 5.0, 1.0, 2.0, (0.0, 2.0), 0.02639903748180036),
-    ("lap", 6.0, 0.5, 1.0, (0.0, 2.0), 0.02308443438100046),
-    ("lap", 7.0, 1.0, 4.0, (0.0, 2.0), 0.07571777605766192),
-    ("lap", 8.0, 1.0, 2.0, (0.0, 2.0), 0.01232331787390955),
-    ("lap", 8.0, 0.5, 1.5, (0.0, 2.0), 0.014521480762447185),
-    ("lap", 10.0, 0.25, 0.5, (0.0, 2.0), 0.011520311089914371),
-    ("lap", 10.0, 1.0, 3.0, (0.0, 2.0), 0.031240634104184595),
-    ("lap", 4.0, 0.0, 2.0, (0.0, 2.0), 0.05500080724228132),
-    ("lap", 6.0, 1.0, 0.0, (0.0, 2.0), 0.019543740969888035),
-    ("lap", 1.0, 1.0, 1.0, (0.0, 0.1), 0.4168476851108795),  # pinned at the upper edge
-    ("lap", 1.0, 1.0, 1.0, (0.3, 2.0), 0.3799421763087798),  # and at the lower
-    ("nnn", 0.5, 0.5, 2.0, (0.0, 2.0), 1.0977050828970725),
-    ("nnn", 1.0, 1.0, 4.0, (0.0, 2.0), 0.29629198599637085),
-    ("nnn", 1.0, 0.5, 1.0, (0.0, 2.0), 0.3224780654760751),
-    ("nnn", 2.0, 0.25, 1.0, (0.0, 2.0), 0.10662883026745455),
-    ("nnn", 3.0, 1.0, 1.5, (0.0, 2.0), 0.046908855617400325),
-    ("nnn", 4.0, 0.5, 3.0, (0.0, 2.0), 0.033175965149410264),
-    ("nnn", 5.0, 0.25, 2.0, (0.0, 2.0), 0.02522575992992619),
-    ("nnn", 6.0, 1.0, 1.0, (0.0, 2.0), 0.015168198408525126),
-    ("nnn", 6.0, 0.5, 1.5, (0.0, 2.0), 0.01740192062018034),
-    ("nnn", 2.0, 0.0, 3.0, (0.0, 2.0), 0.11403004994401039),
-    ("nnn", 5.0, 1.0, 0.0, (0.0, 2.0), 0.02041968734888247),
+    ("lap", 0.5, 1.0, 0.5, 1.199366643886163),
+    ("lap", 1.0, 0.25, 1.5, 0.44592220340318023),
+    ("lap", 2.0, 1.0, 1.0, 0.11907894708330499),
+    ("lap", 3.0, 0.5, 3.0, 0.07025219093205505),
+    ("lap", 4.0, 0.25, 4.0, 0.11382830359093854),
+    ("lap", 5.0, 1.0, 2.0, 0.02639903748180036),
+    ("lap", 6.0, 0.5, 1.0, 0.02308443438100046),
+    ("lap", 7.0, 1.0, 4.0, 0.07571777605766192),
+    ("lap", 8.0, 1.0, 2.0, 0.01232331787390955),
+    ("lap", 8.0, 0.5, 1.5, 0.014521480762447185),
+    ("lap", 10.0, 0.25, 0.5, 0.011520311089914371),
+    ("lap", 10.0, 1.0, 3.0, 0.031240634104184595),
+    ("lap", 4.0, 0.0, 2.0, 0.05500080724228132),
+    ("lap", 6.0, 1.0, 0.0, 0.019543740969888035),
+    ("nnn", 0.5, 0.5, 2.0, 1.0977050828970725),
+    ("nnn", 1.0, 1.0, 4.0, 0.29629198599637085),
+    ("nnn", 1.0, 0.5, 1.0, 0.3224780654760751),
+    ("nnn", 2.0, 0.25, 1.0, 0.10662883026745455),
+    ("nnn", 3.0, 1.0, 1.5, 0.046908855617400325),
+    ("nnn", 4.0, 0.5, 3.0, 0.033175965149410264),
+    ("nnn", 5.0, 0.25, 2.0, 0.02522575992992619),
+    ("nnn", 6.0, 1.0, 1.0, 0.015168198408525126),
+    ("nnn", 6.0, 0.5, 1.5, 0.01740192062018034),
+    ("nnn", 2.0, 0.0, 3.0, 0.11403004994401039),
+    ("nnn", 5.0, 1.0, 0.0, 0.02041968734888247),
 ]
 
 
-@pytest.mark.parametrize("kernel, beta, eta_plus, eta_minus, c_plus_box, p_flat", PINNED_FLAT)
-def test_flat_values_are_pinned(kernel, beta, eta_plus, eta_minus, c_plus_box, p_flat):
+@pytest.mark.parametrize("kernel, beta, eta_plus, eta_minus, p_flat", PINNED_FLAT)
+def test_flat_values_are_pinned(kernel, beta, eta_plus, eta_minus, p_flat):
     hopping = discrete_laplacian(1) if kernel == "lap" else NNN
     mf = MeanFieldParams(beta=beta, hopping=hopping, eta_plus=eta_plus, eta_minus=eta_minus)
-    res = solve_game(mf, QUAD, OptimizerSpec(c_plus_box=c_plus_box))
+    res = solve_game(mf, QUAD, OPT)
     assert abs(res.p_flat - p_flat) <= 1e-14
 
 
@@ -491,7 +487,7 @@ def test_flat_value_is_the_profile_maximum_across_basin_jumps():
     profile = [game._c_minus_minima(
         lambda cm: payoff(mf, GamePoint(cm, cp), QUAD),
         lambda cm: game._c_minus_slope(mf, GamePoint(cm, cp), QUAD, None), mf, OPT)[0]
-        for cp in np.linspace(*OPT.c_plus_box, 201)]
+        for cp in np.linspace(*strategy_boxes(mf)[1], 201)]
     assert np.max(np.abs(np.diff([cm for cm, _ in profile]))) >= 0.05
     assert -res.p_flat >= max(value for _, value in profile) - 1e-12
 
@@ -526,16 +522,16 @@ def test_batched_c_minus_minima_keep_each_lanes_order():
         return 2 * (x - 0.2) * (x - 0.7) * (2 * x - 0.9) + t
 
     lanes = game._lane_minima(lambda x, i: f(x, tilt[i]), lambda x, i, _: slope(x, tilt[i]),
-                              flat_attractive(), OPT, tilt.size)
+                              UNIT_BOXES, OPT, tilt.size)
     assert [len(lane) for lane in lanes] == [2, 2, 2, 1, 1, 2]
     for t, batched in zip(tilt.tolist(), lanes):
         assert batched == c_minus_minima(lambda x: f(x, t), lambda x: slope(x, t))
 
 
-def c_minus_minima(f, slope, opt=OPT):
-    """The minima of a synthetic f with its slope, searched as the game
-    searches c_-."""
-    return game._c_minus_minima(f, slope, flat_attractive(), opt)
+def c_minus_minima(f, slope):
+    """The minima of a synthetic f with its slope over [0, 1], searched as
+    the game searches c_-."""
+    return game._c_minus_minima(f, slope, UNIT_BOXES, OPT)
 
 
 def test_c_minus_minima_of_two_wells_lowest_first():
@@ -553,37 +549,33 @@ def test_c_minus_minima_of_two_wells_lowest_first():
         assert value == f(x)
 
 
-@pytest.mark.parametrize("box", [(0.0, 1.0), (0.25, 0.75)])
-def test_c_minus_minima_at_an_outward_slope_are_the_box_ends(box):
+def test_c_minus_minima_at_an_outward_slope_are_the_box_ends():
     # a concave f: the slope points out of the box at both ends and nowhere
     # turns from - to +
-    opt = OptimizerSpec(c_minus_box=box)
-
     def f(x):
         return -(x - 0.4) ** 2
 
-    assert c_minus_minima(f, lambda x: -2 * (x - 0.4), opt) == [(box[1], f(box[1])),
-                                                               (box[0], f(box[0]))]
+    assert c_minus_minima(f, lambda x: -2 * (x - 0.4)) == [(1.0, f(1.0)), (0.0, f(0.0))]
 
 
 def test_c_minus_minimum_where_the_slope_vanishes_at_a_node_is_found_once():
     # 0.5 is a node of the 33-point grid, the last of one cell and the first of the next
-    assert 0.5 in np.linspace(*OPT.c_minus_box, OPT.grid_points)
+    assert 0.5 in np.linspace(*strategy_boxes(UNIT_BOXES)[0], OPT.grid_points)
     assert c_minus_minima(lambda x: (x - 0.5) ** 2, lambda x: 2 * (x - 0.5)) == [(0.5, 0.0)]
 
 
-def c_plus_maximum(slope, guess, opt=OPT, eta_plus=1.0):
-    """The maximizer over the c_+ box of a concave function of one lane,
-    searched from a guess as the flat search is, and every c_+ at which
-    its slope was evaluated."""
+def c_plus_maximum(slope, guess, eta_plus=1.0):
+    """The maximizer over the c_+ box ([0, 2] at eta_+ = 1) of a concave
+    function of one lane, searched from a guess as the flat search is, and
+    every c_+ at which its slope was evaluated."""
     evaluated = []
 
     def counted(x, lanes):
         evaluated.extend(x.tolist())
         return slope(x)
 
-    mf = MeanFieldParams(beta=1.0, hopping=zero_kernel(), eta_plus=eta_plus)
-    return game._c_plus_maximum(counted, mf, opt, 1, guess)[0], evaluated
+    mf = dataclasses.replace(UNIT_BOXES, eta_plus=eta_plus)
+    return game._c_plus_maximum(counted, mf, OPT, 1, guess)[0], evaluated
 
 
 def test_c_plus_maximum_at_the_guess_takes_two_slopes():
@@ -599,14 +591,14 @@ def test_c_plus_maximum_searches_the_side_of_the_root(guess, root, edge):
     x, evaluated = c_plus_maximum(lambda x: np.tanh(root - x), guess)
     assert abs(x - root) <= OPT.xtol
     if guess is not None:  # that side's box edge closes the bracket; the other is never evaluated
-        assert edge in evaluated and OPT.c_plus_box[1] - edge not in evaluated
+        assert edge in evaluated and 2.0 - edge not in evaluated
 
 
 @pytest.mark.parametrize("guess", [0.5, 2.0, None])
 def test_c_plus_maximum_where_the_slope_points_out_of_the_box_is_its_edge(guess):
     up, _ = c_plus_maximum(lambda x: 3.0 - x, guess)  # slope >= 0 at hi
     down, _ = c_plus_maximum(lambda x: -1.0 - x, guess)  # slope <= 0 at lo
-    assert (down, up) == OPT.c_plus_box
+    assert (down, up) == strategy_boxes(UNIT_BOXES)[1] == (0.0, 2.0)
 
 
 def test_c_plus_maximum_without_repulsion_is_zero():
@@ -622,7 +614,7 @@ def test_game_solves_where_only_the_inner_grids_failed_the_refinement_check():
     quad = QuadratureSpec(points_per_axis=40)
     res = solve_game(mf, quad, OPT)
     with pytest.raises(AccuracyError):  # the c_- grid at the box edge c_+ = 0
-        payoff(mf, GamePoint(np.linspace(*OPT.c_minus_box, OPT.grid_points), 0.0), quad)
+        payoff(mf, GamePoint(np.linspace(*strategy_boxes(mf)[0], OPT.grid_points), 0.0), quad)
     fine = solve_game(mf, QuadratureSpec(points_per_axis=512), OPT)
     assert abs(res.p_sharp - fine.p_sharp) <= quad.tol
     assert abs(res.p_flat - fine.p_flat) <= quad.tol
@@ -805,7 +797,8 @@ def test_quasiconvexity_report_matches_scalar_payoffs():
     mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=2.0)
     rep = quasiconvexity_report(mf, 0.1, QUAD, n_samples=41)
-    fs = np.array([payoff(mf, GamePoint(x, 0.1), QUAD) for x in np.linspace(0.0, 1.0, 41)])
+    fs = np.array([payoff(mf, GamePoint(x, 0.1), QUAD)
+                   for x in np.linspace(*strategy_boxes(mf)[0], 41)])
     m = int(np.argmin(fs))
     violation = max(np.max(np.diff(fs[: m + 1]), initial=0.0),
                     np.max(-np.diff(fs[m:]), initial=0.0))

@@ -112,7 +112,7 @@ def test_integrand_even_in_k():
 
 def test_refinement_check_raises_on_coarse_midpoint():
     mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1), eta_minus=1.0)
-    quad = QuadratureSpec(points_per_axis=3, refinement_check=True, tol=1e-15)
+    quad = QuadratureSpec(points_per_axis=3, tol=1e-15)
     with pytest.raises(AccuracyError) as exc:
         quasifree_pressure(mf, 0.5, 0.0, quad)
     assert "base" in exc.value.values and "refined" in exc.value.values
@@ -162,19 +162,6 @@ def test_tally_counts_kernel_calls_lanes_and_the_refinement_margin():
                  for x in (0.0, 0.25, 0.5, 0.75, 1.0, 0.2))
     assert 0.0 < tally.refinement_margin == pytest.approx(margin, abs=1e-16)
     assert tally.refinement_margin <= quad.tol
-
-
-def test_refinement_check_off_returns_the_base_value():
-    # one quadrature per call, at the base resolution, and no margin
-    mf = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(1), eta_plus=0.5, eta_minus=1.0)
-    tally = quasifree.ZoneTally()
-    quad = QuadratureSpec(refinement_check=False)
-    n = quad.resolve_points(1)
-    for c_minus in (np.linspace(0.0, 1.0, 5), 0.2):
-        got = quasifree_pressure(mf, c_minus, 0.3, quad, tally)
-        assert np.array_equal(got, quasifree._pressure_at(mf, c_minus, 0.3, n))
-    assert (tally.kernel_calls, tally.pressure_lanes) == (2, 6)
-    assert tally.refinement_margin == 0.0
 
 
 def test_default_equals_a_512_point_solve():
