@@ -49,6 +49,8 @@ that search solves the replies r_- of all its c_+ together, and the gap
 map of its slope at the flat root gives `gap_residual_flat`.
 Every grid (of all lanes at once), and every step of the roots of many
 strategies at once, is one batched call of the zone kernel (`quasifree`).
+Roots run to xtol; one still open after 500 steps raises `AccuracyError`.
+The sharp profile's other local minima are reported as `other_minima`.
 `gap`'s stationary point (`solve_gap_fixed_point`) is the lowest minimum
 of the sharp search, which also keeps the gap residual there that both
 `gap` and `game` report.
@@ -80,7 +82,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, check_numbers, is_integer
+from .errors import AccuracyError, ConfigError, check_numbers, is_integer
 from .lattice import MeanFieldParams
 from .quasifree import (QuadratureSpec, ZoneTally, _plain, bz_gibbs_expectations,
                         quasifree_pressure)
@@ -130,21 +132,14 @@ class GamePoint:
 class OptimizerSpec:
     grid_points: int = 33
     xtol: float = 1e-10
-    degeneracy_window: float = 1e-6
-    max_iter: int = 500
     tol_gap: float = 1e-9
 
     def __post_init__(self):
-        check_numbers(xtol=self.xtol, degeneracy_window=self.degeneracy_window,
-                      tol_gap=self.tol_gap)
+        check_numbers(xtol=self.xtol, tol_gap=self.tol_gap)
         if not (is_integer(self.grid_points) and self.grid_points >= 3):
             raise ConfigError("grid_points must be an integer >= 3")
-        if not (is_integer(self.max_iter) and self.max_iter >= 1):
-            raise ConfigError("max_iter must be an integer >= 1")
         if self.xtol <= 0 or self.tol_gap <= 0:
             raise ConfigError("tolerances must be positive")
-        if self.degeneracy_window < 0:
-            raise ConfigError("degeneracy_window must be nonnegative")
 
 
 class DecisionResult(NamedTuple):
@@ -161,7 +156,7 @@ class GameResult:
     gap_residual_sharp: float
     gap_residual_flat: float
     saddle_gap: float  # p_flat - p_sharp, >= 0 up to tolerance
-    degenerate_minima: tuple = ()
+    other_minima: tuple = ()  # (GamePoint, payoff) of each other sharp minimum, lowest first
     payoff_evaluations: int = 0  # strategies whose payoff was computed
     kernel_calls: int = 0  # zone quadratures, each over any number of strategies
     refinement_margin: float = 0.0  # largest |fine - base| of the quadrature checks
@@ -206,6 +201,9 @@ def strategy_boxes(mf: MeanFieldParams) -> tuple:
     return (0.0, math.sqrt(mf.eta_minus) / 2), (0.0, 2.0 * math.sqrt(mf.eta_plus))
 
 
+_MAX_STEPS = 500  # the cap of a root search
+
+
 def _lane_roots(fn, x1, x2, f1, f2, lanes, opt: OptimizerSpec) -> np.ndarray:
     """Roots of fn in the brackets [x1, x2], lane by lane, by Chandrupatla's
     method (Adv. Eng. Softw. 28, 145 (1997)): inverse quadratic
@@ -216,6 +214,8 @@ def _lane_roots(fn, x1, x2, f1, f2, lanes, opt: OptimizerSpec) -> np.ndarray:
     when its bracket is narrower than xtol + 4 eps |x| (brentq's rule) or
     fn hits 0; the live lanes are compressed only when one stops.  Each
     root is the bracket end of smaller |fn|, so fn was evaluated there.
+    A lane still open after _MAX_STEPS evaluations raises `AccuracyError`
+    with its bracket, so no root is ever a bracket end short of xtol.
     """
     roots = np.empty(np.shape(lanes))
     if not roots.size:
@@ -223,21 +223,25 @@ def _lane_roots(fn, x1, x2, f1, f2, lanes, opt: OptimizerSpec) -> np.ndarray:
     at = np.arange(roots.size)  # where each live lane's root goes
     x3 = f3 = None
     rel = 4 * np.finfo(float).eps
-    for iteration in range(opt.max_iter + 1):
+    for step in range(_MAX_STEPS + 1):
         a1, a2 = np.abs(f1), np.abs(f2)
         best = np.where(a1 < a2, x1, x2)
         dx = x2 - x1
         width = np.abs(dx)
         tol = opt.xtol + rel * np.abs(best)
         going = (width >= tol) & (np.minimum(a1, a2) != 0.0)
-        if iteration == opt.max_iter or not going.all():
+        if not going.all():
             roots[at] = best  # the last word for the lanes that stop
-            if iteration == opt.max_iter or not going.any():
-                break
+            if not going.any():
+                return roots
             at, lanes, x1, x2, f1, f2, dx, width, tol = (
                 v[going] for v in (at, lanes, x1, x2, f1, f2, dx, width, tol))
             if x3 is not None:
                 x3, f3 = x3[going], f3[going]
+        if step == _MAX_STEPS:
+            bracket = sorted((x1[0].item(), x2[0].item()))  # the first open lane's
+            raise AccuracyError(f"root search still open after {_MAX_STEPS} steps",
+                                values={"bracket": bracket})
         if x3 is None:
             t = 0.5
         else:
@@ -256,7 +260,6 @@ def _lane_roots(fn, x1, x2, f1, f2, lanes, opt: OptimizerSpec) -> np.ndarray:
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, f
-    return roots
 
 
 def _c_plus_maximum(slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec,
@@ -428,8 +431,8 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
 
     r_+(c_-) = `decision_rule` and r_-(c_+), the lowest minimum of the
     payoff over c_-, are each computed once per strategy.
-    p_sharp: minimum over c_- of the payoff at r_+ (`_sharp_search`; all
-    near-degenerate minima reported); p_flat: maximum over c_+ of the
+    p_sharp: minimum over c_- of the payoff at r_+ (`_sharp_search`; its
+    other local minima are reported too); p_flat: maximum over c_+ of the
     payoff at r_-, the root of its slope.  That profile is concave even
     where r_- jumps between basins, and its slope is the c_+ gap equation
     at r_-.  Its root is bracketed first within xtol/2 of the sharp reply
@@ -470,8 +473,6 @@ def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) 
         flat_slope(np.array([cp_flat]), None)
     cm_flat, flat_val, rhs_flat = flat[cp_flat]
     argmax_flat = GamePoint(cm_flat, cp_flat)
-    degenerate = tuple(GamePoint(x, search.replies[x].c_plus) for x, fx in others
-                       if fx - sharp_val <= opt.degeneracy_window)
     p_sharp, p_flat = -sharp_val, -flat_val
     return GameResult(
         p_sharp=p_sharp,
@@ -481,7 +482,7 @@ def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) 
         gap_residual_sharp=search.residual,
         gap_residual_flat=_residual(cm_flat, cp_flat, rhs_flat),  # the flat slope's own gap map
         saddle_gap=p_flat - p_sharp,
-        degenerate_minima=degenerate,
+        other_minima=tuple((GamePoint(x, search.replies[x].c_plus), fx) for x, fx in others),
         payoff_evaluations=tally.pressure_lanes,
         kernel_calls=tally.kernel_calls,
         refinement_margin=tally.refinement_margin,

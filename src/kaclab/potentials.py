@@ -85,12 +85,14 @@ class ExpMajorant(RadialMajorant):
         return self.amplitude
 
     def tail(self, n, r0):
-        # a Gamma(m, s r0^p) / (p s^m) with m = n / p; regularized upper Gamma
-        from scipy.special import gammaincc
-
-        m = n / self.power
-        q = gammaincc(m, self.s * max(r0, 0.0) ** self.power)
-        return self.amplitude * math.gamma(m) * q / (self.power * self.s**m)
+        # a Gamma(m, x) / (p s^m) with m = n / p and x = s r0^p; Gamma(m, x) by
+        # Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x from Gamma(1/2, x) or Gamma(1, x)
+        m, x = n / self.power, self.s * max(r0, 0.0) ** self.power
+        a = m % 1 or 1.0
+        upper = math.sqrt(math.pi) * math.erfc(math.sqrt(x)) if a == 0.5 else math.exp(-x)
+        while a < m:
+            upper, a = a * upper + x**a * math.exp(-x), a + 1
+        return self.amplitude * upper / (self.power * self.s**m)
 
 
 class CauchyMajorant(RadialMajorant):
@@ -459,17 +461,11 @@ class Yukawa(PairPotential):
                 "certified yukawa real-space majorant available for d=1 only"
             )
         # f = (gaussian of variance 2*c2) * (bare yukawa); |x-z| >= |x|-|z|
-        # gives A exp(-sqrt(c1)|x|) with A = (c0/2 sqrt(c1)) E[exp(sqrt(c1)|Z|)]
+        # gives A exp(-sqrt(c1)|x|) with A = (c0/2 sqrt(c1)) E[exp(sqrt(c1)|Z|)],
+        # and E[exp(sqrt(c1)|Z|)] = 2 exp(c1 c2) Phi(sqrt(2 c1 c2)) = exp(c1 c2) erfc(-sqrt(c1 c2))
         s = math.sqrt(self.c1)
-        if self.c2 == 0.0:
-            amp = self.c0 / (2.0 * s)
-        else:
-            from scipy.special import ndtr
-
-            sigma = math.sqrt(2.0 * self.c2)
-            mgf = 2.0 * math.exp(self.c1 * self.c2) * ndtr(s * sigma)
-            amp = self.c0 / (2.0 * s) * mgf
-        return ExpMajorant(amp, s, 1)
+        mgf = math.exp(self.c1 * self.c2) * math.erfc(-math.sqrt(self.c1 * self.c2))
+        return ExpMajorant(self.c0 / (2.0 * s) * mgf, s, 1)
 
     def fourier_majorant(self):
         if self.c2 > 0.0:

@@ -143,7 +143,7 @@ def test_criterion_05_gap_stationarity_equivalence():
             for ep in (0.0, 1.0, 2.0):
                 mf = MeanFieldParams(beta=beta, hopping=lap, eta_plus=ep, eta_minus=em)
                 res = solve_game(mf, QUAD, OPT)
-                for g in (res.argmin_sharp, res.argmax_flat) + res.degenerate_minima:
+                for g in (res.argmin_sharp, res.argmax_flat, *(p for p, _ in res.other_minima)):
                     worst_residual = max(worst_residual, gap_residual(mf, g, QUAD))
                 sol = solve_gap_fixed_point(mf, QUAD)
                 if sol.converged:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import kaclab
+from kaclab import game
 from kaclab.cli import main
 from kaclab.config import (
     config_hash,
@@ -22,7 +23,7 @@ from kaclab.config import (
     parse_config_dict,
     serialize_config,
 )
-from kaclab.errors import ConfigError, InsufficientDataError
+from kaclab.errors import AccuracyError, ConfigError, InsufficientDataError
 from kaclab.game import GamePoint, OptimizerSpec, payoff, strategy_boxes
 from kaclab.lattice import HoppingKernel
 from kaclab.potentials import GaussianMixture, PlainGaussian, Yukawa
@@ -101,8 +102,6 @@ def test_all_errors_reported_at_once():
     ({"hopping": [[[1.5], -1.0], [[0], 2.0]]}, "hopping offset .* must hold integers"),
     ({"quadrature": {"points_per_axis": 64.5}}, "points_per_axis must be an integer"),
     ({"optimizer": {"grid_points": 33.5}}, "grid_points must be an integer"),
-    ({"optimizer": {"max_iter": 2.5}}, "max_iter must be an integer"),
-    ({"optimizer": {"max_iter": 0}}, "max_iter must be an integer >= 1"),
     ({"beta": [True]}, "beta: expected a list of numbers"),
     ({"beta": ["2.0"]}, "beta: expected a list of numbers"),
     ({"beta": [float("inf")]}, "beta: expected a list of numbers"),
@@ -127,21 +126,18 @@ def test_all_errors_reported_at_once():
     ({"optimizer": {"tol_gap": True}}, "optimizer: tol_gap must be a number"),
     ({"optimizer": {"xtol": 0.0}}, "optimizer: tolerances must be positive"),
     ({"optimizer": {"tol_gap": -1.0}}, "optimizer: tolerances must be positive"),
-    ({"optimizer": {"degeneracy_window": "x"}}, "optimizer: degeneracy_window must be a number"),
-    ({"optimizer": {"degeneracy_window": -1.0}},
-     "optimizer: degeneracy_window must be nonnegative"),
     ({"potentials": {"minus": {"family": "yukawa", "c0": "1", "c1": 1.0}}},
      "potentials.minus: c0 must be a number"),
     ({"potentials": {"plus": {"family": "table_spline", "radii": [0, 1, True, 3],
                               "values": [1.0, 0.5, 0.2, 0.0]}}},
      "potentials.plus: table radii and values must be numbers"),
     ({"output_dir": ""}, "output_dir: must be a nonempty string"),
-], ids=["dimension", "L", "hopping_offset", "points_per_axis", "grid_points", "max_iter",
-        "max_iter_zero", "beta_bool", "beta_string", "beta_inf", "gamma_minus_nan",
-        "gamma_minus_bool", "gamma_plus_bool", "eta_plus_bool", "eta_minus_bool", "eta_plus_inf", "terms_not_list", "term_not_pair", "tol_string", "tol_negative", "tol_zero", "onsite_string", "width_bool",
+], ids=["dimension", "L", "hopping_offset", "points_per_axis", "grid_points", "beta_bool",
+        "beta_string", "beta_inf", "gamma_minus_nan", "gamma_minus_bool", "gamma_plus_bool",
+        "eta_plus_bool", "eta_minus_bool", "eta_plus_inf", "terms_not_list", "term_not_pair",
+        "tol_string", "tol_negative", "tol_zero", "onsite_string", "width_bool",
         "hopping_value_string", "xtol_string", "tol_gap_bool", "xtol_zero", "tol_gap_negative",
-        "degeneracy_window_string", "degeneracy_window_negative", "yukawa_string", "table_bool",
-        "output_dir_empty"])
+        "yukawa_string", "table_bool", "output_dir_empty"])
 def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_dict(minimal_config(**overrides))
@@ -153,8 +149,6 @@ def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     (lambda: QuadratureSpec(points_per_axis=64.5), "integer"),
     (lambda: QuadratureSpec(points_per_axis=True), "integer"),
     (lambda: OptimizerSpec(grid_points=33.5), "integer"),
-    (lambda: OptimizerSpec(max_iter=2.5), "integer"),
-    (lambda: OptimizerSpec(max_iter=0), "integer"),
     (lambda: HoppingKernel([((0,), "2.0")], 1), "must be a number"),
     (lambda: QuadratureSpec(tol="x"), "tol must be a number"),
     (lambda: QuadratureSpec(tol=-1.0), "tol must be positive"),
@@ -163,17 +157,15 @@ def test_integer_fields_reject_booleans_and_fractions(overrides, message):
     (lambda: OptimizerSpec(tol_gap=True), "tol_gap must be a number"),
     (lambda: OptimizerSpec(xtol=0.0), "tolerances must be positive"),
     (lambda: OptimizerSpec(tol_gap=-1.0), "tolerances must be positive"),
-    (lambda: OptimizerSpec(degeneracy_window="x"), "degeneracy_window must be a number"),
-    (lambda: OptimizerSpec(degeneracy_window=-1.0), "degeneracy_window must be nonnegative"),
     (lambda: PlainGaussian(width=True), "width must be a number"),
     (lambda: Yukawa(1.0, "1.0"), "c1 must be a number"),
     (lambda: GaussianMixture([(True, (1.0,))]), "must be positive numbers"),
     (lambda: GaussianMixture([(1.0, ("2",))]), "must be positive numbers"),
 ], ids=["offset_fraction", "offset_bool", "points_fraction", "points_bool",
-        "grid_points", "max_iter", "max_iter_zero", "hopping_value_string", "tol_string",
+        "grid_points", "hopping_value_string", "tol_string",
         "tol_negative", "tol_zero", "xtol_string", "tol_gap_bool", "xtol_zero",
-        "tol_gap_negative", "degeneracy_window_string", "degeneracy_window_negative",
-        "width_bool", "yukawa_string", "mixture_weight_bool", "mixture_scale_string"])
+        "tol_gap_negative", "width_bool", "yukawa_string", "mixture_weight_bool",
+        "mixture_scale_string"])
 def test_integer_fields_rejected_on_direct_construction(build, message):
     with pytest.raises(ConfigError, match=message):
         build()
@@ -213,9 +205,9 @@ README_CONFIG = {
 
 
 @pytest.mark.parametrize("data, digest", [
-    (README_CONFIG, "725b7c406f8d98ed"),
+    (README_CONFIG, "f350d4bc86e83453"),
     ({"schema_version": 1, "dimension": 1, "hopping": [[[0], 2.0], [[1], -1.0]],
-      "eta": {"plus": 0.6, "minus": 0.4}, "beta": [2.0]}, "c98ea8228cead725"),
+      "eta": {"plus": 0.6, "minus": 0.4}, "beta": [2.0]}, "2b2bb9d6494613b1"),
 ], ids=["readme", "eta_only"])
 def test_config_hash_pinned_across_versions(data, digest):
     # every stored row carries this tag: a change here orphans existing stores
@@ -224,7 +216,7 @@ def test_config_hash_pinned_across_versions(data, digest):
 
 _CHANGED_SPEC_FIELDS = {
     "points_per_axis": 32, "tol": 1e-7, "grid_points": 11,
-    "xtol": 1e-9, "degeneracy_window": 1e-5, "max_iter": 100, "tol_gap": 1e-8,
+    "xtol": 1e-9, "tol_gap": 1e-8,
 }
 
 
@@ -416,6 +408,10 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ({"optimizer": {"c_minus_box": [0, 1]}}, ["config error: optimizer: ", "'c_minus_box'"]),
         ({"quadrature": {"refinement_check": False}},
          ["config error: quadrature: ", "'refinement_check'"]),
+        # and the step cap of the root searches and the window of the reported minima
+        ({"optimizer": {"max_iter": 2}}, ["config error: optimizer: ", "'max_iter'"]),
+        ({"optimizer": {"degeneracy_window": 1e-3}},
+         ["config error: optimizer: ", "'degeneracy_window'"]),
     ]:
         path = write_config(tmp_path, minimal_config(**overrides))
         assert main(["validate-potential", "--config", path]) == 2
@@ -425,8 +421,8 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, optimizer", [
     ("game", {"grid_points": 33.5}),
-    ("gap", {"max_iter": 2.5}),
-    ("gap", {"max_iter": 0}),
+    ("gap", {"grid_points": 2.5}),
+    ("gap", {"grid_points": 2}),
 ])
 def test_cli_fractional_integer_field_exit_code(tmp_path, capsys, command, optimizer):
     path = write_config(tmp_path, minimal_config(optimizer=optimizer))
@@ -479,6 +475,31 @@ def test_cli_accuracy_exit_code(tmp_path, capsys):
     values = ast.literal_eval(second.removeprefix("partial values: "))
     assert sorted(values) == ["base", "refined"]
     assert (f"{values['refined']:.15g}", f"{values['base']:.15g}") == match.groups()
+
+
+def test_cli_root_search_open_at_the_step_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # the root searches of this game close in a few steps; one still open at
+    # the cap is an accuracy error, never a bracket end returned as a root
+    path = write_config(tmp_path, cold_game_config(4.0, 2.0))
+    cfg = parse_config(path)
+    mf = cfg.meanfield_params(4.0)
+    game._sharp_search.cache_clear()
+    game._solved_game.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(game, "_MAX_STEPS", 2)
+        with pytest.raises(AccuracyError, match="root search still open after 2 steps") as err:
+            game.solve_game(mf, cfg.quadrature, cfg.optimizer)
+        lo, hi = err.value.values["bracket"]
+        assert 0.0 <= lo < hi
+        assert main(["game", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "partial values: {'bracket': [" in captured.err
+    assert main(["game", "--config", path]) == 0
+    result = json.loads(capsys.readouterr().out)["game"]["4.0"]
+    assert result["p_sharp"] == pytest.approx(0.0381122561, abs=1e-10)
+    assert result["p_flat"] == pytest.approx(0.0381122561, abs=1e-10)
+    assert result["gap_residual_sharp"] <= cfg.optimizer.tol_gap
 
 
 def test_cli_capacity_exit_code(tmp_path, capsys):

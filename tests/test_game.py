@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -547,6 +548,25 @@ def test_c_minus_minima_of_two_wells_lowest_first():
     for x, value, bracket in ((x1, f1, (0.1, 0.3)), (x2, f2, (0.6, 0.8))):
         assert abs(x - brentq(slope, *bracket, xtol=1e-15)) <= OPT.xtol
         assert value == f(x)
+
+
+def test_other_minima_report_every_well_of_the_sharp_profile(monkeypatch):
+    # a second well 1.0 above the lowest: every other local minimum is
+    # reported with its reply r_+ and its payoff, whatever its height
+    search = game._sharp_search(CACHED, QUAD, OPT)
+    lowest = search.minima[0]
+    well = (0.3, lowest[1] + 1.0)
+    replies = MappingProxyType({**search.replies, 0.3: game.DecisionResult(0.7, well[1])})
+    monkeypatch.setattr(game, "_sharp_search", lambda *specs: search._replace(
+        minima=(lowest, well), replies=replies))
+    game._solved_game.cache_clear()
+    try:
+        result = solve_game(CACHED, QUAD, OPT)
+    finally:
+        game._solved_game.cache_clear()  # the game of the stand-in search
+    assert result.other_minima == ((GamePoint(0.3, 0.7), lowest[1] + 1.0),)
+    assert result.as_dict()["other_minima"] == [[[0.3, 0.7], lowest[1] + 1.0]]
+    assert (result.p_sharp, result.argmin_sharp.c_minus) == (-lowest[1], lowest[0])
 
 
 def test_c_minus_minima_at_an_outward_slope_are_the_box_ends():

@@ -1,14 +1,22 @@
 """Pair-potential families: closed forms, certified sums, cone diagnostics."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammaincc, ndtr
+
+import kaclab
 
 from kaclab.errors import AccuracyError, ConfigError, UnsupportedPotentialError
 from kaclab.potentials import (
     CauchyMajorant,
+    ExpMajorant,
     GaussianMixture,
     PlainGaussian,
     TableSpline,
@@ -269,6 +277,45 @@ def test_integral_test_constant_additive():
     g2 = PlainGaussian(1.0, d=1).radial_majorant()
     g2.parts[0].amplitude *= 2.0
     assert integral_test_constant(g2, 1) == pytest.approx(2 * m1, rel=1e-14)
+
+
+def test_exp_majorant_tail_is_the_upper_incomplete_gamma():
+    # Gamma(m, x) with m = n/p an integer or a half-integer; far past x = 500
+    # gammaincc itself loses digits (1.1e-13 from the exact value near x = 680)
+    for n in range(1, 5):
+        for p in (1, 2):
+            g, m = ExpMajorant(1.3, 0.7, p), n / p
+            for r0 in np.linspace(0.0, (500.0 / 0.7) ** (1 / p), 301).tolist():
+                exact = 1.3 * math.gamma(m) * gammaincc(m, 0.7 * r0**p) / (p * 0.7**m)
+                assert g.tail(n, r0) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("c1, c2", [(1.0, 1.0), (0.3, 0.5), (2.0, 0.01), (1.5, 0.0)])
+def test_yukawa_majorant_amplitude_is_the_folded_normal_mgf(c1, c2):
+    # A = (c0 / 2 sqrt(c1)) E[exp(sqrt(c1)|Z|)], Z of variance 2 c2
+    s, sigma = math.sqrt(c1), math.sqrt(2.0 * c2)
+    expected = 1.2 / (2.0 * s) * 2.0 * math.exp(c1 * c2) * ndtr(s * sigma)
+    assert Yukawa(1.2, c1, c2).radial_majorant().amplitude == pytest.approx(expected, rel=1e-15)
+
+
+FOOTPRINT_SCRIPT = """
+import json, sys
+from kaclab.potentials import GaussianMixture, Yukawa, kac_lattice_sum
+sums = [kac_lattice_sum(GaussianMixture([(0.3, (1.0,)), (0.2, (2.5,))]), 0.3),
+        kac_lattice_sum(Yukawa(1.0, 1.5), 0.3)]
+print(json.dumps({"sums": sums, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_certified_lattice_sums_load_no_scipy():
+    # the test modules import scipy themselves, so the sums run in a fresh interpreter
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kaclab.__file__))}
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["scipy"] == []
+    assert all(math.isfinite(value) and value > 0 for value in result["sums"])
 
 
 def test_series_tail_bound_requires_gamma_below_one():
