@@ -5,7 +5,10 @@ kac-sweep, plot-data, selftest.  Exit codes: 0 success, 2 configuration
 error, 3 accuracy error, 4 capacity error, 5 any other failed internal
 check (e.g. operator elements outside the declared sectors, an operator
 on a periodic box that is not translation invariant, an operator of a box
-that is not inversion symmetric, Gibbs expectations out of range).
+that is not inversion symmetric, Gibbs expectations out of range), 141
+(128 + SIGPIPE, as a shell reports it) when the reader of stdout closed it
+before the output was written, e.g. ``kaclab game ... | head``; files
+are written before the output, and the rest of the output is dropped.
 ``--log-level`` (debug, info, warning or error; default warning), given
 before the subcommand, sets the least level of the ``kaclab`` log records
 that are written to stderr.
@@ -14,9 +17,11 @@ that are written to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -34,6 +39,7 @@ EXIT_CONFIG = 2
 EXIT_ACCURACY = 3
 EXIT_CAPACITY = 4
 EXIT_CHECK = 5
+EXIT_PIPE = 141
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
@@ -210,8 +216,9 @@ def cmd_selftest(args) -> int:
     momentum blocks against plain sector blocks,
     blocks built from the representatives against those of the global
     matrix, their lowest-weight spectrum against plain sectors, a build
-    from a cached plan against plain sectors, and the gauge-fixed
-    approximant at complex c_- against plain parity sectors."""
+    from a cached plan against plain sectors, the gauge-fixed approximant
+    at complex c_- against plain parity sectors, and games below the
+    pairing bound against the full-grid oracle."""
     from scipy.special import logsumexp
 
     from . import fock
@@ -325,6 +332,27 @@ def cmd_selftest(args) -> int:
     defect = max(float(np.max(np.abs(approx.eigenvalues() - np.sort(w)))), abs(
         fock.gibbs_observables(approx, mf.beta).pair_amplitude - weight @ pair / weight.sum()))
     checks.append(("complex c_- gauge vs parity sectors, 5-site periodic box", defect, 1e-12))
+    # games below the pairing bound, which search no grid, against the full-grid oracle:
+    # where the c_- slope is positive at every node of both boxes (a node at c_- = 0
+    # probed at xtol), both orderings are the payoff at (0, r_+(0))
+    defect, opt = 0.0, game.OptimizerSpec()
+    for d in (1, 2):
+        model = MeanFieldParams(beta=2.0, hopping=discrete_laplacian(d), eta_plus=1.0,
+                                eta_minus=1.0)
+        res = game.solve_game(model)
+        xs, cps = (np.linspace(lo, hi, opt.grid_points) for lo, hi in game.strategy_boxes(model))
+        probe = np.where(xs > 0.0, xs, opt.xtol)
+        sharp = game.decision_rule(model, xs)
+        slopes = [probe - quasifree.bz_gibbs_expectations(model, probe, cp)[0]
+                  for cp in [sharp.c_plus, *cps]]  # 2 (c_- - sqrt(eta_-) pair) at eta_- = 1
+        positive = res.pairing_bound < 1.0 and (np.array(slopes) > 0.0).all()
+        if not positive or res.other_minima or np.argmin(sharp.payoff_value) != 0:
+            defect = float("inf")
+        defect = max(defect, abs(res.p_sharp + sharp.payoff_value[0]),
+                     abs(res.p_flat + game.decision_rule(model, 0.0).payoff_value),
+                     abs(res.argmin_sharp.c_plus - sharp.c_plus[0]), res.argmin_sharp.c_minus)
+    checks.append(("games below the pairing bound vs full-grid oracle, 1-D and 2-D", defect,
+                   1e-12))
 
     failed = False
     for name, value, tol in checks:
@@ -388,7 +416,9 @@ def main(argv=None) -> int:
     if not any(isinstance(h, _Stderr) for h in log.handlers):  # one per process
         log.addHandler(_Stderr())
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader of stdout that left raises here, not at exit
+        return code
     except ConfigError as err:
         for msg in err.messages:
             print(f"config error: {msg}", file=sys.stderr)
@@ -404,6 +434,12 @@ def main(argv=None) -> int:
     except KaclabError as err:
         print(f"check failed: {err}", file=sys.stderr)
         return EXIT_CHECK
+    except BrokenPipeError:  # the reader of stdout left early
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no file descriptor
+            os.dup2(devnull, sys.stdout.fileno())  # what is still buffered goes nowhere at exit
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -32,16 +32,24 @@ Searches: both orderings are solved from the two best replies, r_+(c_-)
 computed once per strategy of a game.  The payoff and the
 flat profile min_{c_-} payoff are concave in c_+ with the c_+ gap equation
 below as slope (for the profile at r_-, by the envelope theorem), so maxima
-over c_+ are bracketed roots.  So are minima over c_-: the c_- gap
-equation is the slope of the payoff and, by the envelope theorem, of the
-sharp profile payoff(c_-, r_+(c_-)).  On a grid, the guard against
-first-order transitions, each minimum is a box end where that slope
-points out of the box, or its root in a cell where it turns from - to +.
+over c_+ are bracketed roots.  The c_- gap equation is the slope of the
+payoff in c_- and, by the envelope theorem, of the sharp profile
+payoff(c_-, r_+(c_-)); it is 2 c_- (1 - eta_- chi).  First a certificate,
+`_pairing_bound`, bounds eta_- chi over both boxes by eta_- chi-bar from
+the zone table alone.  Below 1 (the normal phase of most models) the
+slope is positive at every c_- > 0 whatever c_+, so r_- = 0 and the
+sharp profile's only minimum is c_- = 0: the game is one `decision_rule`
+at c_- = 0, its payoff and the gap residual there, with argmax_flat =
+argmin_sharp, P_flat = P_sharp and no other minima.  Otherwise minima
+over c_- are searched on a grid, the guard against first-order
+transitions: each is a box end where the slope points out of the box, or
+its root in a cell where it turns from - to +.
 The c_- slope vanishes at c_- = 0 by symmetry, so a grid node at 0 is
 probed at xtol.  The sharp search solves r_+ at the node 0 itself and
 probes at (xtol, r_+(0)): r_+ is even in c_-, so the sign is the one at
 (xtol, r_+(xtol)) unless that slope is O(xtol^2), and a minimum at the
-origin reuses the grid's reply.
+origin reuses the grid's reply.  Each root step brackets its r_+ first
+by the replies of the nearest c_- solved on either side.
 The flat root is bracketed first within xtol/2 of the sharp reply
 c_+* = r_+(c_-*), where it lies at a saddle point, and otherwise searched
 only on the side of c_+* that the slope's signs there give.  Each step of
@@ -50,6 +58,8 @@ map of its slope at the flat root gives `gap_residual_flat`.
 Every grid (of all lanes at once), and every step of the roots of many
 strategies at once, is one batched call of the zone kernel (`quasifree`).
 Roots run to xtol; one still open after 500 steps raises `AccuracyError`.
+Every reported payoff, on either path, is a refinement-checked
+`quasifree_pressure`.
 The sharp profile's other local minima are reported as `other_minima`.
 `gap`'s stationary point (`solve_gap_fixed_point`) is the lowest minimum
 of the sharp search, which also keeps the gap residual there that both
@@ -84,8 +94,8 @@ import numpy as np
 
 from .errors import AccuracyError, ConfigError, check_numbers, is_integer
 from .lattice import MeanFieldParams
-from .quasifree import (QuadratureSpec, ZoneTally, _plain, bz_gibbs_expectations,
-                        quasifree_pressure)
+from .quasifree import (QuadratureSpec, ZoneTally, _bz_table, _plain, _tanh_over_e,
+                        bz_gibbs_expectations, quasifree_pressure)
 
 __all__ = [
     "GamePoint",
@@ -160,6 +170,7 @@ class GameResult:
     payoff_evaluations: int = 0  # strategies whose payoff was computed
     kernel_calls: int = 0  # zone quadratures, each over any number of strategies
     refinement_margin: float = 0.0  # largest |fine - base| of the quadrature checks
+    pairing_bound: float = 0.0  # eta_- chi-bar (`_pairing_bound`); below 1 no c_- grid was searched
 
     def as_dict(self):
         """Every field by name; a GamePoint becomes [c_minus, c_plus]."""
@@ -199,6 +210,24 @@ def strategy_boxes(mf: MeanFieldParams) -> tuple:
     can still make a slope 0 at an upper edge (a density of exactly 2 where
     tanh rounds to 1); the searches then return that edge."""
     return (0.0, math.sqrt(mf.eta_minus) / 2), (0.0, 2.0 * math.sqrt(mf.eta_plus))
+
+
+def _pairing_bound(mf: MeanFieldParams, quad: QuadratureSpec) -> float:
+    """eta_- chi-bar: a bound on eta_- chi(c_-, c_+) over the strategy boxes.
+
+    The c_- slope of the payoff is 2 c_- (1 - eta_- chi), where chi is the
+    zone mean of tanh(beta E/2) / (2E) at E = sqrt((hhat + s)^2 + eta_- c_-^2)
+    and the shift s = 2 sqrt(eta_+) c_+ lies in [0, 4 eta_+] on the c_+
+    box.  tanh(x)/x falls with x, and E >= m = min_s |hhat + s| at every
+    node, so chi <= chi-bar, the mean of tanh(beta m/2) / (2m) on the nodes
+    that the slopes use.  Below 1 (eta_- = 0 included) the c_- slope is
+    positive at every c_- > 0, whatever c_+: the best reply r_- is 0, the
+    sharp profile's only minimum is c_- = 0, and both orderings meet at
+    (0, r_+(0)).
+    """
+    hhat, W = _bz_table(mf.hopping, quad.resolve_points(mf.hopping.d))
+    m = np.maximum(np.maximum(hhat, -hhat - 4.0 * mf.eta_plus), 0.0)
+    return mf.eta_minus * float((0.5 * _tanh_over_e(m, mf.beta)) @ W)
 
 
 _MAX_STEPS = 500  # the cap of a root search
@@ -263,28 +292,32 @@ def _lane_roots(fn, x1, x2, f1, f2, lanes, opt: OptimizerSpec) -> np.ndarray:
 
 
 def _c_plus_maximum(slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec,
-                    lanes: int, guess: float | None = None) -> np.ndarray:
+                    lanes: int, guess: tuple | None = None) -> np.ndarray:
     """Per lane, the maximizer over the c_+ box of a concave function.
 
     slope(c_plus, lanes), decreasing in c_plus, evaluates the listed lanes
     in one call.  Its root is first bracketed by [a, b]: the whole box or,
-    given a guess, the part of the box within xtol/2 of it, where a sign
-    change pins the root to xtol after two evaluations.  Otherwise the
-    signs at a and b tell on which side the root lies, and the box edge on
-    that side closes its bracket: a wrong guess costs at most one
-    evaluation more than a search of the whole box, and never changes the
-    answer.  An edge where the slope points out of the box is the
-    maximizer.  For eta_+ = 0 the repulsive strategy space degenerates to
-    c_+ = 0.
+    given a guess (g1, g2) (numbers or one per lane), the part of the box
+    within xtol/2 of the interval between them.  A sign change there keeps
+    the search inside; an interval of width 0 pins the root to xtol after
+    two evaluations.  Otherwise the signs at a and b tell on which side the
+    root lies, and the box edge on that side closes its bracket: a wrong
+    guess costs at most one evaluation more than a search of that side,
+    and never moves the answer by more than xtol.  An edge where the slope
+    points out of the box is the maximizer.  For eta_+ = 0 the repulsive
+    strategy space degenerates to c_+ = 0.
     """
     if mf.eta_plus == 0.0:
         return np.zeros(lanes)
     lo, hi = strategy_boxes(mf)[1]
-    a, b = (lo, hi) if guess is None else np.clip(
-        [guess - opt.xtol / 2, guess + opt.xtol / 2], lo, hi)
+    if guess is None:
+        a, b = np.full(lanes, lo), np.full(lanes, hi)
+    else:
+        a, b = (np.clip(np.broadcast_to(g, lanes), lo, hi) for g in (
+            np.minimum(*guess) - opt.xtol / 2, np.maximum(*guess) + opt.xtol / 2))
     each = np.arange(lanes)
-    s = slope(np.repeat([b, a], lanes), np.tile(each, 2))
-    x1, x2, f1, f2 = np.full(lanes, a), np.full(lanes, b), s[lanes:], s[:lanes]
+    s = slope(np.concatenate((b, a)), np.tile(each, 2))
+    x1, x2, f1, f2 = a, b, s[lanes:], s[:lanes]
     above = (f2 >= 0.0) & (x2 < hi)  # the root lies in [b, hi]
     below = (f2 < 0.0) & (f1 <= 0.0) & (x1 > lo)  # in [lo, a]
     side = above | below
@@ -316,14 +349,11 @@ def _lane_minima(value: Callable, slope: Callable, mf: MeanFieldParams, opt: Opt
     and value is evaluated once, at all the minima.  The slope vanishes at
     c_- = 0 by symmetry, so a node at 0 is probed at x = xtol; node is the
     grid node (or root step) that x stands for, and a lane whose strategy
-    depends on c_- (the sharp profile's r_+) takes it at the node.  For
-    eta_- = 0 the payoff is c_-^2 plus a function of c_+ alone, and its
-    maximum over c_+ is c_-^2 plus a constant: the origin is the only
-    minimum of both, and no search is needed.
+    depends on c_- (the sharp profile's r_+) takes it at the node.  The
+    game searches no c_- grid where `_pairing_bound` is below 1, eta_- = 0
+    included.
     """
     each = np.arange(lanes)
-    if mf.eta_minus == 0.0:
-        return [[(0.0, fx)] for fx in value(np.zeros(lanes), each).tolist()]
     xs = np.linspace(*strategy_boxes(mf)[0], opt.grid_points)
     probe = np.where(xs > 0.0, xs, opt.xtol)
     s = slope(np.tile(probe, lanes), np.repeat(each, xs.size),
@@ -357,8 +387,8 @@ def _c_minus_minima(f: Callable, slope: Callable, mf: MeanFieldParams, opt: Opti
 
 
 def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = None,
-                  opt: OptimizerSpec | None = None,
-                  tally: ZoneTally | None = None) -> DecisionResult:
+                  opt: OptimizerSpec | None = None, tally: ZoneTally | None = None,
+                  guess: tuple | None = None) -> DecisionResult:
     """r_+(c_-): the unique maximizer of the payoff over c_+ at fixed c_-.
 
     The payoff is strictly concave in c_+ (pressure convex in the linear
@@ -366,7 +396,10 @@ def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = No
     decreasing slope sqrt(eta_+) density - c_+ of the c_+ gap equation.
     For eta_+ = 0 the repulsive strategy space degenerates and r_+ = 0.
     An array of c_- is solved lane by lane, each step one batched call, and
-    gives arrays.
+    gives arrays.  A guess (g1, g2) of c_+ (numbers or one per lane)
+    brackets each root first by the interval between them, as in
+    `_c_plus_maximum`: it saves steps where it holds the root and moves no
+    answer by more than xtol where it does not.
     """
     opt = opt or OptimizerSpec()
     cm = np.asarray(c_minus, float)
@@ -375,7 +408,7 @@ def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = No
     def slope(c_plus, i):
         return _gap_map(mf, lanes[i], c_plus, quad, tally)[1] - c_plus
 
-    x = _plain(_c_plus_maximum(slope, mf, opt, lanes.size).reshape(cm.shape))
+    x = _plain(_c_plus_maximum(slope, mf, opt, lanes.size, guess).reshape(cm.shape))
     value = payoff(mf, GamePoint(_plain(cm), x), quad, tally)
     return DecisionResult(x, value)
 
@@ -385,29 +418,42 @@ class _SharpSearch(NamedTuple):
     replies: MappingProxyType  # c_- -> the DecisionResult of r_+ at every c_- evaluated
     residual: float  # gap_residual at the lowest minimum (c_-, r_+(c_-))
     tally: ZoneTally  # the search's work; read it, never add to it
+    pairing_bound: float  # `_pairing_bound`; below 1 the search made no c_- grid
 
 
 @functools.lru_cache(maxsize=64)
 def _sharp_search(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) -> _SharpSearch:
     """The sharp search: the local minima of payoff(c_-, r_+(c_-)), with r_+
     computed once per c_-; the new c_- of one search step are solved
-    together.  The profile's slope is the c_- gap equation at
-    (c_-, r_+(c_-)) by the envelope theorem.  The grid's one
-    `decision_rule` call solves r_+ at every node, c_- = 0 included, and
-    the slope there is probed at (xtol, r_+(0)); a minimum at the origin
-    reuses that reply, so a normal-phase game solves r_+ once.  The gap
-    residual at the lowest minimum, which `solve_game` and
-    `solve_gap_fixed_point` both report, is computed here, once.  Cached
-    by value, as `_bz_table` is; a raised error is not kept.
+    together.  Where `_pairing_bound` is below 1 the profile rises from
+    c_- = 0, its only minimum: one one-lane `decision_rule` call at the
+    origin is the whole search.  Otherwise the profile's slope is the c_-
+    gap equation at (c_-, r_+(c_-)) by the envelope theorem, on the grid
+    of `_lane_minima`.  The grid's one `decision_rule` call solves r_+ at
+    every node, c_- = 0 included, and the slope there is probed at
+    (xtol, r_+(0)); a minimum at the origin reuses that reply.  Each later
+    c_- (a root step) brackets its r_+ first by the replies at the nearest
+    c_- already solved on either side, at first the two nodes of its cell:
+    r_+ moves smoothly with c_-.  The gap residual at the lowest minimum,
+    which `solve_game` and `solve_gap_fixed_point` both report, is computed
+    here, once.  Cached by value, as `_bz_table` is; a raised error is not
+    kept.
     """
     tally = ZoneTally()
     replies = {}
+    bound = _pairing_bound(mf, quad)
 
     def reply_plus(xs):
         keys = np.asarray(xs, float).tolist()
         new = [x for x in dict.fromkeys(keys) if x not in replies]
         if new:
-            r = decision_rule(mf, np.array(new), quad, opt, tally)
+            guess = None
+            if replies:  # the replies of each new c_-'s solved neighbours
+                known = sorted(replies)
+                right = np.clip(np.searchsorted(known, new), 1, len(known) - 1)
+                guess = tuple(np.array([replies[known[k]].c_plus for k in side.tolist()])
+                              for side in (right - 1, right))
+            r = decision_rule(mf, np.array(new), quad, opt, tally, guess)
             replies.update(zip(new, map(DecisionResult, r.c_plus.tolist(),
                                         r.payoff_value.tolist())))
         return [replies[x] for x in keys]
@@ -419,10 +465,13 @@ def _sharp_search(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec)
         c_plus = np.array([r.c_plus for r in reply_plus(nodes)])
         return _minus_slope(mf, xs, c_plus, quad, tally)
 
-    minima = tuple(_lane_minima(sharp_value, sharp_slope, mf, opt, 1)[0])
+    if bound < 1.0:
+        minima = ((0.0, reply_plus([0.0])[0].payoff_value),)
+    else:
+        minima = tuple(_lane_minima(sharp_value, sharp_slope, mf, opt, 1)[0])
     c_minus = minima[0][0]
     residual = gap_residual(mf, GamePoint(c_minus, replies[c_minus].c_plus), quad, tally)
-    return _SharpSearch(minima, MappingProxyType(replies), residual, tally)
+    return _SharpSearch(minima, MappingProxyType(replies), residual, tally, bound)
 
 
 def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
@@ -433,9 +482,11 @@ def solve_game(mf: MeanFieldParams, quad: QuadratureSpec | None = None,
     payoff over c_-, are each computed once per strategy.
     p_sharp: minimum over c_- of the payoff at r_+ (`_sharp_search`; its
     other local minima are reported too); p_flat: maximum over c_+ of the
-    payoff at r_-, the root of its slope.  That profile is concave even
-    where r_- jumps between basins, and its slope is the c_+ gap equation
-    at r_-.  Its root is bracketed first within xtol/2 of the sharp reply
+    payoff at r_-, the root of its slope.  Where `_pairing_bound` is below
+    1, r_- is 0 at every c_+, so both are the payoff at (0, r_+(0)) and
+    no flat search is made.  Otherwise that profile is concave even where
+    r_- jumps between basins, and its slope is the c_+ gap equation at
+    r_-.  Its root is bracketed first within xtol/2 of the sharp reply
     c_+* = r_+(c_-*): at a saddle point it lies there, and two replies
     r_-, solved in one pass, pin it.  Otherwise the slope's signs there
     give the side of c_+* on which the root lies, and only that side is
@@ -468,11 +519,15 @@ def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) 
     (cm_sharp, sharp_val), *others = search.minima
     reply = search.replies[cm_sharp]
     argmin_sharp = GamePoint(cm_sharp, reply.c_plus)
-    cp_flat = float(_c_plus_maximum(flat_slope, mf, opt, 1, guess=reply.c_plus)[0])
-    if cp_flat not in flat:  # eta_+ = 0: the maximum needed no slope
-        flat_slope(np.array([cp_flat]), None)
-    cm_flat, flat_val, rhs_flat = flat[cp_flat]
-    argmax_flat = GamePoint(cm_flat, cp_flat)
+    if search.pairing_bound < 1.0:  # r_- = 0: the orderings meet at (0, r_+(0))
+        argmax_flat, flat_val, residual_flat = argmin_sharp, sharp_val, search.residual
+    else:
+        cp_flat = float(_c_plus_maximum(flat_slope, mf, opt, 1, (reply.c_plus,) * 2)[0])
+        if cp_flat not in flat:  # eta_+ = 0: the maximum needed no slope
+            flat_slope(np.array([cp_flat]), None)
+        cm_flat, flat_val, rhs_flat = flat[cp_flat]
+        argmax_flat = GamePoint(cm_flat, cp_flat)
+        residual_flat = _residual(cm_flat, cp_flat, rhs_flat)  # the flat slope's own gap map
     p_sharp, p_flat = -sharp_val, -flat_val
     return GameResult(
         p_sharp=p_sharp,
@@ -480,12 +535,13 @@ def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) 
         argmin_sharp=argmin_sharp,
         argmax_flat=argmax_flat,
         gap_residual_sharp=search.residual,
-        gap_residual_flat=_residual(cm_flat, cp_flat, rhs_flat),  # the flat slope's own gap map
+        gap_residual_flat=residual_flat,
         saddle_gap=p_flat - p_sharp,
         other_minima=tuple((GamePoint(x, search.replies[x].c_plus), fx) for x, fx in others),
         payoff_evaluations=tally.pressure_lanes,
         kernel_calls=tally.kernel_calls,
         refinement_margin=tally.refinement_margin,
+        pairing_bound=search.pairing_bound,
     )
 
 

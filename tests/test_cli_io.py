@@ -668,9 +668,11 @@ def test_cli_game_grid_equals_scalar_payoffs(tmp_path, capsys):
     assert len(result["grid"]) == 49
     for cm, cp, value in result["grid"]:
         assert abs(value - payoff(mf, GamePoint(cm, cp), cfg.quadrature)) <= 1e-15
-    # the game's work counters reach its JSON
-    assert result["kernel_calls"] > 0 and result["payoff_evaluations"] > 0
-    assert 0.0 < result["refinement_margin"] <= cfg.quadrature.tol
+    # the game's work counters reach its JSON; below the pairing bound it
+    # checks one payoff, whose two resolutions may agree exactly
+    assert result["kernel_calls"] > 0 and result["payoff_evaluations"] == 1
+    assert 0.0 <= result["refinement_margin"] <= cfg.quadrature.tol
+    assert result["pairing_bound"] == game._pairing_bound(mf, cfg.quadrature) < 1.0
     # the grid spans the game's strategy boxes
     (_, cm_hi), (_, cp_hi) = strategy_boxes(mf)
     assert (result["grid"][-1][0], result["grid"][-1][1]) == (cm_hi, cp_hi)
@@ -1009,7 +1011,8 @@ def test_cli_log_level_sets_which_records_reach_stderr(tmp_path, capsys):
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == 11
+    assert "PASS  games below the pairing bound vs full-grid oracle, 1-D and 2-D" in out
     assert "PASS  mean-field pair problems vs Fock ED, 3 open, 3 and 5 periodic sites" in out
     assert "PASS  momentum vs (N, 2S_z) sectors, 5-site periodic Kac box" in out
     assert "PASS  representative build vs global matrix, 5-site periodic Kac box" in out
@@ -1080,6 +1083,39 @@ def test_cli_failed_check_exit_code(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, minimal_config(L=[0]))
     assert main(["pressure-ed", "--config", path]) == 5
     assert "Gibbs expectations out of range" in capsys.readouterr().err
+
+
+class ClosedPipe:
+    """A stdout whose reader has left: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_cli_a_closed_stdout_exits_with_its_code(tmp_path, capsys, monkeypatch):
+    # a traceback before: print raised BrokenPipeError out of main
+    path = write_config(tmp_path, minimal_config())
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["gap", "--config", path]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_a_closed_pipe_is_pointed_at_devnull(tmp_path, capsys, monkeypatch):
+    # a real pipe whose read end is closed: the handler points stdout's file
+    # descriptor at os.devnull, so what is still buffered is dropped at exit
+    path = write_config(tmp_path, minimal_config())
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["gap", "--config", path]) == 141
+        stdout.write("more output")
+        stdout.flush()  # to os.devnull, no BrokenPipeError
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""
 
 
 def test_seed_key_removed():

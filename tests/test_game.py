@@ -215,10 +215,12 @@ def test_game_quadrature_budget(monkeypatch):
                                 + calls.count("bz_gibbs_expectations"))
 
 
-@pytest.mark.parametrize("beta, eta_minus, kernel_calls", [(2.0, 1.0, 15), (8.0, 2.0, 88)],
+@pytest.mark.parametrize("beta, eta_minus, kernel_calls", [(2.0, 1.0, 10), (8.0, 2.0, 65)],
                          ids=["normal_phase", "ordered"])
 def test_kernel_calls_are_pinned(beta, eta_minus, kernel_calls):
-    # 28 and 98 before the grid solved r_+ at c_- = 0 and the flat pass was batched
+    # 28 and 98 before the grid solved r_+ at c_- = 0 and the flat pass was
+    # batched; 15 and 88 before the pairing bound skipped the normal phase's
+    # grids and each root step bracketed its r_+ by its neighbours' replies
     mf = MeanFieldParams(beta=beta, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=eta_minus)
     clear_game_caches()
@@ -288,26 +290,66 @@ def test_gap_after_a_game_makes_no_kernel_call(monkeypatch):
     assert warm.iterations > 1
 
 
-@pytest.mark.parametrize("spec, field, value", [
-    ("mf", "beta", 3.5),
-    ("mf", "eta_plus", 0.8),
-    ("mf", "eta_minus", 1.6),
-    ("mf", "hopping", HoppingKernel({(0,): 2.0, (1,): -0.9}, 1)),
-    ("quad", "points_per_axis", 80),
-    ("quad", "tol", 1e-7),
-    ("opt", "grid_points", 11),
-    ("opt", "xtol", 1e-11),
-])
-def test_a_changed_field_misses_the_cache(monkeypatch, spec, field, value):
-    specs = {"mf": CACHED, "quad": QUAD, "opt": CACHED_OPT}
+# a narrow band whose pairing bound is above 1 at every field change below:
+# its game searches the c_- grids and the flat profile
+SUPERCRITICAL = MeanFieldParams(beta=3.0, hopping=HoppingKernel({(0,): 0.0, (1,): -0.25}, 1),
+                                eta_plus=0.9, eta_minus=1.7)
+
+
+def changed_fields(hopping):
+    """A changed field of each spec, with hopping as the changed kernel."""
+    return [
+        ("mf", "beta", 3.5),
+        ("mf", "eta_plus", 0.8),
+        ("mf", "eta_minus", 1.6),
+        ("mf", "hopping", hopping),
+        ("quad", "points_per_axis", 80),
+        ("quad", "tol", 1e-7),
+        ("opt", "grid_points", 11),
+        ("opt", "xtol", 1e-11),
+    ]
+
+
+def changed_specs(mf, spec, field, value):
+    """The specs of a game of mf, solved and cached, with one field changed."""
+    specs = {"mf": mf, "quad": QUAD, "opt": CACHED_OPT}
     clear_game_caches()
     solve_game(**specs)
     specs[spec] = dataclasses.replace(specs[spec], **{field: value})
+    return specs
+
+
+@pytest.mark.parametrize("spec, field, value",
+                         changed_fields(HoppingKernel({(0,): 0.1, (1,): -0.25}, 1)))
+def test_a_changed_field_misses_the_cache(monkeypatch, spec, field, value):
+    specs = changed_specs(SUPERCRITICAL, spec, field, value)
+    assert game._pairing_bound(specs["mf"], specs["quad"]) >= 1.0
     calls = zone_calls(monkeypatch)
     assert solve_gap_fixed_point(**specs).iterations == len(calls) > 1  # a sharp search
     searched = len(calls)
     solve_game(**specs)
     assert len(calls) > searched  # a flat search on top of the cached sharp one
+
+
+@pytest.mark.parametrize("spec, field, value",
+                         changed_fields(HoppingKernel({(0,): 2.0, (1,): -0.9}, 1)))
+def test_a_changed_field_misses_the_cache_below_the_pairing_bound(monkeypatch, spec, field, value):
+    specs = changed_specs(CACHED, spec, field, value)
+    assert game._pairing_bound(specs["mf"], specs["quad"]) < 1.0
+    calls = zone_calls(monkeypatch)
+    assert solve_gap_fixed_point(**specs).iterations == len(calls) > 1  # a sharp search
+    searched = len(calls)
+    solve_game(**specs)
+    assert len(calls) == searched  # the cached sharp search is the whole game
+
+
+def failing_zone(monkeypatch, calls):
+    """From now on every zone-kernel call is counted and raises AccuracyError."""
+    def failing(*args, **kwargs):
+        calls.append(1)
+        raise AccuracyError("quadrature not converged", {"base": 0.0, "refined": 1.0})
+
+    monkeypatch.setattr(quasifree, "_zone", failing)
 
 
 @pytest.mark.parametrize("searched", [True, False], ids=["flat_search_fails", "sharp_search_fails"])
@@ -321,14 +363,9 @@ def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, searched):
     clear_game_caches()
     calls = zone_calls(monkeypatch)
     if searched:
-        mf, quad = CACHED, QUAD
+        mf, quad = SUPERCRITICAL, QUAD
         solve_gap_fixed_point(mf, quad, OPT)
-
-        def failing(*args, **kwargs):
-            calls.append(1)
-            raise AccuracyError("quadrature not converged", {"base": 0.0, "refined": 1.0})
-
-        monkeypatch.setattr(quasifree, "_zone", failing)
+        failing_zone(monkeypatch, calls)
     errors = []
     for _ in range(2):
         calls.clear()
@@ -342,6 +379,21 @@ def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, searched):
     if not searched:
         with pytest.raises(AccuracyError):
             solve_gap_fixed_point(mf, quad, OPT)
+
+
+def test_a_game_below_the_pairing_bound_is_its_cached_sharp_search(monkeypatch):
+    # below the bound no flat search is made, so a zone kernel that raises
+    # once the sharp search is cached is never called
+    clear_game_caches()
+    gap = solve_gap_fixed_point(CACHED, QUAD, OPT)
+    calls = []
+    failing_zone(monkeypatch, calls)
+    res = solve_game(CACHED, QUAD, OPT)
+    assert calls == []
+    assert res.argmax_flat == res.argmin_sharp == GamePoint(gap.c_minus, gap.c_plus)
+    assert (res.p_flat, res.saddle_gap, res.other_minima) == (res.p_sharp, 0.0, ())
+    assert res.gap_residual_flat == res.gap_residual_sharp == gap.residual
+    assert res.kernel_calls == gap.iterations
 
 
 def test_edge_optimum_is_the_exact_origin():
@@ -595,7 +647,8 @@ def c_plus_maximum(slope, guess, eta_plus=1.0):
         return slope(x)
 
     mf = dataclasses.replace(UNIT_BOXES, eta_plus=eta_plus)
-    return game._c_plus_maximum(counted, mf, OPT, 1, guess)[0], evaluated
+    interval = None if guess is None else (guess, guess)
+    return game._c_plus_maximum(counted, mf, OPT, 1, interval)[0], evaluated
 
 
 def test_c_plus_maximum_at_the_guess_takes_two_slopes():
@@ -688,6 +741,141 @@ def test_a_normal_phase_game_calls_the_decision_rule_once(monkeypatch):
     assert res.argmin_sharp.c_minus == 0.0
     assert len(seen) == 1
     assert 0.0 in seen[0] and OPT.xtol not in seen[0]
+
+
+# -- the pairing bound ---------------------------------------------------------------
+
+BAND = HoppingKernel({(0,): 0.3, (1,): -1.0}, 1)  # a band that crosses zero
+LAP2 = discrete_laplacian(2)
+
+
+@pytest.mark.parametrize("kernel, beta, eta_plus, eta_minus", [
+    (discrete_laplacian(1), 8.0, 1.0, 2.0),
+    (discrete_laplacian(1), 2.0, 0.0, 1.0),
+    (BAND, 4.0, 0.5, 0.7),
+    (BAND, 1.0, 0.0, 3.0),
+    (NNN, 6.0, 0.25, 1.5),
+    (LAP2, 3.0, 0.8, 2.0),
+    (LAP2, 1.0, 0.0, 1.0),
+    (DIAGONAL, 5.0, 0.4, 4.0),
+], ids=["lap", "lap_eta_plus_0", "band", "band_eta_plus_0", "nnn", "lap_2d",
+        "lap_2d_eta_plus_0", "diagonal_2d"])
+def test_the_pairing_bound_bounds_eta_chi_over_the_boxes(kernel, beta, eta_plus, eta_minus):
+    # the c_- slope is 2 c_- (1 - eta_- chi) with eta_- chi = sqrt(eta_-) pair / c_-
+    mf = MeanFieldParams(beta=beta, hopping=kernel, eta_plus=eta_plus, eta_minus=eta_minus)
+    bound = game._pairing_bound(mf, QUAD)
+    (_, cm_hi), (_, cp_hi) = strategy_boxes(mf)
+    rng = np.random.default_rng(11)
+    c_minus = np.concatenate(([1e-9] * 3, rng.uniform(0.0, cm_hi, 200)))
+    c_plus = np.concatenate(([0.0, cp_hi / 2, cp_hi], rng.uniform(0.0, cp_hi, 200)))
+    pair = bz_gibbs_expectations(mf, c_minus, c_plus, QUAD)[0]
+    eta_chi = math.sqrt(eta_minus) * pair / c_minus
+    # to rounding: at c_+ = 0 a flat or nonnegative band attains the bound as c_- -> 0
+    assert eta_chi.max() <= bound * (1 + 1e-14)
+    if kernel in (discrete_laplacian(1), LAP2):
+        assert eta_chi[0] >= bound * (1 - 1e-12)
+
+
+def full_grid_oracle(mf, quad=QUAD, opt=OPT):
+    """(P_sharp, P_flat, r_+(0), c_- slopes) of a model whose c_- slope is
+    positive on the whole grid, from public calls alone: the decision rule
+    on the full c_- grid, and the c_- slope 2 (c_- - sqrt(eta_-) pair) at
+    the sharp profile's nodes and at every node of both boxes (a node at
+    c_- = 0 probed at xtol).  Where every slope is positive the sharp
+    profile's grid minimum is its node 0, and r_- is 0 at every c_+ node,
+    so the flat profile is payoff(0, c_+), whose maximum the decision rule
+    at c_- = 0 gives."""
+    xs, cps = (np.linspace(lo, hi, opt.grid_points) for lo, hi in strategy_boxes(mf))
+    probe = np.where(xs > 0.0, xs, opt.xtol)
+    sharp = decision_rule(mf, xs, quad, opt)
+    slopes = np.array([2.0 * (probe - math.sqrt(mf.eta_minus)
+                              * bz_gibbs_expectations(mf, probe, c_plus, quad)[0])
+                       for c_plus in [sharp.c_plus, *cps]])  # one row of c_- nodes per call
+    assert int(np.argmin(sharp.payoff_value)) == 0
+    flat = decision_rule(mf, 0.0, quad, opt)
+    return -sharp.payoff_value[0], -flat.payoff_value, sharp.c_plus[0], slopes
+
+
+@pytest.mark.parametrize("kernel, beta, eta_plus, eta_minus", [
+    (discrete_laplacian(1), 2.0, 1.0, 1.0),
+    (discrete_laplacian(1), 7.0, 0.2, 0.9),
+    (discrete_laplacian(1), 0.5, 1.5, 4.0),
+    (discrete_laplacian(1), 3.0, 0.0, 1.2),
+    (discrete_laplacian(1), 4.0, 0.7, 0.0),
+    (BAND, 2.0, 0.5, 0.5),
+    (NNN, 8.0, 1.0, 1.0),
+    (LAP2, 2.0, 1.0, 1.0),
+    (DIAGONAL, 4.0, 0.5, 1.5),
+], ids=["lap", "lap_cold", "lap_hot", "lap_eta_plus_0", "lap_eta_minus_0", "band", "nnn",
+        "lap_2d", "diagonal_2d"])
+def test_a_game_below_the_pairing_bound_equals_the_full_grid_oracle(
+        monkeypatch, kernel, beta, eta_plus, eta_minus):
+    mf = MeanFieldParams(beta=beta, hopping=kernel, eta_plus=eta_plus, eta_minus=eta_minus)
+    p_sharp, p_flat, reply, slopes = full_grid_oracle(mf)
+    assert (slopes > 0.0).all()
+    lane_minima = []
+    monkeypatch.setattr(game, "_lane_minima", lambda *args: lane_minima.append(args))
+    clear_game_caches()
+    res = solve_game(mf, QUAD, OPT)
+    assert res.pairing_bound < 1.0 and lane_minima == []  # no c_- grid was searched
+    assert abs(res.p_sharp - p_sharp) <= 1e-12 and abs(res.p_flat - p_flat) <= 1e-12
+    assert res.argmin_sharp.c_minus == 0.0 and abs(res.argmin_sharp.c_plus - reply) <= 1e-12
+    assert (res.argmax_flat, res.saddle_gap, res.other_minima) == (res.argmin_sharp, 0.0, ())
+    assert res.gap_residual_flat == res.gap_residual_sharp <= OPT.tol_gap
+    assert res.payoff_evaluations == 1  # one refinement-checked payoff, at (0, r_+(0))
+
+
+@pytest.mark.parametrize("mf", [
+    MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1), eta_plus=1.0, eta_minus=2.0),
+    SUPERCRITICAL,  # its game is in the normal phase
+], ids=["ordered", "normal_phase"])
+def test_a_game_at_or_above_the_pairing_bound_searches_the_grids(monkeypatch, mf):
+    searched = []
+    lane_minima = game._lane_minima
+
+    def recorder(value, slope, mf, opt, lanes):
+        searched.append(lanes)
+        return lane_minima(value, slope, mf, opt, lanes)
+
+    monkeypatch.setattr(game, "_lane_minima", recorder)
+    clear_game_caches()
+    res = solve_game(mf, QUAD, OPT)
+    assert res.pairing_bound >= 1.0
+    assert searched[0] == 1 and len(searched) >= 2  # the sharp grid, then the flat replies
+    assert res.gap_residual_sharp <= OPT.tol_gap
+
+
+@pytest.mark.parametrize("guess", [(0.06, 0.07), (0.0659865, 0.0659866), (0.3, 0.5), (0.0, 0.01),
+                                   (1.9, 1.9)],
+                         ids=["holds_the_root", "narrow", "above", "below", "at_the_edge"])
+def test_decision_rule_with_a_guess_finds_the_same_root(guess):
+    # the ordered model's r_+ near its sharp minimum: a guess saves steps and
+    # never moves the root by more than xtol
+    mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1), eta_plus=1.0, eta_minus=2.0)
+    c_minus = np.array([0.0871, 0.0872])
+    plain = decision_rule(mf, c_minus, QUAD, OPT)
+    guessed = decision_rule(mf, c_minus, QUAD, OPT, guess=guess)
+    assert np.abs(guessed.c_plus - plain.c_plus).max() <= OPT.xtol
+    assert np.abs(guessed.payoff_value - plain.payoff_value).max() <= 1e-15
+
+
+def test_root_steps_bracket_their_replies_by_their_neighbours(monkeypatch):
+    # every decision rule after the grid's is guessed from solved replies
+    guesses = []
+
+    def recorder(mf, c_minus, quad, opt, tally, guess=None):
+        guesses.append(guess)
+        return decision_rule(mf, c_minus, quad, opt, tally, guess)
+
+    monkeypatch.setattr(game, "decision_rule", recorder)
+    mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1), eta_plus=1.0, eta_minus=2.0)
+    clear_game_caches()
+    res = solve_game(mf, QUAD, OPT)
+    assert guesses[0] is None and len(guesses) > 2
+    for lo, hi in guesses[1:]:
+        assert np.all(np.minimum(lo, hi) <= res.argmin_sharp.c_plus + 1e-3)
+        assert np.all(np.maximum(lo, hi) >= res.argmin_sharp.c_plus - 1e-3)
+    assert abs(res.p_sharp - 0.012323317873909584) <= 1e-12
 
 
 # -- gap equations --------------------------------------------------------------------
