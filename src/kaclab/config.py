@@ -5,14 +5,23 @@ digits) round-trips doubles bit-faithfully and is what gets hashed into
 config_hash, the provenance tag carried by every persisted record.
 Validation collects *all* schema errors before failing.  _KEYS is the one
 declaration of the top-level keys; every step of parsing reads it.
+
+`parse_config` reads its file on every call, but parses, validates and
+hashes each distinct text once per process: the parsed configuration is
+kept in an `lru_cache` keyed by the text, as `game` keeps its solved
+games, and every call with that text returns the same frozen
+`ExperimentConfig`.  A text that fails is not kept and raises on every
+ask.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 from .errors import ConfigError, is_integer, is_number
 from .game import OptimizerSpec
@@ -115,16 +124,21 @@ def canonical_json(obj) -> str:
         return format(obj, ".17g")
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, MappingProxyType)):
         items = sorted(obj.items())
         return "{" + ", ".join(f"{encode_basestring_ascii(str(k))}: {canonical_json(v)}"
                                for k, v in items) + "}"
     raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed, validated experiment description; plain fields bear their key's name."""
+    """Parsed, validated experiment description; plain fields bear their key's name.
+
+    Frozen, and `normalized`, the configuration tree with every default
+    filled in, is a read-only view (objects as mappings, lists as tuples):
+    one parse of a text is shared by every `parse_config` of it.
+    """
 
     dimension: int
     hopping: HoppingKernel
@@ -143,7 +157,8 @@ class ExperimentConfig:
     optimizer: OptimizerSpec
     output_dir: str
     dimension_cap: int
-    normalized: dict = field(init=False, repr=False, default_factory=dict)
+    normalized: MappingProxyType = field(init=False, repr=False,
+                                         default_factory=lambda: MappingProxyType({}))
 
     # -- builders ------------------------------------------------------------
 
@@ -175,6 +190,18 @@ class ExperimentConfig:
             boundary=self.boundary,
             dimension_cap=self.dimension_cap,
         )
+
+    @functools.cached_property
+    def _hash(self) -> str:
+        """`config_hash`, computed once per config."""
+        return hashlib.sha256(serialize_config(self).encode("utf-8")).hexdigest()[:16]
+
+
+def _read_only(value):
+    """value with its objects as read-only mappings and its lists as tuples."""
+    if isinstance(value, dict):
+        return MappingProxyType({key: _read_only(v) for key, v in value.items()})
+    return tuple(map(_read_only, value)) if isinstance(value, (list, tuple)) else value
 
 
 def _field_value(value, annotation):
@@ -232,25 +259,33 @@ def parse_config_dict(data: dict) -> ExperimentConfig:
                                       else 0.0 if pot is None else pot.born_zero())
     cfg = ExperimentConfig(**{f.name: _field_value(values[f.name], f.type)
                               for f in fields(ExperimentConfig) if f.init})
-    cfg.normalized = {key: getattr(cfg, key, values[key]) for key in _KEYS}
-    cfg.normalized.update(
+    normalized = {key: getattr(cfg, key, values[key]) for key in _KEYS}
+    normalized.update(
         hopping=sorted([list(z), v] for z, v in cfg.hopping.entries.items()),
         potentials={role: None if pot is None else {"family": pot.family, **pot.params()}
                     for role, pot in potentials.items()},
         eta=eta,
-        # the specs' fields are numbers, strings and tuples: no deep copy needed
         quadrature={f.name: getattr(cfg.quadrature, f.name) for f in fields(cfg.quadrature)},
         optimizer={f.name: getattr(cfg.optimizer, f.name) for f in fields(cfg.optimizer)},
     )
+    object.__setattr__(cfg, "normalized", _read_only(normalized))
     return cfg
 
 
 def parse_config(path: str) -> ExperimentConfig:
+    """The configuration in the file at path, read on every call; each
+    distinct text is parsed once per process (`_parse_text`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise ConfigError([f"cannot read config file {path}: {err}"]) from None
+    return _parse_text(text)
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_text(text: str) -> ExperimentConfig:
+    """The configuration of a text, cached by the text; an error is not kept."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -263,5 +298,4 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    digest = hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
-    return digest[:16]
+    return cfg._hash

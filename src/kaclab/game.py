@@ -49,7 +49,9 @@ probed at xtol.  The sharp search solves r_+ at the node 0 itself and
 probes at (xtol, r_+(0)): r_+ is even in c_-, so the sign is the one at
 (xtol, r_+(xtol)) unless that slope is O(xtol^2), and a minimum at the
 origin reuses the grid's reply.  Each root step brackets its r_+ first
-by the replies of the nearest c_- solved on either side.
+by the replies of the nearest c_- solved on either side.  The grid and
+the root steps solve r_+ alone; the sharp profile's payoff is evaluated
+once, at all its minima.
 The flat root is bracketed first within xtol/2 of the sharp reply
 c_+* = r_+(c_-*), where it lies at a saddle point, and otherwise searched
 only on the side of c_+* that the slope's signs there give.  Each step of
@@ -86,6 +88,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 from typing import Callable, NamedTuple
@@ -241,54 +244,58 @@ def _lane_roots(fn, x1, x2, f1, f2, lanes, opt: OptimizerSpec) -> np.ndarray:
     fn(x, lanes) evaluates the listed lanes at x in one call; f1 and f2,
     arrays of its values at the bracket ends, differ in sign.  A lane stops
     when its bracket is narrower than xtol + 4 eps |x| (brentq's rule) or
-    fn hits 0; the live lanes are compressed only when one stops.  Each
-    root is the bracket end of smaller |fn|, so fn was evaluated there.
-    A lane still open after _MAX_STEPS evaluations raises `AccuracyError`
-    with its bracket, so no root is ever a bracket end short of xtol.
+    fn hits 0.  Each root is the bracket end of smaller |fn|, so fn was
+    evaluated there.  A lane still open after _MAX_STEPS evaluations raises
+    `AccuracyError` with its bracket, so no root is ever a bracket end
+    short of xtol.  Each live lane's state (x1, x2, x3, f1, f2, f3) is kept
+    as Python floats, and each step is one call of fn on the live lanes;
+    an interpolation whose ratios are not finite is a bisection.
     """
-    roots = np.empty(np.shape(lanes))
-    if not roots.size:
-        return roots
-    at = np.arange(roots.size)  # where each live lane's root goes
-    x3 = f3 = None
-    rel = 4 * np.finfo(float).eps
+    every = lanes = np.asarray(lanes)
+    roots = np.empty(every.shape)
+    # per live lane: where its root goes, its bracket x1, x2, the point x3
+    # dropped last (none before the first step), and fn at the three
+    live = [(k, a, b, None, fa, fb, None) for k, (a, b, fa, fb) in
+            enumerate(zip(*(np.asarray(v, float).tolist() for v in (x1, x2, f1, f2))))]
+    rel = 4 * sys.float_info.epsilon
     for step in range(_MAX_STEPS + 1):
-        a1, a2 = np.abs(f1), np.abs(f2)
-        best = np.where(a1 < a2, x1, x2)
-        dx = x2 - x1
-        width = np.abs(dx)
-        tol = opt.xtol + rel * np.abs(best)
-        going = (width >= tol) & (np.minimum(a1, a2) != 0.0)
-        if not going.all():
-            roots[at] = best  # the last word for the lanes that stop
-            if not going.any():
-                return roots
-            at, lanes, x1, x2, f1, f2, dx, width, tol = (
-                v[going] for v in (at, lanes, x1, x2, f1, f2, dx, width, tol))
-            if x3 is not None:
-                x3, f3 = x3[going], f3[going]
+        going, tols = [], []
+        for lane in live:
+            k, x1, x2, _, f1, f2, _ = lane
+            best = x1 if abs(f1) < abs(f2) else x2
+            tol = opt.xtol + rel * abs(best)
+            if abs(x2 - x1) >= tol and f1 != 0.0 and f2 != 0.0:
+                going.append(lane)
+                tols.append(tol)
+            else:
+                roots[k] = best  # the last word for a lane that stops
+        if not going:
+            return roots
+        if len(going) < len(live):
+            lanes = every[[lane[0] for lane in going]]
         if step == _MAX_STEPS:
-            bracket = sorted((x1[0].item(), x2[0].item()))  # the first open lane's
             raise AccuracyError(f"root search still open after {_MAX_STEPS} steps",
-                                values={"bracket": bracket})
-        if x3 is None:
+                                values={"bracket": sorted(going[0][1:3])})  # the first open lane's
+        xs = []
+        for (_, x1, x2, x3, f1, f2, f3), tol in zip(going, tols):
+            dx = x2 - x1
             t = 0.5
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d12, d32 = f1 - f2, f3 - f2
-                xi = (x1 - x2) / (x3 - x2)
-                phi = d12 / d32
-                quadratic = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
-                t = np.where(quadratic, f1 / d12 * f3 / d32
-                             - (x3 - x1) / dx * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-            edge = 0.5 * tol / width
-            t = np.minimum(np.maximum(t, edge), 1 - edge)
-        x = x1 + t * dx
-        f = fn(x, lanes)
-        same = np.sign(f) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, f
+            if x3 is not None:
+                if x3 != x2 and f3 != f2:
+                    d12, d32 = f1 - f2, f3 - f2
+                    xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
+                    if 0.0 <= xi <= 1.0 and 1 - math.sqrt(1 - xi) < phi < math.sqrt(xi):
+                        t = (f1 / d12 * f3 / d32
+                             - (x3 - x1) / dx * f1 / (f3 - f1) * f2 / (f2 - f3))
+                edge = 0.5 * tol / abs(dx)
+                t = min(max(t, edge), 1 - edge)
+            xs.append(x1 + t * dx)
+        live = []
+        for (k, x1, x2, _, f1, f2, _), x, f in zip(going, xs, fn(np.array(xs), lanes).tolist()):
+            if (f > 0.0 and f1 > 0.0) or (f < 0.0 and f1 < 0.0):  # x1 is dropped
+                live.append((k, x, x2, x1, f, f2, f1))
+            else:  # x2 is dropped
+                live.append((k, x, x1, x2, f, f1, f2))
 
 
 def _c_plus_maximum(slope: Callable, mf: MeanFieldParams, opt: OptimizerSpec,
@@ -401,21 +408,25 @@ def decision_rule(mf: MeanFieldParams, c_minus, quad: QuadratureSpec | None = No
     `_c_plus_maximum`: it saves steps where it holds the root and moves no
     answer by more than xtol where it does not.
     """
-    opt = opt or OptimizerSpec()
     cm = np.asarray(c_minus, float)
-    lanes = cm.ravel()
+    x = _plain(_best_reply(mf, cm, quad, opt or OptimizerSpec(), tally, guess).reshape(cm.shape))
+    return DecisionResult(x, payoff(mf, GamePoint(_plain(cm), x), quad, tally))
+
+
+def _best_reply(mf: MeanFieldParams, c_minus: np.ndarray, quad: QuadratureSpec | None,
+                opt: OptimizerSpec, tally: ZoneTally | None, guess: tuple | None) -> np.ndarray:
+    """`decision_rule`'s r_+ at the lanes c_minus.ravel(), without its payoff."""
+    lanes = c_minus.ravel()
 
     def slope(c_plus, i):
         return _gap_map(mf, lanes[i], c_plus, quad, tally)[1] - c_plus
 
-    x = _plain(_c_plus_maximum(slope, mf, opt, lanes.size, guess).reshape(cm.shape))
-    value = payoff(mf, GamePoint(_plain(cm), x), quad, tally)
-    return DecisionResult(x, value)
+    return _c_plus_maximum(slope, mf, opt, lanes.size, guess)
 
 
 class _SharpSearch(NamedTuple):
     minima: tuple  # the local minima (c_-, value) of the sharp profile, lowest first
-    replies: MappingProxyType  # c_- -> the DecisionResult of r_+ at every c_- evaluated
+    replies: MappingProxyType  # c_- -> r_+(c_-) at every c_- evaluated
     residual: float  # gap_residual at the lowest minimum (c_-, r_+(c_-))
     tally: ZoneTally  # the search's work; read it, never add to it
     pairing_bound: float  # `_pairing_bound`; below 1 the search made no c_- grid
@@ -425,11 +436,12 @@ class _SharpSearch(NamedTuple):
 def _sharp_search(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) -> _SharpSearch:
     """The sharp search: the local minima of payoff(c_-, r_+(c_-)), with r_+
     computed once per c_-; the new c_- of one search step are solved
-    together.  Where `_pairing_bound` is below 1 the profile rises from
-    c_- = 0, its only minimum: one one-lane `decision_rule` call at the
-    origin is the whole search.  Otherwise the profile's slope is the c_-
+    together, and the payoff is evaluated once, at all the minima.  Where
+    `_pairing_bound` is below 1 the profile rises from c_- = 0, its only
+    minimum: one one-lane `decision_rule` call there, r_+(0) and its
+    payoff, is the whole search.  Otherwise the profile's slope is the c_-
     gap equation at (c_-, r_+(c_-)) by the envelope theorem, on the grid
-    of `_lane_minima`.  The grid's one `decision_rule` call solves r_+ at
+    of `_lane_minima`.  The grid's one `_best_reply` call solves r_+ at
     every node, c_- = 0 included, and the slope there is probed at
     (xtol, r_+(0)); a minimum at the origin reuses that reply.  Each later
     c_- (a root step) brackets its r_+ first by the replies at the nearest
@@ -451,26 +463,26 @@ def _sharp_search(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec)
             if replies:  # the replies of each new c_-'s solved neighbours
                 known = sorted(replies)
                 right = np.clip(np.searchsorted(known, new), 1, len(known) - 1)
-                guess = tuple(np.array([replies[known[k]].c_plus for k in side.tolist()])
+                guess = tuple(np.array([replies[known[k]] for k in side.tolist()])
                               for side in (right - 1, right))
-            r = decision_rule(mf, np.array(new), quad, opt, tally, guess)
-            replies.update(zip(new, map(DecisionResult, r.c_plus.tolist(),
-                                        r.payoff_value.tolist())))
-        return [replies[x] for x in keys]
+            replies.update(zip(new, _best_reply(mf, np.array(new), quad, opt, tally,
+                                                guess).tolist()))
+        return np.array([replies[x] for x in keys])
 
     def sharp_value(xs, _):
-        return np.array([r.payoff_value for r in reply_plus(xs)])
+        return payoff(mf, GamePoint(xs, reply_plus(xs)), quad, tally)
 
     def sharp_slope(xs, _, nodes):
-        c_plus = np.array([r.c_plus for r in reply_plus(nodes)])
-        return _minus_slope(mf, xs, c_plus, quad, tally)
+        return _minus_slope(mf, xs, reply_plus(nodes), quad, tally)
 
-    if bound < 1.0:
-        minima = ((0.0, reply_plus([0.0])[0].payoff_value),)
+    if bound < 1.0:  # the one minimum is known: its reply and payoff in one call
+        origin = decision_rule(mf, np.zeros(1), quad, opt, tally)
+        replies[0.0] = origin.c_plus.item()
+        minima = ((0.0, origin.payoff_value.item()),)
     else:
         minima = tuple(_lane_minima(sharp_value, sharp_slope, mf, opt, 1)[0])
     c_minus = minima[0][0]
-    residual = gap_residual(mf, GamePoint(c_minus, replies[c_minus].c_plus), quad, tally)
+    residual = gap_residual(mf, GamePoint(c_minus, replies[c_minus]), quad, tally)
     return _SharpSearch(minima, MappingProxyType(replies), residual, tally, bound)
 
 
@@ -517,12 +529,11 @@ def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) 
         return rhs[1] - c_plus
 
     (cm_sharp, sharp_val), *others = search.minima
-    reply = search.replies[cm_sharp]
-    argmin_sharp = GamePoint(cm_sharp, reply.c_plus)
+    argmin_sharp = GamePoint(cm_sharp, search.replies[cm_sharp])
     if search.pairing_bound < 1.0:  # r_- = 0: the orderings meet at (0, r_+(0))
         argmax_flat, flat_val, residual_flat = argmin_sharp, sharp_val, search.residual
     else:
-        cp_flat = float(_c_plus_maximum(flat_slope, mf, opt, 1, (reply.c_plus,) * 2)[0])
+        cp_flat = float(_c_plus_maximum(flat_slope, mf, opt, 1, (argmin_sharp.c_plus,) * 2)[0])
         if cp_flat not in flat:  # eta_+ = 0: the maximum needed no slope
             flat_slope(np.array([cp_flat]), None)
         cm_flat, flat_val, rhs_flat = flat[cp_flat]
@@ -537,7 +548,7 @@ def _solved_game(mf: MeanFieldParams, quad: QuadratureSpec, opt: OptimizerSpec) 
         gap_residual_sharp=search.residual,
         gap_residual_flat=residual_flat,
         saddle_gap=p_flat - p_sharp,
-        other_minima=tuple((GamePoint(x, search.replies[x].c_plus), fx) for x, fx in others),
+        other_minima=tuple((GamePoint(x, search.replies[x]), fx) for x, fx in others),
         payoff_evaluations=tally.pressure_lanes,
         kernel_calls=tally.kernel_calls,
         refinement_margin=tally.refinement_margin,
@@ -597,7 +608,7 @@ def solve_gap_fixed_point(mf: MeanFieldParams, quad: QuadratureSpec | None = Non
     opt = opt or OptimizerSpec()
     search = _sharp_search(mf, quad or QuadratureSpec(), opt)
     c_minus = search.minima[0][0]
-    return GapSolution(c_minus, search.replies[c_minus].c_plus, search.residual,
+    return GapSolution(c_minus, search.replies[c_minus], search.residual,
                        search.tally.kernel_calls, search.residual <= opt.tol_gap)
 
 

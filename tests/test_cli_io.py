@@ -186,6 +186,47 @@ def test_round_trip_and_hash_stability(tmp_path):
     assert cfg4.beta[0] == ugly
 
 
+def test_a_text_is_parsed_once_and_an_edited_file_anew(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(minimal_config(beta=[2.0])))
+    first = parse_config(str(path))
+    assert parse_config(str(path)) is first  # the same text: the same parse
+    path.write_text(json.dumps(minimal_config(beta=[3.0])))
+    edited = parse_config(str(path))
+    assert edited.beta == (3.0,) and first.beta == (2.0,)
+    assert config_hash(edited) != config_hash(first)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not valid JSON"),
+    (json.dumps(minimal_config(beta=[-1.0])), "beta: entries must be positive"),
+], ids=["syntax", "schema"])
+def test_an_invalid_text_raises_on_every_ask(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for _ in range(3):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(str(path))
+
+
+def test_a_parsed_config_is_read_only(tmp_path):
+    path = write_config(tmp_path, minimal_config())
+    cfg = parse_config(path)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.beta = (5.0,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.normalized = {}
+    with pytest.raises(TypeError):
+        cfg.normalized["beta"] = [5.0]
+    with pytest.raises(TypeError):
+        cfg.normalized["potentials"]["plus"]["c0"] = 2.0
+    with pytest.raises(AttributeError):
+        cfg.normalized["beta"].append(5.0)
+    again = parse_config(path)
+    assert again.beta == (1.0,) and config_hash(again) == config_hash(parse_config_dict(
+        minimal_config()))
+
+
 README_CONFIG = {
     "schema_version": 1,
     "dimension": 1,
@@ -457,10 +498,10 @@ def cold_game_config(beta, eta_minus, **overrides):
 
 
 def test_cli_accuracy_exit_code(tmp_path, capsys):
-    # at beta = 24, eta_- = 2 a 32-point zone rule fails its refinement
-    # check in the sharp search
+    # at beta = 24, eta_- = 2 a 24-point zone rule fails its refinement
+    # check in the payoff at the sharp minimum
     path = write_config(tmp_path, cold_game_config(24.0, 2.0,
-                                                   quadrature={"points_per_axis": 32}))
+                                                   quadrature={"points_per_axis": 24}))
     assert main(["game", "--config", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -469,8 +510,8 @@ def test_cli_accuracy_exit_code(tmp_path, capsys):
                          r"\|(\S+) - (\S+)\| > 1e-08", first)
     assert match is not None
     fine, base = map(float, match.groups())
-    assert abs(fine - 0.0012155109261529507) <= 1e-15
-    assert abs(base - 0.0012159534754844494) <= 1e-15
+    assert abs(fine - 0.03117384309004768) <= 1e-15
+    assert abs(base - 0.03117398418106725) <= 1e-15
     assert second.startswith("partial values: ")
     values = ast.literal_eval(second.removeprefix("partial values: "))
     assert sorted(values) == ["base", "refined"]

@@ -215,16 +215,53 @@ def test_game_quadrature_budget(monkeypatch):
                                 + calls.count("bz_gibbs_expectations"))
 
 
-@pytest.mark.parametrize("beta, eta_minus, kernel_calls", [(2.0, 1.0, 10), (8.0, 2.0, 65)],
+@pytest.mark.parametrize("beta, eta_minus, kernel_calls", [(2.0, 1.0, 10), (8.0, 2.0, 53)],
                          ids=["normal_phase", "ordered"])
 def test_kernel_calls_are_pinned(beta, eta_minus, kernel_calls):
     # 28 and 98 before the grid solved r_+ at c_- = 0 and the flat pass was
     # batched; 15 and 88 before the pairing bound skipped the normal phase's
-    # grids and each root step bracketed its r_+ by its neighbours' replies
+    # grids and each root step bracketed its r_+ by its neighbours' replies;
+    # 65 in the ordered phase before the sharp search evaluated its payoff
+    # at its minima alone
     mf = MeanFieldParams(beta=beta, hopping=discrete_laplacian(1),
                          eta_plus=1.0, eta_minus=eta_minus)
     clear_game_caches()
     assert solve_game(mf, QUAD, OPT).kernel_calls == kernel_calls
+
+
+def test_an_ordered_game_evaluates_its_payoff_at_its_minima_alone(monkeypatch):
+    # the grid and the root steps solve r_+ without a payoff: one payoff per
+    # sharp minimum, and one per lane of the flat search (each has one minimum)
+    searched = []
+    lane_minima = game._lane_minima
+
+    def recorder(value, slope, mf, opt, lanes):
+        minima = lane_minima(value, slope, mf, opt, lanes)
+        searched.append([len(lane) for lane in minima])
+        return minima
+
+    monkeypatch.setattr(game, "_lane_minima", recorder)
+    mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1), eta_plus=1.0, eta_minus=2.0)
+    clear_game_caches()
+    res = solve_game(mf, QUAD, OPT)
+    sharp, *flat = searched
+    assert sharp == [1 + len(res.other_minima)] and flat
+    assert all(count == 1 for lanes in flat for count in lanes)
+    flat_lanes = sum(map(len, flat))
+    assert res.payoff_evaluations == 1 + len(res.other_minima) + flat_lanes
+
+
+def test_game_solves_where_only_the_root_steps_payoffs_failed_the_refinement_check():
+    # at beta = 24, eta_- = 2 a 32-point zone rule failed its refinement
+    # check in a payoff at a root step of the sharp search, which no reported
+    # value uses; the payoff at the minimum passes it
+    mf = MeanFieldParams(beta=24.0, hopping=discrete_laplacian(1), eta_plus=1.0, eta_minus=2.0)
+    clear_game_caches()
+    res = solve_game(mf, QuadratureSpec(points_per_axis=32), OPT)
+    fine = solve_game(mf, QuadratureSpec(points_per_axis=512), OPT)
+    assert res.pairing_bound >= 1.0
+    assert abs(res.p_sharp - fine.p_sharp) <= 1e-12
+    assert abs(res.p_flat - fine.p_flat) <= 1e-12
 
 
 def test_game_counters_repeat_exactly():
@@ -262,12 +299,13 @@ CACHED_OPT = OptimizerSpec(grid_points=9)
 
 
 def test_equal_models_parsed_apart_share_one_solved_game(tmp_path, monkeypatch):
-    path = tmp_path / "game.json"
-    path.write_text(json.dumps({"schema_version": 1, "dimension": 1,
-                                "hopping": [[[0], 2.0], [[1], -1.0]], "beta": [3.0],
-                                "eta": {"plus": 0.9, "minus": 1.7},
-                                "optimizer": {"grid_points": 9}}))
-    first, second = parse_config(str(path)), parse_config(str(path))
+    # one model in two texts, so that each is parsed on its own
+    model = {"schema_version": 1, "dimension": 1, "hopping": [[[0], 2.0], [[1], -1.0]],
+             "beta": [3.0], "eta": {"plus": 0.9, "minus": 1.7}, "optimizer": {"grid_points": 9}}
+    paths = tmp_path / "game.json", tmp_path / "game_indented.json"
+    paths[0].write_text(json.dumps(model))
+    paths[1].write_text(json.dumps(model, indent=4))
+    first, second = (parse_config(str(path)) for path in paths)
     assert first.hopping is not second.hopping and first.optimizer is not second.optimizer
     clear_game_caches()
     cold = solve_game(first.meanfield_params(3.0), first.quadrature, first.optimizer)
@@ -354,12 +392,12 @@ def failing_zone(monkeypatch, calls):
 
 @pytest.mark.parametrize("searched", [True, False], ids=["flat_search_fails", "sharp_search_fails"])
 def test_an_accuracy_error_is_raised_on_every_ask(monkeypatch, searched):
-    # at beta = 24, eta_- = 2 a 32-point zone rule fails its refinement
+    # at beta = 24, eta_- = 2 a 24-point zone rule fails its refinement
     # check in the sharp search, so gap fails too.  No model is known to fail
     # in the flat search alone, so there the zone kernel raises once the
     # sharp search is cached.
     mf = MeanFieldParams(beta=24.0, hopping=discrete_laplacian(1), eta_plus=1.0, eta_minus=2.0)
-    quad = QuadratureSpec(points_per_axis=32)
+    quad = QuadratureSpec(points_per_axis=24)
     clear_game_caches()
     calls = zone_calls(monkeypatch)
     if searched:
@@ -608,7 +646,7 @@ def test_other_minima_report_every_well_of_the_sharp_profile(monkeypatch):
     search = game._sharp_search(CACHED, QUAD, OPT)
     lowest = search.minima[0]
     well = (0.3, lowest[1] + 1.0)
-    replies = MappingProxyType({**search.replies, 0.3: game.DecisionResult(0.7, well[1])})
+    replies = MappingProxyType({**search.replies, 0.3: 0.7})
     monkeypatch.setattr(game, "_sharp_search", lambda *specs: search._replace(
         minima=(lowest, well), replies=replies))
     game._solved_game.cache_clear()
@@ -676,6 +714,93 @@ def test_c_plus_maximum_where_the_slope_points_out_of_the_box_is_its_edge(guess)
 
 def test_c_plus_maximum_without_repulsion_is_zero():
     assert c_plus_maximum(lambda x: 0.7 - x, 0.7, eta_plus=0.0) == (0.0, [])
+
+
+def vectorized_lane_roots(fn, x1, x2, f1, f2, lanes, opt):
+    """The reference: `_lane_roots` as it was when it kept every lane's
+    state in numpy arrays, one array operation per step for all lanes."""
+    roots = np.empty(np.shape(lanes))
+    if not roots.size:
+        return roots
+    at = np.arange(roots.size)  # where each live lane's root goes
+    x3 = f3 = None
+    rel = 4 * np.finfo(float).eps
+    for step in range(game._MAX_STEPS + 1):
+        a1, a2 = np.abs(f1), np.abs(f2)
+        best = np.where(a1 < a2, x1, x2)
+        dx = x2 - x1
+        width = np.abs(dx)
+        tol = opt.xtol + rel * np.abs(best)
+        going = (width >= tol) & (np.minimum(a1, a2) != 0.0)
+        if not going.all():
+            roots[at] = best  # the last word for the lanes that stop
+            if not going.any():
+                return roots
+            at, lanes, x1, x2, f1, f2, dx, width, tol = (
+                v[going] for v in (at, lanes, x1, x2, f1, f2, dx, width, tol))
+            if x3 is not None:
+                x3, f3 = x3[going], f3[going]
+        if step == game._MAX_STEPS:
+            bracket = sorted((x1[0].item(), x2[0].item()))  # the first open lane's
+            raise AccuracyError(f"root search still open after {game._MAX_STEPS} steps",
+                                values={"bracket": bracket})
+        if x3 is None:
+            t = 0.5
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d12, d32 = f1 - f2, f3 - f2
+                xi = (x1 - x2) / (x3 - x2)
+                phi = d12 / d32
+                quadratic = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
+                t = np.where(quadratic, f1 / d12 * f3 / d32
+                             - (x3 - x1) / dx * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            edge = 0.5 * tol / width
+            t = np.minimum(np.maximum(t, edge), 1 - edge)
+        x = x1 + t * dx
+        f = fn(x, lanes)
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+
+
+LANE_ROOT_SHAPES = {  # decreasing functions of y = x - root and a scale s per lane
+    "tanh": lambda y, s: np.tanh(-s * y),
+    "cubic": lambda y, s: -(y**3 + 1e-3 * s * y),
+    "triple_root": lambda y, s: -(y**3),  # slow: the steps hit the clip at the bracket ends
+    "step": lambda y, s: -np.sign(y),  # |f1| == |f2| at every step: bisection, and ties
+}
+
+
+@pytest.mark.parametrize("shape", list(LANE_ROOT_SHAPES))
+@pytest.mark.parametrize("lanes", [1, 2, 7, 33])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["decreasing", "increasing"])
+def test_lane_roots_equal_the_vectorized_reference(shape, lanes, sign):
+    # the same roots and the same calls of fn, bit for bit, from random brackets
+    rng = np.random.default_rng([lanes, list(LANE_ROOT_SHAPES).index(shape), sign > 0])
+    root = rng.uniform(-1.0, 1.0, lanes)
+    scale = rng.uniform(0.1, 30.0, lanes)
+    x1 = root - rng.uniform(1e-9, 2.0, lanes)
+    x2 = root + rng.uniform(1e-9, 2.0, lanes)
+
+    def fn(x, k):
+        return sign * LANE_ROOT_SHAPES[shape](x - root[k], scale[k])
+
+    results = []
+    for lane_roots in (vectorized_lane_roots, game._lane_roots):
+        calls = []
+
+        def recorded(x, k):
+            calls.append((x.tolist(), k.tolist()))
+            return fn(x, k)
+
+        each = np.arange(lanes)
+        found = lane_roots(recorded, x1.copy(), x2.copy(), fn(x1, each), fn(x2, each), each, OPT)
+        results.append((found.tolist(), calls))
+    (vectorized, vectorized_calls), (floats, float_calls) = results
+    assert floats == vectorized
+    assert float_calls == vectorized_calls
+    assert np.abs(np.array(floats) - root).max() <= 1e-8
 
 
 def test_game_solves_where_only_the_inner_grids_failed_the_refinement_check():
@@ -860,14 +985,15 @@ def test_decision_rule_with_a_guess_finds_the_same_root(guess):
 
 
 def test_root_steps_bracket_their_replies_by_their_neighbours(monkeypatch):
-    # every decision rule after the grid's is guessed from solved replies
+    # every best reply after the grid's is guessed from solved replies
     guesses = []
+    best_reply = game._best_reply
 
     def recorder(mf, c_minus, quad, opt, tally, guess=None):
         guesses.append(guess)
-        return decision_rule(mf, c_minus, quad, opt, tally, guess)
+        return best_reply(mf, c_minus, quad, opt, tally, guess)
 
-    monkeypatch.setattr(game, "decision_rule", recorder)
+    monkeypatch.setattr(game, "_best_reply", recorder)
     mf = MeanFieldParams(beta=8.0, hopping=discrete_laplacian(1), eta_plus=1.0, eta_minus=2.0)
     clear_game_caches()
     res = solve_game(mf, QUAD, OPT)
